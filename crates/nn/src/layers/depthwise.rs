@@ -1,6 +1,6 @@
 use rand::{Rng, SeedableRng};
 
-use super::{dims4_checked, Layer};
+use super::{dims4_checked, output_len, Layer};
 use crate::Tensor;
 
 /// A depthwise 2-D convolution (Fig 3b): each input channel is convolved
@@ -70,7 +70,10 @@ impl DepthwiseConv2d {
     }
 
     fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        ((h + 2 * self.pad - self.k) / self.stride + 1, (w + 2 * self.pad - self.k) / self.stride + 1)
+        (
+            output_len("DepthwiseConv2d", h, self.k, self.stride, self.pad),
+            output_len("DepthwiseConv2d", w, self.k, self.stride, self.pad),
+        )
     }
 
     fn w_at(&self, c: usize, kh: usize, kw: usize) -> f32 {
@@ -240,5 +243,11 @@ mod tests {
     fn param_count_is_per_channel() {
         let dw = DepthwiseConv2d::new(16, 3, 1, 1, 0);
         assert_eq!(dw.param_count(), 16 * 9 + 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "DepthwiseConv2d: kernel 5 (stride 1, padding 1) does not fit input size 2")]
+    fn kernel_larger_than_padded_input_panics() {
+        let _ = DepthwiseConv2d::new(1, 5, 1, 1, 0).forward(&Tensor::zeros(&[1, 1, 2, 8]));
     }
 }

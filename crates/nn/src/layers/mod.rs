@@ -21,6 +21,8 @@ pub use flatten::Flatten;
 pub use linear::Linear;
 pub use pool::{AvgPool2d, MaxPool2d};
 
+use std::ops::Range;
+
 use crate::Tensor;
 
 /// A trainable network layer.
@@ -64,4 +66,38 @@ pub trait Layer {
 pub(crate) fn dims4_checked(x: &Tensor, layer: &str) -> [usize; 4] {
     assert_eq!(x.shape().len(), 4, "{layer} expects an NCHW tensor, got shape {:?}", x.shape());
     x.dims4()
+}
+
+/// Output size of a `k`-wide window swept with `stride` over an input of
+/// size `input` zero-padded by `pad` on both sides: `(input + 2·pad − k) /
+/// stride + 1`.
+///
+/// # Panics
+///
+/// Panics if the window does not fit in the padded input.
+pub(crate) fn output_len(layer: &str, input: usize, k: usize, stride: usize, pad: usize) -> usize {
+    let padded = pad.checked_mul(2).and_then(|both| input.checked_add(both));
+    assert!(
+        padded.is_some_and(|padded| padded >= k),
+        "{layer}: kernel {k} (stride {stride}, padding {pad}) does not fit input size {input}"
+    );
+    (input + 2 * pad - k) / stride + 1
+}
+
+/// The outputs among `0..out` whose tap `t` reads inside an input of size
+/// `input`: those `o` with `0 ≤ o·stride + t − pad < input`.
+pub(crate) fn tap_range(out: usize, input: usize, t: usize, stride: usize, pad: usize) -> Range<usize> {
+    let lo = pad.saturating_sub(t).div_ceil(stride);
+    let hi = (input + pad).saturating_sub(t).div_ceil(stride).min(out);
+    lo..hi.max(lo)
+}
+
+/// Asserts `a` and `b` hold the same bits, any NaN equal to any NaN: the
+/// check the layer kernels' oracle tests make.
+#[cfg(test)]
+pub(crate) fn assert_same_bits(what: &str, a: &[f32], b: &[f32]) {
+    assert_eq!(a.len(), b.len(), "{what}: lengths differ");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert!(x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()), "{what}[{i}]: {x:e} vs {y:e}");
+    }
 }

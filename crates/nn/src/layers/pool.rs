@@ -1,4 +1,4 @@
-use super::{dims4_checked, Layer};
+use super::{dims4_checked, output_len, Layer};
 use crate::Tensor;
 
 /// Max pooling. The backward pass restores the pre-pooling dimensions and
@@ -29,29 +29,37 @@ impl MaxPool2d {
 impl Layer for MaxPool2d {
     fn forward(&mut self, x: &Tensor) -> Tensor {
         let [n, c, h, w] = dims4_checked(x, "MaxPool2d");
-        let oh = (h - self.k) / self.stride + 1;
-        let ow = (w - self.k) / self.stride + 1;
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let mut argmax = Vec::with_capacity(n * c * oh * ow);
-        for ni in 0..n {
-            for ci in 0..c {
-                for y in 0..oh {
-                    for xo in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0;
-                        for kh in 0..self.k {
-                            for kw in 0..self.k {
-                                let iy = y * self.stride + kh;
-                                let ix = xo * self.stride + kw;
-                                let v = x.at4(ni, ci, iy, ix);
-                                if v > best {
-                                    best = v;
-                                    best_idx = ((ni * c + ci) * h + iy) * w + ix;
-                                }
+        let (k, s) = (self.k, self.stride);
+        let oh = output_len("MaxPool2d", h, k, s, 0);
+        let ow = output_len("MaxPool2d", w, k, s, 0);
+        let mut out = Tensor::full(&[n, c, oh, ow], f32::NEG_INFINITY);
+        let mut argmax = vec![0; n * c * oh * ow];
+        let planes = x.data().chunks_exact(h * w).zip(out.data_mut().chunks_exact_mut(oh * ow));
+        for (plane, ((x_plane, out_plane), arg_plane)) in
+            planes.zip(argmax.chunks_exact_mut(oh * ow)).enumerate()
+        {
+            for (y, (best, best_idx)) in
+                out_plane.chunks_exact_mut(ow).zip(arg_plane.chunks_exact_mut(ow)).enumerate()
+            {
+                // A window with no value above −∞ routes its gradient to
+                // its own first element.
+                let base = plane * h * w;
+                for (xo, i) in best_idx.iter_mut().enumerate() {
+                    *i = base + y * s * w + xo * s;
+                }
+                // Taps in (kh, kw) order across the whole output row: the
+                // strict `>` keeps each window's first maximum.
+                for kh in 0..k {
+                    for kw in 0..k {
+                        let at = (y * s + kh) * w + kw;
+                        let row =
+                            best.iter_mut().zip(best_idx.iter_mut()).zip(x_plane[at..].iter().step_by(s));
+                        for (xo, ((b, i), &v)) in row.enumerate() {
+                            if v > *b {
+                                *b = v;
+                                *i = base + at + xo * s;
                             }
                         }
-                        *out.at4_mut(ni, ci, y, xo) = best;
-                        argmax.push(best_idx);
                     }
                 }
             }
@@ -100,8 +108,8 @@ impl AvgPool2d {
 impl Layer for AvgPool2d {
     fn forward(&mut self, x: &Tensor) -> Tensor {
         let [n, c, h, w] = dims4_checked(x, "AvgPool2d");
-        let oh = (h - self.k) / self.stride + 1;
-        let ow = (w - self.k) / self.stride + 1;
+        let oh = output_len("AvgPool2d", h, self.k, self.stride, 0);
+        let ow = output_len("AvgPool2d", w, self.k, self.stride, 0);
         let norm = 1.0 / (self.k * self.k) as f32;
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
         for ni in 0..n {
@@ -153,7 +161,102 @@ impl Layer for AvgPool2d {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+
+    use super::super::assert_same_bits;
     use super::*;
+
+    /// The per-window loop the slice kernel replaced, kept as its
+    /// bit-exact oracle.
+    impl MaxPool2d {
+        fn forward_oracle(&mut self, x: &Tensor) -> Tensor {
+            let [n, c, h, w] = dims4_checked(x, "MaxPool2d");
+            let oh = (h - self.k) / self.stride + 1;
+            let ow = (w - self.k) / self.stride + 1;
+            let mut out = Tensor::zeros(&[n, c, oh, ow]);
+            let mut argmax = Vec::with_capacity(n * c * oh * ow);
+            for ni in 0..n {
+                for ci in 0..c {
+                    for y in 0..oh {
+                        for xo in 0..ow {
+                            let mut best = f32::NEG_INFINITY;
+                            let mut best_idx = ((ni * c + ci) * h + y * self.stride) * w + xo * self.stride;
+                            for kh in 0..self.k {
+                                for kw in 0..self.k {
+                                    let iy = y * self.stride + kh;
+                                    let ix = xo * self.stride + kw;
+                                    let v = x.at4(ni, ci, iy, ix);
+                                    if v > best {
+                                        best = v;
+                                        best_idx = ((ni * c + ci) * h + iy) * w + ix;
+                                    }
+                                }
+                            }
+                            *out.at4_mut(ni, ci, y, xo) = best;
+                            argmax.push(best_idx);
+                        }
+                    }
+                }
+            }
+            self.cache = Some((x.shape().to_vec(), argmax));
+            out
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The slice kernel reproduces the oracle's outputs and argmax bit
+        /// for bit. Inputs take a few levels, so windows tie and the first
+        /// maximum in (kh, kw) order must win.
+        #[test]
+        fn slice_kernel_matches_the_oracle_bit_for_bit(
+            n in 1usize..=2,
+            c in 1usize..=3,
+            k in 1usize..=5,
+            stride in 1usize..=3,
+            dh in 0usize..=8,
+            dw in 0usize..=8,
+            specials in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let (h, w) = (k + dh % (10 - k), k + dw % (10 - k));
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let levels = [-1.0, -0.0, 0.0, 0.5, f32::NEG_INFINITY, f32::NAN, f32::INFINITY];
+            let used = if specials { levels.len() } else { 4 };
+            let data = (0..n * c * h * w).map(|_| levels[rng.gen_range(0..used)]).collect();
+            let x = Tensor::from_vec(data, &[n, c, h, w]);
+            let (mut fast, mut oracle) = (MaxPool2d::new(k, stride), MaxPool2d::new(k, stride));
+            let y = fast.forward(&x);
+            assert_same_bits("output", y.data(), oracle.forward_oracle(&x).data());
+            prop_assert_eq!(&fast.cache, &oracle.cache);
+        }
+    }
+
+    /// A window whose values are all −∞ or NaN keeps its gradient inside its
+    /// own sample and channel.
+    #[test]
+    fn max_pool_all_negative_infinity_window_keeps_its_gradient() {
+        let inf = f32::NEG_INFINITY;
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, inf, inf, f32::NAN, inf], &[2, 1, 2, 2]);
+        let mut p = MaxPool2d::new(2, 2);
+        assert_eq!(p.forward(&x).data(), &[4.0, inf]);
+        let g = p.backward(&Tensor::from_vec(vec![10.0, 7.0], &[2, 1, 1, 1]));
+        assert_eq!(g.data(), &[0.0, 0.0, 0.0, 10.0, 7.0, 0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "MaxPool2d: kernel 3 (stride 2, padding 0) does not fit input size 2")]
+    fn max_pool_kernel_larger_than_input_panics() {
+        let _ = MaxPool2d::new(3, 2).forward(&Tensor::zeros(&[1, 1, 2, 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "AvgPool2d: kernel 3 (stride 1, padding 0) does not fit input size 2")]
+    fn avg_pool_kernel_larger_than_input_panics() {
+        let _ = AvgPool2d::new(3, 1).forward(&Tensor::zeros(&[1, 1, 4, 2]));
+    }
 
     #[test]
     fn max_pool_selects_maxima() {

@@ -28,21 +28,23 @@ impl Tensor {
     ///
     /// # Panics
     ///
-    /// Panics if the shape is empty or any dimension is zero.
+    /// Panics if the shape is empty, any dimension is zero, or the element
+    /// count overflows `usize`.
     #[must_use]
     pub fn zeros(shape: &[usize]) -> Self {
         assert!(!shape.is_empty() && shape.iter().all(|&d| d > 0), "invalid shape {shape:?}");
-        Self { shape: shape.to_vec(), data: vec![0.0; shape.iter().product()] }
+        Self { shape: shape.to_vec(), data: vec![0.0; element_count(shape)] }
     }
 
     /// Creates a tensor from existing data.
     ///
     /// # Panics
     ///
-    /// Panics if `data.len()` does not equal the shape's element count.
+    /// Panics if the shape's element count overflows `usize` or
+    /// `data.len()` does not equal it.
     #[must_use]
     pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Self {
-        let expected: usize = shape.iter().product();
+        let expected = element_count(shape);
         assert_eq!(data.len(), expected, "data length {} != shape product {expected}", data.len());
         Self { shape: shape.to_vec(), data }
     }
@@ -95,10 +97,11 @@ impl Tensor {
     ///
     /// # Panics
     ///
-    /// Panics if the element counts differ.
+    /// Panics if the element counts differ or the new shape's count
+    /// overflows `usize`.
     #[must_use]
     pub fn reshaped(mut self, shape: &[usize]) -> Self {
-        let expected: usize = shape.iter().product();
+        let expected = element_count(shape);
         assert_eq!(self.data.len(), expected, "cannot reshape {} elements to {shape:?}", self.data.len());
         self.shape = shape.to_vec();
         self
@@ -202,6 +205,17 @@ impl Tensor {
     }
 }
 
+/// The element count of `shape`.
+///
+/// # Panics
+///
+/// Panics if the count overflows `usize`.
+fn element_count(shape: &[usize]) -> usize {
+    let count = shape.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d));
+    assert!(count.is_some(), "element count of shape {shape:?} overflows usize");
+    count.unwrap_or(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,5 +288,17 @@ mod tests {
     fn bad_index_panics() {
         let t = Tensor::zeros(&[1, 1, 2, 2]);
         let _ = t.at4(0, 0, 2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn zeros_rejects_an_overflowing_element_count() {
+        let _ = Tensor::zeros(&[1 << 40, 1 << 40]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn from_vec_rejects_an_overflowing_element_count() {
+        let _ = Tensor::from_vec(Vec::new(), &[usize::MAX, 2, 1]);
     }
 }
