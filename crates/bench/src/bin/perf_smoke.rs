@@ -2,10 +2,12 @@
 //! by the `hw_exec` bench) and asserts the two performance claims of the
 //! packed read path hold on the machine that produced it:
 //!
-//! 1. packed window reads are at least 2x faster than the scalar
-//!    byte-loop reference on the cached hw_conv workload (the bench
-//!    itself targets ≥ 3x; the smoke threshold leaves headroom for noisy
-//!    CI hosts),
+//! 1. packed window reads are at least 10x faster than the scalar
+//!    byte-loop reference on the cached hw_conv workload. One compact
+//!    word per window read measured ~70x with AVX2 and ~26x with
+//!    dispatch forced to the portable loop (2-vCPU x86-64 host); the
+//!    tiled-mask layout it replaced measured 6x, so falling back to that
+//!    layout fails on either dispatch level,
 //! 2. on hosts with at least 4 threads, the parallel schedule beats the
 //!    sequential one by ≥ 3x for **both** conv engines, and the figure
 //!    was measured honestly: `host_threads ≥ par_workers`, never
@@ -120,14 +122,14 @@ fn main() -> ExitCode {
     };
 
     let mut failed = false;
-    if packed_over_scalar < 2.0 {
+    if packed_over_scalar < 10.0 {
         eprintln!(
-            "perf_smoke: FAIL packed_over_scalar = {packed_over_scalar:.2} < 2.0 — \
-             the packed read path lost its word-parallel advantage"
+            "perf_smoke: FAIL packed_over_scalar = {packed_over_scalar:.2} < 10.0 — \
+             the packed read path lost its one-word-per-read advantage"
         );
         failed = true;
     } else {
-        eprintln!("perf_smoke: ok packed_over_scalar = {packed_over_scalar:.2} (>= 2.0)");
+        eprintln!("perf_smoke: ok packed_over_scalar = {packed_over_scalar:.2} (>= 10.0)");
     }
 
     // Parallel-schedule gate. Engines publishing a speedup must have

@@ -2,20 +2,25 @@
 //! heart of INCA (§IV-B): one kernel broadcast on the shared pillars
 //! evaluates the same window on *every* plane, i.e. every batch sample,
 //! in a single read cycle.
+//!
+//! The kernel side is the same `ConvKernel` (`hw_kernel.rs`) that
+//! [`crate::HwConv`] programs, read without ADC saturation (the
+//! broadcast's per-plane sums are used raw). The packed read path
+//! extracts each (window, channel, activation bit, sample) once as one
+//! compact `k²`-bit word and reads it against every mask of that channel
+//! in one SIMD call, then folds `Σ (pos − neg) << wbit` per output and
+//! sample.
 
-#![allow(clippy::needless_range_loop)] // loops index several arrays with one shared variable
 use std::sync::Arc;
 
 use inca_nn::Tensor;
 use inca_telemetry::Event;
-use inca_xbar::packed::words_for;
-use inca_xbar::quant::slice_to_bit_planes;
-use inca_xbar::sliding::output_dims_padded;
-use inca_xbar::{and_popcount_lanes, PackedKernel, Stack3d};
+use inca_xbar::Stack3d;
 use parking_lot::Mutex;
 
 use crate::exec::{self, ExecPolicy, ReadPath};
-use crate::hw_exec::{weight_levels, KeyHasher, DATA_BITS, WEIGHT_BITS};
+use crate::hw_exec::{KeyHasher, DATA_BITS};
+use crate::hw_kernel::ConvKernel;
 use crate::{Error, Result};
 
 /// The programmed batch state: one stack per (channel, activation bit)
@@ -62,25 +67,9 @@ type BatchCache = Arc<Mutex<Option<Arc<ProgrammedBatch>>>>;
 /// ```
 #[derive(Debug, Clone)]
 pub struct HwBatchConv {
-    out_ch: usize,
-    in_ch: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    /// Kernel magnitude bit-planes: `[out][in][wbit][k*k]`.
-    w_pos_planes: Vec<Vec<Vec<Vec<u8>>>>,
-    w_neg_planes: Vec<Vec<Vec<Vec<u8>>>>,
-    /// The same bit-planes packed into word-parallel masks and tiled
-    /// across the [`DATA_BITS`] activation-bit groups for
-    /// [`ReadPath::Packed`]: `[out][in][wbit]` of
-    /// `DATA_BITS · k · words_for(k)` words each (one SIMD pass per
-    /// (kernel bit-plane, window, sample) triple).
-    w_pos_tiled: Vec<Vec<Vec<Vec<u64>>>>,
-    w_neg_tiled: Vec<Vec<Vec<Vec<u64>>>>,
-    /// Per-output signed sum of weight codes (offset correction).
-    kernel_code_sum: Vec<i64>,
-    w_scale: f32,
-    bias: Vec<f32>,
+    /// The quantized kernel, its read masks and bit-planes, and the conv
+    /// geometry; reads are raw sums (no ADC saturation).
+    kernel: ConvKernel,
     policy: ExecPolicy,
     cache: BatchCache,
 }
@@ -93,72 +82,8 @@ impl HwBatchConv {
     ///
     /// Same validation as [`crate::HwConv::from_float`].
     pub fn from_float(weights: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Result<Self> {
-        if weights.shape().len() != 4 {
-            return Err(Error::Config(format!("expected [out,in,k,k] weights, got {:?}", weights.shape())));
-        }
-        let [out_ch, in_ch, k, k2] = weights.dims4();
-        if k != k2 {
-            return Err(Error::Config("only square kernels supported".into()));
-        }
-        if bias.len() != out_ch {
-            return Err(Error::Config("bias length mismatch".into()));
-        }
-        let w_max = weights.data().iter().fold(0.0f32, |m, &w| m.max(w.abs())).max(1e-12);
-        let w_scale = w_max / weight_levels();
-        let mut w_pos_planes = Vec::with_capacity(out_ch);
-        let mut w_neg_planes = Vec::with_capacity(out_ch);
-        let mut w_pos_tiled = Vec::with_capacity(out_ch);
-        let mut w_neg_tiled = Vec::with_capacity(out_ch);
-        let mut kernel_code_sum = vec![0i64; out_ch];
-        let pack_all = |planes: &[Vec<u8>]| -> Result<Vec<Vec<u64>>> {
-            planes.iter().map(|p| Ok(PackedKernel::pack(k, k, p)?.tiled(usize::from(DATA_BITS)))).collect()
-        };
-        for o in 0..out_ch {
-            let mut pos_chan = Vec::with_capacity(in_ch);
-            let mut neg_chan = Vec::with_capacity(in_ch);
-            let mut pos_chan_tiled = Vec::with_capacity(in_ch);
-            let mut neg_chan_tiled = Vec::with_capacity(in_ch);
-            for c in 0..in_ch {
-                let mut pos = vec![0u32; k * k];
-                let mut neg = vec![0u32; k * k];
-                for i in 0..k * k {
-                    let q = (weights.at4(o, c, i / k, i % k) / w_scale).round() as i32;
-                    if q >= 0 {
-                        pos[i] = q as u32;
-                    } else {
-                        neg[i] = (-q) as u32;
-                    }
-                }
-                kernel_code_sum[o] += pos.iter().map(|&v| i64::from(v)).sum::<i64>()
-                    - neg.iter().map(|&v| i64::from(v)).sum::<i64>();
-                let pos_planes = slice_to_bit_planes(&pos, WEIGHT_BITS);
-                let neg_planes = slice_to_bit_planes(&neg, WEIGHT_BITS);
-                pos_chan_tiled.push(pack_all(&pos_planes)?);
-                neg_chan_tiled.push(pack_all(&neg_planes)?);
-                pos_chan.push(pos_planes);
-                neg_chan.push(neg_planes);
-            }
-            w_pos_planes.push(pos_chan);
-            w_neg_planes.push(neg_chan);
-            w_pos_tiled.push(pos_chan_tiled);
-            w_neg_tiled.push(neg_chan_tiled);
-        }
-        Ok(Self {
-            out_ch,
-            in_ch,
-            k,
-            stride,
-            pad,
-            w_pos_planes,
-            w_neg_planes,
-            w_pos_tiled,
-            w_neg_tiled,
-            kernel_code_sum,
-            w_scale,
-            bias: bias.to_vec(),
-            policy: ExecPolicy::default(),
-            cache: Arc::default(),
-        })
+        let kernel = ConvKernel::from_float(weights, bias, stride, pad, u32::MAX)?;
+        Ok(Self { kernel, policy: ExecPolicy::default(), cache: Arc::default() })
     }
 
     /// Sets the execution policy for subsequent forwards.
@@ -186,6 +111,7 @@ impl HwBatchConv {
 
     /// Quantizes the batch and programs (or reuses) the stack state.
     fn program(&self, x: &Tensor, b: usize, c: usize, h: usize, w: usize) -> Result<Arc<ProgrammedBatch>> {
+        let pad = self.kernel.pad();
         // Batch-shared activation quantization (the planes share one
         // readout scale per stack).
         let levels = f32::from((1u16 << DATA_BITS) - 1);
@@ -195,14 +121,14 @@ impl HwBatchConv {
         let zero_code = ((-x_min / x_scale).round() as u32).min(levels as u32);
         let quantize = |v: f32| -> u32 { (((v - x_min) / x_scale).round() as u32).min(levels as u32) };
 
-        let ph = h + 2 * self.pad;
-        let pw = w + 2 * self.pad;
+        let ph = h + 2 * pad;
+        let pw = w + 2 * pad;
         // Cache key: a streamed hash over the geometry, dequantization
         // range, and interior quantized codes (the halo is fully
         // determined by `zero_code` and `pad`). The hit path never
         // materializes or compares the padded code vector.
         let mut hasher = KeyHasher::new();
-        for dim in [b, c, h, w, self.pad] {
+        for dim in [b, c, h, w, pad] {
             hasher.write(dim as u64);
         }
         hasher.write(u64::from(x_min.to_bits()));
@@ -241,7 +167,7 @@ impl HwBatchConv {
                 let base = (ci * b + bi) * ph * pw;
                 for y in 0..h {
                     for xx in 0..w {
-                        codes[base + (y + self.pad) * pw + xx + self.pad] = quantize(x.at4(bi, ci, y, xx));
+                        codes[base + (y + pad) * pw + xx + pad] = quantize(x.at4(bi, ci, y, xx));
                     }
                 }
             }
@@ -278,32 +204,32 @@ impl HwBatchConv {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Config`] on channel mismatch and propagates
-    /// hardware-level errors.
+    /// Returns [`Error::Config`] on channel mismatch or an input too
+    /// small for one window, and propagates hardware-level errors.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor> {
+        let kernel = &self.kernel;
         let [b, c, h, w] = x.dims4();
-        if c != self.in_ch {
-            return Err(Error::Config(format!("expected {} channels, got {c}", self.in_ch)));
+        if c != kernel.in_ch() {
+            return Err(Error::Config(format!("expected {} channels, got {c}", kernel.in_ch())));
         }
+        let (oh, ow) = kernel.output_dims(h, w)?;
         let _span = inca_telemetry::span("hw_batch.forward");
         let pb = self.program(x, b, c, h, w)?;
 
-        let (oh, ow) = output_dims_padded(h, w, self.k, self.k, self.stride, self.pad);
         let pb_ref = &*pb;
         let accs = match self.policy.read_path {
-            ReadPath::Scalar => self.accumulate_scalar(pb_ref, b, c, oh, ow)?,
-            ReadPath::Packed => self.accumulate_packed(pb_ref, b, c, oh, ow)?,
+            ReadPath::Scalar => self.accumulate_scalar(pb_ref, b, oh, ow)?,
+            ReadPath::Packed => self.accumulate_packed(pb_ref, b, oh, ow)?,
         };
 
-        let mut out = Tensor::zeros(&[b, self.out_ch, oh, ow]);
-        for o in 0..self.out_ch {
+        let mut out = Tensor::zeros(&[b, kernel.out_ch(), oh, ow]);
+        for o in 0..kernel.out_ch() {
             for oy in 0..oh {
                 for ox in 0..ow {
                     let base = ((o * oh + oy) * ow + ox) * b;
                     for bi in 0..b {
-                        *out.at4_mut(bi, o, oy, ox) = accs[base + bi] as f32 * pb.x_scale * self.w_scale
-                            + pb.x_min * self.w_scale * self.kernel_code_sum[o] as f32
-                            + self.bias[o];
+                        *out.at4_mut(bi, o, oy, ox) =
+                            kernel.dequantize(o, accs[base + bi], pb.x_scale, pb.x_min);
                     }
                 }
             }
@@ -315,35 +241,25 @@ impl HwBatchConv {
     /// side, weight-bit, activation-bit), with per-broadcast telemetry.
     /// Accumulators laid out `[(o, oy, ox)][bi]` so one (o, oy) row is a
     /// contiguous chunk a worker owns exclusively.
-    fn accumulate_scalar(
-        &self,
-        pb: &ProgrammedBatch,
-        b: usize,
-        c: usize,
-        oh: usize,
-        ow: usize,
-    ) -> Result<Vec<i64>> {
-        let mut accs = vec![0i64; self.out_ch * oh * ow * b];
+    fn accumulate_scalar(&self, pb: &ProgrammedBatch, b: usize, oh: usize, ow: usize) -> Result<Vec<i64>> {
+        let kernel = &self.kernel;
+        let mut accs = vec![0i64; kernel.out_ch() * oh * ow * b];
         exec::for_each_chunk(self.policy, &mut accs, ow * b, |idx, row| {
             let (o, oy) = (idx / oh, idx % oh);
             for ox in 0..ow {
                 let acc = &mut row[ox * b..(ox + 1) * b];
-                let (ry, rx) = (oy * self.stride, ox * self.stride);
-                for ci in 0..c {
-                    for (sign, w_planes) in
-                        [(1i64, &self.w_pos_planes[o][ci]), (-1i64, &self.w_neg_planes[o][ci])]
-                    {
+                let (ry, rx) = (oy * kernel.stride(), ox * kernel.stride());
+                for (ci, stacks) in pb.stacks.iter().enumerate() {
+                    for (side, sign) in [(0, 1i64), (1, -1i64)] {
+                        let w_planes = kernel.planes(o, ci, side);
                         // One bit-serial cycle per (weight-bit, activation-
                         // bit) pair — each serves the whole batch.
-                        inca_telemetry::record(
-                            Event::BitSerialCycle,
-                            (w_planes.len() * pb.stacks[ci].len()) as u64,
-                        );
-                        for (wb, wp) in w_planes.iter().enumerate() {
-                            for (xb, stack) in pb.stacks[ci].iter().enumerate() {
+                        inca_telemetry::record(Event::BitSerialCycle, (w_planes.len() * stacks.len()) as u64);
+                        for (wb, wp) in w_planes.enumerate() {
+                            for (xb, stack) in stacks.iter().enumerate() {
                                 // ONE broadcast read returns the whole
                                 // batch's partial sums.
-                                let sums = stack.direct_conv_window(ry, rx, self.k, self.k, wp)?;
+                                let sums = stack.direct_conv_window(ry, rx, kernel.k(), kernel.k(), wp)?;
                                 for (bi, &s) in sums.iter().enumerate() {
                                     acc[bi] += sign * (i64::from(s) << (wb + xb));
                                 }
@@ -357,14 +273,14 @@ impl HwBatchConv {
         Ok(accs)
     }
 
-    /// The word-parallel read path: each window's activation-bit words are
-    /// extracted once per (channel, bit, sample) and reused across every
-    /// output channel, weight bit, and differential side; each (kernel
-    /// bit-plane, window, sample) triple is one SIMD AND+popcount pass
-    /// over all `DATA_BITS · k · words_for(k)` activation words at once
-    /// (kernel masks pre-tiled per activation-bit group). The extraction
-    /// and SIMD-lane scratch live in a per-worker arena allocated once
-    /// per forward pass via [`exec::for_each_chunk_with`].
+    /// The word-parallel read path: per output window, each (channel,
+    /// activation bit, sample) window is extracted once as one compact
+    /// `k²`-bit word and read against all `out · 2 · WEIGHT_BITS` kernel
+    /// masks of that channel in one [`ConvKernel::accumulate`] call (raw
+    /// sums, no saturation); each (output, sample) then folds its
+    /// per-(side, weight bit) sums as `Σ (pos − neg) << wbit`. The
+    /// extraction word and the per-sample sums live in a per-worker arena
+    /// allocated once per forward pass via [`exec::for_each_chunk_with`].
     ///
     /// Telemetry is coalesced into one record per event kind per window
     /// burst, with totals exactly the per-broadcast scheme's:
@@ -374,83 +290,53 @@ impl HwBatchConv {
     /// `depth` [`Event::AdcConversion`]s (every plane conducts and
     /// senses). No ADC saturation — matching the scalar broadcast, whose
     /// per-plane sums are used raw.
-    fn accumulate_packed(
-        &self,
-        pb: &ProgrammedBatch,
-        b: usize,
-        c: usize,
-        oh: usize,
-        ow: usize,
-    ) -> Result<Vec<i64>> {
-        let xbits = usize::from(DATA_BITS);
-        let wbits = usize::from(WEIGHT_BITS);
-        let kwords = self.k * words_for(self.k);
-        // Words per (channel, sample) window block == per tiled mask.
-        let xw = xbits * kwords;
-        let broadcasts = (self.out_ch * c * 2 * wbits * xbits) as u64;
+    fn accumulate_packed(&self, pb: &ProgrammedBatch, b: usize, oh: usize, ow: usize) -> Result<Vec<i64>> {
+        let kernel = &self.kernel;
+        let (out_ch, k) = (kernel.out_ch(), kernel.k());
+        let per_sample = kernel.reads_per_window();
+        let broadcasts = (per_sample * kernel.in_ch()) as u64 * u64::from(DATA_BITS);
         // Work in `[oy][ox][o][bi]` order so one extraction serves every
         // output channel, then permute to the scalar layout below.
-        let mut window_major = vec![0i64; oh * ow * self.out_ch * b];
+        let mut window_major = vec![0i64; oh * ow * out_ch * b];
         exec::for_each_chunk_with(
             self.policy,
             &mut window_major,
-            ow * self.out_ch * b,
-            // Per-worker arena: window words (`[ci][bi][xbit]` slots of
-            // `kwords` each — sample-major within a channel so each
-            // (ci, bi) block lines up with one tiled mask) plus the SIMD
-            // lane counts for one such block.
-            || (vec![0u64; c * b * xw], vec![0u32; xw]),
+            ow * out_ch * b,
+            // Per-worker arena: one compact window and every sample's
+            // read sums (`[bi][o][side][wbit]`).
+            || (vec![0u64; kernel.window_words()], vec![0u32; b * per_sample]),
             |arena, oy, row| {
-                let (window, lanes) = arena;
+                let (x, sums) = arena;
                 for ox in 0..ow {
-                    let (ry, rx) = (oy * self.stride, ox * self.stride);
-                    for ci in 0..c {
-                        for (xb, stack) in pb.stacks[ci].iter().enumerate() {
-                            for bi in 0..b {
-                                let slot = ((ci * b + bi) * xbits + xb) * kwords;
-                                stack.plane(bi)?.extract_window(
-                                    ry,
-                                    rx,
-                                    self.k,
-                                    self.k,
-                                    &mut window[slot..slot + kwords],
-                                )?;
+                    let (ry, rx) = (oy * kernel.stride(), ox * kernel.stride());
+                    sums.fill(0);
+                    for (ci, stacks) in pb.stacks.iter().enumerate() {
+                        for (xb, stack) in stacks.iter().enumerate() {
+                            for (bi, sample) in sums.chunks_exact_mut(per_sample).enumerate() {
+                                stack.plane(bi)?.extract_window_compact(ry, rx, k, k, x)?;
+                                kernel.accumulate(ci, xb, x, sample);
                             }
                         }
                     }
                     inca_telemetry::record(Event::XbarReadPulse, broadcasts * b as u64);
-                    inca_telemetry::record(Event::DacDrive, broadcasts * (self.k * self.k) as u64);
+                    inca_telemetry::record(Event::DacDrive, broadcasts * (k * k) as u64);
                     inca_telemetry::record(Event::AdcConversion, broadcasts * b as u64);
                     inca_telemetry::record(Event::BitSerialCycle, broadcasts);
-                    for o in 0..self.out_ch {
-                        let acc = &mut row[(ox * self.out_ch + o) * b..(ox * self.out_ch + o + 1) * b];
-                        for ci in 0..c {
-                            for (sign, masks) in
-                                [(1i64, &self.w_pos_tiled[o][ci]), (-1i64, &self.w_neg_tiled[o][ci])]
-                            {
-                                for (wb, mask) in masks.iter().enumerate() {
-                                    for bi in 0..b {
-                                        let base = (ci * b + bi) * xw;
-                                        let x_words = &window[base..base + xw];
-                                        and_popcount_lanes(x_words, mask, lanes);
-                                        for (xb, group) in lanes.chunks_exact(kwords).enumerate() {
-                                            let s = group.iter().sum::<u32>();
-                                            acc[bi] += sign * (i64::from(s) << (wb + xb));
-                                        }
-                                    }
-                                }
-                            }
+                    let window = &mut row[ox * out_ch * b..(ox + 1) * out_ch * b];
+                    for (o, acc) in window.chunks_exact_mut(b).enumerate() {
+                        for (bi, slot) in acc.iter_mut().enumerate() {
+                            *slot = kernel.fold(o, &sums[bi * per_sample..(bi + 1) * per_sample]);
                         }
                     }
                 }
                 Ok(())
             },
         )?;
-        let mut accs = vec![0i64; self.out_ch * oh * ow * b];
+        let mut accs = vec![0i64; out_ch * oh * ow * b];
         for oy in 0..oh {
             for ox in 0..ow {
-                for o in 0..self.out_ch {
-                    let src = ((oy * ow + ox) * self.out_ch + o) * b;
+                for o in 0..out_ch {
+                    let src = ((oy * ow + ox) * out_ch + o) * b;
                     let dst = ((o * oh + oy) * ow + ox) * b;
                     accs[dst..dst + b].copy_from_slice(&window_major[src..src + b]);
                 }
@@ -572,6 +458,24 @@ mod tests {
         let x = random_tensor(&[2, 1, 8, 8], 54, 0.0, 1.0);
         let y = conv.forward(&x).unwrap();
         assert_eq!(y.shape(), &[2, 1, 4, 4]);
+    }
+
+    #[test]
+    fn zero_stride_is_rejected_at_construction() {
+        let w = Tensor::zeros(&[1, 1, 3, 3]);
+        assert!(matches!(HwBatchConv::from_float(&w, &[0.0], 0, 1), Err(Error::Config(_))));
+    }
+
+    #[test]
+    fn kernel_larger_than_padded_input_is_a_config_error() {
+        let w = Tensor::zeros(&[1, 1, 3, 3]);
+        let conv = HwBatchConv::from_float(&w, &[0.0], 1, 0).unwrap();
+        match conv.forward(&Tensor::zeros(&[2, 1, 2, 2])) {
+            Err(Error::Config(msg)) => {
+                assert!(msg.contains("3x3 kernel, stride 1, pad 0 on a 2x2 input"), "{msg}")
+            }
+            other => panic!("expected a config error, got {other:?}"),
+        }
     }
 
     #[test]

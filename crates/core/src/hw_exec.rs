@@ -17,13 +17,14 @@
 //! * fully-connected layers run on a WS-style [`inca_xbar::Crossbar2d`]
 //!   with the same differential encoding.
 //!
-//! Two engine-level optimizations ride on top of the hardware model
-//! without changing a single output bit:
+//! Engine-level optimizations ride on top of the hardware model without
+//! changing a single output bit:
 //!
-//! * kernel magnitude bit-planes are sliced **once at programming time**
-//!   (they are weight-stationary state) instead of per window read, and
-//!   also packed into word-parallel masks for the
-//!   [`ReadPath::Packed`] read path,
+//! * kernels are quantized and sliced into magnitude bit-planes **once at
+//!   programming time** (they are weight-stationary state) into the
+//!   shared `ConvKernel` (`hw_kernel.rs`): flat `u8` planes for the
+//!   scalar and analog reads, and a flat `[in][out][side][wbit]` table of
+//!   compact `k²`-bit masks for the [`ReadPath::Packed`] read path,
 //! * the programmed input state — quantized bit-planes partitioned into
 //!   subarray tiles — is cached per layer, keyed on a streamed hash of
 //!   the quantized activation codes, so repeated forwards of the same
@@ -32,11 +33,15 @@
 //! * output windows are independent read bursts, so a
 //!   [`crate::Schedule::Parallel`] policy fans output rows across scoped
 //!   worker threads, bit-exact with the sequential schedule,
-//! * the default [`ReadPath::Packed`] read path extracts each window's
-//!   activation-bit words **once** and reuses them across every weight
-//!   bit, output channel, and differential side, coalescing telemetry
-//!   into one record per event kind per window burst — totals and output
-//!   bits identical to the scalar per-read scheme.
+//! * the default [`ReadPath::Packed`] read path extracts each (window,
+//!   input channel, activation bit) **once** as one compact word —
+//!   window cell `(i, j)` at bit `i·k + j`, one `u64` for every `k ≤ 8` —
+//!   and reads it against all `out · 2 · WEIGHT_BITS` masks of that
+//!   channel in one SIMD call that saturates every read at the ADC's max
+//!   code before shifting it; each output folds its per-(side, weight
+//!   bit) sums as `Σ (pos − neg) << wbit`. Telemetry is coalesced into one
+//!   record per event kind per window burst — totals and output bits
+//!   identical to the scalar per-read scheme.
 //!
 //! The test suite proves the hardware path classifies the synthetic task
 //! with (near-)float accuracy — the end-to-end functional validation of
@@ -47,13 +52,12 @@ use std::sync::Arc;
 
 use inca_nn::Tensor;
 use inca_telemetry::Event;
-use inca_xbar::packed::words_for;
 use inca_xbar::quant::slice_to_bit_planes;
-use inca_xbar::sliding::output_dims_padded;
-use inca_xbar::{and_popcount_lanes, AdcReadout, Crossbar2d, PackedKernel, VerticalPlane};
+use inca_xbar::{AdcReadout, Crossbar2d, VerticalPlane};
 use parking_lot::Mutex;
 
 use crate::exec::{self, ExecPolicy, ReadPath};
+use crate::hw_kernel::{conv_output_dims, ConvKernel};
 use crate::{Error, Result};
 
 /// Quantization width of activations (Table II: 8-bit codes).
@@ -137,27 +141,10 @@ impl KeyHasher {
 /// ```
 #[derive(Debug, Clone)]
 pub struct HwConv {
-    out_ch: usize,
-    in_ch: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    /// Kernel magnitude bit-planes, sliced once at programming time:
-    /// `[out][in][wbit][k*k]`.
-    w_pos_planes: Vec<Vec<Vec<Vec<u8>>>>,
-    w_neg_planes: Vec<Vec<Vec<Vec<u8>>>>,
-    /// The same bit-planes packed into word-parallel masks and tiled
-    /// across the [`DATA_BITS`] activation-bit groups for
-    /// [`ReadPath::Packed`]: `[out][in][wbit]` of
-    /// `DATA_BITS · k · words_for(k)` words each, so one SIMD
-    /// AND+popcount pass covers a whole (kernel bit-plane, window) pair.
-    w_pos_tiled: Vec<Vec<Vec<Vec<u64>>>>,
-    w_neg_tiled: Vec<Vec<Vec<Vec<u64>>>>,
-    /// Per-output signed sum of weight codes (offset correction).
-    kernel_code_sum: Vec<i64>,
-    w_scale: f32,
-    bias: Vec<f32>,
-    /// Subarray side (16 in the paper).
+    /// The quantized kernel, its read masks and bit-planes, and the conv
+    /// geometry; every read saturates at the ADC's max code.
+    kernel: ConvKernel,
+    /// Subarray side (16 in the paper, at least `k`).
     side: usize,
     adc: AdcReadout,
     policy: ExecPolicy,
@@ -171,79 +158,17 @@ impl HwConv {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Config`] if the weight tensor is not 4-D or the
-    /// bias length does not match the output channels.
+    /// Returns [`Error::Config`] if the weight tensor is not a square 4-D
+    /// kernel, the bias length does not match the output channels, the
+    /// stride is 0, or the layer has so many input channels that the
+    /// packed read accumulators could overflow.
     pub fn from_float(weights: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Result<Self> {
-        if weights.shape().len() != 4 {
-            return Err(Error::Config(format!("expected [out,in,k,k] weights, got {:?}", weights.shape())));
-        }
-        let [out_ch, in_ch, k, k2] = weights.dims4();
-        if k != k2 {
-            return Err(Error::Config("only square kernels supported".into()));
-        }
-        if bias.len() != out_ch {
-            return Err(Error::Config(format!("{} biases for {out_ch} output channels", bias.len())));
-        }
-        let w_max = weights.data().iter().fold(0.0f32, |m, &w| m.max(w.abs())).max(1e-12);
-        let w_scale = w_max / weight_levels();
-        let code = |w: f32| -> (u32, u32) {
-            let q = (w / w_scale).round() as i32;
-            if q >= 0 {
-                (q as u32, 0)
-            } else {
-                (0, (-q) as u32)
-            }
-        };
-        let mut w_pos_planes = Vec::with_capacity(out_ch);
-        let mut w_neg_planes = Vec::with_capacity(out_ch);
-        let mut w_pos_tiled = Vec::with_capacity(out_ch);
-        let mut w_neg_tiled = Vec::with_capacity(out_ch);
-        let mut kernel_code_sum = vec![0i64; out_ch];
-        let pack_all = |planes: &[Vec<u8>]| -> Result<Vec<Vec<u64>>> {
-            planes.iter().map(|p| Ok(PackedKernel::pack(k, k, p)?.tiled(usize::from(DATA_BITS)))).collect()
-        };
-        for o in 0..out_ch {
-            let mut pos_chan = Vec::with_capacity(in_ch);
-            let mut neg_chan = Vec::with_capacity(in_ch);
-            let mut pos_chan_tiled = Vec::with_capacity(in_ch);
-            let mut neg_chan_tiled = Vec::with_capacity(in_ch);
-            for c in 0..in_ch {
-                let mut pos = vec![0u32; k * k];
-                let mut neg = vec![0u32; k * k];
-                for i in 0..k * k {
-                    let (p, n) = code(weights.at4(o, c, i / k, i % k));
-                    pos[i] = p;
-                    neg[i] = n;
-                }
-                kernel_code_sum[o] += pos.iter().map(|&v| i64::from(v)).sum::<i64>()
-                    - neg.iter().map(|&v| i64::from(v)).sum::<i64>();
-                let pos_planes = slice_to_bit_planes(&pos, WEIGHT_BITS);
-                let neg_planes = slice_to_bit_planes(&neg, WEIGHT_BITS);
-                pos_chan_tiled.push(pack_all(&pos_planes)?);
-                neg_chan_tiled.push(pack_all(&neg_planes)?);
-                pos_chan.push(pos_planes);
-                neg_chan.push(neg_planes);
-            }
-            w_pos_planes.push(pos_chan);
-            w_neg_planes.push(neg_chan);
-            w_pos_tiled.push(pos_chan_tiled);
-            w_neg_tiled.push(neg_chan_tiled);
-        }
+        let adc = AdcReadout::new(4);
+        let kernel = ConvKernel::from_float(weights, bias, stride, pad, adc.max_code())?;
         Ok(Self {
-            out_ch,
-            in_ch,
-            k,
-            stride,
-            pad,
-            w_pos_planes,
-            w_neg_planes,
-            w_pos_tiled,
-            w_neg_tiled,
-            kernel_code_sum,
-            w_scale,
-            bias: bias.to_vec(),
-            side: 16,
-            adc: AdcReadout::new(4),
+            side: 16.max(kernel.k()),
+            kernel,
+            adc,
             policy: ExecPolicy::default(),
             cache: Arc::default(),
         })
@@ -255,7 +180,7 @@ impl HwConv {
     /// tile geometry.
     #[must_use]
     pub fn with_side(mut self, side: usize) -> Self {
-        self.side = side.max(self.k);
+        self.side = side.max(self.kernel.k());
         self.cache = Arc::default();
         self
     }
@@ -285,6 +210,7 @@ impl HwConv {
 
     /// Quantizes `x` and programs (or reuses) the input-stationary state.
     fn program(&self, x: &Tensor, c: usize, h: usize, w: usize) -> Result<Arc<ProgrammedActivation>> {
+        let pad = self.kernel.pad();
         // Activation quantization with offset encoding: codes represent
         // `v = code * x_scale + x_min`, so signed inputs (e.g. the raw
         // image) survive; the offset term is corrected analytically after
@@ -296,14 +222,14 @@ impl HwConv {
         let quantize = |v: f32| -> u32 { (((v - x_min) / x_scale).round() as u32).min(levels as u32) };
         // Code representing the value 0.0 — written into the padding halo.
         let zero_code = quantize(0.0);
-        let ph = h + 2 * self.pad;
-        let pw = w + 2 * self.pad;
+        let ph = h + 2 * pad;
+        let pw = w + 2 * pad;
         // Cache key: a streamed hash over the geometry, dequantization
         // range, and interior quantized codes (the halo is fully
         // determined by `zero_code` and `pad`). The hit path never
         // materializes or compares the padded code vector.
         let mut hasher = KeyHasher::new();
-        for dim in [c, h, w, self.pad, self.side] {
+        for dim in [c, h, w, pad, self.side] {
             hasher.write(dim as u64);
         }
         hasher.write(u64::from(x_min.to_bits()));
@@ -340,7 +266,7 @@ impl HwConv {
             let base = ci * ph * pw;
             for y in 0..h {
                 for xx in 0..w {
-                    codes[base + (y + self.pad) * pw + xx + self.pad] = quantize(x.at4(0, ci, y, xx));
+                    codes[base + (y + pad) * pw + xx + pad] = quantize(x.at4(0, ci, y, xx));
                 }
             }
         }
@@ -361,8 +287,9 @@ impl HwConv {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Config`] for a batch larger than 1 or a channel
-    /// mismatch, and propagates hardware-level errors.
+    /// Returns [`Error::Config`] for a batch larger than 1, a channel
+    /// mismatch, or an input too small for one window, and propagates
+    /// hardware-level errors.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor> {
         let [n, c, h, w] = x.dims4();
         if n != 1 {
@@ -370,13 +297,13 @@ impl HwConv {
                 "HwConv::forward executes one sample; map the batch to 3D planes".into(),
             ));
         }
-        if c != self.in_ch {
-            return Err(Error::Config(format!("expected {} input channels, got {c}", self.in_ch)));
+        if c != self.kernel.in_ch() {
+            return Err(Error::Config(format!("expected {} input channels, got {c}", self.kernel.in_ch())));
         }
+        let (oh, ow) = self.kernel.output_dims(h, w)?;
         let _span = inca_telemetry::span("hw_conv.forward");
         let pa = self.program(x, c, h, w)?;
-        let (oh, ow) = output_dims_padded(h, w, self.k, self.k, self.stride, self.pad);
-        let mut out = Tensor::zeros(&[1, self.out_ch, oh, ow]);
+        let mut out = Tensor::zeros(&[1, self.kernel.out_ch(), oh, ow]);
         let pa = &*pa;
         match self.policy.read_path {
             ReadPath::Scalar => self.forward_scalar(pa, oh, ow, &mut out)?,
@@ -395,45 +322,43 @@ impl HwConv {
         ow: usize,
         out: &mut Tensor,
     ) -> Result<()> {
+        let kernel = &self.kernel;
         exec::for_each_chunk(self.policy, out.data_mut(), ow, |idx, row| {
             let (o, oy) = (idx / oh, idx % oh);
             for (ox, slot) in row.iter_mut().enumerate() {
-                let (ry, rx) = (oy * self.stride, ox * self.stride);
+                let (ry, rx) = (oy * kernel.stride(), ox * kernel.stride());
                 let mut acc: i64 = 0;
                 for (ci, partitions) in pa.partitions.iter().enumerate() {
-                    acc += self.window_dot(partitions, ry, rx, &self.w_pos_planes[o][ci])?;
-                    acc -= self.window_dot(partitions, ry, rx, &self.w_neg_planes[o][ci])?;
+                    acc += self.window_dot(partitions, ry, rx, kernel.planes(o, ci, 0))?;
+                    acc -= self.window_dot(partitions, ry, rx, kernel.planes(o, ci, 1))?;
                 }
-                *slot = acc as f32 * pa.x_scale * self.w_scale
-                    + pa.x_min * self.w_scale * self.kernel_code_sum[o] as f32
-                    + self.bias[o];
+                *slot = kernel.dequantize(o, acc, pa.x_scale, pa.x_min);
             }
             Ok(())
         })
     }
 
-    /// The word-parallel read path: every window's activation-bit words
-    /// are extracted **once** and reused across all output channels,
-    /// weight bits, and both differential sides; each (kernel bit-plane,
-    /// window) pair is one SIMD AND+popcount pass over all
-    /// `DATA_BITS · k · words_for(k)` activation words at once (the
-    /// kernel masks are pre-tiled per activation-bit group, see
-    /// [`inca_xbar::PackedKernel::tiled`]), with the per-read ADC
-    /// saturation applied group-by-group on the resulting lane counts.
+    /// The word-parallel read path. Per output window, each (input
+    /// channel, activation bit) window is extracted **once** as one
+    /// compact `k²`-bit word
+    /// ([`VerticalPlane::extract_window_compact`]) and read against all
+    /// `out · 2 · WEIGHT_BITS` kernel masks of that channel in one
+    /// [`ConvKernel::accumulate`] call, which saturates every read at the
+    /// ADC's max code before shifting it by the activation bit; each
+    /// output then folds its per-(side, weight bit) sums as
+    /// `Σ (pos − neg) << wbit`.
     ///
-    /// The window-extraction and lane scratch live in a per-worker arena
-    /// allocated once per forward pass (via
-    /// [`exec::for_each_chunk_with`]), not per output row — the
-    /// allocation churn that sank the original parallel schedule.
+    /// The extraction word and the accumulators live in a per-worker
+    /// arena allocated once per forward pass (via
+    /// [`exec::for_each_chunk_with`]), not per output row.
     ///
     /// Telemetry is coalesced into one [`inca_telemetry::record`] per
     /// event kind per window burst. The burst totals are *exactly* the
     /// per-read scheme's: `out·in·2·WEIGHT_BITS·DATA_BITS` reads, each
     /// contributing one [`Event::XbarReadPulse`], one
     /// [`Event::AdcConversion`], one [`Event::BitSerialCycle`], and `k²`
-    /// [`Event::DacDrive`]s. ADC saturation is applied as
-    /// `raw.min(max_code)` — the same arithmetic as
-    /// [`AdcReadout::digitize`] without its per-call event.
+    /// [`Event::DacDrive`]s. The saturation is `min(max_code)` — the same
+    /// arithmetic as [`AdcReadout::digitize`] without its per-call event.
     fn forward_packed(
         &self,
         pa: &ProgrammedActivation,
@@ -441,73 +366,47 @@ impl HwConv {
         ow: usize,
         out: &mut Tensor,
     ) -> Result<()> {
-        let wbits = usize::from(WEIGHT_BITS);
-        let xbits = usize::from(DATA_BITS);
-        let kwords = self.k * words_for(self.k);
-        // Words per channel window block == per tiled kernel mask.
-        let xw = xbits * kwords;
-        let reads = (self.out_ch * self.in_ch * 2 * wbits * xbits) as u64;
-        let dac_drives = reads * (self.k * self.k) as u64;
-        let max_code = self.adc.max_code();
-        // Accumulate as `[oy][ox][o]` so one window's extraction serves
-        // every output channel; transposed into NCHW afterwards.
-        let mut accs = vec![0f32; oh * ow * self.out_ch];
+        let kernel = &self.kernel;
+        let (out_ch, k) = (kernel.out_ch(), kernel.k());
+        let reads = (kernel.reads_per_window() * kernel.in_ch()) as u64 * u64::from(DATA_BITS);
+        let dac_drives = reads * (k * k) as u64;
+        // Accumulate as `[oy][ox][o]`; transposed into NCHW afterwards.
+        let mut accs = vec![0f32; oh * ow * out_ch];
         exec::for_each_chunk_with(
             self.policy,
             &mut accs,
-            ow * self.out_ch,
-            // Per-worker arena: window words (`[ci][xbit]` slots of
-            // `kwords` each) plus SIMD lane counts for one channel block.
-            || (vec![0u64; self.in_ch * xw], vec![0u32; xw]),
+            ow * out_ch,
+            // Per-worker arena: one compact window and the read sums.
+            || (vec![0u64; kernel.window_words()], vec![0u32; kernel.reads_per_window()]),
             |arena, oy, row| {
-                let (window, lanes) = arena;
+                let (x, sums) = arena;
                 for ox in 0..ow {
-                    let (ry, rx) = (oy * self.stride, ox * self.stride);
+                    let (ry, rx) = (oy * kernel.stride(), ox * kernel.stride());
+                    // Every channel shares the same tiling.
+                    let t = find_tile(&pa.partitions[0], ry, rx, k)?;
+                    sums.fill(0);
                     for (ci, partitions) in pa.partitions.iter().enumerate() {
-                        let tile = find_tile(partitions, ry, rx, self.k)?;
-                        for (b, plane) in tile.planes.iter().enumerate() {
-                            let slot = (ci * xbits + b) * kwords;
-                            plane.extract_window(
-                                ry - tile.row0,
-                                rx - tile.col0,
-                                self.k,
-                                self.k,
-                                &mut window[slot..slot + kwords],
-                            )?;
+                        let tile = &partitions[t];
+                        for (xb, plane) in tile.planes.iter().enumerate() {
+                            plane.extract_window_compact(ry - tile.row0, rx - tile.col0, k, k, x)?;
+                            kernel.accumulate(ci, xb, x, sums);
                         }
                     }
                     inca_telemetry::record(Event::XbarReadPulse, reads);
                     inca_telemetry::record(Event::DacDrive, dac_drives);
                     inca_telemetry::record(Event::AdcConversion, reads);
                     inca_telemetry::record(Event::BitSerialCycle, reads);
-                    for o in 0..self.out_ch {
-                        let mut acc: i64 = 0;
-                        for ci in 0..self.in_ch {
-                            let x_words = &window[ci * xw..(ci + 1) * xw];
-                            for (sign, masks) in
-                                [(1i64, &self.w_pos_tiled[o][ci]), (-1i64, &self.w_neg_tiled[o][ci])]
-                            {
-                                for (wb, mask) in masks.iter().enumerate() {
-                                    and_popcount_lanes(x_words, mask, lanes);
-                                    for (xb, group) in lanes.chunks_exact(kwords).enumerate() {
-                                        let code = group.iter().sum::<u32>().min(max_code);
-                                        acc += sign * (i64::from(code) << (wb + xb));
-                                    }
-                                }
-                            }
-                        }
-                        row[ox * self.out_ch + o] = acc as f32 * pa.x_scale * self.w_scale
-                            + pa.x_min * self.w_scale * self.kernel_code_sum[o] as f32
-                            + self.bias[o];
+                    for (o, slot) in row[ox * out_ch..(ox + 1) * out_ch].iter_mut().enumerate() {
+                        *slot = kernel.dequantize(o, kernel.fold(o, sums), pa.x_scale, pa.x_min);
                     }
                 }
                 Ok(())
             },
         )?;
-        for o in 0..self.out_ch {
+        for o in 0..out_ch {
             for oy in 0..oh {
                 for ox in 0..ow {
-                    *out.at4_mut(0, o, oy, ox) = accs[(oy * ow + ox) * self.out_ch + o];
+                    *out.at4_mut(0, o, oy, ox) = accs[(oy * ow + ox) * out_ch + o];
                 }
             }
         }
@@ -518,8 +417,9 @@ impl HwConv {
     fn partition_codes(&self, codes: &[u32], ph: usize, pw: usize) -> Result<Vec<Partition>> {
         // Partition with one-window halo overlap so every window lies
         // within a single tile (halo replication; the adder-tree variant
-        // computes split partial sums — numerically identical).
-        let step = self.side - (self.k - 1);
+        // computes split partial sums — numerically identical). `side ≥ k`
+        // keeps the step positive.
+        let step = self.side - (self.kernel.k() - 1);
         let mut partitions = Vec::new();
         let mut row0 = 0;
         while row0 < ph {
@@ -558,20 +458,21 @@ impl HwConv {
     /// One window's bit-serial dot product against pre-sliced unsigned
     /// kernel bit-planes, digitized per (wbit, xbit) through the 4-bit
     /// ADC.
-    fn window_dot(
+    fn window_dot<'a>(
         &self,
         partitions: &[Partition],
         ry: usize,
         rx: usize,
-        w_planes: &[Vec<u8>],
+        w_planes: impl ExactSizeIterator<Item = &'a [u8]>,
     ) -> Result<i64> {
-        let tile = find_tile(partitions, ry, rx, self.k)?;
+        let k = self.kernel.k();
+        let tile = &partitions[find_tile(partitions, ry, rx, k)?];
         // One bit-serial cycle per (weight-bit, activation-bit) pair.
         inca_telemetry::record(Event::BitSerialCycle, (w_planes.len() * tile.planes.len()) as u64);
         let mut acc: i64 = 0;
-        for (wb, wp) in w_planes.iter().enumerate() {
+        for (wb, wp) in w_planes.enumerate() {
             for (xb, plane) in tile.planes.iter().enumerate() {
-                let raw = plane.direct_conv_window(ry - tile.row0, rx - tile.col0, self.k, self.k, wp)?;
+                let raw = plane.direct_conv_window(ry - tile.row0, rx - tile.col0, k, k, wp)?;
                 // 4-bit ADC: exact for 3x3 windows (≤ 9 binary products).
                 let code = self.adc.digitize(raw);
                 acc += i64::from(code) << (wb + xb);
@@ -604,37 +505,38 @@ impl HwConv {
     ) -> Result<Tensor> {
         // Reuse the digital path's quantization/partitioning by swapping
         // the window read for the analog one.
+        let kernel = &self.kernel;
         let [n, c, h, w] = x.dims4();
-        if n != 1 || c != self.in_ch {
+        if n != 1 || c != kernel.in_ch() {
             return Err(Error::Config("forward_noisy executes one sample with matching channels".into()));
         }
+        let (oh, ow) = kernel.output_dims(h, w)?;
         let _span = inca_telemetry::span("hw_conv.forward_noisy");
         let pa = self.program(x, c, h, w)?;
 
         let unit = params.read_voltage * params.g_on();
-        let (oh, ow) = output_dims_padded(h, w, self.k, self.k, self.stride, self.pad);
-        let mut out = Tensor::zeros(&[1, self.out_ch, oh, ow]);
-        for o in 0..self.out_ch {
+        let k = kernel.k();
+        let mut out = Tensor::zeros(&[1, kernel.out_ch(), oh, ow]);
+        for o in 0..kernel.out_ch() {
             for oy in 0..oh {
                 for ox in 0..ow {
-                    let (ry, rx) = (oy * self.stride, ox * self.stride);
+                    let (ry, rx) = (oy * kernel.stride(), ox * kernel.stride());
                     let mut acc: i64 = 0;
                     for (ci, partitions) in pa.partitions.iter().enumerate() {
-                        for (sign, w_planes) in
-                            [(1i64, &self.w_pos_planes[o][ci]), (-1i64, &self.w_neg_planes[o][ci])]
-                        {
-                            let tile = find_tile(partitions, ry, rx, self.k)?;
+                        let tile = &partitions[find_tile(partitions, ry, rx, k)?];
+                        for (side, sign) in [(0, 1i64), (1, -1i64)] {
+                            let w_planes = kernel.planes(o, ci, side);
                             inca_telemetry::record(
                                 Event::BitSerialCycle,
                                 (w_planes.len() * tile.planes.len()) as u64,
                             );
-                            for (wb, wp) in w_planes.iter().enumerate() {
+                            for (wb, wp) in w_planes.enumerate() {
                                 for (xb, plane) in tile.planes.iter().enumerate() {
                                     let current = plane.analog_conv_current(
                                         ry - tile.row0,
                                         rx - tile.col0,
-                                        self.k,
-                                        self.k,
+                                        k,
+                                        k,
                                         wp,
                                         params,
                                         noise,
@@ -646,9 +548,7 @@ impl HwConv {
                             }
                         }
                     }
-                    *out.at4_mut(0, o, oy, ox) = acc as f32 * pa.x_scale * self.w_scale
-                        + pa.x_min * self.w_scale * self.kernel_code_sum[o] as f32
-                        + self.bias[o];
+                    *out.at4_mut(0, o, oy, ox) = kernel.dequantize(o, acc, pa.x_scale, pa.x_min);
                 }
             }
         }
@@ -656,11 +556,12 @@ impl HwConv {
     }
 }
 
-/// Finds the partition whose tile fully contains the window at `(ry, rx)`.
-fn find_tile(partitions: &[Partition], ry: usize, rx: usize, k: usize) -> Result<&Partition> {
+/// Index of the partition whose tile fully contains the window at
+/// `(ry, rx)`.
+fn find_tile(partitions: &[Partition], ry: usize, rx: usize, k: usize) -> Result<usize> {
     partitions
         .iter()
-        .find(|p| {
+        .position(|p| {
             ry >= p.row0
                 && rx >= p.col0
                 && ry + k <= p.row0 + p.planes[0].rows()
@@ -692,7 +593,9 @@ impl HwWsConv {
     ///
     /// # Errors
     ///
-    /// Same validation as [`HwConv::from_float`].
+    /// Returns [`Error::Config`] if the weight tensor is not a square 4-D
+    /// kernel, the bias length does not match the output channels, or
+    /// the stride is 0.
     pub fn from_float(weights: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Result<Self> {
         if weights.shape().len() != 4 {
             return Err(Error::Config(format!("expected [out,in,k,k] weights, got {:?}", weights.shape())));
@@ -700,6 +603,9 @@ impl HwWsConv {
         let [out_ch, in_ch, k, k2] = weights.dims4();
         if k != k2 {
             return Err(Error::Config("only square kernels supported".into()));
+        }
+        if stride == 0 {
+            return Err(Error::Config("stride must be at least 1".into()));
         }
         // Unroll [out, in, k, k] -> [out, in*k*k] in window order
         // (channel-major, then kh, kw — matching the window unroll below).
@@ -728,7 +634,7 @@ impl HwWsConv {
         if n != 1 || c != self.in_ch {
             return Err(Error::Config("HwWsConv::forward executes one sample with matching channels".into()));
         }
-        let (oh, ow) = output_dims_padded(h, w, self.k, self.k, self.stride, self.pad);
+        let (oh, ow) = conv_output_dims(h, w, self.k, self.stride, self.pad)?;
         let out_ch = self.gemm.out_features();
         let fan_in = self.in_ch * self.k * self.k;
         let mut out = Tensor::zeros(&[1, out_ch, oh, ow]);
@@ -1057,6 +963,56 @@ mod tests {
         let scale = y_ref.data().iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-6);
         for (a, b) in y_hw.data().iter().zip(y_ref.data()) {
             assert!((a - b).abs() < 0.03 * scale, "hw {a} vs float {b}");
+        }
+    }
+
+    #[test]
+    fn kernel_wider_than_the_default_tile_completes() {
+        // k = 17 > the 16-cell default tile: the side must grow to k
+        // (a zero partition step never terminated), and the multi-word
+        // compact windows must match the scalar reads bit for bit.
+        let w = random_tensor(&[2, 1, 17, 17], 71, -0.5, 0.5);
+        let x = random_tensor(&[1, 1, 20, 20], 72, -0.3, 1.0);
+        for pad in [0, 1] {
+            let conv = HwConv::from_float(&w, &[0.1, -0.1], 1, pad).unwrap();
+            let scalar = conv.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
+            let y = conv.forward(&x).unwrap();
+            assert_eq!(y.shape(), &[1, 2, 4 + 2 * pad, 4 + 2 * pad]);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&y), bits(&scalar.forward(&x).unwrap()), "pad {pad}");
+        }
+    }
+
+    #[test]
+    fn zero_stride_is_rejected_at_construction() {
+        let w = Tensor::zeros(&[1, 1, 3, 3]);
+        assert!(matches!(HwConv::from_float(&w, &[0.0], 0, 1), Err(Error::Config(_))));
+        assert!(matches!(HwWsConv::from_float(&w, &[0.0], 0, 1), Err(Error::Config(_))));
+    }
+
+    #[test]
+    fn kernel_larger_than_padded_input_is_a_config_error() {
+        let w = Tensor::zeros(&[1, 1, 3, 3]);
+        let x = Tensor::zeros(&[1, 1, 2, 2]);
+        let expect = "3x3 kernel, stride 1, pad 0 on a 2x2 input";
+        let conv = HwConv::from_float(&w, &[0.0], 1, 0).unwrap();
+        for (name, result) in [
+            ("HwConv::forward", conv.forward(&x)),
+            (
+                "HwConv::forward_noisy",
+                conv.forward_noisy(
+                    &x,
+                    &inca_device::DeviceParams::default(),
+                    &inca_device::NoiseModel::none(),
+                    &mut rand::rngs::StdRng::seed_from_u64(1),
+                ),
+            ),
+            ("HwWsConv::forward", HwWsConv::from_float(&w, &[0.0], 1, 0).unwrap().forward(&x)),
+        ] {
+            match result {
+                Err(Error::Config(msg)) => assert!(msg.contains(expect), "{name}: {msg}"),
+                other => panic!("{name}: expected a config error, got {other:?}"),
+            }
         }
     }
 

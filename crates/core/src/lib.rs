@@ -33,6 +33,7 @@ pub mod exec;
 mod experiments;
 mod hw_batch;
 mod hw_exec;
+mod hw_kernel;
 mod hw_network;
 mod hw_train;
 

@@ -17,6 +17,10 @@
 //! `64·w + j` (LSB-first). Bits beyond the row width are always zero,
 //! which makes stray neighbour bits in extracted window words harmless:
 //! the kernel words are zero there.
+//!
+//! The conv engines pack small windows tighter: the whole window as one
+//! bit string ([`crate::VerticalPlane::extract_window_compact`]), read by
+//! [`crate::simd::and_popcount_accumulate`].
 
 use crate::{Result, XbarError};
 
@@ -92,22 +96,6 @@ impl PackedKernel {
     pub fn words(&self) -> &[u64] {
         &self.words
     }
-
-    /// The mask words repeated `groups` times back-to-back.
-    ///
-    /// The conv engines extract each window once per activation bit and
-    /// keep the per-bit word blocks contiguous; tiling the kernel mask to
-    /// match lets one [`crate::simd::and_popcount_lanes`] pass cover all
-    /// activation-bit groups of a (kernel bit-plane, window) pair — for a
-    /// 3×3 kernel that turns 3-word SIMD calls into 24-word ones.
-    #[must_use]
-    pub fn tiled(&self, groups: usize) -> Vec<u64> {
-        let mut out = Vec::with_capacity(groups * self.words.len());
-        for _ in 0..groups {
-            out.extend_from_slice(&self.words);
-        }
-        out
-    }
 }
 
 /// Word-parallel window dot product: `window` must be the `kh ·
@@ -167,13 +155,6 @@ mod tests {
         let k = PackedKernel::pack(2, 2, &[1, 1, 0, 1]).unwrap();
         let window = [0b11u64, 0b10u64]; // x = [1,1 / 0,1]
         assert_eq!(window_dot_packed(&window, &k), 3);
-    }
-
-    #[test]
-    fn tiled_repeats_mask_words() {
-        let k = PackedKernel::pack(2, 2, &[1, 0, 0, 1]).unwrap();
-        assert_eq!(k.tiled(3), vec![0b01, 0b10, 0b01, 0b10, 0b01, 0b10]);
-        assert_eq!(k.tiled(0), Vec::<u64>::new());
     }
 
     #[test]

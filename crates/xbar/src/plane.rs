@@ -293,6 +293,58 @@ impl VerticalPlane {
         Ok(())
     }
 
+    /// Extracts the window `[row, row+kh) × [col, col+kw)` as one
+    /// contiguous bit string in `dst`: window cell `(i, j)` lands at bit
+    /// `i·kw + j` (LSB-first across the words), so a `k × k` window
+    /// fills `⌈k²/64⌉` words — one word for every `k ≤ 8`. Bits past
+    /// `kh·kw` are zero. Kernel masks packed to the same layout make a
+    /// whole window read one AND+popcount per word (see
+    /// [`crate::simd::and_popcount_accumulate`]).
+    ///
+    /// # Errors
+    ///
+    /// * [`XbarError::WindowOutOfBounds`] if the window does not fit.
+    /// * [`XbarError::ShapeMismatch`] if `dst` is not
+    ///   `words_for(kh·kw)` words long.
+    pub fn extract_window_compact(
+        &self,
+        row: usize,
+        col: usize,
+        kh: usize,
+        kw: usize,
+        dst: &mut [u64],
+    ) -> Result<()> {
+        self.check_window(row, col, kh, kw)?;
+        if dst.len() != words_for(kh * kw) {
+            return Err(XbarError::ShapeMismatch {
+                expected: format!("{} words for a {kh}x{kw} window", words_for(kh * kw)),
+                got: dst.len(),
+            });
+        }
+        if let [word] = dst {
+            // At most 64 cells: each row is one chunk at bit `i·kw`.
+            let row_mask = u64::MAX >> (64 - kw);
+            *word = (0..kh).fold(0, |acc, i| acc | (self.row_chunk(row + i, col) & row_mask) << (i * kw));
+            return Ok(());
+        }
+        dst.fill(0);
+        for i in 0..kh {
+            // Each row goes in 64-column pieces; a piece of `n` bits at
+            // bit `pos` straddles two words when `pos % 64 + n > 64`.
+            for piece in (0..kw).step_by(64) {
+                let n = (kw - piece).min(64);
+                let bits = self.row_chunk(row + i, col + piece) & (u64::MAX >> (64 - n));
+                let pos = i * kw + piece;
+                let (w, off) = (pos >> 6, pos & 63);
+                dst[w] |= bits << off;
+                if off + n > 64 {
+                    dst[w + 1] |= bits >> (64 - off);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// The uncounted *word-parallel* window accumulation: AND the packed
     /// window words against the pre-packed kernel and popcount. Bit-exact
     /// with [`VerticalPlane::conv_window_sum`] by construction.
@@ -561,6 +613,48 @@ mod tests {
         // Wrong buffer size and out-of-bounds windows are rejected.
         assert!(p.extract_window(1, 1, 2, 3, &mut [0u64; 3]).is_err());
         assert!(p.extract_window(3, 3, 2, 2, &mut [0u64; 2]).is_err());
+    }
+
+    #[test]
+    fn compact_window_matches_bits_everywhere() {
+        // A plane wider than one word, so row chunks straddle the packed
+        // mirror's words; windows from 1 cell to k² > 64 (k = 9 puts row
+        // 7 across the first word boundary) and one wider than 64 columns.
+        let (rows, cols) = (11, 75);
+        let bits: Vec<u8> = (0..rows * cols).map(|i| u8::from((i * 7 + i / 13) % 3 == 0)).collect();
+        let p = plane_with(&bits, rows, cols);
+        for (kh, kw) in [(1, 1), (3, 3), (5, 5), (8, 8), (9, 9), (11, 11), (2, 70)] {
+            let mut dst = vec![0u64; words_for(kh * kw)];
+            for r in 0..=rows - kh {
+                for c in 0..=cols - kw {
+                    p.extract_window_compact(r, c, kh, kw, &mut dst).unwrap();
+                    for i in 0..kh {
+                        for j in 0..kw {
+                            let b = i * kw + j;
+                            let got = (dst[b / 64] >> (b % 64)) & 1;
+                            assert_eq!(
+                                got,
+                                u64::from(p.bit(r + i, c + j)),
+                                "{kh}x{kw} at ({r},{c}) cell ({i},{j})"
+                            );
+                        }
+                    }
+                    // Nothing past the window's last cell.
+                    let used = kh * kw;
+                    let tail = if used % 64 == 0 { 0 } else { dst[used / 64] >> (used % 64) };
+                    assert_eq!(tail, 0, "{kh}x{kw} at ({r},{c}) stray bits");
+                }
+            }
+        }
+        let mut dst = [0u64; 1];
+        assert!(matches!(
+            p.extract_window_compact(10, 0, 3, 3, &mut dst),
+            Err(XbarError::WindowOutOfBounds { .. })
+        ));
+        assert!(matches!(
+            p.extract_window_compact(0, 0, 9, 9, &mut dst),
+            Err(XbarError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]

@@ -123,7 +123,7 @@ proptest! {
 
     /// Three-way agreement across every kernel size the engines meet in
     /// practice: the sequential scalar byte-loop, the sequential
-    /// SIMD-packed path (tiled masks + `and_popcount_lanes`), and the
+    /// SIMD-packed path (compact window words + `and_popcount_accumulate`), and the
     /// coarse-chunked parallel schedule on top of it all produce the
     /// same bits for k ∈ {1, 3, 5, 7} and random worker counts.
     #[test]
