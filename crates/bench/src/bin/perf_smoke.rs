@@ -80,7 +80,7 @@ fn fleet_engine_events_per_s(cache: &mut CostCache) -> f64 {
     let mut cfg = FleetConfig::default_fleet(BackendKind::Inca, 40_000.0);
     cfg.requests = 5000;
     let start = Instant::now();
-    let run = run_fleet_point_with_costs(&cfg, cache);
+    let run = run_fleet_point_with_costs(&cfg, cache).run;
     let secs = start.elapsed().as_secs_f64();
     assert!(!run.completed.is_empty());
     run.events as f64 / secs

@@ -16,11 +16,11 @@
 //! path.
 
 use inca_arch::{ArchConfig, AreaModel};
+use inca_events::{secs_to_ns, SimTime};
 use inca_sim::{simulate_inference, GpuModel};
 use inca_units::{Area, Energy};
 use inca_workloads::ModelSpec;
 
-use crate::event::{secs_to_ns, SimTime};
 use crate::source::ModelMix;
 
 /// Which cost model serves the request stream.

@@ -1,7 +1,7 @@
 //! Per-chip serving state: pending queues, the dynamic batcher, and the
 //! single service slot a chip's plane stack represents.
 
-use crate::event::SimTime;
+use inca_events::SimTime;
 
 /// Dynamic-batching policy: accumulate requests per model until the
 /// batch fills or the oldest member has waited long enough.
@@ -120,22 +120,10 @@ impl Chip {
             .map(|at| at.saturating_add(max_wait_ns))
     }
 
-    /// Drains up to `max_batch` requests of `model_idx` into a batch and
-    /// marks the slot busy. Returns the batch members in FIFO order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chip is already busy or the model FIFO is empty —
-    /// both are engine logic errors, not runtime conditions.
-    pub fn launch(&mut self, model_idx: usize, max_batch: usize) -> Vec<Request> {
-        let mut batch = Vec::new();
-        self.launch_into(model_idx, max_batch, &mut batch);
-        batch
-    }
-
-    /// [`Self::launch`] into a caller-owned buffer (cleared first), so
-    /// the engine can recycle batch allocations through its slab arena
-    /// instead of allocating a fresh `Vec` per launch.
+    /// Drains up to `max_batch` requests of `model_idx` into `out`
+    /// (cleared first, FIFO order) and marks the slot busy. The buffer is
+    /// caller-owned so the engine can recycle batch allocations through
+    /// its slab arena instead of allocating a fresh `Vec` per launch.
     ///
     /// # Panics
     ///
@@ -173,13 +161,12 @@ impl Chip {
 pub enum DispatchPolicy {
     /// Cycle through chips regardless of state.
     RoundRobin,
-    /// Send to the least-loaded chip (waiting + executing; ties to the
-    /// lowest index).
+    /// Send to the least-loaded chip (ties to the lowest index).
     JoinShortestQueue,
-    /// Shard models onto home chips (`model_idx % chips`) so a chip
-    /// rarely re-programs weights. The fleet engine generalizes this
-    /// to striped sharding: each model owns a contiguous stripe of
-    /// chips with join-shortest-outstanding inside the stripe.
+    /// Shard models onto chips so a chip rarely re-programs weights: each
+    /// model owns a contiguous stripe of chips and joins the shortest
+    /// queue inside it. With at least as many models as chips, a stripe
+    /// is the single home chip `model_idx % chips`.
     ModelAffinity,
 }
 
@@ -194,25 +181,33 @@ impl DispatchPolicy {
         }
     }
 
-    /// Picks the destination chip for a request.
+    /// Picks the destination among `chips` chips for a request of
+    /// `model_idx` in a mix of `models`, given the dispatcher's view
+    /// `load(c)` of each chip's load.
     #[must_use]
-    pub fn choose(&self, chips: &[Chip], model_idx: usize, rr_cursor: &mut usize) -> usize {
+    pub fn choose(
+        &self,
+        chips: usize,
+        models: usize,
+        model_idx: usize,
+        load: impl Fn(usize) -> usize,
+        rr_cursor: &mut usize,
+    ) -> usize {
+        // The least-loaded chip in `lo..hi`, ties to the lowest index.
+        let shortest = |lo: usize, hi: usize| {
+            (lo + 1..hi).fold(lo, |best, i| if load(i) < load(best) { i } else { best })
+        };
         match self {
             DispatchPolicy::RoundRobin => {
-                let c = *rr_cursor % chips.len();
-                *rr_cursor = (*rr_cursor + 1) % chips.len();
+                let c = *rr_cursor % chips;
+                *rr_cursor = (*rr_cursor + 1) % chips;
                 c
             }
-            DispatchPolicy::JoinShortestQueue => {
-                let mut best = 0;
-                for (i, chip) in chips.iter().enumerate().skip(1) {
-                    if chip.load() < chips[best].load() {
-                        best = i;
-                    }
-                }
-                best
+            DispatchPolicy::JoinShortestQueue => shortest(0, chips),
+            DispatchPolicy::ModelAffinity if models >= chips => model_idx % chips,
+            DispatchPolicy::ModelAffinity => {
+                shortest(model_idx * chips / models, (model_idx + 1) * chips / models)
             }
-            DispatchPolicy::ModelAffinity => model_idx % chips.len(),
         }
     }
 }
@@ -225,6 +220,12 @@ mod tests {
         Request { id, model_idx: model, arrival_ns: at }
     }
 
+    fn launch(chip: &mut Chip, model_idx: usize, max_batch: usize) -> Vec<u64> {
+        let mut batch = Vec::new();
+        chip.launch_into(model_idx, max_batch, &mut batch);
+        batch.iter().map(|r| r.id).collect()
+    }
+
     #[test]
     fn launch_drains_fifo_in_order() {
         let mut chip = Chip::new(2);
@@ -232,13 +233,20 @@ mod tests {
             chip.admit(req(i, 0, 10 * i));
         }
         chip.admit(req(9, 1, 1));
-        let batch = chip.launch(0, 3);
-        assert_eq!(batch.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(launch(&mut chip, 0, 3), vec![0, 1, 2]);
         assert_eq!(chip.queued, 3);
         assert!(chip.busy());
         chip.complete();
-        let batch = chip.launch(0, 64);
-        assert_eq!(batch.iter().map(|r| r.id).collect::<Vec<_>>(), vec![3, 4]);
+        assert_eq!(launch(&mut chip, 0, 64), vec![3, 4]);
+    }
+
+    #[test]
+    fn launch_into_clears_the_buffer_first() {
+        let mut chip = Chip::new(1);
+        chip.admit(req(4, 0, 0));
+        let mut batch = vec![req(99, 0, 0)];
+        chip.launch_into(0, 8, &mut batch);
+        assert_eq!(batch, vec![req(4, 0, 0)]);
     }
 
     #[test]
@@ -254,21 +262,44 @@ mod tests {
     fn switches_count_model_changes() {
         let mut chip = Chip::new(2);
         chip.admit(req(0, 0, 0));
-        chip.launch(0, 1);
+        launch(&mut chip, 0, 1);
         chip.complete();
         assert_eq!(chip.switches, 0); // first residency is free
         chip.admit(req(1, 1, 5));
-        chip.launch(1, 1);
+        launch(&mut chip, 1, 1);
         assert_eq!(chip.switches, 1);
     }
 
     #[test]
     fn affinity_pins_models_to_chips() {
-        let chips: Vec<Chip> = (0..3).map(|_| Chip::new(6)).collect();
-        let mut cursor = 0;
         let policy = DispatchPolicy::ModelAffinity;
-        assert_eq!(policy.choose(&chips, 4, &mut cursor), 1);
-        assert_eq!(policy.choose(&chips, 4, &mut cursor), 1);
+        let mut cursor = 0;
+        // With at least as many models as chips, affinity is the home
+        // chip `model_idx % chips` whatever the loads.
+        for chips in 1..=8usize {
+            for models in chips..chips + 4 {
+                for model_idx in 0..models {
+                    // Each chip in turn is the unique shortest queue.
+                    for shortest in 0..chips {
+                        let load = |c: usize| usize::from(c != shortest);
+                        let c = policy.choose(chips, models, model_idx, load, &mut cursor);
+                        assert_eq!(c, model_idx % chips, "{chips} chips, {models} models, model {model_idx}");
+                    }
+                }
+            }
+        }
+        assert_eq!(cursor, 0, "affinity never advances the round-robin cursor");
+    }
+
+    #[test]
+    fn affinity_stripes_join_the_shortest_queue() {
+        // 2 models over 6 chips: model 0 owns chips 0..3, model 1 owns 3..6.
+        let policy = DispatchPolicy::ModelAffinity;
+        let loads = [5, 1, 3, 0, 4, 2];
+        let mut cursor = 0;
+        assert_eq!(policy.choose(6, 2, 0, |c| loads[c], &mut cursor), 1);
+        assert_eq!(policy.choose(6, 2, 1, |c| loads[c], &mut cursor), 3);
+        assert_eq!(policy.choose(6, 2, 1, |_| 0, &mut cursor), 3, "ties go to the lowest index");
     }
 
     #[test]
@@ -276,6 +307,6 @@ mod tests {
         let mut chips: Vec<Chip> = (0..2).map(|_| Chip::new(1)).collect();
         chips[0].admit(req(0, 0, 0));
         let mut cursor = 0;
-        assert_eq!(DispatchPolicy::JoinShortestQueue.choose(&chips, 0, &mut cursor), 1);
+        assert_eq!(DispatchPolicy::JoinShortestQueue.choose(2, 1, 0, |c| chips[c].load(), &mut cursor), 1);
     }
 }

@@ -1,20 +1,26 @@
 //! The serving engine: one offered-load point simulated end to end.
 //!
 //! Event flow: a request source feeds `Arrival` events; the dispatcher
-//! routes each request to a chip (or sheds it when the fleet is full);
+//! routes each request to a chip (or sheds it when the chip is full);
 //! the per-chip dynamic batcher launches batches when they fill or time
-//! out; `BatchDone` completes every member and immediately re-arms the
+//! out; `BatchDone` answers every member and immediately re-arms the
 //! chip. The loop is single-threaded and fully deterministic: same
 //! config + seed → the same event sequence, counters and report bytes.
+//!
+//! This is the only serving event loop. A [`Transport`] decides how
+//! requests, weight images and responses travel between dispatchers and
+//! chips, and what load the dispatcher sees: [`Ideal`] hands every
+//! transfer back at once (single-site serving), while the fleet's
+//! `Fabric` moves each one as an `inca-net` flow on the same queue.
 
-use inca_events::{Slab, SlabKey};
+use inca_events::{EventQueue, SimTime, Slab, SlabKey};
+use inca_net::NetEv;
 use inca_telemetry as tel;
 use inca_units::Energy;
 
 use crate::backend::{BackendKind, CostCache};
 use crate::chip::{BatchPolicy, Chip, DispatchPolicy, Request};
-use crate::event::{EventQueue, SimTime};
-use crate::obs::{ObsConfig, ObsOutput, ObsRecorder};
+use crate::obs::{BatchLaunch, ObsConfig, ObsOutput, ObsRecorder};
 use crate::source::{ArrivalKind, ModelMix, RequestSource};
 
 /// Configuration of one serving run (one offered-load point).
@@ -22,15 +28,17 @@ use crate::source::{ArrivalKind, ModelMix, RequestSource};
 pub struct ServeConfig {
     /// Cost model serving the traffic.
     pub backend: BackendKind,
-    /// Number of identical chips in the fleet.
+    /// Number of identical chips in the fleet (at least one).
     pub chips: usize,
     /// Request routing policy.
     pub policy: DispatchPolicy,
     /// Dynamic batching policy (max batch is clamped to the backend's
     /// plane count).
     pub batch: BatchPolicy,
-    /// Per-chip admission bound: arrivals beyond this many waiting
-    /// requests are shed.
+    /// Per-chip admission bound: arrivals routed to a chip with this
+    /// many requests backlogged are shed. The backlog is the chip's
+    /// waiting requests on a single site, and the requests sent to it
+    /// and not yet answered over a fleet fabric.
     pub queue_cap: usize,
     /// Traffic mixture over models.
     pub mix: ModelMix,
@@ -95,11 +103,12 @@ impl CompletedRequest {
 /// Everything one serving run produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
-    /// Completed requests in completion order.
+    /// Completed requests in delivery order: batch-completion order on
+    /// free dispatch, response-delivery order over a fabric.
     pub completed: Vec<CompletedRequest>,
     /// Requests dropped by admission control.
     pub shed: u64,
-    /// Virtual time of the last completion, ns.
+    /// Virtual time of the last delivered completion, ns.
     pub makespan_ns: SimTime,
     /// Total energy of all launched batches.
     pub energy_j: Energy,
@@ -110,9 +119,10 @@ pub struct RunResult {
     pub switches: u64,
     /// Discrete events processed by the engine.
     pub events: u64,
-    /// Sum of fleet queue depths sampled at each arrival (for the mean).
+    /// Sum of the fleet backlog the dispatcher sees, sampled at each
+    /// arrival (for the mean).
     pub queue_depth_sum: u64,
-    /// Largest single-chip queue depth observed.
+    /// Largest single-chip admitted queue depth observed.
     pub max_queue_depth: usize,
     /// Requests offered (completed + shed).
     pub offered: u64,
@@ -158,46 +168,104 @@ impl RunResult {
     }
 }
 
-enum Ev {
-    /// A request reaches the dispatcher.
+/// The event vocabulary: compute events and, over a fabric, network
+/// events, in one queue and one `(time, seq)` order.
+pub(crate) enum Ev {
+    /// A request reaches its dispatcher.
     Arrival(Request),
+    /// A network-internal event (hop, deliver, ack, loss).
+    Net(NetEv),
     /// An idle chip's batching window may have expired.
     BatchTimeout { chip: usize },
     /// A chip finishes its in-flight batch (members parked in the arena).
     BatchDone { chip: usize, batch: SlabKey, service_ns: SimTime },
 }
 
+/// Something a [`Transport`] moves; the engine acts on it when it arrives.
+pub(crate) enum Transfer {
+    /// A dispatched request, bound for its chip's batcher.
+    Request { req: Request, chip: usize },
+    /// The weight image a switching launch needs; programming and
+    /// compute (`service_ns`) start when it lands.
+    Weights { chip: usize, model_idx: usize, batch: SlabKey, service_ns: SimTime },
+    /// One batch member's response, bound for its dispatcher; the request
+    /// completes when it lands.
+    Response { req: Request, chip: usize, batch_size: usize, service_ns: SimTime },
+}
+
+/// How transfers travel between dispatchers and chips, and what the
+/// dispatcher knows about each chip's load.
+pub(crate) trait Transport {
+    /// The load routing compares for chip `c`.
+    fn route_load(&self, chips: &[Chip], c: usize) -> usize;
+    /// The backlog admission control holds to `queue_cap` for chip `c`;
+    /// its sum over chips is the depth sampled at each arrival.
+    fn backlog(&self, chips: &[Chip], c: usize) -> usize;
+    /// Starts moving `t`. Returns it when it has already arrived;
+    /// otherwise [`Self::on_net`] returns it later.
+    fn send(&mut self, now: SimTime, t: Transfer, queue: &mut EventQueue<Ev>) -> Option<Transfer>;
+    /// Advances one network event, returning the transfer it completed.
+    fn on_net(&mut self, now: SimTime, ev: NetEv, queue: &mut EventQueue<Ev>) -> Option<Transfer>;
+    /// Samples transport state before the event at `now` runs.
+    fn advance(&mut self, _now: SimTime) {}
+}
+
+/// Free dispatch: every transfer arrives the moment it is sent, handed
+/// back inside the same handler, so it costs no event. The dispatcher
+/// sees the chips' live state: it routes on `queued + in_flight` and
+/// admits on `queued`.
+pub(crate) struct Ideal;
+
+impl Transport for Ideal {
+    fn route_load(&self, chips: &[Chip], c: usize) -> usize {
+        chips[c].load()
+    }
+
+    fn backlog(&self, chips: &[Chip], c: usize) -> usize {
+        chips[c].queued
+    }
+
+    fn send(&mut self, _now: SimTime, t: Transfer, _queue: &mut EventQueue<Ev>) -> Option<Transfer> {
+        Some(t)
+    }
+
+    fn on_net(&mut self, _now: SimTime, _ev: NetEv, _queue: &mut EventQueue<Ev>) -> Option<Transfer> {
+        // No flow ever starts, so no network event is ever scheduled.
+        None
+    }
+}
+
 /// Recycled storage for in-flight batches: a generation-checked slab
 /// parks each launched batch under a copyable key (so `Ev::BatchDone`
 /// stays `Copy`-sized), and completed buffers return to a spare pool —
 /// steady-state serving launches allocate nothing.
-pub(crate) struct BatchArena {
+struct BatchArena {
     in_flight: Slab<Vec<Request>>,
     spare: Vec<Vec<Request>>,
 }
 
 impl BatchArena {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self { in_flight: Slab::new(), spare: Vec::new() }
     }
 
     /// A cleared buffer, recycled when one is available.
-    pub(crate) fn buf(&mut self) -> Vec<Request> {
+    fn buf(&mut self) -> Vec<Request> {
         self.spare.pop().unwrap_or_default()
     }
 
     /// Parks a launched batch, returning its key.
-    pub(crate) fn park(&mut self, batch: Vec<Request>) -> SlabKey {
+    fn park(&mut self, batch: Vec<Request>) -> SlabKey {
         self.in_flight.insert(batch)
     }
 
     /// Reclaims the batch behind `key` (`None` iff the key is stale).
-    pub(crate) fn reclaim(&mut self, key: SlabKey) -> Option<Vec<Request>> {
+    fn reclaim(&mut self, key: SlabKey) -> Option<Vec<Request>> {
         self.in_flight.remove(key)
     }
 
     /// Returns a completed buffer to the spare pool.
-    pub(crate) fn recycle(&mut self, mut batch: Vec<Request>) {
+    fn recycle(&mut self, mut batch: Vec<Request>) {
         batch.clear();
         self.spare.push(batch);
     }
@@ -211,7 +279,6 @@ impl BatchArena {
 #[must_use]
 pub fn run_point(config: &ServeConfig) -> RunResult {
     let _span = tel::span("serve.point");
-    assert!(config.chips >= 1, "need at least one chip");
     let mut costs = CostCache::new(config.backend, &config.mix);
     run_point_with_costs(config, &mut costs)
 }
@@ -228,231 +295,270 @@ pub fn run_point(config: &ServeConfig) -> RunResult {
 #[must_use]
 pub fn run_point_observed(config: &ServeConfig, obs_cfg: &ObsConfig) -> (RunResult, ObsOutput) {
     let _span = tel::span("serve.point");
-    assert!(config.chips >= 1, "need at least one chip");
     let mut costs = CostCache::new(config.backend, &config.mix);
     let mut rec = ObsRecorder::new(obs_cfg, config.chips, &config.mix);
-    let (result, chips) = run_point_inner(config, &mut costs, Some(&mut rec));
-    let out = rec.finish(result.makespan_ns, &chips);
-    (result, out)
+    let (result, Ideal) = Engine::new(config, &mut costs, Ideal, Some(&mut rec)).run();
+    (result, rec.finish())
 }
 
 /// [`run_point`] reusing a warm cost cache (the sweep driver shares one
 /// cache per backend so (model, batch) costs are priced once).
+///
+/// # Panics
+///
+/// Panics on configuration errors (zero chips, empty mix).
 #[must_use]
 pub fn run_point_with_costs(config: &ServeConfig, costs: &mut CostCache) -> RunResult {
-    run_point_inner(config, costs, None).0
+    Engine::new(config, costs, Ideal, None).run().0
 }
 
-/// The engine loop proper; the recorder, when present, is fed pure
-/// observations and cannot alter scheduling. Returns the final chip
-/// states alongside the result so observers can flush trailing samples.
-fn run_point_inner(
-    config: &ServeConfig,
-    costs: &mut CostCache,
-    mut obs: Option<&mut ObsRecorder>,
-) -> (RunResult, Vec<Chip>) {
-    let max_batch = config.effective_max_batch();
-    let mut source = RequestSource::new(config.arrivals, config.mix.clone(), config.seed, config.requests);
-    let mut queue: EventQueue<Ev> = EventQueue::new();
-    let mut chips: Vec<Chip> = (0..config.chips).map(|_| Chip::new(config.mix.len())).collect();
-    let mut arena = BatchArena::new();
-    let mut rr_cursor = 0usize;
-    let mut next_id = 0u64;
-
-    let mut result = RunResult {
-        completed: Vec::with_capacity(config.requests as usize),
-        shed: 0,
-        makespan_ns: 0,
-        energy_j: Energy::ZERO,
-        batch_hist: vec![0; max_batch + 1],
-        switches: 0,
-        events: 0,
-        queue_depth_sum: 0,
-        max_queue_depth: 0,
-        offered: 0,
-    };
-
-    // Prime the first arrival; each arrival schedules its successor.
-    if let Some((at, model_idx)) = source.next_request() {
-        queue.schedule(at, Ev::Arrival(Request { id: next_id, model_idx, arrival_ns: at }));
-        next_id += 1;
-    }
-
-    while let Some((now, ev)) = queue.pop() {
-        if let Some(rec) = obs.as_deref_mut() {
-            rec.advance(now, &chips);
-        }
-        match ev {
-            Ev::Arrival(req) => {
-                // Chain the next arrival before anything else so source
-                // order is independent of service events.
-                if let Some((at, model_idx)) = source.next_request() {
-                    queue.schedule(at, Ev::Arrival(Request { id: next_id, model_idx, arrival_ns: at }));
-                    next_id += 1;
-                }
-                result.offered += 1;
-                let c = config.policy.choose(&chips, req.model_idx, &mut rr_cursor);
-                let fleet_depth: usize = chips.iter().map(|ch| ch.queued).sum();
-                result.queue_depth_sum += fleet_depth as u64;
-                if chips[c].queued >= config.queue_cap {
-                    result.shed += 1;
-                    tel::incr(tel::Event::ServeRequestShed);
-                    if let Some(rec) = obs.as_deref_mut() {
-                        rec.on_shed(&req);
-                    }
-                    continue;
-                }
-                tel::incr(tel::Event::ServeRequestAdmitted);
-                if let Some(rec) = obs.as_deref_mut() {
-                    rec.on_admit(&req, c);
-                }
-                chips[c].admit(req);
-                result.max_queue_depth = result.max_queue_depth.max(chips[c].queued);
-                if !chips[c].busy() {
-                    if chips[c].depth(req.model_idx) >= max_batch {
-                        launch(
-                            &mut chips[c],
-                            c,
-                            req.model_idx,
-                            now,
-                            max_batch,
-                            costs,
-                            &mut arena,
-                            &mut queue,
-                            &mut result,
-                            obs.as_deref_mut(),
-                        );
-                    } else {
-                        // Hold the batch open; fire a timeout at this
-                        // request's deadline. Stale timeouts re-check
-                        // state and no-op, so over-scheduling is safe.
-                        queue.schedule(
-                            now.saturating_add(config.batch.max_wait_ns),
-                            Ev::BatchTimeout { chip: c },
-                        );
-                    }
-                }
-            }
-            Ev::BatchTimeout { chip } => {
-                if chips[chip].busy() {
-                    continue;
-                }
-                // Launch the longest-waiting model iff its window truly
-                // expired (this event may be stale).
-                let oldest = chips[chip]
-                    .oldest_model()
-                    .and_then(|m| chips[chip].head_arrival(m).map(|head| (m, head)));
-                if let Some((m, head)) = oldest {
-                    if now.saturating_sub(head) >= config.batch.max_wait_ns
-                        || chips[chip].depth(m) >= max_batch
-                    {
-                        launch(
-                            &mut chips[chip],
-                            chip,
-                            m,
-                            now,
-                            max_batch,
-                            costs,
-                            &mut arena,
-                            &mut queue,
-                            &mut result,
-                            obs.as_deref_mut(),
-                        );
-                    } else if let Some(deadline) = chips[chip].earliest_deadline(config.batch.max_wait_ns) {
-                        queue.schedule(deadline.max(now), Ev::BatchTimeout { chip });
-                    }
-                }
-            }
-            Ev::BatchDone { chip, batch: key, service_ns } => {
-                chips[chip].complete();
-                let Some(batch) = arena.reclaim(key) else {
-                    // Every launch parks exactly one batch and every
-                    // BatchDone fires exactly once, so a stale key is an
-                    // engine logic bug, not a runtime condition.
-                    debug_assert!(false, "BatchDone with a stale arena key");
-                    continue;
-                };
-                if let Some(rec) = obs.as_deref_mut() {
-                    rec.on_batch_done(chip, &batch, now);
-                }
-                let size = batch.len();
-                for &req in &batch {
-                    result.completed.push(CompletedRequest {
-                        id: req.id,
-                        model_idx: req.model_idx,
-                        arrival_ns: req.arrival_ns,
-                        done_ns: now,
-                        batch_size: size,
-                        service_ns,
-                    });
-                }
-                arena.recycle(batch);
-                result.makespan_ns = result.makespan_ns.max(now);
-                // Work-conserving: a freed chip with pending work starts
-                // the longest-waiting model immediately.
-                if let Some(m) = chips[chip].oldest_model() {
-                    launch(
-                        &mut chips[chip],
-                        chip,
-                        m,
-                        now,
-                        max_batch,
-                        costs,
-                        &mut arena,
-                        &mut queue,
-                        &mut result,
-                        obs.as_deref_mut(),
-                    );
-                }
-            }
-        }
-    }
-
-    result.events = queue.processed();
-    result.switches = chips.iter().map(|c| c.switches).sum();
-    (result, chips)
-}
-
-/// Forms a batch on `chip`, prices it, and schedules its completion.
-#[allow(clippy::too_many_arguments)] // internal plumbing of one call site set
-fn launch(
-    chip: &mut Chip,
-    chip_idx: usize,
-    model_idx: usize,
-    now: SimTime,
+/// One run's full mutable state. The recorder, when present, is fed pure
+/// observations and cannot alter scheduling.
+pub(crate) struct Engine<'a, T: Transport> {
+    cfg: &'a ServeConfig,
+    costs: &'a mut CostCache,
+    transport: T,
+    obs: Option<&'a mut ObsRecorder>,
+    queue: EventQueue<Ev>,
+    chips: Vec<Chip>,
+    arena: BatchArena,
+    source: RequestSource,
+    rr_cursor: usize,
+    next_id: u64,
     max_batch: usize,
-    costs: &mut CostCache,
-    arena: &mut BatchArena,
-    queue: &mut EventQueue<Ev>,
-    result: &mut RunResult,
-    obs: Option<&mut ObsRecorder>,
-) {
-    let switching = chip.resident_model.is_some() && chip.resident_model != Some(model_idx);
-    let head_arrival_ns = chip.head_arrival(model_idx).unwrap_or(now);
-    let mut batch = arena.buf();
-    chip.launch_into(model_idx, max_batch, &mut batch);
-    let cost = costs.cost(model_idx, batch.len());
-    let penalty_ns = if switching { costs.switch_penalty_ns(model_idx) } else { 0 };
-    let service_ns = cost.service_ns + penalty_ns;
-    result.energy_j += cost.energy_j;
-    result.batch_hist[batch.len()] += 1;
-    tel::incr(tel::Event::ServeBatchLaunched);
-    if switching {
-        tel::incr(tel::Event::ServeReprogramSwitch);
+    result: RunResult,
+}
+
+impl<'a, T: Transport> Engine<'a, T> {
+    /// An engine at time zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.chips` is zero.
+    pub(crate) fn new(
+        cfg: &'a ServeConfig,
+        costs: &'a mut CostCache,
+        transport: T,
+        obs: Option<&'a mut ObsRecorder>,
+    ) -> Self {
+        assert!(cfg.chips >= 1, "need at least one chip");
+        let max_batch = cfg.effective_max_batch();
+        Self {
+            cfg,
+            costs,
+            transport,
+            obs,
+            queue: EventQueue::new(),
+            chips: (0..cfg.chips).map(|_| Chip::new(cfg.mix.len())).collect(),
+            arena: BatchArena::new(),
+            source: RequestSource::new(cfg.arrivals, cfg.mix.clone(), cfg.seed, cfg.requests),
+            rr_cursor: 0,
+            next_id: 0,
+            max_batch,
+            result: RunResult {
+                completed: Vec::with_capacity(cfg.requests as usize),
+                shed: 0,
+                makespan_ns: 0,
+                energy_j: Energy::ZERO,
+                batch_hist: vec![0; max_batch + 1],
+                switches: 0,
+                events: 0,
+                queue_depth_sum: 0,
+                max_queue_depth: 0,
+                offered: 0,
+            },
+        }
     }
-    if let Some(rec) = obs {
-        let launch = crate::obs::BatchLaunch {
-            chip: chip_idx,
-            model_idx,
-            batch: &batch,
-            head_arrival_ns,
-            penalty_ns,
-            service_ns,
+
+    /// Drains the queue and returns the result with the transport, whose
+    /// final state the fleet reports.
+    pub(crate) fn run(mut self) -> (RunResult, T) {
+        self.schedule_next_arrival();
+        while let Some((now, ev)) = self.queue.pop() {
+            self.transport.advance(now);
+            if let Some(rec) = self.obs.as_deref_mut() {
+                rec.advance(now, &self.chips);
+            }
+            match ev {
+                Ev::Arrival(req) => self.on_arrival(now, req),
+                Ev::Net(ev) => {
+                    if let Some(t) = self.transport.on_net(now, ev, &mut self.queue) {
+                        self.deliver(now, t);
+                    }
+                }
+                Ev::BatchTimeout { chip } => self.on_timeout(now, chip),
+                Ev::BatchDone { chip, batch, service_ns } => self.on_batch_done(now, chip, batch, service_ns),
+            }
+        }
+        if let Some(rec) = self.obs {
+            // Flush the sampler's trailing rows from the final chip state.
+            rec.advance(self.result.makespan_ns, &self.chips);
+        }
+        self.result.events = self.queue.processed();
+        self.result.switches = self.chips.iter().map(|c| c.switches).sum();
+        (self.result, self.transport)
+    }
+
+    fn schedule_next_arrival(&mut self) {
+        if let Some((at, model_idx)) = self.source.next_request() {
+            self.queue.schedule(at, Ev::Arrival(Request { id: self.next_id, model_idx, arrival_ns: at }));
+            self.next_id += 1;
+        }
+    }
+
+    fn on_arrival(&mut self, now: SimTime, req: Request) {
+        // Chain the next arrival before anything else so source order is
+        // independent of service and network events.
+        self.schedule_next_arrival();
+        self.result.offered += 1;
+        let (chips, transport) = (&self.chips, &self.transport);
+        let c = self.cfg.policy.choose(
+            chips.len(),
+            self.cfg.mix.len(),
+            req.model_idx,
+            |i| transport.route_load(chips, i),
+            &mut self.rr_cursor,
+        );
+        self.result.queue_depth_sum +=
+            (0..chips.len()).map(|i| transport.backlog(chips, i) as u64).sum::<u64>();
+        if transport.backlog(chips, c) >= self.cfg.queue_cap {
+            self.result.shed += 1;
+            tel::incr(tel::Event::ServeRequestShed);
+            if let Some(rec) = self.obs.as_deref_mut() {
+                rec.on_shed(&req);
+            }
+            return;
+        }
+        tel::incr(tel::Event::ServeRequestAdmitted);
+        if let Some(rec) = self.obs.as_deref_mut() {
+            rec.on_admit(&req, c);
+        }
+        self.send(now, Transfer::Request { req, chip: c });
+    }
+
+    // Inlined (as is `deliver`) so that on `Ideal`, where the transfer
+    // comes straight back, each call site's match on its own transfer
+    // kind folds away: the single-site hot path stays a direct call.
+    #[inline(always)]
+    fn send(&mut self, now: SimTime, t: Transfer) {
+        if let Some(t) = self.transport.send(now, t, &mut self.queue) {
+            self.deliver(now, t);
+        }
+    }
+
+    /// Acts on a transfer that has arrived.
+    #[inline(always)]
+    fn deliver(&mut self, now: SimTime, t: Transfer) {
+        match t {
+            Transfer::Request { req, chip } => self.on_request(now, req, chip),
+            Transfer::Weights { chip, batch, service_ns, .. } => {
+                self.queue.schedule(now + service_ns, Ev::BatchDone { chip, batch, service_ns });
+            }
+            Transfer::Response { req, chip, batch_size, service_ns } => {
+                if let Some(rec) = self.obs.as_deref_mut() {
+                    rec.on_complete(chip, &req, now);
+                }
+                self.result.completed.push(CompletedRequest {
+                    id: req.id,
+                    model_idx: req.model_idx,
+                    arrival_ns: req.arrival_ns,
+                    done_ns: now,
+                    batch_size,
+                    service_ns,
+                });
+                self.result.makespan_ns = self.result.makespan_ns.max(now);
+            }
+        }
+    }
+
+    fn on_request(&mut self, now: SimTime, req: Request, chip: usize) {
+        self.chips[chip].admit(req);
+        self.result.max_queue_depth = self.result.max_queue_depth.max(self.chips[chip].queued);
+        if !self.chips[chip].busy() {
+            if self.chips[chip].depth(req.model_idx) >= self.max_batch {
+                self.launch(now, chip, req.model_idx);
+            } else {
+                // Hold the batch open; fire a timeout at this request's
+                // deadline. Stale timeouts re-check state and no-op, so
+                // over-scheduling is safe.
+                self.queue
+                    .schedule(now.saturating_add(self.cfg.batch.max_wait_ns), Ev::BatchTimeout { chip });
+            }
+        }
+    }
+
+    fn on_timeout(&mut self, now: SimTime, chip: usize) {
+        let ch = &self.chips[chip];
+        if ch.busy() {
+            return;
+        }
+        // Launch the longest-waiting model iff its window truly expired
+        // (this event may be stale).
+        let Some((m, head)) = ch.oldest_model().and_then(|m| ch.head_arrival(m).map(|head| (m, head))) else {
+            return;
         };
-        rec.on_launch(&launch, now);
+        if now.saturating_sub(head) >= self.cfg.batch.max_wait_ns || ch.depth(m) >= self.max_batch {
+            self.launch(now, chip, m);
+        } else if let Some(deadline) = ch.earliest_deadline(self.cfg.batch.max_wait_ns) {
+            self.queue.schedule(deadline.max(now), Ev::BatchTimeout { chip });
+        }
     }
-    let key = arena.park(batch);
-    queue.schedule(now + service_ns, Ev::BatchDone { chip: chip_idx, batch: key, service_ns });
+
+    /// Forms a batch on `chip` and prices it. A resident model computes
+    /// at once; a switch first sends the new weight image to the chip.
+    fn launch(&mut self, now: SimTime, chip: usize, model_idx: usize) {
+        let ch = &mut self.chips[chip];
+        let switching = ch.resident_model.is_some() && ch.resident_model != Some(model_idx);
+        let head_arrival_ns = ch.head_arrival(model_idx).unwrap_or(now);
+        let mut batch = self.arena.buf();
+        ch.launch_into(model_idx, self.max_batch, &mut batch);
+        let cost = self.costs.cost(model_idx, batch.len());
+        let penalty_ns = if switching { self.costs.switch_penalty_ns(model_idx) } else { 0 };
+        let service_ns = cost.service_ns + penalty_ns;
+        self.result.energy_j += cost.energy_j;
+        self.result.batch_hist[batch.len()] += 1;
+        tel::incr(tel::Event::ServeBatchLaunched);
+        if switching {
+            tel::incr(tel::Event::ServeReprogramSwitch);
+        }
+        if let Some(rec) = self.obs.as_deref_mut() {
+            let launch =
+                BatchLaunch { chip, model_idx, batch: &batch, head_arrival_ns, penalty_ns, service_ns };
+            rec.on_launch(&launch, now);
+        }
+        let weights = Transfer::Weights { chip, model_idx, batch: self.arena.park(batch), service_ns };
+        if switching {
+            self.send(now, weights);
+        } else {
+            self.deliver(now, weights);
+        }
+    }
+
+    fn on_batch_done(&mut self, now: SimTime, chip: usize, key: SlabKey, service_ns: SimTime) {
+        self.chips[chip].complete();
+        let Some(batch) = self.arena.reclaim(key) else {
+            // Every launch parks exactly one batch and every BatchDone
+            // fires exactly once, so a stale key is an engine logic bug,
+            // not a runtime condition.
+            debug_assert!(false, "BatchDone with a stale arena key");
+            return;
+        };
+        if let Some(rec) = self.obs.as_deref_mut() {
+            rec.on_batch_done(chip, now);
+        }
+        // One response per member back to its dispatcher: over a fabric,
+        // many chips answering one dispatcher is the incast it prices.
+        let batch_size = batch.len();
+        for &req in &batch {
+            self.send(now, Transfer::Response { req, chip, batch_size, service_ns });
+        }
+        self.arena.recycle(batch);
+        // Work-conserving: a freed chip with pending work starts the
+        // longest-waiting model immediately.
+        if let Some(m) = self.chips[chip].oldest_model() {
+            self.launch(now, chip, m);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -528,5 +634,49 @@ mod tests {
         let a = run_point(&cfg);
         let b = run_point(&cfg);
         assert_eq!(a, b);
+    }
+
+    /// The sweep path (`run_point_with_costs`) rejects an empty fleet up
+    /// front instead of dividing by zero inside the dispatcher.
+    fn run_without_chips(policy: DispatchPolicy) {
+        let mut cfg = small(BackendKind::Inca, 100.0, 1);
+        cfg.chips = 0;
+        cfg.policy = policy;
+        let _ = run_point_with_costs(&cfg, &mut CostCache::new(cfg.backend, &cfg.mix));
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one chip")]
+    fn zero_chips_panic_up_front_round_robin() {
+        run_without_chips(DispatchPolicy::RoundRobin);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one chip")]
+    fn zero_chips_panic_up_front_jsq() {
+        run_without_chips(DispatchPolicy::JoinShortestQueue);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one chip")]
+    fn zero_chips_panic_up_front_affinity() {
+        run_without_chips(DispatchPolicy::ModelAffinity);
+    }
+
+    #[test]
+    fn affinity_stripes_keep_every_chip_busy() {
+        // 2 models on 6 chips: each model's stripe of 3 chips shares its
+        // traffic, so no chip idles and no chip ever switches models.
+        let mut cfg = small(BackendKind::Inca, 5000.0, 600);
+        cfg.chips = 6;
+        cfg.policy = DispatchPolicy::ModelAffinity;
+        let obs = ObsConfig { trace: false, sample_interval_ns: 10_000_000, slo: None };
+        let (run, out) = run_point_observed(&cfg, &obs);
+        assert_eq!(run.switches, 0);
+        let series = out.timeseries.expect("sampler enabled");
+        for c in 0..6 {
+            let util = series.column(&format!("util_chip{c}")).expect("one column per chip");
+            assert!(util.iter().any(|&u| u > 0.0), "chip {c} never served a batch");
+        }
     }
 }

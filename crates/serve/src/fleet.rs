@@ -1,24 +1,24 @@
 //! Fleet-scale serving over the `inca-net` datacenter fabric.
 //!
-//! The single-fleet engine ([`crate::run_point`]) treats dispatch as
-//! free: a request teleports to its chip and its response teleports
-//! back. At hundreds of chips that is the wrong model — the question
-//! "how many requests per second can a *rack* sustain under a p99 SLO"
-//! is a network question, because every dispatch ships the request's
-//! input activations to a chip, every completion ships a response back
-//! to its dispatcher (the incast stress case), and every model switch
-//! drags a weight image across the fabric before re-programming starts.
+//! Single-site serving ([`crate::run_point`]) treats dispatch as free: a
+//! request teleports to its chip and its response teleports back. At
+//! hundreds of chips that is the wrong model — the question "how many
+//! requests per second can a *rack* sustain under a p99 SLO" is a
+//! network question, because every dispatch ships the request's input
+//! activations to a chip, every completion ships a response back to its
+//! dispatcher (the incast stress case), and every model switch drags a
+//! weight image across the fabric before re-programming starts.
 //!
-//! This module rewires the serving event loop around network completion
-//! events. One shared [`EventQueue`] carries both compute and fabric
-//! events in a single `(time, seq)` order:
+//! A fleet point runs the one serving engine with the `Fabric`
+//! transport, which moves every transfer as a flow whose packets share
+//! the engine's event queue, in one `(time, seq)` order:
 //!
 //! * an `Arrival` lands at a dispatcher host at the topology edge, which
 //!   picks a chip ([`DispatchPolicy`] over its *outstanding-request*
 //!   view — the dispatcher cannot see chip queues instantaneously, only
 //!   what it has sent and what has come back) and opens a request flow;
 //! * the chip admits the request when the flow's last packet arrives,
-//!   then batches exactly as the single-fleet engine does;
+//!   then batches exactly as on a single site;
 //! * a launch that switches models first pulls the weight image from the
 //!   model's home dispatcher as a bulk flow (jumbo-MTU DMA chunks), then
 //!   pays the programming penalty and compute;
@@ -31,22 +31,22 @@
 //! across worker counts and across permutations of equal-cost paths.
 
 use inca_core::exec::{par_map_indexed, ExecPolicy};
-use inca_events::SlabKey;
+use inca_events::{EventQueue, SimTime};
 use inca_net::{
     FlowSpec, LinkSpec, LinkTier, NetConfig, NetEv, NetScheduler, NetTotals, Network, NodeId, Topology,
     TIER_COUNT,
 };
-use inca_telemetry::{self as tel, LogLinearHist};
-use inca_units::{Bandwidth, Energy};
+use inca_telemetry as tel;
+use inca_units::Bandwidth;
 use serde_json::{json, Value};
 use std::fmt::Write as _;
 
 use crate::backend::{BackendKind, CostCache};
-use crate::chip::{BatchPolicy, Chip, DispatchPolicy, Request};
-use crate::engine::{BatchArena, CompletedRequest};
-use crate::event::{ns_to_ms, EventQueue, SimTime};
+use crate::chip::{BatchPolicy, Chip, DispatchPolicy};
+use crate::engine::{Engine, Ev, RunResult, ServeConfig, Transfer, Transport};
+use crate::metrics::PointSummary;
 use crate::obs::LinkUtilSeries;
-use crate::source::{ArrivalKind, ModelMix, RequestSource};
+use crate::source::{ArrivalKind, ModelMix};
 use crate::sweep::ServeReport;
 
 /// Which fabric the fleet hangs off.
@@ -209,6 +209,22 @@ impl FleetConfig {
         self.batch.max_batch.min(self.backend.max_batch()).max(1)
     }
 
+    /// The serving half of the config: what the engine runs over the
+    /// fabric, one chip per non-dispatcher host.
+    fn serve_config(&self) -> ServeConfig {
+        ServeConfig {
+            backend: self.backend,
+            chips: self.num_chips(),
+            policy: self.policy,
+            batch: self.batch,
+            queue_cap: self.queue_cap,
+            mix: self.mix.clone(),
+            arrivals: self.arrivals,
+            seed: self.seed,
+            requests: self.requests,
+        }
+    }
+
     fn validate(&self) {
         assert!(self.dispatchers >= 1, "need at least one dispatcher");
         assert!(self.num_chips() >= 1, "need at least one chip behind the dispatchers");
@@ -220,63 +236,23 @@ impl FleetConfig {
     }
 }
 
-/// What a completed network transfer means to the fleet engine.
-enum Xfer {
-    /// A dispatched request reached its chip.
-    Request { req: Request, chip: usize },
-    /// A weight image reached a switching chip; programming + compute
-    /// (`service_ns`) starts now.
-    Weights { chip: usize, batch: SlabKey, service_ns: SimTime },
-    /// A response reached its dispatcher; the request is complete.
-    Response { req: Request, chip: usize, batch_size: usize, service_ns: SimTime },
-}
-
-/// The shared event vocabulary: compute events and fabric events in one
-/// queue, one total order.
-enum FleetEv {
-    /// A request materializes at its dispatcher.
-    Arrival(Request),
-    /// A network-internal event (hop, deliver, ack, loss).
-    Net(NetEv),
-    /// An idle chip's batching window may have expired.
-    BatchTimeout { chip: usize },
-    /// A chip finishes its in-flight batch.
-    BatchDone { chip: usize, batch: SlabKey, service_ns: SimTime },
-}
-
-/// Adapter giving the network the shared queue under the
+/// Adapter giving the network the engine's queue under the
 /// [`NetScheduler`] contract.
-struct Sched<'a>(&'a mut EventQueue<FleetEv>);
+struct Sched<'a>(&'a mut EventQueue<Ev>);
 
 impl NetScheduler for Sched<'_> {
     fn schedule_net(&mut self, at: SimTime, ev: NetEv) {
-        self.0.schedule(at, FleetEv::Net(ev));
+        self.0.schedule(at, Ev::Net(ev));
     }
 }
 
 /// Everything one fleet run produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetResult {
-    /// Completed requests in response-delivery order.
-    pub completed: Vec<CompletedRequest>,
-    /// Requests dropped by dispatcher admission control.
-    pub shed: u64,
-    /// Requests offered (completed + shed, once the run drains).
-    pub offered: u64,
-    /// Virtual time of the last response delivery, ns.
-    pub makespan_ns: SimTime,
-    /// Total energy of all launched batches.
-    pub energy_j: Energy,
-    /// `hist[s]` = batches launched with size `s` (index 0 unused).
-    pub batch_hist: Vec<u64>,
-    /// Weight re-programming switches across the fleet.
-    pub switches: u64,
-    /// Discrete events processed (compute + network).
-    pub events: u64,
-    /// Sum of fleet outstanding counts sampled at each arrival.
-    pub queue_depth_sum: u64,
-    /// Largest single-chip admitted queue depth observed.
-    pub max_queue_depth: usize,
+    /// The serving outcome. Requests complete when their response reaches
+    /// the dispatcher, `events` counts network events too, and the
+    /// sampled depth is the dispatchers' outstanding-request count.
+    pub run: RunResult,
     /// Aggregate fabric traffic totals.
     pub net: NetTotals,
     /// Cumulative per-tier `(busy_ns, link_count)` accumulators.
@@ -288,72 +264,43 @@ pub struct FleetResult {
 }
 
 impl FleetResult {
-    /// Completed-request throughput in requests/second of virtual time.
-    #[must_use]
-    pub fn throughput_rps(&self) -> f64 {
-        if self.makespan_ns == 0 {
-            return 0.0;
-        }
-        self.completed.len() as f64 / (self.makespan_ns as f64 / 1e9)
-    }
-
-    /// Mean launched batch size.
-    #[must_use]
-    pub fn mean_batch(&self) -> f64 {
-        let batches: u64 = self.batch_hist.iter().sum();
-        if batches == 0 {
-            return 0.0;
-        }
-        let total: u64 = self.batch_hist.iter().enumerate().map(|(s, &n)| s as u64 * n).sum();
-        total as f64 / batches as f64
-    }
-
     /// Mean per-tier link utilization over the whole makespan
     /// (`[access, aggregation, core]`).
     #[must_use]
     pub fn tier_util(&self) -> [f64; TIER_COUNT] {
         let mut out = [0.0; TIER_COUNT];
-        if self.makespan_ns == 0 {
+        if self.run.makespan_ns == 0 {
             return out;
         }
         for (slot, &(busy, links)) in self.tier_busy.iter().enumerate() {
             if links > 0 {
-                out[slot] = busy as f64 / (links as f64 * self.makespan_ns as f64);
+                out[slot] = busy as f64 / (links as f64 * self.run.makespan_ns as f64);
             }
         }
         out
     }
 }
 
-/// The fleet engine: one run's full mutable state. Methods borrow
-/// disjoint fields, so the event handlers stay direct translations of
-/// the single-fleet loop with flows spliced in.
-struct FleetEngine<'a> {
-    cfg: &'a FleetConfig,
-    costs: &'a mut CostCache,
-    net: Network<Xfer>,
-    queue: EventQueue<FleetEv>,
-    chips: Vec<Chip>,
-    /// Dispatcher-side view: requests dispatched to each chip and not
-    /// yet responded. This — not the chip's true queue — is what routing
-    /// and admission see; the information is exactly one network
-    /// round-trip stale, which is the point of modeling the fabric.
-    outstanding: Vec<u32>,
+/// The fabric transport: every transfer is a DCTCP-style flow between a
+/// dispatcher host and a chip host.
+///
+/// Routing, admission and the sampled depth all read `outstanding`, the
+/// dispatchers' view of each chip: requests sent and not yet answered.
+/// That view is exactly one network round-trip stale, which is the point
+/// of modeling the fabric.
+struct Fabric {
+    net: Network<Transfer>,
+    params: FleetNetParams,
     chip_host: Vec<NodeId>,
     disp_host: Vec<NodeId>,
-    arena: BatchArena,
-    source: RequestSource,
-    rr_cursor: usize,
-    next_id: u64,
-    max_batch: usize,
+    outstanding: Vec<u32>,
     /// Weight-image bytes per model (params × bytes/param).
     weight_bytes: Vec<u64>,
     util: Option<LinkUtilSeries>,
-    result: FleetResult,
 }
 
-impl<'a> FleetEngine<'a> {
-    fn new(cfg: &'a FleetConfig, costs: &'a mut CostCache) -> Self {
+impl Fabric {
+    fn new(cfg: &FleetConfig) -> Self {
         cfg.validate();
         let topo = cfg.topo.build(cfg.net.link);
         let hosts = topo.hosts().to_vec();
@@ -370,291 +317,92 @@ impl<'a> FleetEngine<'a> {
         }
         let weight_bytes: Vec<u64> =
             cfg.mix.models.iter().map(|m| m.spec().param_count() * cfg.net.weight_bytes_per_param).collect();
-        let max_batch = cfg.effective_max_batch();
-        let num_chips = chip_host.len();
         Self {
-            cfg,
-            costs,
             net,
-            queue: EventQueue::new(),
-            chips: (0..num_chips).map(|_| Chip::new(cfg.mix.len())).collect(),
-            outstanding: vec![0; num_chips],
+            params: cfg.net,
+            outstanding: vec![0; chip_host.len()],
             chip_host,
             disp_host,
-            arena: BatchArena::new(),
-            source: RequestSource::new(cfg.arrivals, cfg.mix.clone(), cfg.seed, cfg.requests),
-            rr_cursor: 0,
-            next_id: 0,
-            max_batch,
             weight_bytes,
             util: (cfg.util_sample_interval_ns > 0).then(|| LinkUtilSeries::new(cfg.util_sample_interval_ns)),
-            result: FleetResult {
-                completed: Vec::with_capacity(cfg.requests as usize),
-                shed: 0,
-                offered: 0,
-                makespan_ns: 0,
-                energy_j: Energy::ZERO,
-                batch_hist: vec![0; max_batch + 1],
-                switches: 0,
-                events: 0,
-                queue_depth_sum: 0,
-                max_queue_depth: 0,
-                net: NetTotals::default(),
-                tier_busy: [(0, 0); TIER_COUNT],
-                max_link_util: [0.0; TIER_COUNT],
-                util_series: None,
-            },
         }
     }
 
     /// The dispatcher a request enters at (and returns to): a stateless
     /// edge load balancer striping request ids across dispatchers.
-    fn dispatcher_of(&self, id: u64) -> usize {
-        (id % self.disp_host.len() as u64) as usize
+    fn dispatcher(&self, id: u64) -> NodeId {
+        self.disp_host[(id % self.disp_host.len() as u64) as usize]
     }
 
-    /// Routing over the dispatcher's outstanding view — the network-lag
-    /// analogue of [`DispatchPolicy::choose`].
-    fn choose_chip(&mut self, model_idx: usize) -> usize {
-        match self.cfg.policy {
-            DispatchPolicy::RoundRobin => {
-                let c = self.rr_cursor % self.outstanding.len();
-                self.rr_cursor = (self.rr_cursor + 1) % self.outstanding.len();
-                c
-            }
-            DispatchPolicy::JoinShortestQueue => {
-                let mut best = 0;
-                for (i, &o) in self.outstanding.iter().enumerate().skip(1) {
-                    if o < self.outstanding[best] {
-                        best = i;
-                    }
-                }
-                best
-            }
-            // At fleet scale, pinning a model to *one* chip (the
-            // single-fleet reading) would idle the rest; the production
-            // shape is sharding: each model owns a contiguous stripe of
-            // chips sized by its index, and the dispatcher JSQs within
-            // the stripe. Steady state never re-programs — which is the
-            // whole point of affinity — while every chip serves traffic.
-            DispatchPolicy::ModelAffinity => {
-                let n = self.outstanding.len();
-                let models = self.cfg.mix.len();
-                if models >= n {
-                    return model_idx % n;
-                }
-                let lo = model_idx * n / models;
-                let hi = (model_idx + 1) * n / models;
-                let mut best = lo;
-                for i in lo + 1..hi {
-                    if self.outstanding[i] < self.outstanding[best] {
-                        best = i;
-                    }
-                }
-                best
-            }
-        }
-    }
-
-    fn on_arrival(&mut self, now: SimTime, req: Request) {
-        // Chain the next arrival before anything else so source order is
-        // independent of service and network events.
-        if let Some((at, model_idx)) = self.source.next_request() {
-            self.queue
-                .schedule(at, FleetEv::Arrival(Request { id: self.next_id, model_idx, arrival_ns: at }));
-            self.next_id += 1;
-        }
-        self.result.offered += 1;
-        let fleet_depth: u64 = self.outstanding.iter().map(|&o| u64::from(o)).sum();
-        self.result.queue_depth_sum += fleet_depth;
-        let c = self.choose_chip(req.model_idx);
-        if self.outstanding[c] as usize >= self.cfg.queue_cap {
-            self.result.shed += 1;
-            tel::incr(tel::Event::ServeRequestShed);
-            return;
-        }
-        tel::incr(tel::Event::ServeRequestAdmitted);
-        self.outstanding[c] += 1;
-        let d = self.dispatcher_of(req.id);
-        let spec =
-            FlowSpec { src: self.disp_host[d], dst: self.chip_host[c], bytes: self.cfg.net.request_bytes };
-        self.net.start_flow(now, spec, Xfer::Request { req, chip: c }, &mut Sched(&mut self.queue));
-    }
-
-    fn on_net(&mut self, now: SimTime, ev: NetEv) {
-        let Some(delivery) = self.net.on_event(now, ev, &mut Sched(&mut self.queue)) else {
-            return;
-        };
-        match delivery.payload {
-            Xfer::Request { req, chip } => self.on_request_delivered(now, req, chip),
-            Xfer::Weights { chip, batch, service_ns } => {
-                // Weights are on-chip; programming + compute runs now.
-                self.queue.schedule(now + service_ns, FleetEv::BatchDone { chip, batch, service_ns });
-            }
-            Xfer::Response { req, chip, batch_size, service_ns } => {
-                debug_assert!(self.outstanding[chip] > 0);
-                self.outstanding[chip] = self.outstanding[chip].saturating_sub(1);
-                self.result.completed.push(CompletedRequest {
-                    id: req.id,
-                    model_idx: req.model_idx,
-                    arrival_ns: req.arrival_ns,
-                    done_ns: now,
-                    batch_size,
-                    service_ns,
-                });
-                self.result.makespan_ns = self.result.makespan_ns.max(now);
-            }
-        }
-    }
-
-    fn on_request_delivered(&mut self, now: SimTime, req: Request, chip: usize) {
-        let model_idx = req.model_idx;
-        self.chips[chip].admit(req);
-        self.result.max_queue_depth = self.result.max_queue_depth.max(self.chips[chip].queued);
-        if !self.chips[chip].busy() {
-            if self.chips[chip].depth(model_idx) >= self.max_batch {
-                self.launch(now, chip, model_idx);
-            } else {
-                // Hold the batch open; stale timeouts re-check and no-op.
-                self.queue
-                    .schedule(now.saturating_add(self.cfg.batch.max_wait_ns), FleetEv::BatchTimeout { chip });
-            }
-        }
-    }
-
-    fn on_timeout(&mut self, now: SimTime, chip: usize) {
-        if self.chips[chip].busy() {
-            return;
-        }
-        let oldest = self.chips[chip]
-            .oldest_model()
-            .and_then(|m| self.chips[chip].head_arrival(m).map(|head| (m, head)));
-        if let Some((m, head)) = oldest {
-            if now.saturating_sub(head) >= self.cfg.batch.max_wait_ns
-                || self.chips[chip].depth(m) >= self.max_batch
-            {
-                self.launch(now, chip, m);
-            } else if let Some(deadline) = self.chips[chip].earliest_deadline(self.cfg.batch.max_wait_ns) {
-                self.queue.schedule(deadline.max(now), FleetEv::BatchTimeout { chip });
-            }
-        }
-    }
-
-    /// Forms a batch, prices it, and either starts compute directly or —
-    /// when the launch switches models — opens the weight flow that
-    /// gates it.
-    fn launch(&mut self, now: SimTime, chip: usize, model_idx: usize) {
-        let switching =
-            self.chips[chip].resident_model.is_some() && self.chips[chip].resident_model != Some(model_idx);
-        let mut batch = self.arena.buf();
-        self.chips[chip].launch_into(model_idx, self.max_batch, &mut batch);
-        let cost = self.costs.cost(model_idx, batch.len());
-        let penalty_ns = if switching { self.costs.switch_penalty_ns(model_idx) } else { 0 };
-        let service_ns = cost.service_ns + penalty_ns;
-        self.result.energy_j += cost.energy_j;
-        self.result.batch_hist[batch.len()] += 1;
-        tel::incr(tel::Event::ServeBatchLaunched);
-        let key = self.arena.park(batch);
-        if switching {
-            tel::incr(tel::Event::ServeReprogramSwitch);
-            // Pull the weight image from the model's home dispatcher
-            // (the model store rides with it); programming starts when
-            // the last chunk lands, compute after the penalty.
-            let store = self.disp_host[model_idx % self.disp_host.len()];
-            let spec = FlowSpec {
-                src: store,
-                dst: self.chip_host[chip],
-                bytes: self.weight_bytes[model_idx].max(1),
-            };
-            self.net.start_flow_with_mtu(
-                now,
-                spec,
-                Xfer::Weights { chip, batch: key, service_ns },
-                self.cfg.net.weight_mtu_bytes,
-                &mut Sched(&mut self.queue),
-            );
-        } else {
-            self.queue.schedule(now + service_ns, FleetEv::BatchDone { chip, batch: key, service_ns });
-        }
-    }
-
-    fn on_batch_done(&mut self, now: SimTime, chip: usize, key: SlabKey, service_ns: SimTime) {
-        self.chips[chip].complete();
-        let Some(batch) = self.arena.reclaim(key) else {
-            // Every launch parks exactly one batch and every BatchDone
-            // fires exactly once, so a stale key is an engine logic bug.
-            debug_assert!(false, "BatchDone with a stale arena key");
-            return;
-        };
-        let size = batch.len();
-        // One response flow per member back to its dispatcher — many
-        // chips answering one dispatcher is the incast the fabric model
-        // exists to price.
-        for &req in &batch {
-            let d = self.dispatcher_of(req.id);
-            let spec = FlowSpec {
-                src: self.chip_host[chip],
-                dst: self.disp_host[d],
-                bytes: self.cfg.net.response_bytes,
-            };
-            self.net.start_flow(
-                now,
-                spec,
-                Xfer::Response { req, chip, batch_size: size, service_ns },
-                &mut Sched(&mut self.queue),
-            );
-        }
-        self.arena.recycle(batch);
-        // Work-conserving: a freed chip with pending work relaunches.
-        if let Some(m) = self.chips[chip].oldest_model() {
-            self.launch(now, chip, m);
-        }
-    }
-
-    fn run(mut self) -> FleetResult {
-        let _span = tel::span("serve.fleet_point");
-        if let Some((at, model_idx)) = self.source.next_request() {
-            self.queue
-                .schedule(at, FleetEv::Arrival(Request { id: self.next_id, model_idx, arrival_ns: at }));
-            self.next_id += 1;
-        }
-        while let Some((now, ev)) = self.queue.pop() {
-            if let Some(u) = &mut self.util {
-                if u.due(now) {
-                    u.advance(now, &self.net.tier_busy());
-                }
-            }
-            match ev {
-                FleetEv::Arrival(req) => self.on_arrival(now, req),
-                FleetEv::Net(nev) => self.on_net(now, nev),
-                FleetEv::BatchTimeout { chip } => self.on_timeout(now, chip),
-                FleetEv::BatchDone { chip, batch, service_ns } => {
-                    self.on_batch_done(now, chip, batch, service_ns);
-                }
-            }
-        }
+    /// Adds the fabric's totals to the engine's result.
+    fn finish(mut self, run: RunResult) -> FleetResult {
         debug_assert_eq!(self.net.flows_in_flight(), 0, "drained queue left flows in flight");
-        self.result.events = self.queue.processed();
-        self.result.switches = self.chips.iter().map(|c| c.switches).sum();
-        self.result.net = self.net.totals();
-        self.result.tier_busy = self.net.tier_busy();
-        if let Some(mut u) = self.util.take() {
-            u.advance(self.result.makespan_ns, &self.result.tier_busy);
-            self.result.util_series = Some(u);
+        let tier_busy = self.net.tier_busy();
+        if let Some(u) = &mut self.util {
+            u.advance(run.makespan_ns, &tier_busy);
         }
-        if self.result.makespan_ns > 0 {
-            let span = self.result.makespan_ns as f64;
-            for (i, l) in self.net.topo().links().iter().enumerate() {
-                let slot = match l.tier {
+        let mut max_link_util = [0.0f64; TIER_COUNT];
+        if run.makespan_ns > 0 {
+            let span = run.makespan_ns as f64;
+            for (def, link) in self.net.topo().links().iter().zip(self.net.links()) {
+                let slot = match def.tier {
                     LinkTier::Access => 0,
                     LinkTier::Aggregation => 1,
                     LinkTier::Core => 2,
                 };
-                let util = self.net.links()[i].counters.busy_ns as f64 / span;
-                self.result.max_link_util[slot] = self.result.max_link_util[slot].max(util);
+                max_link_util[slot] = max_link_util[slot].max(link.counters.busy_ns as f64 / span);
             }
         }
-        self.result
+        FleetResult { run, net: self.net.totals(), tier_busy, max_link_util, util_series: self.util }
+    }
+}
+
+impl Transport for Fabric {
+    fn route_load(&self, _chips: &[Chip], c: usize) -> usize {
+        self.outstanding[c] as usize
+    }
+
+    fn backlog(&self, _chips: &[Chip], c: usize) -> usize {
+        self.outstanding[c] as usize
+    }
+
+    fn send(&mut self, now: SimTime, t: Transfer, queue: &mut EventQueue<Ev>) -> Option<Transfer> {
+        let mtu = self.net.config().mtu_bytes;
+        let (src, dst, bytes, mtu) = match t {
+            Transfer::Request { req, chip } => {
+                self.outstanding[chip] += 1;
+                (self.dispatcher(req.id), self.chip_host[chip], self.params.request_bytes, mtu)
+            }
+            // The model store rides with the model's home dispatcher.
+            Transfer::Weights { chip, model_idx, .. } => (
+                self.disp_host[model_idx % self.disp_host.len()],
+                self.chip_host[chip],
+                self.weight_bytes[model_idx].max(1),
+                self.params.weight_mtu_bytes,
+            ),
+            Transfer::Response { req, chip, .. } => {
+                (self.chip_host[chip], self.dispatcher(req.id), self.params.response_bytes, mtu)
+            }
+        };
+        self.net.start_flow_with_mtu(now, FlowSpec { src, dst, bytes }, t, mtu, &mut Sched(queue));
+        None
+    }
+
+    fn on_net(&mut self, now: SimTime, ev: NetEv, queue: &mut EventQueue<Ev>) -> Option<Transfer> {
+        let delivered = self.net.on_event(now, ev, &mut Sched(queue))?.payload;
+        if let Transfer::Response { chip, .. } = delivered {
+            debug_assert!(self.outstanding[chip] > 0);
+            self.outstanding[chip] = self.outstanding[chip].saturating_sub(1);
+        }
+        Some(delivered)
+    }
+
+    fn advance(&mut self, now: SimTime) {
+        if let Some(u) = &mut self.util {
+            if u.due(now) {
+                u.advance(now, &self.net.tier_busy());
+            }
+        }
     }
 }
 
@@ -678,7 +426,11 @@ pub fn run_fleet_point(config: &FleetConfig) -> FleetResult {
 /// Panics on configuration errors (see [`run_fleet_point`]).
 #[must_use]
 pub fn run_fleet_point_with_costs(config: &FleetConfig, costs: &mut CostCache) -> FleetResult {
-    FleetEngine::new(config, costs).run()
+    let fabric = Fabric::new(config);
+    let serve = config.serve_config();
+    let _span = tel::span("serve.fleet_point");
+    let (run, fabric) = Engine::new(&serve, costs, fabric, None).run();
+    fabric.finish(run)
 }
 
 /// One fleet point, summarized for `NET_report.json`.
@@ -718,22 +470,19 @@ impl FleetPointSummary {
     /// Condenses a fleet run at `offered_rps` into report form.
     #[must_use]
     pub fn from_run(offered_rps: f64, run: &FleetResult) -> Self {
-        let mut lat = LogLinearHist::default_ns();
-        for c in &run.completed {
-            lat.record(c.latency_ns());
-        }
+        let p = PointSummary::from_run(offered_rps, &run.run);
         Self {
             offered_rps,
-            offered: run.offered,
-            completed: run.completed.len() as u64,
-            shed: run.shed,
-            throughput_rps: run.throughput_rps(),
-            p50_ms: lat.quantile(0.50).map(ns_to_ms),
-            p95_ms: lat.quantile(0.95).map(ns_to_ms),
-            p99_ms: lat.quantile(0.99).map(ns_to_ms),
-            mean_batch: run.mean_batch(),
-            switches: run.switches,
-            events: run.events,
+            offered: p.offered,
+            completed: p.completed,
+            shed: p.shed,
+            throughput_rps: p.throughput_rps,
+            p50_ms: p.p50_ms,
+            p95_ms: p.p95_ms,
+            p99_ms: p.p99_ms,
+            mean_batch: p.mean_batch,
+            switches: p.switches,
+            events: p.events,
             net: run.net,
             tier_util: run.tier_util(),
             max_link_util: run.max_link_util,
@@ -904,7 +653,7 @@ pub struct FleetReport {
 
 impl FleetReport {
     /// The p99 bound for the sustainable-load headline — shared with the
-    /// single-fleet sweep so the two reports are comparable.
+    /// single-site sweep so the two reports are comparable.
     pub const P99_BOUND_MS: f64 = ServeReport::P99_BOUND_MS;
 
     /// Machine-readable report (the `NET_report.json` payload). The
@@ -1093,6 +842,7 @@ pub fn run_fleet_sweep(cfg: &FleetSweepConfig) -> FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::CompletedRequest;
     use inca_workloads::Model;
 
     fn small(backend: BackendKind, rate: f64, requests: u64) -> FleetConfig {
@@ -1108,19 +858,19 @@ mod tests {
     fn all_requests_complete_or_shed() {
         let cfg = small(BackendKind::Inca, 2000.0, 300);
         let r = run_fleet_point(&cfg);
-        assert_eq!(r.completed.len() as u64 + r.shed, 300);
-        assert_eq!(r.offered, 300);
+        assert_eq!(r.run.completed.len() as u64 + r.run.shed, 300);
+        assert_eq!(r.run.offered, 300);
         assert_eq!(r.net.flows_completed, r.net.flows_started);
         // Request + response flows at minimum (weight flows on top).
-        assert!(r.net.flows_completed >= 2 * r.completed.len() as u64);
+        assert!(r.net.flows_completed >= 2 * r.run.completed.len() as u64);
     }
 
     #[test]
     fn latency_includes_network_time() {
         let cfg = small(BackendKind::Inca, 2000.0, 200);
         let r = run_fleet_point(&cfg);
-        assert!(!r.completed.is_empty());
-        for c in &r.completed {
+        assert!(!r.run.completed.is_empty());
+        for c in &r.run.completed {
             // End-to-end latency covers the request flow, service, and
             // the response flow — it can never be below service alone.
             assert!(c.latency_ns() > c.service_ns, "request {} skipped the network", c.id);
@@ -1129,11 +879,10 @@ mod tests {
 
     #[test]
     fn network_makes_latency_strictly_worse_than_teleport() {
-        // The same traffic through the single-fleet (teleporting) engine
-        // must complete no later than through the fabric. Both engines
-        // run round-robin so their dispatch decisions are identical and
-        // the only difference left is the network (flows + weight
-        // transfers vs teleportation).
+        // The same traffic on free dispatch must complete no later than
+        // through the fabric. Both runs use round-robin so their dispatch
+        // decisions are identical and the only difference left is the
+        // transport (flows + weight transfers vs teleportation).
         let mut fleet_cfg = small(BackendKind::Inca, 5000.0, 300);
         fleet_cfg.policy = DispatchPolicy::RoundRobin;
         let fleet = run_fleet_point(&fleet_cfg);
@@ -1148,11 +897,11 @@ mod tests {
         let mean = |done: &[CompletedRequest]| {
             done.iter().map(|c| c.latency_ns() as f64).sum::<f64>() / done.len() as f64
         };
-        assert!(!fleet.completed.is_empty() && !serve.completed.is_empty());
+        assert!(!fleet.run.completed.is_empty() && !serve.completed.is_empty());
         assert!(
-            mean(&fleet.completed) > mean(&serve.completed),
+            mean(&fleet.run.completed) > mean(&serve.completed),
             "fabric transfers must cost latency: fleet {} vs teleport {}",
-            mean(&fleet.completed),
+            mean(&fleet.run.completed),
             mean(&serve.completed)
         );
     }
@@ -1164,11 +913,11 @@ mod tests {
         let mut cfg = small(BackendKind::Inca, 5000.0, 400);
         cfg.policy = DispatchPolicy::RoundRobin;
         let r = run_fleet_point(&cfg);
-        assert!(r.switches > 0, "round-robin over two models must switch");
-        let base = 2 * r.completed.len() as u64;
-        assert_eq!(r.net.flows_completed, base + r.switches);
+        assert!(r.run.switches > 0, "round-robin over two models must switch");
+        let base = 2 * r.run.completed.len() as u64;
+        assert_eq!(r.net.flows_completed, base + r.run.switches);
         // Weight images dominate the byte count.
-        assert!(r.net.bytes > r.switches * 1_000_000, "weight bytes missing");
+        assert!(r.net.bytes > r.run.switches * 1_000_000, "weight bytes missing");
     }
 
     #[test]
@@ -1176,8 +925,8 @@ mod tests {
         let mut cfg = small(BackendKind::Inca, 5000.0, 400);
         cfg.policy = DispatchPolicy::ModelAffinity;
         let r = run_fleet_point(&cfg);
-        assert_eq!(r.switches, 0);
-        assert_eq!(r.net.flows_completed, 2 * r.completed.len() as u64);
+        assert_eq!(r.run.switches, 0);
+        assert_eq!(r.net.flows_completed, 2 * r.run.completed.len() as u64);
     }
 
     #[test]
@@ -1185,8 +934,8 @@ mod tests {
         let mut cfg = small(BackendKind::WsBaseline, 1e6, 400);
         cfg.queue_cap = 4;
         let r = run_fleet_point(&cfg);
-        assert!(r.shed > 0, "extreme overload must shed at the dispatchers");
-        assert_eq!(r.completed.len() as u64 + r.shed, 400);
+        assert!(r.run.shed > 0, "extreme overload must shed at the dispatchers");
+        assert_eq!(r.run.completed.len() as u64 + r.run.shed, 400);
     }
 
     #[test]
@@ -1196,7 +945,7 @@ mod tests {
         let r = run_fleet_point(&cfg);
         let series = r.util_series.as_ref().expect("series enabled");
         assert!(!series.is_empty());
-        assert!(series.times_ns().last().is_some_and(|&t| t <= r.makespan_ns));
+        assert!(series.times_ns().last().is_some_and(|&t| t <= r.run.makespan_ns));
         // Traffic flowed, so some access-tier interval saw utilization.
         assert!(series.peak()[0] > 0.0);
         // Aggregate accounting agrees with the series' inputs.

@@ -28,19 +28,21 @@
 //! * [`CostCache`] / [`BackendKind`] — batch latency/energy memoized
 //!   from `inca_sim::simulate_inference` (INCA and WS) and the Titan RTX
 //!   roofline.
-//! * [`run_point`] / [`run_sweep`] — one offered-load point, and the
-//!   full latency-vs-load sweep behind `experiments serve` /
-//!   `SERVE_report.json`.
+//! * One serving event loop with a pluggable transport, which decides
+//!   how requests, weight images and responses travel and what load the
+//!   dispatcher sees. [`run_point`] / [`run_sweep`] run it with free
+//!   dispatch: one offered-load point, and the full latency-vs-load
+//!   sweep behind `experiments serve` / `SERVE_report.json`.
 //! * [`ObsConfig`] / [`run_point_observed`] — the observability layer:
 //!   per-request Chrome tracing, a periodic virtual-time sampler, and
 //!   SLO burn-rate monitoring, all purely observational (an observed
 //!   run returns the identical [`RunResult`]) and byte-reproducible.
-//! * [`FleetConfig`] / [`run_fleet_sweep`] — the same serving loop at
-//!   datacenter scale over an `inca-net` fabric: 152 chips + 8
-//!   dispatchers on a k = 8 fat-tree, every dispatch / response /
-//!   weight transfer a DCTCP-style flow on the shared event queue,
-//!   headline "sustainable rps per rack under the p99 SLO" behind
-//!   `experiments net` / `NET_report.json`.
+//! * [`FleetConfig`] / [`run_fleet_sweep`] — the same loop at datacenter
+//!   scale over an `inca-net` fabric: 152 chips + 8 dispatchers on a
+//!   k = 8 fat-tree, every dispatch / response / weight transfer a
+//!   DCTCP-style flow on the engine's event queue, headline "sustainable
+//!   rps per rack under the p99 SLO" behind `experiments net` /
+//!   `NET_report.json`.
 //!
 //! # Examples
 //!
@@ -61,7 +63,6 @@
 mod backend;
 mod chip;
 mod engine;
-mod event;
 mod fleet;
 mod metrics;
 mod obs;
@@ -73,12 +74,12 @@ pub use chip::{BatchPolicy, Chip, DispatchPolicy, Request};
 pub use engine::{
     run_point, run_point_observed, run_point_with_costs, CompletedRequest, RunResult, ServeConfig,
 };
-pub use event::{ns_to_ms, ns_to_secs, secs_to_ns, EventQueue, SimTime};
 pub use fleet::{
     run_fleet_point, run_fleet_point_with_costs, run_fleet_sweep, FleetBackendSweep, FleetConfig,
     FleetNetParams, FleetPointSummary, FleetReport, FleetResult, FleetSweepConfig, FleetTopo,
 };
-pub use metrics::{percentile_ns, PointSummary};
+pub use inca_events::{ns_to_ms, ns_to_secs, secs_to_ns, EventQueue, SimTime};
+pub use metrics::PointSummary;
 pub use obs::{LinkUtilSeries, ObsConfig, ObsOutput, ObsRecorder, SloPolicy, SloViolation};
 pub use source::{ArrivalKind, ModelMix, RequestSource, Trace, TraceEntry};
 pub use sweep::{run_sweep, BackendSweep, ServeReport, SweepConfig};

@@ -8,31 +8,11 @@
 //! percentile. Empty and degenerate inputs are explicit: a point with
 //! no completions reports `null` percentiles, never a fabricated zero.
 
+use inca_events::ns_to_ms;
 use inca_telemetry::LogLinearHist;
 use serde_json::{json, Value};
 
 use crate::engine::RunResult;
-use crate::event::ns_to_ms;
-
-/// Nearest-rank percentile over a sorted slice (deterministic — no
-/// interpolation, so report bytes can't drift on float rounding).
-/// Returns `None` for an empty slice: "no data" is not "zero latency".
-///
-/// Kept as the exact reference the histogram path is property-tested
-/// against; the report itself reads [`LogLinearHist::quantile`].
-///
-/// # Panics
-///
-/// Panics if `p` is outside `[0, 100]` — a caller bug, not data.
-#[must_use]
-pub fn percentile_ns(sorted: &[u64], p: f64) -> Option<u64> {
-    assert!((0.0..=100.0).contains(&p), "percentile out of range");
-    if sorted.is_empty() {
-        return None;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    Some(sorted[rank.clamp(1, sorted.len()) - 1])
-}
 
 /// One offered-load point, summarized for the report.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,6 +113,22 @@ impl PointSummary {
 mod tests {
     use super::*;
     use inca_units::Energy;
+
+    /// Nearest-rank percentile over a sorted slice: the exact reference
+    /// the report's histogram quantiles are checked against. Returns
+    /// `None` for an empty slice: "no data" is not "zero latency".
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 100]`.
+    fn percentile_ns(sorted: &[u64], p: f64) -> Option<u64> {
+        assert!((0.0..=100.0).contains(&p), "percentile out of range");
+        if sorted.is_empty() {
+            return None;
+        }
+        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+        Some(sorted[rank.clamp(1, sorted.len()) - 1])
+    }
 
     #[test]
     fn nearest_rank_percentiles() {

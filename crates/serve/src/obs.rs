@@ -19,17 +19,17 @@
 //! * [`SloMonitor`] — an error-budget burn-rate monitor over a sliding
 //!   virtual-time window, emitting merged violation windows.
 //! * [`LinkUtilSeries`] — per-fabric-tier link-utilization sampling for
-//!   the fleet engine, fed from the network's cumulative busy-time
+//!   fleet runs, fed from the network's cumulative busy-time
 //!   accumulators on the same fixed virtual-time grid.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
+use inca_events::{ns_to_ms, SimTime};
 use inca_net::{ALL_TIERS, TIER_COUNT};
 use inca_telemetry::{self as tel, LogLinearHist, TimeSeries};
 
 use crate::chip::{Chip, Request};
-use crate::event::{ns_to_ms, SimTime};
 use crate::source::ModelMix;
 
 /// What the observability layer records during a run. Everything is off
@@ -58,12 +58,6 @@ impl ObsConfig {
     #[must_use]
     pub fn full() -> Self {
         Self { trace: true, sample_interval_ns: 10_000_000, slo: Some(SloPolicy::default_paper()) }
-    }
-
-    /// Whether any instrument is enabled.
-    #[must_use]
-    pub fn any_enabled(&self) -> bool {
-        self.trace || self.sample_interval_ns > 0 || self.slo.is_some()
     }
 }
 
@@ -263,7 +257,7 @@ impl TraceLog {
         ));
     }
 
-    /// Instant on a chip track: one request's response left the fleet.
+    /// Instant on a chip track: one request's response was delivered.
     fn response(&mut self, chip: usize, id: u64, now: SimTime, latency_ns: SimTime) {
         self.events.push(format!(
             r#"{{"name":"response","ph":"i","s":"t","pid":0,"tid":{},"ts":"{}","args":{{"request":{},"latency_us":"{}"}}}}"#,
@@ -470,9 +464,9 @@ impl ObsOutput {
 
 /// Per-fabric-tier link-utilization time series for a fleet run.
 ///
-/// The fleet engine feeds it the network's cumulative per-tier busy-time
+/// The fleet's fabric feeds it the network's cumulative per-tier busy-time
 /// accumulators ([`inca_net::Network::tier_busy`]) before every event;
-/// rows land on the fixed grid `k * interval` like the [`Sampler`]'s, so
+/// rows land on the fixed grid `k * interval` like the `Sampler`'s, so
 /// the series is independent of same-timestamp event interleaving. Each
 /// row is the mean utilization of the tier's links over the interval:
 /// `Δbusy_ns / (links × interval_ns)`. Serialization time is charged at
@@ -507,7 +501,7 @@ impl LinkUtilSeries {
     }
 
     /// Whether at least one grid row is due at or before `now`. The
-    /// fleet engine checks this before paying for the (O(links))
+    /// fabric checks this before paying for the (O(links))
     /// accumulator snapshot [`advance`](Self::advance) consumes.
     #[must_use]
     pub fn due(&self, now: SimTime) -> bool {
@@ -691,28 +685,29 @@ impl ObsRecorder {
         }
     }
 
-    pub(crate) fn on_batch_done(&mut self, chip: usize, batch: &[Request], now: SimTime) {
+    /// `chip` finished its batch; its service slot is free.
+    pub(crate) fn on_batch_done(&mut self, chip: usize, now: SimTime) {
         if let Some(s) = &mut self.sampler {
             s.on_complete(chip, now);
         }
-        for req in batch {
-            let latency = now - req.arrival_ns;
-            self.latency_hist.record(latency);
-            if let Some(t) = &mut self.trace {
-                t.response(chip, req.id, now, latency);
-            }
-            if let Some(m) = &mut self.slo {
-                m.on_complete(now, latency);
-            }
+    }
+
+    /// One request served by `chip` completed: its response was delivered.
+    pub(crate) fn on_complete(&mut self, chip: usize, req: &Request, now: SimTime) {
+        let latency = now - req.arrival_ns;
+        self.latency_hist.record(latency);
+        if let Some(t) = &mut self.trace {
+            t.response(chip, req.id, now, latency);
+        }
+        if let Some(m) = &mut self.slo {
+            m.on_complete(now, latency);
         }
     }
 
-    /// Flushes trailing sampler rows and closes any open SLO window.
+    /// Closes any open SLO window. The engine flushes the sampler's
+    /// trailing rows through [`Self::advance`] when its run ends.
     #[must_use]
-    pub(crate) fn finish(mut self, makespan_ns: SimTime, chips: &[Chip]) -> ObsOutput {
-        if let Some(s) = &mut self.sampler {
-            s.advance(makespan_ns, chips);
-        }
+    pub(crate) fn finish(self) -> ObsOutput {
         ObsOutput {
             trace_json: self.trace.map(|t| t.render()),
             timeseries: self.sampler.map(|s| s.series),
@@ -833,7 +828,7 @@ mod tests {
     fn disabled_config_builds_an_inert_recorder() {
         let rec = ObsRecorder::new(&ObsConfig::disabled(), 2, &ModelMix::paper_serving_mix());
         assert!(rec.trace.is_none() && rec.sampler.is_none() && rec.slo.is_none());
-        let out = rec.finish(0, &[]);
+        let out = rec.finish();
         assert!(out.trace_json.is_none());
         assert!(out.timeseries.is_none());
         assert!(out.violations.is_empty());

@@ -7,12 +7,11 @@
 //! through JSON, and replayed — byte-identical — later or on another
 //! machine.
 
+use inca_events::{secs_to_ns, SimTime, NS_PER_SEC};
 use inca_workloads::Model;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::{json, Value};
-
-use crate::event::{secs_to_ns, SimTime, NS_PER_SEC};
 
 /// A weighted mixture over serving models.
 #[derive(Debug, Clone, PartialEq)]
