@@ -2,6 +2,12 @@
 //! benchmark of the hardware-functional execution engine, emitting a
 //! machine-readable `BENCH_hw_exec.json` artifact at the workspace root.
 //!
+//! Three engine sections: `hw_conv` and `hw_batch_conv` run a 3×3 layer,
+//! whose reads the 4-bit ADC never saturates, so their packed path is the
+//! integer dot product; `hw_conv_saturating` runs a 5×5 layer, whose
+//! reads can saturate, so its packed path is the bit-serial
+//! `and_popcount_accumulate` loop.
+//!
 //! Modes per engine:
 //!
 //! * `scalar_seq_cached` — per-cell byte-loop reads ([`ReadPath::Scalar`]),
@@ -105,10 +111,29 @@ fn hw_exec_benches(c: &mut Criterion) {
     let conv_par_cached =
         measure_parallel.then(|| mean_ns(|| black_box(conv_par.forward(&x).unwrap()).len(), ITERS));
 
+    // The same input under a 5x5 kernel: 25 cells per read can pass the
+    // ADC's max code of 15, so the packed path reads bit by bit.
+    let ws = random_tensor(&[8, 4, 5, 5], 104, -0.5, 0.5);
+    let sat_seq = HwConv::from_float(&ws, &bias, 1, 2).unwrap();
+    let sat_scalar = sat_seq.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
+    let sat_par = sat_seq.clone().with_policy(par_policy);
+    let sat_seq_uncached = mean_ns(
+        || {
+            sat_seq.clear_cache();
+            black_box(sat_seq.forward(&x).unwrap());
+        },
+        ITERS,
+    );
+    sat_seq.forward(&x).unwrap();
+    let sat_seq_cached = mean_ns(|| black_box(sat_seq.forward(&x).unwrap()).len(), ITERS);
+    let sat_scalar_cached = mean_ns(|| black_box(sat_scalar.forward(&x).unwrap()).len(), ITERS);
+    let sat_par_cached =
+        measure_parallel.then(|| mean_ns(|| black_box(sat_par.forward(&x).unwrap()).len(), ITERS));
+
     // Telemetry guardrail: the same cached (packed) forward with event
     // recording enabled vs disabled. The packed path coalesces each
-    // window burst into four `record()` calls, so the ratio should sit
-    // inside run-to-run noise; the recorded numbers keep that claim
+    // forward's reads into four `record()` calls, so the ratio should
+    // sit inside run-to-run noise; the recorded numbers keep that claim
     // honest.
     let telemetry_off_ns = mean_ns(|| black_box(conv_seq.forward(&x).unwrap()).len(), ITERS);
     inca_telemetry::reset();
@@ -198,9 +223,11 @@ fn hw_exec_benches(c: &mut Criterion) {
         "iters_per_mode": ITERS,
         "workload": json!({
             "conv": "8x4x3x3 on 1x4x16x16, stride 1, pad 1",
+            "conv_saturating": "8x4x5x5 on 1x4x16x16, stride 1, pad 2",
             "batch_conv": "8x4x3x3 on 8x4x16x16, stride 1, pad 1"
         }),
         "hw_conv": engine_section(conv_scalar_cached, conv_seq_uncached, conv_seq_cached, conv_par_cached),
+        "hw_conv_saturating": engine_section(sat_scalar_cached, sat_seq_uncached, sat_seq_cached, sat_par_cached),
         "hw_batch_conv":
             engine_section(batch_scalar_cached, batch_seq_uncached, batch_seq_cached, batch_par_cached),
         "telemetry": json!({
@@ -216,6 +243,10 @@ fn hw_exec_benches(c: &mut Criterion) {
     eprintln!(
         "hw_conv: scalar {conv_scalar_cached:.0}ns packed {conv_seq_cached:.0}ns (x{:.2}, simd {simd_impl})",
         conv_scalar_cached / conv_seq_cached
+    );
+    eprintln!(
+        "hw_conv_saturating: scalar {sat_scalar_cached:.0}ns packed {sat_seq_cached:.0}ns (x{:.2})",
+        sat_scalar_cached / sat_seq_cached
     );
     eprintln!(
         "hw_batch_conv: scalar {batch_scalar_cached:.0}ns packed {batch_seq_cached:.0}ns (x{:.2})",
@@ -265,6 +296,9 @@ fn hw_exec_benches(c: &mut Criterion) {
     });
     group.bench_function("conv_seq_cached", |b| {
         b.iter(|| black_box(conv_seq.forward(&x).unwrap()).len());
+    });
+    group.bench_function("conv_saturating_seq_cached", |b| {
+        b.iter(|| black_box(sat_seq.forward(&x).unwrap()).len());
     });
     group.bench_function("conv_telemetry_on", |b| {
         inca_telemetry::set_enabled(true);

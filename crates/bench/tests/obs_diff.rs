@@ -113,6 +113,29 @@ fn bench_artifact_ratios_gate() {
 }
 
 #[test]
+fn saturating_ratio_gates_only_when_both_artifacts_carry_it() {
+    let artifact = |saturating: Option<f64>| {
+        let section = saturating
+            .map(|r| format!(r#","hw_conv_saturating":{{"packed_over_scalar":{r}}}"#))
+            .unwrap_or_default();
+        format!(
+            r#"{{"benchmark":"hw_exec","hw_conv":{{"packed_over_scalar":900}},"hw_batch_conv":{{"packed_over_scalar":1200}}{section},"telemetry":{{"on_over_off":1.0}}}}"#
+        )
+    };
+    let with = temp_artifact("sat_with.json", &artifact(Some(60.0)));
+    let without = temp_artifact("sat_without.json", &artifact(None));
+    for (name, base, cur, code) in [
+        ("older baseline", &without, &with, 0),
+        ("older current", &with, &without, 0),
+        ("noise", &with, &temp_artifact("sat_noise.json", &artifact(Some(57.0))), 0),
+        ("collapse", &with, &temp_artifact("sat_collapse.json", &artifact(Some(20.0))), 1),
+    ] {
+        let status = bin().arg(base).arg(cur).status().unwrap();
+        assert_eq!(status.code(), Some(code), "{name}");
+    }
+}
+
+#[test]
 fn malformed_input_is_a_usage_error() {
     let good = temp_artifact("mal_good.json", &serve_report(1.0, 1.0));
     let bad = temp_artifact("mal_bad.json", "{not json");

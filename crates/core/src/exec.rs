@@ -34,12 +34,19 @@ pub enum ReadPath {
     /// [`inca_xbar::VerticalPlane::conv_window_sum`] with per-read
     /// telemetry — the reference model of the analog read.
     Scalar,
-    /// Bit-packed word-parallel reads (shifted-mask AND + popcount,
-    /// SIMD-dispatched via [`inca_xbar::simd`]), with each window's
-    /// activation-bit words extracted once and reused across every
-    /// weight bit, output channel, and differential side, and telemetry
-    /// coalesced into one record per window burst. Totals and outputs
-    /// are bit-exact with [`ReadPath::Scalar`].
+    /// The fast read path, bit-exact with [`ReadPath::Scalar`] in
+    /// outputs and telemetry totals. Where no read can saturate the ADC
+    /// (a `k × k` window sums at most `k²` binary products: every 1×1,
+    /// 2×2 and 3×3 `HwConv` on the 4-bit ADC, every `HwBatchConv` on raw
+    /// sums), each window is one signed integer dot product of its 8-bit
+    /// activation codes and signed 8-bit weight codes — exactly the
+    /// shift-add of its bit-serial reads. Larger `HwConv` kernels read
+    /// bit by bit: each window's activation-bit words are extracted once
+    /// and read against every weight bit, output channel and
+    /// differential side in one SIMD-dispatched AND + popcount call
+    /// ([`inca_xbar::simd`]), saturating every read. Either way the
+    /// scalar path's per-read events are recorded as one record per
+    /// event kind per forward.
     #[default]
     Packed,
 }

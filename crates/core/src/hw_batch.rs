@@ -5,51 +5,37 @@
 //!
 //! The kernel side is the same `ConvKernel` (`hw_kernel.rs`) that
 //! [`crate::HwConv`] programs, read without ADC saturation (the
-//! broadcast's per-plane sums are used raw). The packed read path
-//! extracts each (window, channel, activation bit, sample) once as one
-//! compact `k²`-bit word and reads it against every mask of that channel
-//! in one SIMD call, then folds `Σ (pos − neg) << wbit` per output and
-//! sample.
+//! broadcast's per-plane sums are used raw). No read can then saturate,
+//! so the packed read path computes each (window, sample) as one signed
+//! integer dot product of its activation and weight codes — exactly the
+//! shift-add of its bit-serial broadcasts (DESIGN.md §8, "Linear reads").
+//! The stacks of bit-planes are derived from the programmed code image
+//! only for the scalar reference path.
 
 use std::sync::Arc;
 
 use inca_nn::Tensor;
 use inca_telemetry::Event;
-use inca_xbar::Stack3d;
-use parking_lot::Mutex;
+use inca_xbar::{Stack3d, VerticalPlane};
 
 use crate::exec::{self, ExecPolicy, ReadPath};
-use crate::hw_exec::{KeyHasher, DATA_BITS};
-use crate::hw_kernel::ConvKernel;
+use crate::hw_exec::DATA_BITS;
+use crate::hw_kernel::{ConvKernel, ProgramCache, Programmed};
 use crate::{Error, Result};
 
-/// The programmed batch state: one stack per (channel, activation bit)
-/// holding every sample's padded bit-plane, keyed by a streamed hash of
-/// the quantized batch codes. Cached per layer and reused while the
-/// quantized batch is unchanged.
-#[derive(Debug)]
-struct ProgrammedBatch {
-    b: usize,
-    h: usize,
-    w: usize,
-    x_min: f32,
-    x_scale: f32,
-    /// [`KeyHasher`] digest of the geometry, dequantization range, and
-    /// quantized codes — the cache key.
-    key: u64,
-    stacks: Vec<Vec<Stack3d>>,
-}
-
-type BatchCache = Arc<Mutex<Option<Arc<ProgrammedBatch>>>>;
+/// Per input channel, one stack per activation bit holding every
+/// sample's padded bit-plane: the bit-level view of the programmed code
+/// image.
+type Stacks = Vec<Vec<Stack3d>>;
 
 /// A convolution layer executing a whole batch on 3D stacks.
 ///
 /// Each (input-channel, activation-bit) pair owns one [`Stack3d`] whose
 /// planes hold the batch samples; forward passes broadcast each kernel
 /// bit-plane once per window and collect one partial sum per plane.
-/// Kernel magnitude bit-planes are pre-sliced at programming time and
-/// the programmed stacks are cached on the quantized batch codes, so
-/// repeated forwards of the same batch write the planes once.
+/// Kernels are quantized once at programming time and the programmed
+/// input is cached on the quantized batch codes, so repeated forwards of
+/// the same batch program it once.
 ///
 /// # Examples
 ///
@@ -67,11 +53,11 @@ type BatchCache = Arc<Mutex<Option<Arc<ProgrammedBatch>>>>;
 /// ```
 #[derive(Debug, Clone)]
 pub struct HwBatchConv {
-    /// The quantized kernel, its read masks and bit-planes, and the conv
-    /// geometry; reads are raw sums (no ADC saturation).
+    /// The quantized kernel and the conv geometry; reads are raw sums
+    /// (no ADC saturation).
     kernel: ConvKernel,
     policy: ExecPolicy,
-    cache: BatchCache,
+    cache: ProgramCache<Stacks>,
 }
 
 impl HwBatchConv {
@@ -109,89 +95,34 @@ impl HwBatchConv {
         *self.cache.lock() = None;
     }
 
-    /// Quantizes the batch and programs (or reuses) the stack state.
-    fn program(&self, x: &Tensor, b: usize, c: usize, h: usize, w: usize) -> Result<Arc<ProgrammedBatch>> {
-        let pad = self.kernel.pad();
-        // Batch-shared activation quantization (the planes share one
-        // readout scale per stack).
-        let levels = f32::from((1u16 << DATA_BITS) - 1);
-        let x_min = x.data().iter().fold(0.0f32, |m, &v| m.min(v)).min(0.0);
-        let x_max = x.data().iter().fold(0.0f32, |m, &v| m.max(v)).max(x_min + 1e-9);
-        let x_scale = ((x_max - x_min) / levels).max(1e-12);
-        let zero_code = ((-x_min / x_scale).round() as u32).min(levels as u32);
-        let quantize = |v: f32| -> u32 { (((v - x_min) / x_scale).round() as u32).min(levels as u32) };
+    /// Quantizes the batch with one shared range (the planes of a stack
+    /// share one readout scale) and programs (or reuses) the stack
+    /// state: one plane write per (channel, activation bit, sample).
+    fn program(&self, x: &Tensor) -> Arc<Programmed<Stacks>> {
+        Programmed::program(&self.cache, x, self.kernel.pad(), "hw_batch.program", |image| {
+            (image.c * usize::from(DATA_BITS) * image.b) as u64
+        })
+    }
 
-        let ph = h + 2 * pad;
-        let pw = w + 2 * pad;
-        // Cache key: a streamed hash over the geometry, dequantization
-        // range, and interior quantized codes (the halo is fully
-        // determined by `zero_code` and `pad`). The hit path never
-        // materializes or compares the padded code vector.
-        let mut hasher = KeyHasher::new();
-        for dim in [b, c, h, w, pad] {
-            hasher.write(dim as u64);
-        }
-        hasher.write(u64::from(x_min.to_bits()));
-        hasher.write(u64::from(x_scale.to_bits()));
-        hasher.write(u64::from(zero_code));
-        for ci in 0..c {
-            for bi in 0..b {
-                for y in 0..h {
-                    for xx in 0..w {
-                        hasher.write(u64::from(quantize(x.at4(bi, ci, y, xx))));
-                    }
-                }
-            }
-        }
-        let key = hasher.finish();
-        {
-            let cached = self.cache.lock();
-            if let Some(pb) = cached.as_ref() {
-                if pb.b == b
-                    && pb.h == h
-                    && pb.w == w
-                    && pb.x_min.to_bits() == x_min.to_bits()
-                    && pb.x_scale.to_bits() == x_scale.to_bits()
-                    && pb.key == key
-                {
-                    inca_telemetry::incr(Event::ProgramCacheHit);
-                    return Ok(Arc::clone(pb));
-                }
-            }
-        }
-        inca_telemetry::incr(Event::ProgramCacheMiss);
-        let _span = inca_telemetry::span("hw_batch.program");
-        let mut codes = vec![zero_code; c * b * ph * pw];
-        for ci in 0..c {
-            for bi in 0..b {
-                let base = (ci * b + bi) * ph * pw;
-                for y in 0..h {
-                    for xx in 0..w {
-                        codes[base + (y + pad) * pw + xx + pad] = quantize(x.at4(bi, ci, y, xx));
-                    }
-                }
-            }
-        }
-        // One stack per (channel, activation bit): padded H x W planes,
-        // one plane per batch sample.
-        let mut stacks: Vec<Vec<Stack3d>> = Vec::with_capacity(c);
-        for ci in 0..c {
-            let mut per_bit = Vec::with_capacity(usize::from(DATA_BITS));
-            for bit in 0..usize::from(DATA_BITS) {
-                let mut stack = Stack3d::new(ph, pw, b);
-                for bi in 0..b {
-                    let base = (ci * b + bi) * ph * pw;
-                    let bits: Vec<u8> =
-                        codes[base..base + ph * pw].iter().map(|&v| ((v >> bit) & 1) as u8).collect();
-                    stack.write_plane(bi, &bits)?;
-                }
-                per_bit.push(stack);
-            }
-            stacks.push(per_bit);
-        }
-        let pb = Arc::new(ProgrammedBatch { b, h, w, x_min, x_scale, key, stacks });
-        *self.cache.lock() = Some(Arc::clone(&pb));
-        Ok(pb)
+    /// The programmed stacks, derived from the code image on first use.
+    fn stacks<'a>(&self, pb: &'a Programmed<Stacks>) -> Result<&'a Stacks> {
+        pb.bits(|image| {
+            (0..image.c)
+                .map(|ci| {
+                    (0..DATA_BITS)
+                        .map(|bit| {
+                            let mut stack = Stack3d::new(image.ph, image.pw, image.b);
+                            for bi in 0..image.b {
+                                let bits: Vec<u8> =
+                                    image.channel(bi, ci).iter().map(|&v| (v >> bit) & 1).collect();
+                                *stack.plane_mut(bi)? = VerticalPlane::from_bits(image.ph, image.pw, &bits)?;
+                            }
+                            Ok(stack)
+                        })
+                        .collect()
+                })
+                .collect()
+        })
     }
 
     /// Executes the layer on a `[B, C, H, W]` batch, returning
@@ -214,14 +145,23 @@ impl HwBatchConv {
         }
         let (oh, ow) = kernel.output_dims(h, w)?;
         let _span = inca_telemetry::span("hw_batch.forward");
-        let pb = self.program(x, b, c, h, w)?;
-
-        let pb_ref = &*pb;
-        let accs = match self.policy.read_path {
-            ReadPath::Scalar => self.accumulate_scalar(pb_ref, b, oh, ow)?,
-            ReadPath::Packed => self.accumulate_packed(pb_ref, b, oh, ow)?,
-        };
-
+        let pb = self.program(x);
+        if self.policy.read_path == ReadPath::Packed {
+            let out = kernel.forward_linear(self.policy, &pb.image, oh, ow)?;
+            // The scalar broadcasts' events, one record per kind: every
+            // window broadcasts each (output, channel, side, weight bit)
+            // once per activation bit, each one bit-serial cycle on `k²`
+            // shared pillar drivers, with every plane conducting and
+            // sensing.
+            let k = kernel.k();
+            let broadcasts = (kernel.reads_per_window() * c * oh * ow) as u64 * u64::from(DATA_BITS);
+            inca_telemetry::record(Event::XbarReadPulse, broadcasts * b as u64);
+            inca_telemetry::record(Event::DacDrive, broadcasts * (k * k) as u64);
+            inca_telemetry::record(Event::AdcConversion, broadcasts * b as u64);
+            inca_telemetry::record(Event::BitSerialCycle, broadcasts);
+            return Ok(out);
+        }
+        let accs = self.accumulate_scalar(self.stacks(&pb)?, b, oh, ow)?;
         let mut out = Tensor::zeros(&[b, kernel.out_ch(), oh, ow]);
         for o in 0..kernel.out_ch() {
             for oy in 0..oh {
@@ -229,7 +169,7 @@ impl HwBatchConv {
                     let base = ((o * oh + oy) * ow + ox) * b;
                     for bi in 0..b {
                         *out.at4_mut(bi, o, oy, ox) =
-                            kernel.dequantize(o, accs[base + bi], pb.x_scale, pb.x_min);
+                            kernel.dequantize(o, accs[base + bi], pb.image.x_scale, pb.image.x_min);
                     }
                 }
             }
@@ -241,7 +181,7 @@ impl HwBatchConv {
     /// side, weight-bit, activation-bit), with per-broadcast telemetry.
     /// Accumulators laid out `[(o, oy, ox)][bi]` so one (o, oy) row is a
     /// contiguous chunk a worker owns exclusively.
-    fn accumulate_scalar(&self, pb: &ProgrammedBatch, b: usize, oh: usize, ow: usize) -> Result<Vec<i64>> {
+    fn accumulate_scalar(&self, stacks: &Stacks, b: usize, oh: usize, ow: usize) -> Result<Vec<i64>> {
         let kernel = &self.kernel;
         let mut accs = vec![0i64; kernel.out_ch() * oh * ow * b];
         exec::for_each_chunk(self.policy, &mut accs, ow * b, |idx, row| {
@@ -249,7 +189,7 @@ impl HwBatchConv {
             for ox in 0..ow {
                 let acc = &mut row[ox * b..(ox + 1) * b];
                 let (ry, rx) = (oy * kernel.stride(), ox * kernel.stride());
-                for (ci, stacks) in pb.stacks.iter().enumerate() {
+                for (ci, stacks) in stacks.iter().enumerate() {
                     for (side, sign) in [(0, 1i64), (1, -1i64)] {
                         let w_planes = kernel.planes(o, ci, side);
                         // One bit-serial cycle per (weight-bit, activation-
@@ -270,78 +210,6 @@ impl HwBatchConv {
             }
             Ok(())
         })?;
-        Ok(accs)
-    }
-
-    /// The word-parallel read path: per output window, each (channel,
-    /// activation bit, sample) window is extracted once as one compact
-    /// `k²`-bit word and read against all `out · 2 · WEIGHT_BITS` kernel
-    /// masks of that channel in one [`ConvKernel::accumulate`] call (raw
-    /// sums, no saturation); each (output, sample) then folds its
-    /// per-(side, weight bit) sums as `Σ (pos − neg) << wbit`. The
-    /// extraction word and the per-sample sums live in a per-worker arena
-    /// allocated once per forward pass via [`exec::for_each_chunk_with`].
-    ///
-    /// Telemetry is coalesced into one record per event kind per window
-    /// burst, with totals exactly the per-broadcast scheme's:
-    /// `out·in·2·WEIGHT_BITS·DATA_BITS` broadcasts per window, each one
-    /// [`Event::BitSerialCycle`] and `k²` [`Event::DacDrive`]s (pillar
-    /// drivers are shared), and `depth` [`Event::XbarReadPulse`]s plus
-    /// `depth` [`Event::AdcConversion`]s (every plane conducts and
-    /// senses). No ADC saturation — matching the scalar broadcast, whose
-    /// per-plane sums are used raw.
-    fn accumulate_packed(&self, pb: &ProgrammedBatch, b: usize, oh: usize, ow: usize) -> Result<Vec<i64>> {
-        let kernel = &self.kernel;
-        let (out_ch, k) = (kernel.out_ch(), kernel.k());
-        let per_sample = kernel.reads_per_window();
-        let broadcasts = (per_sample * kernel.in_ch()) as u64 * u64::from(DATA_BITS);
-        // Work in `[oy][ox][o][bi]` order so one extraction serves every
-        // output channel, then permute to the scalar layout below.
-        let mut window_major = vec![0i64; oh * ow * out_ch * b];
-        exec::for_each_chunk_with(
-            self.policy,
-            &mut window_major,
-            ow * out_ch * b,
-            // Per-worker arena: one compact window and every sample's
-            // read sums (`[bi][o][side][wbit]`).
-            || (vec![0u64; kernel.window_words()], vec![0u32; b * per_sample]),
-            |arena, oy, row| {
-                let (x, sums) = arena;
-                for ox in 0..ow {
-                    let (ry, rx) = (oy * kernel.stride(), ox * kernel.stride());
-                    sums.fill(0);
-                    for (ci, stacks) in pb.stacks.iter().enumerate() {
-                        for (xb, stack) in stacks.iter().enumerate() {
-                            for (bi, sample) in sums.chunks_exact_mut(per_sample).enumerate() {
-                                stack.plane(bi)?.extract_window_compact(ry, rx, k, k, x)?;
-                                kernel.accumulate(ci, xb, x, sample);
-                            }
-                        }
-                    }
-                    inca_telemetry::record(Event::XbarReadPulse, broadcasts * b as u64);
-                    inca_telemetry::record(Event::DacDrive, broadcasts * (k * k) as u64);
-                    inca_telemetry::record(Event::AdcConversion, broadcasts * b as u64);
-                    inca_telemetry::record(Event::BitSerialCycle, broadcasts);
-                    let window = &mut row[ox * out_ch * b..(ox + 1) * out_ch * b];
-                    for (o, acc) in window.chunks_exact_mut(b).enumerate() {
-                        for (bi, slot) in acc.iter_mut().enumerate() {
-                            *slot = kernel.fold(o, &sums[bi * per_sample..(bi + 1) * per_sample]);
-                        }
-                    }
-                }
-                Ok(())
-            },
-        )?;
-        let mut accs = vec![0i64; out_ch * oh * ow * b];
-        for oy in 0..oh {
-            for ox in 0..ow {
-                for o in 0..out_ch {
-                    let src = ((oy * ow + ox) * out_ch + o) * b;
-                    let dst = ((o * oh + oy) * ow + ox) * b;
-                    accs[dst..dst + b].copy_from_slice(&window_major[src..src + b]);
-                }
-            }
-        }
         Ok(accs)
     }
 }

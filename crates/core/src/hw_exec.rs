@@ -20,28 +20,38 @@
 //! Engine-level optimizations ride on top of the hardware model without
 //! changing a single output bit:
 //!
-//! * kernels are quantized and sliced into magnitude bit-planes **once at
-//!   programming time** (they are weight-stationary state) into the
-//!   shared `ConvKernel` (`hw_kernel.rs`): flat `u8` planes for the
-//!   scalar and analog reads, and a flat `[in][out][side][wbit]` table of
-//!   compact `k²`-bit masks for the [`ReadPath::Packed`] read path,
-//! * the programmed input state — quantized bit-planes partitioned into
-//!   subarray tiles — is cached per layer, keyed on a streamed hash of
-//!   the quantized activation codes, so repeated forwards of the same
-//!   input (e.g. the forward halves of a training step) write the planes
-//!   once and the hit path never materializes the code vector,
+//! * kernels are quantized **once at programming time** (they are
+//!   weight-stationary state) into the shared `ConvKernel`
+//!   (`hw_kernel.rs`): signed codes `[in][k·k][out]`, plus a flat
+//!   `[in][out][side][wbit]` table of compact `k²`-bit masks for kernels
+//!   whose reads can saturate; the `u8` bit-planes of the scalar and
+//!   analog reads are derived from the codes on first use,
+//! * the programmed input state is the padded 8-bit code image, quantized
+//!   in one pass over the input, cached per layer and keyed on a streamed
+//!   hash of the codes, so repeated forwards of the same input (e.g. the
+//!   forward halves of a training step) program it once. Its subarray
+//!   tiles of bit-planes are derived from the image only when a bit-level
+//!   path reads them; their writes are counted at programming either way,
 //! * output windows are independent read bursts, so a
 //!   [`crate::Schedule::Parallel`] policy fans output rows across scoped
 //!   worker threads, bit-exact with the sequential schedule,
-//! * the default [`ReadPath::Packed`] read path extracts each (window,
-//!   input channel, activation bit) **once** as one compact word —
-//!   window cell `(i, j)` at bit `i·k + j`, one `u64` for every `k ≤ 8` —
-//!   and reads it against all `out · 2 · WEIGHT_BITS` masks of that
-//!   channel in one SIMD call that saturates every read at the ADC's max
-//!   code before shifting it; each output folds its per-(side, weight
-//!   bit) sums as `Σ (pos − neg) << wbit`. Telemetry is coalesced into one
-//!   record per event kind per window burst — totals and output bits
-//!   identical to the scalar per-read scheme.
+//! * on the default [`ReadPath::Packed`] path, a 1×1, 2×2 or 3×3 kernel
+//!   sums at most 9 binary products per read, which the 4-bit ADC never
+//!   saturates; each window is then one signed integer dot product of its
+//!   activation and weight codes, exactly the shift-add of its bit-serial
+//!   reads (DESIGN.md §8, "Linear reads"),
+//! * larger kernels, whose reads can saturate, keep the bit-serial packed
+//!   read: each (window, input channel, activation bit) is extracted
+//!   **once** as one compact word — window cell `(i, j)` at bit `i·k + j`,
+//!   one `u64` for every `k ≤ 8` — and read against all
+//!   `out · 2 · WEIGHT_BITS` masks of that channel in one SIMD call that
+//!   saturates every read at the ADC's max code before shifting it; each
+//!   output folds its per-(side, weight bit) sums as
+//!   `Σ (pos − neg) << wbit`.
+//!
+//! Either packed form records the scalar path's per-read telemetry as one
+//! record per event kind per forward — totals and output bits identical
+//! to the scalar per-read scheme.
 //!
 //! The test suite proves the hardware path classifies the synthetic task
 //! with (near-)float accuracy — the end-to-end functional validation of
@@ -54,10 +64,9 @@ use inca_nn::Tensor;
 use inca_telemetry::Event;
 use inca_xbar::quant::slice_to_bit_planes;
 use inca_xbar::{AdcReadout, Crossbar2d, VerticalPlane};
-use parking_lot::Mutex;
 
 use crate::exec::{self, ExecPolicy, ReadPath};
-use crate::hw_kernel::{conv_output_dims, ConvKernel};
+use crate::hw_kernel::{conv_output_dims, ConvKernel, ProgramCache, Programmed};
 use crate::{Error, Result};
 
 /// Quantization width of activations (Table II: 8-bit codes).
@@ -81,44 +90,9 @@ struct Partition {
     planes: Vec<VerticalPlane>, // one per activation bit
 }
 
-/// The programmed (input-stationary) state of one forward pass: the
-/// subarray partitions holding the padded activation bit-planes, keyed by
-/// a streamed hash of the quantized codes. Cached per layer and reused
-/// while the quantized input is unchanged.
-#[derive(Debug)]
-struct ProgrammedActivation {
-    h: usize,
-    w: usize,
-    x_min: f32,
-    x_scale: f32,
-    /// [`KeyHasher`] digest of the geometry, dequantization range, and
-    /// quantized codes — the cache key.
-    key: u64,
-    partitions: Vec<Vec<Partition>>,
-}
-
-type ActivationCache = Arc<Mutex<Option<Arc<ProgrammedActivation>>>>;
-
-/// Streaming 64-bit mixer for activation-cache keys (FxHash-style
-/// rotate-xor-multiply). Not cryptographic — a collision merely serves a
-/// stale programmed state, and 2⁻⁶⁴ per lookup is far below the
-/// simulator's own float-roundtrip noise floor.
-#[derive(Debug, Clone)]
-pub(crate) struct KeyHasher(u64);
-
-impl KeyHasher {
-    pub(crate) fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn write(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
-}
+/// Per input channel, the subarray tiles holding the padded activation
+/// bit-planes: the bit-level view of the programmed code image.
+type Tiles = Vec<Vec<Partition>>;
 
 /// A convolution layer programmed onto INCA hardware.
 ///
@@ -141,14 +115,14 @@ impl KeyHasher {
 /// ```
 #[derive(Debug, Clone)]
 pub struct HwConv {
-    /// The quantized kernel, its read masks and bit-planes, and the conv
-    /// geometry; every read saturates at the ADC's max code.
+    /// The quantized kernel and the conv geometry; every read saturates
+    /// at the ADC's max code.
     kernel: ConvKernel,
     /// Subarray side (16 in the paper, at least `k`).
     side: usize,
     adc: AdcReadout,
     policy: ExecPolicy,
-    cache: ActivationCache,
+    cache: ProgramCache<Tiles>,
 }
 
 impl HwConv {
@@ -208,74 +182,18 @@ impl HwConv {
         *self.cache.lock() = None;
     }
 
-    /// Quantizes `x` and programs (or reuses) the input-stationary state.
-    fn program(&self, x: &Tensor, c: usize, h: usize, w: usize) -> Result<Arc<ProgrammedActivation>> {
-        let pad = self.kernel.pad();
-        // Activation quantization with offset encoding: codes represent
-        // `v = code * x_scale + x_min`, so signed inputs (e.g. the raw
-        // image) survive; the offset term is corrected analytically after
-        // accumulation (standard PIM practice).
-        let levels = f32::from((1u16 << DATA_BITS) - 1);
-        let x_min = x.data().iter().fold(0.0f32, |m, &v| m.min(v)).min(0.0);
-        let x_max = x.data().iter().fold(0.0f32, |m, &v| m.max(v)).max(x_min + 1e-9);
-        let x_scale = ((x_max - x_min) / levels).max(1e-12);
-        let quantize = |v: f32| -> u32 { (((v - x_min) / x_scale).round() as u32).min(levels as u32) };
-        // Code representing the value 0.0 — written into the padding halo.
-        let zero_code = quantize(0.0);
-        let ph = h + 2 * pad;
-        let pw = w + 2 * pad;
-        // Cache key: a streamed hash over the geometry, dequantization
-        // range, and interior quantized codes (the halo is fully
-        // determined by `zero_code` and `pad`). The hit path never
-        // materializes or compares the padded code vector.
-        let mut hasher = KeyHasher::new();
-        for dim in [c, h, w, pad, self.side] {
-            hasher.write(dim as u64);
-        }
-        hasher.write(u64::from(x_min.to_bits()));
-        hasher.write(u64::from(x_scale.to_bits()));
-        hasher.write(u64::from(zero_code));
-        for ci in 0..c {
-            for y in 0..h {
-                for xx in 0..w {
-                    hasher.write(u64::from(quantize(x.at4(0, ci, y, xx))));
-                }
-            }
-        }
-        let key = hasher.finish();
-        // Cache hit: the quantized input (and its dequantization range)
-        // is unchanged, so the programmed bit-planes are still valid.
-        {
-            let cached = self.cache.lock();
-            if let Some(pa) = cached.as_ref() {
-                if pa.h == h
-                    && pa.w == w
-                    && pa.x_min.to_bits() == x_min.to_bits()
-                    && pa.x_scale.to_bits() == x_scale.to_bits()
-                    && pa.key == key
-                {
-                    inca_telemetry::incr(Event::ProgramCacheHit);
-                    return Ok(Arc::clone(pa));
-                }
-            }
-        }
-        inca_telemetry::incr(Event::ProgramCacheMiss);
-        let _span = inca_telemetry::span("hw_conv.program");
-        let mut codes = vec![zero_code; c * ph * pw];
-        for ci in 0..c {
-            let base = ci * ph * pw;
-            for y in 0..h {
-                for xx in 0..w {
-                    codes[base + (y + pad) * pw + xx + pad] = quantize(x.at4(0, ci, y, xx));
-                }
-            }
-        }
-        let partitions = (0..c)
-            .map(|ci| self.partition_codes(&codes[ci * ph * pw..(ci + 1) * ph * pw], ph, pw))
-            .collect::<Result<Vec<_>>>()?;
-        let pa = Arc::new(ProgrammedActivation { h, w, x_min, x_scale, key, partitions });
-        *self.cache.lock() = Some(Arc::clone(&pa));
-        Ok(pa)
+    /// Quantizes `x` and programs (or reuses) the input-stationary state:
+    /// one write per (channel, tile, activation bit).
+    fn program(&self, x: &Tensor) -> Arc<Programmed<Tiles>> {
+        Programmed::program(&self.cache, x, self.kernel.pad(), "hw_conv.program", |image| {
+            (image.c * self.tile_walk(image.ph, image.pw).len() * usize::from(DATA_BITS)) as u64
+        })
+    }
+
+    /// The programmed subarray tiles, derived from the code image on
+    /// first use.
+    fn tiles<'a>(&self, pa: &'a Programmed<Tiles>) -> Result<&'a Tiles> {
+        pa.bits(|image| (0..image.c).map(|ci| self.partition(image.channel(0, ci), image.pw)).collect())
     }
 
     /// Executes the layer on a single-sample NCHW tensor.
@@ -302,45 +220,56 @@ impl HwConv {
         }
         let (oh, ow) = self.kernel.output_dims(h, w)?;
         let _span = inca_telemetry::span("hw_conv.forward");
-        let pa = self.program(x, c, h, w)?;
-        let mut out = Tensor::zeros(&[1, self.kernel.out_ch(), oh, ow]);
-        let pa = &*pa;
-        match self.policy.read_path {
-            ReadPath::Scalar => self.forward_scalar(pa, oh, ow, &mut out)?,
-            ReadPath::Packed => self.forward_packed(pa, oh, ow, &mut out)?,
+        let pa = self.program(x);
+        if self.policy.read_path == ReadPath::Scalar {
+            let mut out = Tensor::zeros(&[1, self.kernel.out_ch(), oh, ow]);
+            self.forward_scalar(&pa, oh, ow, &mut out)?;
+            return Ok(out);
         }
+        let out = if self.kernel.exact_reads() {
+            self.kernel.forward_linear(self.policy, &pa.image, oh, ow)?
+        } else {
+            let mut out = Tensor::zeros(&[1, self.kernel.out_ch(), oh, ow]);
+            self.forward_bit_serial(&pa, oh, ow, &mut out)?;
+            out
+        };
+        // The scalar path's per-read events, one record per kind: every
+        // window reads each (output, channel, side, weight bit) once per
+        // activation bit, each read one pulse, one conversion and one
+        // bit-serial cycle, driving `k²` DACs.
+        let k = self.kernel.k();
+        let reads = (self.kernel.reads_per_window() * c * oh * ow) as u64 * u64::from(DATA_BITS);
+        inca_telemetry::record(Event::XbarReadPulse, reads);
+        inca_telemetry::record(Event::DacDrive, reads * (k * k) as u64);
+        inca_telemetry::record(Event::AdcConversion, reads);
+        inca_telemetry::record(Event::BitSerialCycle, reads);
         Ok(out)
     }
 
     /// The reference read path: one scalar window read per (output,
     /// channel, side, weight-bit, activation-bit), with per-read
     /// telemetry.
-    fn forward_scalar(
-        &self,
-        pa: &ProgrammedActivation,
-        oh: usize,
-        ow: usize,
-        out: &mut Tensor,
-    ) -> Result<()> {
+    fn forward_scalar(&self, pa: &Programmed<Tiles>, oh: usize, ow: usize, out: &mut Tensor) -> Result<()> {
         let kernel = &self.kernel;
+        let tiles = self.tiles(pa)?;
         exec::for_each_chunk(self.policy, out.data_mut(), ow, |idx, row| {
             let (o, oy) = (idx / oh, idx % oh);
             for (ox, slot) in row.iter_mut().enumerate() {
                 let (ry, rx) = (oy * kernel.stride(), ox * kernel.stride());
                 let mut acc: i64 = 0;
-                for (ci, partitions) in pa.partitions.iter().enumerate() {
+                for (ci, partitions) in tiles.iter().enumerate() {
                     acc += self.window_dot(partitions, ry, rx, kernel.planes(o, ci, 0))?;
                     acc -= self.window_dot(partitions, ry, rx, kernel.planes(o, ci, 1))?;
                 }
-                *slot = kernel.dequantize(o, acc, pa.x_scale, pa.x_min);
+                *slot = kernel.dequantize(o, acc, pa.image.x_scale, pa.image.x_min);
             }
             Ok(())
         })
     }
 
-    /// The word-parallel read path. Per output window, each (input
-    /// channel, activation bit) window is extracted **once** as one
-    /// compact `k²`-bit word
+    /// The bit-serial packed read path, for kernels whose reads can
+    /// saturate. Per output window, each (input channel, activation bit)
+    /// window is extracted **once** as one compact `k²`-bit word
     /// ([`VerticalPlane::extract_window_compact`]) and read against all
     /// `out · 2 · WEIGHT_BITS` kernel masks of that channel in one
     /// [`ConvKernel::accumulate`] call, which saturates every read at the
@@ -350,26 +279,19 @@ impl HwConv {
     ///
     /// The extraction word and the accumulators live in a per-worker
     /// arena allocated once per forward pass (via
-    /// [`exec::for_each_chunk_with`]), not per output row.
-    ///
-    /// Telemetry is coalesced into one [`inca_telemetry::record`] per
-    /// event kind per window burst. The burst totals are *exactly* the
-    /// per-read scheme's: `out·in·2·WEIGHT_BITS·DATA_BITS` reads, each
-    /// contributing one [`Event::XbarReadPulse`], one
-    /// [`Event::AdcConversion`], one [`Event::BitSerialCycle`], and `k²`
-    /// [`Event::DacDrive`]s. The saturation is `min(max_code)` — the same
-    /// arithmetic as [`AdcReadout::digitize`] without its per-call event.
-    fn forward_packed(
+    /// [`exec::for_each_chunk_with`]), not per output row. The saturation
+    /// is `min(max_code)` — the same arithmetic as
+    /// [`AdcReadout::digitize`] without its per-call event.
+    fn forward_bit_serial(
         &self,
-        pa: &ProgrammedActivation,
+        pa: &Programmed<Tiles>,
         oh: usize,
         ow: usize,
         out: &mut Tensor,
     ) -> Result<()> {
         let kernel = &self.kernel;
         let (out_ch, k) = (kernel.out_ch(), kernel.k());
-        let reads = (kernel.reads_per_window() * kernel.in_ch()) as u64 * u64::from(DATA_BITS);
-        let dac_drives = reads * (k * k) as u64;
+        let tiles = self.tiles(pa)?;
         // Accumulate as `[oy][ox][o]`; transposed into NCHW afterwards.
         let mut accs = vec![0f32; oh * ow * out_ch];
         exec::for_each_chunk_with(
@@ -383,21 +305,17 @@ impl HwConv {
                 for ox in 0..ow {
                     let (ry, rx) = (oy * kernel.stride(), ox * kernel.stride());
                     // Every channel shares the same tiling.
-                    let t = find_tile(&pa.partitions[0], ry, rx, k)?;
+                    let t = find_tile(&tiles[0], ry, rx, k)?;
                     sums.fill(0);
-                    for (ci, partitions) in pa.partitions.iter().enumerate() {
+                    for (ci, partitions) in tiles.iter().enumerate() {
                         let tile = &partitions[t];
                         for (xb, plane) in tile.planes.iter().enumerate() {
                             plane.extract_window_compact(ry - tile.row0, rx - tile.col0, k, k, x)?;
                             kernel.accumulate(ci, xb, x, sums);
                         }
                     }
-                    inca_telemetry::record(Event::XbarReadPulse, reads);
-                    inca_telemetry::record(Event::DacDrive, dac_drives);
-                    inca_telemetry::record(Event::AdcConversion, reads);
-                    inca_telemetry::record(Event::BitSerialCycle, reads);
                     for (o, slot) in row[ox * out_ch..(ox + 1) * out_ch].iter_mut().enumerate() {
-                        *slot = kernel.dequantize(o, kernel.fold(o, sums), pa.x_scale, pa.x_min);
+                        *slot = kernel.dequantize(o, kernel.fold(o, sums), pa.image.x_scale, pa.image.x_min);
                     }
                 }
                 Ok(())
@@ -413,46 +331,52 @@ impl HwConv {
         Ok(())
     }
 
-    /// Partitions one channel's padded codes into bit-plane tiles.
-    fn partition_codes(&self, codes: &[u32], ph: usize, pw: usize) -> Result<Vec<Partition>> {
-        // Partition with one-window halo overlap so every window lies
-        // within a single tile (halo replication; the adder-tree variant
-        // computes split partial sums — numerically identical). `side ≥ k`
-        // keeps the step positive.
+    /// The halo-overlapped subarray tiles covering a `ph × pw` padded
+    /// channel, as `(row0, col0, rows, cols)`. Every window lies within a
+    /// single tile (halo replication; the adder-tree variant computes
+    /// split partial sums — numerically identical). `side ≥ k` keeps the
+    /// step positive.
+    fn tile_walk(&self, ph: usize, pw: usize) -> Vec<(usize, usize, usize, usize)> {
         let step = self.side - (self.kernel.k() - 1);
-        let mut partitions = Vec::new();
+        let mut tiles = Vec::new();
         let mut row0 = 0;
         while row0 < ph {
-            let tile_h = self.side.min(ph - row0);
+            let rows = self.side.min(ph - row0);
             let mut col0 = 0;
             while col0 < pw {
-                let tile_w = self.side.min(pw - col0);
-                let mut tile = vec![0u32; tile_h * tile_w];
-                for y in 0..tile_h {
-                    for xx in 0..tile_w {
-                        tile[y * tile_w + xx] = codes[(row0 + y) * pw + col0 + xx];
-                    }
-                }
-                let planes = slice_to_bit_planes(&tile, DATA_BITS)
-                    .into_iter()
-                    .map(|bits| {
-                        let mut p = VerticalPlane::new(tile_h, tile_w);
-                        p.write_bits(&bits)?;
-                        Ok(p)
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                partitions.push(Partition { row0, col0, planes });
-                if col0 + tile_w >= pw {
+                let cols = self.side.min(pw - col0);
+                tiles.push((row0, col0, rows, cols));
+                if col0 + cols >= pw {
                     break;
                 }
                 col0 += step;
             }
-            if row0 + tile_h >= ph {
+            if row0 + rows >= ph {
                 break;
             }
             row0 += step;
         }
-        Ok(partitions)
+        tiles
+    }
+
+    /// Partitions one channel's padded codes (`pw` columns) into
+    /// bit-plane tiles.
+    fn partition(&self, codes: &[u8], pw: usize) -> Result<Vec<Partition>> {
+        self.tile_walk(codes.len() / pw, pw)
+            .into_iter()
+            .map(|(row0, col0, rows, cols)| {
+                let planes = (0..DATA_BITS)
+                    .map(|bit| {
+                        let bits: Vec<u8> = (row0..row0 + rows)
+                            .flat_map(|y| &codes[y * pw + col0..y * pw + col0 + cols])
+                            .map(|&v| (v >> bit) & 1)
+                            .collect();
+                        Ok(VerticalPlane::from_bits(rows, cols, &bits)?)
+                    })
+                    .collect::<Result<Vec<_>>>()?;
+                Ok(Partition { row0, col0, planes })
+            })
+            .collect()
     }
 
     /// One window's bit-serial dot product against pre-sliced unsigned
@@ -512,7 +436,8 @@ impl HwConv {
         }
         let (oh, ow) = kernel.output_dims(h, w)?;
         let _span = inca_telemetry::span("hw_conv.forward_noisy");
-        let pa = self.program(x, c, h, w)?;
+        let pa = self.program(x);
+        let tiles = self.tiles(&pa)?;
 
         let unit = params.read_voltage * params.g_on();
         let k = kernel.k();
@@ -522,7 +447,7 @@ impl HwConv {
                 for ox in 0..ow {
                     let (ry, rx) = (oy * kernel.stride(), ox * kernel.stride());
                     let mut acc: i64 = 0;
-                    for (ci, partitions) in pa.partitions.iter().enumerate() {
+                    for (ci, partitions) in tiles.iter().enumerate() {
                         let tile = &partitions[find_tile(partitions, ry, rx, k)?];
                         for (side, sign) in [(0, 1i64), (1, -1i64)] {
                             let w_planes = kernel.planes(o, ci, side);
@@ -548,7 +473,7 @@ impl HwConv {
                             }
                         }
                     }
-                    *out.at4_mut(0, o, oy, ox) = kernel.dequantize(o, acc, pa.x_scale, pa.x_min);
+                    *out.at4_mut(0, o, oy, ox) = kernel.dequantize(o, acc, pa.image.x_scale, pa.image.x_min);
                 }
             }
         }

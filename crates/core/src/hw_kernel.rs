@@ -1,25 +1,44 @@
-//! The programmed (weight-stationary) side of a direct-convolution layer,
-//! shared by [`crate::HwConv`] and [`crate::HwBatchConv`].
+//! The state shared by [`crate::HwConv`] and [`crate::HwBatchConv`]: the
+//! programmed kernel ([`ConvKernel`]), the programmed input ([`CodeImage`],
+//! cached per layer as a [`Programmed`]) and the linear read that combines
+//! them.
 //!
 //! Float kernels are quantized once to the differential-pair encoding —
 //! signed 8-bit, i.e. a 7-bit magnitude on either the positive or the
-//! negative side (Table II) — and sliced into magnitude bit-planes. The
-//! planes are stored twice:
+//! negative side (Table II) — and kept as signed codes `[in][k·k][out]`.
+//! Inputs are quantized to 8-bit codes in one zero-padded image.
 //!
-//! * as a flat mask table `[in][out][side][wbit]`, each mask one window
-//!   in the compact layout of
+//! When no read can saturate ([`ConvKernel::exact_reads`]), the ADC is the
+//! identity and the shift-add of a window's bit-serial reads is exactly
+//! the integer dot product of its activation and weight codes, which
+//! [`ConvKernel::forward_linear`] computes directly (DESIGN.md §8, "Linear
+//! reads"). The bit-level views of both sides are derived from the codes
+//! only where a bit-level path reads them:
+//!
+//! * a flat mask table `[in][out][side][wbit]`, built at programming for
+//!   saturable kernels only, each mask one window in the compact layout of
 //!   [`inca_xbar::VerticalPlane::extract_window_compact`] (cell `(i, j)`
 //!   at bit `i·k + j`, `⌈k²/64⌉` words), so one input channel's masks are
 //!   one contiguous run that [`inca_xbar::simd::and_popcount_accumulate`]
 //!   sweeps per (window, activation bit);
-//! * as flat `u8` bit-planes `[out][in][side][wbit][k·k]`, read by the
-//!   scalar reference path and the analog (`forward_noisy`) path.
+//! * flat `u8` bit-planes `[out][in][side][wbit][k·k]`, derived on first
+//!   use by the scalar reference path and the analog (`forward_noisy`)
+//!   path;
+//! * the engines' activation bit-planes (subarray tiles or 3D stacks),
+//!   derived from the code image by [`Programmed::bits`].
+
+use std::ops::AddAssign;
+use std::sync::{Arc, OnceLock};
 
 use inca_nn::Tensor;
+use inca_telemetry::Event;
 use inca_xbar::packed::words_for;
 use inca_xbar::simd::and_popcount_accumulate;
 use inca_xbar::sliding::output_dims_padded;
+use inca_xbar::VerticalPlane;
+use parking_lot::Mutex;
 
+use crate::exec::{self, ExecPolicy};
 use crate::hw_exec::{weight_levels, DATA_BITS, WEIGHT_BITS};
 use crate::{Error, Result};
 
@@ -29,6 +48,15 @@ const SIDES: usize = 2;
 /// Reads per (output channel, input channel, window, activation bit):
 /// one per side and weight bit.
 const READS_PER_OUT: usize = SIDES * WEIGHT_BITS as usize;
+
+/// The largest window dot product `i32` accumulators hold exactly.
+const I32_LIMIT: u128 = i32::MAX as u128;
+
+/// Output channels per block of the linear read's register accumulators:
+/// wide blocks read each weight cache line fewer times, narrow ones keep
+/// 8- and 16-channel layers in registers.
+const WIDE_LANES: usize = 32;
+const LANES: usize = 8;
 
 /// A quantized conv kernel with its bias and geometry, ready to be read.
 #[derive(Debug, Clone)]
@@ -41,12 +69,16 @@ pub(crate) struct ConvKernel {
     /// Saturation of every read: the ADC's max code, or `u32::MAX` for
     /// raw sums.
     read_cap: u32,
+    /// Signed weight codes (−127..=127), `[in][k·k][out]`.
+    codes: Vec<i16>,
     /// Words per compact window and per mask: `⌈k²/64⌉`.
     mask_words: usize,
-    /// `[in][out][side][wbit]` masks of `mask_words` words.
+    /// `[in][out][side][wbit]` masks of `mask_words` words; empty unless
+    /// a read can saturate.
     masks: Vec<u64>,
-    /// `[out][in][side][wbit][k·k]` bit-planes (0/1).
-    planes: Vec<u8>,
+    /// `[out][in][side][wbit][k·k]` bit-planes (0/1), derived on first
+    /// use.
+    planes: OnceLock<Vec<u8>>,
     /// Per-output signed sum of weight codes (offset correction).
     code_sum: Vec<i64>,
     w_scale: f32,
@@ -91,42 +123,42 @@ impl ConvKernel {
         let w_max = weights.data().iter().fold(0.0f32, |m, &w| m.max(w.abs())).max(1e-12);
         let w_scale = w_max / weight_levels();
         let kk = k * k;
-        let wbits = usize::from(WEIGHT_BITS);
-        let mask_words = words_for(kk);
-        let mut masks = vec![0u64; in_ch * out_ch * READS_PER_OUT * mask_words];
-        let mut planes = vec![0u8; out_ch * in_ch * READS_PER_OUT * kk];
+        let mut codes = vec![0i16; in_ch * kk * out_ch];
         let mut code_sum = vec![0i64; out_ch];
         // NCHW weights are `[out][in][k·k]` runs.
         for (oc, cells) in weights.data().chunks_exact(kk).enumerate() {
             let (o, c) = (oc / in_ch, oc % in_ch);
             for (cell, &w) in cells.iter().enumerate() {
-                let q = (w / w_scale).round() as i32;
+                // |w| ≤ w_max, so the code lies in −127..=127.
+                let q = (w / w_scale).round() as i16;
                 code_sum[o] += i64::from(q);
-                let (side, magnitude) = if q >= 0 { (0, q as u32) } else { (1, (-q) as u32) };
-                for wb in 0..wbits {
-                    if (magnitude >> wb) & 1 == 1 {
-                        let read = side * wbits + wb;
-                        planes[(oc * READS_PER_OUT + read) * kk + cell] = 1;
-                        let mask = ((c * out_ch + o) * READS_PER_OUT + read) * mask_words;
-                        masks[mask + cell / 64] |= 1 << (cell % 64);
-                    }
-                }
+                codes[(c * kk + cell) * out_ch + o] = q;
             }
         }
-        Ok(Self {
+        let mut kernel = Self {
             out_ch,
             in_ch,
             k,
             stride,
             pad,
             read_cap,
-            mask_words,
-            masks,
-            planes,
+            codes,
+            mask_words: words_for(kk),
+            masks: Vec::new(),
+            planes: OnceLock::new(),
             code_sum,
             w_scale,
             bias: bias.to_vec(),
-        })
+        };
+        if !kernel.exact_reads() {
+            let mut masks = vec![0u64; in_ch * out_ch * READS_PER_OUT * kernel.mask_words];
+            kernel.for_each_weight_bit(|c, o, read, cell| {
+                let mask = ((c * out_ch + o) * READS_PER_OUT + read) * kernel.mask_words;
+                masks[mask + cell / 64] |= 1 << (cell % 64);
+            });
+            kernel.masks = masks;
+        }
+        Ok(kernel)
     }
 
     pub(crate) fn out_ch(&self) -> usize {
@@ -161,13 +193,44 @@ impl ConvKernel {
         conv_output_dims(h, w, self.k, self.stride, self.pad)
     }
 
+    /// Whether no read can saturate: a `k × k` window read sums at most
+    /// `k²` binary products, so every read is exact while `k² ≤ read_cap`
+    /// (every 1×1, 2×2 and 3×3 kernel on the 4-bit ADC, every kernel on
+    /// raw sums).
+    pub(crate) fn exact_reads(&self) -> bool {
+        (self.k as u128).pow(2) <= u128::from(self.read_cap)
+    }
+
+    /// Calls `f(in, out, read, cell)` for every set magnitude bit of every
+    /// weight code, where `read = side · WEIGHT_BITS + wbit` and `side` 0
+    /// is positive, 1 negative.
+    fn for_each_weight_bit(&self, mut f: impl FnMut(usize, usize, usize, usize)) {
+        let (kk, wbits) = (self.k * self.k, usize::from(WEIGHT_BITS));
+        for (i, &q) in self.codes.iter().enumerate() {
+            let (o, cell, c) = (i % self.out_ch, i / self.out_ch % kk, i / (self.out_ch * kk));
+            let side = usize::from(q < 0);
+            for wb in 0..wbits {
+                if (q.unsigned_abs() >> wb) & 1 == 1 {
+                    f(c, o, side * wbits + wb, cell);
+                }
+            }
+        }
+    }
+
     /// The `WEIGHT_BITS` bit-planes of one (output, input, side), LSB
     /// first, `k·k` cells each. `side` 0 is positive, 1 negative.
     pub(crate) fn planes(&self, o: usize, ci: usize, side: usize) -> std::slice::ChunksExact<'_, u8> {
         let kk = self.k * self.k;
+        let planes = self.planes.get_or_init(|| {
+            let mut planes = vec![0u8; self.out_ch * self.in_ch * READS_PER_OUT * kk];
+            self.for_each_weight_bit(|c, o, read, cell| {
+                planes[((o * self.in_ch + c) * READS_PER_OUT + read) * kk + cell] = 1;
+            });
+            planes
+        });
         let len = usize::from(WEIGHT_BITS) * kk;
         let start = ((o * self.in_ch + ci) * SIDES + side) * len;
-        self.planes[start..start + len].chunks_exact(kk)
+        planes[start..start + len].chunks_exact(kk)
     }
 
     /// Words per compact window: the length of `x` in
@@ -183,7 +246,8 @@ impl ConvKernel {
 
     /// Reads one window's activation bit `xbit` of input channel `ci`
     /// (compact words `x`) against every output's masks, adding each
-    /// saturated read `<< xbit` to `acc[(o·2 + side)·7 + wbit]`.
+    /// saturated read `<< xbit` to `acc[(o·2 + side)·7 + wbit]`. Only
+    /// saturable kernels hold masks (see [`ConvKernel::exact_reads`]).
     pub(crate) fn accumulate(&self, ci: usize, xbit: usize, x: &[u64], acc: &mut [u32]) {
         let len = self.reads_per_window() * self.mask_words;
         and_popcount_accumulate(x, &self.masks[ci * len..(ci + 1) * len], self.read_cap, xbit as u32, acc);
@@ -202,6 +266,135 @@ impl ConvKernel {
     pub(crate) fn dequantize(&self, o: usize, acc: i64, x_scale: f32, x_min: f32) -> f32 {
         acc as f32 * x_scale * self.w_scale + x_min * self.w_scale * self.code_sum[o] as f32 + self.bias[o]
     }
+
+    /// Every output window of every sample of `image`, each as one signed
+    /// integer dot product of its activation codes and the weight codes:
+    /// exactly the fold of its bit-serial reads when no read saturates
+    /// ([`ConvKernel::exact_reads`]). Returns `[b, out, oh, ow]`.
+    ///
+    /// Accumulators are `i32` while the worst case `in · k² · 255 · 127`
+    /// fits, `i64` past it.
+    ///
+    /// # Errors
+    ///
+    /// None in practice; the `Result` is the fan-out's.
+    pub(crate) fn forward_linear(
+        &self,
+        policy: ExecPolicy,
+        image: &CodeImage,
+        oh: usize,
+        ow: usize,
+    ) -> Result<Tensor> {
+        if max_window_dot(self.in_ch, self.k) <= I32_LIMIT {
+            self.forward_linear_in::<i32>(policy, image, oh, ow)
+        } else {
+            self.forward_linear_in::<i64>(policy, image, oh, ow)
+        }
+    }
+
+    /// [`ConvKernel::forward_linear`] with accumulators of type `A`.
+    fn forward_linear_in<A>(
+        &self,
+        policy: ExecPolicy,
+        image: &CodeImage,
+        oh: usize,
+        ow: usize,
+    ) -> Result<Tensor>
+    where
+        A: Copy + Default + AddAssign + From<i16> + Into<i64> + Send,
+    {
+        let out_ch = self.out_ch;
+        // Accumulate as `[b][oy][ox][o]`; transposed into NCHW afterwards.
+        let mut window_major = vec![0f32; image.b * oh * ow * out_ch];
+        exec::for_each_chunk_with(
+            policy,
+            &mut window_major,
+            ow * out_ch,
+            // Per-worker arena: one window's codes and accumulators.
+            || (vec![0i16; self.in_ch * self.k * self.k], vec![A::default(); out_ch]),
+            |(xs, acc), idx, row| {
+                let (bi, oy) = (idx / oh, idx % oh);
+                for (ox, slots) in row.chunks_exact_mut(out_ch).enumerate() {
+                    self.window_dot(image, bi, (oy * self.stride, ox * self.stride), xs, acc);
+                    for (o, (slot, &a)) in slots.iter_mut().zip(acc.iter()).enumerate() {
+                        *slot = self.dequantize(o, a.into(), image.x_scale, image.x_min);
+                    }
+                }
+                Ok(())
+            },
+        )?;
+        let mut out = Tensor::zeros(&[image.b, out_ch, oh, ow]);
+        let (dst, windows) = (out.data_mut(), oh * ow);
+        for bi in 0..image.b {
+            for o in 0..out_ch {
+                for p in 0..windows {
+                    dst[(bi * out_ch + o) * windows + p] = window_major[(bi * windows + p) * out_ch + o];
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// The window at `(ry, rx)` of sample `bi` dotted with the weight
+    /// codes, into `acc[o]`. The window's `in · k²` activation codes are
+    /// gathered into `xs` once; outputs then go in blocks of
+    /// [`WIDE_LANES`], then [`LANES`], then one, each block's sums held
+    /// in registers across the window.
+    fn window_dot<A: Copy + Default + AddAssign + From<i16>>(
+        &self,
+        image: &CodeImage,
+        bi: usize,
+        (ry, rx): (usize, usize),
+        xs: &mut [i16],
+        acc: &mut [A],
+    ) {
+        let (k, pw) = (self.k, image.pw);
+        let mut dst = xs.iter_mut();
+        for ci in 0..self.in_ch {
+            let channel = image.channel(bi, ci);
+            for ky in 0..k {
+                let start = (ry + ky) * pw + rx;
+                // The row first: `zip` polls its left side first, and a
+                // row's end must not consume a slot of `xs`.
+                for (&a, x) in channel[start..start + k].iter().zip(&mut dst) {
+                    *x = i16::from(a);
+                }
+            }
+        }
+        let mut o0 = 0;
+        let (wide, rest) = acc.as_chunks_mut::<WIDE_LANES>();
+        for block in wide {
+            *block = self.block_dot(xs, o0);
+            o0 += WIDE_LANES;
+        }
+        let (narrow, rest) = rest.as_chunks_mut::<LANES>();
+        for block in narrow {
+            *block = self.block_dot(xs, o0);
+            o0 += LANES;
+        }
+        for slot in rest {
+            [*slot] = self.block_dot(xs, o0);
+            o0 += 1;
+        }
+    }
+
+    /// Outputs `o0..o0 + N` of one window from its gathered activation
+    /// codes `xs`: per (input channel, cell), the code times that cell's
+    /// weight codes. Each product is exact in `i16` (`255 · 127 < 2¹⁵`).
+    fn block_dot<A: Copy + Default + AddAssign + From<i16>, const N: usize>(
+        &self,
+        xs: &[i16],
+        o0: usize,
+    ) -> [A; N] {
+        let mut sums = [A::default(); N];
+        for (cell, &a) in xs.iter().enumerate() {
+            let w = cell * self.out_ch + o0;
+            for (s, &w) in sums.iter_mut().zip(&self.codes[w..w + N]) {
+                *s += A::from(a * w);
+            }
+        }
+        sums
+    }
 }
 
 /// The largest value one read accumulator can reach: it sums one read
@@ -210,6 +403,13 @@ impl ConvKernel {
 fn max_window_sum(in_ch: usize, k: usize, read_cap: u32) -> u128 {
     let max_read = (k as u128 * k as u128).min(u128::from(read_cap));
     in_ch as u128 * max_read * ((1u128 << DATA_BITS) - 1)
+}
+
+/// The largest magnitude a window's integer dot product can reach:
+/// `in · k²` products of an activation code (at most `2⁸ − 1`) and a
+/// weight code (magnitude at most `2⁷ − 1`).
+fn max_window_dot(in_ch: usize, k: usize) -> u128 {
+    in_ch as u128 * (k as u128).pow(2) * ((1u128 << DATA_BITS) - 1) * ((1u128 << WEIGHT_BITS) - 1)
 }
 
 /// Output size of a `k × k` conv on an `h × w` input.
@@ -233,9 +433,170 @@ pub(crate) fn conv_output_dims(
     }
 }
 
+/// Streaming 64-bit mixer for activation-cache keys (FxHash-style
+/// rotate-xor-multiply). Not cryptographic — a collision merely serves a
+/// stale programmed state, and 2⁻⁶⁴ per lookup is far below the
+/// simulator's own float-roundtrip noise floor.
+#[derive(Debug, Clone)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+/// An input batch quantized to 8-bit codes and zero-padded: the programmed
+/// input state both engines read. Offset encoding: codes represent
+/// `v = code · x_scale + x_min`, so signed inputs (e.g. the raw image)
+/// survive; the offset term is corrected analytically after accumulation
+/// (standard PIM practice). One range serves the whole batch, because the
+/// planes of a stack share one readout scale.
+#[derive(Debug)]
+pub(crate) struct CodeImage {
+    /// Samples.
+    pub(crate) b: usize,
+    /// Channels.
+    pub(crate) c: usize,
+    /// Padded rows.
+    pub(crate) ph: usize,
+    /// Padded columns.
+    pub(crate) pw: usize,
+    pub(crate) x_min: f32,
+    pub(crate) x_scale: f32,
+    /// [`KeyHasher`] digest of the geometry, dequantization range, and
+    /// interior codes — the cache key.
+    key: u64,
+    /// `[b][c][ph][pw]` codes; the halo holds the code of 0.0.
+    codes: Vec<u8>,
+}
+
+impl CodeImage {
+    /// Quantizes an NCHW batch with `pad` cells of zero padding, in one
+    /// pass over its values that also hashes the codes.
+    pub(crate) fn quantize(x: &Tensor, pad: usize) -> Self {
+        let [b, c, h, w] = x.dims4();
+        let levels = f32::from((1u16 << DATA_BITS) - 1);
+        let (lo, hi) = x.data().iter().fold((0.0f32, 0.0f32), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        let x_min = lo.min(0.0);
+        let x_max = hi.max(x_min + 1e-9);
+        let x_scale = ((x_max - x_min) / levels).max(1e-12);
+        // `(t.round() as u32).min(255)`, rounding half away from zero by
+        // hand (`t − trunc(t)` is exact) to avoid a libm call per code.
+        let max_code = (1i32 << DATA_BITS) - 1;
+        let quantize = |v: f32| {
+            let t = (v - x_min) / x_scale;
+            let i = (t as i32).min(max_code);
+            (i + i32::from(t - i as f32 >= 0.5)).clamp(0, max_code) as u8
+        };
+        let zero_code = quantize(0.0);
+        let (ph, pw) = (h + 2 * pad, w + 2 * pad);
+        // The key covers the geometry, the dequantization range and the
+        // interior codes; the halo is fully determined by `zero_code` and
+        // `pad`.
+        let mut hasher = KeyHasher::new();
+        for dim in [b, c, h, w, pad] {
+            hasher.write(dim as u64);
+        }
+        hasher.write(u64::from(x_min.to_bits()));
+        hasher.write(u64::from(x_scale.to_bits()));
+        hasher.write(u64::from(zero_code));
+        let mut codes = vec![zero_code; b * c * ph * pw];
+        let values = x.data();
+        for plane in 0..b * c {
+            for y in 0..h {
+                let src = &values[(plane * h + y) * w..(plane * h + y + 1) * w];
+                let start = (plane * ph + y + pad) * pw + pad;
+                let row = &mut codes[start..start + w];
+                for (dst, &v) in row.iter_mut().zip(src) {
+                    *dst = quantize(v);
+                }
+                // Eight codes per hash step.
+                for chunk in row.chunks(8) {
+                    let mut word = [0u8; 8];
+                    word[..chunk.len()].copy_from_slice(chunk);
+                    hasher.write(u64::from_le_bytes(word));
+                }
+            }
+        }
+        Self { b, c, ph, pw, x_min, x_scale, key: hasher.0, codes }
+    }
+
+    /// Whether `other` holds the same quantized input.
+    fn same_input(&self, other: &Self) -> bool {
+        (self.b, self.c, self.ph, self.pw, self.key) == (other.b, other.c, other.ph, other.pw, other.key)
+            && self.x_min.to_bits() == other.x_min.to_bits()
+            && self.x_scale.to_bits() == other.x_scale.to_bits()
+    }
+
+    /// The `ph × pw` padded codes of one (sample, channel).
+    pub(crate) fn channel(&self, bi: usize, ci: usize) -> &[u8] {
+        let len = self.ph * self.pw;
+        let start = (bi * self.c + ci) * len;
+        &self.codes[start..start + len]
+    }
+}
+
+/// One layer's programmed input state, shared by the layer's clones.
+pub(crate) type ProgramCache<T> = Arc<Mutex<Option<Arc<Programmed<T>>>>>;
+
+/// A layer's programmed input state: the code image, and the bit-level
+/// state `T` (subarray tiles or 3D stacks) derived from it when a
+/// bit-level read first needs it.
+#[derive(Debug)]
+pub(crate) struct Programmed<T> {
+    pub(crate) image: CodeImage,
+    bits: OnceLock<T>,
+}
+
+impl<T> Programmed<T> {
+    /// Quantizes `x` and reuses the cached state when the quantized input
+    /// is unchanged. Otherwise programs it under a `span`, recording
+    /// `planes(&image)` one-shot plane writes whether or not a bit-level
+    /// path ever materializes the planes.
+    pub(crate) fn program(
+        cache: &ProgramCache<T>,
+        x: &Tensor,
+        pad: usize,
+        span: &'static str,
+        planes: impl FnOnce(&CodeImage) -> u64,
+    ) -> Arc<Self> {
+        let image = CodeImage::quantize(x, pad);
+        if let Some(hit) = cache.lock().as_ref().filter(|p| p.image.same_input(&image)) {
+            inca_telemetry::incr(Event::ProgramCacheHit);
+            return Arc::clone(hit);
+        }
+        inca_telemetry::incr(Event::ProgramCacheMiss);
+        let _span = inca_telemetry::span(span);
+        VerticalPlane::record_writes(planes(&image));
+        let programmed = Arc::new(Self { image, bits: OnceLock::new() });
+        *cache.lock() = Some(Arc::clone(&programmed));
+        programmed
+    }
+
+    /// The bit-level state, derived from the image by `derive` on first
+    /// use (uncounted: its writes were recorded at programming).
+    ///
+    /// # Errors
+    ///
+    /// Propagates `derive`'s error.
+    pub(crate) fn bits(&self, derive: impl FnOnce(&CodeImage) -> Result<T>) -> Result<&T> {
+        if let Some(bits) = self.bits.get() {
+            return Ok(bits);
+        }
+        let bits = derive(&self.image)?;
+        Ok(self.bits.get_or_init(|| bits))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{HwBatchConv, HwConv, ReadPath};
 
     #[test]
     fn accumulator_bound_is_exact_at_the_u32_limit() {
@@ -252,6 +613,52 @@ mod tests {
     }
 
     #[test]
+    fn dot_bound_switches_to_i64_past_i32_max() {
+        // 9 · 255 · 127 = 291,465 per 3x3 channel; 49 · 255 · 127 per 7x7.
+        assert!(max_window_dot(7_367, 3) <= I32_LIMIT);
+        assert!(max_window_dot(7_368, 3) > I32_LIMIT);
+        assert!(max_window_dot(1_353, 7) <= I32_LIMIT);
+        assert!(max_window_dot(1_354, 7) > I32_LIMIT);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `out[0]` at weight code +127 and `out[1]` at −127 on every cell.
+    fn extreme_weights(in_ch: usize, k: usize) -> Tensor {
+        let per_out = in_ch * k * k;
+        let data = (0..2 * per_out).map(|i| if i < per_out { 1.0 } else { -1.0 }).collect();
+        Tensor::from_vec(data, &[2, in_ch, k, k])
+    }
+
+    #[test]
+    fn integer_reads_are_exact_past_the_i32_bound() {
+        // Every activation at code 255 against weights at ±127: the first
+        // 3x3 layer whose window sums pass i32::MAX, and the last below.
+        for in_ch in [7_367, 7_368] {
+            let conv = HwConv::from_float(&extreme_weights(in_ch, 3), &[0.0; 2], 1, 0).unwrap();
+            let x = Tensor::full(&[1, in_ch, 3, 3], 1.0);
+            assert_eq!(CodeImage::quantize(&x, 0).codes, vec![255; in_ch * 9]);
+            let scalar = conv.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
+            let y = conv.forward(&x).unwrap();
+            assert_eq!(bits(&y), bits(&scalar.forward(&x).unwrap()), "{in_ch} channels");
+            let expected = (in_ch * 9 * 255 * 127) as f32 / 255.0 / 127.0;
+            assert!((y.data()[0] / expected - 1.0).abs() < 1e-6, "{} vs {expected}", y.data()[0]);
+            assert_eq!(y.data()[0], -y.data()[1]);
+        }
+    }
+
+    #[test]
+    fn batch_integer_reads_are_exact_past_the_7x7_bound() {
+        let in_ch = 1_354;
+        let conv = HwBatchConv::from_float(&extreme_weights(in_ch, 7), &[0.0; 2], 1, 0).unwrap();
+        let x = Tensor::full(&[2, in_ch, 7, 7], 1.0);
+        let scalar = conv.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
+        assert_eq!(bits(&conv.forward(&x).unwrap()), bits(&scalar.forward(&x).unwrap()));
+    }
+
+    #[test]
     fn masks_planes_and_fold_describe_the_same_codes() {
         // Codes 0..=127 and their negatives over a 2-out, 2-in 9x9 kernel
         // (two mask words per read).
@@ -259,12 +666,14 @@ mod tests {
         let n = out_ch * in_ch * k * k;
         let data: Vec<f32> = (0..n).map(|i| (i % 255) as f32 - 127.0).collect();
         let weights = Tensor::from_vec(data.clone(), &[out_ch, in_ch, k, k]);
-        let kernel = ConvKernel::from_float(&weights, &[0.0; 2], 1, 0, u32::MAX).unwrap();
+        let kernel = ConvKernel::from_float(&weights, &[0.0; 2], 1, 0, 15).unwrap();
+        assert!(!kernel.exact_reads());
         assert_eq!(kernel.window_words(), 2);
         for o in 0..out_ch {
             for ci in 0..in_ch {
                 for cell in 0..k * k {
                     let code = data[(o * in_ch + ci) * k * k + cell] as i64;
+                    assert_eq!(i64::from(kernel.codes[(ci * k * k + cell) * out_ch + o]), code);
                     // The bit-planes hold the magnitude on the sign's side.
                     let magnitude = |side: usize| -> i64 {
                         kernel.planes(o, ci, side).enumerate().map(|(wb, p)| i64::from(p[cell]) << wb).sum()
@@ -280,6 +689,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn only_saturable_kernels_hold_masks() {
+        let exact = |k: usize, cap: u32| {
+            let kernel =
+                ConvKernel::from_float(&Tensor::full(&[1, 1, k, k], 0.5), &[0.0], 1, 0, cap).unwrap();
+            assert_eq!(kernel.masks.is_empty(), kernel.exact_reads());
+            kernel.exact_reads()
+        };
+        assert!(exact(1, 15) && exact(3, 15) && exact(7, u32::MAX));
+        assert!(!exact(4, 15) && !exact(5, 15));
+    }
+
+    #[test]
+    fn code_image_pads_with_the_code_of_zero() {
+        // Range [-1, 1] in steps of 2/255: 0.0 sits at 127.49… → code 127.
+        let x = Tensor::from_vec(vec![-1.0, 1.0, 0.0, 0.5], &[1, 1, 2, 2]);
+        let image = CodeImage::quantize(&x, 1);
+        assert_eq!((image.b, image.c, image.ph, image.pw), (1, 1, 4, 4));
+        #[rustfmt::skip]
+        assert_eq!(image.channel(0, 0), &[
+            127, 127, 127, 127,
+            127,   0, 255, 127,
+            127, 127, 191, 127,
+            127, 127, 127, 127,
+        ]);
+        assert!(image.same_input(&CodeImage::quantize(&x, 1)));
+        assert!(!image.same_input(&CodeImage::quantize(&x, 0)));
     }
 
     #[test]

@@ -159,21 +159,27 @@ fn max_pool(x: &Tensor, k: usize, stage: usize) -> Result<Tensor> {
         return Err(Error::Config(format!("stage {stage}: pool size must be positive")));
     }
     let [n, c, h, w] = x.dims4();
-    if n != 1 || h < k || w < k {
+    if n != 1 {
+        return Err(Error::Config(format!(
+            "stage {stage}: max pool executes one sample, got a batch of {n}"
+        )));
+    }
+    if h < k || w < k {
         return Err(Error::Config(format!("stage {stage}: cannot pool {h}x{w} by {k}")));
     }
     let (oh, ow) = (h / k, w / k);
     let mut out = Tensor::zeros(&[1, c, oh, ow]);
-    for ci in 0..c {
-        for y in 0..oh {
-            for xx in 0..ow {
+    let src = x.data();
+    for (ci, dst) in out.data_mut().chunks_exact_mut(oh * ow).enumerate() {
+        let channel = &src[ci * h * w..(ci + 1) * h * w];
+        for (y, dst_row) in dst.chunks_exact_mut(ow).enumerate() {
+            for (xx, slot) in dst_row.iter_mut().enumerate() {
                 let mut best = f32::NEG_INFINITY;
                 for dy in 0..k {
-                    for dx in 0..k {
-                        best = best.max(x.at4(0, ci, y * k + dy, xx * k + dx));
-                    }
+                    let row = &channel[(y * k + dy) * w + xx * k..][..k];
+                    best = row.iter().fold(best, |m, &v| m.max(v));
                 }
-                *out.at4_mut(0, ci, y, xx) = best;
+                *slot = best;
             }
         }
     }
@@ -238,5 +244,34 @@ mod tests {
         assert!(net.forward(&Tensor::zeros(&[1, 1, 3, 3])).is_err());
         let net = HwNetwork::new().max_pool(0);
         assert!(net.forward(&Tensor::zeros(&[1, 1, 4, 4])).is_err());
+    }
+
+    #[test]
+    fn pool_rejects_a_batch_by_its_size() {
+        let net = HwNetwork::new().relu().max_pool(2);
+        match net.forward(&Tensor::zeros(&[4, 1, 4, 4])) {
+            Err(Error::Config(msg)) => {
+                assert_eq!(msg, "stage 1: max pool executes one sample, got a batch of 4");
+            }
+            other => panic!("expected a config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn pool_takes_each_window_max_and_drops_the_ragged_edge() {
+        // 2 channels of 5x4 pooled by 2: the fifth row is dropped.
+        let x = random_tensor(&[1, 2, 5, 4], 64, -1.0, 1.0);
+        let y = max_pool(&x, 2, 0).unwrap();
+        assert_eq!(y.shape(), &[1, 2, 2, 2]);
+        for ci in 0..2 {
+            for oy in 0..2 {
+                for ox in 0..2 {
+                    let window = [(0, 0), (0, 1), (1, 0), (1, 1)]
+                        .map(|(dy, dx)| x.at4(0, ci, 2 * oy + dy, 2 * ox + dx));
+                    let best = window.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+                    assert_eq!(y.at4(0, ci, oy, ox).to_bits(), best.to_bits(), "c{ci} ({oy}, {ox})");
+                }
+            }
+        }
     }
 }

@@ -117,6 +117,43 @@ impl VerticalPlane {
     /// * [`XbarError::ShapeMismatch`] if `bits.len() != rows·cols`.
     /// * [`XbarError::ValueOutOfRange`] if any value is not 0 or 1.
     pub fn write_bits(&mut self, bits: &[u8]) -> Result<()> {
+        self.load_bits(bits)?;
+        // One write pulse programs the whole plane simultaneously, but every
+        // cell receives a pulse — endurance counts per-cell wear.
+        self.writes += 1;
+        inca_telemetry::incr(Event::RramProgramPulse);
+        Ok(())
+    }
+
+    /// A `rows × cols` plane holding `bits` (row-major, values 0/1)
+    /// without a write: neither [`VerticalPlane::write_count`] nor the
+    /// telemetry moves. For simulators that keep programmed cells in
+    /// another form: they count each one-shot write with
+    /// [`VerticalPlane::record_writes`] when it happens and materialize
+    /// the plane only when a bit-level read needs it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`VerticalPlane::write_bits`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero.
+    pub fn from_bits(rows: usize, cols: usize, bits: &[u8]) -> Result<Self> {
+        let mut plane = Self::new(rows, cols);
+        plane.load_bits(bits)?;
+        Ok(plane)
+    }
+
+    /// Records the [`Event::RramProgramPulse`]s of `planes` one-shot
+    /// plane writes ([`VerticalPlane::write_bits`]) whose cells the
+    /// caller keeps without materializing the planes.
+    pub fn record_writes(planes: u64) {
+        inca_telemetry::record(Event::RramProgramPulse, planes);
+    }
+
+    /// Validates a full bit image and stores it, uncounted.
+    fn load_bits(&mut self, bits: &[u8]) -> Result<()> {
         if bits.len() != self.cells.len() {
             return Err(XbarError::ShapeMismatch {
                 expected: format!("{}x{} = {} elements", self.rows, self.cols, self.cells.len()),
@@ -128,10 +165,6 @@ impl VerticalPlane {
         }
         self.cells.copy_from_slice(bits);
         self.repack_rows(0, self.rows);
-        // One write pulse programs the whole plane simultaneously, but every
-        // cell receives a pulse — endurance counts per-cell wear.
-        self.writes += 1;
-        inca_telemetry::incr(Event::RramProgramPulse);
         Ok(())
     }
 
@@ -543,6 +576,25 @@ mod tests {
         let _ = p.direct_conv_window_mut(0, 0, 2, 2, &[1, 1, 1, 1]).unwrap();
         assert_eq!(p.write_count(), 2);
         assert_eq!(p.read_count(), 1);
+    }
+
+    #[test]
+    fn from_bits_holds_the_written_cells_without_a_write() {
+        let bits = [1, 0, 1, 1, 0, 1, 0, 0, 1];
+        let loaded = VerticalPlane::from_bits(3, 3, &bits).unwrap();
+        let written = plane_with(&bits, 3, 3);
+        assert_eq!(loaded.write_count(), 0);
+        for (r, c) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            let mut a = [0u64; 1];
+            let mut b = [0u64; 1];
+            loaded.extract_window_compact(r, c, 2, 2, &mut a).unwrap();
+            written.extract_window_compact(r, c, 2, 2, &mut b).unwrap();
+            assert_eq!(a, b, "window ({r}, {c})");
+        }
+        assert!(matches!(
+            VerticalPlane::from_bits(2, 2, &[1, 0, 2, 0]),
+            Err(XbarError::ValueOutOfRange { value: 2, bits: 1 })
+        ));
     }
 
     #[test]

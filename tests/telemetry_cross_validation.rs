@@ -35,14 +35,15 @@ fn random_tensor(shape: &[usize], seed: u64, lo: f32, hi: f32) -> Tensor {
 
 fn run_layer(geom: ConvGeometry, seed: u64) {
     // Both read paths must land on the analytical closed forms exactly:
-    // the scalar path counts per read, the packed path coalesces each
-    // window burst into one record per event kind — same totals.
+    // the scalar path counts per read, the packed path records each
+    // forward's reads as one record per event kind — same totals.
     for read_path in [ReadPath::Scalar, ReadPath::Packed] {
         let w = random_tensor(&[geom.cout, geom.cin, geom.k, geom.k], seed, -0.5, 0.5);
         let bias = vec![0.0f32; geom.cout];
         let x = random_tensor(&[1, geom.cin, geom.h, geom.w], seed + 1, -0.5, 1.0);
         let conv = HwConv::from_float(&w, &bias, geom.stride, geom.pad)
             .unwrap()
+            .with_side(geom.tile_side)
             .with_policy(ExecPolicy::sequential().with_read_path(read_path));
 
         inca_telemetry::reset();
@@ -96,6 +97,44 @@ fn counted_events_match_analytical_model_multi_tile() {
 fn counted_events_match_analytical_model_strided() {
     let _guard = serial();
     run_layer(ConvGeometry { cin: 3, cout: 2, h: 9, w: 9, k: 3, stride: 2, pad: 0, tile_side: 16 }, 11);
+}
+
+#[test]
+fn counted_events_match_analytical_model_small_tiles() {
+    // The tile sides `read_path_parity` draws: 8 and 6 cut the 22x22
+    // padded map into 3x3 and 5x5 halo-overlapped tiles per channel.
+    let _guard = serial();
+    for tile_side in [8, 6] {
+        run_layer(ConvGeometry { cin: 2, cout: 2, h: 20, w: 20, k: 3, stride: 1, pad: 1, tile_side }, 13);
+        run_layer(ConvGeometry { cin: 3, cout: 2, h: 11, w: 9, k: 3, stride: 2, pad: 0, tile_side }, 17);
+    }
+}
+
+#[test]
+fn scalar_clone_reads_the_packed_forwards_programming() {
+    // Clones share the programmed state: a scalar clone forwarding the
+    // same input hits the cache and derives its bit-planes from the
+    // programmed codes without a second programming.
+    let _guard = serial();
+    let geom = ConvGeometry { cin: 2, cout: 3, h: 10, w: 10, k: 3, stride: 1, pad: 1, tile_side: 8 };
+    let w = random_tensor(&[geom.cout, geom.cin, geom.k, geom.k], 5, -0.5, 0.5);
+    let x = random_tensor(&[1, geom.cin, geom.h, geom.w], 6, -0.5, 1.0);
+    let packed = HwConv::from_float(&w, &vec![0.0; geom.cout], 1, 1).unwrap().with_side(geom.tile_side);
+    let scalar = packed.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
+    let predicted = conv_forward_events(&geom, u32::from(WEIGHT_BITS), u32::from(DATA_BITS));
+
+    inca_telemetry::reset();
+    inca_telemetry::set_enabled(true);
+    let y_packed = packed.forward(&x).unwrap();
+    let y_scalar = scalar.forward(&x).unwrap();
+    inca_telemetry::set_enabled(false);
+
+    assert_eq!(y_packed.data(), y_scalar.data());
+    assert_eq!(inca_telemetry::total(Event::XbarReadPulse), 2 * predicted.read_pulses);
+    assert_eq!(inca_telemetry::total(Event::RramProgramPulse), predicted.program_pulses);
+    assert_eq!(inca_telemetry::total(Event::ProgramCacheMiss), 1);
+    assert_eq!(inca_telemetry::total(Event::ProgramCacheHit), 1);
+    inca_telemetry::reset();
 }
 
 #[test]
