@@ -2,10 +2,11 @@
 //! benchmark of the hardware-functional execution engine, emitting a
 //! machine-readable `BENCH_hw_exec.json` artifact at the workspace root.
 //!
-//! Three engine sections: `hw_conv` and `hw_batch_conv` run a 3×3 layer,
-//! whose reads the 4-bit ADC never saturates, so their packed path is the
-//! integer dot product; `hw_conv_saturating` runs a 5×5 layer, whose
-//! reads can saturate, so its packed path is the bit-serial
+//! Three engine sections, all `HwConv`: `hw_conv` (one sample) and
+//! `hw_batch_conv` (a batch of 8 on the planes of the 3D stacks) run a 3×3
+//! layer, whose reads the 4-bit ADC never saturates, so their packed path
+//! is the integer dot product; `hw_conv_saturating` runs a 5×5 layer,
+//! whose reads can saturate, so its packed path is the bit-serial
 //! `and_popcount_accumulate` loop.
 //!
 //! Modes per engine:
@@ -32,7 +33,7 @@
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use inca_core::{ExecPolicy, HwBatchConv, HwConv, ReadPath};
+use inca_core::{ExecPolicy, HwConv, ReadPath};
 use inca_events::HeapEventQueue;
 use inca_nn::Tensor;
 use inca_serve::{run_sweep, EventQueue, SweepConfig};
@@ -142,9 +143,9 @@ fn hw_exec_benches(c: &mut Criterion) {
     inca_telemetry::set_enabled(false);
     inca_telemetry::reset();
 
-    // The batch engine: same layer over a batch of 8.
+    // The same layer over a batch of 8.
     let xb = random_tensor(&[8, 4, 16, 16], 103, -0.5, 1.0);
-    let batch_seq = HwBatchConv::from_float(&w, &bias, 1, 1).unwrap();
+    let batch_seq = HwConv::from_float(&w, &bias, 1, 1).unwrap();
     let batch_scalar =
         batch_seq.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
     let batch_par = batch_seq.clone().with_policy(par_policy);

@@ -133,7 +133,7 @@ fn scheduling_kernels(c: &mut Criterion) {
 }
 
 fn hw_exec_kernels(c: &mut Criterion) {
-    use inca_core::{HwBatchConv, HwConv};
+    use inca_core::HwConv;
     let mut group = c.benchmark_group("hw-exec");
     group.sample_size(10);
     let mut w = Tensor::zeros(&[4, 2, 3, 3]);
@@ -148,7 +148,7 @@ fn hw_exec_kernels(c: &mut Criterion) {
     });
     let xb = Tensor::full(&[8, 2, 12, 12], 0.5);
     group.bench_function("hw_batch_conv_8x12x12", |b| {
-        let conv = HwBatchConv::from_float(&w, &bias, 1, 1).unwrap();
+        let conv = HwConv::from_float(&w, &bias, 1, 1).unwrap();
         b.iter(|| black_box(conv.forward(&xb).unwrap()))
     });
     group.finish();

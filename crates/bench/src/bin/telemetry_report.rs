@@ -1,6 +1,6 @@
 //! Hardware event telemetry report: runs a representative slice of the
-//! stack (functional conv/batch/linear engines plus the analytical
-//! simulator) with recording enabled, then prints the counter table and
+//! stack (the functional conv engine on one sample and on a batch, the
+//! linear engine, plus the analytical simulator) with recording enabled, then prints the counter table and
 //! writes two artifacts at the workspace root:
 //!
 //! * `TELEMETRY_snapshot.json` — counters + span tree,
@@ -11,7 +11,7 @@
 //! cargo run -p inca-bench --bin telemetry_report
 //! ```
 
-use inca_core::{ExecPolicy, HwBatchConv, HwConv, HwLinear};
+use inca_core::{ExecPolicy, HwConv, HwLinear};
 use inca_nn::Tensor;
 use inca_sim::{simulate_inference, simulate_training};
 use inca_telemetry::{chrome_trace_json, Snapshot};
@@ -28,7 +28,8 @@ fn main() {
     inca_telemetry::set_enabled(true);
 
     // Functional engines: a small conv layer (twice, to show the program
-    // cache), the batch engine over 4 images, and a linear layer.
+    // cache), the same layer over a batch of 4 images on the 3D stacks,
+    // and a linear layer.
     let w = random_tensor(&[4, 2, 3, 3], 7, -0.5, 0.5);
     let bias = vec![0.0f32; 4];
     let x = random_tensor(&[1, 2, 8, 8], 8, -0.5, 1.0);
@@ -37,8 +38,7 @@ fn main() {
     conv.forward(&x).expect("conv forward (cached)");
 
     let xb = random_tensor(&[4, 2, 8, 8], 9, -0.5, 1.0);
-    let batch =
-        HwBatchConv::from_float(&w, &bias, 1, 1).expect("batch build").with_policy(ExecPolicy::parallel());
+    let batch = HwConv::from_float(&w, &bias, 1, 1).expect("batch build").with_policy(ExecPolicy::parallel());
     batch.forward(&xb).expect("batch forward");
 
     let lw = random_tensor(&[10, 16], 10, -0.5, 0.5);

@@ -6,7 +6,7 @@
 //! so the functional simulator is free to fan output rows across worker
 //! threads without changing a single accumulated bit. This module holds
 //! the policy knob ([`ExecPolicy`]) plus the generic chunked fan-out
-//! helpers the conv engines use, built on the same scoped-thread pattern
+//! helpers the conv engine uses, built on the same scoped-thread pattern
 //! as `inca_sim`'s sweep runner.
 //!
 //! # Chunk granularity
@@ -30,23 +30,24 @@ use crate::Result;
 /// throughput.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadPath {
-    /// Per-cell byte loops through
-    /// [`inca_xbar::VerticalPlane::conv_window_sum`] with per-read
-    /// telemetry — the reference model of the analog read.
+    /// One [`inca_xbar::Stack3d::direct_conv_window`] broadcast per
+    /// (window, output, input channel, side, weight bit, activation bit),
+    /// each plane's sum a per-cell byte loop saturated at the 4-bit ADC's
+    /// max code, with per-broadcast telemetry — the reference model of
+    /// the analog read.
     Scalar,
     /// The fast read path, bit-exact with [`ReadPath::Scalar`] in
     /// outputs and telemetry totals. Where no read can saturate the ADC
     /// (a `k × k` window sums at most `k²` binary products: every 1×1,
-    /// 2×2 and 3×3 `HwConv` on the 4-bit ADC, every `HwBatchConv` on raw
-    /// sums), each window is one signed integer dot product of its 8-bit
-    /// activation codes and signed 8-bit weight codes — exactly the
-    /// shift-add of its bit-serial reads. Larger `HwConv` kernels read
-    /// bit by bit: each window's activation-bit words are extracted once
-    /// and read against every weight bit, output channel and
-    /// differential side in one SIMD-dispatched AND + popcount call
-    /// ([`inca_xbar::simd`]), saturating every read. Either way the
-    /// scalar path's per-read events are recorded as one record per
-    /// event kind per forward.
+    /// 2×2 and 3×3 kernel), each window of each sample is one signed
+    /// integer dot product of its 8-bit activation codes and signed 8-bit
+    /// weight codes — exactly the shift-add of its bit-serial reads.
+    /// Larger kernels read bit by bit: each window's activation-bit words
+    /// are extracted once per sample and read against every weight bit,
+    /// output channel and differential side in one SIMD-dispatched AND +
+    /// popcount call ([`inca_xbar::simd`]), saturating every read. Either
+    /// way the scalar path's per-broadcast events are recorded as one
+    /// record per event kind per forward.
     #[default]
     Packed,
 }

@@ -603,7 +603,7 @@ fn endurance() -> (String, serde_json::Value) {
 }
 
 fn hw_inference(opts: &ExperimentOpts) -> (String, serde_json::Value) {
-    use crate::hw_exec::{HwConv, HwLinear};
+    use crate::{HwConv, HwLinear, HwNetwork};
     use inca_nn::{layers, Layer as _, Loss, SyntheticDataset};
 
     let side = 12usize;
@@ -634,6 +634,7 @@ fn hw_inference(opts: &ExperimentOpts) -> (String, serde_json::Value) {
     // Program the hardware and compare classification.
     let hw_conv = HwConv::from_float(conv.weights(), conv.bias().data(), 1, 1).expect("conv programs"); // lint: allow(panic-path)
     let hw_fc = HwLinear::from_float(fc.weights(), fc.bias().data()).expect("fc programs"); // lint: allow(panic-path)
+    let hw = HwNetwork::new().conv(hw_conv).relu().max_pool(2).flatten().linear(hw_fc);
     let mut float_ok = 0usize;
     let mut hw_ok = 0usize;
     let mut agree = 0usize;
@@ -641,23 +642,7 @@ fn hw_inference(opts: &ExperimentOpts) -> (String, serde_json::Value) {
         let (x, y) = dataset.batch(&[i]);
         let f_logits = fc.forward(&flat.forward(&pool.forward(&relu.forward(&conv.forward(&x)))));
         let f = f_logits.argmax();
-        // Hardware path: HwConv, digital ReLU+pool, HwLinear.
-        let hy = hw_conv.forward(&x).expect("hw conv"); // lint: allow(panic-path)
-        let mut pooled = inca_nn::Tensor::zeros(&[1, 6, side / 2, side / 2]);
-        for c in 0..6 {
-            for yy in 0..side / 2 {
-                for xx in 0..side / 2 {
-                    let mut best = 0.0f32;
-                    for dy in 0..2 {
-                        for dx in 0..2 {
-                            best = best.max(hy.at4(0, c, yy * 2 + dy, xx * 2 + dx));
-                        }
-                    }
-                    *pooled.at4_mut(0, c, yy, xx) = best;
-                }
-            }
-        }
-        let h = hw_fc.forward(&pooled.reshaped(&[1, 6 * (side / 2) * (side / 2)])).expect("hw fc").argmax(); // lint: allow(panic-path)
+        let h = hw.classify(&x).expect("hw forward"); // lint: allow(panic-path)
         float_ok += usize::from(f == y[0]);
         hw_ok += usize::from(h == y[0]);
         agree += usize::from(f == h);

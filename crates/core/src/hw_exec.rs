@@ -2,71 +2,75 @@
 //! hardware.
 //!
 //! Where [`inca_sim`] prices layers analytically, this module actually
-//! *computes* them the way the hardware would (§IV-C):
+//! *computes* them the way the hardware would (§IV-B, §IV-C):
 //!
-//! * activations are quantized to 8-bit codes and written, one bit-plane
-//!   per [`inca_xbar::VerticalPlane`], into 16 × 16 partitions (with zero
-//!   padding written as off cells),
+//! * a `[B, C, H, W]` batch is quantized to 8-bit codes with one shared
+//!   range (the planes of a stack share one readout scale) and written,
+//!   one bit-plane per activation bit, into 16 × 16 subarray tiles with
+//!   halos (zero padding written as off cells); each (channel, tile,
+//!   activation bit) is one [`inca_xbar::Stack3d`] whose planes hold the
+//!   B samples, so a single sample is a one-plane stack,
 //! * kernels are quantized to signed 8-bit (a sign carried by the
 //!   differential pair plus a 7-bit magnitude, Table II) and split into
 //!   positive and negative parts,
-//! * every output is produced by direct-convolution window reads,
-//!   digitized through the 4-bit [`inca_xbar::AdcReadout`], merged across
-//!   partitions by the halo adder tree, recombined by shift-adds, and
-//!   dequantized,
+//! * every output is produced by direct-convolution window reads, each
+//!   one kernel broadcast on the shared pillars that reads the same
+//!   window on every plane, digitized per plane by the 4-bit ADC,
+//!   recombined by shift-adds, and dequantized,
 //! * fully-connected layers run on a WS-style [`inca_xbar::Crossbar2d`]
-//!   with the same differential encoding.
+//!   with the same differential encoding, one row of the batch at a time.
 //!
 //! Engine-level optimizations ride on top of the hardware model without
 //! changing a single output bit:
 //!
 //! * kernels are quantized **once at programming time** (they are
-//!   weight-stationary state) into the shared `ConvKernel`
-//!   (`hw_kernel.rs`): signed codes `[in][k·k][out]`, plus a flat
-//!   `[in][out][side][wbit]` table of compact `k²`-bit masks for kernels
-//!   whose reads can saturate; the `u8` bit-planes of the scalar and
-//!   analog reads are derived from the codes on first use,
+//!   weight-stationary state) into a `ConvKernel` (`hw_kernel.rs`):
+//!   signed codes `[in][k·k][out]`, plus a flat `[in][out][side][wbit]`
+//!   table of compact `k²`-bit masks for kernels whose reads can
+//!   saturate; the `u8` bit-planes of the scalar and analog reads are
+//!   derived from the codes on first use,
 //! * the programmed input state is the padded 8-bit code image, quantized
-//!   in one pass over the input, cached per layer and keyed on a streamed
+//!   in one pass over the batch, cached per layer and keyed on a streamed
 //!   hash of the codes, so repeated forwards of the same input (e.g. the
-//!   forward halves of a training step) program it once. Its subarray
-//!   tiles of bit-planes are derived from the image only when a bit-level
-//!   path reads them; their writes are counted at programming either way,
+//!   forward halves of a training step) program it once. Its tiles of
+//!   stacks are derived from the image only when a bit-level path reads
+//!   them; their writes are counted at programming either way,
 //! * output windows are independent read bursts, so a
 //!   [`crate::Schedule::Parallel`] policy fans output rows across scoped
 //!   worker threads, bit-exact with the sequential schedule,
 //! * on the default [`ReadPath::Packed`] path, a 1×1, 2×2 or 3×3 kernel
 //!   sums at most 9 binary products per read, which the 4-bit ADC never
-//!   saturates; each window is then one signed integer dot product of its
-//!   activation and weight codes, exactly the shift-add of its bit-serial
-//!   reads (DESIGN.md §8, "Linear reads"),
+//!   saturates; each window of each sample is then one signed integer dot
+//!   product of its activation and weight codes, exactly the shift-add of
+//!   its bit-serial reads (DESIGN.md §8, "Linear reads"),
 //! * larger kernels, whose reads can saturate, keep the bit-serial packed
-//!   read: each (window, input channel, activation bit) is extracted
-//!   **once** as one compact word — window cell `(i, j)` at bit `i·k + j`,
-//!   one `u64` for every `k ≤ 8` — and read against all
+//!   read: each (window, sample, input channel, activation bit) is
+//!   extracted **once** as one compact word — window cell `(i, j)` at bit
+//!   `i·k + j`, one `u64` for every `k ≤ 8` — and read against all
 //!   `out · 2 · WEIGHT_BITS` masks of that channel in one SIMD call that
 //!   saturates every read at the ADC's max code before shifting it; each
 //!   output folds its per-(side, weight bit) sums as
 //!   `Σ (pos − neg) << wbit`.
 //!
-//! Either packed form records the scalar path's per-read telemetry as one
-//! record per event kind per forward — totals and output bits identical
-//! to the scalar per-read scheme.
+//! Either packed form records the scalar path's per-broadcast telemetry
+//! as one record per event kind per forward — totals and output bits
+//! identical to the scalar per-read scheme.
 //!
 //! The test suite proves the hardware path classifies the synthetic task
 //! with (near-)float accuracy — the end-to-end functional validation of
 //! INCA's direct-convolution story.
 
 #![allow(clippy::needless_range_loop)] // loops index several arrays with one shared variable
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use inca_nn::Tensor;
 use inca_telemetry::Event;
 use inca_xbar::quant::slice_to_bit_planes;
-use inca_xbar::{AdcReadout, Crossbar2d, VerticalPlane};
+use inca_xbar::{AdcReadout, Crossbar2d, Stack3d, VerticalPlane};
+use parking_lot::Mutex;
 
 use crate::exec::{self, ExecPolicy, ReadPath};
-use crate::hw_kernel::{conv_output_dims, ConvKernel, ProgramCache, Programmed};
+use crate::hw_kernel::{conv_output_dims, CodeImage, ConvKernel};
 use crate::{Error, Result};
 
 /// Quantization width of activations (Table II: 8-bit codes).
@@ -76,25 +80,51 @@ pub const DATA_BITS: u8 = 8;
 /// sign in the differential pair, leaving a 7-bit magnitude (0..=127).
 pub const WEIGHT_BITS: u8 = DATA_BITS - 1;
 
+/// Resolution of the readout ADC (Table II: 4-bit).
+const ADC_BITS: u8 = 4;
+
+/// The ADC's max code, at which every window read saturates.
+pub(crate) const READ_CAP: u32 = (1 << ADC_BITS) - 1;
+
 /// Largest representable weight magnitude code.
 pub(crate) fn weight_levels() -> f32 {
     f32::from((1u16 << WEIGHT_BITS) - 1)
 }
 
-/// One bit-plane of one spatial partition of the input feature map.
+/// Rows of a batch: the first dimension of a tensor of two or more
+/// dimensions, one row otherwise.
+pub(crate) fn batch_rows(x: &Tensor) -> usize {
+    match x.shape() {
+        [rows, _, ..] => *rows,
+        _ => 1,
+    }
+}
+
+/// One subarray tile of one input channel.
 #[derive(Debug, Clone)]
 struct Partition {
     /// Top-left of this tile in padded-image coordinates.
     row0: usize,
     col0: usize,
-    planes: Vec<VerticalPlane>, // one per activation bit
+    /// One per activation bit; plane `bi` holds sample `bi`'s tile.
+    stacks: Vec<Stack3d>,
 }
 
 /// Per input channel, the subarray tiles holding the padded activation
 /// bit-planes: the bit-level view of the programmed code image.
 type Tiles = Vec<Vec<Partition>>;
 
-/// A convolution layer programmed onto INCA hardware.
+/// A layer's programmed input state: the code image, and its tiles,
+/// derived when a bit-level read first needs them.
+#[derive(Debug)]
+struct Programmed {
+    image: CodeImage,
+    tiles: OnceLock<Tiles>,
+}
+
+/// A convolution layer programmed onto INCA hardware. `forward` executes
+/// a whole batch on 3D stacks: one kernel broadcast per window reads
+/// every sample's plane.
 ///
 /// # Examples
 ///
@@ -111,18 +141,19 @@ type Tiles = Vec<Vec<Partition>>;
 /// assert_eq!(y.shape(), &[1, 1, 4, 4]);
 /// // The center-tap kernel reproduces the input (up to quantization).
 /// assert!((y.data()[5] - 0.5).abs() < 0.02);
+/// // A batch of 4 runs as four planes of the 3D stacks.
+/// assert_eq!(conv.forward(&Tensor::full(&[4, 1, 6, 6], 0.25))?.shape(), &[4, 1, 6, 6]);
 /// # Ok::<(), inca_core::Error>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct HwConv {
-    /// The quantized kernel and the conv geometry; every read saturates
-    /// at the ADC's max code.
+    /// The quantized kernel and the conv geometry.
     kernel: ConvKernel,
     /// Subarray side (16 in the paper, at least `k`).
     side: usize,
-    adc: AdcReadout,
     policy: ExecPolicy,
-    cache: ProgramCache<Tiles>,
+    /// The last programmed input, shared by the layer's clones.
+    cache: Arc<Mutex<Option<Arc<Programmed>>>>,
 }
 
 impl HwConv {
@@ -137,15 +168,8 @@ impl HwConv {
     /// stride is 0, or the layer has so many input channels that the
     /// packed read accumulators could overflow.
     pub fn from_float(weights: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Result<Self> {
-        let adc = AdcReadout::new(4);
-        let kernel = ConvKernel::from_float(weights, bias, stride, pad, adc.max_code())?;
-        Ok(Self {
-            side: 16.max(kernel.k()),
-            kernel,
-            adc,
-            policy: ExecPolicy::default(),
-            cache: Arc::default(),
-        })
+        let kernel = ConvKernel::from_float(weights, bias, stride, pad)?;
+        Ok(Self { side: 16.max(kernel.k()), kernel, policy: ExecPolicy::default(), cache: Arc::default() })
     }
 
     /// Overrides the subarray side (for partitioning ablations).
@@ -182,21 +206,39 @@ impl HwConv {
         *self.cache.lock() = None;
     }
 
-    /// Quantizes `x` and programs (or reuses) the input-stationary state:
-    /// one write per (channel, tile, activation bit).
-    fn program(&self, x: &Tensor) -> Arc<Programmed<Tiles>> {
-        Programmed::program(&self.cache, x, self.kernel.pad(), "hw_conv.program", |image| {
-            (image.c * self.tile_walk(image.ph, image.pw).len() * usize::from(DATA_BITS)) as u64
-        })
+    /// Quantizes the batch and reuses the cached state when the quantized
+    /// input is unchanged. Otherwise programs it, recording one plane
+    /// write per (channel, tile, activation bit, sample) whether or not a
+    /// bit-level path ever materializes the planes.
+    fn program(&self, x: &Tensor) -> Arc<Programmed> {
+        let image = CodeImage::quantize(x, self.kernel.pad());
+        if let Some(hit) = self.cache.lock().as_ref().filter(|p| p.image.same_input(&image)) {
+            inca_telemetry::incr(Event::ProgramCacheHit);
+            return Arc::clone(hit);
+        }
+        inca_telemetry::incr(Event::ProgramCacheMiss);
+        let _span = inca_telemetry::span("hw_conv.program");
+        let tiles = self.tile_walk(image.ph, image.pw).len();
+        VerticalPlane::record_writes((image.b * image.c * tiles * usize::from(DATA_BITS)) as u64);
+        let programmed = Arc::new(Programmed { image, tiles: OnceLock::new() });
+        *self.cache.lock() = Some(Arc::clone(&programmed));
+        programmed
     }
 
-    /// The programmed subarray tiles, derived from the code image on
-    /// first use.
-    fn tiles<'a>(&self, pa: &'a Programmed<Tiles>) -> Result<&'a Tiles> {
-        pa.bits(|image| (0..image.c).map(|ci| self.partition(image.channel(0, ci), image.pw)).collect())
+    /// The programmed tiles, derived from the code image on first use
+    /// (uncounted: their writes were recorded at programming).
+    fn tiles<'a>(&self, pa: &'a Programmed) -> Result<&'a Tiles> {
+        if let Some(tiles) = pa.tiles.get() {
+            return Ok(tiles);
+        }
+        let tiles = (0..pa.image.c).map(|ci| self.partition(&pa.image, ci)).collect::<Result<_>>()?;
+        Ok(pa.tiles.get_or_init(|| tiles))
     }
 
-    /// Executes the layer on a single-sample NCHW tensor.
+    /// Executes the layer on a `[B, C, H, W]` batch, returning
+    /// `[B, N, OH, OW]`. One broadcast per (window, output channel,
+    /// input channel, side, weight bit, activation bit) serves the whole
+    /// batch; B is not capped at a stack's 64 planes.
     ///
     /// Respects the configured [`ExecPolicy`]: output rows are either
     /// computed in order or fanned across scoped worker threads. Both
@@ -205,130 +247,139 @@ impl HwConv {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Config`] for a batch larger than 1, a channel
-    /// mismatch, or an input too small for one window, and propagates
+    /// Returns [`Error::Config`] for an empty batch, a channel mismatch,
+    /// or an input too small for one window, and propagates
     /// hardware-level errors.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor> {
-        let [n, c, h, w] = x.dims4();
-        if n != 1 {
-            return Err(Error::Config(
-                "HwConv::forward executes one sample; map the batch to 3D planes".into(),
-            ));
-        }
-        if c != self.kernel.in_ch() {
-            return Err(Error::Config(format!("expected {} input channels, got {c}", self.kernel.in_ch())));
+        let [b, c, h, w] = x.dims4();
+        if b == 0 || c != self.kernel.in_ch() {
+            return Err(Error::Config(format!(
+                "expected a batch of {} input channels, got {:?}",
+                self.kernel.in_ch(),
+                x.shape()
+            )));
         }
         let (oh, ow) = self.kernel.output_dims(h, w)?;
         let _span = inca_telemetry::span("hw_conv.forward");
         let pa = self.program(x);
         if self.policy.read_path == ReadPath::Scalar {
-            let mut out = Tensor::zeros(&[1, self.kernel.out_ch(), oh, ow]);
-            self.forward_scalar(&pa, oh, ow, &mut out)?;
-            return Ok(out);
+            return self.forward_scalar(&pa, oh, ow);
         }
         let out = if self.kernel.exact_reads() {
             self.kernel.forward_linear(self.policy, &pa.image, oh, ow)?
         } else {
-            let mut out = Tensor::zeros(&[1, self.kernel.out_ch(), oh, ow]);
-            self.forward_bit_serial(&pa, oh, ow, &mut out)?;
-            out
+            self.forward_bit_serial(&pa, oh, ow)?
         };
-        // The scalar path's per-read events, one record per kind: every
-        // window reads each (output, channel, side, weight bit) once per
-        // activation bit, each read one pulse, one conversion and one
-        // bit-serial cycle, driving `k²` DACs.
+        // The scalar path's events, one record per kind: every window
+        // broadcasts each (output, channel, side, weight bit) once per
+        // activation bit, each broadcast one bit-serial cycle on `k²`
+        // shared pillar drivers, with every plane conducting and
+        // converting.
         let k = self.kernel.k();
-        let reads = (self.kernel.reads_per_window() * c * oh * ow) as u64 * u64::from(DATA_BITS);
-        inca_telemetry::record(Event::XbarReadPulse, reads);
-        inca_telemetry::record(Event::DacDrive, reads * (k * k) as u64);
-        inca_telemetry::record(Event::AdcConversion, reads);
-        inca_telemetry::record(Event::BitSerialCycle, reads);
+        let broadcasts = (self.kernel.reads_per_window() * c * oh * ow) as u64 * u64::from(DATA_BITS);
+        inca_telemetry::record(Event::XbarReadPulse, broadcasts * b as u64);
+        inca_telemetry::record(Event::DacDrive, broadcasts * (k * k) as u64);
+        inca_telemetry::record(Event::AdcConversion, broadcasts * b as u64);
+        inca_telemetry::record(Event::BitSerialCycle, broadcasts);
         Ok(out)
     }
 
-    /// The reference read path: one scalar window read per (output,
-    /// channel, side, weight-bit, activation-bit), with per-read
-    /// telemetry.
-    fn forward_scalar(&self, pa: &Programmed<Tiles>, oh: usize, ow: usize, out: &mut Tensor) -> Result<()> {
-        let kernel = &self.kernel;
+    /// The reference read path: one scalar broadcast per (output,
+    /// channel, side, weight bit, activation bit), with per-broadcast
+    /// telemetry ([`Stack3d::direct_conv_window`]) and every plane's sum
+    /// saturated at the ADC's max code. Accumulators are laid out
+    /// `[o][oy][ox][bi]`, so one (o, oy) row is a chunk a worker owns.
+    fn forward_scalar(&self, pa: &Programmed, oh: usize, ow: usize) -> Result<Tensor> {
+        let (kernel, image) = (&self.kernel, &pa.image);
+        let (b, k, out_ch) = (image.b, kernel.k(), kernel.out_ch());
         let tiles = self.tiles(pa)?;
-        exec::for_each_chunk(self.policy, out.data_mut(), ow, |idx, row| {
+        let mut accs = vec![0i64; out_ch * oh * ow * b];
+        exec::for_each_chunk(self.policy, &mut accs, ow * b, |idx, row| {
             let (o, oy) = (idx / oh, idx % oh);
-            for (ox, slot) in row.iter_mut().enumerate() {
+            for (ox, acc) in row.chunks_exact_mut(b).enumerate() {
                 let (ry, rx) = (oy * kernel.stride(), ox * kernel.stride());
-                let mut acc: i64 = 0;
                 for (ci, partitions) in tiles.iter().enumerate() {
-                    acc += self.window_dot(partitions, ry, rx, kernel.planes(o, ci, 0))?;
-                    acc -= self.window_dot(partitions, ry, rx, kernel.planes(o, ci, 1))?;
+                    let tile = &partitions[find_tile(partitions, ry, rx, k)?];
+                    for (side, sign) in [(0, 1i64), (1, -1i64)] {
+                        let w_planes = kernel.planes(o, ci, side);
+                        // One bit-serial cycle per (weight-bit, activation-
+                        // bit) broadcast, each serving the whole batch.
+                        inca_telemetry::record(
+                            Event::BitSerialCycle,
+                            (w_planes.len() * tile.stacks.len()) as u64,
+                        );
+                        for (wb, wp) in w_planes.enumerate() {
+                            for (xb, stack) in tile.stacks.iter().enumerate() {
+                                let sums =
+                                    stack.direct_conv_window(ry - tile.row0, rx - tile.col0, k, k, wp)?;
+                                acc.iter_mut().zip(sums).for_each(|(a, s)| {
+                                    *a += sign * (i64::from(s.min(READ_CAP)) << (wb + xb))
+                                });
+                            }
+                        }
+                    }
                 }
-                *slot = kernel.dequantize(o, acc, pa.image.x_scale, pa.image.x_min);
             }
             Ok(())
-        })
+        })?;
+        let mut out = Tensor::zeros(&[b, out_ch, oh, ow]);
+        let windows = oh * ow;
+        for (i, slot) in out.data_mut().iter_mut().enumerate() {
+            let (bi, o, p) = (i / (out_ch * windows), i / windows % out_ch, i % windows);
+            *slot = kernel.dequantize(o, accs[(o * windows + p) * b + bi], image.x_scale, image.x_min);
+        }
+        Ok(out)
     }
 
     /// The bit-serial packed read path, for kernels whose reads can
-    /// saturate. Per output window, each (input channel, activation bit)
-    /// window is extracted **once** as one compact `k²`-bit word
-    /// ([`VerticalPlane::extract_window_compact`]) and read against all
-    /// `out · 2 · WEIGHT_BITS` kernel masks of that channel in one
-    /// [`ConvKernel::accumulate`] call, which saturates every read at the
-    /// ADC's max code before shifting it by the activation bit; each
+    /// saturate. Per output window and sample, each (input channel,
+    /// activation bit) window is extracted **once** as one compact
+    /// `k²`-bit word ([`VerticalPlane::extract_window_compact`]) and read
+    /// against all `out · 2 · WEIGHT_BITS` kernel masks of that channel in
+    /// one [`ConvKernel::accumulate`] call, which saturates every read at
+    /// the ADC's max code before shifting it by the activation bit; each
     /// output then folds its per-(side, weight bit) sums as
     /// `Σ (pos − neg) << wbit`.
     ///
     /// The extraction word and the accumulators live in a per-worker
-    /// arena allocated once per forward pass (via
-    /// [`exec::for_each_chunk_with`]), not per output row. The saturation
-    /// is `min(max_code)` — the same arithmetic as
+    /// arena allocated once per forward pass, not per output row. The
+    /// saturation is `min(max_code)` — the same arithmetic as
     /// [`AdcReadout::digitize`] without its per-call event.
-    fn forward_bit_serial(
-        &self,
-        pa: &Programmed<Tiles>,
-        oh: usize,
-        ow: usize,
-        out: &mut Tensor,
-    ) -> Result<()> {
-        let kernel = &self.kernel;
-        let (out_ch, k) = (kernel.out_ch(), kernel.k());
+    fn forward_bit_serial(&self, pa: &Programmed, oh: usize, ow: usize) -> Result<Tensor> {
+        let (kernel, image) = (&self.kernel, &pa.image);
+        let k = kernel.k();
         let tiles = self.tiles(pa)?;
-        // Accumulate as `[oy][ox][o]`; transposed into NCHW afterwards.
-        let mut accs = vec![0f32; oh * ow * out_ch];
-        exec::for_each_chunk_with(
+        kernel.map_rows(
             self.policy,
-            &mut accs,
-            ow * out_ch,
+            (image.b, oh, ow),
             // Per-worker arena: one compact window and the read sums.
             || (vec![0u64; kernel.window_words()], vec![0u32; kernel.reads_per_window()]),
-            |arena, oy, row| {
-                let (x, sums) = arena;
-                for ox in 0..ow {
+            |(x, sums), bi, oy, row| {
+                for (ox, slots) in row.chunks_exact_mut(kernel.out_ch()).enumerate() {
                     let (ry, rx) = (oy * kernel.stride(), ox * kernel.stride());
                     // Every channel shares the same tiling.
                     let t = find_tile(&tiles[0], ry, rx, k)?;
                     sums.fill(0);
                     for (ci, partitions) in tiles.iter().enumerate() {
                         let tile = &partitions[t];
-                        for (xb, plane) in tile.planes.iter().enumerate() {
-                            plane.extract_window_compact(ry - tile.row0, rx - tile.col0, k, k, x)?;
+                        for (xb, stack) in tile.stacks.iter().enumerate() {
+                            stack.plane(bi)?.extract_window_compact(
+                                ry - tile.row0,
+                                rx - tile.col0,
+                                k,
+                                k,
+                                x,
+                            )?;
                             kernel.accumulate(ci, xb, x, sums);
                         }
                     }
-                    for (o, slot) in row[ox * out_ch..(ox + 1) * out_ch].iter_mut().enumerate() {
-                        *slot = kernel.dequantize(o, kernel.fold(o, sums), pa.image.x_scale, pa.image.x_min);
+                    for (o, slot) in slots.iter_mut().enumerate() {
+                        *slot = kernel.dequantize(o, kernel.fold(o, sums), image.x_scale, image.x_min);
                     }
                 }
                 Ok(())
             },
-        )?;
-        for o in 0..out_ch {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    *out.at4_mut(0, o, oy, ox) = accs[(oy * ow + ox) * out_ch + o];
-                }
-            }
-        }
-        Ok(())
+        )
     }
 
     /// The halo-overlapped subarray tiles covering a `ph × pw` padded
@@ -359,50 +410,30 @@ impl HwConv {
         tiles
     }
 
-    /// Partitions one channel's padded codes (`pw` columns) into
-    /// bit-plane tiles.
-    fn partition(&self, codes: &[u8], pw: usize) -> Result<Vec<Partition>> {
-        self.tile_walk(codes.len() / pw, pw)
+    /// Partitions input channel `ci` of every sample into tiles, one
+    /// stack of bit-planes per activation bit.
+    fn partition(&self, image: &CodeImage, ci: usize) -> Result<Vec<Partition>> {
+        let pw = image.pw;
+        self.tile_walk(image.ph, pw)
             .into_iter()
             .map(|(row0, col0, rows, cols)| {
-                let planes = (0..DATA_BITS)
+                let stacks = (0..DATA_BITS)
                     .map(|bit| {
-                        let bits: Vec<u8> = (row0..row0 + rows)
-                            .flat_map(|y| &codes[y * pw + col0..y * pw + col0 + cols])
-                            .map(|&v| (v >> bit) & 1)
-                            .collect();
-                        Ok(VerticalPlane::from_bits(rows, cols, &bits)?)
+                        let mut stack = Stack3d::new(rows, cols, image.b);
+                        for bi in 0..image.b {
+                            let codes = image.channel(bi, ci);
+                            let bits: Vec<u8> = (row0..row0 + rows)
+                                .flat_map(|y| &codes[y * pw + col0..y * pw + col0 + cols])
+                                .map(|&v| (v >> bit) & 1)
+                                .collect();
+                            *stack.plane_mut(bi)? = VerticalPlane::from_bits(rows, cols, &bits)?;
+                        }
+                        Ok(stack)
                     })
                     .collect::<Result<Vec<_>>>()?;
-                Ok(Partition { row0, col0, planes })
+                Ok(Partition { row0, col0, stacks })
             })
             .collect()
-    }
-
-    /// One window's bit-serial dot product against pre-sliced unsigned
-    /// kernel bit-planes, digitized per (wbit, xbit) through the 4-bit
-    /// ADC.
-    fn window_dot<'a>(
-        &self,
-        partitions: &[Partition],
-        ry: usize,
-        rx: usize,
-        w_planes: impl ExactSizeIterator<Item = &'a [u8]>,
-    ) -> Result<i64> {
-        let k = self.kernel.k();
-        let tile = &partitions[find_tile(partitions, ry, rx, k)?];
-        // One bit-serial cycle per (weight-bit, activation-bit) pair.
-        inca_telemetry::record(Event::BitSerialCycle, (w_planes.len() * tile.planes.len()) as u64);
-        let mut acc: i64 = 0;
-        for (wb, wp) in w_planes.enumerate() {
-            for (xb, plane) in tile.planes.iter().enumerate() {
-                let raw = plane.direct_conv_window(ry - tile.row0, rx - tile.col0, k, k, wp)?;
-                // 4-bit ADC: exact for 3x3 windows (≤ 9 binary products).
-                let code = self.adc.digitize(raw);
-                acc += i64::from(code) << (wb + xb);
-            }
-        }
-        Ok(acc)
     }
 
     /// Executes the layer with *analog* reads: every window read produces a
@@ -414,12 +445,14 @@ impl HwConv {
     /// because a window sums at most `k²` on-currents, the 4-bit ADC's
     /// decision levels survive several percent of device noise.
     ///
-    /// Always runs sequentially (the noise stream is drawn from one
-    /// `rng`), but shares the programmed-state cache with [`HwConv::forward`].
+    /// Executes one sample and always runs sequentially (the noise stream
+    /// is drawn from one `rng`), but shares the programmed-state cache
+    /// with [`HwConv::forward`].
     ///
     /// # Errors
     ///
-    /// Same as [`HwConv::forward`].
+    /// Same as [`HwConv::forward`], and [`Error::Config`] for a batch
+    /// larger than 1.
     pub fn forward_noisy<R: rand::Rng + ?Sized>(
         &self,
         x: &Tensor,
@@ -439,6 +472,7 @@ impl HwConv {
         let pa = self.program(x);
         let tiles = self.tiles(&pa)?;
 
+        let adc = AdcReadout::new(ADC_BITS);
         let unit = params.read_voltage * params.g_on();
         let k = kernel.k();
         let mut out = Tensor::zeros(&[1, kernel.out_ch(), oh, ow]);
@@ -453,11 +487,11 @@ impl HwConv {
                             let w_planes = kernel.planes(o, ci, side);
                             inca_telemetry::record(
                                 Event::BitSerialCycle,
-                                (w_planes.len() * tile.planes.len()) as u64,
+                                (w_planes.len() * tile.stacks.len()) as u64,
                             );
                             for (wb, wp) in w_planes.enumerate() {
-                                for (xb, plane) in tile.planes.iter().enumerate() {
-                                    let current = plane.analog_conv_current(
+                                for (xb, stack) in tile.stacks.iter().enumerate() {
+                                    let current = stack.plane(0)?.analog_conv_current(
                                         ry - tile.row0,
                                         rx - tile.col0,
                                         k,
@@ -467,7 +501,7 @@ impl HwConv {
                                         noise,
                                         rng,
                                     )?;
-                                    let code = self.adc.digitize((current / unit).round().max(0.0) as u32);
+                                    let code = adc.digitize((current / unit).round().max(0.0) as u32);
                                     acc += sign * (i64::from(code) << (wb + xb));
                                 }
                             }
@@ -489,8 +523,8 @@ fn find_tile(partitions: &[Partition], ry: usize, rx: usize, k: usize) -> Result
         .position(|p| {
             ry >= p.row0
                 && rx >= p.col0
-                && ry + k <= p.row0 + p.planes[0].rows()
-                && rx + k <= p.col0 + p.planes[0].cols()
+                && ry + k <= p.row0 + p.stacks[0].rows()
+                && rx + k <= p.col0 + p.stacks[0].cols()
         })
         .ok_or_else(|| Error::Config("window not covered by any partition".into()))
 }
@@ -659,48 +693,48 @@ impl HwLinear {
         self.out_f
     }
 
-    /// Executes the layer on a `[1, in]` tensor.
+    /// Executes the layer on a `[B, in]` batch (or on one row of `in`
+    /// values of any shape), quantizing and reading each row on its own.
+    /// Returns `[B, out]`.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Config`] on shape mismatch.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor> {
-        if x.len() != self.in_f {
-            return Err(Error::Config(format!("expected {} inputs, got {}", self.in_f, x.len())));
+        let rows = batch_rows(x);
+        if x.len() != rows * self.in_f {
+            return Err(Error::Config(format!("expected rows of {} inputs, got {:?}", self.in_f, x.shape())));
         }
         let levels = f32::from((1u16 << DATA_BITS) - 1);
-        let x_min = x.data().iter().fold(0.0f32, |m, &v| m.min(v)).min(0.0);
-        let x_max = x.data().iter().fold(0.0f32, |m, &v| m.max(v)).max(x_min + 1e-9);
-        let x_scale = ((x_max - x_min) / levels).max(1e-12);
-        let codes: Vec<u32> =
-            x.data().iter().map(|&v| (((v - x_min) / x_scale).round() as u32).min(levels as u32)).collect();
-        let x_planes = slice_to_bit_planes(&codes, DATA_BITS);
-
         let bits = usize::from(WEIGHT_BITS);
-        let mut acc = vec![0i64; self.out_f];
         let _span = inca_telemetry::span("hw_linear.forward");
-        for (xb, xp) in x_planes.iter().enumerate() {
-            // One bit-serial cycle per activation bit per differential side.
-            inca_telemetry::record(Event::BitSerialCycle, 2);
-            let p = self.pos.mvm_binary(xp)?;
-            let n = self.neg.mvm_binary(xp)?;
-            for o in 0..self.out_f {
-                for b in 0..bits {
-                    let col = o * bits + b;
-                    acc[o] += (i64::from(p[col]) - i64::from(n[col])) << (b + xb);
+        let mut out = Vec::with_capacity(rows * self.out_f);
+        for x in x.data().chunks_exact(self.in_f) {
+            let x_min = x.iter().fold(0.0f32, |m, &v| m.min(v)).min(0.0);
+            let x_max = x.iter().fold(0.0f32, |m, &v| m.max(v)).max(x_min + 1e-9);
+            let x_scale = ((x_max - x_min) / levels).max(1e-12);
+            let codes: Vec<u32> =
+                x.iter().map(|&v| (((v - x_min) / x_scale).round() as u32).min(levels as u32)).collect();
+            let mut acc = vec![0i64; self.out_f];
+            for (xb, xp) in slice_to_bit_planes(&codes, DATA_BITS).iter().enumerate() {
+                // One bit-serial cycle per activation bit per differential side.
+                inca_telemetry::record(Event::BitSerialCycle, 2);
+                let p = self.pos.mvm_binary(xp)?;
+                let n = self.neg.mvm_binary(xp)?;
+                for o in 0..self.out_f {
+                    for b in 0..bits {
+                        let col = o * bits + b;
+                        acc[o] += (i64::from(p[col]) - i64::from(n[col])) << (b + xb);
+                    }
                 }
             }
-        }
-        let out: Vec<f32> = acc
-            .iter()
-            .enumerate()
-            .map(|(o, &a)| {
+            out.extend(acc.iter().enumerate().map(|(o, &a)| {
                 a as f32 * x_scale * self.w_scale
                     + x_min * self.w_scale * self.w_code_sum[o] as f32
                     + self.bias[o]
-            })
-            .collect();
-        Ok(Tensor::from_vec(out, &[1, self.out_f]))
+            }));
+        }
+        Ok(Tensor::from_vec(out, &[rows, self.out_f]))
     }
 }
 
@@ -947,6 +981,14 @@ mod tests {
         assert!(HwConv::from_float(&w, &[0.0], 1, 1).is_err()); // bias mismatch
         let conv = HwConv::from_float(&w, &[0.0, 0.0], 1, 1).unwrap();
         assert!(conv.forward(&Tensor::zeros(&[1, 2, 8, 8])).is_err()); // channel mismatch
-        assert!(conv.forward(&Tensor::zeros(&[2, 1, 8, 8])).is_err()); // batch > 1
+        assert!(conv.forward(&Tensor::from_vec(Vec::new(), &[0, 1, 8, 8])).is_err()); // empty batch
+        let noisy = |x: &Tensor| {
+            let (params, noise) = (inca_device::DeviceParams::default(), inca_device::NoiseModel::none());
+            conv.forward_noisy(x, &params, &noise, &mut rand::rngs::StdRng::seed_from_u64(1))
+        };
+        assert!(noisy(&Tensor::zeros(&[2, 1, 8, 8])).is_err()); // the analog path reads one sample
+        let fc = HwLinear::from_float(&Tensor::zeros(&[2, 3]), &[0.0, 0.0]).unwrap();
+        assert_eq!(fc.forward(&Tensor::zeros(&[4, 3])).unwrap().shape(), &[4, 2]);
+        assert!(fc.forward(&Tensor::zeros(&[4, 2])).is_err());
     }
 }

@@ -1,16 +1,17 @@
-//! The state shared by [`crate::HwConv`] and [`crate::HwBatchConv`]: the
-//! programmed kernel ([`ConvKernel`]), the programmed input ([`CodeImage`],
-//! cached per layer as a [`Programmed`]) and the linear read that combines
-//! them.
+//! The two sides of a [`crate::HwConv`] read: the programmed kernel
+//! ([`ConvKernel`]) and the programmed input batch ([`CodeImage`]), plus
+//! the window walk and the linear read that combine them.
 //!
 //! Float kernels are quantized once to the differential-pair encoding —
 //! signed 8-bit, i.e. a 7-bit magnitude on either the positive or the
 //! negative side (Table II) — and kept as signed codes `[in][k·k][out]`.
-//! Inputs are quantized to 8-bit codes in one zero-padded image.
+//! A batch is quantized to 8-bit codes with one shared range, in one
+//! zero-padded image.
 //!
-//! When no read can saturate ([`ConvKernel::exact_reads`]), the ADC is the
-//! identity and the shift-add of a window's bit-serial reads is exactly
-//! the integer dot product of its activation and weight codes, which
+//! Every read saturates at the 4-bit ADC's max code. When no read can
+//! reach it ([`ConvKernel::exact_reads`]), the ADC is the identity and the
+//! shift-add of a window's bit-serial reads is exactly the integer dot
+//! product of its activation and weight codes, which
 //! [`ConvKernel::forward_linear`] computes directly (DESIGN.md §8, "Linear
 //! reads"). The bit-level views of both sides are derived from the codes
 //! only where a bit-level path reads them:
@@ -24,22 +25,19 @@
 //! * flat `u8` bit-planes `[out][in][side][wbit][k·k]`, derived on first
 //!   use by the scalar reference path and the analog (`forward_noisy`)
 //!   path;
-//! * the engines' activation bit-planes (subarray tiles or 3D stacks),
-//!   derived from the code image by [`Programmed::bits`].
+//! * the activation bit-planes (subarray tiles of 3D stacks), derived
+//!   from the code image by `HwConv`.
 
 use std::ops::AddAssign;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use inca_nn::Tensor;
-use inca_telemetry::Event;
 use inca_xbar::packed::words_for;
 use inca_xbar::simd::and_popcount_accumulate;
 use inca_xbar::sliding::output_dims_padded;
-use inca_xbar::VerticalPlane;
-use parking_lot::Mutex;
 
 use crate::exec::{self, ExecPolicy};
-use crate::hw_exec::{weight_levels, DATA_BITS, WEIGHT_BITS};
+use crate::hw_exec::{weight_levels, DATA_BITS, READ_CAP, WEIGHT_BITS};
 use crate::{Error, Result};
 
 /// Differential sides per weight: positive, then negative.
@@ -66,9 +64,6 @@ pub(crate) struct ConvKernel {
     k: usize,
     stride: usize,
     pad: usize,
-    /// Saturation of every read: the ADC's max code, or `u32::MAX` for
-    /// raw sums.
-    read_cap: u32,
     /// Signed weight codes (−127..=127), `[in][k·k][out]`.
     codes: Vec<i16>,
     /// Words per compact window and per mask: `⌈k²/64⌉`.
@@ -87,21 +82,15 @@ pub(crate) struct ConvKernel {
 
 impl ConvKernel {
     /// Quantizes `[out, in, k, k]` float weights onto the differential
-    /// encoding. `read_cap` saturates every read.
+    /// encoding.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Config`] if the weights are not a square 4-D
     /// kernel, the bias length differs from the output channels, the
     /// stride is 0, or the `u32` read accumulators could overflow
-    /// (`in · min(k², read_cap) · 255 ≥ 2³²`).
-    pub(crate) fn from_float(
-        weights: &Tensor,
-        bias: &[f32],
-        stride: usize,
-        pad: usize,
-        read_cap: u32,
-    ) -> Result<Self> {
+    /// (`in · min(k², 15) · 255 ≥ 2³²`).
+    pub(crate) fn from_float(weights: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Result<Self> {
         if weights.shape().len() != 4 {
             return Err(Error::Config(format!("expected [out,in,k,k] weights, got {:?}", weights.shape())));
         }
@@ -115,7 +104,7 @@ impl ConvKernel {
         if stride == 0 {
             return Err(Error::Config("stride must be at least 1".into()));
         }
-        if max_window_sum(in_ch, k, read_cap) > u128::from(u32::MAX) {
+        if max_window_sum(in_ch, k) > u128::from(u32::MAX) {
             return Err(Error::Config(format!(
                 "{in_ch} input channels of {k}x{k} reads can overflow the u32 read accumulators"
             )));
@@ -141,7 +130,6 @@ impl ConvKernel {
             k,
             stride,
             pad,
-            read_cap,
             codes,
             mask_words: words_for(kk),
             masks: Vec::new(),
@@ -194,11 +182,10 @@ impl ConvKernel {
     }
 
     /// Whether no read can saturate: a `k × k` window read sums at most
-    /// `k²` binary products, so every read is exact while `k² ≤ read_cap`
-    /// (every 1×1, 2×2 and 3×3 kernel on the 4-bit ADC, every kernel on
-    /// raw sums).
+    /// `k²` binary products, so every read is exact while `k² ≤ 15`
+    /// (every 1×1, 2×2 and 3×3 kernel).
     pub(crate) fn exact_reads(&self) -> bool {
-        (self.k as u128).pow(2) <= u128::from(self.read_cap)
+        (self.k as u128).pow(2) <= u128::from(READ_CAP)
     }
 
     /// Calls `f(in, out, read, cell)` for every set magnitude bit of every
@@ -250,7 +237,7 @@ impl ConvKernel {
     /// saturable kernels hold masks (see [`ConvKernel::exact_reads`]).
     pub(crate) fn accumulate(&self, ci: usize, xbit: usize, x: &[u64], acc: &mut [u32]) {
         let len = self.reads_per_window() * self.mask_words;
-        and_popcount_accumulate(x, &self.masks[ci * len..(ci + 1) * len], self.read_cap, xbit as u32, acc);
+        and_popcount_accumulate(x, &self.masks[ci * len..(ci + 1) * len], READ_CAP, xbit as u32, acc);
     }
 
     /// Output `o`'s integer dot product from a window's accumulators:
@@ -265,6 +252,40 @@ impl ConvKernel {
     /// activation offset `x_min` analytically and adding the bias.
     pub(crate) fn dequantize(&self, o: usize, acc: i64, x_scale: f32, x_min: f32) -> f32 {
         acc as f32 * x_scale * self.w_scale + x_min * self.w_scale * self.code_sum[o] as f32 + self.bias[o]
+    }
+
+    /// Fills a `[b, out, oh, ow]` output one row of windows at a time:
+    /// `f(arena, bi, oy, row)` writes sample `bi`'s output row `oy` as
+    /// `ow` runs of `out` outputs, window `ox` at `(oy, ox) · stride`.
+    /// Rows fan out across the policy's workers, each with one arena from
+    /// `init`.
+    ///
+    /// # Errors
+    ///
+    /// Returns `f`'s first error in row order.
+    pub(crate) fn map_rows<S>(
+        &self,
+        policy: ExecPolicy,
+        (b, oh, ow): (usize, usize, usize),
+        init: impl Fn() -> S + Sync,
+        f: impl Fn(&mut S, usize, usize, &mut [f32]) -> Result<()> + Sync,
+    ) -> Result<Tensor> {
+        let out_ch = self.out_ch;
+        // Accumulate as `[b][oy][ox][o]`; transposed into NCHW afterwards.
+        let mut window_major = vec![0f32; b * oh * ow * out_ch];
+        exec::for_each_chunk_with(policy, &mut window_major, ow * out_ch, init, |arena, idx, row| {
+            f(arena, idx / oh, idx % oh, row)
+        })?;
+        let mut out = Tensor::zeros(&[b, out_ch, oh, ow]);
+        let (dst, windows) = (out.data_mut(), oh * ow);
+        for bi in 0..b {
+            for o in 0..out_ch {
+                for p in 0..windows {
+                    dst[(bi * out_ch + o) * windows + p] = window_major[(bi * windows + p) * out_ch + o];
+                }
+            }
+        }
+        Ok(out)
     }
 
     /// Every output window of every sample of `image`, each as one signed
@@ -301,20 +322,15 @@ impl ConvKernel {
         ow: usize,
     ) -> Result<Tensor>
     where
-        A: Copy + Default + AddAssign + From<i16> + Into<i64> + Send,
+        A: Copy + Default + AddAssign + From<i16> + Into<i64>,
     {
-        let out_ch = self.out_ch;
-        // Accumulate as `[b][oy][ox][o]`; transposed into NCHW afterwards.
-        let mut window_major = vec![0f32; image.b * oh * ow * out_ch];
-        exec::for_each_chunk_with(
+        self.map_rows(
             policy,
-            &mut window_major,
-            ow * out_ch,
+            (image.b, oh, ow),
             // Per-worker arena: one window's codes and accumulators.
-            || (vec![0i16; self.in_ch * self.k * self.k], vec![A::default(); out_ch]),
-            |(xs, acc), idx, row| {
-                let (bi, oy) = (idx / oh, idx % oh);
-                for (ox, slots) in row.chunks_exact_mut(out_ch).enumerate() {
+            || (vec![0i16; self.in_ch * self.k * self.k], vec![A::default(); self.out_ch]),
+            |(xs, acc), bi, oy, row| {
+                for (ox, slots) in row.chunks_exact_mut(self.out_ch).enumerate() {
                     self.window_dot(image, bi, (oy * self.stride, ox * self.stride), xs, acc);
                     for (o, (slot, &a)) in slots.iter_mut().zip(acc.iter()).enumerate() {
                         *slot = self.dequantize(o, a.into(), image.x_scale, image.x_min);
@@ -322,17 +338,7 @@ impl ConvKernel {
                 }
                 Ok(())
             },
-        )?;
-        let mut out = Tensor::zeros(&[image.b, out_ch, oh, ow]);
-        let (dst, windows) = (out.data_mut(), oh * ow);
-        for bi in 0..image.b {
-            for o in 0..out_ch {
-                for p in 0..windows {
-                    dst[(bi * out_ch + o) * windows + p] = window_major[(bi * windows + p) * out_ch + o];
-                }
-            }
-        }
-        Ok(out)
+        )
     }
 
     /// The window at `(ry, rx)` of sample `bi` dotted with the weight
@@ -398,10 +404,10 @@ impl ConvKernel {
 }
 
 /// The largest value one read accumulator can reach: it sums one read
-/// per (input channel, activation bit), each at most `min(k², cap)` and
-/// shifted by the bit, so `in · min(k², cap) · (2⁸ − 1)`.
-fn max_window_sum(in_ch: usize, k: usize, read_cap: u32) -> u128 {
-    let max_read = (k as u128 * k as u128).min(u128::from(read_cap));
+/// per (input channel, activation bit), each at most `min(k², 15)` and
+/// shifted by the bit, so `in · min(k², 15) · (2⁸ − 1)`.
+fn max_window_sum(in_ch: usize, k: usize) -> u128 {
+    let max_read = (k as u128 * k as u128).min(u128::from(READ_CAP));
     in_ch as u128 * max_read * ((1u128 << DATA_BITS) - 1)
 }
 
@@ -451,7 +457,7 @@ impl KeyHasher {
 }
 
 /// An input batch quantized to 8-bit codes and zero-padded: the programmed
-/// input state both engines read. Offset encoding: codes represent
+/// input state every read path reads. Offset encoding: codes represent
 /// `v = code · x_scale + x_min`, so signed inputs (e.g. the raw image)
 /// survive; the offset term is corrected analytically after accumulation
 /// (standard PIM practice). One range serves the whole batch, because the
@@ -527,7 +533,7 @@ impl CodeImage {
     }
 
     /// Whether `other` holds the same quantized input.
-    fn same_input(&self, other: &Self) -> bool {
+    pub(crate) fn same_input(&self, other: &Self) -> bool {
         (self.b, self.c, self.ph, self.pw, self.key) == (other.b, other.c, other.ph, other.pw, other.key)
             && self.x_min.to_bits() == other.x_min.to_bits()
             && self.x_scale.to_bits() == other.x_scale.to_bits()
@@ -541,75 +547,23 @@ impl CodeImage {
     }
 }
 
-/// One layer's programmed input state, shared by the layer's clones.
-pub(crate) type ProgramCache<T> = Arc<Mutex<Option<Arc<Programmed<T>>>>>;
-
-/// A layer's programmed input state: the code image, and the bit-level
-/// state `T` (subarray tiles or 3D stacks) derived from it when a
-/// bit-level read first needs it.
-#[derive(Debug)]
-pub(crate) struct Programmed<T> {
-    pub(crate) image: CodeImage,
-    bits: OnceLock<T>,
-}
-
-impl<T> Programmed<T> {
-    /// Quantizes `x` and reuses the cached state when the quantized input
-    /// is unchanged. Otherwise programs it under a `span`, recording
-    /// `planes(&image)` one-shot plane writes whether or not a bit-level
-    /// path ever materializes the planes.
-    pub(crate) fn program(
-        cache: &ProgramCache<T>,
-        x: &Tensor,
-        pad: usize,
-        span: &'static str,
-        planes: impl FnOnce(&CodeImage) -> u64,
-    ) -> Arc<Self> {
-        let image = CodeImage::quantize(x, pad);
-        if let Some(hit) = cache.lock().as_ref().filter(|p| p.image.same_input(&image)) {
-            inca_telemetry::incr(Event::ProgramCacheHit);
-            return Arc::clone(hit);
-        }
-        inca_telemetry::incr(Event::ProgramCacheMiss);
-        let _span = inca_telemetry::span(span);
-        VerticalPlane::record_writes(planes(&image));
-        let programmed = Arc::new(Self { image, bits: OnceLock::new() });
-        *cache.lock() = Some(Arc::clone(&programmed));
-        programmed
-    }
-
-    /// The bit-level state, derived from the image by `derive` on first
-    /// use (uncounted: its writes were recorded at programming).
-    ///
-    /// # Errors
-    ///
-    /// Propagates `derive`'s error.
-    pub(crate) fn bits(&self, derive: impl FnOnce(&CodeImage) -> Result<T>) -> Result<&T> {
-        if let Some(bits) = self.bits.get() {
-            return Ok(bits);
-        }
-        let bits = derive(&self.image)?;
-        Ok(self.bits.get_or_init(|| bits))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HwBatchConv, HwConv, ReadPath};
+    use crate::{HwConv, ReadPath};
 
     #[test]
     fn accumulator_bound_is_exact_at_the_u32_limit() {
         let limit = u128::from(u32::MAX);
         // A 4-bit ADC caps each 5x5 read at 15: 15 · 255 = 3825 per channel.
-        assert!(max_window_sum(1_122_867, 5, 15) <= limit);
-        assert!(max_window_sum(1_122_868, 5, 15) > limit);
-        // Raw 3x3 sums reach 9: 9 · 255 = 2295 per channel.
-        assert!(max_window_sum(1_871_445, 3, u32::MAX) <= limit);
-        assert!(max_window_sum(1_871_446, 3, u32::MAX) > limit);
+        assert!(max_window_sum(1_122_867, 5) <= limit);
+        assert!(max_window_sum(1_122_868, 5) > limit);
+        // 3x3 reads never reach the cap: 9 · 255 = 2295 per channel.
+        assert!(max_window_sum(1_871_445, 3) <= limit);
+        assert!(max_window_sum(1_871_446, 3) > limit);
         // The cap only binds once k² exceeds it.
-        assert_eq!(max_window_sum(2, 3, 15), 2 * 9 * 255);
-        assert_eq!(max_window_sum(2, 5, 15), 2 * 15 * 255);
+        assert_eq!(max_window_sum(2, 3), 2 * 9 * 255);
+        assert_eq!(max_window_sum(2, 5), 2 * 15 * 255);
     }
 
     #[test]
@@ -635,27 +589,21 @@ mod tests {
     #[test]
     fn integer_reads_are_exact_past_the_i32_bound() {
         // Every activation at code 255 against weights at ±127: the first
-        // 3x3 layer whose window sums pass i32::MAX, and the last below.
-        for in_ch in [7_367, 7_368] {
+        // 3x3 layer whose window sums pass i32::MAX, and the last below,
+        // on one sample and on a batch of two.
+        for (batch, in_ch) in [(1, 7_367), (1, 7_368), (2, 7_368)] {
             let conv = HwConv::from_float(&extreme_weights(in_ch, 3), &[0.0; 2], 1, 0).unwrap();
-            let x = Tensor::full(&[1, in_ch, 3, 3], 1.0);
-            assert_eq!(CodeImage::quantize(&x, 0).codes, vec![255; in_ch * 9]);
+            let x = Tensor::full(&[batch, in_ch, 3, 3], 1.0);
+            assert_eq!(CodeImage::quantize(&x, 0).codes, vec![255; batch * in_ch * 9]);
             let scalar = conv.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
             let y = conv.forward(&x).unwrap();
-            assert_eq!(bits(&y), bits(&scalar.forward(&x).unwrap()), "{in_ch} channels");
+            assert_eq!(bits(&y), bits(&scalar.forward(&x).unwrap()), "{batch} x {in_ch} channels");
             let expected = (in_ch * 9 * 255 * 127) as f32 / 255.0 / 127.0;
-            assert!((y.data()[0] / expected - 1.0).abs() < 1e-6, "{} vs {expected}", y.data()[0]);
-            assert_eq!(y.data()[0], -y.data()[1]);
+            for sample in y.data().chunks_exact(2) {
+                assert!((sample[0] / expected - 1.0).abs() < 1e-6, "{} vs {expected}", sample[0]);
+                assert_eq!(sample[0], -sample[1]);
+            }
         }
-    }
-
-    #[test]
-    fn batch_integer_reads_are_exact_past_the_7x7_bound() {
-        let in_ch = 1_354;
-        let conv = HwBatchConv::from_float(&extreme_weights(in_ch, 7), &[0.0; 2], 1, 0).unwrap();
-        let x = Tensor::full(&[2, in_ch, 7, 7], 1.0);
-        let scalar = conv.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
-        assert_eq!(bits(&conv.forward(&x).unwrap()), bits(&scalar.forward(&x).unwrap()));
     }
 
     #[test]
@@ -666,7 +614,7 @@ mod tests {
         let n = out_ch * in_ch * k * k;
         let data: Vec<f32> = (0..n).map(|i| (i % 255) as f32 - 127.0).collect();
         let weights = Tensor::from_vec(data.clone(), &[out_ch, in_ch, k, k]);
-        let kernel = ConvKernel::from_float(&weights, &[0.0; 2], 1, 0, 15).unwrap();
+        let kernel = ConvKernel::from_float(&weights, &[0.0; 2], 1, 0).unwrap();
         assert!(!kernel.exact_reads());
         assert_eq!(kernel.window_words(), 2);
         for o in 0..out_ch {
@@ -693,14 +641,13 @@ mod tests {
 
     #[test]
     fn only_saturable_kernels_hold_masks() {
-        let exact = |k: usize, cap: u32| {
-            let kernel =
-                ConvKernel::from_float(&Tensor::full(&[1, 1, k, k], 0.5), &[0.0], 1, 0, cap).unwrap();
+        let exact = |k: usize| {
+            let kernel = ConvKernel::from_float(&Tensor::full(&[1, 1, k, k], 0.5), &[0.0], 1, 0).unwrap();
             assert_eq!(kernel.masks.is_empty(), kernel.exact_reads());
             kernel.exact_reads()
         };
-        assert!(exact(1, 15) && exact(3, 15) && exact(7, u32::MAX));
-        assert!(!exact(4, 15) && !exact(5, 15));
+        assert!(exact(1) && exact(2) && exact(3));
+        assert!(!exact(4) && !exact(5) && !exact(7));
     }
 
     #[test]

@@ -1,23 +1,26 @@
 //! A multi-layer network executor on simulated INCA hardware: chains
 //! [`crate::HwConv`] layers with digital ReLU / max-pool units (the
-//! paper's post-processing blocks, Fig 8a) and a [`crate::HwLinear`] head.
+//! paper's post-processing blocks, Fig 8a) and a [`crate::HwLinear`] head,
+//! forwarding a whole batch through every stage.
 
 use inca_nn::Tensor;
 
 use crate::exec::ExecPolicy;
+use crate::hw_exec::batch_rows;
 use crate::{Error, HwConv, HwLinear, Result};
 
 /// One stage of a hardware network.
 #[derive(Debug, Clone)]
 pub enum HwStage {
-    /// A 2T1R direct-convolution layer.
+    /// A 2T1R direct-convolution layer, the batch on the planes of its
+    /// 3D stacks.
     Conv(HwConv),
     /// Digital ReLU (the nonlinear unit of Fig 8a).
     Relu,
     /// Digital `k × k` max pool with stride `k` (LUT-backed in hardware,
     /// §IV-C).
     MaxPool(usize),
-    /// Flatten to `[1, features]`.
+    /// Flatten to `[B, features]`.
     Flatten,
     /// A differential-pair crossbar FC layer.
     Linear(HwLinear),
@@ -43,6 +46,8 @@ pub enum HwStage {
 ///     .linear(HwLinear::from_float(&fc_w, &[0.0, 0.0, 0.0])?);
 /// let logits = net.forward(&Tensor::full(&[1, 1, 4, 4], 0.5))?;
 /// assert_eq!(logits.shape(), &[1, 3]);
+/// // A batch of 5 forwards in one pass.
+/// assert_eq!(net.forward(&Tensor::full(&[5, 1, 4, 4], 0.5))?.shape(), &[5, 3]);
 /// # Ok::<(), inca_core::Error>(())
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -116,7 +121,7 @@ impl HwNetwork {
         self.stages.is_empty()
     }
 
-    /// Executes the network on one sample.
+    /// Executes the network on a `[B, C, H, W]` batch.
     ///
     /// # Errors
     ///
@@ -135,8 +140,8 @@ impl HwNetwork {
                 }
                 HwStage::MaxPool(k) => max_pool(&cur, *k, i)?,
                 HwStage::Flatten => {
-                    let len = cur.len();
-                    cur.reshaped(&[1, len])
+                    let (rows, len) = (batch_rows(&cur), cur.len());
+                    cur.reshaped(&[rows, len / rows.max(1)])
                 }
                 HwStage::Linear(fc) => fc.forward(&cur)?,
             };
@@ -144,7 +149,7 @@ impl HwNetwork {
         Ok(cur)
     }
 
-    /// Executes the network and returns the argmax class.
+    /// Executes the network on one sample and returns the argmax class.
     ///
     /// # Errors
     ///
@@ -159,19 +164,15 @@ fn max_pool(x: &Tensor, k: usize, stage: usize) -> Result<Tensor> {
         return Err(Error::Config(format!("stage {stage}: pool size must be positive")));
     }
     let [n, c, h, w] = x.dims4();
-    if n != 1 {
-        return Err(Error::Config(format!(
-            "stage {stage}: max pool executes one sample, got a batch of {n}"
-        )));
-    }
-    if h < k || w < k {
-        return Err(Error::Config(format!("stage {stage}: cannot pool {h}x{w} by {k}")));
+    if x.is_empty() || h < k || w < k {
+        return Err(Error::Config(format!("stage {stage}: cannot pool {:?} by {k}", x.shape())));
     }
     let (oh, ow) = (h / k, w / k);
-    let mut out = Tensor::zeros(&[1, c, oh, ow]);
+    let mut out = Tensor::zeros(&[n, c, oh, ow]);
     let src = x.data();
-    for (ci, dst) in out.data_mut().chunks_exact_mut(oh * ow).enumerate() {
-        let channel = &src[ci * h * w..(ci + 1) * h * w];
+    // Every (sample, channel) plane pools on its own.
+    for (plane, dst) in out.data_mut().chunks_exact_mut(oh * ow).enumerate() {
+        let channel = &src[plane * h * w..(plane + 1) * h * w];
         for (y, dst_row) in dst.chunks_exact_mut(ow).enumerate() {
             for (xx, slot) in dst_row.iter_mut().enumerate() {
                 let mut best = f32::NEG_INFINITY;
@@ -246,14 +247,53 @@ mod tests {
         assert!(net.forward(&Tensor::zeros(&[1, 1, 4, 4])).is_err());
     }
 
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn pool_rejects_a_batch_by_its_size() {
-        let net = HwNetwork::new().relu().max_pool(2);
-        match net.forward(&Tensor::zeros(&[4, 1, 4, 4])) {
-            Err(Error::Config(msg)) => {
-                assert_eq!(msg, "stage 1: max pool executes one sample, got a batch of 4");
-            }
-            other => panic!("expected a config error, got {other:?}"),
+    fn digital_stages_and_linear_read_each_sample_on_its_own() {
+        // Distinct samples with distinct ranges: ReLU, pooling, flatten
+        // and the per-row linear quantization never mix them.
+        let fc_w = random_tensor(&[3, 2 * 3 * 2], 65, -0.5, 0.5);
+        let net = HwNetwork::new()
+            .relu()
+            .max_pool(2)
+            .flatten()
+            .linear(HwLinear::from_float(&fc_w, &[0.1, 0.0, -0.1]).unwrap());
+        let x = Tensor::from_vec(
+            (0..4 * 2 * 6 * 5).map(|i| ((i * 37 % 101) as f32 / 50.0 - 1.0) * (1 + i / 60) as f32).collect(),
+            &[4, 2, 6, 5],
+        );
+        let y = net.forward(&x).unwrap();
+        assert_eq!(y.shape(), &[4, 3]);
+        for bi in 0..4 {
+            let one = net.forward(&x.sample(bi)).unwrap();
+            assert_eq!(bits(&one), &bits(&y)[bi * 3..(bi + 1) * 3], "sample {bi}");
+        }
+    }
+
+    #[test]
+    fn batch_of_identical_copies_equals_the_single_sample_forward() {
+        // Identical copies share the single sample's quantization range,
+        // so the broadcast reads, pooling and per-row FC reproduce it bit
+        // for bit on every plane.
+        let w = random_tensor(&[4, 2, 3, 3], 66, -0.4, 0.4);
+        let fc_w = random_tensor(&[5, 4 * 3 * 3], 67, -0.3, 0.3);
+        let net = HwNetwork::new()
+            .conv(HwConv::from_float(&w, &[0.05, 0.0, -0.05, 0.1], 1, 1).unwrap())
+            .relu()
+            .max_pool(2)
+            .flatten()
+            .linear(HwLinear::from_float(&fc_w, &[0.0; 5]).unwrap());
+        let x = random_tensor(&[1, 2, 7, 7], 68, -0.5, 1.0);
+        let one = bits(&net.forward(&x).unwrap());
+        let batch = 3;
+        let copies = Tensor::from_vec(x.data().repeat(batch), &[batch, 2, 7, 7]);
+        let y = net.forward(&copies).unwrap();
+        assert_eq!(y.shape(), &[batch, 5]);
+        for (bi, row) in bits(&y).chunks_exact(5).enumerate() {
+            assert_eq!(row, one.as_slice(), "copy {bi}");
         }
     }
 

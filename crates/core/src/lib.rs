@@ -31,7 +31,6 @@ mod comparison;
 mod error;
 pub mod exec;
 mod experiments;
-mod hw_batch;
 mod hw_exec;
 mod hw_kernel;
 mod hw_network;
@@ -43,7 +42,6 @@ pub use comparison::{Comparison, RunReport};
 pub use error::Error;
 pub use exec::{par_map_indexed, ExecPolicy, ReadPath, Schedule};
 pub use experiments::{Experiment, ExperimentOpts, ExperimentResult};
-pub use hw_batch::HwBatchConv;
 pub use hw_exec::{HwConv, HwLinear, HwWsConv, DATA_BITS, WEIGHT_BITS};
 pub use hw_network::{HwNetwork, HwStage};
 pub use hw_train::{backprop_error_hw, backprop_error_hw_with, HwGradientUnit};

@@ -6,7 +6,7 @@
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use inca_core::{ExecPolicy, HwBatchConv, HwConv, ReadPath};
+use inca_core::{ExecPolicy, HwConv, ReadPath};
 use inca_nn::Tensor;
 use inca_telemetry::{Event, Snapshot};
 use rand::{Rng, SeedableRng};
@@ -37,48 +37,28 @@ fn counted<F: FnOnce()>(f: F) -> Vec<(Event, u64)> {
 #[test]
 fn parallel_conv_counts_match_sequential_for_random_thread_counts() {
     let _guard = serial();
-    let w = random_tensor(&[6, 3, 3, 3], 21, -0.5, 0.5);
-    let bias = vec![0.0f32; 6];
-    let x = random_tensor(&[1, 3, 12, 12], 22, -0.5, 1.0);
-    let seq = HwConv::from_float(&w, &bias, 1, 1).unwrap();
-    let baseline = counted(|| {
-        seq.forward(&x).unwrap();
-    });
-    assert!(baseline.iter().any(|&(_, n)| n > 0), "sequential run recorded nothing");
-
-    let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-    for _ in 0..4 {
-        let threads = rng.gen_range(2..=16);
-        let par = seq.clone().with_policy(ExecPolicy::parallel_with(threads));
-        // Clones share the activation cache; start cold like the baseline.
-        par.clear_cache();
-        let parallel = counted(|| {
-            par.forward(&x).unwrap();
+    // One sample, and a batch of 4 on the planes of the 3D stacks.
+    for (batch, w_seed, x_seed, rng_seed) in [(1usize, 21, 22, 23), (4, 31, 32, 33)] {
+        let w = random_tensor(&[6, 3, 3, 3], w_seed, -0.5, 0.5);
+        let bias = vec![0.0f32; 6];
+        let x = random_tensor(&[batch, 3, 12, 12], x_seed, -0.5, 1.0);
+        let seq = HwConv::from_float(&w, &bias, 1, 1).unwrap();
+        let baseline = counted(|| {
+            seq.forward(&x).unwrap();
         });
-        assert_eq!(baseline, parallel, "totals diverged at {threads} threads");
-    }
-}
+        assert!(baseline.iter().any(|&(_, n)| n > 0), "sequential run recorded nothing");
 
-#[test]
-fn parallel_batch_conv_counts_match_sequential() {
-    let _guard = serial();
-    let w = random_tensor(&[4, 2, 3, 3], 31, -0.5, 0.5);
-    let bias = vec![0.0f32; 4];
-    let xb = random_tensor(&[4, 2, 10, 10], 32, -0.5, 1.0);
-    let seq = HwBatchConv::from_float(&w, &bias, 1, 1).unwrap();
-    let baseline = counted(|| {
-        seq.forward(&xb).unwrap();
-    });
-
-    let mut rng = rand::rngs::StdRng::seed_from_u64(33);
-    for _ in 0..3 {
-        let threads = rng.gen_range(2..=12);
-        let par = seq.clone().with_policy(ExecPolicy::parallel_with(threads));
-        par.clear_cache();
-        let parallel = counted(|| {
-            par.forward(&xb).unwrap();
-        });
-        assert_eq!(baseline, parallel, "totals diverged at {threads} threads");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(rng_seed);
+        for _ in 0..4 {
+            let threads = rng.gen_range(2..=16);
+            let par = seq.clone().with_policy(ExecPolicy::parallel_with(threads));
+            // Clones share the activation cache; start cold like the baseline.
+            par.clear_cache();
+            let parallel = counted(|| {
+                par.forward(&x).unwrap();
+            });
+            assert_eq!(baseline, parallel, "batch {batch}: totals diverged at {threads} threads");
+        }
     }
 }
 
@@ -130,16 +110,15 @@ fn packed_and_scalar_read_paths_count_identical_totals() {
     assert_eq!(packed_counts, scalar_counts, "coalesced totals diverged from the per-read scheme");
 
     let xb = random_tensor(&[3, 2, 8, 8], 53, -0.5, 1.0);
-    let bpacked = HwBatchConv::from_float(&w, &bias, 1, 1).unwrap();
-    let bscalar = bpacked.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
+    scalar.clear_cache();
     let packed_counts = counted(|| {
-        bpacked.forward(&xb).unwrap();
+        packed.forward(&xb).unwrap();
     });
-    bscalar.clear_cache();
+    scalar.clear_cache();
     let scalar_counts = counted(|| {
-        bscalar.forward(&xb).unwrap();
+        scalar.forward(&xb).unwrap();
     });
-    assert_eq!(packed_counts, scalar_counts, "batch-engine totals diverged between read paths");
+    assert_eq!(packed_counts, scalar_counts, "batch totals diverged between read paths");
 }
 
 #[test]

@@ -81,7 +81,11 @@ pub fn tiles_along(padded: usize, side: usize, k: usize) -> u64 {
     }
 }
 
-/// Predicts the event counts of one `HwConv`-style forward pass.
+/// Predicts the event counts of one `HwConv`-style forward pass of one
+/// sample. A batch of B on the planes of the 3D stacks multiplies the
+/// read pulses, ADC conversions and programming pulses by B; DAC drives
+/// and bit-serial cycles are per shared-pillar broadcast and stay as
+/// predicted.
 ///
 /// `weight_bits` and `data_bits` are the bit-serial precisions
 /// (`inca_core::WEIGHT_BITS` / `inca_core::DATA_BITS` in the functional

@@ -238,8 +238,9 @@ impl VerticalPlane {
     /// every plane through this and does its own event accounting,
     /// because its pillar drivers are *shared* across the stack (one DAC
     /// set per broadcast, not per plane). Callers that coalesce their own
-    /// telemetry (the `inca-core` engines) use this or
-    /// [`VerticalPlane::conv_window_sum_packed`] directly.
+    /// telemetry read through this or the packed mirror
+    /// ([`VerticalPlane::conv_window_sum_packed`],
+    /// [`VerticalPlane::extract_window_compact`]).
     ///
     /// # Errors
     ///
@@ -398,19 +399,6 @@ impl VerticalPlane {
             }
         }
         Ok(acc)
-    }
-
-    /// Like [`VerticalPlane::direct_conv_window`] but reading through the
-    /// packed mirror — same telemetry, same result, one word-parallel
-    /// accumulation instead of a `kh·kw` byte loop.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`VerticalPlane::conv_window_sum_packed`].
-    pub fn direct_conv_window_packed(&self, row: usize, col: usize, kernel: &PackedKernel) -> Result<u32> {
-        inca_telemetry::incr(Event::XbarReadPulse);
-        inca_telemetry::record(Event::DacDrive, (kernel.kh() * kernel.kw()) as u64);
-        self.conv_window_sum_packed(row, col, kernel)
     }
 
     /// Like [`VerticalPlane::direct_conv_window`] but also counts the read
@@ -722,21 +710,5 @@ mod tests {
         let p = plane_with(&[0; 16], 4, 4);
         let k = PackedKernel::pack(2, 2, &[1; 4]).unwrap();
         assert!(matches!(p.conv_window_sum_packed(3, 3, &k), Err(XbarError::WindowOutOfBounds { .. })));
-    }
-
-    #[test]
-    fn direct_conv_window_packed_agrees_with_scalar_entry_point() {
-        let img = [1, 1, 0, 0, 1, 1, 1, 0, 1];
-        let p = plane_with(&img, 3, 3);
-        let k = [1, 0, 1, 1];
-        let pk = PackedKernel::pack(2, 2, &k).unwrap();
-        for r in 0..2 {
-            for c in 0..2 {
-                assert_eq!(
-                    p.direct_conv_window(r, c, 2, 2, &k).unwrap(),
-                    p.direct_conv_window_packed(r, c, &pk).unwrap()
-                );
-            }
-        }
     }
 }

@@ -1,7 +1,6 @@
 use inca_telemetry::Event;
 use serde::{Deserialize, Serialize};
 
-use crate::packed::PackedKernel;
 use crate::{Result, VerticalPlane, XbarError};
 
 /// A 3D HRRAM stack: `depth` vertical planes sharing pillar voltages
@@ -134,27 +133,6 @@ impl Stack3d {
         self.planes.iter().map(|p| p.conv_window_sum(row, col, kh, kw, kernel)).collect()
     }
 
-    /// [`Stack3d::direct_conv_window`] through the word-parallel read
-    /// path: same telemetry (shared pillar drivers, per-plane sensing),
-    /// same per-plane sums, one AND+popcount per plane row-word instead
-    /// of a `kh·kw` byte loop per plane.
-    ///
-    /// # Errors
-    ///
-    /// Propagates window errors.
-    pub fn direct_conv_window_packed(
-        &self,
-        row: usize,
-        col: usize,
-        kernel: &PackedKernel,
-    ) -> Result<Vec<u32>> {
-        let depth = self.planes.len() as u64;
-        inca_telemetry::record(Event::XbarReadPulse, depth);
-        inca_telemetry::record(Event::DacDrive, (kernel.kh() * kernel.kw()) as u64);
-        inca_telemetry::record(Event::AdcConversion, depth);
-        self.planes.iter().map(|p| p.conv_window_sum_packed(row, col, kernel)).collect()
-    }
-
     /// Convolves the kernel over every valid window position (stride 1) on
     /// all planes: returns `out[plane][window]` in row-major window order.
     ///
@@ -271,25 +249,6 @@ mod tests {
         assert!(matches!(s.plane(2), Err(XbarError::PlaneOutOfBounds { plane: 2, planes: 2 })));
         assert!(s.plane_mut(5).is_err());
         assert!(s.write_plane(3, &[0; 4]).is_err());
-    }
-
-    #[test]
-    fn packed_broadcast_matches_scalar_broadcast() {
-        let mut s = Stack3d::new(5, 5, 3);
-        for p in 0..3 {
-            let bits: Vec<u8> = (0..25).map(|i| ((i * (p + 2)) % 3 == 0) as u8).collect();
-            s.write_plane(p, &bits).unwrap();
-        }
-        let kernel = [1u8, 0, 1, 1, 1, 0, 0, 1, 1];
-        let pk = PackedKernel::pack(3, 3, &kernel).unwrap();
-        for r in 0..3 {
-            for c in 0..3 {
-                assert_eq!(
-                    s.direct_conv_window(r, c, 3, 3, &kernel).unwrap(),
-                    s.direct_conv_window_packed(r, c, &pk).unwrap()
-                );
-            }
-        }
     }
 
     #[test]

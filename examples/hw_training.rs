@@ -9,7 +9,7 @@
 
 use inca::nn::layers::{Conv2d, Layer as _};
 use inca::nn::Tensor;
-use inca::{HwBatchConv, HwGradientUnit};
+use inca::{HwConv, HwGradientUnit};
 use rand::{Rng, SeedableRng};
 
 fn main() -> Result<(), inca::Error> {
@@ -55,7 +55,7 @@ fn main() -> Result<(), inca::Error> {
     // Batch-parallel forward on the 3D stack: one kernel broadcast per
     // read cycle serves all planes.
     let w = Tensor::from_vec(conv.weights().data().to_vec(), &[1, 1, k, k]);
-    let batch_conv = HwBatchConv::from_float(&w, &[0.0], 1, 0)?;
+    let batch_conv = HwConv::from_float(&w, &[0.0], 1, 0)?;
     let batch = Tensor::from_vec((0..4 * h * h).map(|_| rng.gen_range(0.0..1.0)).collect(), &[4, 1, h, h]);
     let y = batch_conv.forward(&batch)?;
     println!(

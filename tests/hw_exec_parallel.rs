@@ -1,13 +1,13 @@
 //! Property tests for the hardware-functional execution engine:
 //!
 //! * the parallel execution policy is **bit-exact** with the sequential
-//!   one for both conv engines, across random shapes/strides/paddings,
+//!   one, across random batches/shapes/strides/paddings,
 //! * [`HwConv::forward`] agrees with a plain im2col float reference
 //!   within an analytically derived quantization-error bound.
 
 #![allow(clippy::needless_range_loop)] // loops index several arrays with one shared variable
 
-use inca::{ExecPolicy, HwBatchConv, HwConv};
+use inca::{ExecPolicy, HwConv, ReadPath};
 use inca_nn::Tensor;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -18,8 +18,8 @@ fn random_tensor(shape: &[usize], seed: u64, lo: f32, hi: f32) -> Tensor {
 }
 
 /// Plain im2col convolution: unroll every window into a column and dot it
-/// with the unrolled kernel — the float reference the hardware engines
-/// approximate.
+/// with the unrolled kernel — the float reference the hardware engine
+/// approximates.
 fn im2col_conv(x: &Tensor, w: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Tensor {
     let [_, c, h, width] = x.dims4();
     let [out_ch, _, k, _] = w.dims4();
@@ -76,6 +76,7 @@ proptest! {
     #[test]
     fn parallel_hw_conv_is_bit_exact(
         seed in 0u64..10_000,
+        batch in 1usize..=3,
         out_ch in 1usize..=3,
         in_ch in 1usize..=3,
         k in 1usize..=3,
@@ -88,7 +89,7 @@ proptest! {
         prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
         let weights = random_tensor(&[out_ch, in_ch, k, k], seed, -0.6, 0.6);
         let bias: Vec<f32> = (0..out_ch).map(|o| o as f32 * 0.05 - 0.1).collect();
-        let x = random_tensor(&[1, in_ch, h, w], seed.wrapping_add(1), -0.7, 1.0);
+        let x = random_tensor(&[batch, in_ch, h, w], seed.wrapping_add(1), -0.7, 1.0);
         let seq = HwConv::from_float(&weights, &bias, stride, pad).unwrap();
         let par = seq.clone().with_policy(ExecPolicy::parallel_with(threads));
         let y_seq = seq.forward(&x).unwrap();
@@ -97,25 +98,38 @@ proptest! {
         prop_assert_eq!(y_seq.data(), y_par.data());
     }
 
+    /// A batch broadcast on multi-plane stacks split into halo tiles stays
+    /// bit-exact under the parallel schedule, on both read paths and for
+    /// both the integer (3×3) and the saturating bit-serial (5×5) reads.
     #[test]
     fn parallel_hw_batch_conv_is_bit_exact(
         seed in 0u64..10_000,
-        batch in 1usize..=3,
+        batch in 2usize..=4,
         out_ch in 1usize..=2,
         in_ch in 1usize..=2,
+        k_sel in 0usize..=1,
         stride in 1usize..=2,
         pad in 0usize..=1,
         h in 5usize..=9,
+        side_sel in 0usize..=2,
+        scalar in any::<bool>(),
         threads in 2usize..=4,
     ) {
-        let k = 3usize;
+        let k = [3usize, 5][k_sel];
+        let side = [16usize, 8, 6][side_sel];
+        let read_path = if scalar { ReadPath::Scalar } else { ReadPath::Packed };
         let weights = random_tensor(&[out_ch, in_ch, k, k], seed, -0.5, 0.5);
         let bias = vec![0.05f32; out_ch];
         let x = random_tensor(&[batch, in_ch, h, h], seed.wrapping_add(2), -0.4, 1.0);
-        let seq = HwBatchConv::from_float(&weights, &bias, stride, pad).unwrap();
-        let par = seq.clone().with_policy(ExecPolicy::parallel_with(threads));
+        let seq = HwConv::from_float(&weights, &bias, stride, pad)
+            .unwrap()
+            .with_side(side)
+            .with_policy(ExecPolicy::sequential().with_read_path(read_path));
+        let par = seq.clone().with_policy(ExecPolicy::parallel_with(threads).with_read_path(read_path));
         let y_seq = seq.forward(&x).unwrap();
         let y_par = par.forward(&x).unwrap();
+        let o = (h + 2 * pad - k) / stride + 1;
+        prop_assert_eq!(y_seq.shape(), &[batch, out_ch, o, o][..]);
         prop_assert_eq!(y_seq.data(), y_par.data());
     }
 

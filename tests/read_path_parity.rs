@@ -7,7 +7,7 @@
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use inca::{ExecPolicy, HwBatchConv, HwConv, ReadPath};
+use inca::{ExecPolicy, HwConv, ReadPath};
 use inca_nn::Tensor;
 use inca_telemetry::Snapshot;
 use proptest::prelude::*;
@@ -40,11 +40,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Packed and scalar reads agree to the last bit — outputs and
-    /// telemetry — for the plane engine, across random geometry and
-    /// subarray partitioning.
+    /// telemetry — across random geometry, batch sizes and subarray
+    /// partitioning.
     #[test]
     fn hw_conv_read_paths_agree(
         seed in 0u64..10_000,
+        batch in 1usize..=3,
         out_ch in 1usize..=3,
         in_ch in 1usize..=2,
         k in 1usize..=3,
@@ -60,7 +61,7 @@ proptest! {
         let side = [16usize, 8, 6][side_sel];
         let weights = random_tensor(&[out_ch, in_ch, k, k], seed, -0.6, 0.6);
         let bias: Vec<f32> = (0..out_ch).map(|o| o as f32 * 0.04 - 0.06).collect();
-        let x = random_tensor(&[1, in_ch, h, w], seed.wrapping_add(1), -0.7, 1.0);
+        let x = random_tensor(&[batch, in_ch, h, w], seed.wrapping_add(1), -0.7, 1.0);
         let packed = HwConv::from_float(&weights, &bias, stride, pad).unwrap().with_side(side);
         let scalar =
             packed.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
@@ -75,39 +76,13 @@ proptest! {
         prop_assert_eq!(counts_packed, counts_scalar);
     }
 
-    /// Same property for the 3D batch engine: packed broadcasts equal
-    /// scalar broadcasts bit-for-bit, telemetry included.
-    #[test]
-    fn hw_batch_conv_read_paths_agree(
-        seed in 0u64..10_000,
-        batch in 1usize..=3,
-        out_ch in 1usize..=2,
-        in_ch in 1usize..=2,
-        stride in 1usize..=2,
-        pad in 0usize..=1,
-        h in 5usize..=9,
-    ) {
-        let k = 3usize;
-        let weights = random_tensor(&[out_ch, in_ch, k, k], seed, -0.5, 0.5);
-        let bias = vec![0.03f32; out_ch];
-        let x = random_tensor(&[batch, in_ch, h, h], seed.wrapping_add(2), -0.4, 1.0);
-        let packed = HwBatchConv::from_float(&weights, &bias, stride, pad).unwrap();
-        let scalar =
-            packed.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
-
-        let _guard = serial();
-        let (y_packed, counts_packed) = counted(|| packed.forward(&x).unwrap());
-        scalar.clear_cache();
-        let (y_scalar, counts_scalar) = counted(|| scalar.forward(&x).unwrap());
-        prop_assert_eq!(y_packed.data(), y_scalar.data());
-        prop_assert_eq!(counts_packed, counts_scalar);
-    }
-
     /// The parallel schedule composes with the packed read path without
-    /// changing a bit.
+    /// changing a bit, with the chunk count (`batch · oh`) varying with
+    /// every shape.
     #[test]
     fn packed_parallel_matches_packed_sequential(
         seed in 0u64..10_000,
+        batch in 1usize..=3,
         out_ch in 1usize..=3,
         in_ch in 1usize..=2,
         h in 6usize..=12,
@@ -115,7 +90,7 @@ proptest! {
     ) {
         let weights = random_tensor(&[out_ch, in_ch, 3, 3], seed, -0.5, 0.5);
         let bias = vec![0.0f32; out_ch];
-        let x = random_tensor(&[1, in_ch, h, h], seed.wrapping_add(3), -0.5, 1.0);
+        let x = random_tensor(&[batch, in_ch, h, h], seed.wrapping_add(3), -0.5, 1.0);
         let seq = HwConv::from_float(&weights, &bias, 1, 1).unwrap();
         let par = seq.clone().with_policy(ExecPolicy::parallel_with(threads));
         prop_assert_eq!(seq.forward(&x).unwrap().data(), par.forward(&x).unwrap().data());
@@ -125,10 +100,12 @@ proptest! {
     /// practice: the sequential scalar byte-loop, the sequential
     /// SIMD-packed path (compact window words + `and_popcount_accumulate`), and the
     /// coarse-chunked parallel schedule on top of it all produce the
-    /// same bits for k ∈ {1, 3, 5, 7} and random worker counts.
+    /// same bits for k ∈ {1, 3, 5, 7}, batches of 1–2 and random worker
+    /// counts.
     #[test]
     fn schedules_and_read_paths_agree_across_kernel_sizes(
         seed in 0u64..10_000,
+        batch in 1usize..=2,
         out_ch in 1usize..=3,
         in_ch in 1usize..=2,
         k_sel in 0usize..=3,
@@ -139,7 +116,7 @@ proptest! {
         let pad = k / 2;
         let weights = random_tensor(&[out_ch, in_ch, k, k], seed, -0.5, 0.5);
         let bias: Vec<f32> = (0..out_ch).map(|o| o as f32 * 0.05 - 0.02).collect();
-        let x = random_tensor(&[1, in_ch, h, h], seed.wrapping_add(7), -0.6, 1.0);
+        let x = random_tensor(&[batch, in_ch, h, h], seed.wrapping_add(7), -0.6, 1.0);
         let packed_seq = HwConv::from_float(&weights, &bias, 1, pad).unwrap();
         let scalar_seq =
             packed_seq.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
@@ -152,21 +129,24 @@ proptest! {
         prop_assert_eq!(y_packed.data(), y_par.data(), "sequential vs parallel, k={}", k);
     }
 
-    /// The batch engine's parallel schedule is bit-exact too, with the
-    /// chunk length (`ow · out_ch · batch`) varying with every shape.
+    /// The packed parallel schedule is bit-exact on every batch broadcast,
+    /// with the chunk count (`batch · oh`) varying with every shape, for
+    /// the integer (3×3) and the bit-serial (5×5) packed reads.
     #[test]
     fn batch_packed_parallel_matches_sequential(
         seed in 0u64..10_000,
-        batch in 1usize..=3,
+        batch in 2usize..=4,
         out_ch in 1usize..=2,
         in_ch in 1usize..=2,
+        k_sel in 0usize..=1,
         h in 6usize..=9,
         threads in 2usize..=6,
     ) {
-        let weights = random_tensor(&[out_ch, in_ch, 3, 3], seed, -0.5, 0.5);
+        let k = [3usize, 5][k_sel];
+        let weights = random_tensor(&[out_ch, in_ch, k, k], seed, -0.5, 0.5);
         let bias = vec![0.01f32; out_ch];
         let x = random_tensor(&[batch, in_ch, h, h], seed.wrapping_add(9), -0.4, 1.0);
-        let seq = HwBatchConv::from_float(&weights, &bias, 1, 1).unwrap();
+        let seq = HwConv::from_float(&weights, &bias, 1, k / 2).unwrap();
         let par = seq.clone().with_policy(ExecPolicy::parallel_with(threads));
         prop_assert_eq!(seq.forward(&x).unwrap().data(), par.forward(&x).unwrap().data());
     }

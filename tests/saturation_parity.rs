@@ -7,13 +7,17 @@
 //! range and the weights from {−w_max, 0, w_max}. A read then sums ~9/16
 //! of the window's cells, so many 5×5 reads and most larger ones exceed
 //! the ADC's max code, and every one of them must be clipped *before* its
-//! activation-bit shift, exactly as the scalar path's per-read
-//! `AdcReadout::digitize` does. Outputs are compared through `to_bits`.
+//! activation-bit shift, exactly as the scalar path's per-plane
+//! saturation does. Outputs are compared through `to_bits`.
+//!
+//! A batch shares one quantization range, so its forward equals B
+//! one-sample forwards exactly when every sample spans the batch's range;
+//! the batch oracle below holds the engine to that.
 //!
 //! No test here enables the global telemetry recorder, so the file passes
 //! under the default parallel test harness.
 
-use inca::{ExecPolicy, HwBatchConv, HwConv, ReadPath};
+use inca::{ExecPolicy, HwConv, ReadPath};
 use inca_nn::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -53,10 +57,10 @@ fn scalar() -> ExecPolicy {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Both engines, every kernel size up to two-word windows (k = 9),
-    /// strides 1–3, pads 0–2 and tile sides {16, 8, k} (those ≥ k): the
-    /// packed path equals the scalar path bit for bit, on uniform and on
-    /// saturating inputs.
+    /// One sample and a batch, every kernel size up to two-word windows
+    /// (k = 9), strides 1–3, pads 0–2 and tile sides {16, 8, k} (those
+    /// ≥ k): the packed path equals the scalar path bit for bit, on
+    /// uniform and on saturating inputs.
     #[test]
     fn packed_matches_scalar_under_saturation(
         seed in 0u64..1_000_000,
@@ -96,10 +100,64 @@ proptest! {
                 prop_assert_eq!(bits(&packed), bits(&reference.forward(&sample).unwrap()), "HwConv {}", case);
             }
 
-            let batch_conv = HwBatchConv::from_float(&weights, &bias, stride, pad).unwrap();
-            let packed = batch_conv.forward(&x).unwrap();
-            let reference = batch_conv.clone().with_policy(scalar()).forward(&x).unwrap();
-            prop_assert_eq!(bits(&packed), bits(&reference), "HwBatchConv {}", case);
+            let packed = conv.forward(&x).unwrap();
+            prop_assert_eq!(bits(&packed), bits(&reference.forward(&x).unwrap()), "batch {}", case);
+        }
+    }
+
+    /// The exact batch oracle: when every sample holds the batch's
+    /// minimum and maximum, its own quantization range is the batch's, so
+    /// the batch forward equals B one-sample forwards bit for bit. Covers
+    /// the linear read (k = 3) and the saturating bit-serial read (k = 5)
+    /// on both read paths, across tile sides and batches of 2–4.
+    #[test]
+    fn batch_forward_equals_one_sample_forwards(
+        seed in 0u64..1_000_000,
+        k_sel in 0usize..=1,
+        batch in 2usize..=4,
+        stride in 1usize..=2,
+        side_sel in 0usize..=1,
+        out_ch in 1usize..=3,
+        in_ch in 1usize..=2,
+        h in 6usize..=11,
+        saturating in any::<bool>(),
+    ) {
+        let k = [3usize, 5][k_sel];
+        let (pad, side) = (k / 2, [16usize, 8][side_sel]);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n_w = out_ch * in_ch * k * k;
+        let per_sample = in_ch * h * h;
+        let (weights, mut x) = if saturating {
+            (extreme_weights(&mut rng, n_w), extreme_inputs(&mut rng, batch * per_sample))
+        } else {
+            (uniform(&mut rng, n_w, -0.6, 0.6), uniform(&mut rng, batch * per_sample, -0.7, 1.0))
+        };
+        // Every sample spans the batch's range.
+        let (lo, hi) = x.iter().fold((0.0f32, 0.0f32), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        for sample in x.chunks_exact_mut(per_sample) {
+            sample[0] = lo;
+            sample[per_sample - 1] = hi;
+        }
+        let weights = Tensor::from_vec(weights, &[out_ch, in_ch, k, k]);
+        let x = Tensor::from_vec(x, &[batch, in_ch, h, h]);
+        let bias: Vec<f32> = (0..out_ch).map(|o| 0.05 - o as f32 * 0.04).collect();
+        let conv = HwConv::from_float(&weights, &bias, stride, pad).unwrap().with_side(side);
+        for policy in [ExecPolicy::sequential(), scalar()] {
+            let conv = conv.clone().with_policy(policy);
+            let y = bits(&conv.forward(&x).unwrap());
+            let per_out = y.len() / batch;
+            for bi in 0..batch {
+                let one = bits(&conv.forward(&x.sample(bi)).unwrap());
+                prop_assert_eq!(
+                    &one[..],
+                    &y[bi * per_out..(bi + 1) * per_out],
+                    "k {} sample {} of {} ({:?})",
+                    k,
+                    bi,
+                    batch,
+                    policy.read_path
+                );
+            }
         }
     }
 }

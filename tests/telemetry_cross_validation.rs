@@ -3,12 +3,15 @@
 //!
 //! Two independent paths count the same physics:
 //!
-//! * the functional engines in `inca-core` execute a layer on the
+//! * the functional engine in `inca-core` executes a layer on the
 //!   bit-level crossbar model, and every read pulse / ADC conversion /
 //!   DAC drive / programming pulse increments an `inca-telemetry`
 //!   counter at the point where the hardware would fire it;
 //! * `inca_sim::events` predicts those counts from layer geometry alone
-//!   (closed forms over `oh * ow * cout * cin * 2 * wbits * dbits`).
+//!   (closed forms over `oh * ow * cout * cin * 2 * wbits * dbits`), per
+//!   sample: a batch on the planes of the 3D stacks multiplies the
+//!   per-plane events (read pulses, conversions, programming) by B and
+//!   leaves the per-broadcast ones (DAC drives, bit-serial cycles) as is.
 //!
 //! Their exact agreement validates both the instrumentation placement
 //! (no double counting, no missed call sites) and the analytical model.
@@ -34,13 +37,18 @@ fn random_tensor(shape: &[usize], seed: u64, lo: f32, hi: f32) -> Tensor {
 }
 
 fn run_layer(geom: ConvGeometry, seed: u64) {
+    run_batch(geom, 1, seed);
+}
+
+/// [`run_layer`] on a batch of `batch` samples.
+fn run_batch(geom: ConvGeometry, batch: u64, seed: u64) {
     // Both read paths must land on the analytical closed forms exactly:
     // the scalar path counts per read, the packed path records each
     // forward's reads as one record per event kind — same totals.
     for read_path in [ReadPath::Scalar, ReadPath::Packed] {
         let w = random_tensor(&[geom.cout, geom.cin, geom.k, geom.k], seed, -0.5, 0.5);
         let bias = vec![0.0f32; geom.cout];
-        let x = random_tensor(&[1, geom.cin, geom.h, geom.w], seed + 1, -0.5, 1.0);
+        let x = random_tensor(&[batch as usize, geom.cin, geom.h, geom.w], seed + 1, -0.5, 1.0);
         let conv = HwConv::from_float(&w, &bias, geom.stride, geom.pad)
             .unwrap()
             .with_side(geom.tile_side)
@@ -54,12 +62,12 @@ fn run_layer(geom: ConvGeometry, seed: u64) {
         let predicted = conv_forward_events(&geom, u32::from(WEIGHT_BITS), u32::from(DATA_BITS));
         assert_eq!(
             inca_telemetry::total(Event::XbarReadPulse),
-            predicted.read_pulses,
+            predicted.read_pulses * batch,
             "read pulses ({read_path:?})"
         );
         assert_eq!(
             inca_telemetry::total(Event::AdcConversion),
-            predicted.adc_conversions,
+            predicted.adc_conversions * batch,
             "adc ({read_path:?})"
         );
         assert_eq!(inca_telemetry::total(Event::DacDrive), predicted.dac_drives, "dac ({read_path:?})");
@@ -70,7 +78,7 @@ fn run_layer(geom: ConvGeometry, seed: u64) {
         );
         assert_eq!(
             inca_telemetry::total(Event::RramProgramPulse),
-            predicted.program_pulses,
+            predicted.program_pulses * batch,
             "program pulses ({read_path:?})"
         );
         assert_eq!(inca_telemetry::total(Event::ProgramCacheMiss), 1);
@@ -91,6 +99,15 @@ fn counted_events_match_analytical_model_multi_tile() {
     // partitioner splits into 2x2 halo-overlapped tiles per channel.
     let _guard = serial();
     run_layer(ConvGeometry { cin: 2, cout: 2, h: 20, w: 20, k: 3, stride: 1, pad: 1, tile_side: 16 }, 7);
+}
+
+#[test]
+fn batch_counts_scale_per_plane_events_only() {
+    // Three samples on the multi-tile geometry: every plane of the
+    // halo-tiled stacks is programmed, conducts and converts, while each
+    // broadcast drives the shared pillars once.
+    let _guard = serial();
+    run_batch(ConvGeometry { cin: 2, cout: 2, h: 20, w: 20, k: 3, stride: 1, pad: 1, tile_side: 16 }, 3, 7);
 }
 
 #[test]
