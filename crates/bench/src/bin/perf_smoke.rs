@@ -39,14 +39,22 @@
 //!    noise, not data (same refusal rule as gate 2),
 //! 7. the network-enabled fleet engine — compute events interleaved with
 //!    per-packet hop/ack events over the fat-tree fabric — sustains at
-//!    least 2M events/second end to end (cost-model warmup excluded).
+//!    least 2M events/second end to end (cost-model warmup excluded),
+//! 8. observing a run under every instrument costs less than 4x the plain
+//!    run: median-of-3 wall time of `run_point_observed(ObsConfig::full())`
+//!    over `run_point_with_costs` on a fresh cost model, on the ledger's
+//!    observed configuration (bursty MMPP arrivals, `queue_cap` 512,
+//!    200,000 requests). On a 2-vCPU x86-64 host the trace writer that
+//!    appends each event in place measured 2.2–3.3x; the one that
+//!    formatted a `String` per event and copied them all at the end
+//!    measured 6.9–7.1x.
 //!
 //! Exits non-zero with a diagnostic if any bound is violated, so a perf
 //! regression fails the pipeline instead of silently shipping.
 
 use inca_serve::{
-    run_fleet_point_with_costs, run_point_with_costs, run_sweep, BackendKind, CostCache, EventQueue,
-    FleetConfig, ServeConfig, SweepConfig,
+    run_fleet_point_with_costs, run_point_observed, run_point_with_costs, run_sweep, ArrivalKind,
+    BackendKind, CostCache, EventQueue, FleetConfig, ObsConfig, ServeConfig, SweepConfig,
 };
 use std::process::ExitCode;
 use std::time::Instant;
@@ -98,6 +106,34 @@ fn serve_point_secs(cfg: &ServeConfig, cache: &mut CostCache) -> f64 {
     let run = run_point_with_costs(cfg, cache);
     assert!(!run.completed.is_empty());
     start.elapsed().as_secs_f64()
+}
+
+/// Observed over plain wall time on the ledger's observed configuration:
+/// an INCA fleet whose MMPP burst state sits far past capacity, so queues
+/// deepen, requests shed and every trace event kind is emitted. Each run
+/// builds its own cost model, as `run_point_observed` does; the two kinds
+/// of run alternate, and each side takes its median of 3.
+fn observed_over_plain() -> f64 {
+    let mut cfg = ServeConfig::default_fleet(BackendKind::Inca, 0.0);
+    cfg.arrivals = ArrivalKind::Mmpp { rate_hi: 400_000.0, rate_lo: 200.0, mean_dwell_s: 0.05 };
+    cfg.queue_cap = 512;
+    cfg.seed = 2026;
+    cfg.requests = 200_000;
+    let obs = ObsConfig::full();
+    let (mut plain, mut observed) = (Vec::new(), Vec::new());
+    for _ in 0..3 {
+        let start = Instant::now();
+        let run = run_point_with_costs(&cfg, &mut CostCache::new(cfg.backend, &cfg.mix));
+        plain.push(start.elapsed().as_secs_f64());
+        assert!(!run.completed.is_empty());
+        let start = Instant::now();
+        let (run, out) = run_point_observed(&cfg, &obs);
+        observed.push(start.elapsed().as_secs_f64());
+        assert!(!run.completed.is_empty() && out.trace_json.is_some());
+    }
+    plain.sort_by(f64::total_cmp);
+    observed.sort_by(f64::total_cmp);
+    observed[1] / plain[1]
 }
 
 fn main() -> ExitCode {
@@ -287,6 +323,18 @@ fn main() -> ExitCode {
         failed = true;
     } else {
         eprintln!("perf_smoke: ok serve telemetry on_over_off = {serve_on_over_off:.3} (< 1.5)");
+    }
+
+    // Observability overhead: tracing, sampling and SLO monitoring.
+    let observed = observed_over_plain();
+    if observed >= 4.0 {
+        eprintln!(
+            "perf_smoke: FAIL observed serving = {observed:.2}x the plain run >= 4.0 — \
+             the observability hooks are too heavy to observe a run routinely"
+        );
+        failed = true;
+    } else {
+        eprintln!("perf_smoke: ok observed serving = {observed:.2}x the plain run (< 4.0)");
     }
 
     if failed {

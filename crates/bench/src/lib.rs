@@ -152,10 +152,8 @@ pub fn obs_experiment(opts: &ExperimentOpts) -> (ExperimentResult, ObsArtifacts)
             "slo_violations": out.violations.len() as u64,
         }),
     };
-    let artifacts = ObsArtifacts {
-        trace_json: out.trace_json.clone().unwrap_or_default(),
-        timeseries_json: out.timeseries_json(),
-    };
+    let timeseries_json = out.timeseries_json();
+    let artifacts = ObsArtifacts { trace_json: out.trace_json.unwrap_or_default(), timeseries_json };
     (result, artifacts)
 }
 

@@ -180,27 +180,53 @@ impl SloMonitor {
     }
 }
 
-/// Formats a virtual-time nanosecond stamp as Chrome's microsecond
-/// `ts`/`dur` with exact millinano precision — pure integer math, so
-/// the trace bytes cannot drift.
-fn fmt_us(ns: SimTime) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
+/// The ASCII digit of `n`'s last decimal place.
+fn digit(n: u64) -> char {
+    // `n % 10 < 10`, so the cast is exact.
+    char::from(b'0' + (n % 10) as u8)
 }
 
-/// Chrome trace-event accumulator: `pid` 0 is the fleet; `tid` 0 the
+/// Appends `n` in decimal.
+fn push_uint(out: &mut String, mut n: u64) {
+    // `u64::MAX` has 20 digits.
+    let mut buf = ['0'; 20];
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = digit(n);
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(&buf[start..]);
+}
+
+/// Appends a virtual-time nanosecond stamp as Chrome's microsecond
+/// `ts`/`dur` with exact millinano precision (`ns / 1000`, `.`, the three
+/// digits of `ns % 1000`) — pure integer math, so the trace bytes cannot
+/// drift.
+fn push_us(out: &mut String, ns: SimTime) {
+    push_uint(out, ns / 1000);
+    let frac = ns % 1000;
+    out.extend(['.', digit(frac / 100), digit(frac / 10), digit(frac)]);
+}
+
+/// Chrome trace-event writer: `pid` 0 is the fleet; `tid` 0 the
 /// dispatcher track, `tid` `i + 1` the track of chip `i`.
 #[derive(Debug)]
 struct TraceLog {
-    /// Pre-rendered event objects, in emission (virtual-time) order.
-    events: Vec<String>,
+    /// The `OBS_trace.json` payload so far: the opening of the
+    /// `traceEvents` array and every event in emission (virtual-time)
+    /// order, one per line, each after the first preceded by `,\n`.
+    out: String,
 }
 
 impl TraceLog {
     fn new(chips: usize) -> Self {
-        let mut log = Self { events: Vec::new() };
-        log.events.push(
-            r#"{"name":"process_name","ph":"M","pid":0,"args":{"name":"inca-serve fleet"}}"#.to_owned(),
-        );
+        let mut out = String::from("{\"traceEvents\":[\n");
+        out.push_str(r#"{"name":"process_name","ph":"M","pid":0,"args":{"name":"inca-serve fleet"}}"#);
+        let mut log = Self { out };
         log.meta_thread(0, "dispatcher");
         for c in 0..chips {
             log.meta_thread(c as u64 + 1, &format!("chip {c}"));
@@ -208,80 +234,99 @@ impl TraceLog {
         log
     }
 
+    /// Starts the next event: the `,\n` after the one before, then `head`,
+    /// the event's first bytes. Returns the buffer for the rest.
+    fn event(&mut self, head: &str) -> &mut String {
+        self.out.push_str(",\n");
+        self.out.push_str(head);
+        &mut self.out
+    }
+
     fn meta_thread(&mut self, tid: u64, name: &str) {
-        self.events.push(format!(
-            r#"{{"name":"thread_name","ph":"M","pid":0,"tid":{tid},"args":{{"name":"{name}"}}}}"#
-        ));
+        let out = self.event(r#"{"name":"thread_name","ph":"M","pid":0,"tid":"#);
+        push_uint(out, tid);
+        out.push_str(r#","args":{"name":""#);
+        out.push_str(name);
+        out.push_str(r#""}}"#);
     }
 
     /// Async span open: the request entered a chip queue.
     fn queue_begin(&mut self, req: &Request, chip: usize, model: &str) {
-        self.events.push(format!(
-            r#"{{"name":"queue_wait","cat":"request","ph":"b","id":{},"pid":0,"tid":0,"ts":"{}","args":{{"model":"{}","chip":{}}}}}"#,
-            req.id,
-            fmt_us(req.arrival_ns),
-            model,
-            chip
-        ));
+        let out = self.event(r#"{"name":"queue_wait","cat":"request","ph":"b","id":"#);
+        push_uint(out, req.id);
+        out.push_str(r#","pid":0,"tid":0,"ts":""#);
+        push_us(out, req.arrival_ns);
+        out.push_str(r#"","args":{"model":""#);
+        out.push_str(model);
+        out.push_str(r#"","chip":"#);
+        push_uint(out, chip as u64);
+        out.push_str("}}");
     }
 
     /// Async span close: the request's batch launched.
     fn queue_end(&mut self, id: u64, now: SimTime) {
-        self.events.push(format!(
-            r#"{{"name":"queue_wait","cat":"request","ph":"e","id":{},"pid":0,"tid":0,"ts":"{}"}}"#,
-            id,
-            fmt_us(now)
-        ));
+        let out = self.event(r#"{"name":"queue_wait","cat":"request","ph":"e","id":"#);
+        push_uint(out, id);
+        out.push_str(r#","pid":0,"tid":0,"ts":""#);
+        push_us(out, now);
+        out.push_str(r#""}"#);
     }
 
     /// Instant on the dispatcher track: admission control dropped a
     /// request.
     fn shed(&mut self, req: &Request, model: &str) {
-        self.events.push(format!(
-            r#"{{"name":"shed","ph":"i","s":"t","pid":0,"tid":0,"ts":"{}","args":{{"request":{},"model":"{}"}}}}"#,
-            fmt_us(req.arrival_ns),
-            req.id,
-            model
-        ));
+        let out = self.event(r#"{"name":"shed","ph":"i","s":"t","pid":0,"tid":0,"ts":""#);
+        push_us(out, req.arrival_ns);
+        out.push_str(r#"","args":{"request":"#);
+        push_uint(out, req.id);
+        out.push_str(r#","model":""#);
+        out.push_str(model);
+        out.push_str(r#""}}"#);
     }
 
-    /// Complete span on a chip track.
-    fn complete_span(&mut self, name: &str, chip: usize, start_ns: SimTime, dur_ns: SimTime, args: &str) {
-        self.events.push(format!(
-            r#"{{"name":"{}","ph":"X","pid":0,"tid":{},"ts":"{}","dur":"{}","args":{{{}}}}}"#,
-            name,
-            chip as u64 + 1,
-            fmt_us(start_ns),
-            fmt_us(dur_ns),
-            args
-        ));
+    /// Complete span on a chip track, tagged with the batch it serves.
+    fn complete_span(
+        &mut self,
+        name: &str,
+        chip: usize,
+        start_ns: SimTime,
+        dur_ns: SimTime,
+        model: &str,
+        batch: usize,
+    ) {
+        let out = self.event(r#"{"name":""#);
+        out.push_str(name);
+        out.push_str(r#"","ph":"X","pid":0,"tid":"#);
+        push_uint(out, chip as u64 + 1);
+        out.push_str(r#","ts":""#);
+        push_us(out, start_ns);
+        out.push_str(r#"","dur":""#);
+        push_us(out, dur_ns);
+        out.push_str(r#"","args":{"model":""#);
+        out.push_str(model);
+        out.push_str(r#"","batch":"#);
+        push_uint(out, batch as u64);
+        out.push_str("}}");
     }
 
     /// Instant on a chip track: one request's response was delivered.
     fn response(&mut self, chip: usize, id: u64, now: SimTime, latency_ns: SimTime) {
-        self.events.push(format!(
-            r#"{{"name":"response","ph":"i","s":"t","pid":0,"tid":{},"ts":"{}","args":{{"request":{},"latency_us":"{}"}}}}"#,
-            chip as u64 + 1,
-            fmt_us(now),
-            id,
-            fmt_us(latency_ns)
-        ));
+        let out = self.event(r#"{"name":"response","ph":"i","s":"t","pid":0,"tid":"#);
+        push_uint(out, chip as u64 + 1);
+        out.push_str(r#","ts":""#);
+        push_us(out, now);
+        out.push_str(r#"","args":{"request":"#);
+        push_uint(out, id);
+        out.push_str(r#","latency_us":""#);
+        push_us(out, latency_ns);
+        out.push_str(r#""}}"#);
     }
 
     /// The finished `OBS_trace.json` payload (JSON-object form with a
-    /// `traceEvents` array, one event per line).
-    fn render(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 96 + 64);
-        out.push_str("{\"traceEvents\":[\n");
-        for (i, ev) in self.events.iter().enumerate() {
-            out.push_str(ev);
-            if i + 1 < self.events.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}\n");
-        out
+    /// `traceEvents` array, one event per line): the buffer, closed.
+    fn render(mut self) -> String {
+        self.out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
+        self.out
     }
 }
 
@@ -674,14 +719,14 @@ impl ObsRecorder {
             for req in batch {
                 t.queue_end(req.id, now);
             }
-            let args = format!("\"model\":\"{}\",\"batch\":{}", self.model_names[model_idx], batch.len());
+            let (model, size) = (self.model_names[model_idx], batch.len());
             if now > head_arrival_ns {
-                t.complete_span("batch_fill", chip, head_arrival_ns, now - head_arrival_ns, &args);
+                t.complete_span("batch_fill", chip, head_arrival_ns, now - head_arrival_ns, model, size);
             }
             if penalty_ns > 0 {
-                t.complete_span("reprogram", chip, now, penalty_ns, &args);
+                t.complete_span("reprogram", chip, now, penalty_ns, model, size);
             }
-            t.complete_span("compute", chip, now + penalty_ns, service_ns - penalty_ns, &args);
+            t.complete_span("compute", chip, now + penalty_ns, service_ns - penalty_ns, model, size);
         }
     }
 
@@ -709,7 +754,7 @@ impl ObsRecorder {
     #[must_use]
     pub(crate) fn finish(self) -> ObsOutput {
         ObsOutput {
-            trace_json: self.trace.map(|t| t.render()),
+            trace_json: self.trace.map(TraceLog::render),
             timeseries: self.sampler.map(|s| s.series),
             latency_hist: self.latency_hist,
             slo: self.slo_policy,
@@ -721,13 +766,184 @@ impl ObsRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The `format!`-per-event renderer the in-place [`TraceLog`] replaced:
+    /// one `String` per event and per stamp, joined by [`Self::render`].
+    /// The writer must reproduce its bytes exactly.
+    struct OracleLog {
+        events: Vec<String>,
+    }
+
+    fn fmt_us(ns: SimTime) -> String {
+        format!("{}.{:03}", ns / 1000, ns % 1000)
+    }
+
+    impl OracleLog {
+        fn new(chips: usize) -> Self {
+            let mut log = Self { events: Vec::new() };
+            log.events.push(
+                r#"{"name":"process_name","ph":"M","pid":0,"args":{"name":"inca-serve fleet"}}"#.to_owned(),
+            );
+            log.meta_thread(0, "dispatcher");
+            for c in 0..chips {
+                log.meta_thread(c as u64 + 1, &format!("chip {c}"));
+            }
+            log
+        }
+
+        fn meta_thread(&mut self, tid: u64, name: &str) {
+            self.events.push(format!(
+                r#"{{"name":"thread_name","ph":"M","pid":0,"tid":{tid},"args":{{"name":"{name}"}}}}"#
+            ));
+        }
+
+        fn queue_begin(&mut self, req: &Request, chip: usize, model: &str) {
+            self.events.push(format!(
+                r#"{{"name":"queue_wait","cat":"request","ph":"b","id":{},"pid":0,"tid":0,"ts":"{}","args":{{"model":"{}","chip":{}}}}}"#,
+                req.id,
+                fmt_us(req.arrival_ns),
+                model,
+                chip
+            ));
+        }
+
+        fn queue_end(&mut self, id: u64, now: SimTime) {
+            self.events.push(format!(
+                r#"{{"name":"queue_wait","cat":"request","ph":"e","id":{},"pid":0,"tid":0,"ts":"{}"}}"#,
+                id,
+                fmt_us(now)
+            ));
+        }
+
+        fn shed(&mut self, req: &Request, model: &str) {
+            self.events.push(format!(
+                r#"{{"name":"shed","ph":"i","s":"t","pid":0,"tid":0,"ts":"{}","args":{{"request":{},"model":"{}"}}}}"#,
+                fmt_us(req.arrival_ns),
+                req.id,
+                model
+            ));
+        }
+
+        fn complete_span(&mut self, name: &str, chip: usize, start_ns: SimTime, dur_ns: SimTime, args: &str) {
+            self.events.push(format!(
+                r#"{{"name":"{}","ph":"X","pid":0,"tid":{},"ts":"{}","dur":"{}","args":{{{}}}}}"#,
+                name,
+                chip as u64 + 1,
+                fmt_us(start_ns),
+                fmt_us(dur_ns),
+                args
+            ));
+        }
+
+        fn response(&mut self, chip: usize, id: u64, now: SimTime, latency_ns: SimTime) {
+            self.events.push(format!(
+                r#"{{"name":"response","ph":"i","s":"t","pid":0,"tid":{},"ts":"{}","args":{{"request":{},"latency_us":"{}"}}}}"#,
+                chip as u64 + 1,
+                fmt_us(now),
+                id,
+                fmt_us(latency_ns)
+            ));
+        }
+
+        fn render(&self) -> String {
+            let mut out = String::with_capacity(self.events.len() * 96 + 64);
+            out.push_str("{\"traceEvents\":[\n");
+            for (i, ev) in self.events.iter().enumerate() {
+                out.push_str(ev);
+                if i + 1 < self.events.len() {
+                    out.push(',');
+                }
+                out.push('\n');
+            }
+            out.push_str("],\"displayTimeUnit\":\"ms\"}\n");
+            out
+        }
+    }
+
+    fn us(ns: SimTime) -> String {
+        let mut out = String::new();
+        push_us(&mut out, ns);
+        out
+    }
 
     #[test]
-    fn fmt_us_is_exact_integer_math() {
-        assert_eq!(fmt_us(0), "0.000");
-        assert_eq!(fmt_us(999), "0.999");
-        assert_eq!(fmt_us(1_000), "1.000");
-        assert_eq!(fmt_us(1_234_567), "1234.567");
+    fn push_us_is_exact_integer_math() {
+        assert_eq!(us(0), "0.000");
+        assert_eq!(us(256), "0.256");
+        assert_eq!(us(999), "0.999");
+        assert_eq!(us(1_000), "1.000");
+        assert_eq!(us(1_000_255), "1000.255");
+        assert_eq!(us(1_234_567), "1234.567");
+        assert_eq!(us(u64::MAX), "18446744073709551.615");
+    }
+
+    /// An id or stamp that lands on a formatting edge a third of the
+    /// time: 0, 999, 1000, a remainder `ns % 1000 ≥ 256` (past `u8`) or
+    /// `u64::MAX`.
+    fn edgy(rng: &mut StdRng) -> u64 {
+        const EDGES: [u64; 7] = [0, 256, 999, 1_000, 1_000_255, 999_999_999, u64::MAX];
+        match rng.gen_range(0..3u32) {
+            0 => EDGES[rng.gen_range(0..EDGES.len())],
+            1 => rng.gen_range(0..10_000_000_000u64),
+            _ => rng.next_u64(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random sequences of the five event kinds render byte for byte
+        /// as the `format!` oracle does, and parse as JSON.
+        #[test]
+        fn trace_writer_matches_the_format_oracle(
+            chips in 1usize..=3,
+            events in 0usize..=48,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut log = TraceLog::new(chips);
+            let mut oracle = OracleLog::new(chips);
+            for _ in 0..events {
+                let chip = rng.gen_range(0..chips);
+                let model = ["VGG16", "ResNet18", "MobileNetV2"][rng.gen_range(0..3usize)];
+                let req = Request { id: edgy(&mut rng), model_idx: 0, arrival_ns: edgy(&mut rng) };
+                let now = edgy(&mut rng);
+                match rng.gen_range(0..5u32) {
+                    0 => {
+                        log.queue_begin(&req, chip, model);
+                        oracle.queue_begin(&req, chip, model);
+                    }
+                    1 => {
+                        log.queue_end(req.id, now);
+                        oracle.queue_end(req.id, now);
+                    }
+                    2 => {
+                        log.shed(&req, model);
+                        oracle.shed(&req, model);
+                    }
+                    3 => {
+                        let name = ["batch_fill", "reprogram", "compute"][rng.gen_range(0..3usize)];
+                        let batch = rng.gen_range(1..=512usize);
+                        let args = format!("\"model\":\"{model}\",\"batch\":{batch}");
+                        log.complete_span(name, chip, req.arrival_ns, now, model, batch);
+                        oracle.complete_span(name, chip, req.arrival_ns, now, &args);
+                    }
+                    _ => {
+                        let latency = edgy(&mut rng);
+                        log.response(chip, req.id, now, latency);
+                        oracle.response(chip, req.id, now, latency);
+                    }
+                }
+            }
+            let rendered = log.render();
+            prop_assert_eq!(&rendered, &oracle.render());
+            let parsed: serde_json::Value = serde_json::from_str(&rendered).expect("trace is valid JSON");
+            // The process and dispatcher metadata, one per chip, then the events.
+            prop_assert_eq!(parsed["traceEvents"].as_array().map(Vec::len), Some(2 + chips + events));
+        }
     }
 
     #[test]
@@ -791,7 +1007,7 @@ mod tests {
         let req = Request { id: 7, model_idx: 0, arrival_ns: 1_000 };
         t.queue_begin(&req, 1, "VGG16");
         t.queue_end(7, 5_000);
-        t.complete_span("compute", 1, 5_000, 2_000, "\"model\":\"VGG16\",\"batch\":1");
+        t.complete_span("compute", 1, 5_000, 2_000, "VGG16", 1);
         t.shed(&Request { id: 8, model_idx: 0, arrival_ns: 6_000 }, "VGG16");
         t.response(1, 7, 9_000, 8_000);
         let rendered = t.render();
