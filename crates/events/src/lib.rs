@@ -8,10 +8,10 @@
 //!
 //! - [`time`]: virtual nanoseconds ([`SimTime`]) and the second/millisecond
 //!   conversions the cost models need.
-//! - [`queue`]: the calendar (bucket) [`EventQueue`] — O(1) amortized
-//!   schedule/pop for the near-monotonic schedules simulation produces —
-//!   plus the reference [`HeapEventQueue`] it is proven order-equivalent
-//!   against.
+//! - [`queue`]: the calendar (bucket) [`EventQueue`] — O(1) schedule/pop
+//!   while buckets sized to the recent event spacing hold a few events
+//!   each — plus the reference [`HeapEventQueue`] it is proven
+//!   order-equivalent against.
 //! - [`slab`]: a generation-checked [`Slab`] arena so hot event payloads
 //!   can ride as copyable keys instead of owned allocations.
 //!

@@ -14,8 +14,13 @@
 //! waits in an overflow min-heap. Popping drains buckets cursor-forward,
 //! sorting one bucket at a time into a descending stack that is popped
 //! from the tail. When the calendar empties, `base` jumps straight to the
-//! earliest overflow event and the geometry adapts: width tracks an
-//! integer EWMA of inter-pop gaps (≈ one event per bucket) and the bucket
+//! earliest overflow event and the geometry adapts. The bucket width is
+//! four times the event spacing, rounded down to a power of two: a few
+//! events per bucket, as in Brown's calendar queue (CACM 31(10), 1988).
+//! The spacing is a fixed-point EWMA of inter-pop gaps in which each gap
+//! counts at most twice the current estimate, so the idle stretches
+//! between bursts cannot widen the buckets past the bursts' spacing
+//! (Brown likewise drops separations above twice the mean). The bucket
 //! count tracks the pending-event high-water mark (≈ one day spans the
 //! whole pending horizon). Both inputs are functions of the scheduled
 //! times alone, so adaptation is as deterministic as the events.
@@ -59,10 +64,18 @@ const MIN_BUCKETS: usize = 64;
 const MAX_BUCKETS: usize = 1 << 16;
 /// Widest bucket: 2^32 ns ≈ 4.3 s of virtual time.
 const MAX_SHIFT: u32 = 32;
+/// Fractional bits of the fixed-point spacing estimate (1/65536 ns), so
+/// sub-nanosecond spacings of dense schedules still register.
+const SPACING_FRAC: u32 = 16;
+/// The spacing EWMA keeps `1 − 2^-SPACING_DECAY` of its value per pop: a
+/// memory of ~128 pops, long enough that the mix of short and long gaps
+/// inside one burst does not swing the width by octaves.
+const SPACING_DECAY: u32 = 7;
 
 /// A deterministic future-event list over payload type `E`, backed by an
-/// adaptive calendar (bucket) queue: O(1) amortized schedule and pop for
-/// the near-monotonic schedules discrete-event simulation produces.
+/// adaptive calendar (bucket) queue: schedule and pop cost O(1) while a
+/// few events share each bucket, which the width rule aims for on the
+/// near-monotonic schedules discrete-event simulation produces.
 ///
 /// Pop order is exactly `(time, seq)` — identical to
 /// [`HeapEventQueue`] — so swapping implementations cannot change a
@@ -100,8 +113,9 @@ pub struct EventQueue<E> {
     seq: u64,
     now: SimTime,
     processed: u64,
-    /// Integer EWMA (decay 1/8) of inter-pop gaps, in ns.
-    avg_gap: u64,
+    /// Event spacing: EWMA of inter-pop gaps, each clipped to twice the
+    /// estimate, in units of 2^-SPACING_FRAC ns.
+    spacing: u64,
     /// High-water pending count since the last geometry change.
     peak_pending: usize,
 }
@@ -127,7 +141,7 @@ impl<E> EventQueue<E> {
             seq: 0,
             now: 0,
             processed: 0,
-            avg_gap: 1,
+            spacing: 0,
             peak_pending: 0,
         }
     }
@@ -187,10 +201,13 @@ impl<E> EventQueue<E> {
                 debug_assert!(e.time >= self.now);
                 if self.processed > 0 {
                     // First pop's gap is the anchor offset, not a spacing
-                    // sample; skip it. Cap samples so one idle stretch
-                    // cannot wedge the EWMA at a huge width.
-                    let gap = (e.time - self.now).min(1 << MAX_SHIFT);
-                    self.avg_gap = (self.avg_gap - self.avg_gap / 8).saturating_add(gap / 8);
+                    // sample; skip it. A gap counts at most twice the
+                    // estimate (at least 1 ns, so a zero estimate can
+                    // grow): an idle stretch nudges the spacing up by at
+                    // most 1/128 instead of dominating it.
+                    let gap = (e.time - self.now).min(1 << MAX_SHIFT) << SPACING_FRAC;
+                    let sample = gap.min((2 * self.spacing).max(1 << SPACING_FRAC));
+                    self.spacing = self.spacing - (self.spacing >> SPACING_DECAY) + (sample >> SPACING_DECAY);
                 }
                 self.now = e.time;
                 self.processed += 1;
@@ -262,8 +279,9 @@ impl<E> EventQueue<E> {
     /// is empty (between days), so no entry ever needs re-bucketing.
     fn adapt_geometry(&mut self) {
         debug_assert!(self.cal_len == 0 && self.current.is_empty());
-        let width = self.avg_gap.clamp(1, 1 << MAX_SHIFT).next_power_of_two();
-        self.shift = width.trailing_zeros().min(MAX_SHIFT);
+        // Width = 4 × spacing, rounded down to a power of two.
+        let width = ((4 * self.spacing) >> SPACING_FRAC).clamp(1, 1 << MAX_SHIFT);
+        self.shift = width.ilog2();
         let want = self.peak_pending.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
         if want != self.buckets.len() {
             self.buckets.resize_with(want, Vec::new);
@@ -287,7 +305,7 @@ impl<E> std::fmt::Debug for EventQueue<E> {
             .field("base", &self.base)
             .field("cursor", &self.cursor)
             .field("overflow", &self.overflow.len())
-            .field("avg_gap_ns", &self.avg_gap)
+            .field("spacing_ns", &(self.spacing >> SPACING_FRAC))
             .field("peak_pending", &self.peak_pending)
             .finish()
     }
@@ -478,6 +496,102 @@ mod tests {
         h.schedule(10, Opaque);
         let hs = format!("{h:?}");
         assert!(hs.contains("HeapEventQueue") && hs.contains("len: 1"), "{hs}");
+    }
+
+    /// Payloads of the fleet-shaped schedule below.
+    #[derive(Clone, Copy)]
+    enum Fleet {
+        /// A far-future timer (request deadlines, batch timeouts).
+        Timer,
+        /// Fires the next burst.
+        Trigger,
+        /// A packet hop with `left` hops to go.
+        Hop { left: u8 },
+    }
+
+    /// What a fleet-shaped schedule made of the calendar.
+    struct FleetShape {
+        schedules: u64,
+        /// Schedules spliced into the sorted cursor bucket.
+        spliced: u64,
+        /// Bucket width (ns) in force at each burst's start.
+        widths: Vec<u64>,
+        /// Mean gap (ns) between consecutive pops inside bursts.
+        burst_gap: f64,
+    }
+
+    /// Drives the fleet's event shape: ~110 timers 10–50 ms ahead, and
+    /// every 1–5 ms a burst of 40 packets 0.5–4 µs ahead, each hopping
+    /// three more times 0.5–4 µs apart — ~150 pending, packed bursts
+    /// between idle stretches. Counts rather than times, so it holds on
+    /// any host.
+    fn drive_fleet_shape(bursts: u32) -> FleetShape {
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut rand = move |lo: u64, hi: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            lo + x % (hi - lo + 1)
+        };
+        let mut q = EventQueue::new();
+        let mut shape = FleetShape { schedules: 0, spliced: 0, widths: Vec::new(), burst_gap: 0.0 };
+        let mut schedule = |q: &mut EventQueue<Fleet>, at: SimTime, ev: Fleet| {
+            let before = q.current.len();
+            q.schedule(at, ev);
+            shape.schedules += 1;
+            shape.spliced += u64::from(q.current.len() > before);
+        };
+        for _ in 0..110 {
+            schedule(&mut q, rand(10_000_000, 50_000_000), Fleet::Timer);
+        }
+        schedule(&mut q, rand(1_000_000, 5_000_000), Fleet::Trigger);
+        let (mut fired, mut last_hop, mut gaps, mut gap_sum) = (0, None, 0u64, 0u64);
+        while let Some((now, ev)) = q.pop() {
+            match ev {
+                Fleet::Timer => schedule(&mut q, now + rand(10_000_000, 50_000_000), Fleet::Timer),
+                Fleet::Trigger if fired < bursts => {
+                    fired += 1;
+                    shape.widths.push(1 << q.shift);
+                    last_hop = None;
+                    for _ in 0..40 {
+                        schedule(&mut q, now + rand(500, 4_000), Fleet::Hop { left: 3 });
+                    }
+                    schedule(&mut q, now + rand(1_000_000, 5_000_000), Fleet::Trigger);
+                }
+                Fleet::Trigger => break,
+                Fleet::Hop { left } => {
+                    if let Some(prev) = last_hop {
+                        gaps += 1;
+                        gap_sum += now - prev;
+                    }
+                    last_hop = Some(now);
+                    if left > 0 {
+                        schedule(&mut q, now + rand(500, 4_000), Fleet::Hop { left: left - 1 });
+                    }
+                }
+            }
+        }
+        shape.burst_gap = gap_sum as f64 / gaps as f64;
+        shape
+    }
+
+    /// Bursts between idle stretches get buckets sized to the bursts'
+    /// spacing. A width that followed a mean inflated by the idle
+    /// stretches would be hundreds of µs, and nearly every burst event
+    /// would be spliced into the sorted cursor bucket one by one.
+    #[test]
+    fn bursts_get_buckets_sized_to_their_spacing() {
+        let shape = drive_fleet_shape(400);
+        let spliced = shape.spliced as f64 / shape.schedules as f64;
+        let mut widths = shape.widths;
+        widths.sort_unstable();
+        let median_width = widths[widths.len() / 2] as f64;
+        assert!(spliced < 0.10, "{:.1}% of schedules spliced into the cursor bucket", 100.0 * spliced);
+        assert!(
+            median_width <= 8.0 * shape.burst_gap,
+            "median bucket width {median_width} ns against a {:.1} ns burst spacing",
+            shape.burst_gap
+        );
     }
 
     /// Interleaved schedule/pop with tie-heavy times matches the reference

@@ -1,13 +1,15 @@
 //! Geometry adaptation is invisible to pop order.
 //!
-//! The calendar re-derives its bucket width (EWMA of inter-pop gaps) and
-//! bucket count (pending high-water mark) at every empty-calendar moment.
-//! These tests drive the queue through the regimes that force aggressive
-//! geometry churn — tens of thousands of pending events (bucket-count
-//! growth to the high-water mark), alternating dense/sparse gap scales
-//! (bucket-width swings across many octaves), and repeated full drains
-//! (one adaptation opportunity per drain) — and check that the pop
-//! sequence still matches the geometry-free reference heap pop-for-pop.
+//! The calendar re-derives its bucket width (four times an EWMA of
+//! inter-pop gaps in which each gap counts at most twice the estimate)
+//! and bucket count (pending high-water mark) at every empty-calendar
+//! moment. These tests drive the queue through the regimes that force
+//! aggressive geometry churn — tens of thousands of pending events
+//! (bucket-count growth to the high-water mark), alternating dense/sparse
+//! gap scales (bucket-width swings across many octaves), and repeated
+//! full drains (one adaptation opportunity per drain) — and check that
+//! the pop sequence still matches the geometry-free reference heap
+//! pop-for-pop.
 
 use inca_events::{EventQueue, HeapEventQueue};
 use proptest::prelude::*;
@@ -26,8 +28,8 @@ proptest! {
 
     /// High pending counts with phase-shifting gap scales: each round
     /// drains the queue (unlocking `adapt_geometry`), then schedules a
-    /// large batch at a new time scale so both the width EWMA and the
-    /// peak-pending bucket count move between rounds. Pop order must
+    /// large batch at a new time scale so both the spacing estimate and
+    /// the peak-pending bucket count move between rounds. Pop order must
     /// remain the `(time, seq)` total order of the reference heap.
     #[test]
     fn adaptation_never_reorders_pops(
@@ -92,7 +94,7 @@ proptest! {
     ) {
         let mut rng = seed;
         let mut cal = EventQueue::new();
-        // Round 1: sparse far-flung events drive the width EWMA wide.
+        // Round 1: sparse far-flung events drive the spacing estimate wide.
         for i in 0..256u64 {
             cal.schedule(cal.now() + (mix(&mut rng) % (1u64 << sparse_scale)), i);
         }

@@ -49,6 +49,26 @@ impl DctcpConfig {
     }
 }
 
+/// One link of a flow's path, with the network's offer-timing ids of the
+/// flow's two packet sizes on it (see [`packet_sizes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathHop {
+    /// The link.
+    pub link: LinkId,
+    /// Offer-timing ids for a full packet and for the last packet.
+    pub timing: [u32; 2],
+}
+
+/// Payload sizes of a `bytes` transfer cut at `mtu`: `[full, last]`.
+/// Every packet but the last is full; a one-packet flow's only packet is
+/// both.
+#[must_use]
+pub fn packet_sizes(bytes: u64, mtu: u32) -> [u32; 2] {
+    let full = u64::from(mtu).min(bytes);
+    let last = bytes - (bytes.div_ceil(u64::from(mtu)).max(1) - 1) * u64::from(mtu);
+    [full, last].map(|b| u32::try_from(b).unwrap_or(mtu))
+}
+
 /// Sender-side state of one in-flight flow. `P` is the owner's payload,
 /// returned when the last data packet is delivered.
 #[derive(Debug)]
@@ -61,7 +81,7 @@ pub struct FlowState<P> {
     pub dst: NodeId,
     /// ECMP-selected forward path, fixed at flow start (per-flow ECMP:
     /// one flow never reorders across paths).
-    pub path: Vec<LinkId>,
+    pub path: Vec<PathHop>,
     /// Reverse-path propagation delay for acks, in ns.
     pub ack_latency_ns: SimTime,
     /// Transfer size in bytes.
@@ -108,7 +128,7 @@ impl<P> FlowState<P> {
     pub fn new(
         spec: FlowSpec,
         payload: P,
-        path: Vec<LinkId>,
+        path: Vec<PathHop>,
         ack_latency_ns: SimTime,
         mtu: u32,
         dctcp: &DctcpConfig,
@@ -142,17 +162,11 @@ impl<P> FlowState<P> {
         }
     }
 
-    /// Payload bytes of packet `seq` (the last packet carries the
-    /// remainder).
+    /// Which of a hop's two offer timings packet `seq` takes: 0 for a
+    /// full packet, 1 for the last.
     #[must_use]
-    pub fn packet_bytes(&self, seq: u32) -> u32 {
-        debug_assert!(seq < self.packets_total);
-        if seq + 1 == self.packets_total {
-            let rem = self.bytes - u64::from(self.packets_total - 1) * u64::from(self.mtu);
-            u32::try_from(rem).unwrap_or(self.mtu)
-        } else {
-            self.mtu
-        }
+    pub fn size_class(&self, seq: u32) -> usize {
+        usize::from(seq + 1 == self.packets_total)
     }
 
     /// Whether the window admits another packet and one is waiting.
@@ -237,12 +251,19 @@ mod tests {
     fn packetization_covers_bytes_exactly() {
         let f = flow(10_000, 4096);
         assert_eq!(f.packets_total, 3);
-        assert_eq!(f.packet_bytes(0), 4096);
-        assert_eq!(f.packet_bytes(1), 4096);
-        assert_eq!(f.packet_bytes(2), 10_000 - 2 * 4096);
+        assert_eq!(packet_sizes(10_000, 4096), [4096, 10_000 - 2 * 4096]);
+        assert_eq!([f.size_class(0), f.size_class(1), f.size_class(2)], [0, 0, 1]);
         let g = flow(8192, 4096);
         assert_eq!(g.packets_total, 2);
-        assert_eq!(g.packet_bytes(1), 4096);
+        assert_eq!(packet_sizes(8192, 4096), [4096, 4096]);
+        // A transfer below one MTU is one packet of its own size.
+        assert_eq!(flow(100, 4096).packets_total, 1);
+        assert_eq!(packet_sizes(100, 4096), [100, 100]);
+        for (bytes, mtu) in [(150_528u64, 4096u32), (1, 1), (65_537, 65_536)] {
+            let [full, last] = packet_sizes(bytes, mtu);
+            let packets = u64::from(flow(bytes, mtu).packets_total);
+            assert_eq!((packets - 1) * u64::from(full) + u64::from(last), bytes, "{bytes} B at {mtu}");
+        }
     }
 
     #[test]

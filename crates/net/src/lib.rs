@@ -11,7 +11,8 @@
 //!   link [`inca_units::Bandwidth`] and per-hop latency;
 //! * [`queue`] / [`link`] — drop-tail FIFO egress queues with
 //!   bandwidth-delay serialization of sized packets, plus an
-//!   ECN-marking variant, collapsed to O(1) `busy_until` state per link;
+//!   ECN-marking variant, collapsed to O(1) `busy_until` state per link
+//!   and decided on integers per offer;
 //! * [`route`] — all-shortest-paths tables with deterministic ECMP via
 //!   stable flow hashing and rank-select over equal-cost candidates
 //!   (storage order provably inert), plus a canonical shortest-path
@@ -38,7 +39,7 @@ pub mod route;
 pub mod topo;
 
 pub use flow::{DctcpConfig, FlowSpec};
-pub use link::{LinkCounters, LinkState, Offer};
+pub use link::{LinkCounters, LinkState, Offer, OfferTiming};
 pub use network::{Delivery, NetConfig, NetEv, NetScheduler, NetTotals, Network};
 pub use queue::{QueueConfig, QueueDiscipline};
 pub use route::{flow_hash, RouteMode, RouteTable};

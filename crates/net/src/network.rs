@@ -14,14 +14,16 @@
 //! acks are ~64 B against ≥ KB data packets, a standard simplification
 //! that keeps the event count linear in data bytes).
 
+use std::collections::BTreeMap;
+
 use inca_events::{SimTime, Slab, SlabKey};
 use inca_telemetry as tel;
 
-use crate::flow::{DctcpConfig, FlowSpec, FlowState};
-use crate::link::{LinkState, Offer};
+use crate::flow::{packet_sizes, DctcpConfig, FlowSpec, FlowState, PathHop};
+use crate::link::{LinkState, Offer, OfferTiming};
 use crate::queue::QueueConfig;
 use crate::route::{flow_hash, RouteMode, RouteTable};
-use crate::topo::{LinkTier, NodeId, Topology, TIER_COUNT};
+use crate::topo::{LinkSpec, NodeId, Topology, TIER_COUNT};
 
 /// A network-internal event, scheduled on the owner's queue and handed
 /// back to [`Network::on_event`] when it fires.
@@ -140,6 +142,11 @@ pub struct Network<P> {
     routes: RouteTable,
     cfg: NetConfig,
     links: Vec<LinkState>,
+    /// Offer timings, one per (link bandwidth, packet size) seen so far;
+    /// the queue is network-wide. Flows hold ids into this table.
+    timings: Vec<OfferTiming>,
+    /// Timing id per (bandwidth bits, packet bytes).
+    timing_ids: BTreeMap<(u64, u32), u32>,
     flows: Slab<FlowState<P>>,
     flow_seq: u64,
     flows_completed: u64,
@@ -152,7 +159,18 @@ impl<P> Network<P> {
     pub fn new(topo: Topology, cfg: NetConfig) -> Self {
         let routes = RouteTable::shortest_paths(&topo);
         let links = vec![LinkState::default(); topo.num_links()];
-        Self { topo, routes, cfg, links, flows: Slab::new(), flow_seq: 0, flows_completed: 0, retransmits: 0 }
+        Self {
+            topo,
+            routes,
+            cfg,
+            links,
+            timings: Vec::new(),
+            timing_ids: BTreeMap::new(),
+            flows: Slab::new(),
+            flow_seq: 0,
+            flows_completed: 0,
+            retransmits: 0,
+        }
     }
 
     /// The topology this network runs on.
@@ -191,14 +209,10 @@ impl<P> Network<P> {
     #[must_use]
     pub fn tier_busy(&self) -> [(u64, usize); TIER_COUNT] {
         let mut out = [(0u64, 0usize); TIER_COUNT];
-        for (i, l) in self.topo.links().iter().enumerate() {
-            let slot = match l.tier {
-                LinkTier::Access => 0,
-                LinkTier::Aggregation => 1,
-                LinkTier::Core => 2,
-            };
-            out[slot].0 += self.links[i].counters.busy_ns;
-            out[slot].1 += 1;
+        for (def, l) in self.topo.links().iter().zip(&self.links) {
+            let slot = &mut out[def.tier.slot()];
+            slot.0 += l.counters.busy_ns;
+            slot.1 += 1;
         }
         out
     }
@@ -268,10 +282,31 @@ impl<P> Network<P> {
             .path(&self.topo, spec.src, spec.dst, hash, self.cfg.route)
             .unwrap_or_else(|| panic!("no route between {:?} and {:?}", spec.src, spec.dst)); // lint: allow(panic-path) builder topologies are connected by construction
         let ack_latency_ns: SimTime = path.iter().map(|&l| self.topo.link(l).spec.latency_ns).sum();
-        let flow = FlowState::new(spec, payload, path, ack_latency_ns, mtu, &self.cfg.dctcp, now);
+        let sizes = packet_sizes(spec.bytes, mtu);
+        let hops = path
+            .into_iter()
+            .map(|link| {
+                let link_spec = self.topo.link(link).spec;
+                PathHop { link, timing: sizes.map(|bytes| self.timing_id(&link_spec, bytes)) }
+            })
+            .collect();
+        let flow = FlowState::new(spec, payload, hops, ack_latency_ns, mtu, &self.cfg.dctcp, now);
         let key = self.flows.insert(flow);
         self.pump(now, key, sched);
         key
+    }
+
+    /// The id of the offer timing of a `bytes`-sized packet on a `spec`
+    /// link, evaluated on first use.
+    fn timing_id(&mut self, spec: &LinkSpec, bytes: u32) -> u32 {
+        let key = (spec.bandwidth.bits_per_sec().to_bits(), bytes);
+        if let Some(&id) = self.timing_ids.get(&key) {
+            return id;
+        }
+        let id = u32::try_from(self.timings.len()).unwrap_or(u32::MAX);
+        self.timings.push(OfferTiming::new(spec, &self.cfg.queue, bytes));
+        self.timing_ids.insert(key, id);
+        id
     }
 
     /// Sends every packet the window currently admits.
@@ -330,13 +365,12 @@ impl<P> Network<P> {
     ) {
         let Some(f) = self.flows.get(key) else { return };
         debug_assert!((hop as usize) < f.path.len());
-        let Some(&lid) = f.path.get(hop as usize) else { return };
-        let bytes = f.packet_bytes(seq);
+        let Some(h) = f.path.get(hop as usize) else { return };
+        let (lid, timing) = (h.link, h.timing[f.size_class(seq)]);
         let last_hop = hop as usize + 1 == f.path.len();
-        let spec = self.topo.link(lid).spec;
-        match self.links[lid.index()].offer(now, bytes, &spec, &self.cfg.queue) {
+        match self.links[lid.index()].offer(now, &self.timings[timing as usize]) {
             Offer::Accepted { depart_ns, marked: m } => {
-                let arrive = depart_ns + spec.latency_ns;
+                let arrive = depart_ns + self.topo.link(lid).spec.latency_ns;
                 let marked = marked || m;
                 if last_hop {
                     sched.schedule_net(arrive, NetEv::Deliver { flow: key, seq, marked });

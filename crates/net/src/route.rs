@@ -44,9 +44,12 @@ pub fn flow_hash(src: NodeId, dst: NodeId, seq: u64) -> u64 {
 pub struct RouteTable {
     /// `dist[node * num_hosts + hpos]`: hops from `node` to host `hpos`.
     dist: Vec<u16>,
-    /// Equal-cost next-hop links per `(node, hpos)`, discovery order.
-    /// Selection is rank-based, so this order is semantically inert.
-    next: Vec<Vec<LinkId>>,
+    /// Equal-cost next-hop links of every `(node, hpos)` slot, back to
+    /// back in slot order, each slot's in out-link order. Selection is
+    /// rank-based, so the order within a slot is semantically inert.
+    next: Vec<LinkId>,
+    /// Slot `i` owns `next[next_start[i]..next_start[i + 1]]`.
+    next_start: Vec<u32>,
     /// Host position per node id (`u32::MAX` for non-hosts).
     host_pos: Vec<u32>,
     num_hosts: usize,
@@ -89,17 +92,27 @@ impl RouteTable {
                 }
             }
         }
-        let mut next: Vec<Vec<LinkId>> = vec![Vec::new(); n * num_hosts];
-        for (i, l) in topo.links().iter().enumerate() {
+        let mut next = Vec::new();
+        let mut next_start = Vec::with_capacity(n * num_hosts + 1);
+        for u in 0..n {
             for p in 0..num_hosts {
-                let du = dist[l.src.index() * num_hosts + p];
-                let dv = dist[l.dst.index() * num_hosts + p];
-                if du != UNREACHABLE && dv != UNREACHABLE && dv + 1 == du {
-                    next[l.src.index() * num_hosts + p].push(LinkId(i as u32));
+                next_start.push(u32::try_from(next.len()).unwrap_or(u32::MAX));
+                let du = dist[u * num_hosts + p];
+                for &lid in topo.out_links(NodeId(u as u32)) {
+                    let dv = dist[topo.link(lid).dst.index() * num_hosts + p];
+                    if du != UNREACHABLE && dv != UNREACHABLE && dv + 1 == du {
+                        next.push(lid);
+                    }
                 }
             }
         }
-        Self { dist, next, host_pos, num_hosts }
+        next_start.push(u32::try_from(next.len()).unwrap_or(u32::MAX));
+        Self { dist, next, next_start, host_pos, num_hosts }
+    }
+
+    /// The equal-cost next hops of slot `node * num_hosts + hpos`.
+    fn candidates(&self, slot: usize) -> &[LinkId] {
+        &self.next[self.next_start[slot] as usize..self.next_start[slot + 1] as usize]
     }
 
     /// Hop distance from `node` to host `dst`, or `None` if unreachable
@@ -168,7 +181,7 @@ impl RouteTable {
         let mut at = src;
         let mut hop = 0u32;
         while at != dst {
-            let cands = &self.next[at.index() * self.num_hosts + p];
+            let cands = self.candidates(at.index() * self.num_hosts + p);
             debug_assert!(!cands.is_empty(), "distance table promised a next hop");
             let rank = match mode {
                 RouteMode::CanonicalShortest => 0,
@@ -200,7 +213,8 @@ impl RouteTable {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         };
-        for cands in &mut self.next {
+        for bounds in self.next_start.windows(2) {
+            let cands = &mut self.next[bounds[0] as usize..bounds[1] as usize];
             // Fisher–Yates.
             for i in (1..cands.len()).rev() {
                 let j = (mix() % (i as u64 + 1)) as usize;

@@ -69,6 +69,16 @@ impl LinkTier {
             LinkTier::Core => "core",
         }
     }
+
+    /// The tier's slot in per-tier accumulators, in [`ALL_TIERS`] order.
+    #[must_use]
+    pub fn slot(self) -> usize {
+        match self {
+            LinkTier::Access => 0,
+            LinkTier::Aggregation => 1,
+            LinkTier::Core => 2,
+        }
+    }
 }
 
 /// Number of [`LinkTier`] variants (size of per-tier accumulators).
@@ -348,6 +358,13 @@ mod tests {
         assert_eq!(t.num_links(), 2 * (4 * 2 + 32));
         let spine_links = t.links().iter().filter(|l| l.tier == LinkTier::Core).count();
         assert_eq!(spine_links, 2 * 8);
+    }
+
+    #[test]
+    fn tier_slots_follow_all_tiers() {
+        for (i, tier) in ALL_TIERS.into_iter().enumerate() {
+            assert_eq!(tier.slot(), i);
+        }
     }
 
     #[test]

@@ -189,3 +189,71 @@ fn canonical_routing_also_completes() {
     let (done, _, _) = run(&mut net, &flows);
     assert_eq!(done.len(), 7);
 }
+
+mod idle_path {
+    use super::*;
+    use inca_net::RouteTable;
+    use inca_units::Bandwidth;
+    use proptest::prelude::*;
+
+    /// Runs one flow alone from time 0; returns when its last packet was
+    /// delivered and when its last ack came back.
+    fn delivered_and_acked(net: &mut Network<u64>, spec: FlowSpec) -> (SimTime, SimTime) {
+        let mut q = EventQueue::new();
+        net.start_flow(0, spec, 0, &mut Sched(&mut q));
+        let (mut delivered, mut acked) = (None, None);
+        while let Some((t, ev)) = q.pop() {
+            if net.on_event(t, ev, &mut Sched(&mut q)).is_some() {
+                delivered = Some(t);
+            }
+            if acked.is_none() && net.flows_in_flight() == 0 {
+                acked = Some(t);
+            }
+        }
+        (delivered.expect("flow delivered"), acked.expect("flow acked"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A flow of `P` equal packets that fits the initial window and
+        /// has its `H`-hop path to itself pipelines store-and-forward: the
+        /// last packet arrives at `(P + H − 1)·ser + H·latency` and its ack
+        /// `H·latency` later, where `ser` is the packet's serialization
+        /// time rounded to whole ns.
+        #[test]
+        fn delivery_matches_store_and_forward(
+            packets in 1u32..=10,
+            mtu in 64u32..=9_000,
+            gbps_idx in 0usize..5,
+            latency_ns in 0u64..=2_000,
+            leaf_spine in any::<bool>(),
+            src_draw in any::<usize>(),
+            dst_draw in any::<usize>(),
+        ) {
+            let gbps = [10.0, 25.0, 40.0, 100.0, 400.0][gbps_idx];
+            let link = LinkSpec { bandwidth: Bandwidth::from_gbps(gbps), latency_ns };
+            let topo = if leaf_spine { Topology::leaf_spine(3, 2, 3, link) } else { Topology::fat_tree(4, 2, link) };
+            let hosts = topo.hosts().to_vec();
+            let (src, dst) = (hosts[src_draw % hosts.len()], hosts[dst_draw % hosts.len()]);
+            prop_assume!(src != dst);
+            let cfg = NetConfig {
+                queue: QueueConfig::drop_tail(u64::MAX),
+                mtu_bytes: mtu,
+                ..NetConfig::default_fleet()
+            };
+            prop_assume!(packets <= cfg.dctcp.init_cwnd);
+            let hops = RouteTable::shortest_paths(&topo).distance(src, dst).expect("connected") as u64;
+            let mut net = Network::new(topo, cfg);
+            let ser = (f64::from(mtu) * 8.0 / gbps).round() as u64;
+            let spec = FlowSpec { src, dst, bytes: u64::from(packets) * u64::from(mtu) };
+            let (delivered, acked) = delivered_and_acked(&mut net, spec);
+            let p = u64::from(packets);
+            prop_assert_eq!(delivered, (p + hops - 1) * ser + hops * latency_ns);
+            prop_assert_eq!(acked, delivered + hops * latency_ns);
+            let totals = net.totals();
+            prop_assert_eq!((totals.drops, totals.ecn_marks, totals.retransmits), (0, 0, 0));
+            prop_assert_eq!(totals.packets, p * hops);
+        }
+    }
+}

@@ -33,8 +33,7 @@
 use inca_core::exec::{par_map_indexed, ExecPolicy};
 use inca_events::{EventQueue, SimTime};
 use inca_net::{
-    FlowSpec, LinkSpec, LinkTier, NetConfig, NetEv, NetScheduler, NetTotals, Network, NodeId, Topology,
-    TIER_COUNT,
+    FlowSpec, LinkSpec, NetConfig, NetEv, NetScheduler, NetTotals, Network, NodeId, Topology, TIER_COUNT,
 };
 use inca_telemetry as tel;
 use inca_units::Bandwidth;
@@ -345,12 +344,8 @@ impl Fabric {
         if run.makespan_ns > 0 {
             let span = run.makespan_ns as f64;
             for (def, link) in self.net.topo().links().iter().zip(self.net.links()) {
-                let slot = match def.tier {
-                    LinkTier::Access => 0,
-                    LinkTier::Aggregation => 1,
-                    LinkTier::Core => 2,
-                };
-                max_link_util[slot] = max_link_util[slot].max(link.counters.busy_ns as f64 / span);
+                let slot = &mut max_link_util[def.tier.slot()];
+                *slot = slot.max(link.counters.busy_ns as f64 / span);
             }
         }
         FleetResult { run, net: self.net.totals(), tier_busy, max_link_util, util_series: self.util }
