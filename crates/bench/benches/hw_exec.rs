@@ -1,6 +1,6 @@
-//! Scalar-vs-packed (and cached-vs-uncached, sequential-vs-parallel)
-//! benchmark of the hardware-functional execution engine, emitting a
-//! machine-readable `BENCH_hw_exec.json` artifact at the workspace root.
+//! Scalar-vs-packed (and sequential-vs-parallel) benchmark of the
+//! hardware-functional execution engine, emitting a machine-readable
+//! `BENCH_hw_exec.json` artifact at the workspace root.
 //!
 //! Three engine sections, all `HwConv`: `hw_conv` (one sample) and
 //! `hw_batch_conv` (a batch of 8 on the planes of the 3D stacks) run a 3×3
@@ -9,15 +9,13 @@
 //! whose reads can saturate, so its packed path is the bit-serial
 //! `and_popcount_accumulate` loop.
 //!
-//! Modes per engine:
+//! Modes per engine, every forward programming its input:
 //!
-//! * `scalar_seq_cached` — per-cell byte-loop reads ([`ReadPath::Scalar`]),
-//!   sequential schedule, warm cache — the reference read model,
-//! * `seq_uncached`      — packed reads, programmed-state cache cleared
-//!   before every forward (the re-program-every-call baseline),
-//! * `seq_cached`        — packed reads, warm cache,
-//! * `par_cached`        — packed reads, warm cache, parallel schedule
-//!   sized by [`ExecPolicy::parallel`] (clamped to the host).
+//! * `scalar_seq` — per-cell byte-loop reads ([`ReadPath::Scalar`]),
+//!   sequential schedule — the reference read model,
+//! * `seq`        — packed reads, sequential schedule,
+//! * `par`        — packed reads, parallel schedule sized by
+//!   [`ExecPolicy::parallel`] (clamped to the host).
 //!
 //! Honesty rules baked into the artifact: `host_threads` is the
 //! machine's actual available parallelism, `par_workers_requested` /
@@ -98,18 +96,9 @@ fn hw_exec_benches(c: &mut Criterion) {
     let conv_seq = HwConv::from_float(&w, &bias, 1, 1).unwrap(); // packed by default
     let conv_scalar = conv_seq.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
     let conv_par = conv_seq.clone().with_policy(par_policy);
-
-    let conv_seq_uncached = mean_ns(
-        || {
-            conv_seq.clear_cache();
-            black_box(conv_seq.forward(&x).unwrap());
-        },
-        ITERS,
-    );
-    conv_seq.forward(&x).unwrap(); // warm the cache
-    let conv_seq_cached = mean_ns(|| black_box(conv_seq.forward(&x).unwrap()).len(), ITERS);
-    let conv_scalar_cached = mean_ns(|| black_box(conv_scalar.forward(&x).unwrap()).len(), ITERS);
-    let conv_par_cached =
+    let conv_seq_ns = mean_ns(|| black_box(conv_seq.forward(&x).unwrap()).len(), ITERS);
+    let conv_scalar_ns = mean_ns(|| black_box(conv_scalar.forward(&x).unwrap()).len(), ITERS);
+    let conv_par_ns =
         measure_parallel.then(|| mean_ns(|| black_box(conv_par.forward(&x).unwrap()).len(), ITERS));
 
     // The same input under a 5x5 kernel: 25 cells per read can pass the
@@ -118,30 +107,18 @@ fn hw_exec_benches(c: &mut Criterion) {
     let sat_seq = HwConv::from_float(&ws, &bias, 1, 2).unwrap();
     let sat_scalar = sat_seq.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
     let sat_par = sat_seq.clone().with_policy(par_policy);
-    let sat_seq_uncached = mean_ns(
-        || {
-            sat_seq.clear_cache();
-            black_box(sat_seq.forward(&x).unwrap());
-        },
-        ITERS,
-    );
-    sat_seq.forward(&x).unwrap();
-    let sat_seq_cached = mean_ns(|| black_box(sat_seq.forward(&x).unwrap()).len(), ITERS);
-    let sat_scalar_cached = mean_ns(|| black_box(sat_scalar.forward(&x).unwrap()).len(), ITERS);
-    let sat_par_cached =
+    let sat_seq_ns = mean_ns(|| black_box(sat_seq.forward(&x).unwrap()).len(), ITERS);
+    let sat_scalar_ns = mean_ns(|| black_box(sat_scalar.forward(&x).unwrap()).len(), ITERS);
+    let sat_par_ns =
         measure_parallel.then(|| mean_ns(|| black_box(sat_par.forward(&x).unwrap()).len(), ITERS));
 
-    // Telemetry guardrail: the same cached (packed) forward with event
-    // recording enabled vs disabled. The packed path coalesces each
-    // forward's reads into four `record()` calls, so the ratio should
-    // sit inside run-to-run noise; the recorded numbers keep that claim
-    // honest.
+    // Telemetry guardrail: the same packed forward inside a capture vs
+    // outside any. The packed path coalesces each forward's reads into
+    // four `record()` calls, so the ratio should sit inside run-to-run
+    // noise; the recorded numbers keep that claim honest.
     let telemetry_off_ns = mean_ns(|| black_box(conv_seq.forward(&x).unwrap()).len(), ITERS);
-    inca_telemetry::reset();
-    inca_telemetry::set_enabled(true);
-    let telemetry_on_ns = mean_ns(|| black_box(conv_seq.forward(&x).unwrap()).len(), ITERS);
-    inca_telemetry::set_enabled(false);
-    inca_telemetry::reset();
+    let (telemetry_on_ns, _) =
+        inca_telemetry::capture(|| mean_ns(|| black_box(conv_seq.forward(&x).unwrap()).len(), ITERS));
 
     // The same layer over a batch of 8.
     let xb = random_tensor(&[8, 4, 16, 16], 103, -0.5, 1.0);
@@ -149,36 +126,23 @@ fn hw_exec_benches(c: &mut Criterion) {
     let batch_scalar =
         batch_seq.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
     let batch_par = batch_seq.clone().with_policy(par_policy);
-
-    let batch_seq_uncached = mean_ns(
-        || {
-            batch_seq.clear_cache();
-            black_box(batch_seq.forward(&xb).unwrap());
-        },
-        ITERS,
-    );
-    batch_seq.forward(&xb).unwrap();
-    let batch_seq_cached = mean_ns(|| black_box(batch_seq.forward(&xb).unwrap()).len(), ITERS);
-    let batch_scalar_cached = mean_ns(|| black_box(batch_scalar.forward(&xb).unwrap()).len(), ITERS);
-    let batch_par_cached =
+    let batch_seq_ns = mean_ns(|| black_box(batch_seq.forward(&xb).unwrap()).len(), ITERS);
+    let batch_scalar_ns = mean_ns(|| black_box(batch_scalar.forward(&xb).unwrap()).len(), ITERS);
+    let batch_par_ns =
         measure_parallel.then(|| mean_ns(|| black_box(batch_par.forward(&xb).unwrap()).len(), ITERS));
 
-    let engine_section = |scalar: f64, uncached: f64, cached: f64, par: Option<f64>| match par {
+    let engine_section = |scalar: f64, seq: f64, par: Option<f64>| match par {
         Some(par_ns) => json!({
-            "scalar_seq_cached_ns": scalar,
-            "seq_uncached_ns": uncached,
-            "seq_cached_ns": cached,
-            "packed_over_scalar": scalar / cached,
-            "cache_speedup": uncached / cached,
-            "par_cached_ns": par_ns,
-            "parallel_speedup": cached / par_ns,
+            "scalar_seq_ns": scalar,
+            "seq_ns": seq,
+            "packed_over_scalar": scalar / seq,
+            "par_ns": par_ns,
+            "parallel_speedup": seq / par_ns,
         }),
         None => json!({
-            "scalar_seq_cached_ns": scalar,
-            "seq_uncached_ns": uncached,
-            "seq_cached_ns": cached,
-            "packed_over_scalar": scalar / cached,
-            "cache_speedup": uncached / cached,
+            "scalar_seq_ns": scalar,
+            "seq_ns": seq,
+            "packed_over_scalar": scalar / seq,
             "parallel": json!({ "skipped": "host_threads < 4" }),
         }),
     };
@@ -227,13 +191,12 @@ fn hw_exec_benches(c: &mut Criterion) {
             "conv_saturating": "8x4x5x5 on 1x4x16x16, stride 1, pad 2",
             "batch_conv": "8x4x3x3 on 8x4x16x16, stride 1, pad 1"
         }),
-        "hw_conv": engine_section(conv_scalar_cached, conv_seq_uncached, conv_seq_cached, conv_par_cached),
-        "hw_conv_saturating": engine_section(sat_scalar_cached, sat_seq_uncached, sat_seq_cached, sat_par_cached),
-        "hw_batch_conv":
-            engine_section(batch_scalar_cached, batch_seq_uncached, batch_seq_cached, batch_par_cached),
+        "hw_conv": engine_section(conv_scalar_ns, conv_seq_ns, conv_par_ns),
+        "hw_conv_saturating": engine_section(sat_scalar_ns, sat_seq_ns, sat_par_ns),
+        "hw_batch_conv": engine_section(batch_scalar_ns, batch_seq_ns, batch_par_ns),
         "telemetry": json!({
-            "conv_seq_cached_off_ns": telemetry_off_ns,
-            "conv_seq_cached_on_ns": telemetry_on_ns,
+            "conv_seq_off_ns": telemetry_off_ns,
+            "conv_seq_on_ns": telemetry_on_ns,
             "on_over_off": telemetry_on_ns / telemetry_off_ns
         }),
         "serve": serve_section
@@ -242,22 +205,22 @@ fn hw_exec_benches(c: &mut Criterion) {
     std::fs::write(path, serde_json::to_string_pretty(&artifact).unwrap()).unwrap();
     eprintln!("hw_exec artifact written to {path}");
     eprintln!(
-        "hw_conv: scalar {conv_scalar_cached:.0}ns packed {conv_seq_cached:.0}ns (x{:.2}, simd {simd_impl})",
-        conv_scalar_cached / conv_seq_cached
+        "hw_conv: scalar {conv_scalar_ns:.0}ns packed {conv_seq_ns:.0}ns (x{:.2}, simd {simd_impl})",
+        conv_scalar_ns / conv_seq_ns
     );
     eprintln!(
-        "hw_conv_saturating: scalar {sat_scalar_cached:.0}ns packed {sat_seq_cached:.0}ns (x{:.2})",
-        sat_scalar_cached / sat_seq_cached
+        "hw_conv_saturating: scalar {sat_scalar_ns:.0}ns packed {sat_seq_ns:.0}ns (x{:.2})",
+        sat_scalar_ns / sat_seq_ns
     );
     eprintln!(
-        "hw_batch_conv: scalar {batch_scalar_cached:.0}ns packed {batch_seq_cached:.0}ns (x{:.2})",
-        batch_scalar_cached / batch_seq_cached
+        "hw_batch_conv: scalar {batch_scalar_ns:.0}ns packed {batch_seq_ns:.0}ns (x{:.2})",
+        batch_scalar_ns / batch_seq_ns
     );
-    match (conv_par_cached, batch_par_cached) {
+    match (conv_par_ns, batch_par_ns) {
         (Some(cp), Some(bp)) => eprintln!(
             "parallel ({par_workers} workers on {host_threads} host threads): conv x{:.2} batch x{:.2}",
-            conv_seq_cached / cp,
-            batch_seq_cached / bp
+            conv_seq_ns / cp,
+            batch_seq_ns / bp
         ),
         _ => eprintln!(
             "parallel: SKIPPED (host_threads {host_threads} < 4; refusing to publish an oversubscribed speedup)"
@@ -286,35 +249,26 @@ fn hw_exec_benches(c: &mut Criterion) {
     // Criterion's own measurement pass over the same modes.
     let mut group = c.benchmark_group("hw_exec");
     group.sample_size(10);
-    group.bench_function("conv_scalar_seq_cached", |b| {
+    group.bench_function("conv_scalar_seq", |b| {
         b.iter(|| black_box(conv_scalar.forward(&x).unwrap()).len());
     });
-    group.bench_function("conv_seq_uncached", |b| {
-        b.iter(|| {
-            conv_seq.clear_cache();
-            black_box(conv_seq.forward(&x).unwrap()).len()
-        });
-    });
-    group.bench_function("conv_seq_cached", |b| {
+    group.bench_function("conv_seq", |b| {
         b.iter(|| black_box(conv_seq.forward(&x).unwrap()).len());
     });
-    group.bench_function("conv_saturating_seq_cached", |b| {
+    group.bench_function("conv_saturating_seq", |b| {
         b.iter(|| black_box(sat_seq.forward(&x).unwrap()).len());
     });
     group.bench_function("conv_telemetry_on", |b| {
-        inca_telemetry::set_enabled(true);
-        b.iter(|| black_box(conv_seq.forward(&x).unwrap()).len());
-        inca_telemetry::set_enabled(false);
-        inca_telemetry::reset();
+        inca_telemetry::capture(|| b.iter(|| black_box(conv_seq.forward(&x).unwrap()).len()));
     });
-    group.bench_function("batch_seq_cached", |b| {
+    group.bench_function("batch_seq", |b| {
         b.iter(|| black_box(batch_seq.forward(&xb).unwrap()).len());
     });
     if measure_parallel {
-        group.bench_function("conv_par_cached", |b| {
+        group.bench_function("conv_par", |b| {
             b.iter(|| black_box(conv_par.forward(&x).unwrap()).len());
         });
-        group.bench_function("batch_par_cached", |b| {
+        group.bench_function("batch_par", |b| {
             b.iter(|| black_box(batch_par.forward(&xb).unwrap()).len());
         });
     }

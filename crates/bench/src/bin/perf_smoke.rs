@@ -3,15 +3,16 @@
 //! packed read path hold on the machine that produced it:
 //!
 //! 1. packed window reads are at least 10x faster than the scalar
-//!    byte-loop reference on both cached single-sample workloads:
+//!    byte-loop reference on both single-sample workloads:
 //!    `hw_conv` (3×3, whose reads the 4-bit ADC never saturates, so the
 //!    packed path is one integer dot product per window) and
 //!    `hw_conv_saturating` (5×5, whose reads can saturate, so the packed
 //!    path is the bit-serial `and_popcount_accumulate` loop). On a
-//!    2-vCPU x86-64 host the integer path measured ~1300x and the
-//!    bit-serial loop 62–113x on the 5×5 layer with AVX2. On a 3×3 layer
-//!    the bit-serial loop — one compact word per window read — measured
-//!    ~70x with AVX2 and ~26x with dispatch forced to the portable loop;
+//!    2-vCPU x86-64 host, with every forward programming its input, the
+//!    integer path measured ~850x and the bit-serial loop ~89x on the
+//!    5×5 layer with AVX2. On a 3×3 layer the bit-serial loop — one
+//!    compact word per window read — measured ~70x with AVX2 and ~26x
+//!    with dispatch forced to the portable loop;
 //!    the tiled-mask layout it replaced measured 6x, so falling back to
 //!    that layout fails on either dispatch level,
 //! 2. on hosts with at least 4 threads, the parallel schedule beats the
@@ -21,7 +22,7 @@
 //!    `"parallel": {"skipped": "host_threads < 4"}` marker instead of a
 //!    number, and this gate reports a loud SKIP rather than silently
 //!    passing,
-//! 3. enabling telemetry costs less than 1.5x on the packed path —
+//! 3. recording telemetry costs less than 1.5x on the packed path —
 //!    coalescing each forward's reads into four `record()` calls retired
 //!    the 1.69x overhead the per-read scheme used to pay.
 //!
@@ -32,7 +33,8 @@
 //! 4. the discrete-event engine sustains at least 5M events/second of
 //!    schedule/pop churn — the calendar-queue floor; the old binary heap
 //!    cleared 1M, the bucket queue measures well past 5M in release,
-//! 5. telemetry on vs off changes serving throughput by less than 1.5x,
+//! 5. telemetry on vs off (inside vs outside a capture) changes serving
+//!    throughput by less than 1.5x,
 //! 6. on hosts with at least 4 threads, fanning the sweep's point grid
 //!    across 4 workers beats the sequential sweep by ≥ 2x wall-clock.
 //!    Smaller hosts get a loud SKIP — an oversubscribed speedup is
@@ -309,11 +311,8 @@ fn main() -> ExitCode {
         t.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
         t[1]
     };
-    inca_telemetry::set_enabled(false);
     let off = median(&cfg, &mut cache);
-    inca_telemetry::set_enabled(true);
-    let on = median(&cfg, &mut cache);
-    inca_telemetry::set_enabled(false);
+    let (on, _) = inca_telemetry::capture(|| median(&cfg, &mut cache));
     let serve_on_over_off = on / off;
     if serve_on_over_off >= 1.5 {
         eprintln!(

@@ -234,17 +234,22 @@ where
 
     let init = &init;
     let f = &f;
+    // Workers record into the caller's telemetry capture, so parallel
+    // totals equal sequential ones.
+    let telemetry = &inca_telemetry::current();
     crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = blocks
             .into_iter()
             .map(|(first_chunk, block)| {
-                scope.spawn(move |_| -> std::result::Result<(), (usize, crate::Error)> {
-                    let mut state = init();
-                    for (off, chunk) in block.chunks_mut(chunk_len).enumerate() {
-                        let idx = first_chunk + off;
-                        f(&mut state, idx, chunk).map_err(|e| (idx, e))?;
-                    }
-                    Ok(())
+                scope.spawn(move |_| {
+                    telemetry.enter(|| -> std::result::Result<(), (usize, crate::Error)> {
+                        let mut state = init();
+                        for (off, chunk) in block.chunks_mut(chunk_len).enumerate() {
+                            let idx = first_chunk + off;
+                            f(&mut state, idx, chunk).map_err(|e| (idx, e))?;
+                        }
+                        Ok(())
+                    })
                 })
             })
             .collect();

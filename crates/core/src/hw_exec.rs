@@ -30,11 +30,9 @@
 //!   saturate; the `u8` bit-planes of the scalar and analog reads are
 //!   derived from the codes on first use,
 //! * the programmed input state is the padded 8-bit code image, quantized
-//!   in one pass over the batch, cached per layer and keyed on a streamed
-//!   hash of the codes, so repeated forwards of the same input (e.g. the
-//!   forward halves of a training step) program it once. Its tiles of
-//!   stacks are derived from the image only when a bit-level path reads
-//!   them; their writes are counted at programming either way,
+//!   in one pass over the batch at every forward. Its tiles of stacks are
+//!   derived from the image only when a bit-level path reads them; their
+//!   writes are counted at programming either way,
 //! * output windows are independent read bursts, so a
 //!   [`crate::Schedule::Parallel`] policy fans output rows across scoped
 //!   worker threads, bit-exact with the sequential schedule,
@@ -61,13 +59,10 @@
 //! INCA's direct-convolution story.
 
 #![allow(clippy::needless_range_loop)] // loops index several arrays with one shared variable
-use std::sync::{Arc, OnceLock};
-
 use inca_nn::Tensor;
 use inca_telemetry::Event;
 use inca_xbar::quant::slice_to_bit_planes;
 use inca_xbar::{AdcReadout, Crossbar2d, Stack3d, VerticalPlane};
-use parking_lot::Mutex;
 
 use crate::exec::{self, ExecPolicy, ReadPath};
 use crate::hw_kernel::{conv_output_dims, CodeImage, ConvKernel};
@@ -114,14 +109,6 @@ struct Partition {
 /// bit-planes: the bit-level view of the programmed code image.
 type Tiles = Vec<Vec<Partition>>;
 
-/// A layer's programmed input state: the code image, and its tiles,
-/// derived when a bit-level read first needs them.
-#[derive(Debug)]
-struct Programmed {
-    image: CodeImage,
-    tiles: OnceLock<Tiles>,
-}
-
 /// A convolution layer programmed onto INCA hardware. `forward` executes
 /// a whole batch on 3D stacks: one kernel broadcast per window reads
 /// every sample's plane.
@@ -152,8 +139,6 @@ pub struct HwConv {
     /// Subarray side (16 in the paper, at least `k`).
     side: usize,
     policy: ExecPolicy,
-    /// The last programmed input, shared by the layer's clones.
-    cache: Arc<Mutex<Option<Arc<Programmed>>>>,
 }
 
 impl HwConv {
@@ -169,17 +154,13 @@ impl HwConv {
     /// packed read accumulators could overflow.
     pub fn from_float(weights: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Result<Self> {
         let kernel = ConvKernel::from_float(weights, bias, stride, pad)?;
-        Ok(Self { side: 16.max(kernel.k()), kernel, policy: ExecPolicy::default(), cache: Arc::default() })
+        Ok(Self { side: 16.max(kernel.k()), kernel, policy: ExecPolicy::default() })
     }
 
     /// Overrides the subarray side (for partitioning ablations).
-    ///
-    /// Invalidates any cached programmed state, which depends on the
-    /// tile geometry.
     #[must_use]
     pub fn with_side(mut self, side: usize) -> Self {
         self.side = side.max(self.kernel.k());
-        self.cache = Arc::default();
         self
     }
 
@@ -201,38 +182,21 @@ impl HwConv {
         self.policy
     }
 
-    /// Drops any cached programmed input state.
-    pub fn clear_cache(&self) {
-        *self.cache.lock() = None;
-    }
-
-    /// Quantizes the batch and reuses the cached state when the quantized
-    /// input is unchanged. Otherwise programs it, recording one plane
-    /// write per (channel, tile, activation bit, sample) whether or not a
+    /// Quantizes and programs the batch, recording one plane write per
+    /// (channel, tile, activation bit, sample) whether or not a
     /// bit-level path ever materializes the planes.
-    fn program(&self, x: &Tensor) -> Arc<Programmed> {
+    fn program(&self, x: &Tensor) -> CodeImage {
         let image = CodeImage::quantize(x, self.kernel.pad());
-        if let Some(hit) = self.cache.lock().as_ref().filter(|p| p.image.same_input(&image)) {
-            inca_telemetry::incr(Event::ProgramCacheHit);
-            return Arc::clone(hit);
-        }
-        inca_telemetry::incr(Event::ProgramCacheMiss);
         let _span = inca_telemetry::span("hw_conv.program");
         let tiles = self.tile_walk(image.ph, image.pw).len();
         VerticalPlane::record_writes((image.b * image.c * tiles * usize::from(DATA_BITS)) as u64);
-        let programmed = Arc::new(Programmed { image, tiles: OnceLock::new() });
-        *self.cache.lock() = Some(Arc::clone(&programmed));
-        programmed
+        image
     }
 
-    /// The programmed tiles, derived from the code image on first use
-    /// (uncounted: their writes were recorded at programming).
-    fn tiles<'a>(&self, pa: &'a Programmed) -> Result<&'a Tiles> {
-        if let Some(tiles) = pa.tiles.get() {
-            return Ok(tiles);
-        }
-        let tiles = (0..pa.image.c).map(|ci| self.partition(&pa.image, ci)).collect::<Result<_>>()?;
-        Ok(pa.tiles.get_or_init(|| tiles))
+    /// The programmed tiles, derived from the code image for a bit-level
+    /// read (uncounted: their writes were recorded at programming).
+    fn tiles(&self, image: &CodeImage) -> Result<Tiles> {
+        (0..image.c).map(|ci| self.partition(image, ci)).collect()
     }
 
     /// Executes the layer on a `[B, C, H, W]` batch, returning
@@ -261,14 +225,14 @@ impl HwConv {
         }
         let (oh, ow) = self.kernel.output_dims(h, w)?;
         let _span = inca_telemetry::span("hw_conv.forward");
-        let pa = self.program(x);
+        let image = self.program(x);
         if self.policy.read_path == ReadPath::Scalar {
-            return self.forward_scalar(&pa, oh, ow);
+            return self.forward_scalar(&image, oh, ow);
         }
         let out = if self.kernel.exact_reads() {
-            self.kernel.forward_linear(self.policy, &pa.image, oh, ow)?
+            self.kernel.forward_linear(self.policy, &image, oh, ow)?
         } else {
-            self.forward_bit_serial(&pa, oh, ow)?
+            self.forward_bit_serial(&image, oh, ow)?
         };
         // The scalar path's events, one record per kind: every window
         // broadcasts each (output, channel, side, weight bit) once per
@@ -289,10 +253,10 @@ impl HwConv {
     /// telemetry ([`Stack3d::direct_conv_window`]) and every plane's sum
     /// saturated at the ADC's max code. Accumulators are laid out
     /// `[o][oy][ox][bi]`, so one (o, oy) row is a chunk a worker owns.
-    fn forward_scalar(&self, pa: &Programmed, oh: usize, ow: usize) -> Result<Tensor> {
-        let (kernel, image) = (&self.kernel, &pa.image);
+    fn forward_scalar(&self, image: &CodeImage, oh: usize, ow: usize) -> Result<Tensor> {
+        let kernel = &self.kernel;
         let (b, k, out_ch) = (image.b, kernel.k(), kernel.out_ch());
-        let tiles = self.tiles(pa)?;
+        let tiles = self.tiles(image)?;
         let mut accs = vec![0i64; out_ch * oh * ow * b];
         exec::for_each_chunk(self.policy, &mut accs, ow * b, |idx, row| {
             let (o, oy) = (idx / oh, idx % oh);
@@ -345,10 +309,10 @@ impl HwConv {
     /// arena allocated once per forward pass, not per output row. The
     /// saturation is `min(max_code)` — the same arithmetic as
     /// [`AdcReadout::digitize`] without its per-call event.
-    fn forward_bit_serial(&self, pa: &Programmed, oh: usize, ow: usize) -> Result<Tensor> {
-        let (kernel, image) = (&self.kernel, &pa.image);
+    fn forward_bit_serial(&self, image: &CodeImage, oh: usize, ow: usize) -> Result<Tensor> {
+        let kernel = &self.kernel;
         let k = kernel.k();
-        let tiles = self.tiles(pa)?;
+        let tiles = &self.tiles(image)?;
         kernel.map_rows(
             self.policy,
             (image.b, oh, ow),
@@ -446,8 +410,7 @@ impl HwConv {
     /// decision levels survive several percent of device noise.
     ///
     /// Executes one sample and always runs sequentially (the noise stream
-    /// is drawn from one `rng`), but shares the programmed-state cache
-    /// with [`HwConv::forward`].
+    /// is drawn from one `rng`).
     ///
     /// # Errors
     ///
@@ -469,8 +432,8 @@ impl HwConv {
         }
         let (oh, ow) = kernel.output_dims(h, w)?;
         let _span = inca_telemetry::span("hw_conv.forward_noisy");
-        let pa = self.program(x);
-        let tiles = self.tiles(&pa)?;
+        let image = self.program(x);
+        let tiles = self.tiles(&image)?;
 
         let adc = AdcReadout::new(ADC_BITS);
         let unit = params.read_voltage * params.g_on();
@@ -507,7 +470,7 @@ impl HwConv {
                             }
                         }
                     }
-                    *out.at4_mut(0, o, oy, ox) = kernel.dequantize(o, acc, pa.image.x_scale, pa.image.x_min);
+                    *out.at4_mut(0, o, oy, ox) = kernel.dequantize(o, acc, image.x_scale, image.x_min);
                 }
             }
         }
@@ -840,25 +803,6 @@ mod tests {
         let conv = HwConv::from_float(&w, &[0.0], 1, 0).unwrap();
         let scalar = conv.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
         assert_eq!(conv.forward(&x).unwrap().data(), scalar.forward(&x).unwrap().data());
-    }
-
-    #[test]
-    fn repeated_forward_hits_programmed_cache() {
-        let w = random_tensor(&[2, 1, 3, 3], 43, -0.4, 0.4);
-        let x = random_tensor(&[1, 1, 9, 9], 44, 0.0, 1.0);
-        let hw = HwConv::from_float(&w, &[0.0, 0.0], 1, 1).unwrap();
-        let y1 = hw.forward(&x).unwrap();
-        // Second forward must reuse the cached programmed state and
-        // return the same bits; a different input must not hit the cache.
-        let y2 = hw.forward(&x).unwrap();
-        assert_eq!(y1.data(), y2.data());
-        let x2 = random_tensor(&[1, 1, 9, 9], 45, 0.0, 1.0);
-        let y3 = hw.forward(&x2).unwrap();
-        assert_ne!(y1.data(), y3.data());
-        // And after the cache was replaced, the original input still
-        // computes the original answer (reprogrammed, not stale).
-        hw.clear_cache();
-        assert_eq!(hw.forward(&x).unwrap().data(), y1.data());
     }
 
     #[test]

@@ -439,23 +439,6 @@ pub(crate) fn conv_output_dims(
     }
 }
 
-/// Streaming 64-bit mixer for activation-cache keys (FxHash-style
-/// rotate-xor-multiply). Not cryptographic — a collision merely serves a
-/// stale programmed state, and 2⁻⁶⁴ per lookup is far below the
-/// simulator's own float-roundtrip noise floor.
-#[derive(Debug, Clone)]
-struct KeyHasher(u64);
-
-impl KeyHasher {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
 /// An input batch quantized to 8-bit codes and zero-padded: the programmed
 /// input state every read path reads. Offset encoding: codes represent
 /// `v = code · x_scale + x_min`, so signed inputs (e.g. the raw image)
@@ -474,16 +457,13 @@ pub(crate) struct CodeImage {
     pub(crate) pw: usize,
     pub(crate) x_min: f32,
     pub(crate) x_scale: f32,
-    /// [`KeyHasher`] digest of the geometry, dequantization range, and
-    /// interior codes — the cache key.
-    key: u64,
     /// `[b][c][ph][pw]` codes; the halo holds the code of 0.0.
     codes: Vec<u8>,
 }
 
 impl CodeImage {
     /// Quantizes an NCHW batch with `pad` cells of zero padding, in one
-    /// pass over its values that also hashes the codes.
+    /// pass over its values.
     pub(crate) fn quantize(x: &Tensor, pad: usize) -> Self {
         let [b, c, h, w] = x.dims4();
         let levels = f32::from((1u16 << DATA_BITS) - 1);
@@ -501,16 +481,6 @@ impl CodeImage {
         };
         let zero_code = quantize(0.0);
         let (ph, pw) = (h + 2 * pad, w + 2 * pad);
-        // The key covers the geometry, the dequantization range and the
-        // interior codes; the halo is fully determined by `zero_code` and
-        // `pad`.
-        let mut hasher = KeyHasher::new();
-        for dim in [b, c, h, w, pad] {
-            hasher.write(dim as u64);
-        }
-        hasher.write(u64::from(x_min.to_bits()));
-        hasher.write(u64::from(x_scale.to_bits()));
-        hasher.write(u64::from(zero_code));
         let mut codes = vec![zero_code; b * c * ph * pw];
         let values = x.data();
         for plane in 0..b * c {
@@ -521,22 +491,9 @@ impl CodeImage {
                 for (dst, &v) in row.iter_mut().zip(src) {
                     *dst = quantize(v);
                 }
-                // Eight codes per hash step.
-                for chunk in row.chunks(8) {
-                    let mut word = [0u8; 8];
-                    word[..chunk.len()].copy_from_slice(chunk);
-                    hasher.write(u64::from_le_bytes(word));
-                }
             }
         }
-        Self { b, c, ph, pw, x_min, x_scale, key: hasher.0, codes }
-    }
-
-    /// Whether `other` holds the same quantized input.
-    pub(crate) fn same_input(&self, other: &Self) -> bool {
-        (self.b, self.c, self.ph, self.pw, self.key) == (other.b, other.c, other.ph, other.pw, other.key)
-            && self.x_min.to_bits() == other.x_min.to_bits()
-            && self.x_scale.to_bits() == other.x_scale.to_bits()
+        Self { b, c, ph, pw, x_min, x_scale, codes }
     }
 
     /// The `ph × pw` padded codes of one (sample, channel).
@@ -663,8 +620,6 @@ mod tests {
             127, 127, 191, 127,
             127, 127, 127, 127,
         ]);
-        assert!(image.same_input(&CodeImage::quantize(&x, 1)));
-        assert!(!image.same_input(&CodeImage::quantize(&x, 0)));
     }
 
     #[test]

@@ -30,17 +30,21 @@ pub fn sweep_models(config: &ArchConfig, models: &[Model]) -> Vec<SweepPoint> {
     out.resize_with(models.len() * 2, || None);
     let slots = &mut out[..];
 
+    // Sweep threads record into the caller's telemetry capture.
+    let telemetry = &inca_telemetry::current();
     crossbeam::thread::scope(|scope| {
         for (chunk, &model) in slots.chunks_mut(2).zip(models) {
             // `chunks_mut(2)` over a `2 * len` buffer: chunks are exact.
             let (inf_slot, rest) = chunk.split_first_mut().expect("chunk of two"); // lint: allow(panic-path)
             let tr_slot = &mut rest[0];
             scope.spawn(move |_| {
-                let spec = model.spec();
-                *inf_slot =
-                    Some(SweepPoint { model, training: false, stats: simulate_inference(config, &spec) });
-                *tr_slot =
-                    Some(SweepPoint { model, training: true, stats: simulate_training(config, &spec) });
+                telemetry.enter(|| {
+                    let spec = model.spec();
+                    *inf_slot =
+                        Some(SweepPoint { model, training: false, stats: simulate_inference(config, &spec) });
+                    *tr_slot =
+                        Some(SweepPoint { model, training: true, stats: simulate_training(config, &spec) });
+                });
             });
         }
     })
@@ -59,9 +63,10 @@ pub fn paper_sweep() -> (Vec<SweepPoint>, Vec<SweepPoint>) {
     let inca_cfg = ArchConfig::inca_paper();
     let base_cfg = ArchConfig::baseline_paper();
     let mut result = (Vec::new(), Vec::new());
+    let telemetry = &inca_telemetry::current();
     crossbeam::thread::scope(|scope| {
-        let inca = scope.spawn(|_| sweep_models(&inca_cfg, &models));
-        let base = scope.spawn(|_| sweep_models(&base_cfg, &models));
+        let inca = scope.spawn(|_| telemetry.enter(|| sweep_models(&inca_cfg, &models)));
+        let base = scope.spawn(|_| telemetry.enter(|| sweep_models(&base_cfg, &models)));
         // Join failures only propagate worker panics; nothing to recover.
         // lint: allow(panic-path)
         result = (inca.join().expect("inca sweep"), base.join().expect("baseline sweep"));
@@ -72,6 +77,8 @@ pub fn paper_sweep() -> (Vec<SweepPoint>, Vec<SweepPoint>) {
 
 #[cfg(test)]
 mod tests {
+    use inca_telemetry::capture;
+
     use super::*;
 
     #[test]
@@ -90,14 +97,27 @@ mod tests {
     fn parallel_sweep_matches_serial_simulation() {
         let models = [Model::ResNet18];
         let cfg = ArchConfig::baseline_paper();
-        let points = sweep_models(&cfg, &models);
-        let serial = simulate_inference(&cfg, &Model::ResNet18.spec());
+        let (points, swept) = capture(|| sweep_models(&cfg, &models));
+        let (serial, counted) = capture(|| {
+            let spec = Model::ResNet18.spec();
+            let _ = simulate_training(&cfg, &spec);
+            simulate_inference(&cfg, &spec)
+        });
         assert_eq!(points[0].stats.energy, serial.energy);
+        // The sweep threads record into the caller's capture.
+        assert!(counted.total_events() > 0);
+        assert_eq!(swept.counters(), counted.counters());
     }
 
     #[test]
     fn paper_sweep_shape() {
-        let (inca, base) = paper_sweep();
+        let ((inca, base), swept) = capture(paper_sweep);
+        let ((), counted) = capture(|| {
+            let models = Model::paper_suite();
+            let _ = sweep_models(&ArchConfig::inca_paper(), &models);
+            let _ = sweep_models(&ArchConfig::baseline_paper(), &models);
+        });
+        assert_eq!(swept.counters(), counted.counters());
         assert_eq!(inca.len(), 12);
         assert_eq!(base.len(), 12);
         // Every INCA training point beats its baseline counterpart.

@@ -8,7 +8,7 @@
 /// One class of hardware-meaningful event.
 ///
 /// Counter identity, not payload: each variant indexes a slot in the
-/// sharded counter block (see [`crate::record`]).
+/// capture's counter block (see [`crate::record`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(usize)]
 pub enum Event {
@@ -38,10 +38,6 @@ pub enum Event {
     DramReadByte,
     /// One byte written to DRAM.
     DramWriteByte,
-    /// A forward reused the programmed-state cache (no reprogramming).
-    ProgramCacheHit,
-    /// A forward had to (re)program the input-stationary state.
-    ProgramCacheMiss,
     /// A serving request admitted into a chip queue (`inca-serve`).
     ServeRequestAdmitted,
     /// A serving request shed by admission control under overload.
@@ -67,7 +63,7 @@ pub enum Event {
 }
 
 /// Number of distinct events (size of a counter block).
-pub const EVENT_COUNT: usize = 21;
+pub const EVENT_COUNT: usize = 19;
 
 /// All events, in counter-slot order.
 pub const ALL_EVENTS: [Event; EVENT_COUNT] = [
@@ -81,8 +77,6 @@ pub const ALL_EVENTS: [Event; EVENT_COUNT] = [
     Event::SramWrite,
     Event::DramReadByte,
     Event::DramWriteByte,
-    Event::ProgramCacheHit,
-    Event::ProgramCacheMiss,
     Event::ServeRequestAdmitted,
     Event::ServeRequestShed,
     Event::ServeBatchLaunched,
@@ -115,8 +109,6 @@ impl Event {
             Event::SramWrite => "sram_writes",
             Event::DramReadByte => "dram_read_bytes",
             Event::DramWriteByte => "dram_write_bytes",
-            Event::ProgramCacheHit => "program_cache_hits",
-            Event::ProgramCacheMiss => "program_cache_misses",
             Event::ServeRequestAdmitted => "serve_requests_admitted",
             Event::ServeRequestShed => "serve_requests_shed",
             Event::ServeBatchLaunched => "serve_batches_launched",

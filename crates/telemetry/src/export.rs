@@ -8,7 +8,7 @@
 use std::fmt::Write as _;
 
 use crate::snapshot::Snapshot;
-use crate::span::{dropped_trace_events, trace_events, SpanStats};
+use crate::span::{SpanStats, Spans};
 
 /// Escapes a string for inclusion in a JSON string literal.
 fn escape(s: &str, out: &mut String) {
@@ -101,20 +101,19 @@ fn span_table_line(node: &SpanStats, depth: usize, out: &mut String) {
     }
 }
 
-/// Serializes the buffered trace events in Chrome trace-event format.
+/// Serializes a capture's trace events in Chrome trace-event format.
 ///
 /// Load the resulting file in `chrome://tracing` or
 /// <https://ui.perfetto.dev>. Each completed span becomes one complete
-/// (`"ph":"X"`) event; `tid` is a small dense per-thread id. If spans
-/// were dropped at the [`crate::TRACE_CAPACITY`] cap, the count is
-/// noted under `"otherData"`.
+/// (`"ph":"X"`) event, timed from the capture's start; `tid` is a small
+/// dense per-thread id. If spans were dropped at the
+/// [`crate::TRACE_CAPACITY`] cap, the count is noted under `"otherData"`.
 #[must_use]
-pub fn chrome_trace_json() -> String {
-    let events = trace_events();
-    let dropped = dropped_trace_events();
-    let mut out = String::with_capacity(64 * events.len() + 128);
+pub fn chrome_trace_json(snapshot: &Snapshot) -> String {
+    let Spans { trace, dropped, .. } = &snapshot.spans;
+    let mut out = String::with_capacity(64 * trace.len() + 128);
     out.push_str("{\"traceEvents\":[");
-    for (i, e) in events.iter().enumerate() {
+    for (i, e) in trace.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -123,7 +122,9 @@ pub fn chrome_trace_json() -> String {
         let _ = write!(
             out,
             "\",\"cat\":\"inca\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{}}}",
-            e.ts_us, e.dur_us, e.tid
+            e.start_ns as f64 / 1e3,
+            e.dur_ns as f64 / 1e3,
+            e.tid
         );
     }
     let _ = write!(out, "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"dropped_events\":{dropped}}}}}\n");
@@ -133,44 +134,33 @@ pub fn chrome_trace_json() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::serial_guard;
-    use crate::Event;
+    use crate::{capture, Event};
 
     #[test]
     fn json_snapshot_contains_every_event_name() {
-        let _g = serial_guard();
-        crate::reset();
-        crate::set_enabled(true);
-        crate::record(Event::AdcConversion, 42);
-        crate::set_enabled(false);
-        let json = Snapshot::capture().to_json();
+        let ((), snap) = capture(|| crate::record(Event::AdcConversion, 42));
+        let json = snap.to_json();
         for event in crate::ALL_EVENTS {
             assert!(json.contains(event.name()), "missing {}", event.name());
         }
         assert!(json.contains("\"adc_conversions\": 42"));
-        crate::reset();
     }
 
     #[test]
     fn chrome_trace_has_complete_events() {
-        let _g = serial_guard();
-        crate::reset();
-        crate::set_enabled(true);
-        {
+        let ((), snap) = capture(|| {
             let _s = crate::span("traced \"phase\"");
-        }
-        crate::set_enabled(false);
-        let json = chrome_trace_json();
+        });
+        let json = chrome_trace_json(&snap);
         assert!(json.contains("\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("traced \\\"phase\\\""));
         assert!(json.contains("\"dropped_events\":0"));
-        crate::reset();
     }
 
     #[test]
     fn counter_table_lists_all_rows() {
-        let snap = Snapshot::empty();
+        let ((), snap) = capture(|| ());
         let table = snap.counter_table();
         assert_eq!(table.lines().count(), 2 + crate::EVENT_COUNT);
     }

@@ -8,19 +8,20 @@
 //! so they can be profiled and cross-checked against the *analytical*
 //! model in `inca-sim`.
 //!
-//! Three pieces:
+//! Five pieces:
 //!
-//! * **Counters** ([`record`], [`incr`], [`Event`]) — lock-free,
-//!   sharded per thread, with a single-relaxed-load disabled path cheap
-//!   enough for the innermost crossbar read loop. Telemetry starts
-//!   **disabled**; call [`set_enabled`]`(true)` around the region of
-//!   interest.
+//! * **Captures** ([`capture`], [`current`], [`Handle`]) — a capture
+//!   runs a closure and owns every event recorded inside it, on its
+//!   thread and on the worker threads that enter it. Nothing is recorded
+//!   outside a capture, so concurrent measurements never mix.
+//! * **Counters** ([`record`], [`incr`], [`Event`]) — exact per-capture
+//!   totals, with an uncaptured path of one thread-local load and a
+//!   branch, cheap enough for the innermost crossbar read loop.
 //! * **Spans** ([`span`]) — RAII wall-clock scopes with per-thread
-//!   parent nesting, aggregated into a tree and buffered as individual
-//!   trace events.
-//! * **Export** ([`Snapshot`], [`chrome_trace_json`]) — point-in-time
-//!   captures with a [`Snapshot::diff`] delta API, JSON and aligned
-//!   plain-text rendering, and a Chrome trace-event file for
+//!   parent nesting, aggregated into the capture's span tree and
+//!   buffered as individual trace events.
+//! * **Export** ([`Snapshot`], [`chrome_trace_json`]) — JSON and aligned
+//!   plain-text rendering of a capture, and a Chrome trace-event file for
 //!   `chrome://tracing` / Perfetto.
 //! * **Observability primitives** ([`LogLinearHist`], [`TimeSeries`]) —
 //!   deterministic HDR-style latency histograms and columnar time-series
@@ -35,24 +36,21 @@
 //! ```
 //! use inca_telemetry as tel;
 //!
-//! tel::set_enabled(true);
-//! let before = tel::Snapshot::capture();
-//! {
+//! tel::record(tel::Event::XbarReadPulse, 5); // outside any capture: not recorded
+//! let (reads, snap) = tel::capture(|| {
 //!     let _phase = tel::span("conv.forward");
 //!     tel::record(tel::Event::XbarReadPulse, 128);
 //!     tel::incr(tel::Event::AdcConversion);
-//! }
-//! tel::set_enabled(false);
-//! let delta = tel::Snapshot::capture().diff(&before);
-//! assert_eq!(delta.get(tel::Event::XbarReadPulse), 128);
-//! println!("{}", delta.counter_table());
-//! # tel::reset();
+//!     128
+//! });
+//! assert_eq!(snap.get(tel::Event::XbarReadPulse), reads);
+//! println!("{}", snap.counter_table());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod counters;
+mod capture;
 mod event;
 mod export;
 mod hist;
@@ -60,25 +58,10 @@ mod snapshot;
 mod span;
 mod timeseries;
 
-pub use counters::{enabled, incr, record, set_enabled, total};
+pub use capture::{capture, current, incr, record, Handle};
 pub use event::{Event, ALL_EVENTS, EVENT_COUNT};
 pub use export::chrome_trace_json;
 pub use hist::{LogLinearHist, DEFAULT_SUB_BITS};
-pub use snapshot::{reset, Snapshot};
-pub use span::{span, SpanGuard, SpanStats, TraceEvent, TRACE_CAPACITY};
+pub use snapshot::Snapshot;
+pub use span::{span, SpanGuard, SpanStats, TRACE_CAPACITY};
 pub use timeseries::TimeSeries;
-
-#[cfg(test)]
-pub(crate) mod test_support {
-    //! Telemetry state is global; tests that enable recording must not
-    //! interleave. Unit tests in this crate hold this guard.
-
-    use std::sync::{Mutex, MutexGuard};
-
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    /// Serializes telemetry-mutating tests within this test binary.
-    pub fn serial_guard() -> MutexGuard<'static, ()> {
-        SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}

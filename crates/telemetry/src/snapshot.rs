@@ -1,31 +1,20 @@
-//! Point-in-time snapshots of counters + span aggregates, with a
-//! `diff` API so tests and benches can assert over deltas.
+//! What one capture recorded: counters, span tree and trace events.
 
 use crate::event::{Event, ALL_EVENTS, EVENT_COUNT};
-use crate::span::{span_tree, SpanStats};
-use crate::{counters, span as span_mod};
+use crate::span::{SpanStats, Spans};
 
-/// An immutable capture of all telemetry state: one total per
-/// [`Event`] plus the aggregated span tree.
+/// Everything one [`crate::capture`] recorded: one total per [`Event`],
+/// the aggregated span tree, and the trace events
+/// [`crate::chrome_trace_json`] renders.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     counters: [u64; EVENT_COUNT],
-    spans: Vec<SpanStats>,
+    pub(crate) spans: Spans,
 }
 
 impl Snapshot {
-    /// Captures current totals. Take it after worker threads have
-    /// joined (the engines' public calls all return post-join) for an
-    /// exact count.
-    #[must_use]
-    pub fn capture() -> Self {
-        Snapshot { counters: counters::totals(), spans: span_tree() }
-    }
-
-    /// An all-zero snapshot (useful as a diff base).
-    #[must_use]
-    pub fn empty() -> Self {
-        Snapshot { counters: [0; EVENT_COUNT], spans: Vec::new() }
+    pub(crate) fn new(counters: [u64; EVENT_COUNT], spans: Spans) -> Self {
+        Snapshot { counters, spans }
     }
 
     /// Total for one event.
@@ -49,96 +38,6 @@ impl Snapshot {
     /// The aggregated span tree (roots in first-seen order).
     #[must_use]
     pub fn spans(&self) -> &[SpanStats] {
-        &self.spans
-    }
-
-    /// The delta `self - earlier`, saturating at zero (so a reset
-    /// between the two captures yields zeros rather than wrapping).
-    /// Span nodes whose count delta is zero are pruned.
-    #[must_use]
-    pub fn diff(&self, earlier: &Snapshot) -> Snapshot {
-        let mut counters = [0u64; EVENT_COUNT];
-        for (slot, (now, then)) in counters.iter_mut().zip(self.counters.iter().zip(&earlier.counters)) {
-            *slot = now.saturating_sub(*then);
-        }
-        Snapshot { counters, spans: diff_spans(&self.spans, &earlier.spans) }
-    }
-}
-
-fn diff_spans(now: &[SpanStats], then: &[SpanStats]) -> Vec<SpanStats> {
-    now.iter()
-        .filter_map(|n| {
-            let base = then.iter().find(|t| t.name == n.name);
-            let count = n.count.saturating_sub(base.map_or(0, |t| t.count));
-            let children = diff_spans(&n.children, base.map_or(&[][..], |t| &t.children));
-            if count == 0 && children.is_empty() {
-                return None;
-            }
-            Some(SpanStats {
-                name: n.name.clone(),
-                count,
-                total_ns: n.total_ns.saturating_sub(base.map_or(0, |t| t.total_ns)),
-                children,
-            })
-        })
-        .collect()
-}
-
-/// Clears all telemetry state: every counter, the span aggregates, and
-/// the trace buffer. Quiesce recording threads first.
-pub fn reset() {
-    counters::reset_counters();
-    span_mod::reset_spans();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::test_support::serial_guard;
-
-    #[test]
-    fn diff_isolates_a_region() {
-        let _g = serial_guard();
-        crate::reset();
-        crate::set_enabled(true);
-        crate::record(Event::SramRead, 5);
-        let before = Snapshot::capture();
-        crate::record(Event::SramRead, 7);
-        crate::record(Event::DramReadByte, 2);
-        let after = Snapshot::capture();
-        crate::set_enabled(false);
-        let delta = after.diff(&before);
-        assert_eq!(delta.get(Event::SramRead), 7);
-        assert_eq!(delta.get(Event::DramReadByte), 2);
-        assert_eq!(delta.total_events(), 9);
-        crate::reset();
-    }
-
-    #[test]
-    fn diff_prunes_unchanged_spans() {
-        let _g = serial_guard();
-        crate::reset();
-        crate::set_enabled(true);
-        {
-            let _s = crate::span("old");
-        }
-        let before = Snapshot::capture();
-        {
-            let _s = crate::span("new");
-        }
-        let after = Snapshot::capture();
-        crate::set_enabled(false);
-        let delta = after.diff(&before);
-        assert_eq!(delta.spans().len(), 1);
-        assert_eq!(delta.spans()[0].name, "new");
-        assert_eq!(delta.spans()[0].count, 1);
-        crate::reset();
-    }
-
-    #[test]
-    fn empty_is_a_zero_base() {
-        let snap = Snapshot::empty();
-        assert_eq!(snap.total_events(), 0);
-        assert!(snap.spans().is_empty());
+        &self.spans.tree
     }
 }

@@ -2,25 +2,25 @@
 //!
 //! A [`SpanGuard`] marks a phase of engine execution (program / read /
 //! accumulate, training fwd/bwd/update, simulator phases). Guards nest
-//! per thread — a span opened while another is active on the same thread
-//! becomes its child — and on drop two records are made:
+//! per thread and capture — a span opened while another is open on the
+//! same thread in the same capture becomes its child — and on drop two
+//! records are made in the thread's capture:
 //!
-//! * an **aggregate** update in the global span tree (count + total
-//!   duration per unique path), snapshotted by [`crate::Snapshot`], and
-//! * a **trace event** (name, thread, start, duration) appended to a
-//!   bounded buffer, exported by [`crate::chrome_trace_json`] in Chrome
+//! * an **aggregate** update of its span tree (count + total duration per
+//!   unique path), returned in the capture's [`crate::Snapshot`], and
+//! * a **trace event** (name, thread, start, duration) in a bounded
+//!   buffer, rendered by [`crate::chrome_trace_json`] in Chrome
 //!   trace-event format.
 //!
 //! Guards are intentionally `!Send`: a span times the thread it was
-//! opened on. Worker threads of the parallel engines record *counters*,
-//! not spans.
+//! opened on. A worker that enters its spawner's capture starts its own
+//! roots in the span tree.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-use crate::counters::enabled;
+use crate::capture::{self, Scope};
 
 /// Aggregated statistics for one span path (one node of the span tree).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -49,241 +49,206 @@ impl SpanStats {
 }
 
 /// One completed span occurrence, for the Chrome trace export.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Span name.
-    pub name: &'static str,
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct TraceEvent {
+    pub(crate) name: &'static str,
     /// Small dense per-thread id (Chrome's `tid`).
-    pub tid: u64,
-    /// Start time in microseconds since the telemetry epoch.
-    pub ts_us: f64,
-    /// Duration in microseconds.
-    pub dur_us: f64,
+    pub(crate) tid: u64,
+    /// Start, nanoseconds since the capture began.
+    pub(crate) start_ns: u64,
+    pub(crate) dur_ns: u64,
 }
 
-/// Upper bound on buffered trace events; completions past the cap are
-/// counted in [`dropped_trace_events`] instead of stored.
+/// Upper bound on the trace events one capture buffers; completions past
+/// the cap are counted instead of stored, and
+/// [`crate::chrome_trace_json`] reports that count as `dropped_events`.
 pub const TRACE_CAPACITY: usize = 1 << 16;
 
-struct TraceBuffer {
-    events: Vec<TraceEvent>,
-    dropped: u64,
+/// A capture's span aggregates and trace buffer.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub(crate) struct Spans {
+    pub(crate) tree: Vec<SpanStats>,
+    pub(crate) trace: Vec<TraceEvent>,
+    pub(crate) dropped: u64,
 }
 
-static SPAN_TREE: Mutex<Vec<SpanStats>> = Mutex::new(Vec::new());
-static TRACE: Mutex<TraceBuffer> = Mutex::new(TraceBuffer { events: Vec::new(), dropped: 0 });
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-struct Frame {
+/// An open span on a thread's stack.
+pub(crate) struct Frame {
     id: u64,
     name: &'static str,
     start: Instant,
 }
 
 thread_local! {
-    static STACK: std::cell::RefCell<Vec<Frame>> = const { std::cell::RefCell::new(Vec::new()) };
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
 }
 
 /// RAII guard returned by [`crate::span`]; records the span on drop.
 #[must_use = "a span measures the scope it is bound to; binding to _ drops it immediately"]
 pub struct SpanGuard {
-    /// 0 means inert (telemetry was disabled at creation).
+    /// 0 means inert (opened outside any capture).
     id: u64,
     /// `!Send`: the span times the thread that opened it.
     _not_send: PhantomData<*const ()>,
 }
 
-/// Opens a scoped span named `name`. Inert while telemetry is disabled:
-/// the disabled path is one relaxed atomic load, a branch, and a
-/// zero-field guard — no allocation, no formatting, no clock read
+/// Opens a scoped span named `name` in the calling thread's capture.
+/// Inert outside any capture: one thread-local load, a branch, and an
+/// inert guard — no allocation, no formatting, no clock read
 /// (audited by `tests/zero_cost.rs` with a counting allocator and
 /// pinned by the on/off guardrail in `BENCH_hw_exec.json`).
 ///
 /// # Examples
 ///
 /// ```
-/// inca_telemetry::set_enabled(true);
-/// {
+/// let ((), snap) = inca_telemetry::capture(|| {
 ///     let _outer = inca_telemetry::span("phase");
 ///     let _inner = inca_telemetry::span("step"); // child of "phase"
-/// }
-/// inca_telemetry::set_enabled(false);
-/// let snap = inca_telemetry::Snapshot::capture();
+/// });
 /// assert_eq!(snap.spans()[0].name, "phase");
 /// assert_eq!(snap.spans()[0].children[0].name, "step");
-/// # inca_telemetry::reset();
 /// ```
 // Wall-clock span timing is observability-only: durations live in the
 // telemetry snapshot and the opt-in Chrome trace export, never in the
 // gated report artifacts, so the taint stops here. lint: allow(determinism-taint)
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { id: 0, _not_send: PhantomData };
-    }
-    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-    // Materialize the epoch before the first span starts so ts offsets
-    // are non-negative.
-    let _ = epoch();
-    STACK.with(|s| s.borrow_mut().push(Frame { id, name, start: Instant::now() }));
+    let id = if capture::active() { open(name) } else { 0 };
     SpanGuard { id, _not_send: PhantomData }
+}
+
+#[cold]
+fn open(name: &'static str) -> u64 {
+    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+    capture::with_scope(|scope| {
+        scope.stack.push(Frame { id, name, start: Instant::now() });
+        Some(id)
+    })
+    .unwrap_or(0)
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if self.id == 0 {
-            return;
+        if self.id != 0 {
+            capture::with_scope(|scope| close(scope, self.id));
         }
-        let end = Instant::now();
-        let Some((frame, path)) = STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            let pos = stack.iter().rposition(|f| f.id == self.id)?;
-            // Anything above `pos` was leaked (mem::forget) — discard it
-            // so nesting stays consistent.
-            stack.truncate(pos + 1);
-            let frame = stack.pop().expect("frame at pos"); // truncate(pos+1) guarantees an element. lint: allow(panic-path)
-            let path: Vec<&'static str> = stack.iter().map(|f| f.name).collect();
-            Some((frame, path))
-        }) else {
-            return;
-        };
-        let dur = end.saturating_duration_since(frame.start);
-        record_aggregate(&path, frame.name, dur.as_nanos() as u64);
-        record_trace(frame.name, frame.start, dur);
     }
 }
 
-fn record_aggregate(path: &[&'static str], name: &'static str, dur_ns: u64) {
-    let mut tree = lock(&SPAN_TREE);
-    let mut level = &mut *tree;
-    for segment in path {
-        let pos = match level.iter().position(|n| n.name == *segment) {
-            Some(p) => p,
-            None => {
-                level.push(SpanStats { name: (*segment).to_owned(), ..SpanStats::default() });
-                level.len() - 1
-            }
-        };
-        level = &mut level[pos].children;
+/// Pops the frame `id` off the scope's stack and records it. A frame
+/// missing from the stack (its guard moved into another capture) records
+/// nothing; frames above it were leaked (`mem::forget`) and are dropped
+/// so nesting stays consistent.
+fn close(scope: &mut Scope, id: u64) -> Option<()> {
+    let end = Instant::now();
+    let pos = scope.stack.iter().rposition(|f| f.id == id)?;
+    let path: Vec<&'static str> = scope.stack[..=pos].iter().map(|f| f.name).collect();
+    let frame = scope.stack.drain(pos..).next()?;
+    let start_ns = frame.start.saturating_duration_since(scope.recorder.start).as_nanos() as u64;
+    let dur_ns = end.saturating_duration_since(frame.start).as_nanos() as u64;
+    let mut spans = scope.recorder.spans();
+    add_to_tree(&mut spans.tree, &path, dur_ns);
+    if spans.trace.len() < TRACE_CAPACITY {
+        spans.trace.push(TraceEvent { name: frame.name, tid: TID.with(|&t| t), start_ns, dur_ns });
+    } else {
+        spans.dropped += 1;
     }
-    let node = match level.iter_mut().find(|n| n.name == name) {
-        Some(n) => n,
-        None => {
-            level.push(SpanStats { name: name.to_owned(), ..SpanStats::default() });
-            level.last_mut().expect("just pushed") // pushed on the line above. lint: allow(panic-path)
-        }
+    Some(())
+}
+
+/// Counts one completed span at `path` (root first, the span last).
+fn add_to_tree(mut level: &mut Vec<SpanStats>, path: &[&str], dur_ns: u64) {
+    let Some((name, parents)) = path.split_last() else {
+        return;
     };
+    for segment in parents {
+        level = &mut child(level, segment).children;
+    }
+    let node = child(level, name);
     node.count += 1;
     node.total_ns += dur_ns;
 }
 
-fn record_trace(name: &'static str, start: Instant, dur: std::time::Duration) {
-    let ts_us = start.saturating_duration_since(epoch()).as_secs_f64() * 1e6;
-    let dur_us = dur.as_secs_f64() * 1e6;
-    let tid = TID.with(|&t| t);
-    let mut trace = lock(&TRACE);
-    if trace.events.len() >= TRACE_CAPACITY {
-        trace.dropped += 1;
-    } else {
-        trace.events.push(TraceEvent { name, tid, ts_us, dur_us });
-    }
-}
-
-/// A deep copy of the aggregated span tree (roots in first-seen order).
-#[must_use]
-pub fn span_tree() -> Vec<SpanStats> {
-    lock(&SPAN_TREE).clone()
-}
-
-/// A copy of the buffered trace events, in completion order.
-#[must_use]
-pub fn trace_events() -> Vec<TraceEvent> {
-    lock(&TRACE).events.clone()
-}
-
-/// Trace events discarded because the buffer hit [`TRACE_CAPACITY`].
-#[must_use]
-pub fn dropped_trace_events() -> u64 {
-    lock(&TRACE).dropped
-}
-
-/// Clears span aggregates and the trace buffer (counters are reset
-/// separately; use [`crate::reset`] for everything).
-pub(crate) fn reset_spans() {
-    lock(&SPAN_TREE).clear();
-    let mut trace = lock(&TRACE);
-    trace.events.clear();
-    trace.dropped = 0;
+/// The node named `name` in `level`, appended if new.
+fn child<'a>(level: &'a mut Vec<SpanStats>, name: &str) -> &'a mut SpanStats {
+    let pos = match level.iter().position(|n| n.name == name) {
+        Some(pos) => pos,
+        None => {
+            level.push(SpanStats { name: name.to_owned(), ..SpanStats::default() });
+            level.len() - 1
+        }
+    };
+    &mut level[pos]
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::capture;
+
     use super::*;
-    use crate::test_support::serial_guard;
 
     #[test]
     fn spans_nest_and_aggregate() {
-        let _g = serial_guard();
-        crate::reset();
-        crate::set_enabled(true);
-        for _ in 0..3 {
-            let _outer = span("outer");
-            let _inner = span("inner");
-        }
-        crate::set_enabled(false);
-        let tree = span_tree();
+        let ((), snap) = capture(|| {
+            for _ in 0..3 {
+                let _outer = span("outer");
+                let _inner = span("inner");
+            }
+        });
+        let tree = snap.spans();
         assert_eq!(tree.len(), 1);
         assert_eq!(tree[0].name, "outer");
         assert_eq!(tree[0].count, 3);
         assert_eq!(tree[0].children[0].name, "inner");
         assert_eq!(tree[0].children[0].count, 3);
         assert!(tree[0].total_ns >= tree[0].children[0].total_ns);
-        assert_eq!(trace_events().len(), 6);
-        crate::reset();
+        assert_eq!(snap.spans.trace.len(), 6);
     }
 
     #[test]
-    fn disabled_spans_are_inert() {
-        let _g = serial_guard();
-        crate::reset();
-        crate::set_enabled(false);
-        {
-            let _s = span("ghost");
-        }
-        assert!(span_tree().is_empty());
-        assert!(trace_events().is_empty());
+    fn uncaptured_spans_are_inert() {
+        let guard = span("ghost");
+        assert_eq!(guard.id, 0);
+        let ((), snap) = capture(|| drop(guard));
+        assert!(snap.spans().is_empty());
+        assert!(snap.spans.trace.is_empty());
     }
 
     #[test]
-    fn sibling_threads_get_separate_roots() {
-        let _g = serial_guard();
-        crate::reset();
-        crate::set_enabled(true);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let _s = span("worker");
+    fn entered_threads_get_separate_roots() {
+        let ((), snap) = capture(|| {
+            let handle = capture::current();
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    handle.enter(|| {
+                        let _s = span("worker");
+                    });
+                });
+                let _m = span("main");
             });
-            let _m = span("main");
         });
-        crate::set_enabled(false);
-        let tree = span_tree();
-        let names: Vec<&str> = tree.iter().map(|n| n.name.as_str()).collect();
+        let names: Vec<&str> = snap.spans().iter().map(|n| n.name.as_str()).collect();
         assert!(names.contains(&"worker") && names.contains(&"main"), "{names:?}");
         // Distinct threads carry distinct tids in the trace.
-        let events = trace_events();
-        let tids: std::collections::BTreeSet<u64> = events.iter().map(|e| e.tid).collect();
+        let tids: std::collections::BTreeSet<u64> = snap.spans.trace.iter().map(|e| e.tid).collect();
         assert_eq!(tids.len(), 2);
-        crate::reset();
+    }
+
+    #[test]
+    fn a_nested_capture_roots_its_own_spans() {
+        let (inner, outer) = capture(|| {
+            let _outer = span("outer");
+            capture(|| {
+                let _inner = span("inner");
+            })
+            .1
+        });
+        assert_eq!(inner.spans()[0].name, "inner");
+        assert!(inner.spans()[0].children.is_empty());
+        assert_eq!(outer.spans().len(), 1);
+        assert!(outer.spans()[0].children.is_empty(), "the outer capture sees none of the inner's spans");
     }
 }

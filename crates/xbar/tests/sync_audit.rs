@@ -4,20 +4,9 @@
 //! type `Send + Sync`. These tests pin that contract down at the type
 //! level and exercise genuinely concurrent window reads.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
 use inca_xbar::{AdcReadout, Crossbar2d, Stack3d, VerticalPlane};
 
 fn assert_send_sync<T: Send + Sync>() {}
-
-/// One test in this binary enables global telemetry recording; serialize
-/// every test that performs array reads so their pulses don't leak into
-/// the counted totals.
-static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    TELEMETRY_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 #[test]
 fn array_types_are_send_and_sync() {
@@ -29,7 +18,6 @@ fn array_types_are_send_and_sync() {
 
 #[test]
 fn concurrent_plane_window_reads_agree_with_serial() {
-    let _guard = serial();
     let mut plane = VerticalPlane::new(8, 8);
     let bits: Vec<u8> = (0..64).map(|i| (i % 3 == 0) as u8).collect();
     plane.write_bits(&bits).unwrap();
@@ -59,7 +47,6 @@ fn concurrent_plane_window_reads_agree_with_serial() {
 
 #[test]
 fn concurrent_stack_broadcast_reads_agree_with_serial() {
-    let _guard = serial();
     let mut stack = Stack3d::new(6, 6, 4);
     for p in 0..4 {
         let bits: Vec<u8> = (0..36).map(|i| ((i + p) % 2 == 0) as u8).collect();
@@ -89,42 +76,41 @@ fn concurrent_stack_broadcast_reads_agree_with_serial() {
 }
 
 /// Telemetry counters must tolerate the same sharing: many threads reading
-/// one plane concurrently with recording enabled must lose no events. The
+/// one plane concurrently inside one capture must lose no events. The
 /// expected counts follow from the plane read contract — one read pulse and
 /// kh*kw DAC drives per `direct_conv_window` call.
 #[test]
 fn concurrent_reads_record_exact_telemetry_counts() {
     use inca_telemetry::Event;
 
-    let _guard = serial();
     let mut plane = VerticalPlane::new(8, 8);
     let bits: Vec<u8> = (0..64).map(|i| (i % 5 == 0) as u8).collect();
     plane.write_bits(&bits).unwrap();
     let kernel = [1u8, 0, 1, 1, 0, 1, 1, 0, 1];
 
-    inca_telemetry::reset();
-    inca_telemetry::set_enabled(true);
     let plane_ref = &plane;
-    std::thread::scope(|scope| {
-        for r in 0..6 {
-            scope.spawn(move || {
-                for c in 0..6 {
-                    plane_ref.direct_conv_window(r, c, 3, 3, &kernel).unwrap();
-                }
-            });
-        }
+    let ((), counted) = inca_telemetry::capture(|| {
+        let telemetry = &inca_telemetry::current();
+        std::thread::scope(|scope| {
+            for r in 0..6 {
+                scope.spawn(move || {
+                    telemetry.enter(|| {
+                        for c in 0..6 {
+                            plane_ref.direct_conv_window(r, c, 3, 3, &kernel).unwrap();
+                        }
+                    });
+                });
+            }
+        });
     });
-    inca_telemetry::set_enabled(false);
 
     let windows = 6 * 6;
-    assert_eq!(inca_telemetry::total(Event::XbarReadPulse), windows);
-    assert_eq!(inca_telemetry::total(Event::DacDrive), windows * 9);
-    inca_telemetry::reset();
+    assert_eq!(counted.get(Event::XbarReadPulse), windows);
+    assert_eq!(counted.get(Event::DacDrive), windows * 9);
 }
 
 #[test]
 fn concurrent_crossbar_mvm_agrees_with_serial() {
-    let _guard = serial();
     let mut xbar = Crossbar2d::new(8, 4);
     for col in 0..4 {
         let bits: Vec<u8> = (0..8).map(|r| ((r + col) % 2) as u8).collect();

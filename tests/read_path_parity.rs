@@ -5,35 +5,15 @@
 //! the coalesced per-burst records are exactly the per-read scheme's
 //! sums, and `popcount(x & w)` is exactly the byte loop's accumulation.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
 use inca::{ExecPolicy, HwConv, ReadPath};
 use inca_nn::Tensor;
-use inca_telemetry::Snapshot;
+use inca_telemetry::capture;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-
-/// Tests in this binary mutate the process-global telemetry state.
-static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    TELEMETRY_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn random_tensor(shape: &[usize], seed: u64, lo: f32, hi: f32) -> Tensor {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     Tensor::from_vec((0..shape.iter().product::<usize>()).map(|_| rng.gen_range(lo..hi)).collect(), shape)
-}
-
-/// Runs `f` with recording enabled and returns the counter totals.
-fn counted<O, F: FnOnce() -> O>(f: F) -> (O, Vec<(inca_telemetry::Event, u64)>) {
-    inca_telemetry::reset();
-    inca_telemetry::set_enabled(true);
-    let out = f();
-    inca_telemetry::set_enabled(false);
-    let counters = Snapshot::capture().counters();
-    inca_telemetry::reset();
-    (out, counters)
 }
 
 proptest! {
@@ -66,14 +46,11 @@ proptest! {
         let scalar =
             packed.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
 
-        let _guard = serial();
-        let (y_packed, counts_packed) = counted(|| packed.forward(&x).unwrap());
-        // Clones share the activation cache; start cold like the baseline.
-        scalar.clear_cache();
-        let (y_scalar, counts_scalar) = counted(|| scalar.forward(&x).unwrap());
+        let (y_packed, counts_packed) = capture(|| packed.forward(&x).unwrap());
+        let (y_scalar, counts_scalar) = capture(|| scalar.forward(&x).unwrap());
         prop_assert_eq!(y_packed.shape(), y_scalar.shape());
         prop_assert_eq!(y_packed.data(), y_scalar.data());
-        prop_assert_eq!(counts_packed, counts_scalar);
+        prop_assert_eq!(counts_packed.counters(), counts_scalar.counters());
     }
 
     /// The parallel schedule composes with the packed read path without

@@ -13,9 +13,6 @@
 //! A batch shares one quantization range, so its forward equals B
 //! one-sample forwards exactly when every sample spans the batch's range;
 //! the batch oracle below holds the engine to that.
-//!
-//! No test here enables the global telemetry recorder, so the file passes
-//! under the default parallel test harness.
 
 use inca::{ExecPolicy, HwConv, ReadPath};
 use inca_nn::Tensor;
