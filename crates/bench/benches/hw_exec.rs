@@ -1,20 +1,21 @@
-//! Scalar-vs-packed (and sequential-vs-parallel) benchmark of the
+//! Reference-vs-fast (and sequential-vs-parallel) benchmark of the
 //! hardware-functional execution engine, emitting a machine-readable
 //! `BENCH_hw_exec.json` artifact at the workspace root.
 //!
 //! Three engine sections, all `HwConv`: `hw_conv` (one sample) and
 //! `hw_batch_conv` (a batch of 8 on the planes of the 3D stacks) run a 3×3
-//! layer, whose reads the 4-bit ADC never saturates, so their packed path
+//! layer, whose reads the 4-bit ADC never saturates, so their fast read
 //! is the integer dot product; `hw_conv_saturating` runs a 5×5 layer,
-//! whose reads can saturate, so its packed path is the bit-serial
+//! whose reads can saturate, so its fast read is the bit-serial
 //! `and_popcount_accumulate` loop.
 //!
 //! Modes per engine, every forward programming its input:
 //!
-//! * `scalar_seq` — per-cell byte-loop reads ([`ReadPath::Scalar`]),
-//!   sequential schedule — the reference read model,
-//! * `seq`        — packed reads, sequential schedule,
-//! * `par`        — packed reads, parallel schedule sized by
+//! * `scalar_seq` — per-cell byte-loop reads
+//!   ([`HwConv::forward_reference`]), sequential schedule — the
+//!   reference read model,
+//! * `seq`        — [`HwConv::forward`], sequential schedule,
+//! * `par`        — [`HwConv::forward`], parallel schedule sized by
 //!   [`ExecPolicy::parallel`] (clamped to the host).
 //!
 //! Honesty rules baked into the artifact: `host_threads` is the
@@ -25,13 +26,13 @@
 //! 4 threads the parallel mode is not measured at all and each engine
 //! section carries `"parallel": {"skipped": "host_threads < 4"}`
 //! instead — a speedup measured by timeslicing one core is noise, not
-//! data. The `simd` field records which `and_popcount` implementation
-//! ([`inca_xbar::simd::active_impl`]) the packed path dispatched to.
+//! data. The `simd` field records which implementation
+//! ([`inca_xbar::simd::active_impl`]) the bit-serial read dispatched to.
 
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use inca_core::{ExecPolicy, HwConv, ReadPath};
+use inca_core::{ExecPolicy, HwConv};
 use inca_events::HeapEventQueue;
 use inca_nn::Tensor;
 use inca_serve::{run_sweep, EventQueue, SweepConfig};
@@ -93,27 +94,25 @@ fn hw_exec_benches(c: &mut Criterion) {
     let w = random_tensor(&[8, 4, 3, 3], 101, -0.5, 0.5);
     let bias = vec![0.0f32; 8];
     let x = random_tensor(&[1, 4, 16, 16], 102, -0.5, 1.0);
-    let conv_seq = HwConv::from_float(&w, &bias, 1, 1).unwrap(); // packed by default
-    let conv_scalar = conv_seq.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
+    let conv_seq = HwConv::from_float(&w, &bias, 1, 1).unwrap();
     let conv_par = conv_seq.clone().with_policy(par_policy);
     let conv_seq_ns = mean_ns(|| black_box(conv_seq.forward(&x).unwrap()).len(), ITERS);
-    let conv_scalar_ns = mean_ns(|| black_box(conv_scalar.forward(&x).unwrap()).len(), ITERS);
+    let conv_scalar_ns = mean_ns(|| black_box(conv_seq.forward_reference(&x).unwrap()).len(), ITERS);
     let conv_par_ns =
         measure_parallel.then(|| mean_ns(|| black_box(conv_par.forward(&x).unwrap()).len(), ITERS));
 
     // The same input under a 5x5 kernel: 25 cells per read can pass the
-    // ADC's max code of 15, so the packed path reads bit by bit.
+    // ADC's max code of 15, so the fast read goes bit by bit.
     let ws = random_tensor(&[8, 4, 5, 5], 104, -0.5, 0.5);
     let sat_seq = HwConv::from_float(&ws, &bias, 1, 2).unwrap();
-    let sat_scalar = sat_seq.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
     let sat_par = sat_seq.clone().with_policy(par_policy);
     let sat_seq_ns = mean_ns(|| black_box(sat_seq.forward(&x).unwrap()).len(), ITERS);
-    let sat_scalar_ns = mean_ns(|| black_box(sat_scalar.forward(&x).unwrap()).len(), ITERS);
+    let sat_scalar_ns = mean_ns(|| black_box(sat_seq.forward_reference(&x).unwrap()).len(), ITERS);
     let sat_par_ns =
         measure_parallel.then(|| mean_ns(|| black_box(sat_par.forward(&x).unwrap()).len(), ITERS));
 
-    // Telemetry guardrail: the same packed forward inside a capture vs
-    // outside any. The packed path coalesces each forward's reads into
+    // Telemetry guardrail: the same forward inside a capture vs outside
+    // any. The fast read coalesces each forward's reads into
     // four `record()` calls, so the ratio should sit inside run-to-run
     // noise; the recorded numbers keep that claim honest.
     let telemetry_off_ns = mean_ns(|| black_box(conv_seq.forward(&x).unwrap()).len(), ITERS);
@@ -123,11 +122,9 @@ fn hw_exec_benches(c: &mut Criterion) {
     // The same layer over a batch of 8.
     let xb = random_tensor(&[8, 4, 16, 16], 103, -0.5, 1.0);
     let batch_seq = HwConv::from_float(&w, &bias, 1, 1).unwrap();
-    let batch_scalar =
-        batch_seq.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
     let batch_par = batch_seq.clone().with_policy(par_policy);
     let batch_seq_ns = mean_ns(|| black_box(batch_seq.forward(&xb).unwrap()).len(), ITERS);
-    let batch_scalar_ns = mean_ns(|| black_box(batch_scalar.forward(&xb).unwrap()).len(), ITERS);
+    let batch_scalar_ns = mean_ns(|| black_box(batch_seq.forward_reference(&xb).unwrap()).len(), ITERS);
     let batch_par_ns =
         measure_parallel.then(|| mean_ns(|| black_box(batch_par.forward(&xb).unwrap()).len(), ITERS));
 
@@ -250,7 +247,7 @@ fn hw_exec_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("hw_exec");
     group.sample_size(10);
     group.bench_function("conv_scalar_seq", |b| {
-        b.iter(|| black_box(conv_scalar.forward(&x).unwrap()).len());
+        b.iter(|| black_box(conv_seq.forward_reference(&x).unwrap()).len());
     });
     group.bench_function("conv_seq", |b| {
         b.iter(|| black_box(conv_seq.forward(&x).unwrap()).len());

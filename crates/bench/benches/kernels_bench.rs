@@ -8,7 +8,7 @@ use inca_nn::{layers, Layer as _, Tensor};
 use inca_sim::{simulate_inference, simulate_training};
 use inca_workloads::Model;
 use inca_xbar::quant::bit_serial_dot;
-use inca_xbar::{Crossbar2d, PackedKernel, Stack3d, VerticalPlane};
+use inca_xbar::{Crossbar2d, Stack3d, VerticalPlane};
 use std::hint::black_box;
 
 fn xbar_kernels(c: &mut Criterion) {
@@ -30,8 +30,8 @@ fn xbar_kernels(c: &mut Criterion) {
         });
     });
 
-    // Scalar byte-loop vs bit-packed word-parallel window sums, swept
-    // over kernel sizes on the paper's 16x16 plane (every valid window).
+    // Scalar byte-loop window sums, swept over kernel sizes on the
+    // paper's 16x16 plane (every valid window).
     for k in [1usize, 3, 5, 7] {
         let mut plane = VerticalPlane::paper_default();
         let bits: Vec<u8> = (0..256).map(|i| ((i * 11) % 3 == 0) as u8).collect();
@@ -44,18 +44,6 @@ fn xbar_kernels(c: &mut Criterion) {
                 for r in 0..span {
                     for col in 0..span {
                         acc += plane.conv_window_sum(r, col, k, k, &kernel).unwrap();
-                    }
-                }
-                black_box(acc)
-            });
-        });
-        let packed = PackedKernel::pack(k, k, &kernel).unwrap();
-        group.bench_function(format!("plane_window_sum_packed_k{k}"), |b| {
-            b.iter(|| {
-                let mut acc = 0u32;
-                for r in 0..span {
-                    for col in 0..span {
-                        acc += plane.conv_window_sum_packed(r, col, &packed).unwrap();
                     }
                 }
                 black_box(acc)

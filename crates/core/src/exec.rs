@@ -25,71 +25,31 @@
 
 use crate::Result;
 
-/// Which window-read implementation a hardware-functional forward pass
-/// uses. Both compute identical bits; they differ only in simulator
-/// throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadPath {
-    /// One [`inca_xbar::Stack3d::direct_conv_window`] broadcast per
-    /// (window, output, input channel, side, weight bit, activation bit),
-    /// each plane's sum a per-cell byte loop saturated at the 4-bit ADC's
-    /// max code, with per-broadcast telemetry — the reference model of
-    /// the analog read.
-    Scalar,
-    /// The fast read path, bit-exact with [`ReadPath::Scalar`] in
-    /// outputs and telemetry totals. Where no read can saturate the ADC
-    /// (a `k × k` window sums at most `k²` binary products: every 1×1,
-    /// 2×2 and 3×3 kernel), each window of each sample is one signed
-    /// integer dot product of its 8-bit activation codes and signed 8-bit
-    /// weight codes — exactly the shift-add of its bit-serial reads.
-    /// Larger kernels read bit by bit: each window's activation-bit words
-    /// are extracted once per sample and read against every weight bit,
-    /// output channel and differential side in one SIMD-dispatched AND +
-    /// popcount call ([`inca_xbar::simd`]), saturating every read. Either
-    /// way the scalar path's per-broadcast events are recorded as one
-    /// record per event kind per forward.
-    #[default]
-    Packed,
-}
-
-/// How a hardware-functional forward pass schedules its output windows
-/// across worker threads.
+/// The execution policy of a hardware-functional engine: how many worker
+/// threads its output windows fan across.
 ///
-/// The parallel schedule is *bit-exact* with the sequential one: every
+/// Every worker count is *bit-exact* with the sequential schedule: every
 /// output element is an independent integer accumulation whose internal
 /// order is unchanged, only the order between elements differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Schedule {
-    /// One thread computes every output window in row-major order.
-    #[default]
-    Sequential,
-    /// Output chunks are carved into contiguous blocks across `threads`
-    /// scoped workers, each with its own reusable scratch state.
-    Parallel {
-        /// Number of worker threads (clamped to at least 1). Honored
-        /// verbatim — callers wanting host-sized pools should build the
-        /// policy via [`ExecPolicy::parallel`], which clamps to
-        /// `available_parallelism`.
-        threads: usize,
-    },
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExecPolicy {
+    /// Worker threads, at least 1.
+    threads: usize,
 }
 
-/// The execution policy of a hardware-functional engine: a thread
-/// [`Schedule`] plus a window [`ReadPath`]. Both knobs are bit-exact
-/// with each other, so any combination produces identical tensors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ExecPolicy {
-    /// Worker-thread schedule for the output windows.
-    pub schedule: Schedule,
-    /// Window-read implementation.
-    pub read_path: ReadPath,
+impl Default for ExecPolicy {
+    /// The sequential policy.
+    fn default() -> Self {
+        Self::sequential()
+    }
 }
 
 impl ExecPolicy {
-    /// The default policy: sequential schedule, packed reads.
+    /// The default policy: one thread computes every output window in
+    /// row-major order.
     #[must_use]
     pub fn sequential() -> Self {
-        Self::default()
+        Self { threads: 1 }
     }
 
     /// A parallel policy sized — and clamped — to the host's available
@@ -101,36 +61,22 @@ impl ExecPolicy {
         Self::parallel_with(available_threads())
     }
 
-    /// A parallel policy with an explicit worker count, honored
-    /// verbatim (tests use this to exercise multi-worker schedules even
-    /// on small hosts). Benchmarks should prefer [`ExecPolicy::parallel`]
-    /// and report [`ExecPolicy::effective_threads`].
+    /// A parallel policy with an explicit worker count (clamped to at
+    /// least 1), honored verbatim: tests use this to exercise
+    /// multi-worker schedules even on small hosts. Output chunks are
+    /// carved into contiguous blocks across the workers, each with its
+    /// own reusable scratch state. Benchmarks should prefer
+    /// [`ExecPolicy::parallel`] and report
+    /// [`ExecPolicy::effective_threads`].
     #[must_use]
     pub fn parallel_with(threads: usize) -> Self {
-        Self { schedule: Schedule::Parallel { threads }, ..Self::default() }
-    }
-
-    /// Returns the policy with the given read path.
-    #[must_use]
-    pub fn with_read_path(mut self, read_path: ReadPath) -> Self {
-        self.read_path = read_path;
-        self
-    }
-
-    /// Returns the policy with the given schedule.
-    #[must_use]
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
-        self
+        Self { threads: threads.max(1) }
     }
 
     /// The worker count this policy schedules onto (as requested).
     #[must_use]
     pub fn threads(self) -> usize {
-        match self.schedule {
-            Schedule::Sequential => 1,
-            Schedule::Parallel { threads } => threads.max(1),
-        }
+        self.threads
     }
 
     /// The worker count the host can actually run concurrently:
@@ -484,6 +430,7 @@ mod tests {
     #[test]
     fn policy_thread_counts() {
         assert_eq!(ExecPolicy::sequential().threads(), 1);
+        assert_eq!(ExecPolicy::default(), ExecPolicy::sequential());
         assert_eq!(ExecPolicy::parallel_with(0).threads(), 1);
         assert!(ExecPolicy::parallel().threads() >= 1);
         // `parallel()` can never oversubscribe…
@@ -493,16 +440,5 @@ mod tests {
         assert_eq!(huge.threads(), 4096);
         assert!(huge.effective_threads() <= available_threads());
         assert_eq!(ExecPolicy::sequential().effective_threads(), 1);
-    }
-
-    #[test]
-    fn policy_knobs_compose() {
-        let p = ExecPolicy::parallel_with(3).with_read_path(ReadPath::Scalar);
-        assert_eq!(p.threads(), 3);
-        assert_eq!(p.read_path, ReadPath::Scalar);
-        assert_eq!(ExecPolicy::default().read_path, ReadPath::Packed);
-        let s = p.with_schedule(Schedule::Sequential);
-        assert_eq!(s.threads(), 1);
-        assert_eq!(s.read_path, ReadPath::Scalar);
     }
 }

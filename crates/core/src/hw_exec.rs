@@ -27,21 +27,21 @@
 //!   weight-stationary state) into a `ConvKernel` (`hw_kernel.rs`):
 //!   signed codes `[in][k·k][out]`, plus a flat `[in][out][side][wbit]`
 //!   table of compact `k²`-bit masks for kernels whose reads can
-//!   saturate; the `u8` bit-planes of the scalar and analog reads are
+//!   saturate; the `u8` bit-planes of the reference and analog reads are
 //!   derived from the codes on first use,
 //! * the programmed input state is the padded 8-bit code image, quantized
 //!   in one pass over the batch at every forward. Its tiles of stacks are
-//!   derived from the image only when a bit-level path reads them; their
+//!   derived from the image only when a bit-level read needs them; their
 //!   writes are counted at programming either way,
-//! * output windows are independent read bursts, so a
-//!   [`crate::Schedule::Parallel`] policy fans output rows across scoped
-//!   worker threads, bit-exact with the sequential schedule,
-//! * on the default [`ReadPath::Packed`] path, a 1×1, 2×2 or 3×3 kernel
-//!   sums at most 9 binary products per read, which the 4-bit ADC never
-//!   saturates; each window of each sample is then one signed integer dot
-//!   product of its activation and weight codes, exactly the shift-add of
-//!   its bit-serial reads (DESIGN.md §8, "Linear reads"),
-//! * larger kernels, whose reads can saturate, keep the bit-serial packed
+//! * output windows are independent read bursts, so a parallel
+//!   [`ExecPolicy`] fans output rows across scoped worker threads,
+//!   bit-exact with the sequential schedule,
+//! * a 1×1, 2×2 or 3×3 kernel sums at most 9 binary products per read,
+//!   which the 4-bit ADC never saturates; each window of each sample is
+//!   then one signed integer dot product of its activation and weight
+//!   codes, exactly the shift-add of its bit-serial reads (DESIGN.md §8,
+//!   "Linear reads"),
+//! * larger kernels, whose reads can saturate, keep the bit-serial
 //!   read: each (window, sample, input channel, activation bit) is
 //!   extracted **once** as one compact word — window cell `(i, j)` at bit
 //!   `i·k + j`, one `u64` for every `k ≤ 8` — and read against all
@@ -50,9 +50,9 @@
 //!   output folds its per-(side, weight bit) sums as
 //!   `Σ (pos − neg) << wbit`.
 //!
-//! Either packed form records the scalar path's per-broadcast telemetry
-//! as one record per event kind per forward — totals and output bits
-//! identical to the scalar per-read scheme.
+//! Either read records the per-broadcast telemetry of the reference
+//! model ([`HwConv::forward_reference`]) as one record per event kind per
+//! forward — totals and output bits identical to it.
 //!
 //! The test suite proves the hardware path classifies the synthetic task
 //! with (near-)float accuracy — the end-to-end functional validation of
@@ -64,7 +64,7 @@ use inca_telemetry::Event;
 use inca_xbar::quant::slice_to_bit_planes;
 use inca_xbar::{AdcReadout, Crossbar2d, Stack3d, VerticalPlane};
 
-use crate::exec::{self, ExecPolicy, ReadPath};
+use crate::exec::{self, ExecPolicy};
 use crate::hw_kernel::{conv_output_dims, CodeImage, ConvKernel};
 use crate::{Error, Result};
 
@@ -199,10 +199,35 @@ impl HwConv {
         (0..image.c).map(|ci| self.partition(image, ci)).collect()
     }
 
+    /// The `(OH, OW)` output of the `[B, C, H, W]` batch `x`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Config`] for an empty batch, a channel mismatch,
+    /// or an input too small for one window.
+    fn output_dims(&self, x: &Tensor) -> Result<(usize, usize)> {
+        let [b, c, h, w] = x.dims4();
+        if b == 0 || c != self.kernel.in_ch() {
+            return Err(Error::Config(format!(
+                "expected a batch of {} input channels, got {:?}",
+                self.kernel.in_ch(),
+                x.shape()
+            )));
+        }
+        self.kernel.output_dims(h, w)
+    }
+
     /// Executes the layer on a `[B, C, H, W]` batch, returning
     /// `[B, N, OH, OW]`. One broadcast per (window, output channel,
     /// input channel, side, weight bit, activation bit) serves the whole
     /// batch; B is not capped at a stack's 64 planes.
+    ///
+    /// The kernel size selects the read. A 1×1, 2×2 or 3×3 window sums
+    /// at most 9 binary products, which the 4-bit ADC never saturates,
+    /// so each window of each sample is one integer dot product of its
+    /// codes; larger kernels read bit by bit, saturating every read.
+    /// Both are bit-exact with [`HwConv::forward_reference`] in outputs
+    /// and telemetry totals.
     ///
     /// Respects the configured [`ExecPolicy`]: output rows are either
     /// computed in order or fanned across scoped worker threads. Both
@@ -215,48 +240,47 @@ impl HwConv {
     /// or an input too small for one window, and propagates
     /// hardware-level errors.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor> {
-        let [b, c, h, w] = x.dims4();
-        if b == 0 || c != self.kernel.in_ch() {
-            return Err(Error::Config(format!(
-                "expected a batch of {} input channels, got {:?}",
-                self.kernel.in_ch(),
-                x.shape()
-            )));
-        }
-        let (oh, ow) = self.kernel.output_dims(h, w)?;
+        let (oh, ow) = self.output_dims(x)?;
         let _span = inca_telemetry::span("hw_conv.forward");
         let image = self.program(x);
-        if self.policy.read_path == ReadPath::Scalar {
-            return self.forward_scalar(&image, oh, ow);
-        }
         let out = if self.kernel.exact_reads() {
             self.kernel.forward_linear(self.policy, &image, oh, ow)?
         } else {
             self.forward_bit_serial(&image, oh, ow)?
         };
-        // The scalar path's events, one record per kind: every window
+        // The reference read's events, one record per kind: every window
         // broadcasts each (output, channel, side, weight bit) once per
         // activation bit, each broadcast one bit-serial cycle on `k²`
         // shared pillar drivers, with every plane conducting and
         // converting.
-        let k = self.kernel.k();
-        let broadcasts = (self.kernel.reads_per_window() * c * oh * ow) as u64 * u64::from(DATA_BITS);
-        inca_telemetry::record(Event::XbarReadPulse, broadcasts * b as u64);
+        let (b, k) = (image.b as u64, self.kernel.k());
+        let broadcasts = (self.kernel.reads_per_window() * image.c * oh * ow) as u64 * u64::from(DATA_BITS);
+        inca_telemetry::record(Event::XbarReadPulse, broadcasts * b);
         inca_telemetry::record(Event::DacDrive, broadcasts * (k * k) as u64);
-        inca_telemetry::record(Event::AdcConversion, broadcasts * b as u64);
+        inca_telemetry::record(Event::AdcConversion, broadcasts * b);
         inca_telemetry::record(Event::BitSerialCycle, broadcasts);
         Ok(out)
     }
 
-    /// The reference read path: one scalar broadcast per (output,
-    /// channel, side, weight bit, activation bit), with per-broadcast
-    /// telemetry ([`Stack3d::direct_conv_window`]) and every plane's sum
-    /// saturated at the ADC's max code. Accumulators are laid out
-    /// `[o][oy][ox][bi]`, so one (o, oy) row is a chunk a worker owns.
-    fn forward_scalar(&self, image: &CodeImage, oh: usize, ow: usize) -> Result<Tensor> {
+    /// The reference model of [`HwConv::forward`]'s read: one
+    /// [`Stack3d::direct_conv_window`] broadcast per (window, output,
+    /// channel, side, weight bit, activation bit), each plane's sum a
+    /// per-cell byte loop saturated at the ADC's max code, with
+    /// per-broadcast telemetry. Slow; tests and benchmarks hold the fast
+    /// read to it. Accumulators are laid out `[o][oy][ox][bi]`, so one
+    /// (o, oy) row is a chunk a worker of the configured [`ExecPolicy`]
+    /// owns.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`HwConv::forward`].
+    pub fn forward_reference(&self, x: &Tensor) -> Result<Tensor> {
+        let (oh, ow) = self.output_dims(x)?;
+        let _span = inca_telemetry::span("hw_conv.forward_reference");
+        let image = self.program(x);
         let kernel = &self.kernel;
         let (b, k, out_ch) = (image.b, kernel.k(), kernel.out_ch());
-        let tiles = self.tiles(image)?;
+        let tiles = self.tiles(&image)?;
         let mut accs = vec![0i64; out_ch * oh * ow * b];
         exec::for_each_chunk(self.policy, &mut accs, ow * b, |idx, row| {
             let (o, oy) = (idx / oh, idx % oh);
@@ -778,7 +802,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_read_path_is_bit_exact_with_scalar() {
+    fn forward_is_bit_exact_with_reference() {
         // Multi-partition (20x20 > 16x16 tile), strided, padded, with
         // signed inputs so both differential sides are exercised.
         for (stride, pad, hw_dim) in [(1, 1, 20), (2, 0, 13), (3, 2, 9)] {
@@ -786,23 +810,21 @@ mod tests {
             let bias = [0.1f32, -0.05, 0.2];
             let x = random_tensor(&[1, 2, hw_dim, hw_dim], 61 + pad as u64, -0.7, 1.0);
             let conv = HwConv::from_float(&w, &bias, stride, pad).unwrap();
-            let scalar = conv.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
-            let y_packed = conv.forward(&x).unwrap(); // default path is Packed
-            let y_scalar = scalar.forward(&x).unwrap();
-            assert_eq!(y_packed.data(), y_scalar.data(), "stride {stride} pad {pad}");
+            let y = conv.forward(&x).unwrap();
+            let y_reference = conv.forward_reference(&x).unwrap();
+            assert_eq!(y.data(), y_reference.data(), "stride {stride} pad {pad}");
         }
     }
 
     #[test]
-    fn packed_read_path_saturates_like_the_adc() {
+    fn forward_saturates_like_the_reference() {
         // A 5x5 all-ones window sums 25 > the 4-bit ADC's max code of 15,
-        // so saturation fires; the packed path must clamp identically.
+        // so saturation fires; the bit-serial read must clamp identically.
         let mut w = Tensor::zeros(&[1, 1, 5, 5]);
         w.data_mut().fill(0.9);
         let x = Tensor::from_vec(vec![1.0; 100], &[1, 1, 10, 10]);
         let conv = HwConv::from_float(&w, &[0.0], 1, 0).unwrap();
-        let scalar = conv.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
-        assert_eq!(conv.forward(&x).unwrap().data(), scalar.forward(&x).unwrap().data());
+        assert_eq!(conv.forward(&x).unwrap().data(), conv.forward_reference(&x).unwrap().data());
     }
 
     #[test]
@@ -873,16 +895,15 @@ mod tests {
     fn kernel_wider_than_the_default_tile_completes() {
         // k = 17 > the 16-cell default tile: the side must grow to k
         // (a zero partition step never terminated), and the multi-word
-        // compact windows must match the scalar reads bit for bit.
+        // compact windows must match the reference reads bit for bit.
         let w = random_tensor(&[2, 1, 17, 17], 71, -0.5, 0.5);
         let x = random_tensor(&[1, 1, 20, 20], 72, -0.3, 1.0);
         for pad in [0, 1] {
             let conv = HwConv::from_float(&w, &[0.1, -0.1], 1, pad).unwrap();
-            let scalar = conv.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
             let y = conv.forward(&x).unwrap();
             assert_eq!(y.shape(), &[1, 2, 4 + 2 * pad, 4 + 2 * pad]);
             let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&y), bits(&scalar.forward(&x).unwrap()), "pad {pad}");
+            assert_eq!(bits(&y), bits(&conv.forward_reference(&x).unwrap()), "pad {pad}");
         }
     }
 
@@ -901,6 +922,7 @@ mod tests {
         let conv = HwConv::from_float(&w, &[0.0], 1, 0).unwrap();
         for (name, result) in [
             ("HwConv::forward", conv.forward(&x)),
+            ("HwConv::forward_reference", conv.forward_reference(&x)),
             (
                 "HwConv::forward_noisy",
                 conv.forward_noisy(
@@ -924,8 +946,11 @@ mod tests {
         let w = Tensor::zeros(&[2, 1, 3, 3]);
         assert!(HwConv::from_float(&w, &[0.0], 1, 1).is_err()); // bias mismatch
         let conv = HwConv::from_float(&w, &[0.0, 0.0], 1, 1).unwrap();
-        assert!(conv.forward(&Tensor::zeros(&[1, 2, 8, 8])).is_err()); // channel mismatch
-        assert!(conv.forward(&Tensor::from_vec(Vec::new(), &[0, 1, 8, 8])).is_err()); // empty batch
+        for read in [HwConv::forward, HwConv::forward_reference] {
+            // A channel mismatch and an empty batch.
+            assert!(read(&conv, &Tensor::zeros(&[1, 2, 8, 8])).is_err());
+            assert!(read(&conv, &Tensor::from_vec(Vec::new(), &[0, 1, 8, 8])).is_err());
+        }
         let noisy = |x: &Tensor| {
             let (params, noise) = (inca_device::DeviceParams::default(), inca_device::NoiseModel::none());
             conv.forward_noisy(x, &params, &noise, &mut rand::rngs::StdRng::seed_from_u64(1))

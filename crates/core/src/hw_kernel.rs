@@ -23,8 +23,8 @@
 //!   one contiguous run that [`inca_xbar::simd::and_popcount_accumulate`]
 //!   sweeps per (window, activation bit);
 //! * flat `u8` bit-planes `[out][in][side][wbit][k·k]`, derived on first
-//!   use by the scalar reference path and the analog (`forward_noisy`)
-//!   path;
+//!   use by the reference read (`forward_reference`) and the analog
+//!   (`forward_noisy`) read;
 //! * the activation bit-planes (subarray tiles of 3D stacks), derived
 //!   from the code image by `HwConv`.
 
@@ -507,7 +507,7 @@ impl CodeImage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HwConv, ReadPath};
+    use crate::HwConv;
 
     #[test]
     fn accumulator_bound_is_exact_at_the_u32_limit() {
@@ -552,9 +552,8 @@ mod tests {
             let conv = HwConv::from_float(&extreme_weights(in_ch, 3), &[0.0; 2], 1, 0).unwrap();
             let x = Tensor::full(&[batch, in_ch, 3, 3], 1.0);
             assert_eq!(CodeImage::quantize(&x, 0).codes, vec![255; batch * in_ch * 9]);
-            let scalar = conv.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
             let y = conv.forward(&x).unwrap();
-            assert_eq!(bits(&y), bits(&scalar.forward(&x).unwrap()), "{batch} x {in_ch} channels");
+            assert_eq!(bits(&y), bits(&conv.forward_reference(&x).unwrap()), "{batch} x {in_ch} channels");
             let expected = (in_ch * 9 * 255 * 127) as f32 / 255.0 / 127.0;
             for sample in y.data().chunks_exact(2) {
                 assert!((sample[0] / expected - 1.0).abs() < 1e-6, "{} vs {expected}", sample[0]);

@@ -10,20 +10,21 @@
 //!    convolution of the resident input with the error supplied as the
 //!    kernel: the hardware slides a `O_H × O_W` window of δ-codes over the
 //!    stored X-bit-planes — exactly the red-box computation of Fig 4/10.
+//!    No gradient read is digitized, so each position is the exact
+//!    integer correlation of the δ codes with the resident codes.
 //! 3. **Error overwrite** — after the update, the errors replace the
 //!    activations in the same cells ([`inca_xbar::VerticalPlane::write_bits`]
 //!    onto the used planes), freeing the paper's "redundant RRAM".
 //!
 //! The test suite checks the hardware gradient against the float
-//! framework's `Conv2d` backward pass.
+//! framework's `Conv2d` backward pass and against a bit-serial oracle
+//! that reads the planes one (side, δ bit, activation bit) at a time.
 
 use inca_nn::Tensor;
 use inca_telemetry::Event;
-use inca_xbar::packed::words_for;
 use inca_xbar::quant::slice_to_bit_planes;
-use inca_xbar::{window_dot_packed, PackedKernel, VerticalPlane};
+use inca_xbar::VerticalPlane;
 
-use crate::exec::{self, ExecPolicy, ReadPath};
 use crate::hw_exec::{weight_levels, DATA_BITS, WEIGHT_BITS};
 use crate::{Error, Result};
 
@@ -61,10 +62,10 @@ impl HwGradientUnit {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Config`] for a non-2-D input.
+    /// Returns [`Error::Config`] for a non-2-D or empty input.
     pub fn program(x: &Tensor) -> Result<Self> {
-        if x.shape().len() != 2 {
-            return Err(Error::Config(format!("expected [H, W] channel, got {:?}", x.shape())));
+        if x.shape().len() != 2 || x.is_empty() {
+            return Err(Error::Config(format!("expected a nonempty [H, W] channel, got {:?}", x.shape())));
         }
         let h = x.shape()[0];
         let w = x.shape()[1];
@@ -85,154 +86,79 @@ impl HwGradientUnit {
         Ok(Self { h, w, planes, x_scale, x_min })
     }
 
+    /// The resident codes, row-major, read back from the bit-planes.
+    fn codes(&self) -> Vec<i64> {
+        let mut codes = vec![0i64; self.h * self.w];
+        for (bit, plane) in self.planes.iter().enumerate() {
+            for (i, code) in codes.iter_mut().enumerate() {
+                *code |= i64::from(plane.bit(i / self.w, i % self.w)) << bit;
+            }
+        }
+        codes
+    }
+
     /// Computes the `k × k` weight gradient for this channel against the
-    /// error map `delta` (`[O_H, O_W]`), entirely by direct-convolution
-    /// reads of the resident input: gradient position `(kh, kw)` is one
-    /// window read at offset `(kh, kw)` with δ as the kernel.
+    /// error map `delta` (`[O_H, O_W]`) by direct-convolution reads of the
+    /// resident input: gradient position `(kh, kw)` is one window read at
+    /// offset `(kh, kw)` with δ as the kernel.
+    ///
+    /// δ is quantized like a weight: signed 8-bit, a 7-bit magnitude on
+    /// either side of the differential pair. A gradient read is never
+    /// digitized, so no read saturates, and the shift-add of a position's
+    /// bit-serial reads (one per δ side, δ bit and activation bit) is
+    /// exactly the integer correlation `Σ q_δ(y, x) · code(y + kh, x + kw)`
+    /// with the resident codes, which this computes directly. Telemetry
+    /// counts those reads: per position, `2 · WEIGHT_BITS · DATA_BITS`
+    /// [`Event::XbarReadPulse`]s and [`Event::BitSerialCycle`]s, `O_H · O_W`
+    /// [`Event::DacDrive`]s per read, and no [`Event::AdcConversion`].
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Config`] when `delta`'s shape is inconsistent with
-    /// a valid `k × k` convolution of the resident input.
+    /// Returns [`Error::Config`] for `k = 0`, and when `delta` is not the
+    /// nonempty error map of a valid `k × k` convolution of the resident
+    /// input.
     pub fn weight_gradient(&self, delta: &Tensor, k: usize) -> Result<Tensor> {
-        self.weight_gradient_with(delta, k, ReadPath::Packed)
-    }
-
-    /// [`HwGradientUnit::weight_gradient`] with an explicit [`ReadPath`]
-    /// (sequential schedule).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`HwGradientUnit::weight_gradient`].
-    pub fn weight_gradient_with(&self, delta: &Tensor, k: usize, read_path: ReadPath) -> Result<Tensor> {
-        self.weight_gradient_policy(delta, k, ExecPolicy::sequential().with_read_path(read_path))
-    }
-
-    /// [`HwGradientUnit::weight_gradient`] with a full [`ExecPolicy`]:
-    /// gradient positions are fanned across scoped workers one kernel
-    /// row at a time (each of the `k²` positions is an independent
-    /// window read of the resident planes), bit-exact with sequential
-    /// execution.
-    ///
-    /// The packed path packs each δ bit-plane once (it is reused across
-    /// all `k²` gradient positions), extracts each window's activation
-    /// words once per activation bit into a per-worker scratch arena,
-    /// and coalesces telemetry into one record per event kind per
-    /// gradient position — totals exactly the per-read scheme's
-    /// (`2·bits²` reads per position, each one [`Event::XbarReadPulse`]
-    /// and `OH·OW` DAC drives; the gradient read never digitizes, so
-    /// neither path counts ADC conversions). The δ windows span
-    /// `OH · words_for(OW)` words, wide enough that the SIMD dispatch in
-    /// [`inca_xbar::simd`] engages directly.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`HwGradientUnit::weight_gradient`].
-    pub fn weight_gradient_policy(&self, delta: &Tensor, k: usize, policy: ExecPolicy) -> Result<Tensor> {
+        if k == 0 {
+            return Err(Error::Config("a weight gradient needs a kernel side of at least 1".into()));
+        }
         if delta.shape().len() != 2 {
             return Err(Error::Config(format!("expected [OH, OW] errors, got {:?}", delta.shape())));
         }
-        let oh = delta.shape()[0];
-        let ow = delta.shape()[1];
-        if oh + k - 1 != self.h || ow + k - 1 != self.w {
+        let (oh, ow) = (delta.shape()[0], delta.shape()[1]);
+        // A valid conv maps H to H − k + 1; compared without a subtraction
+        // that could underflow.
+        if oh == 0 || ow == 0 || oh + k != self.h + 1 || ow + k != self.w + 1 {
             return Err(Error::Config(format!(
                 "error map {oh}x{ow} inconsistent with {k}x{k} valid conv of {}x{}",
                 self.h, self.w
             )));
         }
-        // Quantize δ with a signed differential encoding (signed 8-bit:
-        // sign on the pos/neg pair, 7-bit magnitude — same convention as
-        // the forward engines' weights).
         let d_max = delta.data().iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-12);
         let d_scale = d_max / weight_levels();
-        let mut d_pos = vec![0u32; oh * ow];
-        let mut d_neg = vec![0u32; oh * ow];
-        for (i, &v) in delta.data().iter().enumerate() {
-            let q = (v / d_scale).round() as i64;
-            if q >= 0 {
-                d_pos[i] = q as u32;
-            } else {
-                d_neg[i] = (-q) as u32;
-            }
-        }
-        let pos_planes = slice_to_bit_planes(&d_pos, WEIGHT_BITS);
-        let neg_planes = slice_to_bit_planes(&d_neg, WEIGHT_BITS);
+        // |v| ≤ d_max, so every code lies in −127..=127.
+        let d_codes: Vec<i64> = delta.data().iter().map(|&v| (v / d_scale).round() as i64).collect();
         // Offset-correction term: Σδ (for the x_min offset of the codes).
         let delta_sum: f32 = delta.data().iter().sum();
 
         let _span = inca_telemetry::span("hw_train.weight_gradient");
+        let codes = self.codes();
         let mut grad = Tensor::zeros(&[k, k]);
-        // One chunk per kernel row: each worker owns whole rows of
-        // gradient positions (chunk index == kh).
-        match policy.read_path {
-            ReadPath::Scalar => {
-                exec::for_each_chunk(policy, grad.data_mut(), k, |kh, row| {
-                    for (kw, slot) in row.iter_mut().enumerate() {
-                        // One δ-kernel window read at offset (kh, kw): Eq. 4's red
-                        // box. δ spans OHxOW — larger than a weight kernel, but the
-                        // 2T1R select lines gate any rectangle.
-                        // Two reads (pos/neg δ) per (δ-bit, activation-bit) pair.
-                        inca_telemetry::record(
-                            Event::BitSerialCycle,
-                            (2 * pos_planes.len() * self.planes.len()) as u64,
-                        );
-                        let mut acc: i64 = 0;
-                        for (db, (pp, np)) in pos_planes.iter().zip(&neg_planes).enumerate() {
-                            for (xb, plane) in self.planes.iter().enumerate() {
-                                let p = plane.direct_conv_window(kh, kw, oh, ow, pp)?;
-                                let n = plane.direct_conv_window(kh, kw, oh, ow, np)?;
-                                acc += (i64::from(p) - i64::from(n)) << (db + xb);
-                            }
-                        }
-                        *slot = acc as f32 * self.x_scale * d_scale + self.x_min * delta_sum;
-                    }
-                    Ok(())
-                })?;
-            }
-            ReadPath::Packed => {
-                let pack = |planes: &[Vec<u8>]| -> Result<Vec<PackedKernel>> {
-                    planes.iter().map(|p| Ok(PackedKernel::pack(oh, ow, p)?)).collect()
-                };
-                let pos_packed = pack(&pos_planes)?;
-                let neg_packed = pack(&neg_planes)?;
-                let kwords = oh * words_for(ow);
-                let reads = (2 * pos_planes.len() * self.planes.len()) as u64;
-                let planes_len = self.planes.len();
-                exec::for_each_chunk_with(
-                    policy,
-                    grad.data_mut(),
-                    k,
-                    // Per-worker window arena, one slot per activation bit.
-                    || vec![0u64; planes_len * kwords],
-                    |window, kh, row| {
-                        for (kw, slot) in row.iter_mut().enumerate() {
-                            for (xb, plane) in self.planes.iter().enumerate() {
-                                plane.extract_window(
-                                    kh,
-                                    kw,
-                                    oh,
-                                    ow,
-                                    &mut window[xb * kwords..(xb + 1) * kwords],
-                                )?;
-                            }
-                            inca_telemetry::record(Event::BitSerialCycle, reads);
-                            inca_telemetry::record(Event::XbarReadPulse, reads);
-                            inca_telemetry::record(Event::DacDrive, reads * (oh * ow) as u64);
-                            let mut acc: i64 = 0;
-                            for (db, (pp, np)) in pos_packed.iter().zip(&neg_packed).enumerate() {
-                                for (xb, words) in window.chunks_exact(kwords).enumerate() {
-                                    let p = window_dot_packed(words, pp);
-                                    let n = window_dot_packed(words, np);
-                                    acc += (i64::from(p) - i64::from(n)) << (db + xb);
-                                }
-                            }
-                            *slot = acc as f32 * self.x_scale * d_scale + self.x_min * delta_sum;
-                        }
-                        Ok(())
-                    },
-                )?;
-            }
+        for (pos, slot) in grad.data_mut().iter_mut().enumerate() {
+            let (kh, kw) = (pos / k, pos % k);
+            let acc: i64 = d_codes
+                .chunks_exact(ow)
+                .enumerate()
+                .map(|(y, row)| {
+                    let window = &codes[(y + kh) * self.w + kw..][..ow];
+                    row.iter().zip(window).map(|(&d, &x)| d * x).sum::<i64>()
+                })
+                .sum();
+            *slot = acc as f32 * self.x_scale * d_scale + self.x_min * delta_sum;
         }
+        let reads = (2 * usize::from(WEIGHT_BITS) * usize::from(DATA_BITS) * k * k) as u64;
+        inca_telemetry::record(Event::XbarReadPulse, reads);
+        inca_telemetry::record(Event::BitSerialCycle, reads);
+        inca_telemetry::record(Event::DacDrive, reads * (oh * ow) as u64);
         Ok(grad)
     }
 
@@ -292,17 +218,6 @@ impl HwGradientUnit {
 ///
 /// Propagates [`crate::HwConv`] construction and execution errors.
 pub fn backprop_error_hw(delta_next: &Tensor, weights: &Tensor) -> Result<Tensor> {
-    backprop_error_hw_with(delta_next, weights, ExecPolicy::sequential())
-}
-
-/// [`backprop_error_hw`] with an explicit [`ExecPolicy`] for the
-/// underlying [`crate::HwConv`] (the backward convolution fans output
-/// rows across workers exactly like the forward pass).
-///
-/// # Errors
-///
-/// Propagates [`crate::HwConv`] construction and execution errors.
-pub fn backprop_error_hw_with(delta_next: &Tensor, weights: &Tensor, policy: ExecPolicy) -> Result<Tensor> {
     if weights.shape().len() != 4 {
         return Err(Error::Config(format!("expected [N,C,k,k] weights, got {:?}", weights.shape())));
     }
@@ -320,14 +235,15 @@ pub fn backprop_error_hw_with(delta_next: &Tensor, weights: &Tensor, policy: Exe
         }
     }
     // Full convolution = valid convolution with (k-1) zero padding.
-    let conv = crate::HwConv::from_float(&wt, &vec![0.0; c_ch], 1, k - 1)?.with_policy(policy);
-    conv.forward(delta_next)
+    crate::HwConv::from_float(&wt, &vec![0.0; c_ch], 1, k - 1)?.forward(delta_next)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use inca_nn::layers::{self, Layer as _};
+    use inca_telemetry::capture;
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
     fn random_tensor(shape: &[usize], seed: u64, lo: f32, hi: f32) -> Tensor {
@@ -433,38 +349,91 @@ mod tests {
         }
     }
 
-    #[test]
-    fn gradient_read_paths_are_bit_exact() {
-        let (h, k) = (9usize, 3usize);
-        let oh = h - k + 1;
-        let x2d = random_tensor(&[h, h], 81, -0.5, 1.0);
-        let delta2d = random_tensor(&[oh, oh], 82, -0.4, 0.4);
-        let unit = HwGradientUnit::program(&x2d).unwrap();
-        let packed = unit.weight_gradient(&delta2d, k).unwrap();
-        let scalar = unit.weight_gradient_with(&delta2d, k, ReadPath::Scalar).unwrap();
-        assert_eq!(packed.data(), scalar.data());
+    /// The bit-serial oracle of [`HwGradientUnit::weight_gradient`]: δ
+    /// split into positive and negative 7-bit magnitude planes, and each
+    /// gradient position the shift-add of one counted plane read per
+    /// (side, δ bit, activation bit), one bit-serial cycle each. δ spans
+    /// `O_H × O_W`, larger than a weight kernel, but the 2T1R select lines
+    /// gate any rectangle.
+    fn bit_serial_gradient(unit: &HwGradientUnit, delta: &Tensor, k: usize) -> Tensor {
+        let (oh, ow) = (delta.shape()[0], delta.shape()[1]);
+        let d_max = delta.data().iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-12);
+        let d_scale = d_max / weight_levels();
+        let mut d_pos = vec![0u32; oh * ow];
+        let mut d_neg = vec![0u32; oh * ow];
+        for (i, &v) in delta.data().iter().enumerate() {
+            let q = (v / d_scale).round() as i64;
+            if q >= 0 {
+                d_pos[i] = q as u32;
+            } else {
+                d_neg[i] = (-q) as u32;
+            }
+        }
+        let pos_planes = slice_to_bit_planes(&d_pos, WEIGHT_BITS);
+        let neg_planes = slice_to_bit_planes(&d_neg, WEIGHT_BITS);
+        let delta_sum: f32 = delta.data().iter().sum();
+        let mut grad = Tensor::zeros(&[k, k]);
+        for (pos, slot) in grad.data_mut().iter_mut().enumerate() {
+            let (kh, kw) = (pos / k, pos % k);
+            inca_telemetry::record(Event::BitSerialCycle, (2 * pos_planes.len() * unit.planes.len()) as u64);
+            let mut acc: i64 = 0;
+            for (db, (pp, np)) in pos_planes.iter().zip(&neg_planes).enumerate() {
+                for (xb, plane) in unit.planes.iter().enumerate() {
+                    let p = plane.direct_conv_window(kh, kw, oh, ow, pp).unwrap();
+                    let n = plane.direct_conv_window(kh, kw, oh, ow, np).unwrap();
+                    acc += (i64::from(p) - i64::from(n)) << (db + xb);
+                }
+            }
+            *slot = acc as f32 * unit.x_scale * d_scale + unit.x_min * delta_sum;
+        }
+        grad
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The gradient equals the bit-serial oracle bit for bit and
+        /// counts exactly its events: k = 1–5, maps up to 32×32, signed
+        /// inputs, and signed or all-zero errors.
+        #[test]
+        fn weight_gradient_matches_the_bit_serial_oracle(
+            seed in 0u64..1_000_000,
+            k in 1usize..=5,
+            h in 1usize..=32,
+            w in 1usize..=32,
+            zero_delta in any::<bool>(),
+        ) {
+            let (h, w) = (h.max(k), w.max(k));
+            let (oh, ow) = (h - k + 1, w - k + 1);
+            let unit = HwGradientUnit::program(&random_tensor(&[h, w], seed, -0.8, 1.0)).unwrap();
+            let delta = if zero_delta {
+                Tensor::zeros(&[oh, ow])
+            } else {
+                random_tensor(&[oh, ow], seed.wrapping_add(1), -0.5, 0.5)
+            };
+            let (grad, counted) = capture(|| unit.weight_gradient(&delta, k).unwrap());
+            let (oracle, oracle_counted) = capture(|| bit_serial_gradient(&unit, &delta, k));
+            prop_assert_eq!(bits(&grad), bits(&oracle), "k {} on {}x{}", k, h, w);
+            prop_assert_eq!(counted.counters(), oracle_counted.counters(), "k {} on {}x{}", k, h, w);
+        }
     }
 
     #[test]
-    fn parallel_gradient_policy_is_bit_exact() {
-        let (h, k) = (11usize, 5usize);
-        let oh = h - k + 1;
-        let x2d = random_tensor(&[h, h], 83, -0.5, 1.0);
-        let delta2d = random_tensor(&[oh, oh], 84, -0.4, 0.4);
-        let unit = HwGradientUnit::program(&x2d).unwrap();
-        let seq = unit.weight_gradient(&delta2d, k).unwrap();
-        for threads in 2..=4 {
-            let par = unit.weight_gradient_policy(&delta2d, k, ExecPolicy::parallel_with(threads)).unwrap();
-            assert_eq!(seq.data(), par.data(), "threads {threads}");
-            let par_scalar = unit
-                .weight_gradient_policy(
-                    &delta2d,
-                    k,
-                    ExecPolicy::parallel_with(threads).with_read_path(ReadPath::Scalar),
-                )
-                .unwrap();
-            assert_eq!(seq.data(), par_scalar.data(), "scalar threads {threads}");
-        }
+    fn weight_gradient_counts_its_bit_serial_reads() {
+        let (h, w, k) = (9usize, 7usize, 3usize);
+        let (oh, ow) = (h - k + 1, w - k + 1);
+        let unit = HwGradientUnit::program(&random_tensor(&[h, w], 91, -0.5, 1.0)).unwrap();
+        let delta = random_tensor(&[oh, ow], 92, -0.4, 0.4);
+        let (_, counted) = capture(|| unit.weight_gradient(&delta, k).unwrap());
+        let reads = 2 * u64::from(WEIGHT_BITS) * u64::from(DATA_BITS) * (k * k) as u64;
+        assert_eq!(counted.get(Event::XbarReadPulse), reads);
+        assert_eq!(counted.get(Event::BitSerialCycle), reads);
+        assert_eq!(counted.get(Event::DacDrive), reads * (oh * ow) as u64);
+        assert_eq!(counted.get(Event::AdcConversion), 0);
     }
 
     #[test]
@@ -474,7 +443,19 @@ mod tests {
         // 6x6 input with 3x3 kernel needs a 4x4 error map.
         assert!(unit.weight_gradient(&Tensor::zeros(&[3, 3]), 3).is_err());
         assert!(unit.weight_gradient(&Tensor::zeros(&[4, 4]), 3).is_ok());
+        // k = 0 is no kernel, even with the (H+1)x(W+1) map that
+        // satisfies `oh + k == h + 1`, and an empty map has no window to
+        // read, even for the kernel wider than the input that it fits.
+        let config_error =
+            |delta: Tensor, k| matches!(unit.weight_gradient(&delta, k), Err(Error::Config(_)));
+        assert!(config_error(Tensor::zeros(&[7, 7]), 0));
+        assert!(config_error(Tensor::from_vec(Vec::new(), &[0, 0]), 0));
+        assert!(config_error(Tensor::from_vec(Vec::new(), &[0, 0]), 7));
         assert!(HwGradientUnit::program(&Tensor::zeros(&[2, 2, 2])).is_err());
+        assert!(matches!(
+            HwGradientUnit::program(&Tensor::from_vec(Vec::new(), &[0, 5])),
+            Err(Error::Config(_))
+        ));
         let mut unit = unit;
         assert!(unit.overwrite_with_errors(&Tensor::zeros(&[5, 5])).is_err());
     }

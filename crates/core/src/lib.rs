@@ -40,11 +40,11 @@ pub use accelerator::Accelerator;
 pub use accuracy::{noise_accuracy_row, quantization_accuracy, AccuracyConfig, NoiseAccuracyRow};
 pub use comparison::{Comparison, RunReport};
 pub use error::Error;
-pub use exec::{par_map_indexed, ExecPolicy, ReadPath, Schedule};
+pub use exec::{par_map_indexed, ExecPolicy};
 pub use experiments::{Experiment, ExperimentOpts, ExperimentResult};
 pub use hw_exec::{HwConv, HwLinear, HwWsConv, DATA_BITS, WEIGHT_BITS};
 pub use hw_network::{HwNetwork, HwStage};
-pub use hw_train::{backprop_error_hw, backprop_error_hw_with, HwGradientUnit};
+pub use hw_train::{backprop_error_hw, HwGradientUnit};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, Error>;

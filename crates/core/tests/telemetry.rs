@@ -4,7 +4,7 @@
 //! the workers enter the caller's capture, and parallelism reorders the
 //! work but must not change the physics being counted.
 
-use inca_core::{ExecPolicy, HwConv, ReadPath};
+use inca_core::{ExecPolicy, HwConv, Result};
 use inca_nn::Tensor;
 use inca_telemetry::{capture, Event};
 use rand::{Rng, SeedableRng};
@@ -14,9 +14,21 @@ fn random_tensor(shape: &[usize], seed: u64, lo: f32, hi: f32) -> Tensor {
     Tensor::from_vec((0..shape.iter().product::<usize>()).map(|_| rng.gen_range(lo..hi)).collect(), shape)
 }
 
+/// One of `HwConv`'s two reads.
+type Read = fn(&HwConv, &Tensor) -> Result<Tensor>;
+
+/// Both reads, by name.
+const READS: [(&str, Read); 2] =
+    [("forward", HwConv::forward), ("forward_reference", HwConv::forward_reference)];
+
+/// The counter totals of one `read` of `x` through `conv`.
+fn counted_by(read: Read, conv: &HwConv, x: &Tensor) -> Vec<(Event, u64)> {
+    capture(|| read(conv, x).unwrap()).1.counters()
+}
+
 /// The counter totals of one forward of `x` through `conv`.
 fn counted(conv: &HwConv, x: &Tensor) -> Vec<(Event, u64)> {
-    capture(|| conv.forward(x).unwrap()).1.counters()
+    counted_by(HwConv::forward, conv, x)
 }
 
 #[test]
@@ -33,16 +45,13 @@ fn parallel_conv_counts_match_sequential_for_random_thread_counts() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(rng_seed);
         for _ in 0..4 {
             let threads = rng.gen_range(2..=16);
-            // The scalar path records every read on the worker that makes
-            // it, so its totals hold only if the workers enter the capture.
-            for read_path in [ReadPath::Packed, ReadPath::Scalar] {
-                let par =
-                    seq.clone().with_policy(ExecPolicy::parallel_with(threads).with_read_path(read_path));
-                let parallel = counted(&par, &x);
-                assert_eq!(
-                    baseline, parallel,
-                    "batch {batch}: {read_path:?} totals diverged at {threads} threads"
-                );
+            // The reference read records every read on the worker that
+            // makes it, so its totals hold only if the workers enter the
+            // capture.
+            let par = seq.clone().with_policy(ExecPolicy::parallel_with(threads));
+            for (name, read) in READS {
+                let parallel = counted_by(read, &par, &x);
+                assert_eq!(baseline, parallel, "batch {batch}: {name} totals diverged at {threads} threads");
             }
         }
     }
@@ -71,19 +80,18 @@ fn counts_are_schedule_invariant_for_large_kernels() {
 }
 
 #[test]
-fn packed_and_scalar_read_paths_count_identical_totals() {
+fn forward_and_reference_count_identical_totals() {
     let w = random_tensor(&[4, 2, 3, 3], 51, -0.5, 0.5);
     let bias = vec![0.0f32; 4];
     let x = random_tensor(&[1, 2, 12, 12], 52, -0.5, 1.0);
-    let packed = HwConv::from_float(&w, &bias, 1, 1).unwrap();
-    let scalar = packed.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
-    let packed_counts = counted(&packed, &x);
-    let scalar_counts = counted(&scalar, &x);
-    assert!(packed_counts.iter().any(|&(_, n)| n > 0), "packed run recorded nothing");
-    assert_eq!(packed_counts, scalar_counts, "coalesced totals diverged from the per-read scheme");
+    let conv = HwConv::from_float(&w, &bias, 1, 1).unwrap();
+    let counts = counted(&conv, &x);
+    let reference_counts = counted_by(HwConv::forward_reference, &conv, &x);
+    assert!(counts.iter().any(|&(_, n)| n > 0), "forward recorded nothing");
+    assert_eq!(counts, reference_counts, "coalesced totals diverged from the per-read scheme");
 
     let xb = random_tensor(&[3, 2, 8, 8], 53, -0.5, 1.0);
-    let packed_counts = counted(&packed, &xb);
-    let scalar_counts = counted(&scalar, &xb);
-    assert_eq!(packed_counts, scalar_counts, "batch totals diverged between read paths");
+    let counts = counted(&conv, &xb);
+    let reference_counts = counted_by(HwConv::forward_reference, &conv, &xb);
+    assert_eq!(counts, reference_counts, "batch totals diverged between the reads");
 }

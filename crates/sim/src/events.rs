@@ -45,8 +45,8 @@ pub struct ConvGeometry {
     pub tile_side: usize,
 }
 
-/// Predicted event counts for one forward pass (plus the programming
-/// cost paid on an activation-cache miss).
+/// Predicted event counts for one forward pass, including the
+/// programming of its input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FunctionalEvents {
     /// Crossbar read pulses (one per bit-serial window read).
@@ -58,7 +58,7 @@ pub struct FunctionalEvents {
     /// Bit-serial cycles (one per (weight-bit, activation-bit) pair).
     pub bit_serial_cycles: u64,
     /// RRAM programming pulses to write the activation bit-planes
-    /// (paid once per distinct input, then amortized by the cache).
+    /// (paid at every forward: each forward programs its input).
     pub program_pulses: u64,
 }
 

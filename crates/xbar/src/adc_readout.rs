@@ -60,32 +60,11 @@ impl AdcReadout {
         inca_telemetry::incr(inca_telemetry::Event::AdcConversion);
         count.min(self.max_code())
     }
-
-    /// Whether a window of `fan_in` binary products digitizes exactly
-    /// (no saturation possible).
-    #[must_use]
-    pub fn is_exact_for(&self, fan_in: u32) -> bool {
-        fan_in <= self.max_code()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn four_bit_exact_for_3x3_kernel() {
-        let adc = AdcReadout::new(4);
-        assert!(adc.is_exact_for(9));
-        assert!(!adc.is_exact_for(16));
-    }
-
-    #[test]
-    fn eight_bit_exact_for_128_rows() {
-        let adc = AdcReadout::new(8);
-        assert!(adc.is_exact_for(128));
-        assert!(!adc.is_exact_for(256));
-    }
 
     #[test]
     fn saturation() {

@@ -35,7 +35,6 @@ pub struct Crossbar2d {
     /// Column-major cell bits.
     cells: Vec<u8>,
     writes: u64,
-    reads: u64,
 }
 
 impl Crossbar2d {
@@ -47,7 +46,7 @@ impl Crossbar2d {
     #[must_use]
     pub fn new(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "crossbar dimensions must be positive");
-        Self { rows, cols, cells: vec![0; rows * cols], writes: 0, reads: 0 }
+        Self { rows, cols, cells: vec![0; rows * cols], writes: 0 }
     }
 
     /// The baseline's 128 × 128 array (Table II).
@@ -72,12 +71,6 @@ impl Crossbar2d {
     #[must_use]
     pub fn write_count(&self) -> u64 {
         self.writes
-    }
-
-    /// Total MVM (read) operations.
-    #[must_use]
-    pub fn read_count(&self) -> u64 {
-        self.reads
     }
 
     /// Programs one column with a binary weight vector.
@@ -176,29 +169,6 @@ impl Crossbar2d {
         }
         Ok(out)
     }
-
-    /// Counting variant of [`Crossbar2d::mvm_binary`] for energy/endurance
-    /// accounting.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Crossbar2d::mvm_binary`].
-    pub fn mvm_binary_mut(&mut self, input: &[u8]) -> Result<Vec<u32>> {
-        let out = self.mvm_binary(input)?;
-        self.reads += 1;
-        Ok(out)
-    }
-
-    /// Fraction of cells actually used when mapping a kernel of `fan_in`
-    /// rows and `channels` columns — the WS utilization of Fig 16b. A
-    /// depthwise 3×3 kernel uses only 9 of 128 rows ("nine of 128 cells in
-    /// a column", §V-B4).
-    #[must_use]
-    pub fn mapping_utilization(&self, fan_in: usize, channels: usize) -> f64 {
-        let used_rows = fan_in.min(self.rows);
-        let used_cols = channels.min(self.cols);
-        (used_rows * used_cols) as f64 / (self.rows * self.cols) as f64
-    }
 }
 
 #[cfg(test)]
@@ -247,19 +217,8 @@ mod tests {
         let mut x = Crossbar2d::new(2, 2);
         x.program_all(&[1, 0, 0, 1]).unwrap();
         x.program_column(0, &[1, 1]).unwrap();
-        let _ = x.mvm_binary_mut(&[1, 1]).unwrap();
+        let _ = x.mvm_binary(&[1, 1]).unwrap();
         assert_eq!(x.write_count(), 2);
-        assert_eq!(x.read_count(), 1);
-    }
-
-    #[test]
-    fn depthwise_utilization_collapse() {
-        let x = Crossbar2d::paper_baseline();
-        // 3x3 depthwise kernel: 9 rows x 1 column of 128x128.
-        let u = x.mapping_utilization(9, 1);
-        assert!((u - 9.0 / (128.0 * 128.0)).abs() < 1e-15);
-        // A 3x3x128 regular conv with 128 channels fills the array.
-        assert!((x.mapping_utilization(1152, 128) - 1.0).abs() < 1e-15);
     }
 
     #[test]

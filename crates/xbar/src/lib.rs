@@ -60,10 +60,9 @@ mod stack3d;
 pub use adc_readout::AdcReadout;
 pub use crossbar2d::Crossbar2d;
 pub use error::XbarError;
-pub use packed::{window_dot_packed, PackedKernel};
 pub use pipeline::{simulate_pipeline, PipelineConfig, PipelineStats};
 pub use plane::VerticalPlane;
-pub use simd::{and_popcount, and_popcount_lanes};
+pub use simd::and_popcount_lanes;
 pub use sneak::{sneak_path_current, SneakPathEstimate};
 pub use stack3d::Stack3d;
 

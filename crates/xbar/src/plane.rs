@@ -3,7 +3,7 @@ use inca_telemetry::Event;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::packed::{words_for, PackedKernel};
+use crate::packed::words_for;
 use crate::{Result, XbarError};
 
 /// One 2T1R vertical plane of the INCA architecture (§IV-A, Fig 8).
@@ -35,13 +35,11 @@ pub struct VerticalPlane {
     /// Word-packed mirror of `cells`: `words_per_row` `u64`s per row, bit
     /// `j` of word `w` holding column `64·w + j` (LSB-first); bits beyond
     /// `cols` stay zero. Kept in sync by every write, it serves the
-    /// word-parallel read path ([`VerticalPlane::conv_window_sum_packed`]).
+    /// word-parallel read ([`VerticalPlane::extract_window_compact`]).
     packed: Vec<u64>,
     words_per_row: usize,
     /// Cumulative write pulses (endurance accounting).
     writes: u64,
-    /// Cumulative read (convolution) operations.
-    reads: u64,
 }
 
 impl VerticalPlane {
@@ -61,20 +59,6 @@ impl VerticalPlane {
             packed: vec![0; rows * words_per_row],
             words_per_row,
             writes: 0,
-            reads: 0,
-        }
-    }
-
-    /// Rebuilds the packed mirror for rows `[row0, row0 + n)`.
-    fn repack_rows(&mut self, row0: usize, n: usize) {
-        for r in row0..row0 + n {
-            let words = &mut self.packed[r * self.words_per_row..(r + 1) * self.words_per_row];
-            words.fill(0);
-            for (j, &cell) in self.cells[r * self.cols..(r + 1) * self.cols].iter().enumerate() {
-                if cell & 1 == 1 {
-                    words[j >> 6] |= 1u64 << (j & 63);
-                }
-            }
         }
     }
 
@@ -100,12 +84,6 @@ impl VerticalPlane {
     #[must_use]
     pub fn write_count(&self) -> u64 {
         self.writes
-    }
-
-    /// Total convolution reads issued.
-    #[must_use]
-    pub fn read_count(&self) -> u64 {
-        self.reads
     }
 
     /// Writes a full bit image (row-major, values 0/1) in a single write
@@ -152,7 +130,8 @@ impl VerticalPlane {
         inca_telemetry::record(Event::RramProgramPulse, planes);
     }
 
-    /// Validates a full bit image and stores it, uncounted.
+    /// Validates a full bit image and stores it and its packed mirror,
+    /// uncounted.
     fn load_bits(&mut self, bits: &[u8]) -> Result<()> {
         if bits.len() != self.cells.len() {
             return Err(XbarError::ShapeMismatch {
@@ -164,34 +143,15 @@ impl VerticalPlane {
             return Err(XbarError::ValueOutOfRange { value: i64::from(bad), bits: 1 });
         }
         self.cells.copy_from_slice(bits);
-        self.repack_rows(0, self.rows);
-        Ok(())
-    }
-
-    /// Writes a partial region `[row, row+h) × [col, col+w)` — used when a
-    /// feature-map partition is smaller than the plane, or when errors
-    /// overwrite activations during backpropagation (§IV-C "Backward").
-    ///
-    /// # Errors
-    ///
-    /// * [`XbarError::WindowOutOfBounds`] if the region does not fit.
-    /// * [`XbarError::ShapeMismatch`] if `bits.len() != h·w`.
-    pub fn write_region(&mut self, row: usize, col: usize, h: usize, w: usize, bits: &[u8]) -> Result<()> {
-        self.check_window(row, col, h, w)?;
-        if bits.len() != h * w {
-            return Err(XbarError::ShapeMismatch {
-                expected: format!("{h}x{w} = {} elements", h * w),
-                got: bits.len(),
-            });
-        }
-        for i in 0..h {
-            for j in 0..w {
-                self.cells[(row + i) * self.cols + col + j] = bits[i * w + j] & 1;
+        let (cols, wpr) = (self.cols, self.words_per_row);
+        for (row, words) in self.cells.chunks_exact(cols).zip(self.packed.chunks_exact_mut(wpr)) {
+            words.fill(0);
+            for (j, &cell) in row.iter().enumerate() {
+                if cell & 1 == 1 {
+                    words[j >> 6] |= 1u64 << (j & 63);
+                }
             }
         }
-        self.repack_rows(row, h);
-        self.writes += 1;
-        inca_telemetry::incr(Event::RramProgramPulse);
         Ok(())
     }
 
@@ -239,8 +199,7 @@ impl VerticalPlane {
     /// because its pillar drivers are *shared* across the stack (one DAC
     /// set per broadcast, not per plane). Callers that coalesce their own
     /// telemetry read through this or the packed mirror
-    /// ([`VerticalPlane::conv_window_sum_packed`],
-    /// [`VerticalPlane::extract_window_compact`]).
+    /// ([`VerticalPlane::extract_window_compact`]).
     ///
     /// # Errors
     ///
@@ -286,45 +245,6 @@ impl VerticalPlane {
         } else {
             lo | (self.packed[base + w + 1] << (64 - off))
         }
-    }
-
-    /// Extracts the window `[row, row+kh) × [col, col+kw)` as packed
-    /// words into `dst`, aligned so window column 0 is bit 0 of each
-    /// row's first word — the alignment [`PackedKernel`] packs to. `dst`
-    /// must hold `kh · words_for(kw)` words. Bits of `dst` beyond `kw`
-    /// in a row's last word may carry neighbouring in-bounds cells;
-    /// kernel masks are zero there, so dot products are unaffected.
-    ///
-    /// Engines call this **once per (window, activation-bit)** and reuse
-    /// the words across every weight bit, output channel, and
-    /// differential side — the read-amplification win of the packed path.
-    ///
-    /// # Errors
-    ///
-    /// * [`XbarError::WindowOutOfBounds`] if the window does not fit.
-    /// * [`XbarError::ShapeMismatch`] if `dst` has the wrong word count.
-    pub fn extract_window(
-        &self,
-        row: usize,
-        col: usize,
-        kh: usize,
-        kw: usize,
-        dst: &mut [u64],
-    ) -> Result<()> {
-        self.check_window(row, col, kh, kw)?;
-        let wpr = words_for(kw);
-        if dst.len() != kh * wpr {
-            return Err(XbarError::ShapeMismatch {
-                expected: format!("{kh}x{wpr} = {} window words", kh * wpr),
-                got: dst.len(),
-            });
-        }
-        for i in 0..kh {
-            for wi in 0..wpr {
-                dst[i * wpr + wi] = self.row_chunk(row + i, col + (wi << 6));
-            }
-        }
-        Ok(())
     }
 
     /// Extracts the window `[row, row+kh) × [col, col+kw)` as one
@@ -377,47 +297,6 @@ impl VerticalPlane {
             }
         }
         Ok(())
-    }
-
-    /// The uncounted *word-parallel* window accumulation: AND the packed
-    /// window words against the pre-packed kernel and popcount. Bit-exact
-    /// with [`VerticalPlane::conv_window_sum`] by construction.
-    ///
-    /// # Errors
-    ///
-    /// [`XbarError::WindowOutOfBounds`] if the kernel's window does not
-    /// fit at `(row, col)`.
-    pub fn conv_window_sum_packed(&self, row: usize, col: usize, kernel: &PackedKernel) -> Result<u32> {
-        let (kh, kw) = (kernel.kh(), kernel.kw());
-        self.check_window(row, col, kh, kw)?;
-        let wpr = kernel.words_per_row();
-        let mut acc = 0u32;
-        for i in 0..kh {
-            for wi in 0..wpr {
-                let chunk = self.row_chunk(row + i, col + (wi << 6));
-                acc += (chunk & kernel.words()[i * wpr + wi]).count_ones();
-            }
-        }
-        Ok(acc)
-    }
-
-    /// Like [`VerticalPlane::direct_conv_window`] but also counts the read
-    /// for endurance/energy accounting.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`VerticalPlane::direct_conv_window`].
-    pub fn direct_conv_window_mut(
-        &mut self,
-        row: usize,
-        col: usize,
-        kh: usize,
-        kw: usize,
-        kernel: &[u8],
-    ) -> Result<u32> {
-        let out = self.direct_conv_window(row, col, kh, kw, kernel)?;
-        self.reads += 1;
-        Ok(out)
     }
 
     /// The *analog* current accumulated for a window read, including the
@@ -542,28 +421,11 @@ mod tests {
     }
 
     #[test]
-    fn region_write_overwrites_only_region() {
-        let mut p = plane_with(&[1; 16], 4, 4);
-        p.write_region(1, 1, 2, 2, &[0, 0, 0, 0]).unwrap();
-        assert_eq!(p.popcount(), 12);
-        assert_eq!(p.bit(1, 1), 0);
-        assert_eq!(p.bit(0, 0), 1);
-    }
-
-    #[test]
-    fn region_write_bounds_checked() {
-        let mut p = VerticalPlane::new(4, 4);
-        assert!(p.write_region(3, 3, 2, 2, &[0; 4]).is_err());
-    }
-
-    #[test]
-    fn write_and_read_counters() {
+    fn write_counter_counts_one_pulse_per_write() {
         let mut p = VerticalPlane::new(2, 2);
         p.write_bits(&[1, 0, 0, 1]).unwrap();
-        p.write_region(0, 0, 1, 1, &[0]).unwrap();
-        let _ = p.direct_conv_window_mut(0, 0, 2, 2, &[1, 1, 1, 1]).unwrap();
+        p.write_bits(&[0, 0, 0, 1]).unwrap();
         assert_eq!(p.write_count(), 2);
-        assert_eq!(p.read_count(), 1);
     }
 
     #[test]
@@ -622,40 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_read_matches_scalar_everywhere() {
-        // Every window position and several kernel shapes on a plane wide
-        // enough that chunks cross word boundaries.
-        let rows = 5;
-        let cols = 70;
-        let bits: Vec<u8> = (0..rows * cols).map(|i| ((i * 7 + i / 13) % 3 == 0) as u8).collect();
-        let p = plane_with(&bits, rows, cols);
-        for (kh, kw) in [(1, 1), (2, 3), (3, 3), (2, 66), (5, 70)] {
-            let kernel: Vec<u8> = (0..kh * kw).map(|i| ((i * 5) % 2) as u8).collect();
-            let packed = PackedKernel::pack(kh, kw, &kernel).unwrap();
-            for r in 0..=rows - kh {
-                for c in 0..=cols - kw {
-                    let scalar = p.conv_window_sum(r, c, kh, kw, &kernel).unwrap();
-                    let fast = p.conv_window_sum_packed(r, c, &packed).unwrap();
-                    assert_eq!(scalar, fast, "window ({r},{c}) kernel {kh}x{kw}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn extract_window_matches_cells() {
-        let p = plane_with(&[1, 0, 1, 0, 0, 1, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1], 4, 4);
-        let mut dst = [0u64; 2];
-        p.extract_window(1, 1, 2, 3, &mut dst).unwrap();
-        // Row 1 cols 1..4 = [1, 1, 0]; row 2 cols 1..4 = [1, 1, 0].
-        assert_eq!(dst[0] & 0b111, 0b011);
-        assert_eq!(dst[1] & 0b111, 0b011);
-        // Wrong buffer size and out-of-bounds windows are rejected.
-        assert!(p.extract_window(1, 1, 2, 3, &mut [0u64; 3]).is_err());
-        assert!(p.extract_window(3, 3, 2, 2, &mut [0u64; 2]).is_err());
-    }
-
-    #[test]
     fn compact_window_matches_bits_everywhere() {
         // A plane wider than one word, so row chunks straddle the packed
         // mirror's words; windows from 1 cell to k² > 64 (k = 9 puts row
@@ -695,20 +523,5 @@ mod tests {
             p.extract_window_compact(0, 0, 9, 9, &mut dst),
             Err(XbarError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn packed_mirror_tracks_region_writes() {
-        let mut p = plane_with(&[1; 16], 4, 4);
-        p.write_region(1, 1, 2, 2, &[0, 0, 0, 0]).unwrap();
-        let k = PackedKernel::pack(4, 4, &[1; 16]).unwrap();
-        assert_eq!(p.conv_window_sum_packed(0, 0, &k).unwrap(), 12);
-    }
-
-    #[test]
-    fn packed_window_bounds_checked() {
-        let p = plane_with(&[0; 16], 4, 4);
-        let k = PackedKernel::pack(2, 2, &[1; 4]).unwrap();
-        assert!(matches!(p.conv_window_sum_packed(3, 3, &k), Err(XbarError::WindowOutOfBounds { .. })));
     }
 }

@@ -8,9 +8,8 @@
 //! * **avx2** (`x86_64` hosts with AVX2) — `std::arch` intrinsics
 //!   processing 4 words (256 bits) per lane-step with the nibble-LUT
 //!   popcount (`_mm256_shuffle_epi8` + `_mm256_sad_epu8`),
-//! * **portable** — plain `count_ones` loops (the 4-wide unrolled ones
-//!   keep independent accumulators so the adds pipeline), used on
-//!   non-x86 targets and pre-AVX2 x86 parts.
+//! * **portable** — plain `count_ones` loops, used on non-x86 targets
+//!   and pre-AVX2 x86 parts.
 //!
 //! Dispatch is decided once (`is_x86_feature_detected!` cached in a
 //! [`OnceLock`]) and is observable through [`active_impl`], which the
@@ -19,9 +18,9 @@
 //! the tests at the bottom of this file and the engine-level parity
 //! proptests.
 //!
-//! Three entry points:
+//! Two entry points:
 //!
-//! * [`and_popcount_accumulate`] — the conv engines' read kernel. One
+//! * [`and_popcount_accumulate`] — the conv engine's read kernel. One
 //!   call takes one window's compact activation-bit word (window cell
 //!   `(i, j)` at bit `i·k + j`, see
 //!   [`crate::VerticalPlane::extract_window_compact`]) and every kernel
@@ -30,10 +29,6 @@
 //!   bit, into its own `u32` accumulator:
 //!   `acc[i] += min(popcount(x & mask[i]), cap) << shift`. The AVX2
 //!   path broadcasts the window word and handles 8 masks per step.
-//! * [`and_popcount`] — the summed dot product `Σ popcount(x_i & w_i)`,
-//!   used for one window against one kernel bit-plane (the `hw_train`
-//!   δ-windows span dozens of words, where the 4-word lane-step pays
-//!   directly),
 //! * [`and_popcount_lanes`] — per-word popcounts `out[i] =
 //!   popcount(x_i & w_i)`, kept as the word-rate probe of the
 //!   performance ledger.
@@ -69,26 +64,6 @@ fn avx2_available() -> bool {
     // Keep the OnceLock import used on every target.
     static AVX2: OnceLock<bool> = OnceLock::new();
     *AVX2.get_or_init(|| false)
-}
-
-/// `Σ popcount(x_i & w_i)` over two equal-length word slices.
-///
-/// Bit-exact with the plain scalar loop on every implementation.
-///
-/// # Panics
-///
-/// Panics (debug builds) if the slice lengths differ.
-#[inline]
-#[must_use]
-pub fn and_popcount(x: &[u64], w: &[u64]) -> u32 {
-    debug_assert_eq!(x.len(), w.len(), "and_popcount length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if x.len() >= 4 && avx2_available() {
-        // SAFETY: `avx2_available()` verified the CPU supports the
-        // `avx2` feature this function is compiled for.
-        return unsafe { and_popcount_avx2(x, w) };
-    }
-    and_popcount_portable(x, w)
 }
 
 /// Per-word popcounts: `out[i] = popcount(x_i & w_i)`, 4 words per
@@ -169,27 +144,6 @@ fn and_popcount_accumulate_portable(x: &[u64], masks: &[u64], cap: u32, shift: u
     }
 }
 
-/// The portable 4-wide unrolled fallback for [`and_popcount`]: four
-/// independent accumulators so the adds pipeline, plus a scalar tail.
-#[inline]
-#[must_use]
-pub fn and_popcount_portable(x: &[u64], w: &[u64]) -> u32 {
-    let mut acc = [0u32; 4];
-    let mut xc = x.chunks_exact(4);
-    let mut wc = w.chunks_exact(4);
-    for (xs, ws) in (&mut xc).zip(&mut wc) {
-        acc[0] += (xs[0] & ws[0]).count_ones();
-        acc[1] += (xs[1] & ws[1]).count_ones();
-        acc[2] += (xs[2] & ws[2]).count_ones();
-        acc[3] += (xs[3] & ws[3]).count_ones();
-    }
-    let mut total = acc[0] + acc[1] + acc[2] + acc[3];
-    for (&xv, &wv) in xc.remainder().iter().zip(wc.remainder()) {
-        total += (xv & wv).count_ones();
-    }
-    total
-}
-
 /// The portable fallback for [`and_popcount_lanes`] (4-wide unrolled).
 #[inline]
 pub fn and_popcount_lanes_portable(x: &[u64], w: &[u64], out: &mut [u32]) {
@@ -205,40 +159,6 @@ pub fn and_popcount_lanes_portable(x: &[u64], w: &[u64], out: &mut [u32]) {
         out[i] = (x[i] & w[i]).count_ones();
         i += 1;
     }
-}
-
-/// AVX2 `Σ popcount(x & w)`: 4 words per 256-bit step via the nibble-LUT
-/// popcount, per-64-bit-lane sums accumulated with `_mm256_sad_epu8`.
-///
-/// # Safety
-///
-/// The caller must have verified AVX2 support at runtime
-/// (`is_x86_feature_detected!("avx2")`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn and_popcount_avx2(x: &[u64], w: &[u64]) -> u32 {
-    use std::arch::x86_64::{__m256i, _mm256_add_epi64, _mm256_setzero_si256, _mm256_storeu_si256};
-    let n = x.len();
-    let mut total = _mm256_setzero_si256();
-    let mut i = 0usize;
-    while i + 4 <= n {
-        // SAFETY: `i + 4 <= n` keeps the 32-byte unaligned loads inside
-        // both slices; `anded_nibble_counts` only dereferences those.
-        let counts = unsafe { anded_nibble_counts(x.as_ptr().add(i), w.as_ptr().add(i)) };
-        total = _mm256_add_epi64(total, counts);
-        i += 4;
-    }
-    let mut lanes = [0u64; 4];
-    // SAFETY: `lanes` is a 32-byte buffer; storeu has no alignment
-    // requirement.
-    unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), total) };
-    #[allow(clippy::cast_possible_truncation)] // popcounts of ≤2³² bits fit u32
-    let mut acc = (lanes[0] + lanes[1] + lanes[2] + lanes[3]) as u32;
-    while i < n {
-        acc += (x[i] & w[i]).count_ones();
-        i += 1;
-    }
-    acc
 }
 
 /// AVX2 per-word popcounts of `x & w` (4 words per step + scalar tail).
@@ -376,22 +296,9 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
 
-    fn reference(x: &[u64], w: &[u64]) -> u32 {
-        x.iter().zip(w).map(|(&a, &b)| (a & b).count_ones()).sum()
-    }
-
     fn random_words(len: usize, seed: u64) -> (Vec<u64>, Vec<u64>) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         ((0..len).map(|_| rng.next_u64()).collect(), (0..len).map(|_| rng.next_u64()).collect())
-    }
-
-    #[test]
-    fn dispatched_sum_matches_reference_across_lengths() {
-        for len in 0..=67 {
-            let (x, w) = random_words(len, 1000 + len as u64);
-            assert_eq!(and_popcount(&x, &w), reference(&x, &w), "len {len}");
-            assert_eq!(and_popcount_portable(&x, &w), reference(&x, &w), "portable len {len}");
-        }
     }
 
     #[test]
@@ -412,7 +319,6 @@ mod tests {
     fn saturated_words_count_fully() {
         let x = vec![u64::MAX; 9];
         let w = vec![u64::MAX; 9];
-        assert_eq!(and_popcount(&x, &w), 9 * 64);
         let mut lanes = vec![0u32; 9];
         and_popcount_lanes(&x, &w, &mut lanes);
         assert_eq!(lanes, vec![64u32; 9]);

@@ -44,12 +44,6 @@ impl Windows {
         Self::new(h, w, kh, kw, kh.max(kw))
     }
 
-    /// Number of window positions.
-    #[must_use]
-    pub fn count_positions(&self) -> usize {
-        self.oh * self.ow
-    }
-
     /// Output dimensions `(oh, ow)`.
     #[must_use]
     pub fn dims(&self) -> (usize, usize) {

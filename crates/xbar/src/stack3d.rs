@@ -71,12 +71,6 @@ impl Stack3d {
         self.cols
     }
 
-    /// Total cell count — for iso-capacity comparisons.
-    #[must_use]
-    pub fn cell_count(&self) -> usize {
-        self.rows * self.cols * self.planes.len()
-    }
-
     /// Immutable view of one plane.
     ///
     /// # Errors
@@ -163,19 +157,6 @@ impl Stack3d {
         }
         Ok(out)
     }
-
-    /// Number of read cycles to convolve a `kh × kw` kernel over the whole
-    /// plane at `stride` — *independent of the batch size*, which is the
-    /// source of INCA's training speedup (§V-B2).
-    #[must_use]
-    pub fn read_cycles_full(&self, kh: usize, kw: usize, stride: usize) -> usize {
-        if kh > self.rows || kw > self.cols || stride == 0 {
-            return 0;
-        }
-        let oh = (self.rows - kh) / stride + 1;
-        let ow = (self.cols - kw) / stride + 1;
-        oh * ow
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +166,7 @@ mod tests {
     #[test]
     fn paper_default_is_iso_capacity_with_baseline() {
         let s = Stack3d::paper_default();
-        assert_eq!(s.cell_count(), 128 * 128);
+        assert_eq!(s.rows() * s.cols() * s.depth(), 128 * 128);
         assert_eq!(s.depth(), 64);
     }
 
@@ -225,22 +206,6 @@ mod tests {
             }
         }
         assert_eq!(out[0], expected);
-    }
-
-    #[test]
-    fn read_cycles_independent_of_depth() {
-        let shallow = Stack3d::new(16, 16, 1);
-        let deep = Stack3d::new(16, 16, 64);
-        assert_eq!(shallow.read_cycles_full(3, 3, 1), deep.read_cycles_full(3, 3, 1));
-        assert_eq!(deep.read_cycles_full(3, 3, 1), 14 * 14);
-    }
-
-    #[test]
-    fn stride_reduces_cycles() {
-        let s = Stack3d::new(16, 16, 4);
-        assert_eq!(s.read_cycles_full(2, 2, 2), 8 * 8);
-        assert_eq!(s.read_cycles_full(3, 3, 1), 196);
-        assert_eq!(s.read_cycles_full(3, 3, 0), 0);
     }
 
     #[test]

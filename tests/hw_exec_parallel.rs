@@ -7,7 +7,7 @@
 
 #![allow(clippy::needless_range_loop)] // loops index several arrays with one shared variable
 
-use inca::{ExecPolicy, HwConv, ReadPath};
+use inca::{ExecPolicy, HwConv};
 use inca_nn::Tensor;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -99,8 +99,9 @@ proptest! {
     }
 
     /// A batch broadcast on multi-plane stacks split into halo tiles stays
-    /// bit-exact under the parallel schedule, on both read paths and for
-    /// both the integer (3×3) and the saturating bit-serial (5×5) reads.
+    /// bit-exact under the parallel schedule, through `forward` and
+    /// `forward_reference` and for both the integer (3×3) and the
+    /// saturating bit-serial (5×5) reads.
     #[test]
     fn parallel_hw_batch_conv_is_bit_exact(
         seed in 0u64..10_000,
@@ -112,22 +113,19 @@ proptest! {
         pad in 0usize..=1,
         h in 5usize..=9,
         side_sel in 0usize..=2,
-        scalar in any::<bool>(),
+        reference in any::<bool>(),
         threads in 2usize..=4,
     ) {
         let k = [3usize, 5][k_sel];
         let side = [16usize, 8, 6][side_sel];
-        let read_path = if scalar { ReadPath::Scalar } else { ReadPath::Packed };
+        let read = if reference { HwConv::forward_reference } else { HwConv::forward };
         let weights = random_tensor(&[out_ch, in_ch, k, k], seed, -0.5, 0.5);
         let bias = vec![0.05f32; out_ch];
         let x = random_tensor(&[batch, in_ch, h, h], seed.wrapping_add(2), -0.4, 1.0);
-        let seq = HwConv::from_float(&weights, &bias, stride, pad)
-            .unwrap()
-            .with_side(side)
-            .with_policy(ExecPolicy::sequential().with_read_path(read_path));
-        let par = seq.clone().with_policy(ExecPolicy::parallel_with(threads).with_read_path(read_path));
-        let y_seq = seq.forward(&x).unwrap();
-        let y_par = par.forward(&x).unwrap();
+        let seq = HwConv::from_float(&weights, &bias, stride, pad).unwrap().with_side(side);
+        let par = seq.clone().with_policy(ExecPolicy::parallel_with(threads));
+        let y_seq = read(&seq, &x).unwrap();
+        let y_par = read(&par, &x).unwrap();
         let o = (h + 2 * pad - k) / stride + 1;
         prop_assert_eq!(y_seq.shape(), &[batch, out_ch, o, o][..]);
         prop_assert_eq!(y_seq.data(), y_par.data());

@@ -1,11 +1,12 @@
-//! Property tests for the tentpole claim of the packed read path: across
-//! random shapes, strides, paddings, and partition layouts, the
-//! bit-packed word-parallel reads produce **bit-identical outputs** and
-//! **identical telemetry totals** to the scalar per-cell read model —
-//! the coalesced per-burst records are exactly the per-read scheme's
-//! sums, and `popcount(x & w)` is exactly the byte loop's accumulation.
+//! Property tests for the claim of `HwConv::forward`'s reads: across
+//! random shapes, strides, paddings, and partition layouts, the integer
+//! and bit-packed word-parallel reads produce **bit-identical outputs**
+//! and **identical telemetry totals** to the scalar per-cell read model
+//! of `HwConv::forward_reference` — the coalesced per-forward records
+//! are exactly the per-read scheme's sums, and `popcount(x & w)` is
+//! exactly the byte loop's accumulation.
 
-use inca::{ExecPolicy, HwConv, ReadPath};
+use inca::{ExecPolicy, HwConv};
 use inca_nn::Tensor;
 use inca_telemetry::capture;
 use proptest::prelude::*;
@@ -19,8 +20,8 @@ fn random_tensor(shape: &[usize], seed: u64, lo: f32, hi: f32) -> Tensor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Packed and scalar reads agree to the last bit — outputs and
-    /// telemetry — across random geometry, batch sizes and subarray
+    /// The fast and the reference reads agree to the last bit — outputs
+    /// and telemetry — across random geometry, batch sizes and subarray
     /// partitioning.
     #[test]
     fn hw_conv_read_paths_agree(
@@ -42,18 +43,16 @@ proptest! {
         let weights = random_tensor(&[out_ch, in_ch, k, k], seed, -0.6, 0.6);
         let bias: Vec<f32> = (0..out_ch).map(|o| o as f32 * 0.04 - 0.06).collect();
         let x = random_tensor(&[batch, in_ch, h, w], seed.wrapping_add(1), -0.7, 1.0);
-        let packed = HwConv::from_float(&weights, &bias, stride, pad).unwrap().with_side(side);
-        let scalar =
-            packed.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
+        let conv = HwConv::from_float(&weights, &bias, stride, pad).unwrap().with_side(side);
 
-        let (y_packed, counts_packed) = capture(|| packed.forward(&x).unwrap());
-        let (y_scalar, counts_scalar) = capture(|| scalar.forward(&x).unwrap());
-        prop_assert_eq!(y_packed.shape(), y_scalar.shape());
-        prop_assert_eq!(y_packed.data(), y_scalar.data());
-        prop_assert_eq!(counts_packed.counters(), counts_scalar.counters());
+        let (y, counts) = capture(|| conv.forward(&x).unwrap());
+        let (y_reference, counts_reference) = capture(|| conv.forward_reference(&x).unwrap());
+        prop_assert_eq!(y.shape(), y_reference.shape());
+        prop_assert_eq!(y.data(), y_reference.data());
+        prop_assert_eq!(counts.counters(), counts_reference.counters());
     }
 
-    /// The parallel schedule composes with the packed read path without
+    /// The parallel schedule composes with the fast read without
     /// changing a bit, with the chunk count (`batch · oh`) varying with
     /// every shape.
     #[test]
@@ -73,12 +72,12 @@ proptest! {
         prop_assert_eq!(seq.forward(&x).unwrap().data(), par.forward(&x).unwrap().data());
     }
 
-    /// Three-way agreement across every kernel size the engines meet in
-    /// practice: the sequential scalar byte-loop, the sequential
-    /// SIMD-packed path (compact window words + `and_popcount_accumulate`), and the
-    /// coarse-chunked parallel schedule on top of it all produce the
-    /// same bits for k ∈ {1, 3, 5, 7}, batches of 1–2 and random worker
-    /// counts.
+    /// Three-way agreement across every kernel size the engine meets in
+    /// practice: the sequential reference byte-loop, the sequential fast
+    /// read (the integer dot product for k ≤ 3, compact window words +
+    /// `and_popcount_accumulate` above), and the coarse-chunked parallel
+    /// schedule on top of it all produce the same bits for
+    /// k ∈ {1, 3, 5, 7}, batches of 1–2 and random worker counts.
     #[test]
     fn schedules_and_read_paths_agree_across_kernel_sizes(
         seed in 0u64..10_000,
@@ -94,21 +93,19 @@ proptest! {
         let weights = random_tensor(&[out_ch, in_ch, k, k], seed, -0.5, 0.5);
         let bias: Vec<f32> = (0..out_ch).map(|o| o as f32 * 0.05 - 0.02).collect();
         let x = random_tensor(&[batch, in_ch, h, h], seed.wrapping_add(7), -0.6, 1.0);
-        let packed_seq = HwConv::from_float(&weights, &bias, 1, pad).unwrap();
-        let scalar_seq =
-            packed_seq.clone().with_policy(ExecPolicy::sequential().with_read_path(ReadPath::Scalar));
-        let packed_par = packed_seq.clone().with_policy(ExecPolicy::parallel_with(threads));
+        let seq = HwConv::from_float(&weights, &bias, 1, pad).unwrap();
+        let par = seq.clone().with_policy(ExecPolicy::parallel_with(threads));
 
-        let y_scalar = scalar_seq.forward(&x).unwrap();
-        let y_packed = packed_seq.forward(&x).unwrap();
-        let y_par = packed_par.forward(&x).unwrap();
-        prop_assert_eq!(y_scalar.data(), y_packed.data(), "scalar vs SIMD-packed, k={}", k);
-        prop_assert_eq!(y_packed.data(), y_par.data(), "sequential vs parallel, k={}", k);
+        let y_reference = seq.forward_reference(&x).unwrap();
+        let y_seq = seq.forward(&x).unwrap();
+        let y_par = par.forward(&x).unwrap();
+        prop_assert_eq!(y_reference.data(), y_seq.data(), "reference vs fast read, k={}", k);
+        prop_assert_eq!(y_seq.data(), y_par.data(), "sequential vs parallel, k={}", k);
     }
 
-    /// The packed parallel schedule is bit-exact on every batch broadcast,
-    /// with the chunk count (`batch · oh`) varying with every shape, for
-    /// the integer (3×3) and the bit-serial (5×5) packed reads.
+    /// The parallel schedule is bit-exact on every batch broadcast, with
+    /// the chunk count (`batch · oh`) varying with every shape, for the
+    /// integer (3×3) and the bit-serial (5×5) reads.
     #[test]
     fn batch_packed_parallel_matches_sequential(
         seed in 0u64..10_000,

@@ -1,5 +1,5 @@
-//! Bit-exact parity of the packed read path with the scalar reference
-//! where the 4-bit ADC saturates.
+//! Bit-exact parity of `HwConv::forward` with the scalar reference read
+//! (`HwConv::forward_reference`) where the 4-bit ADC saturates.
 //!
 //! Uniform random codes rarely saturate: about one cell in eight conducts
 //! per read, so a 5×5 read averages ~3 of the 15 codes the ADC allows.
@@ -7,14 +7,14 @@
 //! range and the weights from {−w_max, 0, w_max}. A read then sums ~9/16
 //! of the window's cells, so many 5×5 reads and most larger ones exceed
 //! the ADC's max code, and every one of them must be clipped *before* its
-//! activation-bit shift, exactly as the scalar path's per-plane
+//! activation-bit shift, exactly as the reference read's per-plane
 //! saturation does. Outputs are compared through `to_bits`.
 //!
 //! A batch shares one quantization range, so its forward equals B
 //! one-sample forwards exactly when every sample spans the batch's range;
 //! the batch oracle below holds the engine to that.
 
-use inca::{ExecPolicy, HwConv, ReadPath};
+use inca::HwConv;
 use inca_nn::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -47,16 +47,19 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
-fn scalar() -> ExecPolicy {
-    ExecPolicy::sequential().with_read_path(ReadPath::Scalar)
-}
+/// One of `HwConv`'s two reads.
+type Read = fn(&HwConv, &Tensor) -> inca::Result<Tensor>;
+
+/// Both reads, by name.
+const READS: [(&str, Read); 2] =
+    [("forward", HwConv::forward), ("forward_reference", HwConv::forward_reference)];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// One sample and a batch, every kernel size up to two-word windows
     /// (k = 9), strides 1–3, pads 0–2 and tile sides {16, 8, k} (those
-    /// ≥ k): the packed path equals the scalar path bit for bit, on
+    /// ≥ k): `forward` equals `forward_reference` bit for bit, on
     /// uniform and on saturating inputs.
     #[test]
     fn packed_matches_scalar_under_saturation(
@@ -90,15 +93,14 @@ proptest! {
             let case = format!("k {k} stride {stride} pad {pad} side {side} {h}x{w} saturating {saturating}");
 
             let conv = HwConv::from_float(&weights, &bias, stride, pad).unwrap().with_side(side);
-            let reference = conv.clone().with_policy(scalar());
             for bi in 0..batch {
                 let sample = x.sample(bi);
-                let packed = conv.forward(&sample).unwrap();
-                prop_assert_eq!(bits(&packed), bits(&reference.forward(&sample).unwrap()), "HwConv {}", case);
+                let y = conv.forward(&sample).unwrap();
+                prop_assert_eq!(bits(&y), bits(&conv.forward_reference(&sample).unwrap()), "HwConv {}", case);
             }
 
-            let packed = conv.forward(&x).unwrap();
-            prop_assert_eq!(bits(&packed), bits(&reference.forward(&x).unwrap()), "batch {}", case);
+            let y = conv.forward(&x).unwrap();
+            prop_assert_eq!(bits(&y), bits(&conv.forward_reference(&x).unwrap()), "batch {}", case);
         }
     }
 
@@ -106,7 +108,7 @@ proptest! {
     /// minimum and maximum, its own quantization range is the batch's, so
     /// the batch forward equals B one-sample forwards bit for bit. Covers
     /// the linear read (k = 3) and the saturating bit-serial read (k = 5)
-    /// on both read paths, across tile sides and batches of 2–4.
+    /// and the reference read, across tile sides and batches of 2–4.
     #[test]
     fn batch_forward_equals_one_sample_forwards(
         seed in 0u64..1_000_000,
@@ -139,20 +141,19 @@ proptest! {
         let x = Tensor::from_vec(x, &[batch, in_ch, h, h]);
         let bias: Vec<f32> = (0..out_ch).map(|o| 0.05 - o as f32 * 0.04).collect();
         let conv = HwConv::from_float(&weights, &bias, stride, pad).unwrap().with_side(side);
-        for policy in [ExecPolicy::sequential(), scalar()] {
-            let conv = conv.clone().with_policy(policy);
-            let y = bits(&conv.forward(&x).unwrap());
+        for (name, read) in READS {
+            let y = bits(&read(&conv, &x).unwrap());
             let per_out = y.len() / batch;
             for bi in 0..batch {
-                let one = bits(&conv.forward(&x.sample(bi)).unwrap());
+                let one = bits(&read(&conv, &x.sample(bi)).unwrap());
                 prop_assert_eq!(
                     &one[..],
                     &y[bi * per_out..(bi + 1) * per_out],
-                    "k {} sample {} of {} ({:?})",
+                    "k {} sample {} of {} ({})",
                     k,
                     bi,
                     batch,
-                    policy.read_path
+                    name
                 );
             }
         }

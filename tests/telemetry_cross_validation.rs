@@ -18,7 +18,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use inca_core::{ExecPolicy, HwConv, ReadPath, DATA_BITS, WEIGHT_BITS};
+use inca_core::{HwConv, Result, DATA_BITS, WEIGHT_BITS};
 use inca_nn::Tensor;
 use inca_sim::{conv_forward_events, ConvGeometry};
 use inca_telemetry::{capture, Event, Snapshot};
@@ -33,50 +33,44 @@ fn run_layer(geom: ConvGeometry, seed: u64) {
     run_batch(geom, 1, seed);
 }
 
-/// The layer `geom` with random weights, reading through `read_path`.
-fn layer(geom: &ConvGeometry, read_path: ReadPath, seed: u64) -> HwConv {
+/// One of `HwConv`'s two reads, with its name.
+type Read = (&'static str, fn(&HwConv, &Tensor) -> Result<Tensor>);
+
+/// The reference read, which counts per read, and the fast one, which
+/// records each forward's reads as one record per event kind.
+const READS: [Read; 2] = [("forward_reference", HwConv::forward_reference), ("forward", HwConv::forward)];
+
+/// The layer `geom` with random weights.
+fn layer(geom: &ConvGeometry, seed: u64) -> HwConv {
     let w = random_tensor(&[geom.cout, geom.cin, geom.k, geom.k], seed, -0.5, 0.5);
-    HwConv::from_float(&w, &vec![0.0f32; geom.cout], geom.stride, geom.pad)
-        .unwrap()
-        .with_side(geom.tile_side)
-        .with_policy(ExecPolicy::sequential().with_read_path(read_path))
+    HwConv::from_float(&w, &vec![0.0f32; geom.cout], geom.stride, geom.pad).unwrap().with_side(geom.tile_side)
 }
 
 /// [`run_layer`] on a batch of `batch` samples.
 fn run_batch(geom: ConvGeometry, batch: u64, seed: u64) {
-    // Both read paths must land on the analytical closed forms exactly:
-    // the scalar path counts per read, the packed path records each
-    // forward's reads as one record per event kind — same totals.
-    for read_path in [ReadPath::Scalar, ReadPath::Packed] {
-        let conv = layer(&geom, read_path, seed);
-        let x = random_tensor(&[batch as usize, geom.cin, geom.h, geom.w], seed + 1, -0.5, 1.0);
+    // Both reads must land on the analytical closed forms exactly.
+    let conv = layer(&geom, seed);
+    let x = random_tensor(&[batch as usize, geom.cin, geom.h, geom.w], seed + 1, -0.5, 1.0);
+    for (name, read) in READS {
         let ((), counted) = capture(|| {
-            conv.forward(&x).unwrap();
+            read(&conv, &x).unwrap();
         });
-        assert_matches_model(&counted, &geom, batch, read_path);
+        assert_matches_model(&counted, &geom, batch, name);
     }
 }
 
 /// One forward of `geom` on `batch` samples counted exactly the closed
 /// forms of `inca_sim::events`.
-fn assert_matches_model(counted: &Snapshot, geom: &ConvGeometry, batch: u64, read_path: ReadPath) {
+fn assert_matches_model(counted: &Snapshot, geom: &ConvGeometry, batch: u64, read: &str) {
     let predicted = conv_forward_events(geom, u32::from(WEIGHT_BITS), u32::from(DATA_BITS));
-    assert_eq!(
-        counted.get(Event::XbarReadPulse),
-        predicted.read_pulses * batch,
-        "read pulses ({read_path:?})"
-    );
-    assert_eq!(counted.get(Event::AdcConversion), predicted.adc_conversions * batch, "adc ({read_path:?})");
-    assert_eq!(counted.get(Event::DacDrive), predicted.dac_drives, "dac ({read_path:?})");
-    assert_eq!(
-        counted.get(Event::BitSerialCycle),
-        predicted.bit_serial_cycles,
-        "bit-serial cycles ({read_path:?})"
-    );
+    assert_eq!(counted.get(Event::XbarReadPulse), predicted.read_pulses * batch, "read pulses ({read})");
+    assert_eq!(counted.get(Event::AdcConversion), predicted.adc_conversions * batch, "adc ({read})");
+    assert_eq!(counted.get(Event::DacDrive), predicted.dac_drives, "dac ({read})");
+    assert_eq!(counted.get(Event::BitSerialCycle), predicted.bit_serial_cycles, "bit-serial cycles ({read})");
     assert_eq!(
         counted.get(Event::RramProgramPulse),
         predicted.program_pulses * batch,
-        "program pulses ({read_path:?})"
+        "program pulses ({read})"
     );
 }
 
@@ -122,33 +116,33 @@ fn a_capture_counts_only_its_own_forwards() {
     // finished at least one whole forward inside its window, and still
     // counts exactly the closed forms of its own forward.
     let geom = ConvGeometry { cin: 2, cout: 3, h: 8, w: 8, k: 3, stride: 1, pad: 1, tile_side: 8 };
-    let other = layer(&ConvGeometry { cin: 2, cout: 2, h: 6, w: 6, ..geom }, ReadPath::Scalar, 9);
+    let other = layer(&ConvGeometry { cin: 2, cout: 2, h: 6, w: 6, ..geom }, 9);
     let other_x = random_tensor(&[1, 2, 6, 6], 10, -0.5, 1.0);
     let (stop, finished) = (AtomicBool::new(false), AtomicU64::new(0));
     let counted = std::thread::scope(|scope| {
         scope.spawn(|| {
             while !stop.load(Ordering::SeqCst) {
-                other.forward(&other_x).unwrap();
+                other.forward_reference(&other_x).unwrap();
                 finished.fetch_add(1, Ordering::SeqCst);
             }
         });
-        let counted = [ReadPath::Scalar, ReadPath::Packed].map(|read_path| {
-            let conv = layer(&geom, read_path, 42);
-            let x = random_tensor(&[1, geom.cin, geom.h, geom.w], 43, -0.5, 1.0);
+        let conv = layer(&geom, 42);
+        let x = random_tensor(&[1, geom.cin, geom.h, geom.w], 43, -0.5, 1.0);
+        let counted = READS.map(|(name, read)| {
             let ((), counted) = capture(|| {
                 let before = finished.load(Ordering::SeqCst);
-                conv.forward(&x).unwrap();
+                read(&conv, &x).unwrap();
                 while finished.load(Ordering::SeqCst) < before + 2 {
                     std::thread::yield_now();
                 }
             });
-            (read_path, counted)
+            (name, counted)
         });
         // Stopped before any assert can unwind, so the scope always joins.
         stop.store(true, Ordering::SeqCst);
         counted
     });
-    for (read_path, counted) in &counted {
-        assert_matches_model(counted, &geom, 1, *read_path);
+    for (name, counted) in &counted {
+        assert_matches_model(counted, &geom, 1, name);
     }
 }
