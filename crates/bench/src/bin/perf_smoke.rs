@@ -24,7 +24,10 @@
 //!    passing,
 //! 3. recording telemetry costs less than 1.5x on the packed path —
 //!    coalescing each forward's reads into four `record()` calls retired
-//!    the 1.69x overhead the per-read scheme used to pay.
+//!    the 1.69x overhead the per-read scheme used to pay. The bench
+//!    publishes the median ratio of alternating captured and uncaptured
+//!    blocks, 100 ms a side; one `record()` per (window, output) in the
+//!    integer read measured 2.3x on a 2-vCPU x86-64 host.
 //!
 //! It also measures the serving simulator in-process (wall-clock numbers
 //! never enter `SERVE_report.json`, which must stay byte-reproducible,

@@ -24,11 +24,11 @@
 //! changing a single output bit:
 //!
 //! * kernels are quantized **once at programming time** (they are
-//!   weight-stationary state) into a `ConvKernel` (`hw_kernel.rs`):
-//!   signed codes `[in][k·k][out]`, plus a flat `[in][out][side][wbit]`
-//!   table of compact `k²`-bit masks for kernels whose reads can
-//!   saturate; the `u8` bit-planes of the reference and analog reads are
-//!   derived from the codes on first use,
+//!   weight-stationary state) into a `ConvKernel` (`hw_kernel.rs`): one
+//!   pair-major table of signed codes `[⌈in·k²/2⌉][out][2]`, plus a flat
+//!   `[in][out][side][wbit]` table of compact `k²`-bit masks for kernels
+//!   whose reads can saturate; the `u8` bit-planes of the reference and
+//!   analog reads are derived from the codes on first use,
 //! * the programmed input state is the padded 8-bit code image, quantized
 //!   in one pass over the batch at every forward. Its tiles of stacks are
 //!   derived from the image only when a bit-level read needs them; their
@@ -39,8 +39,11 @@
 //! * a 1×1, 2×2 or 3×3 kernel sums at most 9 binary products per read,
 //!   which the 4-bit ADC never saturates; each window of each sample is
 //!   then one signed integer dot product of its activation and weight
-//!   codes, exactly the shift-add of its bit-serial reads (DESIGN.md §8,
-//!   "Linear reads"),
+//!   codes, exactly the shift-add of its bit-serial reads, and a row of
+//!   windows is one blocked integer GEMM against the code table: its
+//!   windows' codes gathered into a panel, multiplied in AVX2
+//!   `_mm256_madd_epi16` register tiles in which each weight register
+//!   serves 4 windows (DESIGN.md §8, "Linear reads"),
 //! * larger kernels, whose reads can saturate, keep the bit-serial
 //!   read: each (window, sample, input channel, activation bit) is
 //!   extracted **once** as one compact word — window cell `(i, j)` at bit
@@ -65,7 +68,7 @@ use inca_xbar::quant::slice_to_bit_planes;
 use inca_xbar::{AdcReadout, Crossbar2d, Stack3d, VerticalPlane};
 
 use crate::exec::{self, ExecPolicy};
-use crate::hw_kernel::{conv_output_dims, CodeImage, ConvKernel};
+use crate::hw_kernel::{conv_output_dims, round_half_away, CodeImage, ConvKernel};
 use crate::{Error, Result};
 
 /// Quantization width of activations (Table II: 8-bit codes).
@@ -311,10 +314,10 @@ impl HwConv {
             Ok(())
         })?;
         let mut out = Tensor::zeros(&[b, out_ch, oh, ow]);
-        let windows = oh * ow;
+        let (windows, dequantizer) = (oh * ow, kernel.dequantizer(&image));
         for (i, slot) in out.data_mut().iter_mut().enumerate() {
             let (bi, o, p) = (i / (out_ch * windows), i / windows % out_ch, i % windows);
-            *slot = kernel.dequantize(o, accs[(o * windows + p) * b + bi], image.x_scale, image.x_min);
+            *slot = dequantizer.apply(o, accs[(o * windows + p) * b + bi]);
         }
         Ok(out)
     }
@@ -337,6 +340,7 @@ impl HwConv {
         let kernel = &self.kernel;
         let k = kernel.k();
         let tiles = &self.tiles(image)?;
+        let dequantizer = kernel.dequantizer(image);
         kernel.map_rows(
             self.policy,
             (image.b, oh, ow),
@@ -362,7 +366,7 @@ impl HwConv {
                         }
                     }
                     for (o, slot) in slots.iter_mut().enumerate() {
-                        *slot = kernel.dequantize(o, kernel.fold(o, sums), image.x_scale, image.x_min);
+                        *slot = dequantizer.apply(o, kernel.fold(o, sums));
                     }
                 }
                 Ok(())
@@ -459,6 +463,7 @@ impl HwConv {
         let image = self.program(x);
         let tiles = self.tiles(&image)?;
 
+        let dequantizer = kernel.dequantizer(&image);
         let adc = AdcReadout::new(ADC_BITS);
         let unit = params.read_voltage * params.g_on();
         let k = kernel.k();
@@ -494,7 +499,7 @@ impl HwConv {
                             }
                         }
                     }
-                    *out.at4_mut(0, o, oy, ox) = kernel.dequantize(o, acc, image.x_scale, image.x_min);
+                    *out.at4_mut(0, o, oy, ox) = dequantizer.apply(o, acc);
                 }
             }
         }
@@ -656,7 +661,7 @@ impl HwLinear {
             let mut p_codes = vec![0u32; in_f];
             let mut n_codes = vec![0u32; in_f];
             for i in 0..in_f {
-                let q = (weights.data()[o * in_f + i] / w_scale).round() as i32;
+                let q = round_half_away(weights.data()[o * in_f + i] / w_scale);
                 if q >= 0 {
                     p_codes[i] = q as u32;
                 } else {
@@ -700,8 +705,10 @@ impl HwLinear {
             let x_min = x.iter().fold(0.0f32, |m, &v| m.min(v)).min(0.0);
             let x_max = x.iter().fold(0.0f32, |m, &v| m.max(v)).max(x_min + 1e-9);
             let x_scale = ((x_max - x_min) / levels).max(1e-12);
-            let codes: Vec<u32> =
-                x.iter().map(|&v| (((v - x_min) / x_scale).round() as u32).min(levels as u32)).collect();
+            let codes: Vec<u32> = x
+                .iter()
+                .map(|&v| round_half_away((v - x_min) / x_scale).clamp(0, levels as i32) as u32)
+                .collect();
             let mut acc = vec![0i64; self.out_f];
             for (xb, xp) in slice_to_bit_planes(&codes, DATA_BITS).iter().enumerate() {
                 // One bit-serial cycle per activation bit per differential side.

@@ -1,20 +1,25 @@
 //! The two sides of a [`crate::HwConv`] read: the programmed kernel
 //! ([`ConvKernel`]) and the programmed input batch ([`CodeImage`]), plus
-//! the window walk and the linear read that combine them.
+//! the window walk and the exact read that combine them.
 //!
 //! Float kernels are quantized once to the differential-pair encoding —
 //! signed 8-bit, i.e. a 7-bit magnitude on either the positive or the
-//! negative side (Table II) — and kept as signed codes `[in][k·k][out]`.
-//! A batch is quantized to 8-bit codes with one shared range, in one
-//! zero-padded image.
+//! negative side (Table II) — and kept as one table of signed codes. Its
+//! taps `t = (c·k + ky)·k + kx` go in pairs, each pair's two codes side
+//! by side per output: `[⌈in·k²/2⌉][out][2]`, with `out` padded to a
+//! multiple of 8 and the odd tap's partner at zero. A batch is quantized
+//! to 8-bit codes with one shared range, in one zero-padded image.
 //!
 //! Every read saturates at the 4-bit ADC's max code. When no read can
 //! reach it ([`ConvKernel::exact_reads`]), the ADC is the identity and the
 //! shift-add of a window's bit-serial reads is exactly the integer dot
 //! product of its activation and weight codes, which
-//! [`ConvKernel::forward_linear`] computes directly (DESIGN.md §8, "Linear
-//! reads"). The bit-level views of both sides are derived from the codes
-//! only where a bit-level path reads them:
+//! [`ConvKernel::forward_linear`] computes as a blocked integer GEMM
+//! (DESIGN.md §8, "Linear reads"): per output row, the row's windows are
+//! gathered into a pair-major panel and multiplied by the code table in
+//! [`inca_xbar::simd::panel_product`]'s register tiles, one weight
+//! register serving a tile of windows. The bit-level views of both sides
+//! are derived from the codes only where a bit-level path reads them:
 //!
 //! * a flat mask table `[in][out][side][wbit]`, built at programming for
 //!   saturable kernels only, each mask one window in the compact layout of
@@ -28,12 +33,11 @@
 //! * the activation bit-planes (subarray tiles of 3D stacks), derived
 //!   from the code image by `HwConv`.
 
-use std::ops::AddAssign;
 use std::sync::OnceLock;
 
 use inca_nn::Tensor;
 use inca_xbar::packed::words_for;
-use inca_xbar::simd::and_popcount_accumulate;
+use inca_xbar::simd::{and_popcount_accumulate, panel_product};
 use inca_xbar::sliding::output_dims_padded;
 
 use crate::exec::{self, ExecPolicy};
@@ -47,14 +51,37 @@ const SIDES: usize = 2;
 /// one per side and weight bit.
 const READS_PER_OUT: usize = SIDES * WEIGHT_BITS as usize;
 
-/// The largest window dot product `i32` accumulators hold exactly.
-const I32_LIMIT: u128 = i32::MAX as u128;
-
-/// Output channels per block of the linear read's register accumulators:
-/// wide blocks read each weight cache line fewer times, narrow ones keep
-/// 8- and 16-channel layers in registers.
-const WIDE_LANES: usize = 32;
+/// Outputs per register of [`panel_product`]: the code table pads its
+/// outputs to a multiple with zero codes.
 const LANES: usize = 8;
+
+/// Windows per register tile of [`panel_product`]: a row's panel pads
+/// its windows to a multiple with zero codes.
+const TILE_WINDOWS: usize = 4;
+
+/// The largest product of an activation code (at most `2⁸ − 1`) and a
+/// weight code (magnitude at most `2⁷ − 1`).
+const MAX_PRODUCT: u32 = ((1 << DATA_BITS) - 1) * ((1 << WEIGHT_BITS) - 1);
+
+/// Tap pairs per chunk of an exact read: the most pairs whose worst-case
+/// sum `2 · pairs · 255 · 127` stays within `i32` (33,155 pairs, 66,310
+/// taps). Each chunk sums in `i32`; chunks add up in `i64`.
+const CHUNK_PAIRS: usize = (i32::MAX as u32 / (2 * MAX_PRODUCT)) as usize;
+
+/// Rounds half away from zero, as `t.round() as i32` does, without a libm
+/// call: truncate, then step by one where the exact fraction `t −
+/// trunc(t)` reaches ±0.5. NaN maps to 0, and values past `i32` saturate.
+pub(crate) fn round_half_away(t: f32) -> i32 {
+    let i = t as i32;
+    let frac = t - i as f32;
+    i.saturating_add(i32::from(frac >= 0.5) - i32::from(frac <= -0.5))
+}
+
+/// Index of tap `t`'s code for output `o` in a pair-major table of
+/// `lanes` outputs per pair.
+fn pair_index(t: usize, o: usize, lanes: usize) -> usize {
+    (t / 2 * lanes + o) * 2 + t % 2
+}
 
 /// A quantized conv kernel with its bias and geometry, ready to be read.
 #[derive(Debug, Clone)]
@@ -64,7 +91,11 @@ pub(crate) struct ConvKernel {
     k: usize,
     stride: usize,
     pad: usize,
-    /// Signed weight codes (−127..=127), `[in][k·k][out]`.
+    /// `out_ch` rounded up to a multiple of [`LANES`].
+    lanes: usize,
+    /// Signed weight codes (−127..=127), pair-major
+    /// `[⌈in·k²/2⌉][lanes][2]` (see [`pair_index`]); padded outputs and
+    /// an odd last tap's partner hold 0.
     codes: Vec<i16>,
     /// Words per compact window and per mask: `⌈k²/64⌉`.
     mask_words: usize,
@@ -111,17 +142,17 @@ impl ConvKernel {
         }
         let w_max = weights.data().iter().fold(0.0f32, |m, &w| m.max(w.abs())).max(1e-12);
         let w_scale = w_max / weight_levels();
-        let kk = k * k;
-        let mut codes = vec![0i16; in_ch * kk * out_ch];
+        let (kk, lanes) = (k * k, out_ch.next_multiple_of(LANES));
+        let mut codes = vec![0i16; (in_ch * kk).div_ceil(2) * lanes * 2];
         let mut code_sum = vec![0i64; out_ch];
         // NCHW weights are `[out][in][k·k]` runs.
         for (oc, cells) in weights.data().chunks_exact(kk).enumerate() {
             let (o, c) = (oc / in_ch, oc % in_ch);
             for (cell, &w) in cells.iter().enumerate() {
                 // |w| ≤ w_max, so the code lies in −127..=127.
-                let q = (w / w_scale).round() as i16;
+                let q = round_half_away(w / w_scale) as i16;
                 code_sum[o] += i64::from(q);
-                codes[(c * kk + cell) * out_ch + o] = q;
+                codes[pair_index(c * kk + cell, o, lanes)] = q;
             }
         }
         let mut kernel = Self {
@@ -130,6 +161,7 @@ impl ConvKernel {
             k,
             stride,
             pad,
+            lanes,
             codes,
             mask_words: words_for(kk),
             masks: Vec::new(),
@@ -188,17 +220,24 @@ impl ConvKernel {
         (self.k as u128).pow(2) <= u128::from(READ_CAP)
     }
 
+    /// Output `o`'s weight code at tap `t = (c·k + ky)·k + kx`.
+    fn code(&self, t: usize, o: usize) -> i16 {
+        self.codes[pair_index(t, o, self.lanes)]
+    }
+
     /// Calls `f(in, out, read, cell)` for every set magnitude bit of every
     /// weight code, where `read = side · WEIGHT_BITS + wbit` and `side` 0
     /// is positive, 1 negative.
     fn for_each_weight_bit(&self, mut f: impl FnMut(usize, usize, usize, usize)) {
         let (kk, wbits) = (self.k * self.k, usize::from(WEIGHT_BITS));
-        for (i, &q) in self.codes.iter().enumerate() {
-            let (o, cell, c) = (i % self.out_ch, i / self.out_ch % kk, i / (self.out_ch * kk));
-            let side = usize::from(q < 0);
-            for wb in 0..wbits {
-                if (q.unsigned_abs() >> wb) & 1 == 1 {
-                    f(c, o, side * wbits + wb, cell);
+        for t in 0..self.in_ch * kk {
+            for o in 0..self.out_ch {
+                let q = self.code(t, o);
+                let side = usize::from(q < 0);
+                for wb in 0..wbits {
+                    if (q.unsigned_abs() >> wb) & 1 == 1 {
+                        f(t / kk, o, side * wbits + wb, t % kk);
+                    }
                 }
             }
         }
@@ -248,10 +287,10 @@ impl ConvKernel {
         pos.iter().zip(neg).enumerate().map(|(wb, (&p, &n))| (i64::from(p) - i64::from(n)) << wb).sum()
     }
 
-    /// Dequantizes output `o`'s integer dot product, correcting the
-    /// activation offset `x_min` analytically and adding the bias.
-    pub(crate) fn dequantize(&self, o: usize, acc: i64, x_scale: f32, x_min: f32) -> f32 {
-        acc as f32 * x_scale * self.w_scale + x_min * self.w_scale * self.code_sum[o] as f32 + self.bias[o]
+    /// The dequantization of this kernel's integer reads of `image`.
+    pub(crate) fn dequantizer(&self, image: &CodeImage) -> Dequantizer<'_> {
+        let offset = self.code_sum.iter().map(|&sum| image.x_min * self.w_scale * sum as f32).collect();
+        Dequantizer { x_scale: image.x_scale, w_scale: self.w_scale, offset, bias: &self.bias }
     }
 
     /// Fills a `[b, out, oh, ow]` output one row of windows at a time:
@@ -288,13 +327,17 @@ impl ConvKernel {
         Ok(out)
     }
 
-    /// Every output window of every sample of `image`, each as one signed
+    /// Every output window of every sample of `image`, each the signed
     /// integer dot product of its activation codes and the weight codes:
     /// exactly the fold of its bit-serial reads when no read saturates
     /// ([`ConvKernel::exact_reads`]). Returns `[b, out, oh, ow]`.
     ///
-    /// Accumulators are `i32` while the worst case `in · k² · 255 · 127`
-    /// fits, `i64` past it.
+    /// Per output row, the row's windows are gathered into a panel
+    /// ([`ConvKernel::gather_row`]) and multiplied by the code table with
+    /// [`panel_product`] into exact `i32` sums. Past [`CHUNK_PAIRS`] tap
+    /// pairs (7,367 input channels of a 3×3 kernel) the product goes in
+    /// chunks of at most that many pairs, each exact in `i32`, whose sums
+    /// add up in `i64`.
     ///
     /// # Errors
     ///
@@ -306,34 +349,38 @@ impl ConvKernel {
         oh: usize,
         ow: usize,
     ) -> Result<Tensor> {
-        if max_window_dot(self.in_ch, self.k) <= I32_LIMIT {
-            self.forward_linear_in::<i32>(policy, image, oh, ow)
-        } else {
-            self.forward_linear_in::<i64>(policy, image, oh, ow)
-        }
-    }
-
-    /// [`ConvKernel::forward_linear`] with accumulators of type `A`.
-    fn forward_linear_in<A>(
-        &self,
-        policy: ExecPolicy,
-        image: &CodeImage,
-        oh: usize,
-        ow: usize,
-    ) -> Result<Tensor>
-    where
-        A: Copy + Default + AddAssign + From<i16> + Into<i64>,
-    {
+        let (out_ch, lanes) = (self.out_ch, self.lanes);
+        let pairs = self.codes.len() / (2 * lanes);
+        let windows = ow.next_multiple_of(TILE_WINDOWS);
+        let wide = if pairs > CHUNK_PAIRS { windows * lanes } else { 0 };
+        let (taps, dequantizer) = (self.tap_offsets(image), self.dequantizer(image));
         self.map_rows(
             policy,
             (image.b, oh, ow),
-            // Per-worker arena: one window's codes and accumulators.
-            || (vec![0i16; self.in_ch * self.k * self.k], vec![A::default(); self.out_ch]),
-            |(xs, acc), bi, oy, row| {
-                for (ox, slots) in row.chunks_exact_mut(self.out_ch).enumerate() {
-                    self.window_dot(image, bi, (oy * self.stride, ox * self.stride), xs, acc);
-                    for (o, (slot, &a)) in slots.iter_mut().zip(acc.iter()).enumerate() {
-                        *slot = self.dequantize(o, a.into(), image.x_scale, image.x_min);
+            // Per-worker arena: one row's panel, its `i32` sums, and their
+            // `i64` total over several chunks.
+            || (vec![0i16; pairs * windows * 2], vec![0i32; windows * lanes], vec![0i64; wide]),
+            |(panel, sums, total), bi, oy, row| {
+                self.gather_row(image.sample_from_row(bi, oy * self.stride), &taps, ow, panel);
+                let slots = row.chunks_exact_mut(out_ch);
+                if pairs <= CHUNK_PAIRS {
+                    panel_product(panel, &self.codes, lanes, sums);
+                    for (slots, sums) in slots.zip(sums.chunks_exact(lanes)) {
+                        dequantizer.window(sums.iter().map(|&acc| acc as f32), slots);
+                    }
+                } else {
+                    total.fill(0);
+                    let chunks = panel
+                        .chunks(CHUNK_PAIRS * windows * 2)
+                        .zip(self.codes.chunks(CHUNK_PAIRS * lanes * 2));
+                    for (panel, codes) in chunks {
+                        panel_product(panel, codes, lanes, sums);
+                        for (total, &sum) in total.iter_mut().zip(sums.iter()) {
+                            *total += i64::from(sum);
+                        }
+                    }
+                    for (slots, total) in slots.zip(total.chunks_exact(lanes)) {
+                        dequantizer.window(total.iter().map(|&acc| acc as f32), slots);
                     }
                 }
                 Ok(())
@@ -341,65 +388,83 @@ impl ConvKernel {
         )
     }
 
-    /// The window at `(ry, rx)` of sample `bi` dotted with the weight
-    /// codes, into `acc[o]`. The window's `in · k²` activation codes are
-    /// gathered into `xs` once; outputs then go in blocks of
-    /// [`WIDE_LANES`], then [`LANES`], then one, each block's sums held
-    /// in registers across the window.
-    fn window_dot<A: Copy + Default + AddAssign + From<i16>>(
-        &self,
-        image: &CodeImage,
-        bi: usize,
-        (ry, rx): (usize, usize),
-        xs: &mut [i16],
-        acc: &mut [A],
-    ) {
-        let (k, pw) = (self.k, image.pw);
-        let mut dst = xs.iter_mut();
-        for ci in 0..self.in_ch {
-            let channel = image.channel(bi, ci);
-            for ky in 0..k {
-                let start = (ry + ky) * pw + rx;
-                // The row first: `zip` polls its left side first, and a
-                // row's end must not consume a slot of `xs`.
-                for (&a, x) in channel[start..start + k].iter().zip(&mut dst) {
-                    *x = i16::from(a);
-                }
-            }
-        }
-        let mut o0 = 0;
-        let (wide, rest) = acc.as_chunks_mut::<WIDE_LANES>();
-        for block in wide {
-            *block = self.block_dot(xs, o0);
-            o0 += WIDE_LANES;
-        }
-        let (narrow, rest) = rest.as_chunks_mut::<LANES>();
-        for block in narrow {
-            *block = self.block_dot(xs, o0);
-            o0 += LANES;
-        }
-        for slot in rest {
-            [*slot] = self.block_dot(xs, o0);
-            o0 += 1;
-        }
+    /// Each tap's offset in a sample's codes from its window's top-left
+    /// corner, taps in code-table order `t = (c·k + ky)·k + kx`.
+    fn tap_offsets(&self, image: &CodeImage) -> Vec<usize> {
+        let (k, ph, pw) = (self.k, image.ph, image.pw);
+        (0..self.in_ch)
+            .flat_map(|c| (0..k).flat_map(move |ky| (0..k).map(move |kx| (c * ph + ky) * pw + kx)))
+            .collect()
     }
 
-    /// Outputs `o0..o0 + N` of one window from its gathered activation
-    /// codes `xs`: per (input channel, cell), the code times that cell's
-    /// weight codes. Each product is exact in `i16` (`255 · 127 < 2¹⁵`).
-    fn block_dot<A: Copy + Default + AddAssign + From<i16>, const N: usize>(
-        &self,
-        xs: &[i16],
-        o0: usize,
-    ) -> [A; N] {
-        let mut sums = [A::default(); N];
-        for (cell, &a) in xs.iter().enumerate() {
-            let w = cell * self.out_ch + o0;
-            for (s, &w) in sums.iter_mut().zip(&self.codes[w..w + N]) {
-                *s += A::from(a * w);
+    /// Gathers one output row into `panel`, pair-major like the code
+    /// table: `[pairs][windows][2]`, tap pair `p` of window `ox` at
+    /// `(p·windows + ox)·2`. `row` holds the sample's codes from the
+    /// row's first window's top-left corner on, and `taps` the
+    /// [`ConvKernel::tap_offsets`]. On a stride-1 row each tap's codes are
+    /// one contiguous run. Windows past `ow`, and an odd last tap's
+    /// partner, are never written and stay 0.
+    fn gather_row(&self, row: &[u8], taps: &[usize], ow: usize, panel: &mut [i16]) {
+        let (stride, windows) = (self.stride, ow.next_multiple_of(TILE_WINDOWS));
+        // Tap `t`'s codes over the row, every `stride`-th one a window's.
+        let tap_run = |t: usize| &row[t..t + (ow - 1) * stride + 1];
+        for (pair, dst) in taps.chunks(2).zip(panel.chunks_exact_mut(2 * windows)) {
+            let (dst, _) = dst[..2 * ow].as_chunks_mut::<2>();
+            match *pair {
+                // Plain slices, which the compiler vectorizes; with
+                // `step_by` a VGG16-CIFAR forward ran ~20 % slower on a
+                // 2-vCPU x86-64 host.
+                [lo, hi] if stride == 1 => {
+                    for (d, (&lo, &hi)) in dst.iter_mut().zip(tap_run(lo).iter().zip(tap_run(hi))) {
+                        *d = [i16::from(lo), i16::from(hi)];
+                    }
+                }
+                [lo, hi] => {
+                    let his = tap_run(hi).iter().step_by(stride);
+                    for (d, (&lo, &hi)) in dst.iter_mut().zip(tap_run(lo).iter().step_by(stride).zip(his)) {
+                        *d = [i16::from(lo), i16::from(hi)];
+                    }
+                }
+                [lo] => {
+                    for (d, &lo) in dst.iter_mut().zip(tap_run(lo).iter().step_by(stride)) {
+                        d[0] = i16::from(lo);
+                    }
+                }
+                _ => {}
             }
         }
-        sums
+    }
+}
+
+/// The dequantization of a kernel's integer reads at one input range:
+/// `acc · x_scale · w_scale + x_min · w_scale · code_sum[o] + bias[o]`,
+/// with the offset term computed once per output.
+pub(crate) struct Dequantizer<'a> {
+    x_scale: f32,
+    w_scale: f32,
+    /// `x_min · w_scale · code_sum[o]` per output.
+    offset: Vec<f32>,
+    bias: &'a [f32],
+}
+
+impl Dequantizer<'_> {
+    /// One output from its integer read sum, its offset and its bias.
+    /// `acc` is the sum rounded once to `f32`, the same value whether the
+    /// sum was held in `i32` or `i64`.
+    fn value(&self, acc: f32, offset: f32, bias: f32) -> f32 {
+        acc * self.x_scale * self.w_scale + offset + bias
+    }
+
+    /// Output `o`'s value from its integer read sum.
+    pub(crate) fn apply(&self, o: usize, acc: i64) -> f32 {
+        self.value(acc as f32, self.offset[o], self.bias[o])
+    }
+
+    /// One window's outputs from their sums, output 0 first.
+    fn window(&self, sums: impl Iterator<Item = f32>, slots: &mut [f32]) {
+        for (slot, ((acc, &offset), &bias)) in slots.iter_mut().zip(sums.zip(&self.offset).zip(self.bias)) {
+            *slot = self.value(acc, offset, bias);
+        }
     }
 }
 
@@ -409,13 +474,6 @@ impl ConvKernel {
 fn max_window_sum(in_ch: usize, k: usize) -> u128 {
     let max_read = (k as u128 * k as u128).min(u128::from(READ_CAP));
     in_ch as u128 * max_read * ((1u128 << DATA_BITS) - 1)
-}
-
-/// The largest magnitude a window's integer dot product can reach:
-/// `in · k²` products of an activation code (at most `2⁸ − 1`) and a
-/// weight code (magnitude at most `2⁷ − 1`).
-fn max_window_dot(in_ch: usize, k: usize) -> u128 {
-    in_ch as u128 * (k as u128).pow(2) * ((1u128 << DATA_BITS) - 1) * ((1u128 << WEIGHT_BITS) - 1)
 }
 
 /// Output size of a `k × k` conv on an `h × w` input.
@@ -471,14 +529,8 @@ impl CodeImage {
         let x_min = lo.min(0.0);
         let x_max = hi.max(x_min + 1e-9);
         let x_scale = ((x_max - x_min) / levels).max(1e-12);
-        // `(t.round() as u32).min(255)`, rounding half away from zero by
-        // hand (`t − trunc(t)` is exact) to avoid a libm call per code.
         let max_code = (1i32 << DATA_BITS) - 1;
-        let quantize = |v: f32| {
-            let t = (v - x_min) / x_scale;
-            let i = (t as i32).min(max_code);
-            (i + i32::from(t - i as f32 >= 0.5)).clamp(0, max_code) as u8
-        };
+        let quantize = |v: f32| round_half_away((v - x_min) / x_scale).clamp(0, max_code) as u8;
         let zero_code = quantize(0.0);
         let (ph, pw) = (h + 2 * pad, w + 2 * pad);
         let mut codes = vec![zero_code; b * c * ph * pw];
@@ -496,6 +548,12 @@ impl CodeImage {
         Self { b, c, ph, pw, x_min, x_scale, codes }
     }
 
+    /// Sample `bi`'s padded codes from row `y` of its first channel on.
+    pub(crate) fn sample_from_row(&self, bi: usize, y: usize) -> &[u8] {
+        let len = self.c * self.ph * self.pw;
+        &self.codes[bi * len + y * self.pw..(bi + 1) * len]
+    }
+
     /// The `ph × pw` padded codes of one (sample, channel).
     pub(crate) fn channel(&self, bi: usize, ci: usize) -> &[u8] {
         let len = self.ph * self.pw;
@@ -506,6 +564,11 @@ impl CodeImage {
 
 #[cfg(test)]
 mod tests {
+    use std::ops::AddAssign;
+
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
     use crate::HwConv;
 
@@ -524,12 +587,119 @@ mod tests {
     }
 
     #[test]
-    fn dot_bound_switches_to_i64_past_i32_max() {
-        // 9 · 255 · 127 = 291,465 per 3x3 channel; 49 · 255 · 127 per 7x7.
-        assert!(max_window_dot(7_367, 3) <= I32_LIMIT);
-        assert!(max_window_dot(7_368, 3) > I32_LIMIT);
-        assert!(max_window_dot(1_353, 7) <= I32_LIMIT);
-        assert!(max_window_dot(1_354, 7) > I32_LIMIT);
+    fn chunks_are_the_largest_i32_safe_runs() {
+        // 2 · 255 · 127 = 64,770 per pair of taps.
+        let worst = |pairs: usize| pairs as u128 * 2 * 255 * 127;
+        assert_eq!(CHUNK_PAIRS, 33_155);
+        assert!(worst(CHUNK_PAIRS) <= i32::MAX as u128);
+        assert!(worst(CHUNK_PAIRS + 1) > i32::MAX as u128);
+        // 7,367 channels of a 3x3 kernel read in one chunk, 7,368 in two.
+        assert_eq!((7_367 * 9usize).div_ceil(2).div_ceil(CHUNK_PAIRS), 1);
+        assert_eq!((7_368 * 9usize).div_ceil(2).div_ceil(CHUNK_PAIRS), 2);
+    }
+
+    #[test]
+    fn rounding_matches_f32_round() {
+        let ties = [0.5f32, 1.5, 2.5, 126.5, 127.0, 0.499_999_97, 0.500_000_06, 1.0e-40, f32::MIN_POSITIVE];
+        for t in ties.into_iter().flat_map(|t| [t, -t]).chain([0.0, -0.0, 3.0e9, -3.0e9, f32::INFINITY]) {
+            assert_eq!(round_half_away(t), t.round() as i32, "{t:e}");
+        }
+        assert_eq!(round_half_away(f32::NAN), 0);
+        // A sweep of tenths across the weight and activation code ranges.
+        for i in -2_600..=2_600 {
+            let t = i as f32 * 0.1;
+            assert_eq!(round_half_away(t), t.round() as i32, "{t}");
+        }
+    }
+
+    /// The window at `(ry, rx)` of sample `bi` dotted with the weight
+    /// codes, one output at a time in accumulators of type `A`: the
+    /// oracle of [`ConvKernel::forward_linear`].
+    fn window_dot<A: Copy + Default + AddAssign + From<i16> + Into<i64>>(
+        kernel: &ConvKernel,
+        image: &CodeImage,
+        bi: usize,
+        (ry, rx): (usize, usize),
+    ) -> Vec<i64> {
+        let (k, pw) = (kernel.k, image.pw);
+        let mut xs = Vec::new();
+        for ci in 0..kernel.in_ch {
+            for ky in 0..k {
+                let start = (ry + ky) * pw + rx;
+                xs.extend(image.channel(bi, ci)[start..start + k].iter().map(|&a| i16::from(a)));
+            }
+        }
+        (0..kernel.out_ch).map(|o| block_dot::<A>(kernel, &xs, o).into()).collect()
+    }
+
+    /// Output `o` of one window from its gathered activation codes `xs`.
+    /// Each product is exact in `i16` (`255 · 127 < 2¹⁵`).
+    fn block_dot<A: Copy + Default + AddAssign + From<i16>>(kernel: &ConvKernel, xs: &[i16], o: usize) -> A {
+        let mut sum = A::default();
+        for (t, &a) in xs.iter().enumerate() {
+            sum += A::from(a * kernel.code(t, o));
+        }
+        sum
+    }
+
+    /// [`ConvKernel::forward_linear`]'s output from [`window_dot`] sums.
+    fn oracle<A: Copy + Default + AddAssign + From<i16> + Into<i64>>(
+        kernel: &ConvKernel,
+        image: &CodeImage,
+        (oh, ow): (usize, usize),
+    ) -> Vec<u32> {
+        let dequantizer = kernel.dequantizer(image);
+        let mut out = vec![0u32; image.b * kernel.out_ch * oh * ow];
+        for bi in 0..image.b {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let sums = window_dot::<A>(kernel, image, bi, (oy * kernel.stride, ox * kernel.stride));
+                    for (o, &acc) in sums.iter().enumerate() {
+                        let slot = ((bi * kernel.out_ch + o) * oh + oy) * ow + ox;
+                        out[slot] = dequantizer.apply(o, acc).to_bits();
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The panel read equals the window-by-window dot product in
+        /// `i32` and in `i64` accumulators, bit for bit, across output
+        /// widths on and off the 8-lane blocks, odd and even tap counts,
+        /// strides, paddings and batches.
+        #[test]
+        fn panel_read_matches_the_window_dot_oracle(
+            seed in 0u64..10_000,
+            batch in 1usize..=3,
+            out_sel in 0usize..8,
+            in_ch in 1usize..=5,
+            k in 1usize..=3,
+            stride in 1usize..=2,
+            pad in 0usize..=2,
+            h in 3usize..=11,
+            w in 3usize..=11,
+        ) {
+            let out_ch = [1usize, 2, 3, 8, 9, 16, 17, 24][out_sel];
+            prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut random = |shape: &[usize], lo: f32, hi: f32| {
+                let n = shape.iter().product();
+                Tensor::from_vec((0..n).map(|_| rng.gen_range(lo..hi)).collect(), shape)
+            };
+            let weights = random(&[out_ch, in_ch, k, k], -0.6, 0.6);
+            let x = random(&[batch, in_ch, h, w], -0.7, 1.0);
+            let bias: Vec<f32> = (0..out_ch).map(|o| o as f32 * 0.03 - 0.1).collect();
+            let kernel = ConvKernel::from_float(&weights, &bias, stride, pad).unwrap();
+            let image = CodeImage::quantize(&x, pad);
+            let (oh, ow) = kernel.output_dims(h, w).unwrap();
+            let fast = bits(&kernel.forward_linear(ExecPolicy::default(), &image, oh, ow).unwrap());
+            prop_assert_eq!(&fast, &oracle::<i32>(&kernel, &image, (oh, ow)));
+            prop_assert_eq!(&fast, &oracle::<i64>(&kernel, &image, (oh, ow)));
+        }
     }
 
     fn bits(t: &Tensor) -> Vec<u32> {
@@ -577,7 +747,7 @@ mod tests {
             for ci in 0..in_ch {
                 for cell in 0..k * k {
                     let code = data[(o * in_ch + ci) * k * k + cell] as i64;
-                    assert_eq!(i64::from(kernel.codes[(ci * k * k + cell) * out_ch + o]), code);
+                    assert_eq!(i64::from(kernel.code(ci * k * k + cell, o)), code);
                     // The bit-planes hold the magnitude on the sign's side.
                     let magnitude = |side: usize| -> i64 {
                         kernel.planes(o, ci, side).enumerate().map(|(wb, p)| i64::from(p[cell]) << wb).sum()

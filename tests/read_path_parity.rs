@@ -17,17 +17,22 @@ fn random_tensor(shape: &[usize], seed: u64, lo: f32, hi: f32) -> Tensor {
     Tensor::from_vec((0..shape.iter().product::<usize>()).map(|_| rng.gen_range(lo..hi)).collect(), shape)
 }
 
+/// Output widths below, at and past one and two 8-output registers of the
+/// exact read's register tiles, up to an odd multiple of 8.
+const OUT_CHANNELS: [usize; 8] = [1, 2, 3, 8, 9, 16, 17, 24];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The fast and the reference reads agree to the last bit — outputs
-    /// and telemetry — across random geometry, batch sizes and subarray
-    /// partitioning.
+    /// and telemetry — across random geometry, batch sizes, subarray
+    /// partitioning, and output widths that fill, split and overrun the
+    /// exact read's register tiles.
     #[test]
     fn hw_conv_read_paths_agree(
         seed in 0u64..10_000,
         batch in 1usize..=3,
-        out_ch in 1usize..=3,
+        out_sel in 0usize..OUT_CHANNELS.len(),
         in_ch in 1usize..=2,
         k in 1usize..=3,
         stride in 1usize..=2,
@@ -36,6 +41,7 @@ proptest! {
         w in 5usize..=12,
         side_sel in 0usize..=2,
     ) {
+        let out_ch = OUT_CHANNELS[out_sel];
         prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
         // Small tile sides force multi-partition layouts with halo
         // overlap even on these small maps.
@@ -54,16 +60,17 @@ proptest! {
 
     /// The parallel schedule composes with the fast read without
     /// changing a bit, with the chunk count (`batch · oh`) varying with
-    /// every shape.
+    /// every shape, across output widths and odd and even tap counts.
     #[test]
     fn packed_parallel_matches_packed_sequential(
         seed in 0u64..10_000,
         batch in 1usize..=3,
-        out_ch in 1usize..=3,
-        in_ch in 1usize..=2,
+        out_sel in 0usize..OUT_CHANNELS.len(),
+        in_ch in 1usize..=5,
         h in 6usize..=12,
         threads in 2usize..=5,
     ) {
+        let out_ch = OUT_CHANNELS[out_sel];
         let weights = random_tensor(&[out_ch, in_ch, 3, 3], seed, -0.5, 0.5);
         let bias = vec![0.0f32; out_ch];
         let x = random_tensor(&[batch, in_ch, h, h], seed.wrapping_add(3), -0.5, 1.0);
