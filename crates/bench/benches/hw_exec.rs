@@ -18,6 +18,11 @@
 //! * `par`        — [`HwConv::forward`], parallel schedule sized by
 //!   [`ExecPolicy::parallel`] (clamped to the host).
 //!
+//! `scalar_seq` and `seq` are timed against each other in alternating
+//! blocks of calls, [`ITERS`] pairs of them, and `packed_over_scalar` is
+//! the median of the per-pair ratios: one neighbour's burst of load then
+//! moves one pair, not the published figure.
+//!
 //! Honesty rules baked into the artifact: `host_threads` is the
 //! machine's actual available parallelism, `par_workers_requested` /
 //! `par_workers` are the worker counts the parallel policy asked for and
@@ -30,8 +35,8 @@
 //! ([`inca_xbar::simd::active_impl`]) both fast reads dispatched to.
 //!
 //! The `telemetry` section times `hw_conv`'s fast read inside a capture
-//! against outside any, in alternating blocks until each side has run
-//! for 100 ms; `on_over_off` is the median of the per-block ratios.
+//! against outside any with the same timer, until each side has run for
+//! 100 ms; `on_over_off` is the median of the per-pair ratios.
 
 use std::time::Instant;
 
@@ -60,49 +65,59 @@ fn mean_ns<O, F: FnMut() -> O>(mut f: F, iters: u32) -> f64 {
     t0.elapsed().as_secs_f64() * 1e9 / f64::from(iters)
 }
 
+/// Pairs behind each published ratio, and calls per parallel mode.
+const ITERS: u32 = 5;
+
 /// Time each side of the telemetry guardrail runs before its ratio is
 /// published.
 const GUARD_SIDE_S: f64 = 0.1;
 
 /// A block of calls lasts at least this long, so timer resolution and
 /// one-off stalls stay small against it.
-const GUARD_BLOCK_S: f64 = 1e-3;
+const BLOCK_S: f64 = 1e-3;
 
-/// The cost of calling `f` inside a capture against outside any: blocks
-/// of calls alternate between the two sides, the first side swapping
-/// every pair, until each side has run for [`GUARD_SIDE_S`]. Returns the
-/// mean ns per call off and on, and the median of the per-pair on/off
-/// ratios, which a neighbour's burst of load skews far less than a ratio
-/// of two means.
-fn capture_overhead<O>(mut f: impl FnMut() -> O) -> (f64, f64, f64) {
-    let per_block = (GUARD_BLOCK_S * 1e9 / mean_ns(&mut f, 5)).ceil().max(1.0) as u32;
-    let mut block = |on: bool| {
-        let mut run = || {
-            let t0 = Instant::now();
-            for _ in 0..per_block {
-                black_box(f());
-            }
-            t0.elapsed().as_secs_f64()
-        };
-        if on {
-            inca_telemetry::capture(run).0
-        } else {
-            run()
+/// Seconds taken by `calls` calls of `f`.
+fn time_calls<O>(f: impl Fn() -> O, calls: u32) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..calls {
+        black_box(f());
+    }
+    t0.elapsed().as_secs_f64()
+}
+
+/// Times two ways of doing one job against each other. `a(n)` and `b(n)`
+/// each run a block of `n` calls and return its seconds; a side's block
+/// holds as many calls as last [`BLOCK_S`] (found by doubling, which
+/// also warms it up). Blocks alternate between the sides, the first side
+/// swapping every pair, until there are [`ITERS`] pairs and each side has
+/// run for `side_s`. Returns the mean ns per call of `a` and of `b`, and
+/// the median of the per-pair ratios of `a`'s time per call to `b`'s.
+fn paired(mut a: impl FnMut(u32) -> f64, mut b: impl FnMut(u32) -> f64, side_s: f64) -> (f64, f64, f64) {
+    let block = |run: &mut dyn FnMut(u32) -> f64| {
+        let mut calls = 1;
+        while run(calls) < BLOCK_S {
+            calls *= 2;
         }
+        calls
     };
-    let (mut off_s, mut on_s, mut ratios) = (0.0, 0.0, Vec::new());
-    while off_s < GUARD_SIDE_S || on_s < GUARD_SIDE_S {
-        let on_first = ratios.len() % 2 == 1;
-        let first = block(on_first);
-        let second = block(!on_first);
-        let (off, on) = if on_first { (second, first) } else { (first, second) };
-        off_s += off;
-        on_s += on;
-        ratios.push(on / off);
+    let (a_calls, b_calls) = (block(&mut a), block(&mut b));
+    let (mut a_s, mut b_s, mut ratios) = (0.0, 0.0, Vec::new());
+    while ratios.len() < ITERS as usize || a_s < side_s || b_s < side_s {
+        let (ta, tb) = if ratios.len() % 2 == 0 {
+            let ta = a(a_calls);
+            (ta, b(b_calls))
+        } else {
+            let tb = b(b_calls);
+            (a(a_calls), tb)
+        };
+        a_s += ta;
+        b_s += tb;
+        ratios.push((ta / f64::from(a_calls)) / (tb / f64::from(b_calls)));
     }
     ratios.sort_by(f64::total_cmp);
-    let calls = f64::from(per_block) * ratios.len() as f64;
-    (off_s * 1e9 / calls, on_s * 1e9 / calls, ratios[ratios.len() / 2])
+    let pairs = ratios.len() as f64;
+    let ns_per_call = |secs: f64, calls: u32| secs * 1e9 / (pairs * f64::from(calls));
+    (ns_per_call(a_s, a_calls), ns_per_call(b_s, b_calls), ratios[ratios.len() / 2])
 }
 
 /// Events/second of interleaved schedule/pop churn — the serving hot
@@ -128,7 +143,6 @@ macro_rules! churn_events_per_s {
 }
 
 fn hw_exec_benches(c: &mut Criterion) {
-    const ITERS: u32 = 5;
     let host_threads = inca_core::exec::available_threads();
     let par_policy = ExecPolicy::parallel();
     let par_requested = par_policy.threads();
@@ -145,8 +159,14 @@ fn hw_exec_benches(c: &mut Criterion) {
     let x = random_tensor(&[1, 4, 16, 16], 102, -0.5, 1.0);
     let conv_seq = HwConv::from_float(&w, &bias, 1, 1).unwrap();
     let conv_par = conv_seq.clone().with_policy(par_policy);
-    let conv_seq_ns = mean_ns(|| black_box(conv_seq.forward(&x).unwrap()).len(), ITERS);
-    let conv_scalar_ns = mean_ns(|| black_box(conv_seq.forward_reference(&x).unwrap()).len(), ITERS);
+    let reference_vs_fast = |conv: &HwConv, x: &Tensor| {
+        paired(
+            |n| time_calls(|| conv.forward_reference(x).unwrap().len(), n),
+            |n| time_calls(|| conv.forward(x).unwrap().len(), n),
+            0.0,
+        )
+    };
+    let (conv_scalar_ns, conv_seq_ns, conv_ratio) = reference_vs_fast(&conv_seq, &x);
     let conv_par_ns =
         measure_parallel.then(|| mean_ns(|| black_box(conv_par.forward(&x).unwrap()).len(), ITERS));
 
@@ -155,8 +175,7 @@ fn hw_exec_benches(c: &mut Criterion) {
     let ws = random_tensor(&[8, 4, 5, 5], 104, -0.5, 0.5);
     let sat_seq = HwConv::from_float(&ws, &bias, 1, 2).unwrap();
     let sat_par = sat_seq.clone().with_policy(par_policy);
-    let sat_seq_ns = mean_ns(|| black_box(sat_seq.forward(&x).unwrap()).len(), ITERS);
-    let sat_scalar_ns = mean_ns(|| black_box(sat_seq.forward_reference(&x).unwrap()).len(), ITERS);
+    let (sat_scalar_ns, sat_seq_ns, sat_ratio) = reference_vs_fast(&sat_seq, &x);
     let sat_par_ns =
         measure_parallel.then(|| mean_ns(|| black_box(sat_par.forward(&x).unwrap()).len(), ITERS));
 
@@ -164,30 +183,30 @@ fn hw_exec_benches(c: &mut Criterion) {
     // any. The fast read coalesces each forward's reads into
     // four `record()` calls, so the ratio should sit inside run-to-run
     // noise; the recorded numbers keep that claim honest.
-    let (telemetry_off_ns, telemetry_on_ns, on_over_off) =
-        capture_overhead(|| black_box(conv_seq.forward(&x).unwrap()).len());
+    let fast = || conv_seq.forward(&x).unwrap().len();
+    let (telemetry_on_ns, telemetry_off_ns, on_over_off) =
+        paired(|n| inca_telemetry::capture(|| time_calls(fast, n)).0, |n| time_calls(fast, n), GUARD_SIDE_S);
 
     // The same layer over a batch of 8.
     let xb = random_tensor(&[8, 4, 16, 16], 103, -0.5, 1.0);
     let batch_seq = HwConv::from_float(&w, &bias, 1, 1).unwrap();
     let batch_par = batch_seq.clone().with_policy(par_policy);
-    let batch_seq_ns = mean_ns(|| black_box(batch_seq.forward(&xb).unwrap()).len(), ITERS);
-    let batch_scalar_ns = mean_ns(|| black_box(batch_seq.forward_reference(&xb).unwrap()).len(), ITERS);
+    let (batch_scalar_ns, batch_seq_ns, batch_ratio) = reference_vs_fast(&batch_seq, &xb);
     let batch_par_ns =
         measure_parallel.then(|| mean_ns(|| black_box(batch_par.forward(&xb).unwrap()).len(), ITERS));
 
-    let engine_section = |scalar: f64, seq: f64, par: Option<f64>| match par {
+    let engine_section = |scalar: f64, seq: f64, ratio: f64, par: Option<f64>| match par {
         Some(par_ns) => json!({
             "scalar_seq_ns": scalar,
             "seq_ns": seq,
-            "packed_over_scalar": scalar / seq,
+            "packed_over_scalar": ratio,
             "par_ns": par_ns,
             "parallel_speedup": seq / par_ns,
         }),
         None => json!({
             "scalar_seq_ns": scalar,
             "seq_ns": seq,
-            "packed_over_scalar": scalar / seq,
+            "packed_over_scalar": ratio,
             "parallel": json!({ "skipped": "host_threads < 4" }),
         }),
     };
@@ -236,9 +255,9 @@ fn hw_exec_benches(c: &mut Criterion) {
             "conv_saturating": "8x4x5x5 on 1x4x16x16, stride 1, pad 2",
             "batch_conv": "8x4x3x3 on 8x4x16x16, stride 1, pad 1"
         }),
-        "hw_conv": engine_section(conv_scalar_ns, conv_seq_ns, conv_par_ns),
-        "hw_conv_saturating": engine_section(sat_scalar_ns, sat_seq_ns, sat_par_ns),
-        "hw_batch_conv": engine_section(batch_scalar_ns, batch_seq_ns, batch_par_ns),
+        "hw_conv": engine_section(conv_scalar_ns, conv_seq_ns, conv_ratio, conv_par_ns),
+        "hw_conv_saturating": engine_section(sat_scalar_ns, sat_seq_ns, sat_ratio, sat_par_ns),
+        "hw_batch_conv": engine_section(batch_scalar_ns, batch_seq_ns, batch_ratio, batch_par_ns),
         "telemetry": json!({
             "conv_seq_off_ns": telemetry_off_ns,
             "conv_seq_on_ns": telemetry_on_ns,
@@ -250,16 +269,13 @@ fn hw_exec_benches(c: &mut Criterion) {
     std::fs::write(path, serde_json::to_string_pretty(&artifact).unwrap()).unwrap();
     eprintln!("hw_exec artifact written to {path}");
     eprintln!(
-        "hw_conv: scalar {conv_scalar_ns:.0}ns packed {conv_seq_ns:.0}ns (x{:.2}, simd {simd_impl})",
-        conv_scalar_ns / conv_seq_ns
+        "hw_conv: scalar {conv_scalar_ns:.0}ns packed {conv_seq_ns:.0}ns (median pair x{conv_ratio:.2}, simd {simd_impl})"
     );
     eprintln!(
-        "hw_conv_saturating: scalar {sat_scalar_ns:.0}ns packed {sat_seq_ns:.0}ns (x{:.2})",
-        sat_scalar_ns / sat_seq_ns
+        "hw_conv_saturating: scalar {sat_scalar_ns:.0}ns packed {sat_seq_ns:.0}ns (median pair x{sat_ratio:.2})"
     );
     eprintln!(
-        "hw_batch_conv: scalar {batch_scalar_ns:.0}ns packed {batch_seq_ns:.0}ns (x{:.2})",
-        batch_scalar_ns / batch_seq_ns
+        "hw_batch_conv: scalar {batch_scalar_ns:.0}ns packed {batch_seq_ns:.0}ns (median pair x{batch_ratio:.2})"
     );
     match (conv_par_ns, batch_par_ns) {
         (Some(cp), Some(bp)) => eprintln!(
@@ -272,7 +288,7 @@ fn hw_exec_benches(c: &mut Criterion) {
         ),
     }
     eprintln!(
-        "telemetry: off {telemetry_off_ns:.0}ns on {telemetry_on_ns:.0}ns (median block ratio x{on_over_off:.3})"
+        "telemetry: off {telemetry_off_ns:.0}ns on {telemetry_on_ns:.0}ns (median pair x{on_over_off:.3})"
     );
     eprintln!(
         "serve queue: calendar {:.1}M events/s, heap {:.1}M events/s (x{:.2})",

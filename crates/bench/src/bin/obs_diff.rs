@@ -11,9 +11,9 @@
 //! `sustainable_rps_per_rack` headline gated on top.
 //!
 //! Lint reports gate on exact integers, ignoring `--threshold`: per-rule
-//! violation and waiver counts may not rise above the baseline, rules
-//! may not disappear, and `parse_fallback` may not grow. Burning counts
-//! *down* passes (and prints a reminder to refresh the baseline).
+//! violation and waiver counts may not rise above the baseline, and
+//! rules may not disappear. Burning counts *down* passes (and prints a
+//! reminder to refresh the baseline).
 //!
 //! ```text
 //! obs_diff [--threshold F] [--inject-p99 FACTOR] BASELINE.json CURRENT.json
@@ -181,7 +181,6 @@ fn diff_lint(base: &Value, cur: &Value, gate: &mut Gate) {
     }
     let count = |v: &Value| v.as_u64();
     let empty = Vec::new();
-    check_int(gate, "parse_fallback", count(&base["parse_fallback"]), count(&cur["parse_fallback"]));
     for br in base["rules"].as_array().unwrap_or(&empty) {
         let rule = br["rule"].as_str().unwrap_or("?");
         let Some(cr) =
@@ -209,14 +208,12 @@ fn diff_lint(base: &Value, cur: &Value, gate: &mut Gate) {
 /// Compares two `hw_exec` bench artifacts on their headline ratios.
 fn diff_bench(base: &Value, cur: &Value, gate: &mut Gate) {
     for engine in ["hw_conv", "hw_batch_conv", "hw_conv_saturating"] {
-        let (b, c) =
-            (opt_f64(&base[engine]["packed_over_scalar"]), opt_f64(&cur[engine]["packed_over_scalar"]));
-        // The bit-serial engine (added with the integer read path) gates
-        // only when both artifacts carry it, so older baselines keep
-        // working.
-        if engine != "hw_conv_saturating" || (b.is_some() && c.is_some()) {
-            gate.check(&format!("{engine}.packed_over_scalar"), b, c, Better::Higher);
-        }
+        gate.check(
+            &format!("{engine}.packed_over_scalar"),
+            opt_f64(&base[engine]["packed_over_scalar"]),
+            opt_f64(&cur[engine]["packed_over_scalar"]),
+            Better::Higher,
+        );
         // Parallel speedup only gates when both runs measured it (small
         // hosts carry an explicit skip marker instead of a number).
         let (b, c) = (opt_f64(&base[engine]["parallel_speedup"]), opt_f64(&cur[engine]["parallel_speedup"]));

@@ -169,19 +169,7 @@ pub struct RunOutput {
 }
 
 /// Runs a list of experiment ids (or all of them for `"all"`), returning
-/// the results in order.
-///
-/// # Errors
-///
-/// Returns the offending id when it is unknown.
-pub fn run_ids<'a>(
-    ids: impl IntoIterator<Item = &'a str>,
-    opts: &ExperimentOpts,
-) -> Result<Vec<ExperimentResult>, String> {
-    run_ids_full(ids, opts).map(|out| out.results)
-}
-
-/// [`run_ids`], also surfacing the observability artifacts so the
+/// the results in order, plus the observability artifacts so the
 /// binary can write `OBS_trace.json` / `OBS_timeseries.json`.
 ///
 /// # Errors
@@ -253,14 +241,14 @@ mod tests {
 
     #[test]
     fn run_single_id() {
-        let r = run_ids(["table5"], &ExperimentOpts { quick: true }).unwrap();
+        let r = run_ids_full(["table5"], &ExperimentOpts { quick: true }).unwrap().results;
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].id, "table5");
     }
 
     #[test]
     fn unknown_id_is_reported() {
-        let err = run_ids(["fig99"], &ExperimentOpts { quick: true }).unwrap_err();
+        let err = run_ids_full(["fig99"], &ExperimentOpts { quick: true }).unwrap_err();
         assert_eq!(err, "fig99");
     }
 
@@ -305,7 +293,7 @@ mod tests {
 
     #[test]
     fn serve_runs_through_the_harness() {
-        let r = run_ids([SERVE_ID], &ExperimentOpts { quick: true }).unwrap();
+        let r = run_ids_full([SERVE_ID], &ExperimentOpts { quick: true }).unwrap().results;
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].id, SERVE_ID);
         assert!(r[0].text.contains("-- inca"));
@@ -314,7 +302,7 @@ mod tests {
 
     #[test]
     fn net_runs_through_the_harness() {
-        let r = run_ids([NET_ID], &ExperimentOpts { quick: true }).unwrap();
+        let r = run_ids_full([NET_ID], &ExperimentOpts { quick: true }).unwrap().results;
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].id, NET_ID);
         assert!(r[0].text.contains("-- inca"));

@@ -113,7 +113,7 @@ fn bench_artifact_ratios_gate() {
 }
 
 #[test]
-fn saturating_ratio_gates_only_when_both_artifacts_carry_it() {
+fn saturating_ratio_gates_whenever_the_baseline_carries_it() {
     let artifact = |saturating: Option<f64>| {
         let section = saturating
             .map(|r| format!(r#","hw_conv_saturating":{{"packed_over_scalar":{r}}}"#))
@@ -125,8 +125,8 @@ fn saturating_ratio_gates_only_when_both_artifacts_carry_it() {
     let with = temp_artifact("sat_with.json", &artifact(Some(60.0)));
     let without = temp_artifact("sat_without.json", &artifact(None));
     for (name, base, cur, code) in [
-        ("older baseline", &without, &with, 0),
-        ("older current", &with, &without, 0),
+        ("baseline without it", &without, &with, 0),
+        ("vanished from current", &with, &without, 1),
         ("noise", &with, &temp_artifact("sat_noise.json", &artifact(Some(57.0))), 0),
         ("collapse", &with, &temp_artifact("sat_collapse.json", &artifact(Some(20.0))), 1),
     ] {
@@ -162,8 +162,8 @@ fn gate_accepts_the_committed_artifacts_against_themselves() {
     }
 }
 
-/// A minimal lint report with two rules plus a parse-fallback count.
-fn lint_report(parse_fallback: u32, det_violations: u32, panic_waived: u32, drop_rule: bool) -> String {
+/// A minimal lint report with two rules.
+fn lint_report(det_violations: u32, panic_waived: u32, drop_rule: bool) -> String {
     let panic_rule = if drop_rule {
         String::new()
     } else {
@@ -173,7 +173,6 @@ fn lint_report(parse_fallback: u32, det_violations: u32, panic_waived: u32, drop
         r#"{{
   "report": "inca-lint",
   "files_scanned": 10,
-  "parse_fallback": {parse_fallback},
   "rules": [
     {{"rule": "determinism", "violations": {det_violations}, "waived": 1}}{panic_rule}
   ],
@@ -185,8 +184,8 @@ fn lint_report(parse_fallback: u32, det_violations: u32, panic_waived: u32, drop
 
 #[test]
 fn identical_lint_reports_pass() {
-    let a = temp_artifact("lint_ident_a.json", &lint_report(0, 0, 3, false));
-    let b = temp_artifact("lint_ident_b.json", &lint_report(0, 0, 3, false));
+    let a = temp_artifact("lint_ident_a.json", &lint_report(0, 3, false));
+    let b = temp_artifact("lint_ident_b.json", &lint_report(0, 3, false));
     let status = bin().arg(&a).arg(&b).status().unwrap();
     assert_eq!(status.code(), Some(0), "identical lint reports must pass");
 }
@@ -194,32 +193,28 @@ fn identical_lint_reports_pass() {
 #[test]
 fn lint_violation_increase_from_zero_baseline_fails() {
     // The relative gate ignores zero baselines; the lint path must not.
-    let base = temp_artifact("lint_zero_base.json", &lint_report(0, 0, 3, false));
-    let cur = temp_artifact("lint_zero_cur.json", &lint_report(0, 1, 3, false));
+    let base = temp_artifact("lint_zero_base.json", &lint_report(0, 3, false));
+    let cur = temp_artifact("lint_zero_cur.json", &lint_report(1, 3, false));
     let status = bin().arg(&base).arg(&cur).status().unwrap();
     assert_eq!(status.code(), Some(1), "0 -> 1 violations must fail even though the baseline is zero");
 }
 
 #[test]
-fn lint_waiver_and_fallback_increases_fail_but_decreases_pass() {
-    let base = temp_artifact("lint_wf_base.json", &lint_report(1, 0, 3, false));
-    let more_waivers = temp_artifact("lint_wf_waiv.json", &lint_report(1, 0, 4, false));
+fn lint_waiver_increases_fail_but_decreases_pass() {
+    let base = temp_artifact("lint_wf_base.json", &lint_report(0, 3, false));
+    let more_waivers = temp_artifact("lint_wf_waiv.json", &lint_report(0, 4, false));
     let status = bin().arg(&base).arg(&more_waivers).status().unwrap();
     assert_eq!(status.code(), Some(1), "new waivers must force a deliberate baseline refresh");
 
-    let more_fallback = temp_artifact("lint_wf_fall.json", &lint_report(2, 0, 3, false));
-    let status = bin().arg(&base).arg(&more_fallback).status().unwrap();
-    assert_eq!(status.code(), Some(1), "a file falling out of the parser must fail");
-
-    let improved = temp_artifact("lint_wf_better.json", &lint_report(0, 0, 2, false));
+    let improved = temp_artifact("lint_wf_better.json", &lint_report(0, 2, false));
     let status = bin().arg(&base).arg(&improved).status().unwrap();
     assert_eq!(status.code(), Some(0), "burning counts down passes");
 }
 
 #[test]
 fn lint_missing_rule_fails_and_new_rule_passes() {
-    let two_rules = temp_artifact("lint_rules_base.json", &lint_report(0, 0, 3, false));
-    let one_rule = temp_artifact("lint_rules_cur.json", &lint_report(0, 0, 3, true));
+    let two_rules = temp_artifact("lint_rules_base.json", &lint_report(0, 3, false));
+    let one_rule = temp_artifact("lint_rules_cur.json", &lint_report(0, 3, true));
     let status = bin().arg(&two_rules).arg(&one_rule).status().unwrap();
     assert_eq!(status.code(), Some(1), "a rule vanishing from the report must fail");
 

@@ -48,17 +48,6 @@ pub struct DramModel {
     blowup_k: f64,
 }
 
-/// Statistics of a modelled DRAM transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DramTransferStats {
-    /// Total energy.
-    pub energy_j: Energy,
-    /// Total latency (bandwidth-limited streaming + access).
-    pub latency_s: Time,
-    /// Bytes moved.
-    pub bytes: u64,
-}
-
 impl DramModel {
     /// The paper's 8 GB HBM2 part (Table II). Sustained bandwidth is set to
     /// 256 GB/s per stack (HBM2 spec) and idle latency to 100 ns.
@@ -103,12 +92,6 @@ impl DramModel {
         self.capacity_bytes
     }
 
-    /// Maximum sustained bandwidth in bytes/s.
-    #[must_use]
-    pub fn sustained_bandwidth(&self) -> f64 {
-        self.sustained_bw
-    }
-
     /// Energy to move `bytes` (32 pJ per byte at the paper's 8-bit
     /// granularity).
     #[must_use]
@@ -125,18 +108,6 @@ impl DramModel {
             self.idle_latency_s
         } else {
             self.idle_latency_s * (self.blowup_k * (u - self.knee)).exp()
-        }
-    }
-
-    /// Models a transfer of `bytes` while the channel runs at background
-    /// utilization `u`.
-    #[must_use]
-    pub fn transfer(&self, bytes: u64, u: f64) -> DramTransferStats {
-        let streaming = bytes as f64 / self.sustained_bw;
-        DramTransferStats {
-            energy_j: self.access_energy_j(bytes),
-            latency_s: self.latency_at_utilization(u) + Time::from_seconds(streaming),
-            bytes,
         }
     }
 
@@ -197,15 +168,6 @@ mod tests {
         for pair in curve.windows(2) {
             assert!(pair[1].1 >= pair[0].1);
         }
-    }
-
-    #[test]
-    fn transfer_includes_streaming_time() {
-        let d = DramModel::hbm2_8gb();
-        let small = d.transfer(64, 0.1);
-        let big = d.transfer(64 * 1024 * 1024, 0.1);
-        assert!(big.latency_s > small.latency_s);
-        assert_eq!(big.bytes, 64 * 1024 * 1024);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! * [`DramModel`] — HBM2 with the 32 pJ/byte access energy and the
 //!   latency-vs-bandwidth knee of Fig 1b,
 //! * [`Bus`] — bus-width-quantized transfer accounting (Eq 5/6),
-//! * [`AdderTree`] / [`ShiftAccumulator`] — the digital reduction path,
 //! * [`TechScaling`] — 65 nm → 22 nm scaling rules (factor 0.34).
 //!
 //! # Examples
@@ -35,7 +34,6 @@
 #![warn(missing_docs)]
 
 mod adc;
-mod adder;
 mod bus;
 pub mod constants;
 mod dac;
@@ -46,10 +44,9 @@ mod scaling;
 mod sram;
 
 pub use adc::AdcSpec;
-pub use adder::{AdderTree, ShiftAccumulator};
 pub use bus::Bus;
 pub use dac::DacSpec;
-pub use dram::{DramModel, DramTransferStats};
+pub use dram::DramModel;
 pub use error::CircuitError;
 pub use interconnect::HTree;
 pub use scaling::TechScaling;

@@ -1,4 +1,3 @@
-use inca_units::{Area, Energy, Time};
 use serde::{Deserialize, Serialize};
 
 use crate::{constants, CircuitError, Result};
@@ -16,9 +15,8 @@ use crate::{constants, CircuitError, Result};
 /// * delay scales with `s`,
 /// * dynamic energy scales with `s³` (capacitance × V² at constant field).
 ///
-/// The typed entry points ([`TechScaling::scale_area`] and friends) keep
-/// the dimension through the scaling; the `_raw` variants exist for call
-/// sites working in non-canonical units (e.g. cell layouts in µm²).
+/// The `scale_*_raw` methods take plain numbers in any unit (e.g. cell
+/// layouts in µm²).
 ///
 /// # Examples
 ///
@@ -84,24 +82,6 @@ impl TechScaling {
         self.factor
     }
 
-    /// Scales an area (`s²` law).
-    #[must_use]
-    pub fn scale_area(&self, area: Area) -> Area {
-        area * self.factor * self.factor
-    }
-
-    /// Scales a delay/latency (`s` law).
-    #[must_use]
-    pub fn scale_delay(&self, delay: Time) -> Time {
-        delay * self.factor
-    }
-
-    /// Scales a dynamic energy (`s³` law).
-    #[must_use]
-    pub fn scale_energy(&self, energy: Energy) -> Energy {
-        energy * self.factor.powi(3)
-    }
-
     /// Scales a raw area value in any squared-length unit (e.g. µm² cell
     /// layouts that never enter the mm²-typed area model directly).
     #[must_use]
@@ -153,14 +133,6 @@ mod tests {
         assert!((s.scale_area_raw(1.0) - 0.1156).abs() < 1e-9);
         assert!((s.scale_delay_raw(1.0) - 0.34).abs() < 1e-12);
         assert!((s.scale_energy_raw(1.0) - 0.039304).abs() < 1e-9);
-    }
-
-    #[test]
-    fn typed_and_raw_scaling_agree_bitwise() {
-        let s = TechScaling::paper_default();
-        assert_eq!(s.scale_area(Area::from_mm2(7.5)).mm2(), s.scale_area_raw(7.5));
-        assert_eq!(s.scale_delay(Time::from_seconds(2e-9)).seconds(), s.scale_delay_raw(2e-9));
-        assert_eq!(s.scale_energy(Energy::from_joules(3e-12)).joules(), s.scale_energy_raw(3e-12));
     }
 
     #[test]

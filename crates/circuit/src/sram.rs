@@ -111,28 +111,10 @@ impl SramBuffer {
         self.beats(bytes) as f64 * self.write_energy_per_beat_j
     }
 
-    /// Latency to stream `bytes` through the port.
-    #[must_use]
-    pub fn access_latency_s(&self, bytes: u64) -> Time {
-        self.beats(bytes) as f64 * self.beat_latency_s
-    }
-
     /// Leakage energy over a time window (negative windows clamp to zero).
     #[must_use]
     pub fn leakage_energy_j(&self, window: Time) -> Energy {
         self.leakage_w * window.max(Time::ZERO)
-    }
-
-    /// Checks that `bytes` fits in the buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::CapacityExceeded`] when it does not.
-    pub fn check_fits(&self, bytes: usize) -> Result<()> {
-        if bytes > self.capacity_bytes {
-            return Err(CircuitError::CapacityExceeded { requested: bytes, capacity: self.capacity_bytes });
-        }
-        Ok(())
     }
 }
 
@@ -165,16 +147,6 @@ mod tests {
     fn write_costs_more_than_read() {
         let b = SramBuffer::paper_default();
         assert!(b.write_energy_j(64) > b.read_energy_j(64));
-    }
-
-    #[test]
-    fn capacity_check() {
-        let b = SramBuffer::paper_default();
-        assert!(b.check_fits(65536).is_ok());
-        assert!(matches!(
-            b.check_fits(65537),
-            Err(CircuitError::CapacityExceeded { requested: 65537, capacity: 65536 })
-        ));
     }
 
     #[test]

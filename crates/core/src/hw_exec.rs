@@ -444,6 +444,7 @@ impl HwConv {
     ///
     /// Same as [`HwConv::forward`], and [`Error::Config`] for a batch
     /// larger than 1.
+    // lint: allow(dead-pub) consumer: the EXPERIMENTS.md `hw-inference` analog-noise result.
     pub fn forward_noisy<R: rand::Rng + ?Sized>(
         &self,
         x: &Tensor,
@@ -528,6 +529,7 @@ fn find_tile(partitions: &[Partition], ry: usize, rx: usize, k: usize) -> Result
 /// suite verifies (the two dataflows compute the same mathematics by
 /// construction).
 #[derive(Debug, Clone)]
+// lint: allow(dead-pub) consumer: the ROADMAP ADC item, which reconciles it with `simulate_ws`.
 pub struct HwWsConv {
     in_ch: usize,
     k: usize,

@@ -217,6 +217,7 @@ impl HwGradientUnit {
 /// # Errors
 ///
 /// Propagates [`crate::HwConv`] construction and execution errors.
+// lint: allow(dead-pub) consumer: the ROADMAP training item, which runs the gradient on it.
 pub fn backprop_error_hw(delta_next: &Tensor, weights: &Tensor) -> Result<Tensor> {
     if weights.shape().len() != 4 {
         return Err(Error::Config(format!("expected [N,C,k,k] weights, got {:?}", weights.shape())));

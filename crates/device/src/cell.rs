@@ -62,12 +62,6 @@ impl RramCell {
         self.g_off + self.g_norm * (self.g_on - self.g_off)
     }
 
-    /// The absolute resistance in ohms.
-    #[must_use]
-    pub fn resistance(&self) -> f64 {
-        1.0 / self.conductance()
-    }
-
     /// Number of write pulses this cell has received.
     #[must_use]
     pub fn write_count(&self) -> u64 {
@@ -148,13 +142,13 @@ mod tests {
     #[test]
     fn off_cell_has_off_resistance() {
         let c = RramCell::off(&p());
-        assert!((c.resistance() - 24e6).abs() < 1.0);
+        assert!((1.0 / c.conductance() - 24e6).abs() < 1.0);
     }
 
     #[test]
     fn on_cell_has_on_resistance() {
         let c = RramCell::on(&p());
-        assert!((c.resistance() - 240e3).abs() < 1.0);
+        assert!((1.0 / c.conductance() - 240e3).abs() < 1.0);
     }
 
     #[test]

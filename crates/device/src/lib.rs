@@ -39,7 +39,6 @@ mod noise;
 mod params;
 mod programming;
 mod shared_endurance;
-mod stacking;
 mod structure;
 
 pub use cell::RramCell;
@@ -49,7 +48,6 @@ pub use noise::NoiseModel;
 pub use params::DeviceParams;
 pub use programming::ProgrammingModel;
 pub use shared_endurance::SharedEnduranceTracker;
-pub use stacking::{choose_stacking, StackingLimits, StackingStyle};
 pub use structure::{CellGeometry, CellStructure};
 
 /// Crate-wide result alias.

@@ -78,12 +78,6 @@ impl NoiseModel {
             *v = self.apply(f64::from(*v), rng) as f32;
         }
     }
-
-    /// The paper's sweep of σ values for Table VI.
-    #[must_use]
-    pub fn paper_sweep() -> Vec<NoiseModel> {
-        [0.005, 0.01, 0.02, 0.03, 0.05].iter().map(|&s| NoiseModel::relative(s)).collect()
-    }
 }
 
 impl Default for NoiseModel {
@@ -152,13 +146,6 @@ mod tests {
         let small = n.apply(1.0, &mut rng_a) - 1.0;
         let large = n.apply(100.0, &mut rng_b) - 100.0;
         assert!((large - 100.0 * small).abs() < 1e-9);
-    }
-
-    #[test]
-    fn paper_sweep_matches_table_vi_sigmas() {
-        let sweep = NoiseModel::paper_sweep();
-        let sigmas: Vec<f64> = sweep.iter().map(|n| n.sigma).collect();
-        assert_eq!(sigmas, vec![0.005, 0.01, 0.02, 0.03, 0.05]);
     }
 
     #[test]

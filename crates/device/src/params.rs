@@ -119,12 +119,6 @@ impl DeviceParams {
         1.0 / self.r_off_ohm
     }
 
-    /// On/off conductance ratio; the dynamic range available for encoding.
-    #[must_use]
-    pub fn on_off_ratio(&self) -> f64 {
-        self.r_off_ohm / self.r_on_ohm
-    }
-
     /// Energy of reading a single cell for one read pulse, in joules,
     /// linearly interpolated between the off-cell and on-cell power by the
     /// normalized conductance `g_norm` in `[0, 1]`.
@@ -169,11 +163,6 @@ mod tests {
         assert_eq!(p.off_cell_power_w, 10.42e-9);
         assert_eq!(p.on_cell_power_w, 1.03e-6);
         p.validate().expect("default parameters must be valid");
-    }
-
-    #[test]
-    fn on_off_ratio_is_100() {
-        assert_eq!(DeviceParams::default().on_off_ratio(), 100.0);
     }
 
     #[test]

@@ -57,18 +57,6 @@ impl ProgrammingModel {
         Self { a_potentiation: 1e6, a_depression: 1e6 }
     }
 
-    /// A representative nonideal TaOx/HfOx device.
-    #[must_use]
-    pub fn taox() -> Self {
-        Self { a_potentiation: 0.4, a_depression: 0.6 }
-    }
-
-    /// Whether SET and RESET curves differ.
-    #[must_use]
-    pub fn is_asymmetric(&self) -> bool {
-        (self.a_potentiation - self.a_depression).abs() > f64::EPSILON
-    }
-
     /// Normalized conductance reached after driving the SET curve to pulse
     /// position `p ∈ [0, 1]`.
     #[must_use]
@@ -79,43 +67,6 @@ impl ProgrammingModel {
             return p;
         }
         (1.0 - (-p / a).exp()) / (1.0 - (-1.0 / a).exp())
-    }
-
-    /// Normalized conductance reached after driving the RESET curve to pulse
-    /// position `p ∈ [0, 1]` (starting from fully on at `p = 0`).
-    #[must_use]
-    pub fn reset_curve(&self, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        let a = self.a_depression;
-        if a > 1e4 {
-            return 1.0 - p;
-        }
-        1.0 - (1.0 - (-(1.0 - (1.0 - p)) / a).exp()) / (1.0 - (-1.0 / a).exp())
-    }
-
-    /// The conductance actually landed on when *targeting* `target` with a
-    /// single-shot write-and-verify scheme of `verify_steps` iterations.
-    ///
-    /// More verify iterations shrink the programming error; zero iterations
-    /// returns the raw nonlinear landing point.
-    ///
-    /// Records `1 + verify_steps` [`RramProgramPulse`] telemetry events:
-    /// the initial SET pulse plus one corrective pulse per verify
-    /// iteration.
-    ///
-    /// [`RramProgramPulse`]: inca_telemetry::Event::RramProgramPulse
-    #[must_use]
-    pub fn program_to(&self, target: f64, verify_steps: u32) -> f64 {
-        inca_telemetry::record(inca_telemetry::Event::RramProgramPulse, 1 + u64::from(verify_steps));
-        let target = target.clamp(0.0, 1.0);
-        // Raw landing point: invert the linear assumption through the SET curve.
-        let mut g = self.set_curve(target);
-        for _ in 0..verify_steps {
-            // Each verify iteration halves the residual (first-order model of
-            // closed-loop tuning).
-            g += (target - g) * 0.5;
-        }
-        g
     }
 }
 
@@ -134,23 +85,19 @@ mod tests {
         let m = ProgrammingModel::linear();
         for p in [0.0, 0.25, 0.5, 0.75, 1.0] {
             assert!((m.set_curve(p) - p).abs() < 1e-6);
-            assert!((m.reset_curve(p) - (1.0 - p)).abs() < 1e-6);
         }
-        assert!(!m.is_asymmetric());
     }
 
     #[test]
     fn curves_hit_endpoints() {
-        let m = ProgrammingModel::taox();
+        let m = ProgrammingModel::new(0.4, 0.6);
         assert!((m.set_curve(0.0)).abs() < 1e-9);
         assert!((m.set_curve(1.0) - 1.0).abs() < 1e-9);
-        assert!((m.reset_curve(0.0) - 1.0).abs() < 1e-9);
-        assert!((m.reset_curve(1.0)).abs() < 1e-9);
     }
 
     #[test]
     fn set_curve_is_monotonic() {
-        let m = ProgrammingModel::taox();
+        let m = ProgrammingModel::new(0.4, 0.6);
         let mut prev = -1.0;
         for i in 0..=100 {
             let g = m.set_curve(f64::from(i) / 100.0);
@@ -161,23 +108,8 @@ mod tests {
 
     #[test]
     fn nonlinear_set_overshoots_linear_ramp() {
-        let m = ProgrammingModel::taox();
+        let m = ProgrammingModel::new(0.4, 0.6);
         assert!(m.set_curve(0.3) > 0.3);
-    }
-
-    #[test]
-    fn taox_is_asymmetric() {
-        assert!(ProgrammingModel::taox().is_asymmetric());
-    }
-
-    #[test]
-    fn verify_iterations_reduce_error() {
-        let m = ProgrammingModel::taox();
-        let target = 0.4;
-        let raw = (m.program_to(target, 0) - target).abs();
-        let tuned = (m.program_to(target, 5) - target).abs();
-        assert!(tuned < raw);
-        assert!(tuned < 0.02);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use serde::Serialize;
 
 use crate::{EnduranceReport, EnduranceTracker, Result};
 
@@ -64,18 +63,6 @@ impl SharedEnduranceTracker {
     /// Resets all counters.
     pub fn reset(&self) {
         self.inner.lock().reset();
-    }
-
-    /// Serializes the current state (for experiment JSON output).
-    ///
-    /// # Errors
-    ///
-    /// Propagates serializer errors.
-    pub fn serialize_state<S: serde::Serializer>(
-        &self,
-        serializer: S,
-    ) -> std::result::Result<S::Ok, S::Error> {
-        self.inner.lock().serialize(serializer)
     }
 }
 

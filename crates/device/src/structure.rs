@@ -22,31 +22,6 @@ pub enum CellStructure {
     TwoT1R,
 }
 
-impl CellStructure {
-    /// Number of access transistors per cell.
-    #[must_use]
-    pub fn transistors(self) -> u8 {
-        match self {
-            CellStructure::OneR => 0,
-            CellStructure::OneT1R => 1,
-            CellStructure::TwoT1R => 2,
-        }
-    }
-
-    /// Whether the structure suppresses sneak-path currents.
-    #[must_use]
-    pub fn blocks_sneak_paths(self) -> bool {
-        self.transistors() > 0
-    }
-
-    /// Whether the structure supports a two-dimensional (row × column)
-    /// selection window — the prerequisite for direct convolution (§III-B).
-    #[must_use]
-    pub fn supports_window_select(self) -> bool {
-        matches!(self, CellStructure::TwoT1R)
-    }
-}
-
 /// Physical cell geometry used for the area model (Table II/V).
 ///
 /// The paper's layout results (TSMC 65 nm, scale factor 0.34 to 22 nm):
@@ -58,10 +33,8 @@ impl CellStructure {
 /// use inca_device::CellGeometry;
 ///
 /// let inca = CellGeometry::inca_2t1r();
-/// // 16 vertically stacked INCA cells occupy 0.048 µm² after scaling
-/// // (Table V discussion, §V-B6).
-/// let area_16 = 16.0 * inca.scaled_area_um2(0.34) / 16.0; // per-stack footprint
-/// assert!(area_16 > 0.0);
+/// // The 600 × 700 nm layout occupies 0.42 µm² before scaling.
+/// assert!((inca.area_um2() - 0.42).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CellGeometry {
@@ -93,14 +66,6 @@ impl CellGeometry {
     pub fn area_um2(&self) -> f64 {
         self.width_nm * self.length_nm * 1e-6
     }
-
-    /// Area after applying a linear technology `scale` factor to both
-    /// dimensions (the paper scales 65 nm layouts to 22 nm with factor 0.34,
-    /// §V-A), in µm².
-    #[must_use]
-    pub fn scaled_area_um2(&self, scale: f64) -> f64 {
-        self.area_um2() * scale * scale
-    }
 }
 
 #[cfg(test)]
@@ -108,47 +73,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn transistor_counts() {
-        assert_eq!(CellStructure::OneR.transistors(), 0);
-        assert_eq!(CellStructure::OneT1R.transistors(), 1);
-        assert_eq!(CellStructure::TwoT1R.transistors(), 2);
-    }
-
-    #[test]
-    fn only_2t1r_supports_window_select() {
-        assert!(!CellStructure::OneR.supports_window_select());
-        assert!(!CellStructure::OneT1R.supports_window_select());
-        assert!(CellStructure::TwoT1R.supports_window_select());
-    }
-
-    #[test]
-    fn sneak_path_blocking() {
-        assert!(!CellStructure::OneR.blocks_sneak_paths());
-        assert!(CellStructure::OneT1R.blocks_sneak_paths());
-        assert!(CellStructure::TwoT1R.blocks_sneak_paths());
-    }
-
-    #[test]
     fn inca_cell_area_matches_layout() {
         let g = CellGeometry::inca_2t1r();
         assert!((g.area_um2() - 0.42).abs() < 1e-9); // 0.6 * 0.7 µm²
-    }
-
-    #[test]
-    fn baseline_cell_scaled_area_matches_paper() {
-        // Paper §V-B6: baseline one-cell area 0.030 µm² after scaling.
-        let g = CellGeometry::baseline_1t1r();
-        let scaled = g.scaled_area_um2(0.34);
-        assert!((scaled - 0.0303).abs() < 0.001, "got {scaled}");
-    }
-
-    #[test]
-    fn inca_sixteen_stack_area_matches_paper() {
-        // Paper §V-B6: 16 stacked INCA cells occupy 0.048 µm² of footprint.
-        // The stack shares one footprint, so footprint = scaled cell area.
-        let g = CellGeometry::inca_2t1r();
-        let scaled = g.scaled_area_um2(0.34);
-        assert!((scaled - 0.0486).abs() < 0.002, "got {scaled}");
     }
 
     #[test]

@@ -58,12 +58,6 @@ impl<T> Slab<T> {
         Self { slots: Vec::new(), free_head: None, len: 0 }
     }
 
-    /// An empty slab with room for `cap` values before reallocating.
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        Self { slots: Vec::with_capacity(cap), free_head: None, len: 0 }
-    }
-
     /// Stores `value`, reusing a freed slot when one exists.
     pub fn insert(&mut self, value: T) -> SlabKey {
         if let Some(index) = self.free_head {

@@ -8,9 +8,8 @@
 //! exact; the only delicate balance is `<`/`>` in generics, where `->`
 //! and comparison contexts must not be miscounted.
 //!
-//! Files the parser cannot handle produce `ParseError`s; callers fall
-//! back to the token-level rules for those files and count them in
-//! `LINT_report.json` as `parse_fallback`.
+//! Files the parser cannot handle produce `ParseError`s, and a lint run
+//! that meets one fails with the file and line.
 
 use crate::lexer::{Tok, Token};
 
@@ -75,6 +74,9 @@ pub struct Item {
     pub span: (usize, usize),
     /// Whether the item (or an enclosing one) is `#[cfg(test)]`.
     pub cfg_test: bool,
+    /// Whether the item's visibility is a bare `pub` (not `pub(crate)`
+    /// and friends).
+    pub public: bool,
     /// Nested items (mod / impl / trait bodies).
     pub children: Vec<Item>,
 }
@@ -93,8 +95,7 @@ pub struct ParseError {
 pub struct Ast {
     /// Top-level items in source order.
     pub items: Vec<Item>,
-    /// Recovered errors; non-empty means the file needs the token-rule
-    /// fallback.
+    /// Recovered errors; non-empty means the file did not parse.
     pub errors: Vec<ParseError>,
 }
 
@@ -257,12 +258,14 @@ impl<'a> Parser<'a> {
                 line: self.line(start),
                 span: (start, i - 1),
                 cfg_test,
+                public: false,
                 children: Vec::new(),
             });
         }
 
         // Visibility and qualifiers.
         let mut saw_extern = false;
+        let public = self.ident(i) == Some("pub") && !self.is_punct(i + 1, '(');
         while let Some(id) = self.ident(i) {
             if !QUALIFIERS.contains(&id) {
                 break;
@@ -291,7 +294,7 @@ impl<'a> Parser<'a> {
         }
 
         let kw = self.ident(i)?;
-        match kw {
+        let item = match kw {
             "fn" => self.parse_fn(start, i, end, cfg_test),
             "struct" | "enum" | "union" | "trait" => self.parse_type_item(kw, start, i, end, cfg_test),
             "impl" => self.parse_impl(start, i, end, cfg_test),
@@ -350,7 +353,8 @@ impl<'a> Parser<'a> {
                 }
                 None
             }
-        }
+        };
+        item.map(|item| Item { public, ..item })
     }
 
     fn mk(&self, kind: ItemKind, name: &str, start: usize, end_tok: usize, cfg_test: bool) -> Item {
@@ -360,6 +364,7 @@ impl<'a> Parser<'a> {
             line: self.line(start),
             span: (start, end_tok),
             cfg_test,
+            public: false,
             children: Vec::new(),
         }
     }
@@ -882,6 +887,14 @@ mod tests {
                 ("top_test_helper".to_string(), true)
             ]
         );
+    }
+
+    #[test]
+    fn public_means_bare_pub() {
+        let ast = parse_src("pub fn a() {} pub(crate) fn b() {} fn c() {} #[derive(Debug)] pub struct S;");
+        assert!(ast.is_clean(), "{:?}", ast.errors);
+        let vis: Vec<(&str, bool)> = ast.items.iter().map(|it| (it.name.as_str(), it.public)).collect();
+        assert_eq!(vis, [("a", true), ("b", false), ("c", false), ("S", true)]);
     }
 
     #[test]

@@ -1,0 +1,489 @@
+//! `dead-pub` (L9): public items that nothing names.
+//!
+//! An *item* is a bare-`pub` fn, struct, enum, trait, type alias, const
+//! or static — or a `pub` fn or const of an inherent `impl` — defined in
+//! `crates/*/src` outside `#[cfg(test)]`. It is flagged when no
+//! identifier in any file cargo builds names it, leaving out:
+//!
+//! * its own definition (the item's whole span);
+//! * `impl` headers whose self type it is;
+//! * definitions of the same name anywhere (`fn name`, `struct name`, …);
+//! * `use` and `pub use` lines — a re-export is not a caller;
+//! * the `#[cfg(test)]` code of its own file.
+//!
+//! A path resolves by its last qualifier, as [`SymbolTable::resolve`]
+//! does for calls: `Type::name` (and `Self::name` inside `impl Type`)
+//! names only `Type`'s associated items; `module::name` names only the
+//! free items of the workspace crates or modules called `module`
+//! (a crate is `<dir>` or `inca_<dir>`); `crate::`, `self::` or
+//! `super::` names only the free items of the same crate; and `.name`
+//! names only associated items. A qualifier
+//! the workspace does not define (`std`, the `inca` facade, an alias)
+//! narrows nothing, and an unqualified name matches every item so
+//! named, so the rule errs towards keeping an item alive.
+//!
+//! A waiver on a type covers its inherent items too: the consumer it
+//! names reaches the type through them.
+//!
+//! [`SymbolTable::resolve`]: crate::symbols::SymbolTable::resolve
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use crate::ast::{Item, ItemKind};
+use crate::lexer::Token;
+use crate::rules::{Finding, SourceFile};
+
+/// Keywords whose next identifier is a definition, not a use.
+const DEFINERS: [&str; 9] = ["fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod"];
+
+/// One public item that could be dead.
+struct PubItem<'a> {
+    name: &'a str,
+    kind: &'static str,
+    /// The inherent `impl`'s self type, for associated items.
+    container: Option<&'a str>,
+    /// Crate, file and inline module names the item lives under.
+    modules: BTreeSet<String>,
+    /// Index of the defining file in the item-source list.
+    file: usize,
+    span: (usize, usize),
+}
+
+/// How a reference was qualified.
+enum Qual {
+    /// A bare name or a qualifier that narrows nothing.
+    Any,
+    /// `Type::name`: associated items of `Type` only.
+    Type(String),
+    /// `.name`: a method or field, so associated items only.
+    Member,
+    /// `module::name`: free items under `module` only.
+    Module(String),
+    /// `crate::name`, `self::name`, `super::name`: free items of the
+    /// referencing crate.
+    SameCrate,
+}
+
+/// One identifier that may name an item.
+struct Ref {
+    qual: Qual,
+    /// Index into the combined file list (item sources first).
+    file: usize,
+    tok: usize,
+    in_test: bool,
+}
+
+/// Flags every item of `sources` (the `crates/*/src` files) that no
+/// identifier in `sources` or `consumers` (tests, benches, examples and
+/// the root package) names.
+pub(crate) fn check_dead_pub(sources: &[SourceFile], consumers: &[SourceFile], out: &mut Vec<Finding>) {
+    let mut items = Vec::new();
+    let mut known: BTreeSet<String> = BTreeSet::new();
+    for (idx, file) in sources.iter().enumerate() {
+        let modules = file_modules(file);
+        known.extend(modules.iter().cloned());
+        collect_items(&file.ast.items, idx, &modules, &mut items, &mut known);
+    }
+    let all: Vec<&SourceFile> = sources.iter().chain(consumers).collect();
+    let mut refs: BTreeMap<&str, Vec<Ref>> = BTreeMap::new();
+    for (idx, file) in all.iter().enumerate() {
+        collect_refs(file, idx, &mut refs);
+    }
+    // A waiver on a type covers its inherent items.
+    let waived_types: BTreeSet<(&str, &str)> = items
+        .iter()
+        .filter(|t| matches!(t.kind, "struct" | "enum"))
+        .filter(|t| {
+            let file = &sources[t.file];
+            file.lexed.is_waived("dead-pub", decl_line(&file.lexed.tokens, t.span))
+        })
+        .map(|t| (sources[t.file].crate_name.as_str(), t.name))
+        .collect();
+    for item in &items {
+        let file = &sources[item.file];
+        let covered = item.container.is_some_and(|c| waived_types.contains(&(file.crate_name.as_str(), c)));
+        let live = covered
+            || refs.get(item.name).is_some_and(|rs| {
+                rs.iter().any(|r| {
+                    let own =
+                        r.file == item.file && (r.in_test || (item.span.0..=item.span.1).contains(&r.tok));
+                    !own && names(r, item, &all[r.file].crate_name, &file.crate_name, &known)
+                })
+            });
+        if !live {
+            let path = match item.container {
+                Some(c) => format!("{}::{c}::{}", file.crate_name, item.name),
+                None => format!("{}::{}", file.crate_name, item.name),
+            };
+            let line = decl_line(&file.lexed.tokens, item.span);
+            file.push(
+                out,
+                "dead-pub",
+                line,
+                format!(
+                    "public {} `{path}` is named nowhere outside its definition and its own tests; delete it, or waive it naming the result or ROADMAP item that consumes it",
+                    item.kind
+                ),
+            );
+        }
+    }
+}
+
+/// Whether reference `r` (in crate `ref_crate`) can name `item` (in
+/// crate `item_crate`).
+fn names(r: &Ref, item: &PubItem<'_>, ref_crate: &str, item_crate: &str, known: &BTreeSet<String>) -> bool {
+    match &r.qual {
+        Qual::Any => true,
+        Qual::Type(t) => item.container == Some(t.as_str()),
+        Qual::Member => item.container.is_some(),
+        Qual::Module(m) => item.container.is_none() && (item.modules.contains(m) || !known.contains(m)),
+        Qual::SameCrate => item.container.is_none() && ref_crate == item_crate,
+    }
+}
+
+/// The module names a file's items live under: its crate (`<dir>` and
+/// `inca_<dir>`) and the path below `src/` (`lib`, `main` and `mod`
+/// name no module).
+fn file_modules(file: &SourceFile) -> BTreeSet<String> {
+    let mut out = BTreeSet::from([file.crate_name.clone(), format!("inca_{}", file.crate_name)]);
+    let below = file.rel_path.split_once("/src/").map_or("", |(_, rest)| rest);
+    for seg in below.split('/') {
+        let seg = seg.strip_suffix(".rs").unwrap_or(seg);
+        if !matches!(seg, "lib" | "main" | "mod" | "") {
+            out.insert(seg.to_string());
+        }
+    }
+    out
+}
+
+fn collect_items<'a>(
+    items: &'a [Item],
+    file: usize,
+    modules: &BTreeSet<String>,
+    out: &mut Vec<PubItem<'a>>,
+    known: &mut BTreeSet<String>,
+) {
+    for it in items.iter().filter(|it| !it.cfg_test) {
+        let push = |out: &mut Vec<PubItem<'a>>, it: &'a Item, kind, container| {
+            out.push(PubItem {
+                name: &it.name,
+                kind,
+                container,
+                modules: modules.clone(),
+                file,
+                span: it.span,
+            });
+        };
+        match &it.kind {
+            ItemKind::Mod => {
+                known.insert(it.name.clone());
+                let mut inner = modules.clone();
+                inner.insert(it.name.clone());
+                collect_items(&it.children, file, &inner, out, known);
+            }
+            ItemKind::Impl { type_name, trait_name: None } => {
+                for m in it.children.iter().filter(|m| m.public && !m.cfg_test) {
+                    match m.kind {
+                        ItemKind::Fn { .. } => push(out, m, "method", Some(type_name.as_str())),
+                        ItemKind::Const => push(out, m, "const", Some(type_name.as_str())),
+                        _ => {}
+                    }
+                }
+            }
+            _ if !it.public => {}
+            ItemKind::Fn { .. } => push(out, it, "fn", None),
+            ItemKind::Struct => push(out, it, "struct", None),
+            ItemKind::Enum => push(out, it, "enum", None),
+            ItemKind::Trait => push(out, it, "trait", None),
+            ItemKind::TypeAlias => push(out, it, "type", None),
+            ItemKind::Const => push(out, it, "const", None),
+            ItemKind::Static => push(out, it, "static", None),
+            _ => {}
+        }
+    }
+}
+
+/// Records every identifier of `file` that may name an item.
+fn collect_refs<'f>(file: &'f SourceFile, idx: usize, refs: &mut BTreeMap<&'f str, Vec<Ref>>) {
+    let toks = &file.lexed.tokens;
+    let mut in_test = vec![false; toks.len()];
+    let mut skip = vec![false; toks.len()];
+    // (body start, body end, self type) of every impl, for `Self::`.
+    let mut impls: Vec<(usize, usize, &str)> = Vec::new();
+    file.ast.walk(&mut |it| {
+        if it.cfg_test {
+            in_test[it.span.0..=it.span.1].fill(true);
+        }
+        if let ItemKind::Impl { type_name, .. } = &it.kind {
+            let kw = (it.span.0..=it.span.1).find(|&i| toks[i].ident() == Some("impl")).unwrap_or(it.span.0);
+            let open = (kw..=it.span.1).find(|&i| toks[i].is_punct('{')).unwrap_or(it.span.1);
+            for i in kw..open {
+                if toks[i].ident() == Some(type_name.as_str()) {
+                    skip[i] = true;
+                }
+            }
+            impls.push((open, it.span.1, type_name));
+        }
+    });
+    let mut i = 0usize;
+    while i < toks.len() {
+        let Some(name) = toks[i].ident() else {
+            i += 1;
+            continue;
+        };
+        // `use<'a>` is a precise-capturing bound, not a declaration.
+        if name == "use" && !toks.get(i + 1).is_some_and(|t| t.is_punct('<')) {
+            i = use_end(toks, i) + 1;
+            continue;
+        }
+        let prev = |k: usize| i.checked_sub(k).and_then(|j| toks.get(j));
+        let defined = prev(1).and_then(Token::ident).is_some_and(|p| DEFINERS.contains(&p))
+            || (prev(1).and_then(Token::ident) == Some("mut")
+                && prev(2).and_then(Token::ident) == Some("static"))
+            || (prev(1).is_some_and(|t| t.is_punct('!'))
+                && prev(2).and_then(Token::ident) == Some("macro_rules"));
+        if !skip[i] && !defined {
+            let qualified =
+                prev(1).is_some_and(|t| t.is_punct(':')) && prev(2).is_some_and(|t| t.is_punct(':'));
+            let qual = if prev(1).is_some_and(|t| t.is_punct('.')) {
+                Qual::Member
+            } else if !qualified {
+                Qual::Any
+            } else {
+                match prev(3).and_then(Token::ident) {
+                    Some("Self") => impls
+                        .iter()
+                        .filter(|(s, e, _)| (*s..=*e).contains(&i))
+                        .max_by_key(|(s, _, _)| *s)
+                        .map_or(Qual::Any, |(_, _, t)| Qual::Type((*t).to_string())),
+                    Some("crate" | "self" | "super") => Qual::SameCrate,
+                    Some(q) if q.starts_with(|c: char| c.is_uppercase()) => Qual::Type(q.to_string()),
+                    Some(q) => Qual::Module(q.to_string()),
+                    None => Qual::Any,
+                }
+            };
+            refs.entry(name).or_default().push(Ref { qual, file: idx, tok: i, in_test: in_test[i] });
+        }
+        i += 1;
+    }
+}
+
+/// The `;` ending the `use` declaration that starts at `i`.
+fn use_end(toks: &[Token], i: usize) -> usize {
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().skip(i) {
+        if t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct('}') {
+            depth = depth.saturating_sub(1);
+        } else if t.is_punct(';') && depth == 0 {
+            return j;
+        }
+    }
+    toks.len()
+}
+
+/// The line of an item's first token after its attributes — the line a
+/// waiver sits on or above.
+fn decl_line(toks: &[Token], span: (usize, usize)) -> u32 {
+    let mut i = span.0;
+    while toks[i].is_punct('#') && i < span.1 {
+        let mut depth = 0usize;
+        while i < span.1 {
+            if toks[i].is_punct('[') {
+                depth += 1;
+            } else if toks[i].is_punct(']') {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            i += 1;
+        }
+        i += 1;
+    }
+    toks[i].line
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `(rel_path, crate, src)` triples, item sources first; returns the
+    /// flagged item paths.
+    fn flagged(sources: &[(&str, &str, &str)], consumers: &[(&str, &str, &str)]) -> Vec<String> {
+        let mk = |(rel, krate, src): &(&str, &str, &str)| {
+            let name = rel.rsplit('/').next().unwrap_or(rel);
+            SourceFile::new(rel, krate, name, src)
+        };
+        let sources: Vec<SourceFile> = sources.iter().map(mk).collect();
+        let consumers: Vec<SourceFile> = consumers.iter().map(mk).collect();
+        let mut out = Vec::new();
+        check_dead_pub(&sources, &consumers, &mut out);
+        out.iter()
+            .filter(|f| !f.waived)
+            .map(|f| f.message.split('`').nth(1).unwrap_or("").to_string())
+            .collect()
+    }
+
+    #[test]
+    fn a_re_export_alone_is_not_a_use() {
+        let lib = "mod inner; pub use inner::Only;";
+        let inner = "pub struct Only;";
+        let got = flagged(&[("crates/a/src/lib.rs", "a", lib), ("crates/a/src/inner.rs", "a", inner)], &[]);
+        assert_eq!(got, ["a::Only"]);
+        let user = "use inca_a::Only; fn main() { let _ = Only; }";
+        let got = flagged(
+            &[("crates/a/src/lib.rs", "a", lib), ("crates/a/src/inner.rs", "a", inner)],
+            &[("crates/a/tests/t.rs", "a", user)],
+        );
+        assert!(got.is_empty(), "{got:?}");
+    }
+
+    #[test]
+    fn a_module_qualifier_picks_its_own_crate() {
+        let got = flagged(
+            &[
+                ("crates/a/src/lib.rs", "a", "pub fn f() {}"),
+                ("crates/b/src/lib.rs", "b", "pub fn f() {}"),
+                ("crates/c/src/lib.rs", "c", "pub fn g() { inca_a::f(); } pub fn h() { g(); }"),
+            ],
+            &[("tests/t.rs", "", "fn main() { inca_c::h(); }")],
+        );
+        assert_eq!(got, ["b::f"]);
+    }
+
+    #[test]
+    fn a_type_qualifier_picks_its_own_impl() {
+        let src = "
+            pub fn sweep() {}
+            pub struct Noise;
+            impl Noise { pub fn sweep() {} }
+        ";
+        let got = flagged(
+            &[("crates/a/src/lib.rs", "a", src)],
+            &[("crates/a/tests/t.rs", "a", "fn main() { inca_a::Noise::sweep(); }")],
+        );
+        assert_eq!(got, ["a::sweep"]);
+    }
+
+    #[test]
+    fn a_type_in_a_live_signature_of_its_own_file_is_live() {
+        let src = "pub struct Config; pub fn run(c: Config) {}";
+        let got =
+            flagged(&[("crates/a/src/lib.rs", "a", src)], &[("examples/e.rs", "", "fn main() { run(x); }")]);
+        assert!(got.is_empty(), "{got:?}");
+        // Without a caller only `run` is flagged; `Config` follows once
+        // `run` is deleted.
+        assert_eq!(flagged(&[("crates/a/src/lib.rs", "a", src)], &[]), ["a::run"]);
+    }
+
+    #[test]
+    fn a_trait_used_only_by_another_crates_impl_is_live() {
+        let got = flagged(
+            &[
+                ("crates/a/src/lib.rs", "a", "pub trait Layer { fn go(&self); }"),
+                ("crates/b/src/lib.rs", "b", "struct X; impl inca_a::Layer for X { fn go(&self) {} }"),
+            ],
+            &[],
+        );
+        assert!(got.is_empty(), "{got:?}");
+    }
+
+    #[test]
+    fn an_impl_header_is_not_a_use_of_its_self_type() {
+        let src = "
+            pub struct Lone;
+            impl Lone { fn private(&self) {} }
+            impl Clone for Lone { fn clone(&self) -> Self { Self } }
+        ";
+        assert_eq!(flagged(&[("crates/a/src/lib.rs", "a", src)], &[]), ["a::Lone"]);
+    }
+
+    #[test]
+    fn uses_in_other_files_tests_integration_tests_benches_and_examples_are_live() {
+        let lib = "pub fn probe() {}";
+        let other_test = "pub fn x() {} #[cfg(test)] mod tests { #[test] fn t() { crate::probe(); } }";
+        let got = flagged(&[("crates/a/src/lib.rs", "a", lib), ("crates/a/src/x.rs", "a", other_test)], &[]);
+        assert_eq!(got, ["a::x"]);
+        for consumer in
+            ["crates/a/tests/t.rs", "crates/a/benches/b.rs", "crates/a/examples/e.rs", "tests/t.rs"]
+        {
+            let got = flagged(
+                &[("crates/a/src/lib.rs", "a", lib)],
+                &[(consumer, "a", "fn main() { inca_a::probe(); }")],
+            );
+            assert!(got.is_empty(), "{consumer}: {got:?}");
+        }
+    }
+
+    #[test]
+    fn a_use_only_in_its_own_tests_is_not() {
+        let src = "
+            pub fn oracle() -> u32 { oracle_inner() }
+            fn oracle_inner() -> u32 { 1 }
+            #[cfg(test)]
+            mod tests {
+                #[test]
+                fn t() { assert_eq!(super::oracle(), 1); }
+            }
+        ";
+        assert_eq!(flagged(&[("crates/a/src/lib.rs", "a", src)], &[]), ["a::oracle"]);
+    }
+
+    #[test]
+    fn recursion_and_same_named_definitions_are_not_uses() {
+        let got = flagged(
+            &[
+                ("crates/a/src/lib.rs", "a", "pub fn walk(n: u32) { if n > 0 { walk(n - 1) } }"),
+                ("crates/b/src/lib.rs", "b", "pub struct Walker; impl Walker { fn walk(&self) {} }"),
+            ],
+            &[("crates/b/tests/t.rs", "b", "fn main() { let w = inca_b::Walker; }")],
+        );
+        assert_eq!(got, ["a::walk"]);
+    }
+
+    #[test]
+    fn self_qualifier_resolves_to_the_impl_type() {
+        let src = "
+            pub struct A;
+            impl A { pub fn new() -> Self { Self::make() } pub fn make() -> Self { A } }
+            pub struct B;
+            impl B { pub fn make() -> Self { B } }
+        ";
+        let got = flagged(
+            &[("crates/a/src/lib.rs", "a", src)],
+            &[("crates/a/tests/t.rs", "a", "fn main() { inca_a::A::new(); inca_a::B; }")],
+        );
+        assert_eq!(got, ["a::B::make"]);
+    }
+
+    #[test]
+    fn a_member_access_names_only_associated_items() {
+        let src = "pub fn summarize() {} pub struct E; impl E { pub fn summarize(&self) {} }";
+        let got = flagged(
+            &[("crates/a/src/lib.rs", "a", src)],
+            &[("crates/a/tests/t.rs", "a", "fn main(e: inca_a::E) { e.summarize(); }")],
+        );
+        assert_eq!(got, ["a::summarize"]);
+    }
+
+    #[test]
+    fn waivers_keep_named_consumers_and_cover_a_types_impl() {
+        let src = "
+            // lint: allow(dead-pub) consumer: EXPERIMENTS.md hw-inference
+            pub fn kept() {}
+            #[must_use]
+            pub fn gone() -> u32 { 0 }
+            #[derive(Debug)]
+            // lint: allow(dead-pub) consumer: a ROADMAP item
+            pub struct Planned;
+            impl Planned { pub fn new() -> Self { Self } }
+        ";
+        let file = SourceFile::new("crates/a/src/lib.rs", "a", "lib.rs", src);
+        let mut out = Vec::new();
+        check_dead_pub(std::slice::from_ref(&file), &[], &mut out);
+        let got: Vec<(u32, bool)> = out.iter().map(|f| (f.line, f.waived)).collect();
+        assert_eq!(got, [(3, true), (5, false), (8, true)]);
+    }
+}

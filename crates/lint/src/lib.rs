@@ -4,37 +4,35 @@
 //!
 //! 1. **lex** (`lexer`) — tokens, waiver comments, `// SAFETY:` lines;
 //! 2. **parse** (`ast`) — an item-level AST per file (fns, impls,
-//!    structs, enums, use-trees) with error recovery; files the parser
-//!    cannot handle fall back to token rules and are counted in the
-//!    report's `parse_fallback` field;
-//! 3. **per-file rules** (`rules`) — `raw-unit`, `determinism` (AST
-//!    mode with token fallback), `panic-path`, `telemetry-ownership`,
-//!    `safety-comment`, `event-coverage`;
-//! 4. **workspace semantics** (`symbols`, `callgraph`, `taint`) — a
-//!    symbol table over every crate, a conservative call graph, and the
-//!    `determinism-taint` pass that propagates nondeterminism sources
-//!    to report-serialization sinks, printing full source → sink call
-//!    chains;
+//!    structs, enums, use-trees); a file the parser cannot recover
+//!    cleanly fails the run;
+//! 3. **per-file rules** (`rules`) — `raw-unit`, `determinism`,
+//!    `panic-path`, `telemetry-ownership`, `safety-comment`,
+//!    `event-coverage`;
+//! 4. **workspace semantics** (`symbols`, `callgraph`, `taint`,
+//!    `deadpub`) — a symbol table over every crate, a conservative call
+//!    graph, the `determinism-taint` pass that propagates
+//!    nondeterminism sources to report-serialization sinks, printing
+//!    full source → sink call chains, and the `dead-pub` pass over every
+//!    file cargo builds;
 //! 5. **waiver audit** (`rules::check_stale_waivers`) — the global
 //!    `stale-waiver` rule flags `lint: allow(..)` comments that no
 //!    longer suppress anything.
 //!
-//! The analyzer is dependency-free and deterministic: file scanning can
-//! be parallelized with `--workers N` (contiguous chunks, index-ordered
-//! collection), and the emitted `LINT_report.json`/SARIF artifacts are
-//! byte-identical for any worker count. Run it with
-//! `cargo run -p inca-lint`; it exits non-zero when any unwaived
-//! violation exists.
+//! The analyzer is dependency-free and deterministic: the emitted
+//! `LINT_report.json` is byte-identical across runs of the same tree.
+//! Run it with `cargo run -p inca-lint`; it exits non-zero when any
+//! unwaived violation exists.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;
 pub mod callgraph;
+mod deadpub;
 pub mod lexer;
 pub mod report;
 pub mod rules;
-pub mod sarif;
 pub mod symbols;
 pub mod taint;
 
@@ -50,10 +48,8 @@ use symbols::SymbolTable;
 pub struct LintRun {
     /// All findings (violations and waived), sorted by file, line, rule.
     pub findings: Vec<Finding>,
-    /// Number of `.rs` files scanned.
+    /// Number of `crates/*/src` files scanned.
     pub files_scanned: usize,
-    /// Files whose AST had parse errors, analyzed with token rules only.
-    pub parse_fallback: usize,
 }
 
 impl LintRun {
@@ -71,109 +67,108 @@ impl LintRun {
 ///
 /// Returns a message naming the unreadable directory.
 pub fn collect_sources(root: &Path) -> Result<Vec<(String, PathBuf)>, String> {
-    let crates_dir = root.join("crates");
     let mut out = Vec::new();
-    let entries =
-        std::fs::read_dir(&crates_dir).map_err(|e| format!("cannot read {}: {e}", crates_dir.display()))?;
-    let mut crate_dirs: Vec<PathBuf> =
-        entries.filter_map(std::result::Result::ok).map(|e| e.path()).filter(|p| p.is_dir()).collect();
-    crate_dirs.sort();
-    for dir in crate_dirs {
-        let Some(name) = dir.file_name().and_then(|n| n.to_str()).map(String::from) else {
-            continue;
-        };
-        let src = dir.join("src");
-        if src.is_dir() {
-            let mut files = Vec::new();
-            walk_rs(&src, &mut files)?;
-            files.sort();
-            out.extend(files.into_iter().map(|f| (name.clone(), f)));
-        }
+    for (name, dir) in crate_dirs(root)? {
+        walk_rs(&dir.join("src"), &name, &mut out)?;
     }
     Ok(out)
 }
 
-fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    for entry in entries.filter_map(std::result::Result::ok) {
-        let p = entry.path();
-        if p.is_dir() {
-            walk_rs(&p, out)?;
-        } else if p.extension().is_some_and(|e| e == "rs") {
-            out.push(p);
+/// Collects the other `.rs` files cargo builds, whose identifiers can
+/// name a public item: `crates/<name>/{tests,benches,examples}` and the
+/// root package's `src`, `tests` and `examples` (root files carry an
+/// empty crate name).
+fn collect_consumers(root: &Path) -> Result<Vec<(String, PathBuf)>, String> {
+    let mut out = Vec::new();
+    for (name, dir) in crate_dirs(root)? {
+        for sub in ["tests", "benches", "examples"] {
+            walk_rs(&dir.join(sub), &name, &mut out)?;
         }
+    }
+    for sub in ["src", "tests", "examples"] {
+        walk_rs(&root.join(sub), "", &mut out)?;
+    }
+    Ok(out)
+}
+
+/// `(name, path)` of every directory under `root/crates`, sorted.
+fn crate_dirs(root: &Path) -> Result<Vec<(String, PathBuf)>, String> {
+    let crates_dir = root.join("crates");
+    let entries =
+        std::fs::read_dir(&crates_dir).map_err(|e| format!("cannot read {}: {e}", crates_dir.display()))?;
+    let mut dirs: Vec<(String, PathBuf)> = entries
+        .filter_map(std::result::Result::ok)
+        .map(|e| e.path())
+        .filter(|p| p.is_dir())
+        .filter_map(|p| Some((p.file_name()?.to_str()?.to_string(), p)))
+        .collect();
+    dirs.sort();
+    Ok(dirs)
+}
+
+/// Appends the `.rs` files under `dir` (if it exists), sorted, skipping
+/// `fixtures` directories: they hold workspaces of their own, which
+/// cargo does not build.
+fn walk_rs(dir: &Path, crate_name: &str, out: &mut Vec<(String, PathBuf)>) -> Result<(), String> {
+    fn go(dir: &Path, files: &mut Vec<PathBuf>) -> Result<(), String> {
+        let entries = std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+        for entry in entries.filter_map(std::result::Result::ok) {
+            let p = entry.path();
+            if p.is_dir() {
+                if !p.ends_with("fixtures") {
+                    go(&p, files)?;
+                }
+            } else if p.extension().is_some_and(|e| e == "rs") {
+                files.push(p);
+            }
+        }
+        Ok(())
+    }
+    if dir.is_dir() {
+        let mut files = Vec::new();
+        go(dir, &mut files)?;
+        files.sort();
+        out.extend(files.into_iter().map(|f| (crate_name.to_string(), f)));
     }
     Ok(())
 }
 
-/// Order-preserving parallel map over contiguous chunks: chunk `k` of
-/// the input produces chunk `k` of the output, so the result is
-/// byte-identical to the sequential map for any worker count.
-fn par_map<T: Sync, R: Send>(items: &[T], workers: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let workers = workers.clamp(1, items.len().max(1));
-    if workers == 1 {
-        return items.iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(workers);
-    let f = &f;
-    let mut out: Vec<R> = Vec::with_capacity(items.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> =
-            items.chunks(chunk).map(|c| s.spawn(move || c.iter().map(f).collect::<Vec<R>>())).collect();
-        for h in handles {
-            match h.join() {
-                Ok(v) => out.extend(v),
-                Err(p) => std::panic::resume_unwind(p),
-            }
+/// Reads, lexes and parses each file.
+///
+/// # Errors
+///
+/// Returns a message naming a file that cannot be read, or the file and
+/// line where the parser could not recover.
+fn load(root: &Path, paths: Vec<(String, PathBuf)>) -> Result<Vec<SourceFile>, String> {
+    let mut files = Vec::with_capacity(paths.len());
+    for (crate_name, path) in paths {
+        let src =
+            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
+        let file_name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+        let file = SourceFile::new(&rel, &crate_name, file_name, &src);
+        if let Some(e) = file.ast.errors.first() {
+            return Err(format!("cannot parse {rel}:{}: {}", e.line, e.message));
         }
-    });
-    out
+        files.push(file);
+    }
+    Ok(files)
 }
 
-/// Runs the full pipeline over the workspace at `root` with one worker.
+/// Runs the full pipeline over the workspace at `root`.
 ///
 /// `owners` is `None` when no ownership map is available (the
 /// telemetry-ownership rule is then skipped).
 ///
 /// # Errors
 ///
-/// Returns a message if the source tree cannot be read.
+/// Returns a message if the source tree cannot be read or a file does
+/// not parse.
 pub fn run(root: &Path, owners: Option<&OwnershipMap>) -> Result<LintRun, String> {
-    run_with_workers(root, owners, 1)
-}
+    let files = load(root, collect_sources(root)?)?;
+    let consumers = load(root, collect_consumers(root)?)?;
 
-/// Runs the full pipeline with `workers` threads for the per-file
-/// stages (lex/parse and rule checks). The workspace-semantic passes
-/// (symbol table, call graph, taint, stale-waiver audit) are cheap and
-/// stay sequential; output is byte-identical for any worker count.
-///
-/// # Errors
-///
-/// Returns a message if the source tree cannot be read.
-pub fn run_with_workers(
-    root: &Path,
-    owners: Option<&OwnershipMap>,
-    workers: usize,
-) -> Result<LintRun, String> {
-    let sources = collect_sources(root)?;
-    let files_scanned = sources.len();
-
-    // Stage 1+2: read, lex, parse — per-file, parallel.
-    let mut inputs: Vec<(String, String, String, String)> = Vec::with_capacity(sources.len());
-    for (crate_name, path) in sources {
-        let src =
-            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
-        let file_name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default().to_string();
-        inputs.push((crate_name, rel, file_name, src));
-    }
-    let files: Vec<SourceFile> = par_map(&inputs, workers, |(crate_name, rel, file_name, src)| {
-        SourceFile::new(rel, crate_name, file_name, src)
-    });
-    let parse_fallback = files.iter().filter(|f| !f.ast.is_clean()).count();
-
-    // Workspace symbols and call graph (partial ASTs of fallback files
-    // still contribute the items parsed before the first error).
+    // Workspace symbols and call graph.
     let meta: Vec<(String, String)> =
         files.iter().map(|f| (f.crate_name.clone(), f.rel_path.clone())).collect();
     let pairs: Vec<(&Ast, &[Token])> = files.iter().map(|f| (&f.ast, f.lexed.tokens.as_slice())).collect();
@@ -181,32 +176,31 @@ pub fn run_with_workers(
     let streams: Vec<&[Token]> = files.iter().map(|f| f.lexed.tokens.as_slice()).collect();
     let graph = CallGraph::build(&table, &streams);
 
-    // Stage 3: per-file rules — parallel, index-ordered.
-    let per_file: Vec<Vec<Finding>> = par_map(&files, workers, |file| {
-        let mut out = Vec::new();
-        rules::check_raw_unit(file, &mut out);
-        rules::check_determinism(file, Some(&table), &mut out);
-        rules::check_panic_path(file, &mut out);
-        rules::check_safety_comment(file, &mut out);
+    // Stage 3: per-file rules.
+    let mut findings = Vec::new();
+    for file in &files {
+        rules::check_raw_unit(file, &mut findings);
+        rules::check_determinism(file, &table, &mut findings);
+        rules::check_panic_path(file, &mut findings);
+        rules::check_safety_comment(file, &mut findings);
         if let Some(map) = owners {
-            rules::check_telemetry_ownership(file, map, &mut out);
+            rules::check_telemetry_ownership(file, map, &mut findings);
             if file.crate_name == "telemetry" && file.file_name == "event.rs" {
-                rules::check_event_coverage(file, map, &mut out);
+                rules::check_event_coverage(file, map, &mut findings);
             }
         }
-        out
-    });
-    let mut findings: Vec<Finding> = per_file.into_iter().flatten().collect();
+    }
 
-    // Stage 4: the determinism taint pass (workspace-global).
+    // Stage 4: the workspace-global passes.
     let lexeds: Vec<&Lexed> = files.iter().map(|f| &f.lexed).collect();
     taint::run(&table, &graph, &streams, &lexeds, &mut findings);
+    deadpub::check_dead_pub(&files, &consumers, &mut findings);
 
     // Stage 5: the stale-waiver audit sees every finding above.
     rules::check_stale_waivers(&files, &mut findings);
 
     findings.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-    Ok(LintRun { findings, files_scanned, parse_fallback })
+    Ok(LintRun { findings, files_scanned: files.len() })
 }
 
 /// Loads the telemetry ownership map from a DESIGN.md-style file.

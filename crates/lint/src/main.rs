@@ -1,15 +1,14 @@
 //! The `inca-lint` command line.
 //!
 //! ```text
-//! inca-lint [--root DIR] [--ownership FILE] [--report FILE]
-//!           [--sarif FILE] [--workers N] [--quiet]
+//! inca-lint [--root DIR] [--ownership FILE] [--report FILE] [--quiet]
 //! ```
 //!
 //! Scans `crates/*/src/**/*.rs` under `--root` (default: the current
-//! directory), prints findings, optionally writes `LINT_report.json`
-//! and a SARIF 2.1.0 artifact, and exits 1 if any unwaived violation
-//! remains. `--workers 0` sizes the thread pool to the host; the
-//! emitted artifacts are byte-identical for any worker count.
+//! directory) — plus the tests, benches and examples cargo builds, for
+//! the uses `dead-pub` needs — prints findings, optionally writes
+//! `LINT_report.json`, and exits 1 if any unwaived violation remains
+//! and 2 if a file cannot be read or parsed.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -18,8 +17,6 @@ fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut ownership: Option<PathBuf> = None;
     let mut report_path: Option<PathBuf> = None;
-    let mut sarif_path: Option<PathBuf> = None;
-    let mut workers = 1usize;
     let mut quiet = false;
 
     let mut args = std::env::args().skip(1);
@@ -37,15 +34,6 @@ fn main() -> ExitCode {
                 Some(v) => report_path = Some(PathBuf::from(v)),
                 None => return usage("--report needs a file"),
             },
-            "--sarif" => match args.next() {
-                Some(v) => sarif_path = Some(PathBuf::from(v)),
-                None => return usage("--sarif needs a file"),
-            },
-            "--workers" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(0) => workers = std::thread::available_parallelism().map_or(1, usize::from),
-                Some(n) => workers = n,
-                None => return usage("--workers needs a non-negative integer"),
-            },
             "--quiet" => quiet = true,
             "--help" | "-h" => return usage(""),
             other => return usage(&format!("unknown argument `{other}`")),
@@ -61,7 +49,7 @@ fn main() -> ExitCode {
         );
     }
 
-    let run = match inca_lint::run_with_workers(&root, owners.as_ref(), workers) {
+    let run = match inca_lint::run(&root, owners.as_ref()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("inca-lint: {e}");
@@ -77,24 +65,16 @@ fn main() -> ExitCode {
         }
         let waived = run.findings.len() - violations.len();
         println!(
-            "inca-lint: {} files, {} violation(s), {} waived, {} parse fallback(s)",
+            "inca-lint: {} files, {} violation(s), {} waived",
             run.files_scanned,
             violations.len(),
-            waived,
-            run.parse_fallback
+            waived
         );
     }
 
     if let Some(path) = report_path {
-        let json = inca_lint::report::render(&run.findings, run.files_scanned, run.parse_fallback);
+        let json = inca_lint::report::render(&run.findings, run.files_scanned);
         if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("inca-lint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(path) = sarif_path {
-        let doc = inca_lint::sarif::render(&run.findings);
-        if let Err(e) = std::fs::write(&path, doc) {
             eprintln!("inca-lint: cannot write {}: {e}", path.display());
             return ExitCode::from(2);
         }
@@ -111,9 +91,7 @@ fn usage(err: &str) -> ExitCode {
     if !err.is_empty() {
         eprintln!("inca-lint: {err}");
     }
-    eprintln!(
-        "usage: inca-lint [--root DIR] [--ownership FILE] [--report FILE] [--sarif FILE] [--workers N] [--quiet]"
-    );
+    eprintln!("usage: inca-lint [--root DIR] [--ownership FILE] [--report FILE] [--quiet]");
     if err.is_empty() {
         ExitCode::SUCCESS
     } else {

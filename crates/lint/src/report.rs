@@ -7,7 +7,7 @@
 use crate::rules::Finding;
 
 /// The rules in report order.
-pub const RULES: [&str; 8] = [
+pub const RULES: [&str; 9] = [
     "raw-unit",
     "determinism",
     "determinism-taint",
@@ -15,6 +15,7 @@ pub const RULES: [&str; 8] = [
     "telemetry-ownership",
     "safety-comment",
     "event-coverage",
+    "dead-pub",
     "stale-waiver",
 ];
 
@@ -45,15 +46,12 @@ fn finding_json(f: &Finding, indent: &str) -> String {
 }
 
 /// Renders the full report. `findings` must already be sorted.
-/// `parse_fallback` counts files the parser could not fully handle
-/// (analyzed with token rules only).
 #[must_use]
-pub fn render(findings: &[Finding], files_scanned: usize, parse_fallback: usize) -> String {
+pub fn render(findings: &[Finding], files_scanned: usize) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"report\": \"inca-lint\",\n");
     s.push_str(&format!("  \"files_scanned\": {files_scanned},\n"));
-    s.push_str(&format!("  \"parse_fallback\": {parse_fallback},\n"));
 
     s.push_str("  \"rules\": [\n");
     for (i, rule) in RULES.iter().enumerate() {
@@ -101,10 +99,9 @@ mod tests {
                 waived: true,
             },
         ];
-        let json = render(&findings, 1, 0);
+        let json = render(&findings, 1);
         assert!(json.contains("\"rule\": \"panic-path\", \"violations\": 1, \"waived\": 1"));
         assert!(json.contains("\"files_scanned\": 1"));
-        assert!(json.contains("\"parse_fallback\": 0"));
         // All rules present even when empty.
         for rule in RULES {
             assert!(json.contains(&format!("\"rule\": \"{rule}\"")), "{rule}");

@@ -5,12 +5,10 @@
 //!   `inca-units` newtype, not a bare `f64`/`f32`.
 //! * `determinism` (L2) — report-producing crates (`inca-sim`,
 //!   `inca-serve`, `inca-net`) must not read wall clocks or entropy, and
-//!   report-path modules must not iterate hash-ordered collections.
-//!   When the file parses cleanly this runs in *semantic* mode over the
-//!   AST + symbol table (covers `use .. as ..` aliases and local `let`
-//!   rebindings of hash-typed fields, honors the sort-before-serialize
-//!   sanitizer); otherwise it falls back to the original token rule
-//!   (any `HashMap` mention) and the file counts as a parse fallback.
+//!   report-path modules must not iterate hash-ordered collections. The
+//!   iteration check runs over the AST + symbol table (covers
+//!   `use .. as ..` aliases and local `let` rebindings of hash-typed
+//!   fields, honors the sort-before-serialize sanitizer).
 //! * `panic-path` (L3) — library code must not call `unwrap`/`expect`
 //!   or invoke `panic!`-family macros outside `#[cfg(test)]`.
 //! * `telemetry-ownership` (L4) — `record(Event::…)`/`incr(Event::…)`
@@ -26,6 +24,8 @@
 //!   must still suppress at least one finding (of any rule, including
 //!   the `determinism-taint` pass in `taint.rs`, which is L7); a waiver
 //!   that no longer bites is dead documentation and must be removed.
+//! * `dead-pub` (L9, global) — lives in `deadpub.rs`: a public item
+//!   that nothing names outside its own definition and tests.
 //!
 //! Every rule is waivable per line with `// lint: allow(rule-name)` —
 //! on the offending line or the line directly above. Waived findings
@@ -82,8 +82,7 @@ pub struct SourceFile {
     pub lexed: Lexed,
     /// Token indices inside `#[cfg(test)]` items (excluded from rules).
     pub test_mask: Vec<bool>,
-    /// Item-level AST; `!ast.is_clean()` means the semantic passes fall
-    /// back to token rules for this file (counted as a parse fallback).
+    /// Item-level AST (a lint run fails on a file with parse errors).
     pub ast: crate::ast::Ast,
 }
 
@@ -109,7 +108,7 @@ impl SourceFile {
     }
 
     /// Records a finding, consulting the waiver map.
-    fn push(&self, out: &mut Vec<Finding>, rule: &'static str, line: u32, message: String) {
+    pub(crate) fn push(&self, out: &mut Vec<Finding>, rule: &'static str, line: u32, message: String) {
         out.push(Finding {
             rule,
             file: self.rel_path.clone(),
@@ -331,17 +330,12 @@ fn field_type(toks: &[Token], i: usize) -> Vec<String> {
 
 /// L2: determinism in report-producing crates.
 ///
-/// Clock/entropy idents are flagged from the token stream in both
-/// modes (they are unambiguous wherever they appear, `use` lines
-/// included). The hash-collection check depends on the mode:
-///
-/// * **semantic** (`table` present and the file parsed cleanly) —
-///   only *iteration* of a hash-typed value is flagged, resolved
-///   through `use .. as ..` aliases, struct fields and `let`
-///   rebindings, with the sort-before-serialize sanitizer honored;
-/// * **token fallback** — any `HashMap` mention on a report path, the
-///   original coarse rule (aliases invisible, declarations flagged).
-pub fn check_determinism(file: &SourceFile, table: Option<&SymbolTable>, out: &mut Vec<Finding>) {
+/// Clock/entropy idents are flagged from the token stream (they are
+/// unambiguous wherever they appear, `use` lines included). On report
+/// paths, *iteration* of a hash-typed value is flagged, resolved
+/// through `use .. as ..` aliases, struct fields and `let` rebindings,
+/// with the sort-before-serialize sanitizer honored.
+pub fn check_determinism(file: &SourceFile, table: &SymbolTable, out: &mut Vec<Finding>) {
     if file.crate_name != "sim" && file.crate_name != "serve" && file.crate_name != "net" {
         return;
     }
@@ -371,43 +365,18 @@ pub fn check_determinism(file: &SourceFile, table: Option<&SymbolTable>, out: &m
     if !report_path {
         return;
     }
-    match table {
-        Some(table) if file.ast.is_clean() => {
-            for info in table.fns.iter().filter(|f| f.file == file.rel_path && !f.cfg_test) {
-                let Some(body) = info.body else { continue };
-                let sites = crate::taint::fn_sources(
-                    table,
-                    toks,
-                    info.sig,
-                    body,
-                    info.container.as_deref(),
-                    &file.lexed,
+    for info in table.fns.iter().filter(|f| f.file == file.rel_path && !f.cfg_test) {
+        let Some(body) = info.body else { continue };
+        let sites =
+            crate::taint::fn_sources(table, toks, info.sig, body, info.container.as_deref(), &file.lexed);
+        for s in sites.found {
+            if s.kind == SourceKind::HashIter {
+                file.push(
+                    out,
+                    "determinism",
+                    s.line,
+                    format!("{}; report paths must use `BTreeMap` or sort before emitting", s.desc),
                 );
-                for s in sites.found {
-                    if s.kind == SourceKind::HashIter {
-                        file.push(
-                            out,
-                            "determinism",
-                            s.line,
-                            format!("{}; report paths must use `BTreeMap` or sort before emitting", s.desc),
-                        );
-                    }
-                }
-            }
-        }
-        _ => {
-            for (idx, t) in toks.iter().enumerate() {
-                if file.test_mask[idx] {
-                    continue;
-                }
-                if t.ident() == Some("HashMap") {
-                    file.push(
-                        out,
-                        "determinism",
-                        t.line,
-                        "`HashMap` iteration order is unspecified; report paths must use `BTreeMap` or sort before emitting".to_string(),
-                    );
-                }
             }
         }
     }
@@ -726,10 +695,10 @@ mod tests {
         assert!(run(check_raw_unit, "units", "lib.rs", src).is_empty());
     }
 
-    fn run_det(crate_name: &str, file_name: &str, src: &str, table: Option<&SymbolTable>) -> Vec<Finding> {
+    fn run_det(crate_name: &str, file_name: &str, src: &str) -> Vec<Finding> {
         let f = SourceFile::new(&format!("crates/x/src/{file_name}"), crate_name, file_name, src);
         let mut out = Vec::new();
-        check_determinism(&f, table, &mut out);
+        check_determinism(&f, &table_for(&f), &mut out);
         out
     }
 
@@ -741,23 +710,22 @@ mod tests {
 
     #[test]
     fn determinism_flags_clock_entropy_and_report_hashmap() {
-        // Token fallback mode (no symbol table): any HashMap mention.
         let src = "
             use std::time::Instant;
             fn seed() { let r = rand::thread_rng(); }
-            fn report() { let m: HashMap<u32, u32> = HashMap::new(); }
+            fn report() { let m: HashMap<u32, u32> = HashMap::new(); m.keys().count(); }
         ";
-        let f = run_det("sim", "report.rs", src, None);
+        let f = run_det("sim", "report.rs", src);
         assert!(f.iter().any(|v| v.message.contains("Instant")));
         assert!(f.iter().any(|v| v.message.contains("thread_rng")));
-        assert!(f.iter().any(|v| v.message.contains("HashMap")));
+        assert!(f.iter().any(|v| v.message.contains("BTreeMap")));
     }
 
     #[test]
     fn determinism_allows_hashmap_off_report_paths_and_other_crates() {
-        let src = "fn cache() { let m: HashMap<u32, u32> = HashMap::new(); }";
-        assert!(run_det("serve", "backend.rs", src, None).is_empty());
-        assert!(run_det("circuit", "report.rs", src, None).is_empty());
+        let src = "fn cache() { let m: HashMap<u32, u32> = HashMap::new(); m.keys().count(); }";
+        assert!(run_det("serve", "backend.rs", src).is_empty());
+        assert!(run_det("circuit", "report.rs", src).is_empty());
     }
 
     #[test]
@@ -774,7 +742,7 @@ mod tests {
         assert!(file.ast.is_clean());
         let table = table_for(&file);
         let mut out = Vec::new();
-        check_determinism(&file, Some(&table), &mut out);
+        check_determinism(&file, &table, &mut out);
         // Only `.keys()` in `report` is flagged — `build` declares and
         // returns a map without iterating it.
         assert_eq!(out.len(), 1, "{out:?}");
@@ -797,15 +765,9 @@ mod tests {
         assert!(file.ast.is_clean());
         let table = table_for(&file);
         let mut out = Vec::new();
-        check_determinism(&file, Some(&table), &mut out);
+        check_determinism(&file, &table, &mut out);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("`.values()`"), "{}", out[0].message);
-        // The old token rule only sees the literal `HashMap` on the
-        // `use` line; the iteration through the alias and the local
-        // rebinding is invisible to it.
-        let tok = run_det("serve", "report.rs", src, None);
-        assert_eq!(tok.len(), 1, "{tok:?}");
-        assert_eq!(tok[0].line, 2);
     }
 
     #[test]
@@ -821,7 +783,7 @@ mod tests {
         let file = SourceFile::new("crates/x/src/report.rs", "sim", "report.rs", src);
         let table = table_for(&file);
         let mut out = Vec::new();
-        check_determinism(&file, Some(&table), &mut out);
+        check_determinism(&file, &table, &mut out);
         assert!(out.is_empty(), "{out:?}");
     }
 

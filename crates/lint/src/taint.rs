@@ -68,10 +68,9 @@ const PAR_ENTRY_POINTS: [&str; 3] = ["par_map_indexed", "for_each_chunk", "for_e
 const FORMAT_MACROS: [&str; 7] = ["format", "write", "writeln", "println", "print", "eprintln", "eprint"];
 
 /// Report-serializing modules: every fn defined here is a sink.
-const SINK_FILES: [(&str, &str); 8] = [
+const SINK_FILES: [(&str, &str); 7] = [
     ("core", "experiments.rs"),
     ("sim", "report.rs"),
-    ("sim", "sweep.rs"),
     ("serve", "obs.rs"),
     ("serve", "fleet.rs"),
     ("serve", "metrics.rs"),

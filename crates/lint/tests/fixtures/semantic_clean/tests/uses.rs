@@ -1,0 +1,5 @@
+//! The caller that keeps the fixture's public items in use.
+fn uses() {
+    let _: Option<inca_sim::Writer<u32>> = None;
+    let _ = inca_sim::inner::deeper::answer;
+}

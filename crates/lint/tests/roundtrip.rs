@@ -4,7 +4,7 @@
 //! re-parsing must reproduce the exact item outline (kind, name, line,
 //! nesting). The exhaustive half runs the property over every `.rs`
 //! file in the real workspace — the tree the linter actually guards —
-//! and doubles as the "zero parse fallbacks" regression gate. The
+//! and doubles as the "every file parses" regression gate. The
 //! proptest half fuzzes synthetic files assembled from the grammar the
 //! parser claims to cover: generics, trait impls, nested modules,
 //! `#[cfg(test)]` masking, use-trees, and item-level macros.

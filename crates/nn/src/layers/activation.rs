@@ -88,137 +88,3 @@ mod tests {
         let _ = r.backward(&Tensor::zeros(&[1]));
     }
 }
-
-/// Logistic sigmoid activation — one of the nonlinearities §II-B lists.
-#[derive(Debug, Clone, Default)]
-pub struct Sigmoid {
-    cached_output: Option<Tensor>,
-}
-
-impl Sigmoid {
-    /// Creates a sigmoid layer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self { cached_output: None }
-    }
-}
-
-impl Layer for Sigmoid {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut out = x.clone();
-        for v in out.data_mut() {
-            *v = 1.0 / (1.0 + (-*v).exp());
-        }
-        self.cached_output = Some(out.clone());
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let y = self.cached_output.as_ref().expect("backward before forward"); // documented Layer contract. lint: allow(panic-path)
-        let mut g = grad_out.clone();
-        for (gv, &yv) in g.data_mut().iter_mut().zip(y.data()) {
-            *gv *= yv * (1.0 - yv);
-        }
-        g
-    }
-
-    fn name(&self) -> &'static str {
-        "sigmoid"
-    }
-}
-
-/// Hyperbolic-tangent activation — the third §II-B nonlinearity.
-#[derive(Debug, Clone, Default)]
-pub struct Tanh {
-    cached_output: Option<Tensor>,
-}
-
-impl Tanh {
-    /// Creates a tanh layer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self { cached_output: None }
-    }
-}
-
-impl Layer for Tanh {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut out = x.clone();
-        for v in out.data_mut() {
-            *v = v.tanh();
-        }
-        self.cached_output = Some(out.clone());
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let y = self.cached_output.as_ref().expect("backward before forward"); // documented Layer contract. lint: allow(panic-path)
-        let mut g = grad_out.clone();
-        for (gv, &yv) in g.data_mut().iter_mut().zip(y.data()) {
-            *gv *= 1.0 - yv * yv;
-        }
-        g
-    }
-
-    fn name(&self) -> &'static str {
-        "tanh"
-    }
-}
-
-#[cfg(test)]
-mod smooth_activation_tests {
-    use super::*;
-
-    #[test]
-    fn sigmoid_range_and_midpoint() {
-        let mut s = Sigmoid::new();
-        let y = s.forward(&Tensor::from_vec(vec![-10.0, 0.0, 10.0], &[3]));
-        assert!(y.data()[0] < 0.001);
-        assert!((y.data()[1] - 0.5).abs() < 1e-6);
-        assert!(y.data()[2] > 0.999);
-    }
-
-    #[test]
-    fn sigmoid_gradient_check() {
-        let x = Tensor::from_vec(vec![-1.5, 0.3, 2.0], &[3]);
-        let mut s = Sigmoid::new();
-        let _ = s.forward(&x);
-        let g = s.backward(&Tensor::full(&[3], 1.0));
-        let eps = 1e-3;
-        for i in 0..3 {
-            let mut xp = x.clone();
-            xp.data_mut()[i] += eps;
-            let mut xm = x.clone();
-            xm.data_mut()[i] -= eps;
-            let numeric =
-                (Sigmoid::new().forward(&xp).sum() - Sigmoid::new().forward(&xm).sum()) / (2.0 * eps);
-            assert!((numeric - g.data()[i]).abs() < 1e-4, "input {i}");
-        }
-    }
-
-    #[test]
-    fn tanh_is_odd_and_bounded() {
-        let mut t = Tanh::new();
-        let y = t.forward(&Tensor::from_vec(vec![-2.0, 0.0, 2.0], &[3]));
-        assert!((y.data()[0] + y.data()[2]).abs() < 1e-6);
-        assert_eq!(y.data()[1], 0.0);
-        assert!(y.data()[2] < 1.0);
-    }
-
-    #[test]
-    fn tanh_gradient_check() {
-        let x = Tensor::from_vec(vec![-0.7, 0.1, 1.3], &[3]);
-        let mut t = Tanh::new();
-        let _ = t.forward(&x);
-        let g = t.backward(&Tensor::full(&[3], 1.0));
-        let eps = 1e-3;
-        for i in 0..3 {
-            let mut xp = x.clone();
-            xp.data_mut()[i] += eps;
-            let mut xm = x.clone();
-            xm.data_mut()[i] -= eps;
-            let numeric = (Tanh::new().forward(&xp).sum() - Tanh::new().forward(&xm).sum()) / (2.0 * eps);
-            assert!((numeric - g.data()[i]).abs() < 1e-4, "input {i}");
-        }
-    }
-}

@@ -6,20 +6,16 @@
 //! by errors" (§IV-C).
 
 mod activation;
-mod batchnorm;
 mod conv;
-mod depthwise;
 mod flatten;
 mod linear;
 mod pool;
 
-pub use activation::{Relu, Sigmoid, Tanh};
-pub use batchnorm::BatchNorm2d;
+pub use activation::Relu;
 pub use conv::Conv2d;
-pub use depthwise::DepthwiseConv2d;
 pub use flatten::Flatten;
 pub use linear::Linear;
-pub use pool::{AvgPool2d, MaxPool2d};
+pub use pool::MaxPool2d;
 
 use std::ops::Range;
 

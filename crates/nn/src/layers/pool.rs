@@ -83,82 +83,6 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// Average pooling — included for networks (ResNet/MobileNet heads) that
-/// use global average pooling.
-#[derive(Debug, Clone)]
-pub struct AvgPool2d {
-    k: usize,
-    stride: usize,
-    cached_shape: Option<Vec<usize>>,
-}
-
-impl AvgPool2d {
-    /// Creates a `k × k` average pool with the given stride.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` or `stride` is zero.
-    #[must_use]
-    pub fn new(k: usize, stride: usize) -> Self {
-        assert!(k > 0 && stride > 0, "pool parameters must be positive");
-        Self { k, stride, cached_shape: None }
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let [n, c, h, w] = dims4_checked(x, "AvgPool2d");
-        let oh = output_len("AvgPool2d", h, self.k, self.stride, 0);
-        let ow = output_len("AvgPool2d", w, self.k, self.stride, 0);
-        let norm = 1.0 / (self.k * self.k) as f32;
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        for ni in 0..n {
-            for ci in 0..c {
-                for y in 0..oh {
-                    for xo in 0..ow {
-                        let mut acc = 0.0;
-                        for kh in 0..self.k {
-                            for kw in 0..self.k {
-                                acc += x.at4(ni, ci, y * self.stride + kh, xo * self.stride + kw);
-                            }
-                        }
-                        *out.at4_mut(ni, ci, y, xo) = acc * norm;
-                    }
-                }
-            }
-        }
-        self.cached_shape = Some(x.shape().to_vec());
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let shape = self.cached_shape.as_ref().expect("backward before forward"); // documented Layer contract. lint: allow(panic-path)
-        let [n, c, h, w] = Tensor::zeros(shape).dims4();
-        let [_, _, oh, ow] = grad_out.dims4();
-        let norm = 1.0 / (self.k * self.k) as f32;
-        let mut grad_in = Tensor::zeros(&[n, c, h, w]);
-        for ni in 0..n {
-            for ci in 0..c {
-                for y in 0..oh {
-                    for xo in 0..ow {
-                        let g = grad_out.at4(ni, ci, y, xo) * norm;
-                        for kh in 0..self.k {
-                            for kw in 0..self.k {
-                                *grad_in.at4_mut(ni, ci, y * self.stride + kh, xo * self.stride + kw) += g;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        grad_in
-    }
-
-    fn name(&self) -> &'static str {
-        "avg_pool2d"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
@@ -253,12 +177,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "AvgPool2d: kernel 3 (stride 1, padding 0) does not fit input size 2")]
-    fn avg_pool_kernel_larger_than_input_panics() {
-        let _ = AvgPool2d::new(3, 1).forward(&Tensor::zeros(&[1, 1, 4, 2]));
-    }
-
-    #[test]
     fn max_pool_selects_maxima() {
         let mut p = MaxPool2d::new(2, 2);
         let x = Tensor::from_vec(
@@ -296,31 +214,6 @@ mod tests {
                 / (2.0 * eps);
             assert!((numeric - grad_in.data()[xi]).abs() < 1e-3, "input {xi}");
         }
-    }
-
-    #[test]
-    fn avg_pool_means() {
-        let mut p = AvgPool2d::new(2, 2);
-        let x = Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0], &[1, 1, 2, 2]);
-        let y = p.forward(&x);
-        assert_eq!(y.data(), &[4.0]);
-    }
-
-    #[test]
-    fn avg_pool_backward_distributes_uniformly() {
-        let mut p = AvgPool2d::new(2, 2);
-        let _ = p.forward(&Tensor::zeros(&[1, 1, 2, 2]));
-        let g = p.backward(&Tensor::from_vec(vec![8.0], &[1, 1, 1, 1]));
-        assert_eq!(g.data(), &[2.0, 2.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn global_avg_pool() {
-        let mut p = AvgPool2d::new(4, 4);
-        let x = Tensor::from_vec((1..=16).map(|i| i as f32).collect(), &[1, 1, 4, 4]);
-        let y = p.forward(&x);
-        assert_eq!(y.shape(), &[1, 1, 1, 1]);
-        assert_eq!(y.data(), &[8.5]);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! actual trainable network. This crate provides exactly that substrate:
 //!
 //! * [`Tensor`] — a dense row-major f32 tensor with NCHW conventions,
-//! * [`layers`] — convolution, depthwise convolution, fully-connected,
-//!   max/avg pooling, and ReLU layers, each with a full backward pass
+//! * [`layers`] — convolution, fully-connected, max pooling, flatten and
+//!   ReLU layers, each with a full backward pass
 //!   (Eqs 1–4 of the paper),
 //! * [`Loss`] — the L² loss the paper describes and softmax cross-entropy,
 //! * [`Sgd`] — the "hardware-friendly" vanilla gradient-descent optimizer,

@@ -29,18 +29,6 @@ impl QuantConfig {
         Self { weight_bits: None, activation_bits: None, weight_range: 1.0, activation_range: 1.0 }
     }
 
-    /// The paper's 8-bit anchor configuration (Table II).
-    #[must_use]
-    pub fn paper_8bit() -> Self {
-        Self { weight_bits: Some(8), activation_bits: Some(8), weight_range: 1.0, activation_range: 1.0 }
-    }
-
-    /// Whether any quantization is active.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.weight_bits.is_some() || self.activation_bits.is_some()
-    }
-
     /// Quantizes a single value to a symmetric `bits`-bit grid over
     /// `[-range, range]`.
     #[must_use]
@@ -51,16 +39,6 @@ impl QuantConfig {
         let t = (clipped + range) / (2.0 * range);
         let code = (t * levels).round();
         code / levels * 2.0 * range - range
-    }
-
-    /// Quantizes a single value to an unsigned `bits`-bit grid over
-    /// `[0, range]`.
-    #[must_use]
-    pub fn quantize_unsigned(value: f32, range: f32, bits: u8) -> f32 {
-        debug_assert!(bits >= 1 && range > 0.0);
-        let levels = ((1u32 << bits) - 1) as f32;
-        let clipped = value.clamp(0.0, range);
-        (clipped / range * levels).round() / levels * range
     }
 
     /// Applies weight fake-quantization to the whole network (no-op at full
@@ -136,14 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn unsigned_grid() {
-        assert_eq!(QuantConfig::quantize_unsigned(-2.0, 6.0, 8), 0.0);
-        assert_eq!(QuantConfig::quantize_unsigned(6.0, 6.0, 8), 6.0);
-        let q = QuantConfig::quantize_unsigned(3.0, 6.0, 4);
-        assert!((q - 3.0).abs() < 0.21);
-    }
-
-    #[test]
     fn quantization_error_bounded_by_half_step() {
         let bits = 5u8;
         let range = 2.0f32;
@@ -192,7 +162,6 @@ mod tests {
     #[test]
     fn full_precision_is_identity() {
         let cfg = QuantConfig::full_precision();
-        assert!(!cfg.is_active());
         let t = Tensor::from_vec(vec![0.123456], &[1]);
         assert_eq!(cfg.apply_to_activation(t.clone()), t);
     }

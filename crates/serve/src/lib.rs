@@ -18,7 +18,7 @@
 //!   list over an integer virtual-time clock; no wall-clock anywhere,
 //!   ties broken by schedule order, so runs are bit-reproducible.
 //! * [`RequestSource`] — Poisson and bursty (2-state MMPP) arrivals over
-//!   a weighted [`ModelMix`], plus replayable JSON [`Trace`]s.
+//!   a weighted [`ModelMix`], recordable as JSON [`Trace`]s.
 //! * [`Chip`] / [`BatchPolicy`] — per-chip dynamic batcher: accumulate
 //!   per model until the batch fills (≤ the backend's plane count) or
 //!   the oldest request has waited `max_wait`, then occupy the stack.

@@ -1,11 +1,10 @@
 //! Request sources: Poisson and bursty (MMPP-2) arrival processes over
-//! the model zoo, plus replayable traces.
+//! the model zoo.
 //!
 //! Every source is driven by the vendored seeded [`rand`] shim, so a
 //! given `(seed, rate, mix)` always produces the same arrival sequence.
-//! Any generated stream can be captured as a [`Trace`], round-tripped
-//! through JSON, and replayed — byte-identical — later or on another
-//! machine.
+//! Any generated stream can be captured as a [`Trace`] and written out
+//! as JSON.
 
 use inca_events::{secs_to_ns, SimTime, NS_PER_SEC};
 use inca_workloads::Model;
@@ -107,18 +106,6 @@ pub enum ArrivalKind {
     },
 }
 
-impl ArrivalKind {
-    /// Long-run mean arrival rate in requests/second.
-    #[must_use]
-    pub fn mean_rate_rps(&self) -> f64 {
-        match *self {
-            ArrivalKind::Poisson { rate_rps } => rate_rps,
-            // Equal mean dwell in both states -> arithmetic mean rate.
-            ArrivalKind::Mmpp { rate_hi, rate_lo, .. } => 0.5 * (rate_hi + rate_lo),
-        }
-    }
-}
-
 /// One request's identity in a trace: arrival time and target model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEntry {
@@ -128,7 +115,7 @@ pub struct TraceEntry {
     pub model_idx: usize,
 }
 
-/// A replayable arrival trace (sorted by time).
+/// A recorded arrival trace (sorted by time).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Trace {
     /// The arrivals, ascending in time.
@@ -141,59 +128,19 @@ impl Trace {
     pub fn to_json(&self) -> Value {
         Value::Array(self.entries.iter().map(|e| json!([e.at_ns, e.model_idx as u64])).collect::<Vec<_>>())
     }
-
-    /// Parses a trace from JSON text produced by [`Trace::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the first malformed entry.
-    pub fn from_json_str(s: &str) -> Result<Self, String> {
-        let v = serde_json::from_str(s).map_err(|e| e.to_string())?;
-        let arr = v.as_array().ok_or("trace root must be a JSON array")?;
-        let mut entries = Vec::with_capacity(arr.len());
-        let mut last = 0u64;
-        for (i, item) in arr.iter().enumerate() {
-            let pair = item
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| format!("trace entry {i} must be a two-element array [at_ns, model_idx]"))?;
-            let at_ns = pair[0].as_u64().ok_or_else(|| format!("entry {i}: at_ns must be a u64"))?;
-            let model_idx =
-                pair[1].as_u64().ok_or_else(|| format!("entry {i}: model_idx must be a u64"))? as usize;
-            if at_ns < last {
-                return Err(format!("entry {i}: trace times must be non-decreasing"));
-            }
-            last = at_ns;
-            entries.push(TraceEntry { at_ns, model_idx });
-        }
-        Ok(Self { entries })
-    }
 }
 
-/// A bounded stream of `(arrival_ns, model_idx)` requests.
-///
-/// Stochastic kinds draw from a private seeded RNG; traces replay
-/// verbatim. Iteration order is the arrival order.
+/// A bounded stream of `(arrival_ns, model_idx)` requests, drawn from a
+/// private seeded RNG. Iteration order is the arrival order.
 pub struct RequestSource {
-    kind: SourceState,
-    mix_len: usize,
+    kind: ArrivalKind,
+    mix: ModelMix,
+    rng: StdRng,
+    clock_ns: SimTime,
+    /// MMPP only: currently in the burst state, and when it ends.
+    in_burst: bool,
+    state_until_ns: SimTime,
     remaining: u64,
-}
-
-enum SourceState {
-    Random {
-        kind: ArrivalKind,
-        mix: ModelMix,
-        rng: StdRng,
-        clock_ns: SimTime,
-        /// MMPP only: currently in the burst state, and when it ends.
-        in_burst: bool,
-        state_until_ns: SimTime,
-    },
-    Replay {
-        trace: Trace,
-        pos: usize,
-    },
 }
 
 impl RequestSource {
@@ -208,29 +155,10 @@ impl RequestSource {
                 (true, secs_to_ns(exp_draw(&mut rng, 1.0 / mean_dwell_s)))
             }
         };
-        let mix_len = mix.len();
-        Self {
-            kind: SourceState::Random { kind, mix, rng, clock_ns: 0, in_burst, state_until_ns },
-            mix_len,
-            remaining: count,
-        }
+        Self { kind, mix, rng, clock_ns: 0, in_burst, state_until_ns, remaining: count }
     }
 
-    /// A source replaying a recorded trace. `mix_len` bounds the model
-    /// indices the engine will accept.
-    #[must_use]
-    pub fn replay(trace: Trace, mix_len: usize) -> Self {
-        let remaining = trace.entries.len() as u64;
-        Self { kind: SourceState::Replay { trace, pos: 0 }, mix_len, remaining }
-    }
-
-    /// Number of models this source draws from.
-    #[must_use]
-    pub fn mix_len(&self) -> usize {
-        self.mix_len
-    }
-
-    /// Drains the source into a replayable [`Trace`].
+    /// Drains the source into a [`Trace`].
     #[must_use]
     pub fn record(mut self) -> Trace {
         let mut entries = Vec::new();
@@ -246,38 +174,28 @@ impl RequestSource {
             return None;
         }
         self.remaining -= 1;
-        match &mut self.kind {
-            SourceState::Replay { trace, pos } => {
-                let e = trace.entries[*pos];
-                *pos += 1;
-                Some((e.at_ns, e.model_idx.min(self.mix_len.saturating_sub(1))))
+        match self.kind {
+            ArrivalKind::Poisson { rate_rps } => {
+                self.clock_ns += gap_ns(&mut self.rng, rate_rps);
             }
-            SourceState::Random { kind, mix, rng, clock_ns, in_burst, state_until_ns } => {
-                match *kind {
-                    ArrivalKind::Poisson { rate_rps } => {
-                        *clock_ns += gap_ns(rng, rate_rps);
-                    }
-                    ArrivalKind::Mmpp { rate_hi, rate_lo, mean_dwell_s } => loop {
-                        let rate = if *in_burst { rate_hi } else { rate_lo };
-                        let candidate = *clock_ns + gap_ns(rng, rate);
-                        if candidate <= *state_until_ns {
-                            *clock_ns = candidate;
-                            break;
-                        }
-                        // The state flips before this arrival would land:
-                        // advance to the switch point and redraw there
-                        // (the exponential's memorylessness makes this
-                        // exact, not an approximation).
-                        *clock_ns = *state_until_ns;
-                        *in_burst = !*in_burst;
-                        *state_until_ns =
-                            clock_ns.saturating_add(secs_to_ns(exp_draw(rng, 1.0 / mean_dwell_s)));
-                    },
+            ArrivalKind::Mmpp { rate_hi, rate_lo, mean_dwell_s } => loop {
+                let rate = if self.in_burst { rate_hi } else { rate_lo };
+                let candidate = self.clock_ns + gap_ns(&mut self.rng, rate);
+                if candidate <= self.state_until_ns {
+                    self.clock_ns = candidate;
+                    break;
                 }
-                let model_idx = mix.pick(rng);
-                Some((*clock_ns, model_idx))
-            }
+                // The state flips before this arrival would land: advance
+                // to the switch point and redraw there (the exponential's
+                // memorylessness makes this exact, not an approximation).
+                self.clock_ns = self.state_until_ns;
+                self.in_burst = !self.in_burst;
+                self.state_until_ns =
+                    self.clock_ns.saturating_add(secs_to_ns(exp_draw(&mut self.rng, 1.0 / mean_dwell_s)));
+            },
         }
+        let model_idx = self.mix.pick(&mut self.rng);
+        Some((self.clock_ns, model_idx))
     }
 }
 
@@ -345,31 +263,6 @@ mod tests {
         let mmpp = cv2(ArrivalKind::Mmpp { rate_hi: 1900.0, rate_lo: 100.0, mean_dwell_s: 0.1 });
         assert!((poisson - 1.0).abs() < 0.15, "poisson cv2 {poisson}");
         assert!(mmpp > 2.0, "mmpp cv2 {mmpp}");
-    }
-
-    #[test]
-    fn trace_roundtrips_through_json() {
-        let src = RequestSource::new(
-            ArrivalKind::Poisson { rate_rps: 500.0 },
-            ModelMix::paper_serving_mix(),
-            11,
-            200,
-        );
-        let trace = src.record();
-        let text = serde_json::to_string_pretty(&trace.to_json()).unwrap();
-        let back = Trace::from_json_str(&text).unwrap();
-        assert_eq!(trace, back);
-        // Replaying yields the identical stream.
-        let replayed = RequestSource::replay(back, 4).record();
-        assert_eq!(trace, replayed);
-    }
-
-    #[test]
-    fn malformed_traces_are_rejected() {
-        assert!(Trace::from_json_str("{}").is_err());
-        assert!(Trace::from_json_str("[[1]]").is_err());
-        assert!(Trace::from_json_str("[[5,0],[3,0]]").is_err());
-        assert!(Trace::from_json_str("[[1,0],[2,1]]").is_ok());
     }
 
     #[test]

@@ -55,18 +55,6 @@ impl Comparison {
         }
     }
 
-    /// Access to the INCA configuration (for ablations).
-    #[must_use]
-    pub fn inca_config(&self) -> &ArchConfig {
-        &self.inca
-    }
-
-    /// Access to the baseline configuration.
-    #[must_use]
-    pub fn baseline_config(&self) -> &ArchConfig {
-        &self.baseline
-    }
-
     /// Runs all four simulations for one model and returns the ratios.
     #[must_use]
     pub fn run(&self, model: Model) -> ComparisonReport {

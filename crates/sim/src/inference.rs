@@ -56,18 +56,6 @@ impl NetworkStats {
     pub fn energy_per_image_j(&self) -> Energy {
         self.energy.total_j() / self.batch as f64
     }
-
-    /// Latency per image (batch latency / batch).
-    #[must_use]
-    pub fn latency_per_image_s(&self) -> Time {
-        self.latency_s / self.batch as f64
-    }
-
-    /// Images per second.
-    #[must_use]
-    pub fn throughput(&self) -> f64 {
-        self.batch as f64 / self.latency_s.seconds()
-    }
 }
 
 /// Calibration constants of the analytical cost model.
@@ -476,12 +464,5 @@ mod tests {
         let dense_equivalent = is_layer_cycles(dw, &cfg);
         // Depthwise cycles don't scale with channel count.
         assert!(dense_equivalent < 16 * 16 * 8 * 2, "cycles {dense_equivalent}");
-    }
-
-    #[test]
-    fn throughput_is_reciprocal() {
-        let spec = Model::ResNet18.spec();
-        let s = simulate_inference(&ArchConfig::inca_paper(), &spec);
-        assert!((s.throughput() * s.latency_s.seconds() - s.batch as f64).abs() < 1e-9);
     }
 }

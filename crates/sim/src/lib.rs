@@ -43,7 +43,6 @@ mod lifetime;
 mod phases;
 mod report;
 pub mod schedule;
-mod sweep;
 mod training;
 
 pub use comparison::{Comparison, ComparisonReport};
@@ -57,5 +56,4 @@ pub use inference::{
 pub use lifetime::{training_lifetime, TrainingLifetime, IMAGENET_TRAIN_IMAGES};
 pub use phases::{training_phases, TrainingPhases};
 pub use report::{format_energy_table, format_ratio_table};
-pub use sweep::{paper_sweep, sweep_models, SweepPoint};
-pub use training::{simulate_training, training_breakdown};
+pub use training::simulate_training;

@@ -37,12 +37,6 @@ impl TrainingPhases {
         self.feedforward.total_j() + self.backward.total_j() + self.weight_update.total_j()
     }
 
-    /// Total latency across phases.
-    #[must_use]
-    pub fn total_latency_s(&self) -> Time {
-        self.latency_s.iter().sum()
-    }
-
     /// Energy of one named phase.
     #[must_use]
     pub fn energy(&self, phase: Phase) -> &EnergyBreakdown {
@@ -175,14 +169,9 @@ mod tests {
                 phases.total_energy_j(),
                 merged.energy.total_j()
             );
-            let lat_rel = (phases.total_latency_s() - merged.latency_s).abs() / merged.latency_s;
-            assert!(
-                lat_rel < 0.25,
-                "{:?}: latency {} vs {}",
-                cfg.dataflow,
-                phases.total_latency_s(),
-                merged.latency_s
-            );
+            let total_latency: Time = phases.latency_s.iter().sum();
+            let lat_rel = (total_latency - merged.latency_s).abs() / merged.latency_s;
+            assert!(lat_rel < 0.25, "{:?}: latency {} vs {}", cfg.dataflow, total_latency, merged.latency_s);
         }
     }
 

@@ -3,7 +3,7 @@ use inca_units::{Energy, Time};
 use inca_workloads::ModelSpec;
 
 use crate::inference::{simulate_feedforward, CostModel};
-use crate::{EnergyBreakdown, NetworkStats};
+use crate::NetworkStats;
 
 /// Simulates one training step (feedforward + backpropagation + weight
 /// update) over one batch.
@@ -125,12 +125,6 @@ fn training_is(config: &ArchConfig, spec: &ModelSpec) -> NetworkStats {
         energy,
         latency_s,
     }
-}
-
-/// Energy breakdown of one INCA training step, for the Fig 13b pie.
-#[must_use]
-pub fn training_breakdown(config: &ArchConfig, spec: &ModelSpec) -> EnergyBreakdown {
-    simulate_training(config, spec).energy
 }
 
 #[cfg(test)]

@@ -83,12 +83,6 @@ impl TimeSeries {
         &self.times_ns
     }
 
-    /// Column names, in declaration order.
-    #[must_use]
-    pub fn column_names(&self) -> Vec<&str> {
-        self.columns.iter().map(|c| c.name.as_str()).collect()
-    }
-
     /// One column's values, or `None` for an unknown name.
     #[must_use]
     pub fn column(&self, name: &str) -> Option<&[f64]> {
@@ -164,7 +158,6 @@ mod tests {
         assert_eq!(ts.column("a"), Some(&[1.0, 3.0][..]));
         assert_eq!(ts.column("b"), Some(&[2.0, 4.0][..]));
         assert_eq!(ts.column("c"), None);
-        assert_eq!(ts.column_names(), vec!["a", "b"]);
     }
 
     #[test]

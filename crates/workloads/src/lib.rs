@@ -30,7 +30,6 @@ mod mnasnet;
 mod mobilenet;
 mod model;
 mod resnet;
-pub mod summary;
 mod vgg;
 
 pub use builder::ModelBuilder;

@@ -44,12 +44,6 @@ impl Model {
         [Model::MobileNetV2, Model::MnasNet]
     }
 
-    /// Whether this is a light model.
-    #[must_use]
-    pub fn is_light(&self) -> bool {
-        matches!(self, Model::MobileNetV2 | Model::MnasNet)
-    }
-
     /// Display name as used in the paper's tables.
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -167,18 +161,6 @@ impl ModelSpec {
     pub fn activation_input_elems(&self) -> u64 {
         self.weighted_layers().map(LayerSpec::input_elems).sum()
     }
-
-    /// The largest single-layer input (for buffer sizing).
-    #[must_use]
-    pub fn max_layer_input_elems(&self) -> u64 {
-        self.weighted_layers().map(LayerSpec::input_elems).max().unwrap_or(0)
-    }
-
-    /// Whether the model contains depthwise or pointwise convolutions.
-    #[must_use]
-    pub fn has_light_convs(&self) -> bool {
-        self.layers.iter().any(|l| l.is_depthwise() || l.is_pointwise())
-    }
 }
 
 #[cfg(test)]
@@ -242,14 +224,6 @@ mod tests {
             let rel = (got as f64 - expected as f64).abs() / expected as f64;
             assert!(rel < 0.02, "{model}: {got} params vs torchvision {expected}");
         }
-    }
-
-    #[test]
-    fn light_models_flagged() {
-        assert!(Model::MobileNetV2.is_light());
-        assert!(Model::MobileNetV2.spec().has_light_convs());
-        assert!(!Model::Vgg16.is_light());
-        assert!(!Model::Vgg16.spec().has_light_convs());
     }
 
     #[test]

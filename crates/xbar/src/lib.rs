@@ -16,8 +16,7 @@
 //!   window across a whole batch at once (§IV-B).
 //!
 //! Supporting modules: [`sliding`] window iterators, [`quant`] fixed-point
-//! bit-plane helpers, an [`AdcReadout`] digitization model, and a
-//! [`sneak_path_current`] estimator justifying the transistor gating.
+//! bit-plane helpers and an [`AdcReadout`] digitization model.
 //!
 //! # Examples
 //!
@@ -54,7 +53,6 @@ mod plane;
 pub mod quant;
 pub mod simd;
 pub mod sliding;
-mod sneak;
 mod stack3d;
 
 pub use adc_readout::AdcReadout;
@@ -63,7 +61,6 @@ pub use error::XbarError;
 pub use pipeline::{simulate_pipeline, PipelineConfig, PipelineStats};
 pub use plane::VerticalPlane;
 pub use simd::and_popcount_lanes;
-pub use sneak::{sneak_path_current, SneakPathEstimate};
 pub use stack3d::Stack3d;
 
 /// Crate-wide result alias.

@@ -343,12 +343,6 @@ impl VerticalPlane {
         Ok(current)
     }
 
-    /// Number of cells whose stored bit is 1.
-    #[must_use]
-    pub fn popcount(&self) -> usize {
-        self.cells.iter().filter(|&&b| b == 1).count()
-    }
-
     fn check_window(&self, row: usize, col: usize, kh: usize, kw: usize) -> Result<()> {
         if kh == 0 || kw == 0 || row + kh > self.rows || col + kw > self.cols {
             return Err(XbarError::WindowOutOfBounds { row, col, kh, kw, rows: self.rows, cols: self.cols });
@@ -374,7 +368,6 @@ mod tests {
         assert_eq!(p.bit(0, 0), 1);
         assert_eq!(p.bit(0, 1), 0);
         assert_eq!(p.bit(1, 1), 1);
-        assert_eq!(p.popcount(), 2);
     }
 
     #[test]

@@ -21,21 +21,6 @@ pub fn to_bit_planes(value: u32, bits: u8) -> Vec<u8> {
     (0..bits).map(|b| ((value >> b) & 1) as u8).collect()
 }
 
-/// Reassembles LSB-first bit planes into the value: `Σ plane[i] << i`.
-///
-/// # Examples
-///
-/// ```
-/// use inca_xbar::quant::{from_bit_planes, to_bit_planes};
-///
-/// let planes = to_bit_planes(200, 8);
-/// assert_eq!(from_bit_planes(&planes.iter().map(|&b| u64::from(b)).collect::<Vec<_>>()), 200);
-/// ```
-#[must_use]
-pub fn from_bit_planes(planes_lsb_first: &[u64]) -> u64 {
-    planes_lsb_first.iter().enumerate().map(|(i, &p)| p << i).sum()
-}
-
 /// Splits a slice of unsigned values into `bits` bit-plane slices:
 /// `result[b][i]` is bit `b` of `values[i]`.
 #[must_use]
@@ -55,19 +40,6 @@ pub fn quantize(x: f32, lo: f32, hi: f32, bits: u8) -> u32 {
     let levels = (1u32 << bits) - 1;
     let t = ((x - lo) / (hi - lo)).clamp(0.0, 1.0);
     (t * levels as f32).round() as u32
-}
-
-/// Inverse of [`quantize`]: maps a code back to the value-range midpoint.
-///
-/// # Panics
-///
-/// Panics if `lo >= hi` or `bits` is 0 or above 31.
-#[must_use]
-pub fn dequantize(code: u32, lo: f32, hi: f32, bits: u8) -> f32 {
-    assert!(lo < hi, "lo must be below hi");
-    assert!((1..=31).contains(&bits), "bits must be 1..=31");
-    let levels = (1u32 << bits) - 1;
-    lo + (hi - lo) * (code.min(levels) as f32) / levels as f32
 }
 
 /// Computes the integer dot product of two unsigned vectors via the full
@@ -101,7 +73,7 @@ mod tests {
     fn bit_plane_roundtrip() {
         for v in [0u32, 1, 13, 127, 200, 255] {
             let planes = to_bit_planes(v, 8);
-            let back = from_bit_planes(&planes.iter().map(|&b| u64::from(b)).collect::<Vec<_>>());
+            let back: u64 = planes.iter().enumerate().map(|(i, &b)| u64::from(b) << i).sum();
             assert_eq!(back, u64::from(v));
         }
     }
@@ -122,12 +94,12 @@ mod tests {
     }
 
     #[test]
-    fn dequantize_inverts_quantize_within_half_step() {
+    fn quantize_lands_within_half_step() {
         let (lo, hi, bits) = (-2.0f32, 2.0, 6);
         let step = (hi - lo) / ((1u32 << bits) - 1) as f32;
         for i in 0..100 {
             let x = lo + (hi - lo) * (i as f32) / 99.0;
-            let back = dequantize(quantize(x, lo, hi, bits), lo, hi, bits);
+            let back = lo + step * quantize(x, lo, hi, bits) as f32;
             assert!((back - x).abs() <= step / 2.0 + 1e-6);
         }
     }
