@@ -1,7 +1,7 @@
 use inca_units::{Energy, EnergyPerBit, Time};
 use serde::{Deserialize, Serialize};
 
-use crate::{constants, CircuitError, Result};
+use crate::constants;
 
 /// An HBM2 DRAM channel model.
 ///
@@ -61,29 +61,6 @@ impl DramModel {
             knee: 0.8,
             blowup_k: 20.0,
         }
-    }
-
-    /// Creates a DRAM model with explicit parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::InvalidParams`] for non-positive bandwidth,
-    /// latency or energy, or a knee outside `(0, 1)`.
-    pub fn new(
-        capacity_bytes: u64,
-        sustained_bw: f64,
-        idle_latency_s: Time,
-        energy_per_bit_j: EnergyPerBit,
-        knee: f64,
-    ) -> Result<Self> {
-        if sustained_bw <= 0.0 || idle_latency_s.seconds() <= 0.0 || energy_per_bit_j.joules_per_bit() <= 0.0
-        {
-            return Err(CircuitError::InvalidParams("bandwidth, latency and energy must be positive".into()));
-        }
-        if !(0.0..1.0).contains(&knee) || knee == 0.0 {
-            return Err(CircuitError::InvalidParams("knee must lie in (0, 1)".into()));
-        }
-        Ok(Self { capacity_bytes, sustained_bw, idle_latency_s, energy_per_bit_j, knee, blowup_k: 20.0 })
     }
 
     /// Capacity in bytes.
@@ -175,14 +152,5 @@ mod tests {
         let d = DramModel::hbm2_8gb();
         assert_eq!(d.latency_at_utilization(-0.5), d.latency_at_utilization(0.0));
         assert_eq!(d.latency_at_utilization(1.5), d.latency_at_utilization(1.0));
-    }
-
-    #[test]
-    fn invalid_params_rejected() {
-        let t = Time::from_seconds(1e-9);
-        let e = EnergyPerBit::from_joules_per_bit(1e-12);
-        assert!(DramModel::new(1, 0.0, t, e, 0.8).is_err());
-        assert!(DramModel::new(1, 1e9, t, e, 1.2).is_err());
-        assert!(DramModel::new(1, 1e9, t, e, 0.8).is_ok());
     }
 }

@@ -6,33 +6,12 @@ use std::fmt;
 pub enum CircuitError {
     /// A parameter failed validation.
     InvalidParams(String),
-    /// A requested transfer exceeds the sustained bandwidth of the channel.
-    BandwidthExceeded {
-        /// Requested bandwidth in bytes/s.
-        requested: f64,
-        /// Maximum sustained bandwidth in bytes/s.
-        sustained: f64,
-    },
-    /// A buffer access would overflow its capacity.
-    CapacityExceeded {
-        /// Requested bytes.
-        requested: usize,
-        /// Capacity in bytes.
-        capacity: usize,
-    },
 }
 
 impl fmt::Display for CircuitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CircuitError::InvalidParams(msg) => write!(f, "invalid circuit parameters: {msg}"),
-            CircuitError::BandwidthExceeded { requested, sustained } => write!(
-                f,
-                "requested bandwidth {requested:.3e} B/s exceeds sustained bandwidth {sustained:.3e} B/s"
-            ),
-            CircuitError::CapacityExceeded { requested, capacity } => {
-                write!(f, "requested {requested} bytes exceeds buffer capacity {capacity} bytes")
-            }
         }
     }
 }
@@ -46,7 +25,5 @@ mod tests {
     #[test]
     fn display_messages() {
         assert!(CircuitError::InvalidParams("x".into()).to_string().contains('x'));
-        let e = CircuitError::CapacityExceeded { requested: 10, capacity: 5 };
-        assert!(e.to_string().contains("10"));
     }
 }

@@ -1,7 +1,7 @@
 use inca_units::{Energy, EnergyPerBeat, Power, Time};
 use serde::{Deserialize, Serialize};
 
-use crate::{constants, Bus, CircuitError, Result};
+use crate::{constants, Bus};
 
 /// An on-chip SRAM buffer (the "buffers" of Fig 1a / Fig 6).
 ///
@@ -47,38 +47,6 @@ impl SramBuffer {
             beat_latency_s: Time::from_seconds(1e-9),
             leakage_w: Power::from_watts(5e-6),
         }
-    }
-
-    /// Creates a buffer with explicit parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::InvalidParams`] for a zero capacity or
-    /// non-positive energies/latency.
-    pub fn new(
-        capacity_bytes: usize,
-        port: Bus,
-        read_energy_per_beat_j: EnergyPerBeat,
-        write_energy_per_beat_j: EnergyPerBeat,
-        beat_latency_s: Time,
-    ) -> Result<Self> {
-        if capacity_bytes == 0 {
-            return Err(CircuitError::InvalidParams("buffer capacity must be positive".into()));
-        }
-        if read_energy_per_beat_j.joules_per_beat() <= 0.0
-            || write_energy_per_beat_j.joules_per_beat() <= 0.0
-            || beat_latency_s.seconds() <= 0.0
-        {
-            return Err(CircuitError::InvalidParams("energies and latency must be positive".into()));
-        }
-        Ok(Self {
-            capacity_bytes,
-            port,
-            read_energy_per_beat_j,
-            write_energy_per_beat_j,
-            beat_latency_s,
-            leakage_w: Power::from_watts(5e-6),
-        })
     }
 
     /// Buffer capacity in bytes.
@@ -147,14 +115,6 @@ mod tests {
     fn write_costs_more_than_read() {
         let b = SramBuffer::paper_default();
         assert!(b.write_energy_j(64) > b.read_energy_j(64));
-    }
-
-    #[test]
-    fn invalid_construction_rejected() {
-        let e = EnergyPerBeat::from_joules_per_beat(1e-12);
-        let t = Time::from_seconds(1e-9);
-        assert!(SramBuffer::new(0, Bus::new(256), e, e, t).is_err());
-        assert!(SramBuffer::new(1024, Bus::new(256), EnergyPerBeat::ZERO, e, t).is_err());
     }
 
     #[test]

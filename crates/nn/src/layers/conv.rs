@@ -1,5 +1,3 @@
-use std::ops::Range;
-
 use rand::{Rng, SeedableRng};
 
 use super::{dims4_checked, output_len, tap_range, Layer};
@@ -94,14 +92,21 @@ impl Conv2d {
         )
     }
 
-    /// Each kernel row's valid output rows and each kernel column's valid
-    /// output columns, for an `h × w` input and `oh × ow` output.
-    fn taps(&self, h: usize, w: usize, oh: usize, ow: usize) -> (Vec<Range<usize>>, Vec<Range<usize>>) {
+    /// Each kernel tap's runs for an `h × w` input and `oh × ow` output,
+    /// indexed by `kh·k + kw`: within an output row the tap's valid columns
+    /// are one run at stride 1 and one run each otherwise.
+    fn taps(&self, h: usize, w: usize, oh: usize, ow: usize) -> Vec<Vec<Run>> {
         let (k, s, p) = (self.k, self.stride, self.pad);
-        (
-            (0..k).map(|t| tap_range(oh, h, t, s, p)).collect(),
-            (0..k).map(|t| tap_range(ow, w, t, s, p)).collect(),
-        )
+        let tap = |kh: usize, kw: usize| {
+            let cols = tap_range(ow, w, kw, s, p);
+            let len = if s == 1 { cols.len() } else { 1 };
+            let row_runs = move |y: usize| {
+                let iy = y * s + kh - p;
+                cols.clone().step_by(len.max(1)).map(move |ox| (y * ow + ox, iy * w + ox * s + kw - p, len))
+            };
+            tap_range(oh, h, kh, s, p).flat_map(row_runs).collect()
+        };
+        (0..k * k).map(|t| tap(t / k, t % k)).collect()
     }
 }
 
@@ -110,34 +115,33 @@ impl Layer for Conv2d {
         let [n, c, h, w] = dims4_checked(x, "Conv2d");
         assert_eq!(c, self.in_ch, "Conv2d expects {} input channels, got {c}", self.in_ch);
         let (oh, ow) = self.output_hw(h, w);
-        let (k, s, p) = (self.k, self.stride, self.pad);
-        let (rows, cols) = self.taps(h, w, oh, ow);
+        let k = self.k;
+        let taps = self.taps(h, w, oh, ow);
+        let plane = oh * ow;
+        // Batch innermost: the input as [c][h][w][n] and one output
+        // channel at a time as [oh][ow][n], so a run of columns times the
+        // batch is one contiguous slice.
+        let mut xt = vec![0.0; n * c * h * w];
+        transpose(x.data(), c * h * w, n, c * h * w, &mut xt, n);
         let mut out = Tensor::zeros(&[n, self.out_ch, oh, ow]);
-        // Tap by tap, output column innermost: each output element still
-        // takes its terms in (ci, kh, kw) order, starting from the bias.
-        let images =
-            x.data().chunks_exact(c * h * w).zip(out.data_mut().chunks_exact_mut(self.out_ch * oh * ow));
-        for (x_img, out_img) in images {
-            let per_out = out_img.chunks_exact_mut(oh * ow).zip(self.weights.data().chunks_exact(c * k * k));
-            for ((out_plane, w_o), &b) in per_out.zip(self.bias.data()) {
-                out_plane.fill(b);
-                for (x_plane, w_c) in x_img.chunks_exact(h * w).zip(w_o.chunks_exact(k * k)) {
-                    for (t, &wv) in w_c.iter().enumerate() {
-                        let (kh, kw) = (t / k, t % k);
-                        let cols = cols[kw].clone();
-                        // A tap with no valid column reads nothing, and its
-                        // input offset may lie past the plane.
-                        if cols.is_empty() {
-                            continue;
-                        }
-                        for y in rows[kh].clone() {
-                            let x_row = &x_plane[(y * s + kh - p) * w + cols.start * s + kw - p..];
-                            let out_row = &mut out_plane[y * ow..][cols.clone()];
-                            zip_strided(out_row.iter_mut(), x_row.iter(), s, |(o, &v)| *o += wv * v);
+        let mut acc = vec![0.0; plane * n];
+        // Tap by tap, run innermost: each output element still takes its
+        // terms in (ci, kh, kw) order, starting from the bias.
+        let per_out = self.weights.data().chunks_exact(c * k * k).zip(self.bias.data());
+        for (o, (w_o, &b)) in per_out.enumerate() {
+            acc.fill(b);
+            for (x_c, w_c) in xt.chunks_exact(h * w * n).zip(w_o.chunks_exact(k * k)) {
+                for (&wv, runs) in w_c.iter().zip(&taps) {
+                    for &(at, from, len) in runs {
+                        let out_run = &mut acc[at * n..][..len * n];
+                        let x_run = &x_c[from * n..][..len * n];
+                        for (a, &v) in out_run.iter_mut().zip(x_run) {
+                            *a += wv * v;
                         }
                     }
                 }
             }
+            transpose(&acc, n, plane, n, &mut out.data_mut()[o * plane..], self.out_ch * plane);
         }
         self.cached_input = Some(x.clone());
         out
@@ -150,53 +154,75 @@ impl Layer for Conv2d {
         assert_eq!(gn, n, "gradient batch mismatch");
         assert_eq!(go, self.out_ch, "gradient channel mismatch");
         assert_eq!((oh, ow), self.output_hw(h, w), "gradient spatial mismatch");
-        let (k, s, p) = (self.k, self.stride, self.pad);
-        let (rows, cols) = self.taps(h, w, oh, ow);
-        let mut grad_in = Tensor::zeros(&[n, c, h, w]);
+        let k = self.k;
+        let taps = self.taps(h, w, oh, ow);
+        let plane = oh * ow;
         // Where the per-element loops skipped a zero gradient, these add +0
         // (or −0 to the bias), which leaves the sum as it was: the
         // accumulators start at +0, so they are never −0 (DESIGN.md §6).
-        for g_img in grad_out.data().chunks_exact(self.out_ch * oh * ow) {
-            for (gb, g_plane) in self.grad_b.data_mut().iter_mut().zip(g_img.chunks_exact(oh * ow)) {
+        for g_img in grad_out.data().chunks_exact(self.out_ch * plane) {
+            for (gb, g_plane) in self.grad_b.data_mut().iter_mut().zip(g_img.chunks_exact(plane)) {
                 for &g in g_plane {
                     *gb += g;
                 }
             }
         }
-        let images =
-            x.data().chunks_exact(c * h * w).zip(grad_out.data().chunks_exact(self.out_ch * oh * ow));
-        for ((x_img, g_img), gi_img) in images.zip(grad_in.data_mut().chunks_exact_mut(c * h * w)) {
-            let per_out = self
-                .weights
-                .data()
-                .chunks_exact(c * k * k)
-                .zip(self.grad_w.data_mut().chunks_exact_mut(c * k * k));
-            for (g_plane, (w_o, gw_o)) in g_img.chunks_exact(oh * ow).zip(per_out) {
-                let per_in = x_img.chunks_exact(h * w).zip(gi_img.chunks_exact_mut(h * w));
-                for ((x_plane, gi_plane), (w_c, gw_c)) in
-                    per_in.zip(w_o.chunks_exact(k * k).zip(gw_o.chunks_exact_mut(k * k)))
-                {
-                    // Weight gradients take their terms in (n, y, x) order.
-                    // Taps in descending (kh, kw) order reach each input
-                    // element in ascending (y, x) output order.
-                    for t in (0..k * k).rev() {
-                        let (kh, kw, wv) = (t / k, t % k, w_c[t]);
-                        let cols = cols[kw].clone();
-                        if cols.is_empty() {
-                            continue;
+
+        // Input gradient, batch innermost: one output channel's gradient
+        // at a time as [oh][ow][n] scatters into the input gradient as
+        // [c][h][w][n]. Taps in descending (kh, kw) order reach each input
+        // element in ascending (y, x) output order.
+        let mut g_o = vec![0.0; plane * n];
+        let mut git = vec![0.0; c * h * w * n];
+        for (o, w_o) in self.weights.data().chunks_exact(c * k * k).enumerate() {
+            transpose(&grad_out.data()[o * plane..], self.out_ch * plane, n, plane, &mut g_o, n);
+            for (gi_c, w_c) in git.chunks_exact_mut(h * w * n).zip(w_o.chunks_exact(k * k)) {
+                for (&wv, runs) in w_c.iter().zip(&taps).rev() {
+                    for &(at, to, len) in runs {
+                        let g_run = &g_o[at * n..][..len * n];
+                        let gi_run = &mut gi_c[to * n..][..len * n];
+                        for (gi, &g) in gi_run.iter_mut().zip(g_run) {
+                            *gi += if g != 0.0 { g * wv } else { 0.0 };
                         }
-                        let mut gw = gw_c[t];
-                        for y in rows[kh].clone() {
-                            let at = (y * s + kh - p) * w + cols.start * s + kw - p;
-                            let g_row = &g_plane[y * ow..][cols.clone()];
-                            zip_strided(g_row.iter(), x_plane[at..].iter(), s, |(&g, &v)| {
-                                gw += if g != 0.0 { g * v } else { 0.0 };
-                            });
-                            zip_strided(g_row.iter(), gi_plane[at..].iter_mut(), s, |(&g, gi)| {
-                                *gi += if g != 0.0 { g * wv } else { 0.0 };
-                            });
+                    }
+                }
+            }
+        }
+        let mut grad_in = Tensor::zeros(&[n, c, h, w]);
+        transpose(&git, n, c * h * w, n, grad_in.data_mut(), c * h * w);
+
+        // Weight gradient, image by image, `LANES` output channels at a
+        // time: the image's output gradient as [oh][ow][o rounded up to
+        // LANES], each (ci, tap) sweeping (y, x) with its lanes in
+        // registers. Each weight takes its terms in (n, y, x) order,
+        // starting from its current value.
+        let lanes = self.out_ch.next_multiple_of(LANES);
+        let mut g_img = vec![0.0; plane * lanes];
+        let gw = self.grad_w.data_mut();
+        for (x_img, g) in
+            x.data().chunks_exact(c * h * w).zip(grad_out.data().chunks_exact(self.out_ch * plane))
+        {
+            transpose(g, plane, self.out_ch, plane, &mut g_img, lanes);
+            for (ci, x_plane) in x_img.chunks_exact(h * w).enumerate() {
+                for (t, runs) in taps.iter().enumerate() {
+                    for o0 in (0..self.out_ch).step_by(LANES) {
+                        let weight = |l: usize| ((o0 + l) * c + ci) * k * k + t;
+                        let live = LANES.min(self.out_ch - o0);
+                        let mut acc = [0.0f32; LANES];
+                        for (l, a) in acc[..live].iter_mut().enumerate() {
+                            *a = gw[weight(l)];
                         }
-                        gw_c[t] = gw;
+                        for &(at, from, len) in runs {
+                            let g_run = &g_img[at * lanes + o0..];
+                            for (i, &v) in x_plane[from..][..len].iter().enumerate() {
+                                for (a, &g) in acc.iter_mut().zip(&g_run[i * lanes..][..LANES]) {
+                                    *a += if g != 0.0 { g * v } else { 0.0 };
+                                }
+                            }
+                        }
+                        for (l, &a) in acc[..live].iter().enumerate() {
+                            gw[weight(l)] = a;
+                        }
                     }
                 }
             }
@@ -234,14 +260,36 @@ impl Layer for Conv2d {
     }
 }
 
-/// Calls `f` on `(a[i], b[i·stride])` for each `i` in `a`, as a plain zip at
-/// stride 1 so the loop vectorizes.
-#[inline(always)]
-fn zip_strided<A: Iterator, B: Iterator>(a: A, b: B, stride: usize, f: impl FnMut((A::Item, B::Item))) {
-    if stride == 1 {
-        a.zip(b).for_each(f);
-    } else {
-        a.zip(b.step_by(stride)).for_each(f);
+/// `(first output pixel, first input pixel, pixels)` of one run of a kernel
+/// tap: `pixels` consecutive outputs of one row, which read as many
+/// consecutive inputs.
+type Run = (usize, usize, usize);
+
+/// Output channels the weight gradient accumulates at once.
+const LANES: usize = 8;
+
+/// Copies the `rows × cols` matrix whose rows start `src_stride` apart in
+/// `src` into `dst` transposed, with `dst`'s rows `dst_stride` apart:
+/// `dst[j·dst_stride + i] = src[i·src_stride + j]`. Whole 4 × 4 tiles go
+/// through registers, the ragged edges one by one.
+fn transpose(src: &[f32], src_stride: usize, rows: usize, cols: usize, dst: &mut [f32], dst_stride: usize) {
+    let (tiled_rows, tiled_cols) = (rows - rows % 4, cols - cols % 4);
+    for i in (0..tiled_rows).step_by(4) {
+        for j in (0..tiled_cols).step_by(4) {
+            let mut tile = [[0.0f32; 4]; 4];
+            for (a, row) in tile.iter_mut().enumerate() {
+                row.copy_from_slice(&src[(i + a) * src_stride + j..][..4]);
+            }
+            for (b, d) in dst[j * dst_stride + i..].chunks_mut(dst_stride).take(4).enumerate() {
+                d[..4].copy_from_slice(&[tile[0][b], tile[1][b], tile[2][b], tile[3][b]]);
+            }
+        }
+    }
+    for i in 0..rows {
+        let from = if i < tiled_rows { tiled_cols } else { 0 };
+        for j in from..cols {
+            dst[j * dst_stride + i] = src[i * src_stride + j];
+        }
     }
 }
 
@@ -354,9 +402,9 @@ mod tests {
         /// passes, and the weights and bias after the SGD step.
         #[test]
         fn slice_kernels_match_the_oracle_bit_for_bit(
-            n in 1usize..=2,
+            n in 1usize..=4,
             cin in 1usize..=3,
-            cout in 1usize..=3,
+            cout in 1usize..=17,
             k in 1usize..=5,
             stride in 1usize..=3,
             pad in 0usize..=2,

@@ -37,7 +37,7 @@ impl QuantConfig {
         let levels = ((1u32 << bits) - 1) as f32;
         let clipped = value.clamp(-range, range);
         let t = (clipped + range) / (2.0 * range);
-        let code = (t * levels).round();
+        let code = round_ties_away(t * levels);
         code / levels * 2.0 * range - range
     }
 
@@ -81,6 +81,28 @@ impl QuantConfig {
     }
 }
 
+/// `f32::round` (halves away from zero), bit for bit on every input with
+/// any NaN giving a NaN, but inline: at the x86-64 baseline `f32::round`
+/// is a call to libm's `roundf`.
+fn round_ties_away(x: f32) -> f32 {
+    // From 2^23 up every f32 is an integer.
+    if x.is_nan() || x.abs() >= 8_388_608.0 {
+        return x;
+    }
+    // Truncation toward zero and the fraction it leaves are both exact.
+    let t = x as i32 as f32;
+    let frac = x - t;
+    let r = if frac >= 0.5 {
+        t + 1.0
+    } else if frac <= -0.5 {
+        t - 1.0
+    } else {
+        t
+    };
+    // A negative x that rounds to zero gives −0, as `f32::round` does.
+    r.copysign(x)
+}
+
 impl Default for QuantConfig {
     fn default() -> Self {
         Self::full_precision()
@@ -91,6 +113,44 @@ impl Default for QuantConfig {
 mod tests {
     use super::*;
     use crate::layers;
+
+    /// Rounding agrees with `f32::round` bit for bit (any NaN equal to any
+    /// NaN) at the edge cases and on a stride through all bit patterns.
+    #[test]
+    fn inline_round_matches_f32_round() {
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -2.5,
+            0.499_999_97,
+            -0.499_999_97,
+            8_388_607.5,
+            -8_388_607.5,
+            8_388_608.0,
+            16_777_215.0,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1e-45,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        let halves = (-1000..1000).map(|i| i as f32 + 0.5).flat_map(|h| [h.next_down(), h, h.next_up()]);
+        let stride = (0..=u32::MAX).step_by(4099).map(f32::from_bits);
+        for x in edges.into_iter().chain(halves).chain(stride) {
+            let (got, want) = (round_ties_away(x), x.round());
+            assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "{x:e}: {got:e} vs {want:e}"
+            );
+        }
+    }
 
     #[test]
     fn symmetric_grid_endpoints() {
