@@ -1,4 +1,4 @@
-use inca_units::{Energy, EnergyPerBit, Time};
+use inca_units::{Energy, EnergyPerBit};
 use serde::{Deserialize, Serialize};
 
 use crate::{CircuitError, Result};
@@ -8,8 +8,8 @@ use crate::{CircuitError, Result};
 ///
 /// Data fans out from the chip port to `leaves` endpoints (tiles or
 /// macros) through `log2(leaves)` levels of binary branches. Wire length
-/// halves per level; energy and delay follow the classic RC wire model
-/// per millimetre.
+/// halves per level; energy follows the classic RC wire model per
+/// millimetre.
 ///
 /// # Examples
 ///
@@ -18,20 +18,16 @@ use crate::{CircuitError, Result};
 ///
 /// // 168 tiles over a ~9 mm die edge.
 /// let tree = HTree::new(168, 9.0)?;
-/// assert_eq!(tree.levels(), 8);
 /// let e = tree.broadcast_energy_j(256);
 /// assert!(e > inca_units::Energy::ZERO);
 /// # Ok::<(), inca_circuit::CircuitError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HTree {
-    leaves: usize,
     levels: u32,
     die_edge_mm: f64,
     /// Wire energy per bit, per millimetre of wire (22 nm class ~0.08 pJ).
     energy_per_bit_mm_j: EnergyPerBit,
-    /// Wire delay per millimetre, seconds (repeated wire, ~100 ps/mm).
-    delay_per_mm_s: f64,
 }
 
 impl HTree {
@@ -50,19 +46,7 @@ impl HTree {
             return Err(CircuitError::InvalidParams("die edge must be positive".into()));
         }
         let levels = (usize::BITS - (leaves - 1).leading_zeros()).max(1);
-        Ok(Self {
-            leaves,
-            levels,
-            die_edge_mm,
-            energy_per_bit_mm_j: EnergyPerBit::from_joules_per_bit(0.08e-12),
-            delay_per_mm_s: 100e-12,
-        })
-    }
-
-    /// Number of branch levels: `ceil(log2(leaves))`.
-    #[must_use]
-    pub fn levels(&self) -> u32 {
-        self.levels
+        Ok(Self { levels, die_edge_mm, energy_per_bit_mm_j: EnergyPerBit::from_joules_per_bit(0.08e-12) })
     }
 
     /// Total wire length from the root to one leaf, in millimetres:
@@ -87,18 +71,6 @@ impl HTree {
         let total_wire_mm = f64::from(self.levels) * self.die_edge_mm / 2.0;
         bits as f64 * total_wire_mm * self.energy_per_bit_mm_j
     }
-
-    /// Root-to-leaf latency.
-    #[must_use]
-    pub fn latency_s(&self) -> Time {
-        Time::from_seconds(self.root_to_leaf_mm() * self.delay_per_mm_s)
-    }
-
-    /// Leaves served.
-    #[must_use]
-    pub fn leaves(&self) -> usize {
-        self.leaves
-    }
 }
 
 #[cfg(test)]
@@ -107,11 +79,11 @@ mod tests {
 
     #[test]
     fn level_count() {
-        assert_eq!(HTree::new(1, 1.0).unwrap().levels(), 1);
-        assert_eq!(HTree::new(2, 1.0).unwrap().levels(), 1);
-        assert_eq!(HTree::new(3, 1.0).unwrap().levels(), 2);
-        assert_eq!(HTree::new(168, 9.0).unwrap().levels(), 8);
-        assert_eq!(HTree::new(256, 9.0).unwrap().levels(), 8);
+        assert_eq!(HTree::new(1, 1.0).unwrap().levels, 1);
+        assert_eq!(HTree::new(2, 1.0).unwrap().levels, 1);
+        assert_eq!(HTree::new(3, 1.0).unwrap().levels, 2);
+        assert_eq!(HTree::new(168, 9.0).unwrap().levels, 8);
+        assert_eq!(HTree::new(256, 9.0).unwrap().levels, 8);
     }
 
     #[test]
@@ -140,12 +112,5 @@ mod tests {
     fn invalid_params_rejected() {
         assert!(HTree::new(0, 9.0).is_err());
         assert!(HTree::new(8, 0.0).is_err());
-    }
-
-    #[test]
-    fn latency_positive_and_bounded() {
-        let t = HTree::new(168, 9.0).unwrap();
-        let l = t.latency_s().seconds();
-        assert!(l > 0.0 && l < 2e-9, "latency {l}");
     }
 }

@@ -24,7 +24,6 @@ use crate::{constants, CircuitError, Result};
 /// use inca_circuit::TechScaling;
 ///
 /// let s = TechScaling::paper_default(); // 65 nm -> 22 nm, factor 0.34
-/// assert!((s.factor() - 0.34).abs() < 1e-12);
 /// assert!((s.scale_area_raw(100.0) - 100.0 * 0.34 * 0.34).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -52,34 +51,6 @@ impl TechScaling {
             return Err(CircuitError::InvalidParams("nodes and factor must be positive".into()));
         }
         Ok(Self { from_nm, to_nm, factor })
-    }
-
-    /// Creates an ideal scaling where the factor equals the node ratio.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::InvalidParams`] when either node is not
-    /// positive.
-    pub fn ideal(from_nm: f64, to_nm: f64) -> Result<Self> {
-        Self::new(from_nm, to_nm, to_nm / from_nm)
-    }
-
-    /// Source node in nanometres.
-    #[must_use]
-    pub fn from_nm(&self) -> f64 {
-        self.from_nm
-    }
-
-    /// Target node in nanometres.
-    #[must_use]
-    pub fn to_nm(&self) -> f64 {
-        self.to_nm
-    }
-
-    /// The linear scale factor.
-    #[must_use]
-    pub fn factor(&self) -> f64 {
-        self.factor
     }
 
     /// Scales a raw area value in any squared-length unit (e.g. µm² cell
@@ -115,16 +86,9 @@ mod tests {
     #[test]
     fn paper_factor() {
         let s = TechScaling::paper_default();
-        assert_eq!(s.from_nm(), 65.0);
-        assert_eq!(s.to_nm(), 22.0);
-        assert_eq!(s.factor(), 0.34);
-    }
-
-    #[test]
-    fn paper_factor_is_close_to_ideal_node_ratio() {
-        // 22/65 = 0.338… — the paper rounds to 0.34.
-        let ideal = TechScaling::ideal(65.0, 22.0).unwrap();
-        assert!((ideal.factor() - 0.3385).abs() < 1e-3);
+        assert_eq!(s.from_nm, 65.0);
+        assert_eq!(s.to_nm, 22.0);
+        assert_eq!(s.factor, 0.34);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use inca_units::{Energy, EnergyPerBeat, Power, Time};
+use inca_units::{Energy, EnergyPerBeat, Time};
 use serde::{Deserialize, Serialize};
 
 use crate::{constants, Bus};
@@ -31,8 +31,6 @@ pub struct SramBuffer {
     write_energy_per_beat_j: EnergyPerBeat,
     /// Access latency of one beat.
     beat_latency_s: Time,
-    /// Leakage power.
-    leakage_w: Power,
 }
 
 impl SramBuffer {
@@ -45,7 +43,6 @@ impl SramBuffer {
             read_energy_per_beat_j: constants::SRAM_READ_ENERGY_PER_BEAT,
             write_energy_per_beat_j: constants::SRAM_WRITE_ENERGY_PER_BEAT,
             beat_latency_s: Time::from_seconds(1e-9),
-            leakage_w: Power::from_watts(5e-6),
         }
     }
 
@@ -53,12 +50,6 @@ impl SramBuffer {
     #[must_use]
     pub fn capacity_bytes(&self) -> usize {
         self.capacity_bytes
-    }
-
-    /// The access port.
-    #[must_use]
-    pub fn port(&self) -> Bus {
-        self.port
     }
 
     /// Number of port beats needed to move `bytes`.
@@ -78,12 +69,6 @@ impl SramBuffer {
     pub fn write_energy_j(&self, bytes: u64) -> Energy {
         self.beats(bytes) as f64 * self.write_energy_per_beat_j
     }
-
-    /// Leakage energy over a time window (negative windows clamp to zero).
-    #[must_use]
-    pub fn leakage_energy_j(&self, window: Time) -> Energy {
-        self.leakage_w * window.max(Time::ZERO)
-    }
 }
 
 impl Default for SramBuffer {
@@ -100,7 +85,7 @@ mod tests {
     fn paper_default_is_64kb_256bit() {
         let b = SramBuffer::paper_default();
         assert_eq!(b.capacity_bytes(), 65536);
-        assert_eq!(b.port().width_bits(), 256);
+        assert_eq!(b.port.width_bits(), 256);
     }
 
     #[test]
@@ -115,14 +100,5 @@ mod tests {
     fn write_costs_more_than_read() {
         let b = SramBuffer::paper_default();
         assert!(b.write_energy_j(64) > b.read_energy_j(64));
-    }
-
-    #[test]
-    fn leakage_scales_with_time_and_clamps_negative() {
-        let b = SramBuffer::paper_default();
-        assert_eq!(b.leakage_energy_j(Time::from_seconds(-1.0)), Energy::ZERO);
-        let twice = b.leakage_energy_j(Time::from_seconds(2.0));
-        let once = b.leakage_energy_j(Time::from_seconds(1.0));
-        assert!((twice - 2.0 * once).abs().joules() < 1e-18);
     }
 }

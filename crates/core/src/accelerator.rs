@@ -1,4 +1,4 @@
-use inca_arch::{ArchConfig, AreaModel, Dataflow, FootprintModel, FootprintReport};
+use inca_arch::{ArchConfig, AreaModel, FootprintModel, FootprintReport};
 use inca_sim::{simulate_inference, simulate_training, NetworkStats};
 use inca_workloads::Model;
 
@@ -54,12 +54,6 @@ impl Accelerator {
         &self.config
     }
 
-    /// The dataflow this accelerator implements.
-    #[must_use]
-    pub fn dataflow(&self) -> Dataflow {
-        self.config.dataflow
-    }
-
     /// Simulates one inference batch of `model`.
     #[must_use]
     pub fn run_inference(&self, model: Model) -> NetworkStats {
@@ -88,11 +82,12 @@ impl Accelerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inca_arch::Dataflow;
 
     #[test]
     fn dataflows() {
-        assert_eq!(Accelerator::inca().dataflow(), Dataflow::InputStationary);
-        assert_eq!(Accelerator::baseline().dataflow(), Dataflow::WeightStationary);
+        assert_eq!(Accelerator::inca().config().dataflow, Dataflow::InputStationary);
+        assert_eq!(Accelerator::baseline().config().dataflow, Dataflow::WeightStationary);
     }
 
     #[test]

@@ -179,12 +179,6 @@ impl HwConv {
         self.policy = policy;
     }
 
-    /// The currently configured execution policy.
-    #[must_use]
-    pub fn policy(&self) -> ExecPolicy {
-        self.policy
-    }
-
     /// Quantizes and programs the batch, recording one plane write per
     /// (channel, tile, activation bit, sample) whether or not a
     /// bit-level path ever materializes the planes.
@@ -444,7 +438,7 @@ impl HwConv {
     ///
     /// Same as [`HwConv::forward`], and [`Error::Config`] for a batch
     /// larger than 1.
-    // lint: allow(dead-pub) consumer: the EXPERIMENTS.md `hw-inference` analog-noise result.
+    // lint: allow(dead-pub) consumer: the `hw-inference` noise claim; see noisy_analog_path_matches_digital_at_low_sigma.
     pub fn forward_noisy<R: rand::Rng + ?Sized>(
         &self,
         x: &Tensor,
@@ -853,18 +847,18 @@ mod tests {
     fn noisy_analog_path_matches_digital_at_low_sigma() {
         use inca_device::{DeviceParams, NoiseModel};
         use rand::SeedableRng;
-        let w = random_tensor(&[2, 2, 3, 3], 11, -0.4, 0.4);
-        let x = random_tensor(&[1, 2, 8, 8], 12, -0.5, 1.0);
-        let hw = HwConv::from_float(&w, &[0.0, 0.0], 1, 1).unwrap();
-        let digital = hw.forward(&x).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        let noisy =
-            hw.forward_noisy(&x, &DeviceParams::default(), &NoiseModel::relative(0.02), &mut rng).unwrap();
         // 2% device noise stays within the 4-bit ADC decision levels, so
-        // the analog path digitizes to the same codes as the digital path.
-        let scale = digital.data().iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-6);
-        for (a, b) in noisy.data().iter().zip(digital.data()) {
-            assert!((a - b).abs() < 0.05 * scale, "noisy {a} vs digital {b}");
+        // the analog path digitizes every read to the digital path's code:
+        // not one output moves by a bit.
+        for seed in 0..4u64 {
+            let w = random_tensor(&[2, 2, 3, 3], 11 + 2 * seed, -0.4, 0.4);
+            let x = random_tensor(&[1, 2, 8, 8], 12 + 2 * seed, -0.5, 1.0);
+            let hw = HwConv::from_float(&w, &[0.0, 0.0], 1, 1).unwrap();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(13 + seed);
+            let noisy = hw
+                .forward_noisy(&x, &DeviceParams::default(), &NoiseModel::relative(0.02), &mut rng)
+                .unwrap();
+            assert_eq!(noisy.data(), hw.forward(&x).unwrap().data(), "seed {seed}");
         }
     }
 

@@ -15,11 +15,9 @@
 //! ```
 //! use inca_core::prelude::*;
 //!
-//! let report = Comparison::paper_default()
-//!     .workload(Model::ResNet18)
-//!     .run_inference()?;
-//! assert!(report.energy_improvement() > 1.0);
-//! # Ok::<(), inca_core::Error>(())
+//! let report = Comparison::paper_default().run(Model::ResNet18);
+//! assert!(report.inference_energy_ratio > 1.0);
+//! assert!(report.training_energy_ratio > report.inference_energy_ratio);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -27,7 +25,6 @@
 
 mod accelerator;
 mod accuracy;
-mod comparison;
 mod error;
 pub mod exec;
 mod experiments;
@@ -38,20 +35,20 @@ mod hw_train;
 
 pub use accelerator::Accelerator;
 pub use accuracy::{noise_accuracy_row, quantization_accuracy, AccuracyConfig, NoiseAccuracyRow};
-pub use comparison::{Comparison, RunReport};
 pub use error::Error;
 pub use exec::{par_map_indexed, ExecPolicy};
 pub use experiments::{Experiment, ExperimentOpts, ExperimentResult};
 pub use hw_exec::{HwConv, HwLinear, HwWsConv, DATA_BITS, WEIGHT_BITS};
 pub use hw_network::{HwNetwork, HwStage};
 pub use hw_train::{backprop_error_hw, HwGradientUnit};
+pub use inca_sim::{Comparison, ComparisonReport};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, Error>;
 
 /// Convenience prelude: the types most programs need.
 pub mod prelude {
-    pub use crate::{Accelerator, Comparison, Error, Experiment, ExperimentOpts, RunReport};
+    pub use crate::{Accelerator, Comparison, ComparisonReport, Error, Experiment, ExperimentOpts};
     pub use inca_arch::{ArchConfig, Dataflow};
     pub use inca_sim::{simulate_inference, simulate_training, EnergyBreakdown, NetworkStats};
     pub use inca_workloads::Model;

@@ -17,7 +17,7 @@ use crate::{DeviceError, DeviceParams, Result};
 /// let p = DeviceParams::default();
 /// let mut cell = RramCell::off(&p);
 /// cell.program_level(1, 1, &p); // logical 1 on a 1-bit cell
-/// assert_eq!(cell.g_norm(), 1.0);
+/// assert_eq!(cell.read_level(1), 1);
 /// // Ohm's law at the read voltage:
 /// let i = cell.read_current(p.read_voltage);
 /// assert!((i - p.read_voltage / 240e3).abs() / i < 1e-12);
@@ -37,23 +37,11 @@ impl RramCell {
         Self { g_norm: 0.0, g_on: params.g_on(), g_off: params.g_off(), writes: 0 }
     }
 
-    /// Creates a cell in the fully-on (low-resistance) state.
-    #[must_use]
-    pub fn on(params: &DeviceParams) -> Self {
-        Self { g_norm: 1.0, ..Self::off(params) }
-    }
-
     /// Creates a cell holding the given normalized conductance, clamped to
     /// `[0, 1]`.
     #[must_use]
     pub fn with_g_norm(g_norm: f64, params: &DeviceParams) -> Self {
         Self { g_norm: g_norm.clamp(0.0, 1.0), ..Self::off(params) }
-    }
-
-    /// The stored normalized conductance in `[0, 1]`.
-    #[must_use]
-    pub fn g_norm(&self) -> f64 {
-        self.g_norm
     }
 
     /// The absolute conductance in siemens.
@@ -147,7 +135,7 @@ mod tests {
 
     #[test]
     fn on_cell_has_on_resistance() {
-        let c = RramCell::on(&p());
+        let c = RramCell::with_g_norm(1.0, &p());
         assert!((1.0 / c.conductance() - 240e3).abs() < 1.0);
     }
 
@@ -187,7 +175,7 @@ mod tests {
     #[test]
     fn read_current_obeys_ohms_law() {
         let params = p();
-        let c = RramCell::on(&params);
+        let c = RramCell::with_g_norm(1.0, &params);
         let i = c.read_current(0.5);
         assert!((i - 0.5 / 240e3).abs() < 1e-12);
     }
@@ -205,8 +193,8 @@ mod tests {
         let params = p();
         let mut c = RramCell::off(&params);
         c.program_g_norm(1.5);
-        assert_eq!(c.g_norm(), 1.0);
+        assert_eq!(c.g_norm, 1.0);
         c.program_g_norm(-0.5);
-        assert_eq!(c.g_norm(), 0.0);
+        assert_eq!(c.g_norm, 0.0);
     }
 }

@@ -52,18 +52,6 @@ impl EnduranceTracker {
         Self { writes: vec![0; units], limit }
     }
 
-    /// Number of tracked units.
-    #[must_use]
-    pub fn units(&self) -> usize {
-        self.writes.len()
-    }
-
-    /// The per-unit endurance limit.
-    #[must_use]
-    pub fn limit(&self) -> u64 {
-        self.limit
-    }
-
     /// Records `count` writes to unit `index`.
     ///
     /// # Errors
@@ -143,7 +131,7 @@ mod tests {
     #[test]
     fn new_tracker_is_pristine() {
         let t = EnduranceTracker::new(8, 100);
-        assert_eq!(t.units(), 8);
+        assert_eq!(t.writes.len(), 8);
         assert_eq!(t.total_writes(), 0);
         assert_eq!(t.report().worst_wear, 0.0);
     }

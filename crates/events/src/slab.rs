@@ -130,12 +130,6 @@ impl<T> Slab<T> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Total slots allocated (live + free).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 #[cfg(test)]
@@ -161,7 +155,7 @@ mod tests {
         assert_eq!(slab.remove(a), Some(1));
         let b = slab.insert(2);
         // Same slot, new generation.
-        assert_eq!(slab.capacity(), 1);
+        assert_eq!(slab.slots.len(), 1);
         assert_ne!(a, b);
         assert_eq!(slab.get(a), None);
         assert_eq!(slab.remove(a), None);
@@ -180,7 +174,7 @@ mod tests {
             slab.insert(100 + i);
         }
         // All eight original slots were reused; nothing grew.
-        assert_eq!(slab.capacity(), 8);
+        assert_eq!(slab.slots.len(), 8);
         assert_eq!(slab.len(), 8);
     }
 

@@ -11,16 +11,19 @@
 //! * `use` and `pub use` lines — a re-export is not a caller;
 //! * the `#[cfg(test)]` code of its own file.
 //!
-//! A path resolves by its last qualifier, as [`SymbolTable::resolve`]
-//! does for calls: `Type::name` (and `Self::name` inside `impl Type`)
-//! names only `Type`'s associated items; `module::name` names only the
-//! free items of the workspace crates or modules called `module`
-//! (a crate is `<dir>` or `inca_<dir>`); `crate::`, `self::` or
-//! `super::` names only the free items of the same crate; and `.name`
-//! names only associated items. A qualifier
-//! the workspace does not define (`std`, the `inca` facade, an alias)
-//! narrows nothing, and an unqualified name matches every item so
-//! named, so the rule errs towards keeping an item alive.
+//! A name resolves the way rustc resolves it. `Type::name` (and
+//! `Self::name` inside `impl Type`) names only `Type`'s associated
+//! items; `module::name` names only the free items of the workspace
+//! crates or modules called `module` (a crate is `<dir>` or
+//! `inca_<dir>`); `crate::`, `self::` or `super::` names only the free
+//! items of the same crate. An unqualified name names only free items:
+//! Rust never resolves a bare name to an inherent associated item.
+//! `.name` names associated items only when a call follows (`(` or
+//! `::<`); otherwise it is a field access and names nothing. A module
+//! qualifier the workspace does not define (`std`, the `inca` facade)
+//! narrows nothing among free items, and a qualifier that is not a
+//! name (`<T>::`, `<$Q>::`) narrows nothing at all, so the rule errs
+//! towards keeping an item alive.
 //!
 //! A waiver on a type covers its inherent items too: the consumer it
 //! names reaches the type through them.
@@ -51,11 +54,13 @@ struct PubItem<'a> {
 
 /// How a reference was qualified.
 enum Qual {
-    /// A bare name or a qualifier that narrows nothing.
+    /// A bare name: free items only.
+    Bare,
+    /// A qualifier that narrows nothing (`<T>::name`).
     Any,
     /// `Type::name`: associated items of `Type` only.
     Type(String),
-    /// `.name`: a method or field, so associated items only.
+    /// `.name(` or `.name::<`: a method call, so associated items only.
     Member,
     /// `module::name`: free items under `module` only.
     Module(String),
@@ -133,6 +138,7 @@ pub(crate) fn check_dead_pub(sources: &[SourceFile], consumers: &[SourceFile], o
 /// crate `item_crate`).
 fn names(r: &Ref, item: &PubItem<'_>, ref_crate: &str, item_crate: &str, known: &BTreeSet<String>) -> bool {
     match &r.qual {
+        Qual::Bare => item.container.is_none(),
         Qual::Any => true,
         Qual::Type(t) => item.container == Some(t.as_str()),
         Qual::Member => item.container.is_some(),
@@ -243,12 +249,19 @@ fn collect_refs<'f>(file: &'f SourceFile, idx: usize, refs: &mut BTreeMap<&'f st
             || (prev(1).is_some_and(|t| t.is_punct('!'))
                 && prev(2).and_then(Token::ident) == Some("macro_rules"));
         if !skip[i] && !defined {
-            let qualified =
-                prev(1).is_some_and(|t| t.is_punct(':')) && prev(2).is_some_and(|t| t.is_punct(':'));
+            let path_sep = |j: usize| toks.get(j).is_some_and(|t| t.is_punct(':'));
+            let qualified = i >= 2 && path_sep(i - 1) && path_sep(i - 2);
+            let called = toks.get(i + 1).is_some_and(|t| t.is_punct('('))
+                || (path_sep(i + 1) && path_sep(i + 2) && toks.get(i + 3).is_some_and(|t| t.is_punct('<')));
             let qual = if prev(1).is_some_and(|t| t.is_punct('.')) {
+                if !called {
+                    // A field access names no item.
+                    i += 1;
+                    continue;
+                }
                 Qual::Member
             } else if !qualified {
-                Qual::Any
+                Qual::Bare
             } else {
                 match prev(3).and_then(Token::ident) {
                     Some("Self") => impls
@@ -466,6 +479,35 @@ mod tests {
             &[("crates/a/tests/t.rs", "a", "fn main(e: inca_a::E) { e.summarize(); }")],
         );
         assert_eq!(got, ["a::summarize"]);
+    }
+
+    #[test]
+    fn a_field_access_or_a_bare_name_does_not_name_a_method() {
+        let src = "
+            pub struct Buf { len: usize }
+            impl Buf { pub fn new() -> Self { Buf { len: 0 } } pub fn len(&self) -> usize { self.len } }
+        ";
+        let user = "fn main() { let b = inca_a::Buf::new(); let len = b.len; assert_eq!(len, 0); }";
+        let got = flagged(&[("crates/a/src/lib.rs", "a", src)], &[("crates/a/tests/t.rs", "a", user)]);
+        assert_eq!(got, ["a::Buf::len"]);
+    }
+
+    #[test]
+    fn a_method_call_or_an_open_qualifier_names_a_method() {
+        let src = "
+            pub struct Buf;
+            impl Buf {
+                pub fn len(&self) -> usize { 0 }
+                pub fn get<T: Default>(&self) -> T { T::default() }
+                pub fn make() -> Self { Buf }
+            }
+        ";
+        let user = "
+            fn build<T>() { <T>::make(); }
+            fn main(b: inca_a::Buf) { b.len(); b.get::<u8>(); }
+        ";
+        let got = flagged(&[("crates/a/src/lib.rs", "a", src)], &[("crates/a/tests/t.rs", "a", user)]);
+        assert!(got.is_empty(), "{got:?}");
     }
 
     #[test]

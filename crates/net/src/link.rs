@@ -182,12 +182,6 @@ impl LinkState {
         }
         Offer::Accepted { depart_ns: self.busy_until, marked }
     }
-
-    /// Virtual time the transmitter becomes idle.
-    #[must_use]
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
 }
 
 #[cfg(test)]

@@ -126,23 +126,13 @@ pub struct Topology {
     out: Vec<Vec<LinkId>>,
     /// Host node ids in rack order.
     hosts: Vec<NodeId>,
-    /// Rack index per node id (`u32::MAX` for switches).
-    rack_of: Vec<u32>,
     racks: usize,
     name: String,
 }
 
 impl Topology {
     fn empty(name: String) -> Self {
-        Self {
-            kinds: Vec::new(),
-            links: Vec::new(),
-            out: Vec::new(),
-            hosts: Vec::new(),
-            rack_of: Vec::new(),
-            racks: 0,
-            name,
-        }
+        Self { kinds: Vec::new(), links: Vec::new(), out: Vec::new(), hosts: Vec::new(), racks: 0, name }
     }
 
     fn add_node(&mut self, kind: NodeKind) -> NodeId {
@@ -150,13 +140,11 @@ impl Topology {
         assert!(id.0 != u32::MAX, "topology exceeds u32 node ids");
         self.kinds.push(kind);
         self.out.push(Vec::new());
-        self.rack_of.push(u32::MAX);
         id
     }
 
-    fn add_host(&mut self, rack: usize) -> NodeId {
+    fn add_host(&mut self) -> NodeId {
         let id = self.add_node(NodeKind::Host);
-        self.rack_of[id.index()] = u32::try_from(rack).unwrap_or(u32::MAX);
         self.hosts.push(id);
         id
     }
@@ -215,7 +203,7 @@ impl Topology {
             }
             for &e in &edges {
                 for _ in 0..hosts_per_edge {
-                    let h = t.add_host(rack);
+                    let h = t.add_host();
                     t.add_duplex(h, e, spec);
                 }
                 rack += 1;
@@ -238,13 +226,13 @@ impl Topology {
             "leaf_spine(leaves={leaves}, spines={spines}, hosts_per_leaf={hosts_per_leaf})"
         ));
         let spine_ids: Vec<NodeId> = (0..spines).map(|_| t.add_node(NodeKind::Core)).collect();
-        for rack in 0..leaves {
+        for _ in 0..leaves {
             let leaf = t.add_node(NodeKind::Edge);
             for &s in &spine_ids {
                 t.add_duplex(leaf, s, spec);
             }
             for _ in 0..hosts_per_leaf {
-                let h = t.add_host(rack);
+                let h = t.add_host();
                 t.add_duplex(h, leaf, spec);
             }
         }
@@ -270,12 +258,6 @@ impl Topology {
         self.links.len()
     }
 
-    /// The node's kind.
-    #[must_use]
-    pub fn kind(&self, node: NodeId) -> NodeKind {
-        self.kinds[node.index()]
-    }
-
     /// Host node ids, rack-by-rack in builder order.
     #[must_use]
     pub fn hosts(&self) -> &[NodeId] {
@@ -286,13 +268,6 @@ impl Topology {
     #[must_use]
     pub fn racks(&self) -> usize {
         self.racks
-    }
-
-    /// The rack a host belongs to; `None` for switches.
-    #[must_use]
-    pub fn rack_of(&self, node: NodeId) -> Option<usize> {
-        let r = *self.rack_of.get(node.index())?;
-        (r != u32::MAX).then_some(r as usize)
     }
 
     /// The directed link table.
@@ -330,10 +305,10 @@ mod tests {
         assert_eq!(t.num_links(), 2 * (16 + 16 + 16));
         // Every host hangs off exactly one edge switch.
         for &h in t.hosts() {
-            assert_eq!(t.kind(h), NodeKind::Host);
+            assert_eq!(t.kinds[h.index()], NodeKind::Host);
             assert_eq!(t.out_links(h).len(), 1);
             let up = t.link(t.out_links(h)[0]);
-            assert_eq!(t.kind(up.dst), NodeKind::Edge);
+            assert_eq!(t.kinds[up.dst.index()], NodeKind::Edge);
             assert_eq!(up.tier, LinkTier::Access);
         }
     }
@@ -342,11 +317,14 @@ mod tests {
     fn fat_tree_rack_grouping() {
         let t = Topology::fat_tree(4, 3, LinkSpec::default_datacenter());
         assert_eq!(t.hosts().len(), 24);
-        // Hosts come in rack-contiguous groups of hosts_per_edge.
-        for (i, &h) in t.hosts().iter().enumerate() {
-            assert_eq!(t.rack_of(h), Some(i / 3));
+        // Hosts come in rack-contiguous groups of hosts_per_edge: two
+        // hosts share an edge switch exactly when they share a group.
+        let edge = |h: NodeId| t.link(t.out_links(h)[0]).dst;
+        for (i, &a) in t.hosts().iter().enumerate() {
+            for (j, &b) in t.hosts().iter().enumerate() {
+                assert_eq!(edge(a) == edge(b), i / 3 == j / 3, "hosts {i} and {j}");
+            }
         }
-        assert_eq!(t.rack_of(NodeId(0)), None); // a core switch
     }
 
     #[test]
@@ -371,7 +349,7 @@ mod tests {
     fn tiers_classify_by_endpoints() {
         let t = Topology::fat_tree(4, 1, LinkSpec::default_datacenter());
         for l in t.links() {
-            let expect = match (t.kind(l.src), t.kind(l.dst)) {
+            let expect = match (t.kinds[l.src.index()], t.kinds[l.dst.index()]) {
                 (NodeKind::Host, _) | (_, NodeKind::Host) => LinkTier::Access,
                 (NodeKind::Edge, NodeKind::Agg) | (NodeKind::Agg, NodeKind::Edge) => LinkTier::Aggregation,
                 _ => LinkTier::Core,

@@ -18,7 +18,6 @@ pub struct SyntheticDataset {
     labels: Vec<usize>,
     samples: usize,
     side: usize,
-    classes: usize,
 }
 
 impl SyntheticDataset {
@@ -51,7 +50,7 @@ impl SyntheticDataset {
             }
             labels.push(class);
         }
-        Self { images, labels, samples, side, classes }
+        Self { images, labels, samples, side }
     }
 
     /// Number of samples.
@@ -64,28 +63,6 @@ impl SyntheticDataset {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.samples == 0
-    }
-
-    /// Image side length.
-    #[must_use]
-    pub fn side(&self) -> usize {
-        self.side
-    }
-
-    /// Number of classes.
-    #[must_use]
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Class label of sample `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    #[must_use]
-    pub fn label(&self, i: usize) -> usize {
-        self.labels[i]
     }
 
     /// Assembles a `[len, 1, side, side]` batch of the samples at `indices`
@@ -137,8 +114,7 @@ mod tests {
     #[test]
     fn labels_cycle_through_classes() {
         let d = SyntheticDataset::generate(10, 4, 3, 0);
-        let labels: Vec<usize> = (0..10).map(|i| d.label(i)).collect();
-        assert_eq!(labels, vec![0, 1, 2, 0, 1, 2, 0, 1, 2, 0]);
+        assert_eq!(d.labels, vec![0, 1, 2, 0, 1, 2, 0, 1, 2, 0]);
     }
 
     #[test]
@@ -166,7 +142,7 @@ mod tests {
         let d = SyntheticDataset::generate(64, 8, 2, 3);
         let pix = 64usize;
         let class_mean = |class: usize| -> Vec<f32> {
-            let idxs: Vec<usize> = (0..d.len()).filter(|&i| d.label(i) == class).collect();
+            let idxs: Vec<usize> = (0..d.len()).filter(|&i| d.labels[i] == class).collect();
             let mut mean = vec![0.0f32; pix];
             for &i in &idxs {
                 let (x, _) = d.batch(&[i]);

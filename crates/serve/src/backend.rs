@@ -133,12 +133,6 @@ impl CostCache {
         Self { backend, specs, param_counts, costs }
     }
 
-    /// The backend this table prices.
-    #[must_use]
-    pub fn backend(&self) -> BackendKind {
-        self.backend
-    }
-
     /// Service cost of a batch of `batch` requests of model `model_idx`.
     ///
     /// # Panics

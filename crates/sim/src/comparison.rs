@@ -2,7 +2,7 @@ use inca_arch::ArchConfig;
 use inca_workloads::{Model, ModelSpec};
 use serde::{Deserialize, Serialize};
 
-use crate::{simulate_inference, simulate_training, GpuModel, NetworkStats};
+use crate::{simulate_inference, simulate_training, GpuModel};
 
 /// Packages the INCA-vs-baseline(-vs-GPU) comparisons of Figs 11/14/15.
 ///
@@ -83,18 +83,6 @@ impl Comparison {
             gpu_energy_ratio: self.gpu.training_energy_j(spec, batch) / inca_tr.energy.total_j(),
             gpu_throughput_per_area_ratio: inca_tp_area / self.gpu.training_throughput_per_area(spec, batch),
         }
-    }
-
-    /// Raw simulation outputs for one model:
-    /// `(inca_inference, baseline_inference, inca_training, baseline_training)`.
-    #[must_use]
-    pub fn raw(&self, spec: &ModelSpec) -> (NetworkStats, NetworkStats, NetworkStats, NetworkStats) {
-        (
-            simulate_inference(&self.inca, spec),
-            simulate_inference(&self.baseline, spec),
-            simulate_training(&self.inca, spec),
-            simulate_training(&self.baseline, spec),
-        )
     }
 }
 

@@ -6,17 +6,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::EnergyBreakdown;
 
-/// Which training phase a per-layer statistic belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Phase {
-    /// Feedforward (also the whole of inference).
-    Feedforward,
-    /// Error backpropagation.
-    Backward,
-    /// Weight update.
-    WeightUpdate,
-}
-
 /// Per-layer simulation result. Energies are **per batch**; `cycles` are
 /// the array cycles the layer occupies (per image for WS, per batch for
 /// IS — IS cycles cover all stacked planes at once).

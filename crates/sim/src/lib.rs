@@ -43,7 +43,6 @@ mod lifetime;
 mod phases;
 mod report;
 pub mod schedule;
-mod training;
 
 pub use comparison::{Comparison, ComparisonReport};
 pub use energy::EnergyBreakdown;
@@ -51,9 +50,8 @@ pub use events::{conv_forward_events, ConvGeometry, FunctionalEvents};
 pub use gpu::GpuModel;
 pub use inference::{
     is_layer_cycles, simulate_feedforward, simulate_inference, ws_layer_cycles, CostModel, LayerStats,
-    NetworkStats, Phase,
+    NetworkStats,
 };
 pub use lifetime::{training_lifetime, TrainingLifetime, IMAGENET_TRAIN_IMAGES};
-pub use phases::{training_phases, TrainingPhases};
+pub use phases::{simulate_training, training_phases, TrainingPhases};
 pub use report::{format_energy_table, format_ratio_table};
-pub use training::simulate_training;

@@ -1,17 +1,16 @@
-//! Phase-resolved training statistics: feedforward vs backpropagation vs
-//! weight update (the three steps of §II-B), per dataflow.
+//! One training step (§II-B): feedforward, backpropagation and weight
+//! update, per dataflow.
 //!
-//! [`crate::simulate_training`] returns the merged totals; this module
-//! exposes the per-phase decomposition used by the training ablations and
-//! the endurance model.
+//! [`training_phases`] is the model; [`simulate_training`] is its sum,
+//! used by Figs 11b/14b/15.
 
 use inca_arch::{ArchConfig, Dataflow};
 use inca_units::{Energy, Time};
 use inca_workloads::ModelSpec;
 use serde::{Deserialize, Serialize};
 
-use crate::inference::{simulate_feedforward, CostModel};
-use crate::{EnergyBreakdown, Phase};
+use crate::inference::{leakage_energy_j, simulate_feedforward, CostModel};
+use crate::{EnergyBreakdown, LayerStats, NetworkStats};
 
 /// One training step broken into its three phases.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -37,16 +36,6 @@ impl TrainingPhases {
         self.feedforward.total_j() + self.backward.total_j() + self.weight_update.total_j()
     }
 
-    /// Energy of one named phase.
-    #[must_use]
-    pub fn energy(&self, phase: Phase) -> &EnergyBreakdown {
-        match phase {
-            Phase::Feedforward => &self.feedforward,
-            Phase::Backward => &self.backward,
-            Phase::WeightUpdate => &self.weight_update,
-        }
-    }
-
     /// The share of total energy spent in each phase
     /// `(feedforward, backward, update)`.
     #[must_use]
@@ -61,118 +50,178 @@ impl TrainingPhases {
 
 /// Simulates one training step with per-phase resolution.
 ///
-/// The phase models mirror [`crate::simulate_training`]:
+/// **WS baseline (PipeLayer-style):**
+/// * three convolution passes per image (feedforward, transposed-weight
+///   error convolution, input×error gradient convolution),
+/// * no batch pipelining — "the WS baseline needs repeated operations for
+///   each image in the same batch" (§V-B2),
+/// * intermediate activations/errors of every layer spill to DRAM (the
+///   inference pipeline that avoided storing them is unavailable),
+/// * transposed weights and gradients occupy and rewrite extra RRAM
+///   (Limitation 2) — real programming pulses, and the update phase ends
+///   with the row-parallel weight rewrite.
 ///
-/// * **WS** — each phase is one unpipelined convolution pass per image;
-///   backward adds the activation store/refetch DRAM traffic, update adds
-///   the error/gradient/weight RRAM programming.
-/// * **IS** — feedforward is batch-parallel inference; backward doubles
-///   the weight traffic (transposed fetches) and overwrites activations;
-///   update is ≈ half a pass plus the weight write-back.
+/// **INCA:**
+/// * feedforward as inference (batch-parallel),
+/// * backward reuses the activations already resident in the arrays;
+///   transposed weights are *fetched again* from the buffer (doubling the
+///   weight traffic — §V-B1: "the training process may double the accesses
+///   in INCA"), and computed errors overwrite the activations in place,
+/// * the weight-update convolution reads the resident inputs with the
+///   errors supplied as kernels (≈ half a feedforward's cycles, since
+///   gradients are produced at kernel granularity), then writes the
+///   updated weights back through buffer/DRAM.
+///
+/// Every phase's static energy is chip leakage over that phase's latency.
 #[must_use]
 pub fn training_phases(config: &ArchConfig, spec: &ModelSpec) -> TrainingPhases {
-    match config.dataflow {
-        Dataflow::WeightStationary => ws_phases(config, spec),
-        Dataflow::InputStationary => is_phases(config, spec),
+    simulate_phases(config, spec).0
+}
+
+/// Simulates one training step (feedforward + backpropagation + weight
+/// update) over one batch: the sum of [`training_phases`]' energies and
+/// latencies, with the feedforward's per-layer statistics.
+#[must_use]
+pub fn simulate_training(config: &ArchConfig, spec: &ModelSpec) -> NetworkStats {
+    let (phases, per_layer) = simulate_phases(config, spec);
+    NetworkStats {
+        dataflow: phases.dataflow,
+        batch: phases.batch,
+        per_layer,
+        energy: phases.feedforward + phases.backward + phases.weight_update,
+        latency_s: phases.latency_s.iter().sum(),
     }
 }
 
-fn ws_phases(config: &ArchConfig, spec: &ModelSpec) -> TrainingPhases {
+/// The three phases and the feedforward's per-layer statistics.
+fn simulate_phases(config: &ArchConfig, spec: &ModelSpec) -> (TrainingPhases, Vec<LayerStats>) {
+    let (per_layer, mut energy, latency_s) = match config.dataflow {
+        Dataflow::WeightStationary => ws_phases(config, spec),
+        Dataflow::InputStationary => is_phases(config, spec),
+    };
+    // Both dataflows leak at the default density.
+    for (e, &t) in energy.iter_mut().zip(&latency_s) {
+        e.static_j = leakage_energy_j(config, &CostModel::default(), t);
+    }
+    let [feedforward, backward, weight_update] = energy;
+    let phases = TrainingPhases {
+        dataflow: config.dataflow,
+        batch: config.batch_size,
+        feedforward,
+        backward,
+        weight_update,
+        latency_s,
+    };
+    (phases, per_layer)
+}
+
+/// Per-layer feedforward stats, then each phase's dynamic energy and
+/// latency.
+type PhaseModel = (Vec<LayerStats>, [EnergyBreakdown; 3], [Time; 3]);
+
+fn ws_phases(config: &ArchConfig, spec: &ModelSpec) -> PhaseModel {
+    let _span = inca_telemetry::span("sim.training.ws");
+    // Weights (and their transposed copies) are rewritten every batch, so
+    // the weight traffic streams from DRAM.
     let cost = CostModel { ws_weight_stream_per_batch: 2.0, ..CostModel::default() };
     let fwd = simulate_feedforward(config, spec, &cost);
     let batch = config.batch_size as f64;
     let bits = f64::from(config.data_bits);
     let write_j = config.device.write_energy_j();
 
-    let per_image_cycles: u64 =
-        spec.weighted_layers().map(|l| crate::inference::ws_layer_cycles(l, config)).sum();
+    // Each phase is one unpipelined convolution pass per image (WS layer
+    // cycles are per image).
+    let per_image_cycles: u64 = fwd.per_layer.iter().map(|l| l.cycles).sum();
     let pass_latency = Time::from_seconds(
         (per_image_cycles * config.batch_size as u64) as f64 * config.array_read_latency_s(),
     );
 
-    let mut feedforward = fwd.energy;
-    feedforward.static_j = crate::inference::leakage_energy_j(config, &cost, pass_latency);
-
-    // Backward: one transposed-weight pass + activation store/refetch.
+    // Backward: one transposed-weight pass; every layer's activations are
+    // stored after the feedforward and re-fetched, errors likewise
+    // (4 × activation bytes per image), and errors are written beside the
+    // weights.
     let mut backward = fwd.energy;
-    backward.static_j = feedforward.static_j;
     let act_bytes = spec.activation_input_elems() as f64 * bits / 8.0;
     backward.dram_j += 4.0 * act_bytes * batch * 8.0 * inca_circuit::constants::HBM2_ENERGY_PER_BIT;
     backward.array_j += Energy::from_joules(spec.activation_input_elems() as f64 * bits * batch * write_j);
 
-    // Update: gradient pass + weight (and transposed-weight) rewrite.
+    // Update: gradient pass, then the weight + transposed-weight rewrite at
+    // batch end; programming is row-parallel, one write pulse per array
+    // row set.
     let mut weight_update = fwd.energy;
-    weight_update.static_j = feedforward.static_j;
     let weight_cells = spec.param_count() as f64 * bits * 2.0;
     weight_update.array_j += Energy::from_joules(weight_cells * write_j);
+    let rewrite = Time::from_seconds(
+        weight_cells / (config.subarray as f64) * config.device.write_pulse_s
+            / config.units_per_chip() as f64,
+    );
 
-    TrainingPhases {
-        dataflow: Dataflow::WeightStationary,
-        batch: config.batch_size,
-        feedforward,
-        backward,
-        weight_update,
-        latency_s: [pass_latency, pass_latency, pass_latency],
-    }
+    (
+        fwd.per_layer,
+        [fwd.energy, backward, weight_update],
+        [pass_latency, pass_latency, pass_latency + rewrite],
+    )
 }
 
-fn is_phases(config: &ArchConfig, spec: &ModelSpec) -> TrainingPhases {
-    let cost = CostModel::default();
-    let fwd = simulate_feedforward(config, spec, &cost);
+fn is_phases(config: &ArchConfig, spec: &ModelSpec) -> PhaseModel {
+    let _span = inca_telemetry::span("sim.training.is");
+    let fwd = simulate_feedforward(config, spec, &CostModel::default());
     let bits = f64::from(config.data_bits);
     let batch = config.batch_size as f64;
     let write_j = config.device.write_energy_j();
 
+    // Backward and feedforward take the same batch-parallel cycles, each
+    // a read and a write.
     let fwd_cycles: u64 = fwd.per_layer.iter().map(|l| l.cycles).sum();
     let cycle_s = config.array_read_latency_s() + config.array_write_latency_s();
     let fwd_latency = Time::from_seconds(fwd_cycles as f64 * cycle_s);
 
-    let feedforward = fwd.energy;
-
+    // Backward: transposed-weight fetches double the buffer and DRAM
+    // weight traffic; errors overwrite the resident activations.
     let mut backward = fwd.energy;
     backward.buffer_j *= 2.0;
     backward.dram_j *= 2.0;
     backward.array_j += Energy::from_joules(spec.activation_input_elems() as f64 * bits * batch * write_j);
 
+    // Update: half a feedforward of reads plus the weight write-back.
     let mut weight_update = fwd.energy.scaled(0.5);
     let w_bytes = spec.param_count() as f64 * bits / 8.0;
     weight_update.dram_j += w_bytes * 8.0 * inca_circuit::constants::HBM2_ENERGY_PER_BIT;
     weight_update.buffer_j += w_bytes / 32.0 * inca_circuit::constants::SRAM_WRITE_ENERGY_PER_BEAT;
-    weight_update.static_j = crate::inference::leakage_energy_j(config, &cost, fwd_latency * 0.5);
 
-    TrainingPhases {
-        dataflow: Dataflow::InputStationary,
-        batch: config.batch_size,
-        feedforward,
-        backward,
-        weight_update,
-        latency_s: [fwd_latency, fwd_latency, fwd_latency * 0.5],
-    }
+    (fwd.per_layer, [fwd.energy, backward, weight_update], [fwd_latency, fwd_latency, fwd_latency * 0.5])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulate_inference;
     use inca_workloads::Model;
 
     #[test]
-    fn phases_sum_close_to_merged_training() {
-        let spec = Model::ResNet18.spec();
-        for cfg in [ArchConfig::inca_paper(), ArchConfig::baseline_paper()] {
-            let phases = training_phases(&cfg, &spec);
-            let merged = crate::simulate_training(&cfg, &spec);
-            let rel = (phases.total_energy_j() - merged.energy.total_j()).abs() / merged.energy.total_j();
-            assert!(
-                rel < 0.25,
-                "{:?}: phases {} vs merged {}",
-                cfg.dataflow,
-                phases.total_energy_j(),
-                merged.energy.total_j()
-            );
-            let total_latency: Time = phases.latency_s.iter().sum();
-            let lat_rel = (total_latency - merged.latency_s).abs() / merged.latency_s;
-            assert!(lat_rel < 0.25, "{:?}: latency {} vs {}", cfg.dataflow, total_latency, merged.latency_s);
+    fn each_phase_leaks_over_its_own_latency() {
+        for model in Model::paper_suite() {
+            let spec = model.spec();
+            for cfg in [ArchConfig::inca_paper(), ArchConfig::baseline_paper()] {
+                let p = training_phases(&cfg, &spec);
+                for (e, &t) in [p.feedforward, p.backward, p.weight_update].iter().zip(&p.latency_s) {
+                    let leak = leakage_energy_j(&cfg, &CostModel::default(), t);
+                    assert_eq!(e.static_j, leak, "{model} {:?}", cfg.dataflow);
+                }
+            }
+            // The IS feedforward is inference, bar the leakage.
+            let inca = ArchConfig::inca_paper();
+            let feedforward = training_phases(&inca, &spec).feedforward;
+            let inference = simulate_inference(&inca, &spec).energy;
+            assert_eq!(EnergyBreakdown { static_j: inference.static_j, ..feedforward }, inference, "{model}");
         }
+    }
+
+    #[test]
+    fn ws_update_carries_the_weight_rewrite() {
+        let p = training_phases(&ArchConfig::baseline_paper(), &Model::Vgg16.spec());
+        assert_eq!(p.latency_s[0], p.latency_s[1]);
+        assert!(p.latency_s[2] > p.latency_s[0]);
     }
 
     #[test]
@@ -200,11 +249,49 @@ mod tests {
     }
 
     #[test]
-    fn energy_accessor_matches_fields() {
+    fn training_costs_more_than_inference() {
         let spec = Model::ResNet18.spec();
-        let p = training_phases(&ArchConfig::inca_paper(), &spec);
-        assert_eq!(p.energy(Phase::Feedforward), &p.feedforward);
-        assert_eq!(p.energy(Phase::Backward), &p.backward);
-        assert_eq!(p.energy(Phase::WeightUpdate), &p.weight_update);
+        for cfg in [ArchConfig::inca_paper(), ArchConfig::baseline_paper()] {
+            let inf = simulate_inference(&cfg, &spec);
+            let tr = simulate_training(&cfg, &spec);
+            assert!(tr.energy.total_j() > inf.energy.total_j(), "{:?}", cfg.dataflow);
+            assert!(tr.latency_s > inf.latency_s, "{:?}", cfg.dataflow);
+        }
+    }
+
+    #[test]
+    fn training_ratio_exceeds_inference_ratio() {
+        // Fig 11/14: INCA's advantage grows in training (batch parallelism).
+        let spec = Model::Vgg16.spec();
+        let inca_cfg = ArchConfig::inca_paper();
+        let base_cfg = ArchConfig::baseline_paper();
+        let inf_ratio = simulate_inference(&base_cfg, &spec).energy.total_j()
+            / simulate_inference(&inca_cfg, &spec).energy.total_j();
+        let tr_ratio = simulate_training(&base_cfg, &spec).energy.total_j()
+            / simulate_training(&inca_cfg, &spec).energy.total_j();
+        assert!(tr_ratio > inf_ratio, "training {tr_ratio} vs inference {inf_ratio}");
+    }
+
+    #[test]
+    fn training_speedup_exceeds_inference_speedup() {
+        let spec = Model::Vgg16.spec();
+        let inca_cfg = ArchConfig::inca_paper();
+        let base_cfg = ArchConfig::baseline_paper();
+        let inf =
+            simulate_inference(&base_cfg, &spec).latency_s / simulate_inference(&inca_cfg, &spec).latency_s;
+        let tr =
+            simulate_training(&base_cfg, &spec).latency_s / simulate_training(&inca_cfg, &spec).latency_s;
+        assert!(tr > inf, "training speedup {tr} vs inference {inf}");
+    }
+
+    #[test]
+    fn inca_training_wins_on_every_model() {
+        for model in Model::paper_suite() {
+            let spec = model.spec();
+            let base = simulate_training(&ArchConfig::baseline_paper(), &spec);
+            let inca = simulate_training(&ArchConfig::inca_paper(), &spec);
+            assert!(inca.energy.total_j() < base.energy.total_j(), "{model} energy");
+            assert!(inca.latency_s < base.latency_s, "{model} latency");
+        }
     }
 }

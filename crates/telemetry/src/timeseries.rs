@@ -59,12 +59,6 @@ impl TimeSeries {
         }
     }
 
-    /// The sampling interval, nanoseconds.
-    #[must_use]
-    pub fn interval_ns(&self) -> u64 {
-        self.interval_ns
-    }
-
     /// Number of sampled rows.
     #[must_use]
     pub fn len(&self) -> usize {

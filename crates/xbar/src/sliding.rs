@@ -43,12 +43,6 @@ impl Windows {
     pub fn folded(h: usize, w: usize, kh: usize, kw: usize) -> Self {
         Self::new(h, w, kh, kw, kh.max(kw))
     }
-
-    /// Output dimensions `(oh, ow)`.
-    #[must_use]
-    pub fn dims(&self) -> (usize, usize) {
-        (self.oh, self.ow)
-    }
 }
 
 impl Iterator for Windows {

@@ -10,7 +10,7 @@
 use inca::arch::mapping::{IsMapping, WsMapping};
 use inca::prelude::*;
 
-fn main() -> Result<(), inca::Error> {
+fn main() {
     let inca_cfg = ArchConfig::inca_paper();
     let base_cfg = ArchConfig::baseline_paper();
     let is = IsMapping::new(&inca_cfg);
@@ -28,8 +28,9 @@ fn main() -> Result<(), inca::Error> {
     }
 
     println!("\nFigs 11/14 — improvements on the two light models:");
+    let comparison = Comparison::paper_default();
     for model in Model::light_suite() {
-        let r = Comparison::paper_default().workload(model).run_all()?;
+        let r = comparison.run(model);
         println!(
             "  {:<14} inference {:>6.1}x energy, {:>6.1}x speed | training {:>7.1}x energy, {:>7.1}x speed",
             model.name(),
@@ -50,5 +51,4 @@ fn main() -> Result<(), inca::Error> {
         mapping.units,
         mapping.utilization() * 100.0,
     );
-    Ok(())
 }

@@ -7,32 +7,31 @@
 
 use inca::prelude::*;
 
-fn main() -> Result<(), inca::Error> {
+fn main() {
     // The paper's Table II configurations: INCA (16x16x64 subarrays, 4-bit
     // ADC) vs the ISAAC/PipeLayer-style weight-stationary baseline
     // (128x128 arrays, 8-bit ADC).
-    let comparison = Comparison::paper_default().workload(Model::ResNet18);
+    let report = Comparison::paper_default().run(Model::ResNet18);
+    let acc = Accelerator::inca();
+    let inference = acc.run_inference(Model::ResNet18);
 
-    let inference = comparison.run_inference()?;
     println!(
         "ResNet-18 inference: INCA {:.3e} J/img vs baseline {:.3e} J/img -> {:.1}x energy, {:.1}x speed",
-        inference.inca.energy_per_image_j(),
-        inference.baseline.energy_per_image_j(),
-        inference.energy_improvement(),
-        inference.speedup(),
+        inference.energy_per_image_j(),
+        Accelerator::baseline().run_inference(Model::ResNet18).energy_per_image_j(),
+        report.inference_energy_ratio,
+        report.inference_speedup,
     );
-
-    let training = comparison.run_training()?;
     println!(
         "ResNet-18 training:  {:.1}x energy efficiency, {:.1}x speedup (batch {})",
-        training.energy_improvement(),
-        training.speedup(),
-        training.inca.batch,
+        report.training_energy_ratio,
+        report.training_speedup,
+        acc.run_training(Model::ResNet18).batch,
     );
 
     // Where the energy goes (the Fig 13b breakdown):
     println!("\nINCA inference energy breakdown:");
-    let e = &inference.inca.energy;
+    let e = &inference.energy;
     for (name, j) in [
         ("DRAM", e.dram_j),
         ("buffer", e.buffer_j),
@@ -46,7 +45,6 @@ fn main() -> Result<(), inca::Error> {
     }
 
     // Memory footprint (Table IV) and area (Table V):
-    let acc = Accelerator::inca();
     let fp = acc.footprint(Model::ResNet18);
     println!(
         "\nFootprint: INCA needs {:.2} MiB RRAM vs {:.2} MiB for the baseline; chip area {:.1} mm² vs {:.1} mm²",
@@ -55,5 +53,4 @@ fn main() -> Result<(), inca::Error> {
         acc.area_mm2(),
         Accelerator::baseline().area_mm2(),
     );
-    Ok(())
 }

@@ -24,12 +24,9 @@
 //! use inca::prelude::*;
 //!
 //! // Build both accelerators with the paper's Table II configuration and
-//! // compare one inference of ResNet-18.
-//! let report = Comparison::paper_default()
-//!     .workload(Model::ResNet18)
-//!     .run_inference()?;
-//! assert!(report.energy_improvement() > 1.0);
-//! # Ok::<(), inca::Error>(())
+//! // compare them on ResNet-18.
+//! let report = Comparison::paper_default().run(Model::ResNet18);
+//! assert!(report.inference_energy_ratio > 1.0);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -12,7 +12,7 @@ fn headline_ratios_have_paper_shape() {
     let c = Comparison::paper_default();
     let mut heavy_best_tr = 0.0f64;
     for model in M::heavy_suite() {
-        let r = c.clone().workload(model).run_all().unwrap();
+        let r = c.run(model);
         assert!(r.inference_energy_ratio > 3.0, "{model} inf energy {}", r.inference_energy_ratio);
         assert!(r.inference_energy_ratio < 60.0, "{model} inf energy {}", r.inference_energy_ratio);
         assert!(r.training_energy_ratio > r.inference_energy_ratio, "{model}");
@@ -20,7 +20,7 @@ fn headline_ratios_have_paper_shape() {
         heavy_best_tr = heavy_best_tr.max(r.training_energy_ratio);
     }
     for model in M::light_suite() {
-        let r = c.clone().workload(model).run_all().unwrap();
+        let r = c.run(model);
         assert!(r.training_energy_ratio > heavy_best_tr, "{model} should beat every heavy model");
         assert!(r.inference_speedup > 20.0, "{model} speedup {}", r.inference_speedup);
     }
@@ -108,7 +108,7 @@ fn latency_structure() {
 fn fig15_gpu_comparison() {
     let c = Comparison::paper_default();
     for model in M::paper_suite() {
-        let r = c.clone().workload(model).run_all().unwrap();
+        let r = c.run(model);
         assert!(r.gpu_energy_ratio > 1.0, "{model}: {}", r.gpu_energy_ratio);
     }
 }
