@@ -28,8 +28,6 @@ use crate::{constants, CircuitError, Result};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TechScaling {
-    from_nm: f64,
-    to_nm: f64,
     factor: f64,
 }
 
@@ -37,10 +35,11 @@ impl TechScaling {
     /// The paper's 65 nm → 22 nm scaling with factor 0.34.
     #[must_use]
     pub fn paper_default() -> Self {
-        Self { from_nm: 65.0, to_nm: 22.0, factor: constants::TECH_SCALE_FACTOR_65_TO_22 }
+        Self { factor: constants::TECH_SCALE_FACTOR_65_TO_22 }
     }
 
     /// Creates a scaling between two nodes with an explicit linear factor.
+    /// Only the factor enters the rules; the nodes are checked, not kept.
     ///
     /// # Errors
     ///
@@ -50,7 +49,7 @@ impl TechScaling {
         if from_nm <= 0.0 || to_nm <= 0.0 || factor <= 0.0 {
             return Err(CircuitError::InvalidParams("nodes and factor must be positive".into()));
         }
-        Ok(Self { from_nm, to_nm, factor })
+        Ok(Self { factor })
     }
 
     /// Scales a raw area value in any squared-length unit (e.g. µm² cell
@@ -85,10 +84,7 @@ mod tests {
 
     #[test]
     fn paper_factor() {
-        let s = TechScaling::paper_default();
-        assert_eq!(s.from_nm, 65.0);
-        assert_eq!(s.to_nm, 22.0);
-        assert_eq!(s.factor, 0.34);
+        assert_eq!(TechScaling::paper_default().factor, 0.34);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use inca_units::{Energy, EnergyPerBeat, Time};
+use inca_units::{Energy, EnergyPerBeat};
 use serde::{Deserialize, Serialize};
 
 use crate::{constants, Bus};
@@ -29,8 +29,6 @@ pub struct SramBuffer {
     read_energy_per_beat_j: EnergyPerBeat,
     /// Energy of one full-width write beat.
     write_energy_per_beat_j: EnergyPerBeat,
-    /// Access latency of one beat.
-    beat_latency_s: Time,
 }
 
 impl SramBuffer {
@@ -42,7 +40,6 @@ impl SramBuffer {
             port: Bus::new(256),
             read_energy_per_beat_j: constants::SRAM_READ_ENERGY_PER_BEAT,
             write_energy_per_beat_j: constants::SRAM_WRITE_ENERGY_PER_BEAT,
-            beat_latency_s: Time::from_seconds(1e-9),
         }
     }
 

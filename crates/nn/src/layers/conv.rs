@@ -1,6 +1,6 @@
 use rand::{Rng, SeedableRng};
 
-use super::{dims4_checked, output_len, tap_range, Layer};
+use super::{dims4_checked, output_len, tap_range, transpose, Layer};
 use crate::Tensor;
 
 /// A 2-D convolution layer (Eq. 1 of the paper).
@@ -191,40 +191,26 @@ impl Layer for Conv2d {
         let mut grad_in = Tensor::zeros(&[n, c, h, w]);
         transpose(&git, n, c * h * w, n, grad_in.data_mut(), c * h * w);
 
-        // Weight gradient, image by image, `LANES` output channels at a
-        // time: the image's output gradient as [oh][ow][o rounded up to
-        // LANES], each (ci, tap) sweeping (y, x) with its lanes in
-        // registers. Each weight takes its terms in (n, y, x) order,
-        // starting from its current value.
-        let lanes = self.out_ch.next_multiple_of(LANES);
-        let mut g_img = vec![0.0; plane * lanes];
-        let gw = self.grad_w.data_mut();
+        // Weight gradient, image by image: the image's output gradient as
+        // [o / LANES][oh][ow][LANES], swept by groups of `GROUP` input
+        // channels copied to [h][w][GROUP]. Each weight takes its terms in
+        // (n, y, x) order, starting from its current value.
+        let mut g_img = vec![0.0; plane * self.out_ch.next_multiple_of(LANES)];
+        let mut x_group = vec![0.0; h * w * GROUP];
+        let (gw, out_ch) = (self.grad_w.data_mut(), self.out_ch);
         for (x_img, g) in
             x.data().chunks_exact(c * h * w).zip(grad_out.data().chunks_exact(self.out_ch * plane))
         {
-            transpose(g, plane, self.out_ch, plane, &mut g_img, lanes);
-            for (ci, x_plane) in x_img.chunks_exact(h * w).enumerate() {
-                for (t, runs) in taps.iter().enumerate() {
-                    for o0 in (0..self.out_ch).step_by(LANES) {
-                        let weight = |l: usize| ((o0 + l) * c + ci) * k * k + t;
-                        let live = LANES.min(self.out_ch - o0);
-                        let mut acc = [0.0f32; LANES];
-                        for (l, a) in acc[..live].iter_mut().enumerate() {
-                            *a = gw[weight(l)];
-                        }
-                        for &(at, from, len) in runs {
-                            let g_run = &g_img[at * lanes + o0..];
-                            for (i, &v) in x_plane[from..][..len].iter().enumerate() {
-                                for (a, &g) in acc.iter_mut().zip(&g_run[i * lanes..][..LANES]) {
-                                    *a += if g != 0.0 { g * v } else { 0.0 };
-                                }
-                            }
-                        }
-                        for (l, &a) in acc[..live].iter().enumerate() {
-                            gw[weight(l)] = a;
-                        }
-                    }
-                }
+            for (g_o, g_lanes) in g.chunks(LANES * plane).zip(g_img.chunks_exact_mut(LANES * plane)) {
+                transpose(g_o, plane, g_o.len() / plane, plane, g_lanes, LANES);
+            }
+            let grouped = c - c % GROUP;
+            for ci in (0..grouped).step_by(GROUP) {
+                transpose(&x_img[ci * h * w..], h * w, GROUP, h * w, &mut x_group, GROUP);
+                sweep_weight_gradient::<GROUP>(gw, &x_group, &g_img, &taps, ci, c, out_ch);
+            }
+            for (ci, x_plane) in x_img.chunks_exact(h * w).enumerate().skip(grouped) {
+                sweep_weight_gradient::<1>(gw, x_plane, &g_img, &taps, ci, c, out_ch);
             }
         }
         grad_in
@@ -268,27 +254,55 @@ type Run = (usize, usize, usize);
 /// Output channels the weight gradient accumulates at once.
 const LANES: usize = 8;
 
-/// Copies the `rows × cols` matrix whose rows start `src_stride` apart in
-/// `src` into `dst` transposed, with `dst`'s rows `dst_stride` apart:
-/// `dst[j·dst_stride + i] = src[i·src_stride + j]`. Whole 4 × 4 tiles go
-/// through registers, the ragged edges one by one.
-fn transpose(src: &[f32], src_stride: usize, rows: usize, cols: usize, dst: &mut [f32], dst_stride: usize) {
-    let (tiled_rows, tiled_cols) = (rows - rows % 4, cols - cols % 4);
-    for i in (0..tiled_rows).step_by(4) {
-        for j in (0..tiled_cols).step_by(4) {
-            let mut tile = [[0.0f32; 4]; 4];
-            for (a, row) in tile.iter_mut().enumerate() {
-                row.copy_from_slice(&src[(i + a) * src_stride + j..][..4]);
+/// Input channels the weight gradient accumulates at once.
+const GROUP: usize = 4;
+
+/// Adds one image's `g·x` terms to the weight gradients `gw`
+/// (`[out_ch][c][k][k]`) of the `G` input channels from `ci0`, given those
+/// channels as `x_group` (`[h][w][G]`) and the image's output gradient as
+/// `g_img` (`[out_ch / LANES rounded up][oh][ow][LANES]`). Each (tap,
+/// group of `LANES` output channels) holds `G × LANES` gradients in
+/// registers, sweeps the tap's runs in (y, x) order and stores them: the
+/// `G` channels share each gradient load, and their add chains are
+/// independent. Padded lanes add zeros and are never stored.
+fn sweep_weight_gradient<const G: usize>(
+    gw: &mut [f32],
+    x_group: &[f32],
+    g_img: &[f32],
+    taps: &[Vec<Run>],
+    ci0: usize,
+    c: usize,
+    out_ch: usize,
+) {
+    let (kk, plane) = (taps.len(), g_img.len() / out_ch.next_multiple_of(LANES));
+    for (t, runs) in taps.iter().enumerate() {
+        for (o0, g_lanes) in (0..out_ch).step_by(LANES).zip(g_img.chunks_exact(plane * LANES)) {
+            let weight = |j: usize, l: usize| ((o0 + l) * c + ci0 + j) * kk + t;
+            let live = LANES.min(out_ch - o0);
+            let mut acc = [[0.0f32; LANES]; G];
+            for (j, acc_j) in acc.iter_mut().enumerate() {
+                for (l, a) in acc_j[..live].iter_mut().enumerate() {
+                    *a = gw[weight(j, l)];
+                }
             }
-            for (b, d) in dst[j * dst_stride + i..].chunks_mut(dst_stride).take(4).enumerate() {
-                d[..4].copy_from_slice(&[tile[0][b], tile[1][b], tile[2][b], tile[3][b]]);
+            for &(at, from, len) in runs {
+                let (g_run, _) = g_lanes[at * LANES..][..len * LANES].as_chunks::<LANES>();
+                let (x_run, _) = x_group[from * G..][..len * G].as_chunks::<G>();
+                for (g, xs) in g_run.iter().zip(x_run) {
+                    let g: [f32; LANES] = *g;
+                    for j in 0..G {
+                        let v = xs[j];
+                        for l in 0..LANES {
+                            acc[j][l] += if g[l] != 0.0 { g[l] * v } else { 0.0 };
+                        }
+                    }
+                }
             }
-        }
-    }
-    for i in 0..rows {
-        let from = if i < tiled_rows { tiled_cols } else { 0 };
-        for j in from..cols {
-            dst[j * dst_stride + i] = src[i * src_stride + j];
+            for (j, acc_j) in acc.iter().enumerate() {
+                for (l, &a) in acc_j[..live].iter().enumerate() {
+                    gw[weight(j, l)] = a;
+                }
+            }
         }
     }
 }
@@ -297,7 +311,7 @@ fn transpose(src: &[f32], src_stride: usize, rows: usize, cols: usize, dst: &mut
 mod tests {
     use proptest::prelude::*;
 
-    use super::super::assert_same_bits;
+    use super::super::{assert_same_bits, Oracle};
     use super::*;
 
     /// `len` values in `−1..1`, about 30% of them exact zeros of either
@@ -317,7 +331,7 @@ mod tests {
 
     /// The per-element loops the slice kernels replaced, kept as their
     /// bit-exact oracle.
-    impl Conv2d {
+    impl Oracle for Conv2d {
         fn forward_oracle(&mut self, x: &Tensor) -> Tensor {
             let [n, c, h, w] = dims4_checked(x, "Conv2d");
             assert_eq!(c, self.in_ch, "Conv2d expects {} input channels, got {c}", self.in_ch);
@@ -403,7 +417,7 @@ mod tests {
         #[test]
         fn slice_kernels_match_the_oracle_bit_for_bit(
             n in 1usize..=4,
-            cin in 1usize..=3,
+            cin in 1usize..=6,
             cout in 1usize..=17,
             k in 1usize..=5,
             stride in 1usize..=3,

@@ -32,40 +32,32 @@ impl Layer for MaxPool2d {
         let (k, s) = (self.k, self.stride);
         let oh = output_len("MaxPool2d", h, k, s, 0);
         let ow = output_len("MaxPool2d", w, k, s, 0);
-        let mut out = Tensor::full(&[n, c, oh, ow], f32::NEG_INFINITY);
+        let mut out = vec![0.0; n * c * oh * ow];
         let mut argmax = vec![0; n * c * oh * ow];
-        let planes = x.data().chunks_exact(h * w).zip(out.data_mut().chunks_exact_mut(oh * ow));
-        for (plane, ((x_plane, out_plane), arg_plane)) in
-            planes.zip(argmax.chunks_exact_mut(oh * ow)).enumerate()
-        {
-            for (y, (best, best_idx)) in
-                out_plane.chunks_exact_mut(ow).zip(arg_plane.chunks_exact_mut(ow)).enumerate()
-            {
-                // A window with no value above −∞ routes its gradient to
-                // its own first element.
-                let base = plane * h * w;
-                for (xo, i) in best_idx.iter_mut().enumerate() {
-                    *i = base + y * s * w + xo * s;
-                }
-                // Taps in (kh, kw) order across the whole output row: the
-                // strict `>` keeps each window's first maximum.
-                for kh in 0..k {
-                    for kw in 0..k {
-                        let at = (y * s + kh) * w + kw;
-                        let row =
-                            best.iter_mut().zip(best_idx.iter_mut()).zip(x_plane[at..].iter().step_by(s));
-                        for (xo, ((b, i), &v)) in row.enumerate() {
-                            if v > *b {
-                                *b = v;
-                                *i = base + at + xo * s;
-                            }
+        let outs = out.chunks_exact_mut(oh * ow).zip(argmax.chunks_exact_mut(oh * ow));
+        for (plane, (x_plane, (out_plane, arg_plane))) in x.data().chunks_exact(h * w).zip(outs).enumerate() {
+            let rows = out_plane.chunks_exact_mut(ow).zip(arg_plane.chunks_exact_mut(ow));
+            for (y, (out_row, arg_row)) in rows.enumerate() {
+                for (xo, (max, arg)) in out_row.iter_mut().zip(arg_row).enumerate() {
+                    // One window, taps in (kh, kw) order: the strict `>`
+                    // keeps its first maximum, and a window with no value
+                    // above −∞ routes its gradient to its own first element.
+                    let first = y * s * w + xo * s;
+                    let (mut best, mut at) = (f32::NEG_INFINITY, first);
+                    for (kh, row) in x_plane[first..].chunks(w).take(k).enumerate() {
+                        for (kw, &v) in row[..k].iter().enumerate() {
+                            let gt = v > best;
+                            at = if gt { first + kh * w + kw } else { at };
+                            best = if gt { v } else { best };
                         }
                     }
+                    *max = best;
+                    *arg = plane * h * w + at;
                 }
             }
         }
         self.cache = Some((x.shape().to_vec(), argmax));
-        out
+        Tensor::from_vec(out, &[n, c, oh, ow])
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -88,12 +80,12 @@ mod tests {
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
-    use super::super::assert_same_bits;
+    use super::super::{assert_same_bits, Oracle};
     use super::*;
 
     /// The per-window loop the slice kernel replaced, kept as its
     /// bit-exact oracle.
-    impl MaxPool2d {
+    impl Oracle for MaxPool2d {
         fn forward_oracle(&mut self, x: &Tensor) -> Tensor {
             let [n, c, h, w] = dims4_checked(x, "MaxPool2d");
             let oh = (h - self.k) / self.stride + 1;

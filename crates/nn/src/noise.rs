@@ -2,6 +2,7 @@ use inca_device::NoiseModel;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
+use crate::tensor::max_abs;
 use crate::{Network, Tensor};
 
 /// Where the RRAM nonideality noise enters the computation.
@@ -91,7 +92,7 @@ impl NoiseInjection {
         if self.target != NoiseTarget::Activations || !self.model.is_noisy() {
             return t;
         }
-        let scale = t.data().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+        let scale = max_abs(t.data());
         if scale == 0.0 {
             return t;
         }

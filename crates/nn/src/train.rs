@@ -61,12 +61,15 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Panics if `epochs` or `batch_size` is zero or `lr` is not positive.
+    /// Panics if `epochs` or `batch_size` is zero, `lr` is not positive, or
+    /// the quantization config sets a bit depth outside `1..=24` or holds a
+    /// range that is not finite and positive.
     #[must_use]
     pub fn new(config: TrainConfig) -> Self {
         assert!(config.epochs > 0, "epochs must be positive");
         assert!(config.batch_size > 0, "batch size must be positive");
         assert!(config.lr > 0.0, "learning rate must be positive");
+        config.quant.assert_valid();
         Self { config }
     }
 
@@ -216,9 +219,104 @@ mod tests {
         assert!(stats.final_train_accuracy > 0.4, "train accuracy {}", stats.final_train_accuracy);
     }
 
+    /// The accuracy CNN (conv 1→8, ReLU, pool, conv 8→16, ReLU, flatten,
+    /// FC → 10 on 12 × 12 images), built from the shipped layers or from
+    /// their per-element oracle loops.
+    fn accuracy_cnn(oracle: bool) -> Network {
+        use layers::{Conv2d, Flatten, Linear, MaxPool2d, Oracle, Oracled, Relu};
+        fn push<L: Oracle + 'static>(net: &mut Network, layer: L, oracle: bool) {
+            if oracle {
+                net.push(Oracled(layer));
+            } else {
+                net.push(layer);
+            }
+        }
+        let mut net = Network::new();
+        push(&mut net, Conv2d::new(1, 8, 3, 1, 1, 5), oracle);
+        push(&mut net, Relu::new(), oracle);
+        push(&mut net, MaxPool2d::new(2, 2), oracle);
+        push(&mut net, Conv2d::new(8, 16, 3, 1, 1, 6), oracle);
+        push(&mut net, Relu::new(), oracle);
+        net.push(Flatten::new());
+        push(&mut net, Linear::new(16 * 6 * 6, 10, 7), oracle);
+        net
+    }
+
+    /// Training the accuracy CNN on its kernels follows the oracle loops'
+    /// trajectory bit for bit under every regime the accuracy tables use:
+    /// the same losses, accuracies and final weights.
+    #[test]
+    fn kernels_train_the_accuracy_cnn_bit_for_bit() {
+        let dataset = SyntheticDataset::generate(40, 12, 10, 3);
+        let quant =
+            QuantConfig { weight_bits: Some(8), activation_bits: Some(4), ..QuantConfig::full_precision() };
+        let regimes = [
+            ("plain", NoiseInjection::none(), QuantConfig::full_precision()),
+            ("4-bit activations", NoiseInjection::none(), quant),
+            ("weight noise", NoiseInjection::weights(0.02), QuantConfig::full_precision()),
+            ("activation noise", NoiseInjection::activations(0.02), QuantConfig::full_precision()),
+        ];
+        for (regime, noise, quant) in regimes {
+            let config = TrainConfig { epochs: 1, lr: 0.08, noise, quant, seed: 9, ..TrainConfig::default() };
+            let runs = [false, true].map(|oracle| {
+                let mut net = accuracy_cnn(oracle);
+                let stats = Trainer::new(config).fit(&mut net, &dataset, Loss::CrossEntropy);
+                let mut weights = Vec::new();
+                net.map_weights(&mut |w| {
+                    weights.push(w.to_bits());
+                    w
+                });
+                (stats.epoch_losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(), stats, weights)
+            });
+            let [(fast_losses, fast, fast_weights), (oracle_losses, oracle, oracle_weights)] = runs;
+            assert_eq!(fast_losses, oracle_losses, "{regime}: losses");
+            assert_eq!(fast.test_accuracy, oracle.test_accuracy, "{regime}: test accuracy");
+            assert_eq!(fast.final_train_accuracy, oracle.final_train_accuracy, "{regime}: train accuracy");
+            assert!(fast_weights == oracle_weights, "{regime}: weights differ");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "epochs")]
     fn zero_epochs_panics() {
         let _ = Trainer::new(TrainConfig { epochs: 0, ..TrainConfig::default() });
+    }
+
+    /// A trainer whose quantization config is full precision, edited by
+    /// `edit`.
+    fn trainer_with_quant(edit: impl FnOnce(&mut QuantConfig)) -> Trainer {
+        let mut quant = QuantConfig::full_precision();
+        edit(&mut quant);
+        Trainer::new(TrainConfig { quant, ..TrainConfig::default() })
+    }
+
+    #[test]
+    #[should_panic(expected = "activation bits must lie in 1..=24, got 0")]
+    fn zero_activation_bits_panic() {
+        let _ = trainer_with_quant(|q| q.activation_bits = Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "weight bits must lie in 1..=24, got 25")]
+    fn weight_bits_past_24_panic() {
+        let _ = trainer_with_quant(|q| q.weight_bits = Some(25));
+    }
+
+    #[test]
+    #[should_panic(expected = "activation range must be finite and positive, got 0")]
+    fn zero_activation_range_panics() {
+        let _ = trainer_with_quant(|q| q.activation_range = 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight range must be finite and positive, got -0.5")]
+    fn negative_weight_range_panics() {
+        let _ = trainer_with_quant(|q| q.weight_range = -0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "activation range must be finite and positive, got NaN")]
+    fn nan_activation_range_panics() {
+        let _ = trainer_with_quant(|q| q.activation_range = f32::NAN);
     }
 }

@@ -1,5 +1,5 @@
 use inca_arch::ArchConfig;
-use inca_workloads::{Model, ModelSpec};
+use inca_workloads::Model;
 use serde::{Deserialize, Serialize};
 
 use crate::{simulate_inference, simulate_training, GpuModel};
@@ -58,13 +58,7 @@ impl Comparison {
     /// Runs all four simulations for one model and returns the ratios.
     #[must_use]
     pub fn run(&self, model: Model) -> ComparisonReport {
-        let spec = model.spec();
-        self.run_spec(model, &spec)
-    }
-
-    /// Runs against an explicit spec (e.g. a CIFAR variant).
-    #[must_use]
-    pub fn run_spec(&self, model: Model, spec: &ModelSpec) -> ComparisonReport {
+        let spec = &model.spec();
         let inca_inf = simulate_inference(&self.inca, spec);
         let base_inf = simulate_inference(&self.baseline, spec);
         let inca_tr = simulate_training(&self.inca, spec);

@@ -3,7 +3,7 @@
 //! Every headline number the reproduction emits (Fig 6 energy splits,
 //! `SERVE_report.json` rps/mm², mJ/request) flows through hand-written
 //! floating-point arithmetic whose unit conventions used to live only in
-//! identifier suffixes (`read_energy_per_beat_j`, `beat_latency_s`).
+//! identifier suffixes (`read_energy_per_beat_j`, `latency_s`).
 //! This crate turns those conventions into types, so a pJ-vs-nJ or
 //! ns-vs-cycles mix-up becomes a compile error instead of a silently
 //! miscalibrated figure:
