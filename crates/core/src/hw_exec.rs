@@ -17,8 +17,11 @@
 //!   one kernel broadcast on the shared pillars that reads the same
 //!   window on every plane, digitized per plane by the 4-bit ADC,
 //!   recombined by shift-adds, and dequantized,
-//! * fully-connected layers run on a WS-style [`inca_xbar::Crossbar2d`]
-//!   with the same differential encoding, one row of the batch at a time.
+//! * fully-connected layers ([`HwLinear`]) are WS-style differential
+//!   crossbars with the same encoding, read one row of the batch at a
+//!   time; their bit-serial reads never saturate, so each row is one exact
+//!   integer GEMV over the signed weight codes, with the crossbar's events
+//!   recorded in closed form.
 //!
 //! Engine-level optimizations ride on top of the hardware model without
 //! changing a single output bit:
@@ -64,11 +67,10 @@
 #![allow(clippy::needless_range_loop)] // loops index several arrays with one shared variable
 use inca_nn::Tensor;
 use inca_telemetry::Event;
-use inca_xbar::quant::slice_to_bit_planes;
 use inca_xbar::{AdcReadout, Crossbar2d, Stack3d, VerticalPlane};
 
 use crate::exec::{self, ExecPolicy};
-use crate::hw_kernel::{conv_output_dims, round_half_away, CodeImage, ConvKernel};
+use crate::hw_kernel::{conv_output_dims, round_half_away, CodeImage, ConvKernel, Dequantizer, Quantizer};
 use crate::{Error, Result};
 
 /// Quantization width of activations (Table II: 8-bit codes).
@@ -338,9 +340,10 @@ impl HwConv {
         kernel.map_rows(
             self.policy,
             (image.b, oh, ow),
+            1,
             // Per-worker arena: one compact window and the read sums.
             || (vec![0u64; kernel.window_words()], vec![0u32; kernel.reads_per_window()]),
-            |(x, sums), bi, oy, row| {
+            |(x, sums), bi, oy, _, row| {
                 for (ox, slots) in row.chunks_exact_mut(kernel.out_ch()).enumerate() {
                     let (ry, rx) = (oy * kernel.stride(), ox * kernel.stride());
                     // Every channel shares the same tiling.
@@ -541,8 +544,8 @@ impl HwWsConv {
     /// # Errors
     ///
     /// Returns [`Error::Config`] if the weight tensor is not a square 4-D
-    /// kernel, the bias length does not match the output channels, or
-    /// the stride is 0.
+    /// kernel with at least one output, input and cell, the bias length
+    /// does not match the output channels, or the stride is 0.
     pub fn from_float(weights: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Result<Self> {
         if weights.shape().len() != 4 {
             return Err(Error::Config(format!("expected [out,in,k,k] weights, got {:?}", weights.shape())));
@@ -554,20 +557,10 @@ impl HwWsConv {
         if stride == 0 {
             return Err(Error::Config("stride must be at least 1".into()));
         }
-        // Unroll [out, in, k, k] -> [out, in*k*k] in window order
-        // (channel-major, then kh, kw — matching the window unroll below).
-        let fan_in = in_ch * k * k;
-        let mut unrolled = Tensor::zeros(&[out_ch, fan_in]);
-        for o in 0..out_ch {
-            for c in 0..in_ch {
-                for kh in 0..k {
-                    for kw in 0..k {
-                        let col = (c * k + kh) * k + kw;
-                        unrolled.data_mut()[o * fan_in + col] = weights.at4(o, c, kh, kw);
-                    }
-                }
-            }
-        }
+        // An NCHW kernel's output rows are already unrolled in window
+        // order (channel-major, then kh, kw — matching the window unroll
+        // below): [out, in, k, k] is [out, in·k·k].
+        let unrolled = weights.clone().reshaped(&[out_ch, in_ch * k * k]);
         Ok(Self { in_ch, k, stride, pad, gemm: HwLinear::from_float(&unrolled, bias)? })
     }
 
@@ -616,63 +609,56 @@ impl HwWsConv {
 }
 
 /// A fully-connected layer executed on a WS crossbar with differential
-/// weight columns (positive / negative pairs).
+/// weight columns (positive / negative pairs): per output, one column per
+/// side and weight bit.
+///
+/// Each row of a batch is quantized to 8-bit codes on its own range and
+/// read bit-serially, one activation bit per cycle on both sides. A
+/// column sums at most `in` binary products and no read is digitized
+/// below that count, so the shift-add of the reads is exactly
+/// `Σ_i x_code[i] · q[o][i]` over the signed weight codes `q`, which
+/// `forward` computes in `i64`. The crossbar's events are recorded in
+/// closed form (DESIGN.md §8, "Linear reads").
 #[derive(Debug, Clone)]
 pub struct HwLinear {
     in_f: usize,
     out_f: usize,
-    pos: Crossbar2d,
-    neg: Crossbar2d,
-    /// `[out][bit]` column indices are implicit: column = out * bits + bit
-    /// (bits = [`WEIGHT_BITS`] magnitude planes).
+    /// Signed weight codes (−127..=127), `[out][in]`.
+    codes: Vec<i16>,
     w_scale: f32,
     /// Per-output signed sum of weight codes (offset correction).
-    w_code_sum: Vec<i64>,
+    code_sum: Vec<i64>,
     bias: Vec<f32>,
 }
 
 impl HwLinear {
     /// Quantizes a `[out, in]` float weight matrix onto two crossbars
-    /// (signed 8-bit: 7-bit magnitudes, sign on the differential pair).
+    /// (signed 8-bit: 7-bit magnitudes, sign on the differential pair),
+    /// recording one programming pulse per column.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Config`] on shape mismatch.
+    /// Returns [`Error::Config`] unless the weights are a `[out, in]`
+    /// matrix with at least one output and one input and the bias holds
+    /// one value per output.
     pub fn from_float(weights: &Tensor, bias: &[f32]) -> Result<Self> {
-        if weights.shape().len() != 2 {
+        let &[out_f, in_f] = weights.shape() else {
             return Err(Error::Config(format!("expected [out,in] weights, got {:?}", weights.shape())));
+        };
+        if out_f == 0 || in_f == 0 {
+            return Err(Error::Config(format!("empty weights: {out_f} outputs, {in_f} inputs")));
         }
-        let out_f = weights.shape()[0];
-        let in_f = weights.shape()[1];
         if bias.len() != out_f {
             return Err(Error::Config("bias length mismatch".into()));
         }
         let w_max = weights.data().iter().fold(0.0f32, |m, &w| m.max(w.abs())).max(1e-12);
         let w_scale = w_max / weight_levels();
-        let bits = usize::from(WEIGHT_BITS);
-        let mut pos = Crossbar2d::new(in_f, out_f * bits);
-        let mut neg = Crossbar2d::new(in_f, out_f * bits);
-        let mut w_code_sum = vec![0i64; out_f];
-        for o in 0..out_f {
-            let mut p_codes = vec![0u32; in_f];
-            let mut n_codes = vec![0u32; in_f];
-            for i in 0..in_f {
-                let q = round_half_away(weights.data()[o * in_f + i] / w_scale);
-                if q >= 0 {
-                    p_codes[i] = q as u32;
-                } else {
-                    n_codes[i] = (-q) as u32;
-                }
-            }
-            for (codes, xbar) in [(&p_codes, &mut pos), (&n_codes, &mut neg)] {
-                for (b, plane) in slice_to_bit_planes(codes, WEIGHT_BITS).iter().enumerate() {
-                    xbar.program_column(o * bits + b, plane)?;
-                }
-            }
-            w_code_sum[o] = p_codes.iter().map(|&v| i64::from(v)).sum::<i64>()
-                - n_codes.iter().map(|&v| i64::from(v)).sum::<i64>();
-        }
-        Ok(Self { in_f, out_f, pos, neg, w_scale, w_code_sum, bias: bias.to_vec() })
+        // |w| ≤ w_max, so every code lies in −127..=127.
+        let codes: Vec<i16> = weights.data().iter().map(|&w| round_half_away(w / w_scale) as i16).collect();
+        let code_sum = codes.chunks_exact(in_f).map(|row| row.iter().map(|&q| i64::from(q)).sum()).collect();
+        // One pulse per programmed column: (output, side, weight bit).
+        Crossbar2d::record_column_writes((2 * out_f * usize::from(WEIGHT_BITS)) as u64);
+        Ok(Self { in_f, out_f, codes, w_scale, code_sum, bias: bias.to_vec() })
     }
 
     /// Number of output features.
@@ -693,37 +679,27 @@ impl HwLinear {
         if x.len() != rows * self.in_f {
             return Err(Error::Config(format!("expected rows of {} inputs, got {:?}", self.in_f, x.shape())));
         }
-        let levels = f32::from((1u16 << DATA_BITS) - 1);
-        let bits = usize::from(WEIGHT_BITS);
         let _span = inca_telemetry::span("hw_linear.forward");
+        let mut codes = vec![0u8; self.in_f];
         let mut out = Vec::with_capacity(rows * self.out_f);
         for x in x.data().chunks_exact(self.in_f) {
-            let x_min = x.iter().fold(0.0f32, |m, &v| m.min(v)).min(0.0);
-            let x_max = x.iter().fold(0.0f32, |m, &v| m.max(v)).max(x_min + 1e-9);
-            let x_scale = ((x_max - x_min) / levels).max(1e-12);
-            let codes: Vec<u32> = x
-                .iter()
-                .map(|&v| round_half_away((v - x_min) / x_scale).clamp(0, levels as i32) as u32)
-                .collect();
-            let mut acc = vec![0i64; self.out_f];
-            for (xb, xp) in slice_to_bit_planes(&codes, DATA_BITS).iter().enumerate() {
-                // One bit-serial cycle per activation bit per differential side.
-                inca_telemetry::record(Event::BitSerialCycle, 2);
-                let p = self.pos.mvm_binary(xp)?;
-                let n = self.neg.mvm_binary(xp)?;
-                for o in 0..self.out_f {
-                    for b in 0..bits {
-                        let col = o * bits + b;
-                        acc[o] += (i64::from(p[col]) - i64::from(n[col])) << (b + xb);
-                    }
-                }
-            }
-            out.extend(acc.iter().enumerate().map(|(o, &a)| {
-                a as f32 * x_scale * self.w_scale
-                    + x_min * self.w_scale * self.w_code_sum[o] as f32
-                    + self.bias[o]
+            let quantizer = Quantizer::of(x);
+            quantizer.codes(x, &mut codes);
+            let dequantizer = Dequantizer::new(quantizer, self.w_scale, &self.code_sum, &self.bias);
+            out.extend(self.codes.chunks_exact(self.in_f).enumerate().map(|(o, q)| {
+                let acc: i64 =
+                    q.iter().zip(&codes).map(|(&q, &x)| i64::from(i32::from(q) * i32::from(x))).sum();
+                dequantizer.apply(o, acc)
             }));
         }
+        // Per row, both sides read once per activation bit: one bit-serial
+        // cycle and one read pulse each, driving every input row and
+        // converting every column.
+        let reads = (rows * 2 * usize::from(DATA_BITS)) as u64;
+        inca_telemetry::record(Event::BitSerialCycle, reads);
+        inca_telemetry::record(Event::XbarReadPulse, reads);
+        inca_telemetry::record(Event::DacDrive, reads * self.in_f as u64);
+        inca_telemetry::record(Event::AdcConversion, reads * (self.out_f * usize::from(WEIGHT_BITS)) as u64);
         Ok(Tensor::from_vec(out, &[rows, self.out_f]))
     }
 }
@@ -841,6 +817,145 @@ mod tests {
             let expected: f32 = (0..12).map(|i| w.data()[o * 12 + i] * x.data()[i]).sum::<f32>() + bias[o];
             assert!((y.data()[o] - expected).abs() < 0.02, "out {o}: {} vs {expected}", y.data()[o]);
         }
+    }
+
+    /// [`HwLinear`] as it read before its reads became one integer GEMV:
+    /// every code's magnitude bit-planes programmed onto two
+    /// [`Crossbar2d`]s, each row read bit-serially with
+    /// `mvm_binary`, one activation bit per cycle. The oracle of
+    /// `from_float` and `forward`, in outputs and counted events.
+    struct CrossbarLinear {
+        in_f: usize,
+        out_f: usize,
+        pos: Crossbar2d,
+        neg: Crossbar2d,
+        w_scale: f32,
+        w_code_sum: Vec<i64>,
+        bias: Vec<f32>,
+    }
+
+    impl CrossbarLinear {
+        fn from_float(weights: &Tensor, bias: &[f32]) -> Self {
+            use inca_xbar::quant::slice_to_bit_planes;
+            let (out_f, in_f) = (weights.shape()[0], weights.shape()[1]);
+            let w_max = weights.data().iter().fold(0.0f32, |m, &w| m.max(w.abs())).max(1e-12);
+            let w_scale = w_max / weight_levels();
+            let bits = usize::from(WEIGHT_BITS);
+            let mut pos = Crossbar2d::new(in_f, out_f * bits);
+            let mut neg = Crossbar2d::new(in_f, out_f * bits);
+            let mut w_code_sum = vec![0i64; out_f];
+            for o in 0..out_f {
+                let mut p_codes = vec![0u32; in_f];
+                let mut n_codes = vec![0u32; in_f];
+                for i in 0..in_f {
+                    let q = round_half_away(weights.data()[o * in_f + i] / w_scale);
+                    if q >= 0 {
+                        p_codes[i] = q as u32;
+                    } else {
+                        n_codes[i] = (-q) as u32;
+                    }
+                }
+                for (codes, xbar) in [(&p_codes, &mut pos), (&n_codes, &mut neg)] {
+                    for (b, plane) in slice_to_bit_planes(codes, WEIGHT_BITS).iter().enumerate() {
+                        xbar.program_column(o * bits + b, plane).unwrap();
+                    }
+                }
+                w_code_sum[o] = p_codes.iter().map(|&v| i64::from(v)).sum::<i64>()
+                    - n_codes.iter().map(|&v| i64::from(v)).sum::<i64>();
+            }
+            Self { in_f, out_f, pos, neg, w_scale, w_code_sum, bias: bias.to_vec() }
+        }
+
+        fn forward(&self, x: &Tensor) -> Tensor {
+            use inca_xbar::quant::slice_to_bit_planes;
+            let rows = batch_rows(x);
+            let levels = f32::from((1u16 << DATA_BITS) - 1);
+            let bits = usize::from(WEIGHT_BITS);
+            let mut out = Vec::with_capacity(rows * self.out_f);
+            for x in x.data().chunks_exact(self.in_f) {
+                let x_min = x.iter().fold(0.0f32, |m, &v| m.min(v)).min(0.0);
+                let x_max = x.iter().fold(0.0f32, |m, &v| m.max(v)).max(x_min + 1e-9);
+                let x_scale = ((x_max - x_min) / levels).max(1e-12);
+                let codes: Vec<u32> = x
+                    .iter()
+                    .map(|&v| round_half_away((v - x_min) / x_scale).clamp(0, levels as i32) as u32)
+                    .collect();
+                let mut acc = vec![0i64; self.out_f];
+                for (xb, xp) in slice_to_bit_planes(&codes, DATA_BITS).iter().enumerate() {
+                    inca_telemetry::record(Event::BitSerialCycle, 2);
+                    let p = self.pos.mvm_binary(xp).unwrap();
+                    let n = self.neg.mvm_binary(xp).unwrap();
+                    for o in 0..self.out_f {
+                        for b in 0..bits {
+                            let col = o * bits + b;
+                            acc[o] += (i64::from(p[col]) - i64::from(n[col])) << (b + xb);
+                        }
+                    }
+                }
+                out.extend(acc.iter().enumerate().map(|(o, &a)| {
+                    a as f32 * x_scale * self.w_scale
+                        + x_min * self.w_scale * self.w_code_sum[o] as f32
+                        + self.bias[o]
+                }));
+            }
+            Tensor::from_vec(out, &[rows, self.out_f])
+        }
+    }
+
+    #[test]
+    fn hw_linear_matches_the_crossbar_read_in_outputs_and_events() {
+        // Feature counts on and off every lane multiple, 1–3 rows, signed
+        // inputs, and one all-zero row.
+        for (seed, (out_f, in_f)) in
+            [(1, 1), (3, 7), (10, 64), (11, 17), (2, 130), (9, 8)].into_iter().enumerate()
+        {
+            let seed = 100 + 10 * seed as u64;
+            let w = random_tensor(&[out_f, in_f], seed, -0.6, 0.6);
+            let bias: Vec<f32> = (0..out_f).map(|o| 0.05 * o as f32 - 0.1).collect();
+            let (fc, programmed) = inca_telemetry::capture(|| HwLinear::from_float(&w, &bias).unwrap());
+            let (oracle, oracle_programmed) =
+                inca_telemetry::capture(|| CrossbarLinear::from_float(&w, &bias));
+            assert_eq!(programmed.counters(), oracle_programmed.counters(), "{out_f}x{in_f} programming");
+            for rows in 1..=3 {
+                let mut x = random_tensor(&[rows, in_f], seed + rows as u64, -1.5, 1.0);
+                if rows == 3 {
+                    x.data_mut()[..in_f].fill(0.0);
+                }
+                let (y, read) = inca_telemetry::capture(|| fc.forward(&x).unwrap());
+                let (expected, oracle_read) = inca_telemetry::capture(|| oracle.forward(&x));
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&y), bits(&expected), "{out_f}x{in_f}, {rows} rows");
+                assert_eq!(read.counters(), oracle_read.counters(), "{out_f}x{in_f}, {rows} rows");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_linear_weights_are_config_errors() {
+        let empty = |shape: &[usize]| Tensor::from_vec(Vec::new(), shape);
+        assert!(matches!(HwLinear::from_float(&empty(&[0, 4]), &[]), Err(Error::Config(_))));
+        assert!(matches!(HwLinear::from_float(&empty(&[3, 0]), &[0.0; 3]), Err(Error::Config(_))));
+    }
+
+    #[test]
+    fn a_conv_without_outputs_is_a_config_error() {
+        let w = Tensor::from_vec(Vec::new(), &[0, 3, 3, 3]);
+        assert!(matches!(HwConv::from_float(&w, &[], 1, 1), Err(Error::Config(_))));
+        assert!(matches!(HwWsConv::from_float(&w, &[], 1, 1), Err(Error::Config(_))));
+    }
+
+    #[test]
+    fn a_conv_of_side_zero_is_a_config_error() {
+        let w = Tensor::from_vec(Vec::new(), &[4, 3, 0, 0]);
+        assert!(matches!(HwConv::from_float(&w, &[0.0; 4], 1, 1), Err(Error::Config(_))));
+        assert!(matches!(HwWsConv::from_float(&w, &[0.0; 4], 1, 1), Err(Error::Config(_))));
+    }
+
+    #[test]
+    fn a_conv_without_inputs_is_a_config_error() {
+        let w = Tensor::from_vec(Vec::new(), &[4, 0, 3, 3]);
+        assert!(matches!(HwConv::from_float(&w, &[0.0; 4], 1, 1), Err(Error::Config(_))));
+        assert!(matches!(HwWsConv::from_float(&w, &[0.0; 4], 1, 1), Err(Error::Config(_))));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The two sides of a [`crate::HwConv`] read: the programmed kernel
 //! ([`ConvKernel`]) and the programmed input batch ([`CodeImage`]), plus
-//! the window walk and the exact read that combine them.
+//! the window walk and the exact read that combine them, and the one
+//! activation [`Quantizer`] and [`Dequantizer`] every hardware layer
+//! shares.
 //!
 //! Float kernels are quantized once to the differential-pair encoding —
 //! signed 8-bit, i.e. a 7-bit magnitude on either the positive or the
@@ -8,14 +10,16 @@
 //! taps `t = (c·k + ky)·k + kx` go in pairs, each pair's two codes side
 //! by side per output: `[⌈in·k²/2⌉][out][2]`, with `out` padded to a
 //! multiple of 8 and the odd tap's partner at zero. A batch is quantized
-//! to 8-bit codes with one shared range, in one zero-padded image.
+//! to 8-bit codes with one shared range, in one zero-padded image, by a
+//! branch-free quantizer whose loop vectorizes.
 //!
 //! Every read saturates at the 4-bit ADC's max code. When no read can
 //! reach it ([`ConvKernel::exact_reads`]), the ADC is the identity and the
 //! shift-add of a window's bit-serial reads is exactly the integer dot
 //! product of its activation and weight codes, which
 //! [`ConvKernel::forward_linear`] computes as a blocked integer GEMM
-//! (DESIGN.md §8, "Linear reads"): per output row, the row's windows are
+//! (DESIGN.md §8, "Linear reads"): per panel of output rows (one row, or
+//! enough short rows to fill a 4-window tile), the panel's windows are
 //! gathered into a pair-major panel and multiplied by the code table in
 //! [`inca_xbar::simd::panel_product`]'s register tiles, one weight
 //! register serving a tile of windows. The bit-level views of both sides
@@ -118,8 +122,9 @@ impl ConvKernel {
     /// # Errors
     ///
     /// Returns [`Error::Config`] if the weights are not a square 4-D
-    /// kernel, the bias length differs from the output channels, the
-    /// stride is 0, or the `u32` read accumulators could overflow
+    /// kernel, have no output, no input or a zero side, the bias length
+    /// differs from the output channels, the stride is 0, or the `u32`
+    /// read accumulators could overflow
     /// (`in · min(k², 15) · 255 ≥ 2³²`).
     pub(crate) fn from_float(weights: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Result<Self> {
         if weights.shape().len() != 4 {
@@ -128,6 +133,9 @@ impl ConvKernel {
         let [out_ch, in_ch, k, k2] = weights.dims4();
         if k != k2 {
             return Err(Error::Config("only square kernels supported".into()));
+        }
+        if out_ch == 0 || in_ch == 0 || k == 0 {
+            return Err(Error::Config(format!("empty kernel: {out_ch} outputs, {in_ch} inputs, side {k}")));
         }
         if bias.len() != out_ch {
             return Err(Error::Config(format!("{} biases for {out_ch} output channels", bias.len())));
@@ -289,42 +297,51 @@ impl ConvKernel {
 
     /// The dequantization of this kernel's integer reads of `image`.
     pub(crate) fn dequantizer(&self, image: &CodeImage) -> Dequantizer<'_> {
-        let offset = self.code_sum.iter().map(|&sum| image.x_min * self.w_scale * sum as f32).collect();
-        Dequantizer { x_scale: image.x_scale, w_scale: self.w_scale, offset, bias: &self.bias }
+        Dequantizer::new(image.quantizer, self.w_scale, &self.code_sum, &self.bias)
     }
 
-    /// Fills a `[b, out, oh, ow]` output one row of windows at a time:
-    /// `f(arena, bi, oy, row)` writes sample `bi`'s output row `oy` as
-    /// `ow` runs of `out` outputs, window `ox` at `(oy, ox) · stride`.
-    /// Rows fan out across the policy's workers, each with one arena from
-    /// `init`.
+    /// Fills a `[b, out, oh, ow]` output `rows` output rows at a time:
+    /// `f(arena, bi, oy, height, outputs)` writes sample `bi`'s `height ≤
+    /// rows` output rows from row `oy` on as `height·ow` runs of `out`
+    /// outputs, window `ox` of row `oy + r` at `(oy + r, ox) · stride` and
+    /// at run `r·ow + ox`. Panels fan out across the policy's workers,
+    /// each with one arena from `init`.
     ///
     /// # Errors
     ///
-    /// Returns `f`'s first error in row order.
+    /// Returns `f`'s first error in panel order.
     pub(crate) fn map_rows<S>(
         &self,
         policy: ExecPolicy,
         (b, oh, ow): (usize, usize, usize),
+        rows: usize,
         init: impl Fn() -> S + Sync,
-        f: impl Fn(&mut S, usize, usize, &mut [f32]) -> Result<()> + Sync,
+        f: impl Fn(&mut S, usize, usize, usize, &mut [f32]) -> Result<()> + Sync,
     ) -> Result<Tensor> {
-        let out_ch = self.out_ch;
-        // Accumulate as `[b][oy][ox][o]`; transposed into NCHW afterwards.
-        let mut window_major = vec![0f32; b * oh * ow * out_ch];
-        exec::for_each_chunk_with(policy, &mut window_major, ow * out_ch, init, |arena, idx, row| {
-            f(arena, idx / oh, idx % oh, row)
-        })?;
-        let mut out = Tensor::zeros(&[b, out_ch, oh, ow]);
-        let (dst, windows) = (out.data_mut(), oh * ow);
-        for bi in 0..b {
+        let (out_ch, panels) = (self.out_ch, oh.div_ceil(rows));
+        // Accumulate as `[b][panel·rows][ox][o]`, transposed into NCHW
+        // afterwards: a sample's last panel may run past its `oh` rows, and
+        // those outputs are never read.
+        let per_sample = panels * rows * ow * out_ch;
+        let mut window_major = vec![0f32; b * per_sample];
+        exec::for_each_chunk_with(
+            policy,
+            &mut window_major,
+            rows * ow * out_ch,
+            init,
+            |arena, idx, outputs| {
+                let oy = idx % panels * rows;
+                f(arena, idx / panels, oy, rows.min(oh - oy), outputs)
+            },
+        )?;
+        let windows = oh * ow;
+        let mut out = Vec::with_capacity(b * out_ch * windows);
+        for sample in window_major.chunks_exact(per_sample) {
             for o in 0..out_ch {
-                for p in 0..windows {
-                    dst[(bi * out_ch + o) * windows + p] = window_major[(bi * windows + p) * out_ch + o];
-                }
+                out.extend((0..windows).map(|p| sample[p * out_ch + o]));
             }
         }
-        Ok(out)
+        Ok(Tensor::from_vec(out, &[b, out_ch, oh, ow]))
     }
 
     /// Every output window of every sample of `image`, each the signed
@@ -332,12 +349,14 @@ impl ConvKernel {
     /// exactly the fold of its bit-serial reads when no read saturates
     /// ([`ConvKernel::exact_reads`]). Returns `[b, out, oh, ow]`.
     ///
-    /// Per output row, the row's windows are gathered into a panel
-    /// ([`ConvKernel::gather_row`]) and multiplied by the code table with
-    /// [`panel_product`] into exact `i32` sums. Past [`CHUNK_PAIRS`] tap
-    /// pairs (7,367 input channels of a 3×3 kernel) the product goes in
-    /// chunks of at most that many pairs, each exact in `i32`, whose sums
-    /// add up in `i64`.
+    /// Per panel of output rows, the panel's windows are gathered
+    /// ([`ConvKernel::gather`]) and multiplied by the code table with
+    /// [`panel_product`] into exact `i32` sums. A panel is one output row,
+    /// or `⌈4/ow⌉` rows (at most `oh`) where a row holds fewer windows than
+    /// a register tile, so a 2×2 map fills one tile. Past [`CHUNK_PAIRS`]
+    /// tap pairs (7,367 input channels of a 3×3 kernel) the product goes
+    /// in chunks of at most that many pairs, each exact in `i32`, whose
+    /// sums add up in `i64`.
     ///
     /// # Errors
     ///
@@ -351,22 +370,26 @@ impl ConvKernel {
     ) -> Result<Tensor> {
         let (out_ch, lanes) = (self.out_ch, self.lanes);
         let pairs = self.codes.len() / (2 * lanes);
-        let windows = ow.next_multiple_of(TILE_WINDOWS);
+        let rows = if ow < TILE_WINDOWS { TILE_WINDOWS.div_ceil(ow).min(oh) } else { 1 };
+        let windows = (rows * ow).next_multiple_of(TILE_WINDOWS);
         let wide = if pairs > CHUNK_PAIRS { windows * lanes } else { 0 };
         let (taps, dequantizer) = (self.tap_offsets(image), self.dequantizer(image));
+        let terms: Vec<_> = (0..out_ch).map(|o| dequantizer.terms(o)).collect();
         self.map_rows(
             policy,
             (image.b, oh, ow),
-            // Per-worker arena: one row's panel, its `i32` sums, and their
-            // `i64` total over several chunks.
+            rows,
+            // Per-worker arena: one panel, its `i32` sums, and their `i64`
+            // total over several chunks.
             || (vec![0i16; pairs * windows * 2], vec![0i32; windows * lanes], vec![0i64; wide]),
-            |(panel, sums, total), bi, oy, row| {
-                self.gather_row(image.sample_from_row(bi, oy * self.stride), &taps, ow, panel);
-                let slots = row.chunks_exact_mut(out_ch);
+            |(panel, sums, total), bi, oy, height, slots| {
+                let image_rows = image.sample_from_row(bi, oy * self.stride);
+                self.gather(image_rows, image.pw, &taps, (height, ow), panel);
+                let slots = slots[..height * ow * out_ch].chunks_exact_mut(out_ch);
                 if pairs <= CHUNK_PAIRS {
                     panel_product(panel, &self.codes, lanes, sums);
                     for (slots, sums) in slots.zip(sums.chunks_exact(lanes)) {
-                        dequantizer.window(sums.iter().map(|&acc| acc as f32), slots);
+                        dequantizer.window(&terms, sums.iter().map(|&acc| acc as f32), slots);
                     }
                 } else {
                     total.fill(0);
@@ -380,7 +403,7 @@ impl ConvKernel {
                         }
                     }
                     for (slots, total) in slots.zip(total.chunks_exact(lanes)) {
-                        dequantizer.window(total.iter().map(|&acc| acc as f32), slots);
+                        dequantizer.window(&terms, total.iter().map(|&acc| acc as f32), slots);
                     }
                 }
                 Ok(())
@@ -392,78 +415,111 @@ impl ConvKernel {
     /// corner, taps in code-table order `t = (c·k + ky)·k + kx`.
     fn tap_offsets(&self, image: &CodeImage) -> Vec<usize> {
         let (k, ph, pw) = (self.k, image.ph, image.pw);
-        (0..self.in_ch)
-            .flat_map(|c| (0..k).flat_map(move |ky| (0..k).map(move |kx| (c * ph + ky) * pw + kx)))
-            .collect()
+        let mut taps = Vec::with_capacity(self.in_ch * k * k);
+        for c in 0..self.in_ch {
+            for ky in 0..k {
+                for kx in 0..k {
+                    taps.push((c * ph + ky) * pw + kx);
+                }
+            }
+        }
+        taps
     }
 
-    /// Gathers one output row into `panel`, pair-major like the code
-    /// table: `[pairs][windows][2]`, tap pair `p` of window `ox` at
-    /// `(p·windows + ox)·2`. `row` holds the sample's codes from the
-    /// row's first window's top-left corner on, and `taps` the
-    /// [`ConvKernel::tap_offsets`]. On a stride-1 row each tap's codes are
-    /// one contiguous run. Windows past `ow`, and an odd last tap's
-    /// partner, are never written and stay 0.
-    fn gather_row(&self, row: &[u8], taps: &[usize], ow: usize, panel: &mut [i16]) {
-        let (stride, windows) = (self.stride, ow.next_multiple_of(TILE_WINDOWS));
-        // Tap `t`'s codes over the row, every `stride`-th one a window's.
-        let tap_run = |t: usize| &row[t..t + (ow - 1) * stride + 1];
-        for (pair, dst) in taps.chunks(2).zip(panel.chunks_exact_mut(2 * windows)) {
-            let (dst, _) = dst[..2 * ow].as_chunks_mut::<2>();
-            match *pair {
-                // Plain slices, which the compiler vectorizes; with
-                // `step_by` a VGG16-CIFAR forward ran ~20 % slower on a
-                // 2-vCPU x86-64 host.
-                [lo, hi] if stride == 1 => {
-                    for (d, (&lo, &hi)) in dst.iter_mut().zip(tap_run(lo).iter().zip(tap_run(hi))) {
-                        *d = [i16::from(lo), i16::from(hi)];
+    /// Gathers `height` output rows of `ow` windows into `panel`,
+    /// pair-major like the code table: `[pairs][windows][2]`, tap pair `p`
+    /// of window `r·ow + ox` (row `r`, column `ox`) at
+    /// `(p·windows + r·ow + ox)·2`. `image_rows` holds the sample's codes
+    /// from the first row's first window's top-left corner on, rows of
+    /// `pw` codes, and `taps` the [`ConvKernel::tap_offsets`]. On a
+    /// stride-1 row each tap's codes are one contiguous run. Windows past
+    /// `height·ow`, and an odd last tap's partner, are never written:
+    /// they stay 0 or hold an earlier panel's codes, and their sums are
+    /// never read.
+    fn gather(
+        &self,
+        image_rows: &[u8],
+        pw: usize,
+        taps: &[usize],
+        (height, ow): (usize, usize),
+        panel: &mut [i16],
+    ) {
+        let stride = self.stride;
+        let windows = panel.len() / taps.len().next_multiple_of(2);
+        for r in 0..height {
+            let row = &image_rows[r * stride * pw..];
+            // Tap `t`'s codes over the row, every `stride`-th one a window's.
+            let tap_run = |t: usize| &row[t..t + (ow - 1) * stride + 1];
+            for (pair, dst) in taps.chunks(2).zip(panel.chunks_exact_mut(2 * windows)) {
+                let (dst, _) = dst[2 * r * ow..2 * (r + 1) * ow].as_chunks_mut::<2>();
+                match *pair {
+                    // Plain slices, which the compiler vectorizes; with
+                    // `step_by` a VGG16-CIFAR forward ran ~20 % slower on a
+                    // 2-vCPU x86-64 host.
+                    [lo, hi] if stride == 1 => {
+                        for (d, (&lo, &hi)) in dst.iter_mut().zip(tap_run(lo).iter().zip(tap_run(hi))) {
+                            *d = [i16::from(lo), i16::from(hi)];
+                        }
                     }
-                }
-                [lo, hi] => {
-                    let his = tap_run(hi).iter().step_by(stride);
-                    for (d, (&lo, &hi)) in dst.iter_mut().zip(tap_run(lo).iter().step_by(stride).zip(his)) {
-                        *d = [i16::from(lo), i16::from(hi)];
+                    [lo, hi] => {
+                        let his = tap_run(hi).iter().step_by(stride);
+                        for (d, (&lo, &hi)) in dst.iter_mut().zip(tap_run(lo).iter().step_by(stride).zip(his))
+                        {
+                            *d = [i16::from(lo), i16::from(hi)];
+                        }
                     }
-                }
-                [lo] => {
-                    for (d, &lo) in dst.iter_mut().zip(tap_run(lo).iter().step_by(stride)) {
-                        d[0] = i16::from(lo);
+                    [lo] => {
+                        for (d, &lo) in dst.iter_mut().zip(tap_run(lo).iter().step_by(stride)) {
+                            d[0] = i16::from(lo);
+                        }
                     }
+                    _ => {}
                 }
-                _ => {}
             }
         }
     }
 }
 
-/// The dequantization of a kernel's integer reads at one input range:
-/// `acc · x_scale · w_scale + x_min · w_scale · code_sum[o] + bias[o]`,
-/// with the offset term computed once per output.
+/// The dequantization of integer reads at one input range:
+/// `acc · x_scale · w_scale + x_min · w_scale · code_sum[o] + bias[o]`.
 pub(crate) struct Dequantizer<'a> {
-    x_scale: f32,
+    quantizer: Quantizer,
     w_scale: f32,
-    /// `x_min · w_scale · code_sum[o]` per output.
-    offset: Vec<f32>,
+    /// Per-output signed sum of weight codes.
+    code_sum: &'a [i64],
     bias: &'a [f32],
 }
 
-impl Dequantizer<'_> {
-    /// One output from its integer read sum, its offset and its bias.
+impl<'a> Dequantizer<'a> {
+    /// The dequantization of reads against weight codes of scale
+    /// `w_scale` and per-output sums `code_sum`, on inputs quantized by
+    /// `quantizer`.
+    pub(crate) fn new(quantizer: Quantizer, w_scale: f32, code_sum: &'a [i64], bias: &'a [f32]) -> Self {
+        Self { quantizer, w_scale, code_sum, bias }
+    }
+
+    /// Output `o`'s offset term `x_min · w_scale · code_sum[o]` and bias.
+    fn terms(&self, o: usize) -> (f32, f32) {
+        (self.quantizer.x_min * self.w_scale * self.code_sum[o] as f32, self.bias[o])
+    }
+
+    /// One output from its integer read sum and its [`Dequantizer::terms`].
     /// `acc` is the sum rounded once to `f32`, the same value whether the
     /// sum was held in `i32` or `i64`.
-    fn value(&self, acc: f32, offset: f32, bias: f32) -> f32 {
-        acc * self.x_scale * self.w_scale + offset + bias
+    fn value(&self, acc: f32, (offset, bias): (f32, f32)) -> f32 {
+        acc * self.quantizer.x_scale * self.w_scale + offset + bias
     }
 
     /// Output `o`'s value from its integer read sum.
     pub(crate) fn apply(&self, o: usize, acc: i64) -> f32 {
-        self.value(acc as f32, self.offset[o], self.bias[o])
+        self.value(acc as f32, self.terms(o))
     }
 
-    /// One window's outputs from their sums, output 0 first.
-    fn window(&self, sums: impl Iterator<Item = f32>, slots: &mut [f32]) {
-        for (slot, ((acc, &offset), &bias)) in slots.iter_mut().zip(sums.zip(&self.offset).zip(self.bias)) {
-            *slot = self.value(acc, offset, bias);
+    /// One window's outputs from their sums, output 0 first, given every
+    /// output's [`Dequantizer::terms`].
+    fn window(&self, terms: &[(f32, f32)], sums: impl Iterator<Item = f32>, slots: &mut [f32]) {
+        for (slot, (acc, &terms)) in slots.iter_mut().zip(sums.zip(terms)) {
+            *slot = self.value(acc, terms);
         }
     }
 }
@@ -497,12 +553,63 @@ pub(crate) fn conv_output_dims(
     }
 }
 
+/// The 8-bit activation quantizer of one input range. Offset encoding:
+/// code `q` represents `q · x_scale + x_min`, so signed inputs (e.g. the
+/// raw image) survive; the offset term is corrected analytically after
+/// accumulation (standard PIM practice). `HwConv`, `HwLinear` and the
+/// gradient unit all quantize through it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Quantizer {
+    pub(crate) x_min: f32,
+    pub(crate) x_scale: f32,
+}
+
+impl Quantizer {
+    /// The quantizer of `values`' range widened to hold 0: `x_min` is the
+    /// least value (at most 0), and 255 levels of `x_scale` reach the
+    /// greatest. NaNs are skipped.
+    pub(crate) fn of(values: &[f32]) -> Self {
+        let levels = f32::from((1u16 << DATA_BITS) - 1);
+        let (lo, hi) = values.iter().fold((0.0f32, 0.0f32), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        let x_min = lo.min(0.0);
+        let x_max = hi.max(x_min + 1e-9);
+        Self { x_min, x_scale: ((x_max - x_min) / levels).max(1e-12) }
+    }
+
+    /// `v`'s code: `t = (v − x_min) / x_scale` rounded half away from zero
+    /// and clamped to `0..=255`, with NaN at 0. Branch-free, so a loop of
+    /// it vectorizes (DESIGN.md §8, "Linear reads"): `t` is clamped
+    /// first, which gives the same code because rounding is monotone and
+    /// both bounds are integers; then rounded with the `2²³` trick and the
+    /// exact fraction step; and the code is the low byte of `r + 2²³`,
+    /// whose mantissa is `r`.
+    pub(crate) fn code(self, v: f32) -> u8 {
+        const TWO_POW_23: f32 = 8_388_608.0;
+        let max_code = f32::from((1u16 << DATA_BITS) - 1);
+        let t = (v - self.x_min) / self.x_scale;
+        // `maxps`/`minps` shapes: a NaN fails the first compare.
+        let t = if t > 0.0 { t } else { 0.0 };
+        let t = if t < max_code { t } else { max_code };
+        // Adding and taking away 2²³ rounds to an integer, ties to even;
+        // stepping down where that went up gives the floor, and the
+        // fraction the floor leaves is exact.
+        let even = (t + TWO_POW_23) - TWO_POW_23;
+        let floor = if even > t { even - 1.0 } else { even };
+        let r = if t - floor >= 0.5 { floor + 1.0 } else { floor };
+        (r + TWO_POW_23).to_bits() as u8
+    }
+
+    /// Quantizes `values` into `codes`, one code per value.
+    pub(crate) fn codes(self, values: &[f32], codes: &mut [u8]) {
+        for (code, &v) in codes.iter_mut().zip(values) {
+            *code = self.code(v);
+        }
+    }
+}
+
 /// An input batch quantized to 8-bit codes and zero-padded: the programmed
-/// input state every read path reads. Offset encoding: codes represent
-/// `v = code · x_scale + x_min`, so signed inputs (e.g. the raw image)
-/// survive; the offset term is corrected analytically after accumulation
-/// (standard PIM practice). One range serves the whole batch, because the
-/// planes of a stack share one readout scale.
+/// input state every read path reads. One [`Quantizer`] range serves the
+/// whole batch, because the planes of a stack share one readout scale.
 #[derive(Debug)]
 pub(crate) struct CodeImage {
     /// Samples.
@@ -513,39 +620,25 @@ pub(crate) struct CodeImage {
     pub(crate) ph: usize,
     /// Padded columns.
     pub(crate) pw: usize,
-    pub(crate) x_min: f32,
-    pub(crate) x_scale: f32,
+    pub(crate) quantizer: Quantizer,
     /// `[b][c][ph][pw]` codes; the halo holds the code of 0.0.
     codes: Vec<u8>,
 }
 
 impl CodeImage {
-    /// Quantizes an NCHW batch with `pad` cells of zero padding, in one
-    /// pass over its values.
+    /// Quantizes an NCHW batch with `pad` cells of zero padding.
     pub(crate) fn quantize(x: &Tensor, pad: usize) -> Self {
         let [b, c, h, w] = x.dims4();
-        let levels = f32::from((1u16 << DATA_BITS) - 1);
-        let (lo, hi) = x.data().iter().fold((0.0f32, 0.0f32), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-        let x_min = lo.min(0.0);
-        let x_max = hi.max(x_min + 1e-9);
-        let x_scale = ((x_max - x_min) / levels).max(1e-12);
-        let max_code = (1i32 << DATA_BITS) - 1;
-        let quantize = |v: f32| round_half_away((v - x_min) / x_scale).clamp(0, max_code) as u8;
-        let zero_code = quantize(0.0);
+        let quantizer = Quantizer::of(x.data());
         let (ph, pw) = (h + 2 * pad, w + 2 * pad);
-        let mut codes = vec![zero_code; b * c * ph * pw];
-        let values = x.data();
-        for plane in 0..b * c {
-            for y in 0..h {
-                let src = &values[(plane * h + y) * w..(plane * h + y + 1) * w];
+        let mut codes = vec![quantizer.code(0.0); b * c * ph * pw];
+        for (plane, values) in x.data().chunks_exact(h * w).enumerate() {
+            for (y, values) in values.chunks_exact(w).enumerate() {
                 let start = (plane * ph + y + pad) * pw + pad;
-                let row = &mut codes[start..start + w];
-                for (dst, &v) in row.iter_mut().zip(src) {
-                    *dst = quantize(v);
-                }
+                quantizer.codes(values, &mut codes[start..start + w]);
             }
         }
-        Self { b, c, ph, pw, x_min, x_scale, codes }
+        Self { b, c, ph, pw, quantizer, codes }
     }
 
     /// Sample `bi`'s padded codes from row `y` of its first channel on.
@@ -665,12 +758,13 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The panel read equals the window-by-window dot product in
-        /// `i32` and in `i64` accumulators, bit for bit, across output
-        /// widths on and off the 8-lane blocks, odd and even tap counts,
-        /// strides, paddings and batches.
+        /// `i32` and in `i64` accumulators, bit for bit, sequentially and
+        /// on two workers, across output widths on and off the 8-lane
+        /// blocks, odd and even tap counts, strides, paddings, batches,
+        /// and maps from 1 wide, whose panels span several rows.
         #[test]
         fn panel_read_matches_the_window_dot_oracle(
             seed in 0u64..10_000,
@@ -680,8 +774,8 @@ mod tests {
             k in 1usize..=3,
             stride in 1usize..=2,
             pad in 0usize..=2,
-            h in 3usize..=11,
-            w in 3usize..=11,
+            h in 1usize..=11,
+            w in 1usize..=11,
         ) {
             let out_ch = [1usize, 2, 3, 8, 9, 16, 17, 24][out_sel];
             prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
@@ -696,10 +790,88 @@ mod tests {
             let kernel = ConvKernel::from_float(&weights, &bias, stride, pad).unwrap();
             let image = CodeImage::quantize(&x, pad);
             let (oh, ow) = kernel.output_dims(h, w).unwrap();
-            let fast = bits(&kernel.forward_linear(ExecPolicy::default(), &image, oh, ow).unwrap());
-            prop_assert_eq!(&fast, &oracle::<i32>(&kernel, &image, (oh, ow)));
-            prop_assert_eq!(&fast, &oracle::<i64>(&kernel, &image, (oh, ow)));
+            let expected = oracle::<i32>(&kernel, &image, (oh, ow));
+            prop_assert_eq!(&expected, &oracle::<i64>(&kernel, &image, (oh, ow)));
+            for policy in [ExecPolicy::default(), ExecPolicy::parallel_with(2)] {
+                let fast = bits(&kernel.forward_linear(policy, &image, oh, ow).unwrap());
+                prop_assert_eq!(&fast, &expected, "{:?}", policy);
+            }
         }
+
+        /// The branch-free code equals both oracles on any input and any
+        /// range, NaN and infinite ones included.
+        #[test]
+        fn quantizer_matches_its_oracle_on_any_bits(v in any::<u32>(), lo in any::<u32>(), scale in any::<u32>()) {
+            let quantizer = Quantizer { x_min: f32::from_bits(lo), x_scale: f32::from_bits(scale) };
+            let v = f32::from_bits(v);
+            prop_assert_eq!(quantizer.code(v), code_oracle(quantizer, v), "{:e} on {:?}", v, quantizer);
+            prop_assert_eq!(quantizer.code(v), gradient_code_oracle(quantizer, v), "{:e} on {:?}", v, quantizer);
+        }
+
+        /// The vectorized loop equals the oracle on a batch's own range.
+        #[test]
+        fn quantizer_loop_matches_its_oracle_on_a_range(seed in 0u64..10_000, len in 1usize..=70, spread in 0.0f32..300.0) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let values: Vec<f32> = (0..len).map(|_| rng.gen_range(-spread..spread + 1.0)).collect();
+            let quantizer = Quantizer::of(&values);
+            let mut codes = vec![0u8; len];
+            quantizer.codes(&values, &mut codes);
+            let expected: Vec<u8> = values.iter().map(|&v| code_oracle(quantizer, v)).collect();
+            prop_assert_eq!(codes, expected);
+        }
+    }
+
+    /// [`Quantizer::code`] before it went branch-free: round half away
+    /// from zero through a saturating `as i32`, then clamp.
+    fn code_oracle(quantizer: Quantizer, v: f32) -> u8 {
+        round_half_away((v - quantizer.x_min) / quantizer.x_scale).clamp(0, 255) as u8
+    }
+
+    /// The gradient unit's own copy before it shared [`Quantizer`]:
+    /// `f32::round`, a saturating `as u32`, then `min`.
+    fn gradient_code_oracle(quantizer: Quantizer, v: f32) -> u8 {
+        (((v - quantizer.x_min) / quantizer.x_scale).round() as u32).min(255) as u8
+    }
+
+    #[test]
+    fn quantizer_matches_its_oracle_on_edge_values() {
+        let unit = Quantizer { x_min: 0.0, x_scale: 1.0 };
+        // Every tie in the code range rounds away from zero, and its
+        // neighbours round to the nearer code.
+        for i in 0..=255u8 {
+            let tie = f32::from(i) + 0.5;
+            assert_eq!(unit.code(tie), i.saturating_add(1), "{tie}");
+            assert_eq!(unit.code(tie.next_down()), i, "{tie} - ulp");
+            assert_eq!(unit.code(f32::from(i)), i);
+        }
+        for (v, code) in [(254.5, 255), (255.49, 255), (255.5, 255), (256.0, 255), (-0.5, 0), (-0.49, 0)] {
+            assert_eq!(unit.code(v), code, "{v}");
+        }
+        let mut edges =
+            vec![f32::NAN, -f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::MAX, f32::MIN];
+        edges.extend([f32::MIN_POSITIVE, f32::from_bits(1), f32::from_bits(0x007f_ffff), 0.499_999_97, 0.5]);
+        edges.extend((0..=256).flat_map(|i| [i as f32 + 0.5, (i as f32 + 0.5).next_up(), i as f32 + 0.499]));
+        let negated: Vec<f32> = edges.iter().map(|&v| -v).collect();
+        edges.extend(negated);
+        let ranges = [
+            unit,
+            Quantizer { x_min: -0.0, x_scale: 1.0 },
+            Quantizer { x_min: -1.0, x_scale: 2.0 / 255.0 },
+            Quantizer { x_min: 0.0, x_scale: 1e-12 },
+            Quantizer { x_min: f32::NEG_INFINITY, x_scale: f32::INFINITY },
+            Quantizer::of(&[-1.0, 1.0, 0.0]),
+            Quantizer::of(&[f32::NAN, 3.0, -0.0]),
+        ];
+        for quantizer in ranges {
+            for &v in &edges {
+                assert_eq!(quantizer.code(v), code_oracle(quantizer, v), "{v:e} on {quantizer:?}");
+                assert_eq!(quantizer.code(v), gradient_code_oracle(quantizer, v), "{v:e} on {quantizer:?}");
+            }
+            let mut codes = vec![0u8; edges.len()];
+            quantizer.codes(&edges, &mut codes);
+            assert!(codes.iter().zip(&edges).all(|(&c, &v)| c == code_oracle(quantizer, v)), "{quantizer:?}");
+        }
+        assert_eq!(unit.code(f32::NAN), 0);
     }
 
     fn bits(t: &Tensor) -> Vec<u32> {

@@ -168,23 +168,34 @@ fn max_pool(x: &Tensor, k: usize, stage: usize) -> Result<Tensor> {
         return Err(Error::Config(format!("stage {stage}: cannot pool {:?} by {k}", x.shape())));
     }
     let (oh, ow) = (h / k, w / k);
-    let mut out = Tensor::zeros(&[n, c, oh, ow]);
-    let src = x.data();
-    // Every (sample, channel) plane pools on its own.
-    for (plane, dst) in out.data_mut().chunks_exact_mut(oh * ow).enumerate() {
-        let channel = &src[plane * h * w..(plane + 1) * h * w];
-        for (y, dst_row) in dst.chunks_exact_mut(ow).enumerate() {
-            for (xx, slot) in dst_row.iter_mut().enumerate() {
-                let mut best = f32::NEG_INFINITY;
-                for dy in 0..k {
-                    let row = &channel[(y * k + dy) * w + xx * k..][..k];
-                    best = row.iter().fold(best, |m, &v| m.max(v));
-                }
-                *slot = best;
+    let mut out = Vec::with_capacity(n * c * oh * ow);
+    // Every (sample, channel) plane pools on its own, one band of `k`
+    // input rows per output row.
+    for channel in x.data().chunks_exact(h * w) {
+        for rows in channel.chunks_exact(k * w).take(oh) {
+            // VGG's 2×2 pool gets its taps unrolled.
+            if k == 2 {
+                out.extend((0..ow).map(|xx| window_max(rows, w, 2, xx)));
+            } else {
+                out.extend((0..ow).map(|xx| window_max(rows, w, k, xx)));
             }
         }
     }
-    Ok(out)
+    Ok(Tensor::from_vec(out, &[n, c, oh, ow]))
+}
+
+/// The max of the `k × k` window at column `xx` of a band of `k` rows of
+/// width `w`, in one pass: its taps combine in (dy, dx) order from −∞
+/// through `f32::max`, so a NaN tap is skipped.
+#[inline(always)]
+fn window_max(rows: &[f32], w: usize, k: usize, xx: usize) -> f32 {
+    let mut best = f32::NEG_INFINITY;
+    for dy in 0..k {
+        for dx in 0..k {
+            best = best.max(rows[dy * w + xx * k + dx]);
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -294,6 +305,54 @@ mod tests {
         assert_eq!(y.shape(), &[batch, 5]);
         for (bi, row) in bits(&y).chunks_exact(5).enumerate() {
             assert_eq!(row, one.as_slice(), "copy {bi}");
+        }
+    }
+
+    /// `max_pool` before its one-pass rewrite: per window, each of its
+    /// `k` rows a slice folded through `f32::max` from −∞.
+    fn max_pool_oracle(x: &Tensor, k: usize) -> Tensor {
+        let [n, c, h, w] = x.dims4();
+        let (oh, ow) = (h / k, w / k);
+        let mut out = Tensor::zeros(&[n, c, oh, ow]);
+        let src = x.data();
+        for (plane, dst) in out.data_mut().chunks_exact_mut(oh * ow).enumerate() {
+            let channel = &src[plane * h * w..(plane + 1) * h * w];
+            for (y, dst_row) in dst.chunks_exact_mut(ow).enumerate() {
+                for (xx, slot) in dst_row.iter_mut().enumerate() {
+                    let mut best = f32::NEG_INFINITY;
+                    for dy in 0..k {
+                        let row = &channel[(y * k + dy) * w + xx * k..][..k];
+                        best = row.iter().fold(best, |m, &v| m.max(v));
+                    }
+                    *slot = best;
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn pool_matches_its_oracle_on_nan_signed_zeros_and_infinities() {
+        // Windows drawn from NaN, ±0, ±∞ and small values, k = 1–4, on
+        // sizes on and off multiples of k, two samples of two channels.
+        let specials = [f32::NAN, 0.0, -0.0, f32::NEG_INFINITY, f32::INFINITY, -1.0, 0.5, -f32::NAN];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(69);
+        for k in 1..=4 {
+            for (h, w) in [(k, k), (k + 1, 2 * k + 1), (3 * k - 1, k), (2 * k + 1, 3 * k + 2)] {
+                let len = 2 * 2 * h * w;
+                let data = (0..len).map(|_| specials[rng.gen_range(0..specials.len())]).collect();
+                let x = Tensor::from_vec(data, &[2, 2, h, w]);
+                let y = max_pool(&x, k, 0).unwrap();
+                assert_eq!(y.shape(), max_pool_oracle(&x, k).shape());
+                assert_eq!(bits(&y), bits(&max_pool_oracle(&x, k)), "k {k}, {h}x{w}");
+            }
+        }
+        // Every ordered pair of signed zeros, and NaN in each tap.
+        for (a, b) in [(0.0f32, -0.0f32), (-0.0, 0.0), (-0.0, -0.0), (f32::NAN, -0.0), (-0.0, f32::NAN)] {
+            let x = Tensor::from_vec(vec![a, b, b, a], &[1, 1, 2, 2]);
+            assert_eq!(bits(&max_pool(&x, 2, 0).unwrap()), bits(&max_pool_oracle(&x, 2)), "{a} {b}");
+            let x = Tensor::from_vec(vec![a, b, a, b, b, a, b, a, a], &[1, 1, 3, 3]);
+            assert_eq!(bits(&max_pool(&x, 3, 0).unwrap()), bits(&max_pool_oracle(&x, 3)), "{a} {b}");
         }
     }
 

@@ -26,6 +26,7 @@ use inca_xbar::quant::slice_to_bit_planes;
 use inca_xbar::VerticalPlane;
 
 use crate::hw_exec::{weight_levels, DATA_BITS, WEIGHT_BITS};
+use crate::hw_kernel::Quantizer;
 use crate::{Error, Result};
 
 /// A single-channel-pair in-situ gradient unit: holds one input channel
@@ -69,12 +70,7 @@ impl HwGradientUnit {
         }
         let h = x.shape()[0];
         let w = x.shape()[1];
-        let levels = f32::from((1u16 << DATA_BITS) - 1);
-        let x_min = x.data().iter().fold(0.0f32, |m, &v| m.min(v)).min(0.0);
-        let x_max = x.data().iter().fold(0.0f32, |m, &v| m.max(v)).max(x_min + 1e-9);
-        let x_scale = ((x_max - x_min) / levels).max(1e-12);
-        let codes: Vec<u32> =
-            x.data().iter().map(|&v| (((v - x_min) / x_scale).round() as u32).min(levels as u32)).collect();
+        let (codes, Quantizer { x_min, x_scale }) = quantize(x);
         let planes = slice_to_bit_planes(&codes, DATA_BITS)
             .into_iter()
             .map(|bits| {
@@ -178,20 +174,12 @@ impl HwGradientUnit {
                 self.w
             )));
         }
-        let levels = f32::from((1u16 << DATA_BITS) - 1);
-        let e_min = errors.data().iter().fold(0.0f32, |m, &v| m.min(v)).min(0.0);
-        let e_max = errors.data().iter().fold(0.0f32, |m, &v| m.max(v)).max(e_min + 1e-9);
-        let e_scale = ((e_max - e_min) / levels).max(1e-12);
-        let codes: Vec<u32> = errors
-            .data()
-            .iter()
-            .map(|&v| (((v - e_min) / e_scale).round() as u32).min(levels as u32))
-            .collect();
+        let (codes, Quantizer { x_min, x_scale }) = quantize(errors);
         for (plane, bits) in self.planes.iter_mut().zip(slice_to_bit_planes(&codes, DATA_BITS)) {
             plane.write_bits(&bits)?;
         }
-        self.x_scale = e_scale;
-        self.x_min = e_min;
+        self.x_scale = x_scale;
+        self.x_min = x_min;
         Ok(())
     }
 
@@ -201,6 +189,13 @@ impl HwGradientUnit {
     pub fn write_count(&self) -> u64 {
         self.planes.iter().map(VerticalPlane::write_count).sum()
     }
+}
+
+/// `x`'s 8-bit codes on its own range, with the [`Quantizer`] of that
+/// range.
+fn quantize(x: &Tensor) -> (Vec<u32>, Quantizer) {
+    let quantizer = Quantizer::of(x.data());
+    (x.data().iter().map(|&v| u32::from(quantizer.code(v))).collect(), quantizer)
 }
 
 /// Propagates errors backward through a convolution layer on hardware

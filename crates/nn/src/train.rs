@@ -61,14 +61,17 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Panics if `epochs` or `batch_size` is zero, `lr` is not positive, or
-    /// the quantization config sets a bit depth outside `1..=24` or holds a
+    /// Panics if `epochs` or `batch_size` is zero, `lr` is not positive,
+    /// `train_fraction` is not a finite value in `(0, 1]`, or the
+    /// quantization config sets a bit depth outside `1..=24` or holds a
     /// range that is not finite and positive.
     #[must_use]
     pub fn new(config: TrainConfig) -> Self {
         assert!(config.epochs > 0, "epochs must be positive");
         assert!(config.batch_size > 0, "batch size must be positive");
         assert!(config.lr > 0.0, "learning rate must be positive");
+        let fraction = config.train_fraction;
+        assert!(fraction > 0.0 && fraction <= 1.0, "train fraction must lie in (0, 1], got {fraction}");
         config.quant.assert_valid();
         Self { config }
     }
@@ -80,11 +83,21 @@ impl Trainer {
     }
 
     /// Trains `net` on `dataset` and returns per-epoch losses plus final
-    /// train/test accuracies.
+    /// train/test accuracies. With a train fraction of 1 the test split is
+    /// empty and the test accuracy is the train accuracy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the train fraction of `dataset` holds no sample.
     pub fn fit(&mut self, net: &mut Network, dataset: &SyntheticDataset, loss: Loss) -> TrainStats {
         let cfg = self.config;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let (train_idx, test_idx) = dataset.split(cfg.train_fraction);
+        assert!(
+            !train_idx.is_empty(),
+            "a train fraction of {} leaves no training sample",
+            cfg.train_fraction
+        );
         let optimizer = Sgd::new(cfg.lr);
         let mut epoch_losses = Vec::with_capacity(cfg.epochs);
 
@@ -208,6 +221,55 @@ mod tests {
             an_stats.test_accuracy,
             wn_stats.test_accuracy
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "train fraction must lie in (0, 1], got NaN")]
+    fn a_nan_train_fraction_is_refused() {
+        let _ = Trainer::new(TrainConfig { train_fraction: f32::NAN, ..TrainConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "train fraction must lie in (0, 1], got 0")]
+    fn a_zero_train_fraction_is_refused() {
+        let _ = Trainer::new(TrainConfig { train_fraction: 0.0, ..TrainConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "train fraction must lie in (0, 1], got -1")]
+    fn a_negative_train_fraction_is_refused() {
+        let _ = Trainer::new(TrainConfig { train_fraction: -1.0, ..TrainConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "train fraction must lie in (0, 1], got 1.5")]
+    fn a_train_fraction_past_one_is_refused() {
+        let _ = Trainer::new(TrainConfig { train_fraction: 1.5, ..TrainConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "train fraction must lie in (0, 1], got inf")]
+    fn an_infinite_train_fraction_is_refused() {
+        let _ = Trainer::new(TrainConfig { train_fraction: f32::INFINITY, ..TrainConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "a train fraction of 0.01 leaves no training sample")]
+    fn a_split_without_training_samples_is_refused() {
+        let dataset = SyntheticDataset::generate(40, 8, 4, 5);
+        let mut trainer =
+            Trainer::new(TrainConfig { epochs: 1, train_fraction: 0.01, ..TrainConfig::default() });
+        let _ = trainer.fit(&mut small_net(0), &dataset, Loss::CrossEntropy);
+    }
+
+    #[test]
+    fn the_whole_dataset_trains_and_tests_on_itself() {
+        let dataset = SyntheticDataset::generate(40, 8, 4, 5);
+        let mut trainer =
+            Trainer::new(TrainConfig { epochs: 2, train_fraction: 1.0, ..TrainConfig::default() });
+        let stats = trainer.fit(&mut small_net(0), &dataset, Loss::CrossEntropy);
+        assert!(stats.epoch_losses.iter().all(|&l| l > 0.0), "{:?}", stats.epoch_losses);
+        assert_eq!(stats.test_accuracy.to_bits(), stats.final_train_accuracy.to_bits());
     }
 
     #[test]

@@ -101,6 +101,13 @@ impl Crossbar2d {
         Ok(())
     }
 
+    /// Records the [`Event::RramProgramPulse`]s of `columns` column
+    /// writes ([`Crossbar2d::program_column`]) whose cells the caller
+    /// keeps without programming an array.
+    pub fn record_column_writes(columns: u64) {
+        inca_telemetry::record(Event::RramProgramPulse, columns);
+    }
+
     /// Programs the full array from a row-major `rows × cols` bit matrix.
     ///
     /// # Errors
