@@ -68,7 +68,7 @@ impl AreaModel {
     /// 0.030 µm²". The plane-spacing factor (doubled transistor thickness)
     /// is folded into the published per-stack figure.
     #[must_use]
-    pub fn unit_area_um2(&self, config: &ArchConfig) -> f64 {
+    pub(crate) fn unit_area_um2(&self, config: &ArchConfig) -> f64 {
         let cell = config.scaling.scale_area_raw(config.cell_geometry.area_um2());
         match config.dataflow {
             crate::Dataflow::WeightStationary => cell * (config.subarray * config.subarray) as f64,

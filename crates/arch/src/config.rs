@@ -112,7 +112,7 @@ impl ArchConfig {
     /// Cells per subarray unit (a 3D stack for INCA, a 2D crossbar for the
     /// baseline).
     #[must_use]
-    pub fn cells_per_unit(&self) -> usize {
+    pub(crate) fn cells_per_unit(&self) -> usize {
         self.subarray * self.subarray * self.stacked_planes
     }
 
@@ -124,6 +124,7 @@ impl ArchConfig {
 
     /// Total RRAM cells on the chip.
     #[must_use]
+    // lint: allow(narrow-pub) needed by: tests/paper_claims.rs (iso-capacity claim)
     pub fn cells_per_chip(&self) -> u64 {
         self.units_per_chip() as u64 * self.cells_per_unit() as u64
     }

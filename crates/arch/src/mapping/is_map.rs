@@ -75,7 +75,7 @@ impl IsMapping {
 
     /// Maps every weighted layer of a model.
     #[must_use]
-    pub fn map_model(&self, spec: &ModelSpec) -> Vec<LayerMapping> {
+    pub(crate) fn map_model(&self, spec: &ModelSpec) -> Vec<LayerMapping> {
         spec.weighted_layers().filter_map(|l| self.map_layer(l)).collect()
     }
 
@@ -122,7 +122,7 @@ mod tests {
     fn perfect_tiling_at_16() {
         // 224 = 14 x 16: the first VGG conv tiles exactly.
         let spec = Model::Vgg16.spec();
-        let first = spec.first_conv_layer().expect("VGG16 has conv layers");
+        let first = spec.conv_layers().next().expect("VGG16 has conv layers");
         let m = engine().map_layer(first).unwrap();
         assert!((m.utilization() - 1.0).abs() < 1e-9, "util {}", m.utilization());
         // 14x14 tiles x 3 channels x 8 bits.
@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn batch_fills_planes() {
         let spec = Model::Vgg16.spec();
-        let first = spec.first_conv_layer().expect("VGG16 has conv layers");
+        let first = spec.conv_layers().next().expect("VGG16 has conv layers");
         let full = engine().map_layer(first).unwrap();
         let mut half_batch = engine();
         half_batch.batch = 32;

@@ -1,7 +1,6 @@
 use inca_workloads::{LayerSpec, ModelSpec};
-use serde::{Deserialize, Serialize};
 
-use super::{LayerMapping, MappingSummary};
+use super::LayerMapping;
 use crate::ArchConfig;
 
 /// The weight-stationary (ISAAC-style) mapping engine.
@@ -65,20 +64,6 @@ impl WsMapping {
         }
     }
 
-    /// Maps every weighted layer of a model.
-    #[must_use]
-    pub fn map_model(&self, spec: &ModelSpec) -> Vec<LayerMapping> {
-        spec.weighted_layers().filter_map(|l| self.map_layer(l)).collect()
-    }
-
-    /// Network-level utilization summary.
-    #[must_use]
-    pub fn summarize(&self, spec: &ModelSpec) -> WsSummary {
-        let mappings = self.map_model(spec);
-        let s = MappingSummary::from_layers(&mappings);
-        WsSummary { summary: s }
-    }
-
     /// Compute-weighted utilization (the Fig 16b metric): each layer's
     /// utilization weighted by its array-cycles (`units × OH·OW` — how long
     /// the allocated arrays stay busy). Depthwise layers run for many
@@ -102,25 +87,23 @@ impl WsMapping {
     }
 }
 
-/// WS mapping summary for a model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WsSummary {
-    /// The aggregate mapping.
-    pub summary: MappingSummary,
-}
-
-impl WsSummary {
-    /// Network utilization (Fig 16b, WS series).
-    #[must_use]
-    pub fn utilization(&self) -> f64 {
-        self.summary.utilization()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::MappingSummary;
     use inca_workloads::Model;
+
+    impl WsMapping {
+        /// Maps every weighted layer of a model.
+        pub(crate) fn map_model(&self, spec: &ModelSpec) -> Vec<LayerMapping> {
+            spec.weighted_layers().filter_map(|l| self.map_layer(l)).collect()
+        }
+
+        /// Network-level utilization summary.
+        pub(crate) fn summarize(&self, spec: &ModelSpec) -> MappingSummary {
+            MappingSummary::from_layers(&self.map_model(spec))
+        }
+    }
 
     fn engine() -> WsMapping {
         WsMapping::new(&ArchConfig::baseline_paper())

@@ -1,54 +1,11 @@
 //! Property-based tests on mapping and area-model invariants.
 
-use inca_arch::mapping::{IsMapping, WsMapping};
 use inca_arch::{ArchConfig, AreaModel, FootprintModel};
-use inca_workloads::{Model, ModelBuilder, ModelSpec};
+use inca_workloads::Model;
 use proptest::prelude::*;
-
-/// A single conv layer with `cin` input channels.
-fn custom_spec(cin: usize, h: usize, k: usize) -> ModelSpec {
-    let layers = ModelBuilder::new(cin, h, h).conv(8, k, 1, k / 2, false).finish();
-    ModelSpec { model: Model::ResNet18, layers }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Utilization is always in (0, 1] for both mappings, for any conv
-    /// geometry.
-    #[test]
-    fn utilization_bounded(c in 1usize..64, h in 8usize..64, k in 1usize..5) {
-        prop_assume!(h >= k);
-        let spec = custom_spec(c, h, k);
-        let is = IsMapping::new(&ArchConfig::inca_paper()).utilization(&spec);
-        let ws = WsMapping::new(&ArchConfig::baseline_paper()).summarize(&spec).utilization();
-        prop_assert!(is > 0.0 && is <= 1.0, "IS {is}");
-        prop_assert!(ws > 0.0 && ws <= 1.0, "WS {ws}");
-    }
-
-    /// Cells used never exceed cells allocated, and used cells scale
-    /// linearly with *input* channels for the IS mapping (inputs are what
-    /// lives in the arrays).
-    #[test]
-    fn is_mapping_accounting(cin in 2usize..32, h in 8usize..40) {
-        let engine = IsMapping::new(&ArchConfig::inca_paper());
-        let one = engine.map_model(&custom_spec(2, h, 3))[0];
-        let many = engine.map_model(&custom_spec(cin, h, 3))[0];
-        prop_assert!(many.cells_used <= many.cells_allocated);
-        prop_assert_eq!(many.cells_used * 2, one.cells_used * cin as u64);
-    }
-
-    /// WS mapping allocates at least enough cells for the weights.
-    #[test]
-    fn ws_allocates_for_weights(c in 1usize..64, k in 1usize..5) {
-        let spec = custom_spec(c, 16, k);
-        let engine = WsMapping::new(&ArchConfig::baseline_paper());
-        for (layer, m) in spec.weighted_layers().zip(engine.map_model(&spec)) {
-            let weight_cells = layer.fan_in() * layer.cout as u64 * 8;
-            prop_assert!(m.cells_allocated >= weight_cells);
-            prop_assert_eq!(m.cells_used, weight_cells);
-        }
-    }
 
     /// Footprint scales linearly with precision for every model.
     #[test]

@@ -52,7 +52,7 @@ fn xbar_kernels(c: &mut Criterion) {
     }
 
     group.bench_function("stack3d_batch64_conv", |b| {
-        let mut stack = Stack3d::paper_default();
+        let mut stack = Stack3d::new(16, 16, 64);
         let bits: Vec<u8> = (0..256).map(|i| ((i * 7) % 2) as u8).collect();
         for p in 0..64 {
             stack.write_plane(p, &bits).unwrap();
@@ -62,9 +62,12 @@ fn xbar_kernels(c: &mut Criterion) {
     });
 
     group.bench_function("crossbar_mvm_128x128", |b| {
-        let mut xbar = Crossbar2d::paper_baseline();
+        let mut xbar = Crossbar2d::new(128, 128);
         let weights: Vec<u8> = (0..128 * 128).map(|i| ((i * 31) % 2) as u8).collect();
-        xbar.program_all(&weights).unwrap();
+        for col in 0..128 {
+            let bits: Vec<u8> = (0..128).map(|row| weights[row * 128 + col]).collect();
+            xbar.program_column(col, &bits).unwrap();
+        }
         let input: Vec<u8> = (0..128).map(|i| (i % 2) as u8).collect();
         b.iter(|| black_box(xbar.mvm_binary(&input).unwrap()));
     });
@@ -103,7 +106,7 @@ fn simulator_kernels(c: &mut Criterion) {
 }
 
 fn scheduling_kernels(c: &mut Criterion) {
-    use inca_sim::schedule::{layer_jobs, schedule, schedule_network};
+    use inca_sim::schedule::{layer_jobs, schedule};
     use inca_xbar::{simulate_pipeline, PipelineConfig};
     let mut group = c.benchmark_group("scheduling");
     let cfg = ArchConfig::inca_paper();
@@ -112,7 +115,7 @@ fn scheduling_kernels(c: &mut Criterion) {
     group.bench_function("list_schedule_vgg16", |b| b.iter(|| black_box(schedule(&jobs, 16_128))));
     group.bench_function("schedule_network_resnet18", |b| {
         let rn = Model::ResNet18.spec();
-        b.iter(|| black_box(schedule_network(&cfg, &rn)))
+        b.iter(|| black_box(schedule(&layer_jobs(&cfg, &rn), cfg.units_per_chip() as u64)))
     });
     group.bench_function("pipeline_4096_events", |b| {
         b.iter(|| black_box(simulate_pipeline(&PipelineConfig::paper_default(), 4096)))

@@ -29,26 +29,26 @@ use serde_json::json;
 pub const SERVE_ID: &str = "serve";
 
 /// Title of the serving sweep, for listings.
-pub const SERVE_TITLE: &str =
+pub(crate) const SERVE_TITLE: &str =
     "Serving: p99 latency vs offered load, INCA vs WS vs GPU fleets (writes SERVE_report.json)";
 
 /// Identifier of the fleet-scale network sweep.
 pub const NET_ID: &str = "net";
 
 /// Title of the fleet-scale network sweep, for listings.
-pub const NET_TITLE: &str = "Fleet: sustainable rps per rack under the p99 SLO, INCA vs WS on a fat-tree fabric with DCTCP flows (writes NET_report.json)";
+pub(crate) const NET_TITLE: &str = "Fleet: sustainable rps per rack under the p99 SLO, INCA vs WS on a fat-tree fabric with DCTCP flows (writes NET_report.json)";
 
 /// Identifier of the observability run.
-pub const OBS_ID: &str = "obs";
+pub(crate) const OBS_ID: &str = "obs";
 
 /// Title of the observability run, for listings.
-pub const OBS_TITLE: &str = "Observability: traced bursty INCA serving run with time-series sampling and SLO burn-rate monitoring (writes OBS_trace.json + OBS_timeseries.json)";
+pub(crate) const OBS_TITLE: &str = "Observability: traced bursty INCA serving run with time-series sampling and SLO burn-rate monitoring (writes OBS_trace.json + OBS_timeseries.json)";
 
 /// Runs the serving sweep: a Poisson request stream over multi-chip
 /// fleets of all three backends, reported as the latency-vs-load table
 /// behind `SERVE_report.json`.
 #[must_use]
-pub fn serve_experiment(opts: &ExperimentOpts) -> ExperimentResult {
+pub(crate) fn serve_experiment(opts: &ExperimentOpts) -> ExperimentResult {
     let cfg = if opts.quick { SweepConfig::quick() } else { SweepConfig::full() };
     let report = run_sweep(&cfg);
     ExperimentResult {
@@ -64,7 +64,7 @@ pub fn serve_experiment(opts: &ExperimentOpts) -> ExperimentResult {
 /// response, and weight transfer a DCTCP flow — reported as the
 /// sustainable-rps-per-rack table behind `NET_report.json`.
 #[must_use]
-pub fn net_experiment(opts: &ExperimentOpts) -> ExperimentResult {
+pub(crate) fn net_experiment(opts: &ExperimentOpts) -> ExperimentResult {
     let cfg = if opts.quick { FleetSweepConfig::quick() } else { FleetSweepConfig::full() };
     let report = run_fleet_sweep(&cfg);
     ExperimentResult {
@@ -103,7 +103,7 @@ fn obs_config(opts: &ExperimentOpts) -> ServeConfig {
 /// Runs the observability experiment: one fully instrumented bursty
 /// serving run, summarized as a report plus the two `OBS_*` artifacts.
 #[must_use]
-pub fn obs_experiment(opts: &ExperimentOpts) -> (ExperimentResult, ObsArtifacts) {
+pub(crate) fn obs_experiment(opts: &ExperimentOpts) -> (ExperimentResult, ObsArtifacts) {
     let cfg = obs_config(opts);
     let obs = ObsConfig::full();
     let (run, out) = run_point_observed(&cfg, &obs);

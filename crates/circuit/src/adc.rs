@@ -26,7 +26,8 @@ use crate::{CircuitError, Result};
 /// use inca_circuit::AdcSpec;
 ///
 /// let adc = AdcSpec::new(4)?;
-/// assert!(adc.sample_rate_hz().hertz() > 2.0e9);
+/// // Above 2 GS/s: one conversion takes under half a nanosecond.
+/// assert!(adc.conversion_latency_s().seconds() < 0.5e-9);
 /// # Ok::<(), inca_circuit::CircuitError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -60,19 +61,24 @@ impl AdcSpec {
         if bits == 0 || bits > 16 {
             return Err(CircuitError::InvalidParams(format!("unsupported ADC precision: {bits} bits")));
         }
-        Ok(Self { bits, energy_unit_j: Self::ENERGY_UNIT_J, area_unit_um2: 43.05 })
+        Ok(Self::with_bits(bits))
+    }
+
+    /// An ADC of `bits` precision, which the caller has range-checked.
+    fn with_bits(bits: u8) -> Self {
+        Self { bits, energy_unit_j: Self::ENERGY_UNIT_J, area_unit_um2: 43.05 }
     }
 
     /// INCA's 4-bit ADC (Table II).
     #[must_use]
     pub fn inca_default() -> Self {
-        Self::new(4).expect("4-bit is valid") // constant precision: infallible. lint: allow(panic-path)
+        Self::with_bits(4)
     }
 
     /// The WS baseline's 8-bit ADC (Table II).
     #[must_use]
     pub fn baseline_default() -> Self {
-        Self::new(8).expect("8-bit is valid") // constant precision: infallible. lint: allow(panic-path)
+        Self::with_bits(8)
     }
 
     /// Bit precision of the converter.
@@ -91,7 +97,7 @@ impl AdcSpec {
     /// paper's published points (4-bit ⇒ 2.1 GHz, 8-bit ⇒ 1.2 GHz) and
     /// clamped to a 100 MHz floor.
     #[must_use]
-    pub fn sample_rate_hz(&self) -> Frequency {
+    pub(crate) fn sample_rate_hz(&self) -> Frequency {
         let rate = 2.1e9 + (f64::from(self.bits) - 4.0) * (1.2e9 - 2.1e9) / 4.0;
         Frequency::from_hz(rate.max(100e6))
     }

@@ -55,7 +55,7 @@ impl Bus {
 
     /// Number of transfers for a raw bit count.
     #[must_use]
-    pub fn transfers_for_bits(&self, bits: u64) -> u64 {
+    pub(crate) fn transfers_for_bits(&self, bits: u64) -> u64 {
         bits.div_ceil(u64::from(self.width_bits))
     }
 }

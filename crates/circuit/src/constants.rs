@@ -16,7 +16,7 @@ pub const HBM2_ENERGY_PER_BIT: EnergyPerBit = EnergyPerBit::from_joules_per_bit(
 /// SRAM buffer read energy: ~20 pJ per 256-bit beat — NeuroSim-class
 /// 22 nm SRAM macro calibration for the Table II 64 KB buffers. This is
 /// the constant that makes DRAM+buffer dominate WS energy in Fig 6.
-pub const SRAM_READ_ENERGY_PER_BEAT: EnergyPerBeat = EnergyPerBeat::from_joules_per_beat(20e-12);
+pub(crate) const SRAM_READ_ENERGY_PER_BEAT: EnergyPerBeat = EnergyPerBeat::from_joules_per_beat(20e-12);
 
 /// SRAM buffer write energy: ~10 % above the read beat energy (Table II
 /// calibration, same NeuroSim-class source as the read figure).
@@ -25,7 +25,7 @@ pub const SRAM_WRITE_ENERGY_PER_BEAT: EnergyPerBeat = EnergyPerBeat::from_joules
 /// Linear technology scale factor from the 65 nm layout node to the
 /// 22 nm accelerator node (Table II): area scales with its square,
 /// dynamic energy with its cube.
-pub const TECH_SCALE_FACTOR_65_TO_22: f64 = 0.34;
+pub(crate) const TECH_SCALE_FACTOR_65_TO_22: f64 = 0.34;
 
 #[cfg(test)]
 mod tests {

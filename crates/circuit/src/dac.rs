@@ -1,8 +1,6 @@
 use inca_units::Energy;
 use serde::{Deserialize, Serialize};
 
-use crate::{CircuitError, Result};
-
 /// A digital-to-analog converter (input driver) model.
 ///
 /// Both architectures use 1-bit DACs (Table II) — inputs are streamed
@@ -29,23 +27,16 @@ impl DacSpec {
     /// The 1-bit driver used by both INCA and the baseline.
     #[must_use]
     pub fn one_bit() -> Self {
-        Self::new(1).expect("1-bit is valid") // constant precision: infallible. lint: allow(panic-path)
+        Self::with_bits(1)
     }
 
-    /// Creates a DAC of the given precision.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::InvalidParams`] if `bits` is zero or above 16.
-    pub fn new(bits: u8) -> Result<Self> {
-        if bits == 0 || bits > 16 {
-            return Err(CircuitError::InvalidParams(format!("unsupported DAC precision: {bits} bits")));
-        }
+    /// A DAC of `bits` precision, which the caller has range-checked.
+    fn with_bits(bits: u8) -> Self {
         // Anchors: 1-bit driver ≈ 2 fJ per switch (heavily shared line
         // drivers; NeuroSim-class effective value), area anchored to
         // Table V: 16128 × 128 one-bit DACs = 0.343 mm² ⇒ 0.166 µm² per
         // driver.
-        Ok(Self { bits, energy_unit_j: Energy::from_joules(0.002e-12), area_unit_um2: 0.166 })
+        Self { bits, energy_unit_j: Energy::from_joules(0.002e-12), area_unit_um2: 0.166 }
     }
 
     /// Bit precision.
@@ -71,6 +62,18 @@ impl DacSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CircuitError;
+
+    impl DacSpec {
+        /// A DAC of the given precision; errors when `bits` is zero or
+        /// above 16.
+        fn new(bits: u8) -> crate::Result<Self> {
+            if bits == 0 || bits > 16 {
+                return Err(CircuitError::InvalidParams(format!("unsupported DAC precision: {bits} bits")));
+            }
+            Ok(Self::with_bits(bits))
+        }
+    }
 
     #[test]
     fn one_bit_driver_area_reproduces_table_v() {

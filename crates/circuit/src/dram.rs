@@ -28,10 +28,12 @@ use crate::constants;
 /// use inca_circuit::DramModel;
 ///
 /// let dram = DramModel::hbm2_8gb();
+/// // `(utilization, latency_ns)` at u = 0, 0.01, …, 1.
+/// let curve = dram.latency_curve(101);
 /// // Below the knee, latency is flat:
-/// assert_eq!(dram.latency_at_utilization(0.2), dram.latency_at_utilization(0.7));
+/// assert_eq!(curve[20].1, curve[70].1);
 /// // Beyond it, latency explodes:
-/// assert!(dram.latency_at_utilization(0.99) > 10.0 * dram.latency_at_utilization(0.5));
+/// assert!(curve[99].1 > 10.0 * curve[50].1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DramModel {
@@ -79,7 +81,7 @@ impl DramModel {
     /// Effective per-access latency at bandwidth utilization `u ∈ [0, 1]` —
     /// the Fig 1b curve.
     #[must_use]
-    pub fn latency_at_utilization(&self, u: f64) -> Time {
+    pub(crate) fn latency_at_utilization(&self, u: f64) -> Time {
         let u = u.clamp(0.0, 1.0);
         if u <= self.knee {
             self.idle_latency_s
@@ -110,6 +112,22 @@ impl Default for DramModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inca_units::Time;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// DRAM latency is monotone nondecreasing in utilization and flat
+        /// below the knee.
+        #[test]
+        fn dram_latency_monotone(u1 in 0.0f64..=1.0, u2 in 0.0f64..=1.0) {
+            let d = DramModel::hbm2_8gb();
+            let (lo, hi) = if u1 <= u2 { (u1, u2) } else { (u2, u1) };
+            prop_assert!(d.latency_at_utilization(lo) <= d.latency_at_utilization(hi) + Time::from_seconds(1e-18));
+            if hi <= 0.8 {
+                prop_assert_eq!(d.latency_at_utilization(lo), d.latency_at_utilization(hi));
+            }
+        }
+    }
 
     #[test]
     fn energy_is_32pj_per_byte() {

@@ -52,7 +52,7 @@ impl HTree {
     /// Total wire length from the root to one leaf, in millimetres:
     /// `edge/2 + edge/4 + …` over the levels.
     #[must_use]
-    pub fn root_to_leaf_mm(&self) -> f64 {
+    pub(crate) fn root_to_leaf_mm(&self) -> f64 {
         (1..=self.levels).map(|l| self.die_edge_mm / f64::from(1u32 << l)).sum()
     }
 

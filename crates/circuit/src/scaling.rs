@@ -1,13 +1,13 @@
 use serde::{Deserialize, Serialize};
 
-use crate::{constants, CircuitError, Result};
+use crate::constants;
 
 /// Technology-node scaling rules.
 ///
 /// The paper lays out the 2T1R cell in TSMC 65 nm, then scales the circuit
 /// results "according to the rules of scaling to match the technology node
 /// selected in the accelerator simulation" (§V-A) — 22 nm with a linear
-/// scale factor of 0.34 (Table II, [`constants::TECH_SCALE_FACTOR_65_TO_22`]).
+/// scale factor of 0.34 (Table II, `constants::TECH_SCALE_FACTOR_65_TO_22`).
 ///
 /// Classic (Dennard-flavoured) rules with linear factor `s < 1`:
 ///
@@ -38,37 +38,11 @@ impl TechScaling {
         Self { factor: constants::TECH_SCALE_FACTOR_65_TO_22 }
     }
 
-    /// Creates a scaling between two nodes with an explicit linear factor.
-    /// Only the factor enters the rules; the nodes are checked, not kept.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::InvalidParams`] when nodes or factor are not
-    /// positive.
-    pub fn new(from_nm: f64, to_nm: f64, factor: f64) -> Result<Self> {
-        if from_nm <= 0.0 || to_nm <= 0.0 || factor <= 0.0 {
-            return Err(CircuitError::InvalidParams("nodes and factor must be positive".into()));
-        }
-        Ok(Self { factor })
-    }
-
     /// Scales a raw area value in any squared-length unit (e.g. µm² cell
     /// layouts that never enter the mm²-typed area model directly).
     #[must_use]
     pub fn scale_area_raw(&self, area: f64) -> f64 {
         area * self.factor * self.factor
-    }
-
-    /// Scales a raw delay value.
-    #[must_use]
-    pub fn scale_delay_raw(&self, delay: f64) -> f64 {
-        delay * self.factor
-    }
-
-    /// Scales a raw dynamic-energy value.
-    #[must_use]
-    pub fn scale_energy_raw(&self, energy: f64) -> f64 {
-        energy * self.factor.powi(3)
     }
 }
 
@@ -81,6 +55,43 @@ impl Default for TechScaling {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CircuitError, Result};
+    use proptest::prelude::*;
+
+    impl TechScaling {
+        /// A scaling between two nodes with an explicit linear factor; the
+        /// nodes are checked, not kept.
+        fn new(from_nm: f64, to_nm: f64, factor: f64) -> Result<Self> {
+            if from_nm <= 0.0 || to_nm <= 0.0 || factor <= 0.0 {
+                return Err(CircuitError::InvalidParams("nodes and factor must be positive".into()));
+            }
+            Ok(Self { factor })
+        }
+
+        /// Scales a raw delay value.
+        fn scale_delay_raw(&self, delay: f64) -> f64 {
+            delay * self.factor
+        }
+
+        /// Scales a raw dynamic-energy value.
+        fn scale_energy_raw(&self, energy: f64) -> f64 {
+            energy * self.factor.powi(3)
+        }
+    }
+
+    proptest! {
+        /// Technology scaling laws are multiplicative and ordered:
+        /// energy shrinks faster than area, area faster than delay.
+        #[test]
+        fn scaling_law_ordering(factor in 0.05f64..0.95) {
+            let s = TechScaling::new(65.0, 22.0, factor).unwrap();
+            prop_assert!(s.scale_energy_raw(1.0) <= s.scale_area_raw(1.0) + 1e-12);
+            prop_assert!(s.scale_area_raw(1.0) <= s.scale_delay_raw(1.0) + 1e-12);
+            // Composition: scaling a scaled area equals scaling by the square.
+            let twice = s.scale_area_raw(s.scale_area_raw(1.0));
+            prop_assert!((twice - factor.powi(4)).abs() < 1e-12);
+        }
+    }
 
     #[test]
     fn paper_factor() {

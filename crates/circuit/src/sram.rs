@@ -9,7 +9,7 @@ use crate::{constants, Bus};
 /// Energy per 256-bit access is calibrated to NeuroSim-class 22 nm SRAM
 /// macros (~20 pJ per 256-bit read, writes ~10 % more expensive); these are
 /// the constants that make DRAM+buffer dominate WS energy in Fig 6 — see
-/// [`constants::SRAM_READ_ENERGY_PER_BEAT`].
+/// `constants::SRAM_READ_ENERGY_PER_BEAT`.
 ///
 /// # Examples
 ///
@@ -51,7 +51,7 @@ impl SramBuffer {
 
     /// Number of port beats needed to move `bytes`.
     #[must_use]
-    pub fn beats(&self, bytes: u64) -> u64 {
+    pub(crate) fn beats(&self, bytes: u64) -> u64 {
         self.port.transfers_for_bits(bytes * 8)
     }
 
@@ -77,6 +77,18 @@ impl Default for SramBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Buffer read/write energies scale with beat count.
+        #[test]
+        fn buffer_energy_beat_quantized(bytes in 0u64..100_000) {
+            let buf = SramBuffer::paper_default();
+            let beats = buf.beats(bytes);
+            prop_assert!((buf.read_energy_j(bytes) - beats as f64 * buf.read_energy_j(32)).abs().joules() < 1e-15);
+            prop_assert!(buf.write_energy_j(bytes) >= buf.read_energy_j(bytes));
+        }
+    }
 
     #[test]
     fn paper_default_is_64kb_256bit() {

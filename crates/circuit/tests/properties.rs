@@ -1,7 +1,6 @@
 //! Property-based tests on circuit-model invariants.
 
-use inca_circuit::{AdcSpec, Bus, DramModel, SramBuffer, TechScaling};
-use inca_units::Time;
+use inca_circuit::{AdcSpec, Bus, DramModel};
 use proptest::prelude::*;
 
 proptest! {
@@ -32,44 +31,11 @@ proptest! {
         prop_assert!(hi > lo);
     }
 
-    /// DRAM latency is monotone nondecreasing in utilization and flat
-    /// below the knee.
-    #[test]
-    fn dram_latency_monotone(u1 in 0.0f64..=1.0, u2 in 0.0f64..=1.0) {
-        let d = DramModel::hbm2_8gb();
-        let (lo, hi) = if u1 <= u2 { (u1, u2) } else { (u2, u1) };
-        prop_assert!(d.latency_at_utilization(lo) <= d.latency_at_utilization(hi) + Time::from_seconds(1e-18));
-        if hi <= 0.8 {
-            prop_assert_eq!(d.latency_at_utilization(lo), d.latency_at_utilization(hi));
-        }
-    }
-
     /// DRAM energy is exactly linear in bytes.
     #[test]
     fn dram_energy_linear(a in 0u64..1_000_000, b in 0u64..1_000_000) {
         let d = DramModel::hbm2_8gb();
         let sum = d.access_energy_j(a) + d.access_energy_j(b);
         prop_assert!((d.access_energy_j(a + b) - sum).abs().joules() < 1e-18 * (1.0 + sum.joules()));
-    }
-
-    /// Buffer read/write energies scale with beat count.
-    #[test]
-    fn buffer_energy_beat_quantized(bytes in 0u64..100_000) {
-        let buf = SramBuffer::paper_default();
-        let beats = buf.beats(bytes);
-        prop_assert!((buf.read_energy_j(bytes) - beats as f64 * buf.read_energy_j(32)).abs().joules() < 1e-15);
-        prop_assert!(buf.write_energy_j(bytes) >= buf.read_energy_j(bytes));
-    }
-
-    /// Technology scaling laws are multiplicative and ordered:
-    /// energy shrinks faster than area, area faster than delay.
-    #[test]
-    fn scaling_law_ordering(factor in 0.05f64..0.95) {
-        let s = TechScaling::new(65.0, 22.0, factor).unwrap();
-        prop_assert!(s.scale_energy_raw(1.0) <= s.scale_area_raw(1.0) + 1e-12);
-        prop_assert!(s.scale_area_raw(1.0) <= s.scale_delay_raw(1.0) + 1e-12);
-        // Composition: scaling a scaled area equals scaling by the square.
-        let twice = s.scale_area_raw(s.scale_area_raw(1.0));
-        prop_assert!((twice - factor.powi(4)).abs() < 1e-12);
     }
 }

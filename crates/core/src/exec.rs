@@ -13,7 +13,7 @@
 //!
 //! Workers receive **contiguous blocks** of chunks, not a round-robin
 //! deal: block `b` of `w` workers owns chunks `[b·⌈n/w⌉ …)` (off-by-one
-//! balanced, see [`for_each_chunk_with`]). Contiguous blocks mean one
+//! balanced, see `for_each_chunk_with`). Contiguous blocks mean one
 //! `split_at_mut` per worker instead of a `Vec` of slice handles per
 //! chunk, preserve the sequential path's cache-friendly row-major walk
 //! within each worker, and — the real win — give each worker a natural
@@ -48,7 +48,7 @@ impl ExecPolicy {
     /// The default policy: one thread computes every output window in
     /// row-major order.
     #[must_use]
-    pub fn sequential() -> Self {
+    pub(crate) fn sequential() -> Self {
         Self { threads: 1 }
     }
 
@@ -75,6 +75,8 @@ impl ExecPolicy {
 
     /// The worker count this policy schedules onto (as requested).
     #[must_use]
+    // Needed by crates/bench/benches/hw_exec.rs (records the requested workers)
+    // lint: allow(narrow-pub)
     pub fn threads(self) -> usize {
         self.threads
     }
@@ -86,6 +88,8 @@ impl ExecPolicy {
     /// the bench artifact records both numbers so the `perf_smoke` gate
     /// can refuse such measurements.
     #[must_use]
+    // Needed by crates/bench/benches/hw_exec.rs (records the runnable workers)
+    // lint: allow(narrow-pub)
     pub fn effective_threads(self) -> usize {
         self.threads().min(available_threads())
     }
@@ -108,7 +112,7 @@ pub fn available_threads() -> usize {
 /// # Errors
 ///
 /// Returns the error from the lowest-indexed failing chunk.
-pub fn for_each_chunk<T, F>(policy: ExecPolicy, data: &mut [T], chunk_len: usize, f: F) -> Result<()>
+pub(crate) fn for_each_chunk<T, F>(policy: ExecPolicy, data: &mut [T], chunk_len: usize, f: F) -> Result<()>
 where
     T: Send,
     F: Fn(usize, &mut [T]) -> Result<()> + Sync,
@@ -140,7 +144,7 @@ where
 ///
 /// Panics if a worker thread panics (the panic is resumed on the
 /// caller).
-pub fn for_each_chunk_with<T, S, I, F>(
+pub(crate) fn for_each_chunk_with<T, S, I, F>(
     policy: ExecPolicy,
     data: &mut [T],
     chunk_len: usize,
@@ -226,7 +230,7 @@ where
 /// Maps `f(&mut state, index)` over `0..n` across the policy's worker
 /// pool and returns the results **in index order**, with `state` built
 /// once per worker by `init` — the infallible-mapping companion of
-/// [`for_each_chunk_with`] (chunk length 1, so workers own contiguous
+/// `for_each_chunk_with` (chunk length 1, so workers own contiguous
 /// index blocks).
 ///
 /// The reduction order is fixed by construction: each result lands in

@@ -164,6 +164,9 @@ impl HwConv {
 
     /// Overrides the subarray side (for partitioning ablations).
     #[must_use]
+    // Needed by tests/{hw_exec_parallel,read_path_parity,saturation_parity,
+    // telemetry_cross_validation}.rs (multi-tile stacks)
+    // lint: allow(narrow-pub)
     pub fn with_side(mut self, side: usize) -> Self {
         self.side = side.max(self.kernel.k());
         self
@@ -177,7 +180,7 @@ impl HwConv {
     }
 
     /// Sets the execution policy in place (builder-free variant).
-    pub fn set_policy(&mut self, policy: ExecPolicy) {
+    pub(crate) fn set_policy(&mut self, policy: ExecPolicy) {
         self.policy = policy;
     }
 
@@ -273,6 +276,10 @@ impl HwConv {
     /// # Errors
     ///
     /// Same as [`HwConv::forward`].
+    // Needed by crates/bench/benches/hw_exec.rs, crates/core/tests/telemetry.rs,
+    // tests/{hw_exec_parallel,read_path_parity,saturation_parity,
+    // telemetry_cross_validation}.rs (the scalar-read oracle)
+    // lint: allow(narrow-pub)
     pub fn forward_reference(&self, x: &Tensor) -> Result<Tensor> {
         let (oh, ow) = self.output_dims(x)?;
         let _span = inca_telemetry::span("hw_conv.forward_reference");
@@ -663,7 +670,7 @@ impl HwLinear {
 
     /// Number of output features.
     #[must_use]
-    pub fn out_features(&self) -> usize {
+    pub(crate) fn out_features(&self) -> usize {
         self.out_f
     }
 

@@ -11,7 +11,7 @@ use crate::{Error, HwConv, HwLinear, Result};
 
 /// One stage of a hardware network.
 #[derive(Debug, Clone)]
-pub enum HwStage {
+pub(crate) enum HwStage {
     /// A 2T1R direct-convolution layer, the batch on the planes of its
     /// 3D stacks.
     Conv(HwConv),
@@ -154,7 +154,7 @@ impl HwNetwork {
     /// # Errors
     ///
     /// Propagates [`HwNetwork::forward`] errors.
-    pub fn classify(&self, x: &Tensor) -> Result<usize> {
+    pub(crate) fn classify(&self, x: &Tensor) -> Result<usize> {
         Ok(self.forward(x)?.argmax())
     }
 }
@@ -222,7 +222,7 @@ mod tests {
         let mut pool = layers::MaxPool2d::new(2, 2);
         let mut fc = layers::Linear::new(4 * 5 * 5, 3, 0);
         fc.weights_mut().data_mut().copy_from_slice(fc_w.data());
-        fc.bias_mut().data_mut().fill(0.0);
+        assert!(fc.bias().data().iter().all(|&b| b == 0.0));
         let y = pool.forward(&relu.forward(&conv.forward(&x)));
         let reference = fc.forward(&y.reshaped(&[1, 100]));
 

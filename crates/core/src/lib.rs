@@ -39,7 +39,7 @@ pub use error::Error;
 pub use exec::{par_map_indexed, ExecPolicy};
 pub use experiments::{Experiment, ExperimentOpts, ExperimentResult};
 pub use hw_exec::{HwConv, HwLinear, HwWsConv, DATA_BITS, WEIGHT_BITS};
-pub use hw_network::{HwNetwork, HwStage};
+pub use hw_network::HwNetwork;
 pub use hw_train::{backprop_error_hw, HwGradientUnit};
 pub use inca_sim::{Comparison, ComparisonReport};
 

@@ -16,10 +16,9 @@ use crate::{DeviceError, Result};
 /// use inca_device::EnduranceTracker;
 ///
 /// let mut t = EnduranceTracker::new(4, 1_000_000);
-/// t.record_writes(0, 10)?;
-/// t.record_uniform(1)?; // one write to every tracked unit
-/// assert_eq!(t.total_writes(), 14);
-/// assert_eq!(t.max_writes(), 11);
+/// t.record_uniform(10)?; // ten writes to every tracked unit
+/// assert_eq!(t.report().total_writes, 40);
+/// assert_eq!(t.report().max_writes, 10);
 /// # Ok::<(), inca_device::DeviceError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -52,23 +51,6 @@ impl EnduranceTracker {
         Self { writes: vec![0; units], limit }
     }
 
-    /// Records `count` writes to unit `index`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::EnduranceExceeded`] once the unit passes the
-    /// limit (the writes are still recorded, modelling continued degraded
-    /// operation).
-    pub fn record_writes(&mut self, index: usize, count: u64) -> Result<()> {
-        inca_telemetry::record(inca_telemetry::Event::EnduranceWrite, count);
-        let w = &mut self.writes[index];
-        *w += count;
-        if *w > self.limit {
-            return Err(DeviceError::EnduranceExceeded { writes: *w, limit: self.limit });
-        }
-        Ok(())
-    }
-
     /// Records `count` writes to every tracked unit (e.g. a full-array
     /// activation rewrite in INCA's inter-layer dataflow).
     ///
@@ -93,13 +75,13 @@ impl EnduranceTracker {
 
     /// Total writes across all units.
     #[must_use]
-    pub fn total_writes(&self) -> u64 {
+    pub(crate) fn total_writes(&self) -> u64 {
         self.writes.iter().sum()
     }
 
     /// Maximum writes to any single unit.
     #[must_use]
-    pub fn max_writes(&self) -> u64 {
+    pub(crate) fn max_writes(&self) -> u64 {
         self.writes.iter().copied().max().unwrap_or(0)
     }
 
@@ -117,16 +99,28 @@ impl EnduranceTracker {
             remaining_uniform_cycles: self.limit.saturating_sub(max),
         }
     }
-
-    /// Resets all counters (e.g. after modelling a device replacement).
-    pub fn reset(&mut self) {
-        self.writes.fill(0);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EnduranceTracker {
+        /// Records `count` writes to unit `index`; errors once the unit
+        /// passes the limit, with the writes still recorded.
+        pub(crate) fn record_writes(&mut self, index: usize, count: u64) -> Result<()> {
+            let w = &mut self.writes[index];
+            *w += count;
+            if *w > self.limit {
+                return Err(DeviceError::EnduranceExceeded { writes: *w, limit: self.limit });
+            }
+            Ok(())
+        }
+
+        pub(crate) fn reset(&mut self) {
+            self.writes.fill(0);
+        }
+    }
 
     #[test]
     fn new_tracker_is_pristine() {

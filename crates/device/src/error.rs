@@ -4,19 +4,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DeviceError {
-    /// A conductance level outside the representable range of the cell was
-    /// requested (`level` must satisfy `level < 2^bits`).
-    LevelOutOfRange {
-        /// Requested level.
-        level: u32,
-        /// Bit precision of the cell.
-        bits: u8,
-    },
-    /// A voltage outside the physically sensible range was supplied.
-    InvalidVoltage {
-        /// The offending voltage in volts.
-        voltage_mv: i64,
-    },
     /// Parameters failed validation (e.g. `r_on >= r_off`).
     InvalidParams(String),
     /// A cell exceeded its endurance budget.
@@ -31,12 +18,6 @@ pub enum DeviceError {
 impl fmt::Display for DeviceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DeviceError::LevelOutOfRange { level, bits } => {
-                write!(f, "conductance level {level} out of range for {bits}-bit cell")
-            }
-            DeviceError::InvalidVoltage { voltage_mv } => {
-                write!(f, "invalid voltage {} mV", voltage_mv)
-            }
             DeviceError::InvalidParams(msg) => write!(f, "invalid device parameters: {msg}"),
             DeviceError::EnduranceExceeded { writes, limit } => {
                 write!(f, "endurance exceeded: {writes} writes against a limit of {limit}")
@@ -53,9 +34,9 @@ mod tests {
 
     #[test]
     fn display_is_lowercase_and_concise() {
-        let err = DeviceError::LevelOutOfRange { level: 4, bits: 1 };
+        let err = DeviceError::EnduranceExceeded { writes: 11, limit: 10 };
         let msg = err.to_string();
-        assert!(msg.starts_with("conductance level"));
+        assert!(msg.starts_with("endurance exceeded"));
         assert!(!msg.ends_with('.'));
     }
 

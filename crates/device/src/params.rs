@@ -162,6 +162,9 @@ mod tests {
         assert_eq!(p.write_pulse_s, 50e-9);
         assert_eq!(p.off_cell_power_w, 10.42e-9);
         assert_eq!(p.on_cell_power_w, 1.03e-6);
+        // A stored 1 reads at the on resistance, a stored 0 at the off one.
+        assert!((1.0 / p.g_on() - 240e3).abs() < 1.0);
+        assert!((1.0 / p.g_off() - 24e6).abs() < 1.0);
         p.validate().expect("default parameters must be valid");
     }
 

@@ -19,8 +19,8 @@ use crate::{EnduranceReport, EnduranceTracker, Result};
 ///
 /// let tracker = SharedEnduranceTracker::new(64, 1_000_000);
 /// let handle = tracker.clone();
-/// std::thread::spawn(move || handle.record_writes(0, 10)).join().unwrap()?;
-/// assert_eq!(tracker.report().total_writes, 10);
+/// std::thread::spawn(move || handle.record_uniform(10)).join().unwrap()?;
+/// assert_eq!(tracker.report().total_writes, 640);
 /// # Ok::<(), inca_device::DeviceError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -34,15 +34,6 @@ impl SharedEnduranceTracker {
     #[must_use]
     pub fn new(units: usize, limit: u64) -> Self {
         Self { inner: Arc::new(Mutex::new(EnduranceTracker::new(units, limit))) }
-    }
-
-    /// Records `count` writes to unit `index`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::DeviceError::EnduranceExceeded`].
-    pub fn record_writes(&self, index: usize, count: u64) -> Result<()> {
-        self.inner.lock().record_writes(index, count)
     }
 
     /// Records `count` writes to every unit.
@@ -59,16 +50,21 @@ impl SharedEnduranceTracker {
     pub fn report(&self) -> EnduranceReport {
         self.inner.lock().report()
     }
-
-    /// Resets all counters.
-    pub fn reset(&self) {
-        self.inner.lock().reset();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SharedEnduranceTracker {
+        fn record_writes(&self, index: usize, count: u64) -> Result<()> {
+            self.inner.lock().record_writes(index, count)
+        }
+
+        fn reset(&self) {
+            self.inner.lock().reset();
+        }
+    }
 
     #[test]
     fn concurrent_writes_accumulate_exactly() {

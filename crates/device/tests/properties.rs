@@ -1,64 +1,16 @@
 //! Property-based tests on RRAM device invariants.
 
-use inca_device::{DeviceParams, NoiseModel, ProgrammingModel, RramCell};
+use inca_device::{DeviceParams, NoiseModel};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
 proptest! {
-    /// Any programmed level within range must round-trip through the
-    /// conductance encoding for every supported bit width.
-    #[test]
-    fn level_roundtrip(bits in 1u8..=6, seed in any::<u16>()) {
-        let params = DeviceParams::default();
-        let mut cell = RramCell::off(&params);
-        let levels = 1u32 << bits;
-        let level = u32::from(seed) % levels;
-        cell.program_level(level, bits, &params);
-        prop_assert_eq!(cell.read_level(bits), level);
-    }
-
-    /// Conductance is always within [g_off, g_on] regardless of how the cell
-    /// was programmed.
-    #[test]
-    fn conductance_bounded(g in -10.0f64..10.0) {
-        let params = DeviceParams::default();
-        let mut cell = RramCell::off(&params);
-        cell.program_g_norm(g);
-        let cond = cell.conductance();
-        prop_assert!(cond >= params.g_off() - 1e-18);
-        prop_assert!(cond <= params.g_on() + 1e-18);
-    }
-
-    /// Read current is linear in the applied voltage (Ohm's law).
-    #[test]
-    fn current_linear_in_voltage(g in 0.0f64..=1.0, v in 0.01f64..0.5) {
-        let params = DeviceParams::default();
-        let cell = RramCell::with_g_norm(g, &params);
-        let i1 = cell.read_current(v);
-        let i2 = cell.read_current(2.0 * v);
-        prop_assert!((i2 - 2.0 * i1).abs() < 1e-12 * i1.abs().max(1e-12));
-    }
-
     /// Read energy is monotonic in the normalized conductance.
     #[test]
     fn read_energy_monotonic(a in 0.0f64..=1.0, b in 0.0f64..=1.0) {
         let params = DeviceParams::default();
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         prop_assert!(params.read_energy_j(lo) <= params.read_energy_j(hi) + 1e-24);
-    }
-
-    /// The SET curve of any programming model is monotonically nondecreasing
-    /// and stays within [0, 1].
-    #[test]
-    fn set_curve_monotone_bounded(a_p in 0.05f64..5.0, a_d in 0.05f64..5.0) {
-        let m = ProgrammingModel::new(a_p, a_d);
-        let mut prev = 0.0;
-        for i in 0..=50 {
-            let g = m.set_curve(f64::from(i) / 50.0);
-            prop_assert!(g >= prev - 1e-12);
-            prop_assert!((0.0..=1.0 + 1e-12).contains(&g));
-            prev = g;
-        }
     }
 
     /// Noise with relative σ never changes the sign expectation: the sample
@@ -72,16 +24,5 @@ proptest! {
         // 6-sigma band on the sample mean.
         let band = 6.0 * sigma * value / f64::from(n).sqrt();
         prop_assert!((mean - value).abs() < band.max(1e-6), "mean={mean} value={value}");
-    }
-
-    /// Write counting is exact: n programs = n recorded writes.
-    #[test]
-    fn write_count_exact(n in 0usize..200) {
-        let params = DeviceParams::default();
-        let mut cell = RramCell::off(&params);
-        for i in 0..n {
-            cell.program_level((i % 2) as u32, 1, &params);
-        }
-        prop_assert_eq!(cell.write_count(), n as u64);
     }
 }

@@ -316,6 +316,9 @@ impl<E> std::fmt::Debug for EventQueue<E> {
 ///
 /// Kept for the order-equivalence property tests and the old-vs-new
 /// engine benchmarks; simulators should use [`EventQueue`].
+// Needed by crates/events/tests/{order_equivalence,geometry_adaptation}.rs,
+// crates/bench/benches/{hw_exec,serve_bench}.rs (the reference queue)
+// lint: allow(narrow-pub)
 pub struct HeapEventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     seq: u64,

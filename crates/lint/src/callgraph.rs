@@ -2,7 +2,7 @@
 //!
 //! Call sites are recognized syntactically in each fn body's token
 //! range — `name(..)`, `Qualifier::name(..)`, `recv.name(..)` — and
-//! resolved by [`SymbolTable::resolve`]. Resolution over-approximates
+//! resolved by `SymbolTable::resolve`. Resolution over-approximates
 //! (a method name may hit several impls); the taint pass on top prefers
 //! a spurious edge over a missed one.
 
@@ -17,7 +17,7 @@ const NOT_CALLS: [&str; 10] = ["if", "while", "for", "match", "loop", "return", 
 /// Extracts every call reference inside `[start, end]` of a token
 /// stream (a fn body, braces included).
 #[must_use]
-pub fn extract_calls(tokens: &[Token], start: usize, end: usize) -> Vec<CallRef> {
+pub(crate) fn extract_calls(tokens: &[Token], start: usize, end: usize) -> Vec<CallRef> {
     let mut out = Vec::new();
     let mut i = start;
     while i <= end && i < tokens.len() {

@@ -1,8 +1,9 @@
-//! `dead-pub` (L9): public items that nothing names.
+//! `dead-pub` (L9) and `narrow-pub` (L10): public items that nothing
+//! names, and public items that only their own crate and tests name.
 //!
 //! An *item* is a bare-`pub` fn, struct, enum, trait, type alias, const
 //! or static — or a `pub` fn or const of an inherent `impl` — defined in
-//! `crates/*/src` outside `#[cfg(test)]`. It is flagged when no
+//! `crates/*/src` outside `#[cfg(test)]`. `dead-pub` flags it when no
 //! identifier in any file cargo builds names it, leaving out:
 //!
 //! * its own definition (the item's whole span);
@@ -10,6 +11,18 @@
 //! * definitions of the same name anywhere (`fn name`, `struct name`, …);
 //! * `use` and `pub use` lines — a re-export is not a caller;
 //! * the `#[cfg(test)]` code of its own file.
+//!
+//! `narrow-pub` flags an item of a library crate that `dead-pub` finds
+//! live when no *outside use* names it. An outside use is a name in
+//! another cargo target that is neither a test nor a bench: a
+//! `src/main.rs` or `src/bin/**` binary, an example, the root facade.
+//! Integration tests, criterion benches and `#[cfg(test)]` code anywhere
+//! are not outside uses, and neither is any use inside the item's own
+//! crate (its own file included) — except a name in the signature, `pub`
+//! field or variant of another public item, which the compiler requires
+//! to be at least as visible (`private_interfaces`). An associated item
+//! of a type that is not bare-`pub` is out of `narrow-pub`'s scope: the
+//! type already bounds it. Binary targets' items are out of scope too.
 //!
 //! A name resolves the way rustc resolves it. `Type::name` (and
 //! `Self::name` inside `impl Type`) names only `Type`'s associated
@@ -39,7 +52,7 @@ use crate::rules::{Finding, SourceFile};
 /// Keywords whose next identifier is a definition, not a use.
 const DEFINERS: [&str; 9] = ["fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod"];
 
-/// One public item that could be dead.
+/// One public item that could be dead or too public.
 struct PubItem<'a> {
     name: &'a str,
     kind: &'static str,
@@ -50,6 +63,39 @@ struct PubItem<'a> {
     /// Index of the defining file in the item-source list.
     file: usize,
     span: (usize, usize),
+}
+
+/// The cargo target a file belongs to, as far as `narrow-pub` cares.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Target<'a> {
+    /// The library of the named crate (`crates/<name>/src`, binaries
+    /// left out).
+    Lib(&'a str),
+    /// An integration test or a criterion bench.
+    TestOrBench,
+    /// A binary, an example or the root facade: an outside user.
+    Outside,
+}
+
+impl<'a> Target<'a> {
+    fn of(file: &'a SourceFile) -> Self {
+        let path = file
+            .rel_path
+            .strip_prefix("crates/")
+            .map_or(file.rel_path.as_str(), |rest| rest.split_once('/').map_or(rest, |(_, below)| below));
+        let is_crate = file.rel_path.starts_with("crates/");
+        if path.starts_with("tests/") || path.starts_with("benches/") {
+            Self::TestOrBench
+        } else if is_crate
+            && path.starts_with("src/")
+            && path != "src/main.rs"
+            && !path.starts_with("src/bin/")
+        {
+            Self::Lib(&file.crate_name)
+        } else {
+            Self::Outside
+        }
+    }
 }
 
 /// How a reference was qualified.
@@ -76,12 +122,15 @@ struct Ref {
     file: usize,
     tok: usize,
     in_test: bool,
+    /// Inside the signature, `pub` field or variant of a public item.
+    in_sig: bool,
 }
 
 /// Flags every item of `sources` (the `crates/*/src` files) that no
 /// identifier in `sources` or `consumers` (tests, benches, examples and
-/// the root package) names.
-pub(crate) fn check_dead_pub(sources: &[SourceFile], consumers: &[SourceFile], out: &mut Vec<Finding>) {
+/// the root package) names (`dead-pub`), or that only its own crate and
+/// tests name (`narrow-pub`).
+pub(crate) fn check_public_items(sources: &[SourceFile], consumers: &[SourceFile], out: &mut Vec<Finding>) {
     let mut items = Vec::new();
     let mut known: BTreeSet<String> = BTreeSet::new();
     for (idx, file) in sources.iter().enumerate() {
@@ -90,37 +139,57 @@ pub(crate) fn check_dead_pub(sources: &[SourceFile], consumers: &[SourceFile], o
         collect_items(&file.ast.items, idx, &modules, &mut items, &mut known);
     }
     let all: Vec<&SourceFile> = sources.iter().chain(consumers).collect();
-    let mut refs: BTreeMap<&str, Vec<Ref>> = BTreeMap::new();
-    for (idx, file) in all.iter().enumerate() {
-        collect_refs(file, idx, &mut refs);
-    }
-    // A waiver on a type covers its inherent items.
-    let waived_types: BTreeSet<(&str, &str)> = items
+    let targets: Vec<Target> = all.iter().map(|f| Target::of(f)).collect();
+    // Bare-`pub` types of library crates: their inherent items are in
+    // `narrow-pub`'s scope and their signatures are public.
+    let pub_types: BTreeSet<(&str, &str)> = items
         .iter()
-        .filter(|t| matches!(t.kind, "struct" | "enum"))
-        .filter(|t| {
-            let file = &sources[t.file];
-            file.lexed.is_waived("dead-pub", decl_line(&file.lexed.tokens, t.span))
-        })
+        .filter(|t| matches!(t.kind, "struct" | "enum") && matches!(targets[t.file], Target::Lib(_)))
         .map(|t| (sources[t.file].crate_name.as_str(), t.name))
         .collect();
+    let surface = |t: &PubItem<'_>| {
+        matches!(targets[t.file], Target::Lib(_))
+            && t.container.is_none_or(|c| pub_types.contains(&(sources[t.file].crate_name.as_str(), c)))
+    };
+    let mut refs: BTreeMap<&str, Vec<Ref>> = BTreeMap::new();
+    for (idx, file) in all.iter().enumerate() {
+        let mut sig = vec![false; file.lexed.tokens.len()];
+        if matches!(targets[idx], Target::Lib(_)) {
+            mark_signatures(file, &|c| pub_types.contains(&(file.crate_name.as_str(), c)), &mut sig);
+        }
+        collect_refs(file, idx, &sig, &mut refs);
+    }
+    // A waiver on a type covers its inherent items.
+    let waived_types = |rule: &str| -> BTreeSet<(&str, &str)> {
+        items
+            .iter()
+            .filter(|t| matches!(t.kind, "struct" | "enum"))
+            .filter(|t| {
+                let file = &sources[t.file];
+                file.lexed.is_waived(rule, decl_line(&file.lexed.tokens, t.span))
+            })
+            .map(|t| (sources[t.file].crate_name.as_str(), t.name))
+            .collect()
+    };
+    let (dead_waived, narrow_waived) = (waived_types("dead-pub"), waived_types("narrow-pub"));
     for item in &items {
         let file = &sources[item.file];
-        let covered = item.container.is_some_and(|c| waived_types.contains(&(file.crate_name.as_str(), c)));
-        let live = covered
-            || refs.get(item.name).is_some_and(|rs| {
-                rs.iter().any(|r| {
-                    let own =
-                        r.file == item.file && (r.in_test || (item.span.0..=item.span.1).contains(&r.tok));
-                    !own && names(r, item, &all[r.file].crate_name, &file.crate_name, &known)
-                })
-            });
+        let covered = |set: &BTreeSet<(&str, &str)>| {
+            item.container.is_some_and(|c| set.contains(&(file.crate_name.as_str(), c)))
+        };
+        // The item's own definition, and the `#[cfg(test)]` code of its file.
+        let own =
+            |r: &Ref| r.file == item.file && (r.in_test || (item.span.0..=item.span.1).contains(&r.tok));
+        let uses: Vec<&Ref> = refs.get(item.name).map_or_else(Vec::new, |rs| {
+            rs.iter().filter(|r| names(r, item, &all[r.file].crate_name, &file.crate_name, &known)).collect()
+        });
+        let path = match item.container {
+            Some(c) => format!("{}::{c}::{}", file.crate_name, item.name),
+            None => format!("{}::{}", file.crate_name, item.name),
+        };
+        let line = decl_line(&file.lexed.tokens, item.span);
+        let live = covered(&dead_waived) || uses.iter().any(|r| !own(r));
         if !live {
-            let path = match item.container {
-                Some(c) => format!("{}::{c}::{}", file.crate_name, item.name),
-                None => format!("{}::{}", file.crate_name, item.name),
-            };
-            let line = decl_line(&file.lexed.tokens, item.span);
             file.push(
                 out,
                 "dead-pub",
@@ -130,6 +199,33 @@ pub(crate) fn check_dead_pub(sources: &[SourceFile], consumers: &[SourceFile], o
                     item.kind
                 ),
             );
+            continue;
+        }
+        let outside = uses.iter().any(|r| {
+            !own(r)
+                && !r.in_test
+                && (r.in_sig || ![Target::TestOrBench, targets[item.file]].contains(&targets[r.file]))
+        });
+        // A type waived as planned API keeps its inherent items public.
+        if surface(item) && !outside && !covered(&narrow_waived) && !covered(&dead_waived) {
+            let testers: BTreeSet<&str> = uses
+                .iter()
+                .filter(|r| {
+                    targets[r.file] == Target::TestOrBench
+                        || (r.in_test && targets[r.file] != targets[item.file])
+                })
+                .map(|r| all[r.file].rel_path.as_str())
+                .collect();
+            let fix = if testers.is_empty() {
+                "is named only inside its own crate; make it `pub(crate)` or private".to_string()
+            } else {
+                let files: Vec<&str> = testers.into_iter().collect();
+                format!(
+                    "is named outside its own crate only by tests and benches ({}); move it next to them, or waive it naming them",
+                    files.join(", ")
+                )
+            };
+            file.push(out, "narrow-pub", line, format!("public {} `{path}` {fix}", item.kind));
         }
     }
 }
@@ -144,6 +240,90 @@ fn names(r: &Ref, item: &PubItem<'_>, ref_crate: &str, item_crate: &str, known: 
         Qual::Member => item.container.is_some(),
         Qual::Module(m) => item.container.is_none() && (item.modules.contains(m) || !known.contains(m)),
         Qual::SameCrate => item.container.is_none() && ref_crate == item_crate,
+    }
+}
+
+/// Marks the tokens of `file` that the compiler holds to a public
+/// item's visibility: public fn signatures, public struct headers and
+/// `pub` fields, whole public enums, traits and type aliases, the types
+/// of public consts and statics, and the associated types of trait
+/// impls. Inherent and trait impls count only on a type `pub_type`
+/// accepts.
+fn mark_signatures(file: &SourceFile, pub_type: &dyn Fn(&str) -> bool, sig: &mut [bool]) {
+    let toks = &file.lexed.tokens;
+    let mut todo: Vec<&Item> = file.ast.items.iter().collect();
+    while let Some(it) = todo.pop() {
+        if it.cfg_test {
+            continue;
+        }
+        let (start, end) = it.span;
+        match &it.kind {
+            ItemKind::Mod => todo.extend(&it.children),
+            ItemKind::Impl { type_name, trait_name } if pub_type(type_name) => {
+                for m in it.children.iter().filter(|m| !m.cfg_test) {
+                    match (&m.kind, trait_name) {
+                        (ItemKind::TypeAlias, Some(_)) => sig[m.span.0..=m.span.1].fill(true),
+                        (ItemKind::Fn { .. } | ItemKind::Const, None) if m.public => todo.push(m),
+                        _ => {}
+                    }
+                }
+            }
+            _ if !it.public => {}
+            ItemKind::Fn { body, .. } => sig[start..body.map_or(end, |b| b.0)].fill(true),
+            ItemKind::Struct => mark_struct(toks, it.span, sig),
+            ItemKind::Enum | ItemKind::Union | ItemKind::Trait | ItemKind::TypeAlias => {
+                sig[start..=end].fill(true);
+            }
+            ItemKind::Const | ItemKind::Static => {
+                let eq = (start..end).find(|&i| toks[i].is_punct('=')).unwrap_or(end);
+                sig[start..eq].fill(true);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Marks a struct's header (generics and bounds) and its `pub` fields;
+/// private fields' types stay unmarked.
+fn mark_struct(toks: &[Token], span: (usize, usize), sig: &mut [bool]) {
+    let kw = (span.0..=span.1).find(|&i| toks[i].ident() == Some("struct")).unwrap_or(span.0);
+    let closes = |i: usize| toks[i].is_punct('>') && !toks[i - 1].is_punct('-');
+    // The body opens at the first `{` or `(` outside the generics.
+    let mut angle = 0usize;
+    let Some(open) = (kw..=span.1).find(|&i| {
+        if toks[i].is_punct('<') {
+            angle += 1;
+        } else if closes(i) {
+            angle = angle.saturating_sub(1);
+        }
+        angle == 0 && (toks[i].is_punct('{') || toks[i].is_punct('('))
+    }) else {
+        sig[span.0..=span.1].fill(true);
+        return;
+    };
+    sig[span.0..open].fill(true);
+    let mut depth = 0usize;
+    let mut field = open + 1;
+    for i in open + 1..=span.1 {
+        let t = &toks[i];
+        let ends = depth == 0 && (t.is_punct(',') || t.is_punct('}') || t.is_punct(')'));
+        if ends {
+            let mut f = field;
+            while toks[f].is_punct('#') && f < i {
+                f = (f..i).find(|&j| toks[j].is_punct(']')).map_or(i, |j| j + 1);
+            }
+            if f < i && toks[f].ident() == Some("pub") && !toks[f + 1].is_punct('(') {
+                sig[f..i].fill(true);
+            }
+            if !t.is_punct(',') {
+                break;
+            }
+            field = i + 1;
+        } else if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') || t.is_punct('<') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') || closes(i) {
+            depth = depth.saturating_sub(1);
+        }
     }
 }
 
@@ -210,7 +390,7 @@ fn collect_items<'a>(
 }
 
 /// Records every identifier of `file` that may name an item.
-fn collect_refs<'f>(file: &'f SourceFile, idx: usize, refs: &mut BTreeMap<&'f str, Vec<Ref>>) {
+fn collect_refs<'f>(file: &'f SourceFile, idx: usize, sig: &[bool], refs: &mut BTreeMap<&'f str, Vec<Ref>>) {
     let toks = &file.lexed.tokens;
     let mut in_test = vec![false; toks.len()];
     let mut skip = vec![false; toks.len()];
@@ -231,9 +411,20 @@ fn collect_refs<'f>(file: &'f SourceFile, idx: usize, refs: &mut BTreeMap<&'f st
             impls.push((open, it.span.1, type_name));
         }
     });
+    // `use path::Name as Alias;` — the alias names what `Name` names.
+    let mut aliases: BTreeMap<&str, &str> = BTreeMap::new();
+    file.ast.walk(&mut |it| {
+        if let ItemKind::Use { imports } = &it.kind {
+            for (path, bound) in imports {
+                if let Some(last) = path.last().filter(|&last| last != bound && bound != "*") {
+                    aliases.insert(bound, last);
+                }
+            }
+        }
+    });
     let mut i = 0usize;
     while i < toks.len() {
-        let Some(name) = toks[i].ident() else {
+        let Some(name) = toks[i].ident().map(|n| aliases.get(n).copied().unwrap_or(n)) else {
             i += 1;
             continue;
         };
@@ -270,12 +461,20 @@ fn collect_refs<'f>(file: &'f SourceFile, idx: usize, refs: &mut BTreeMap<&'f st
                         .max_by_key(|(s, _, _)| *s)
                         .map_or(Qual::Any, |(_, _, t)| Qual::Type((*t).to_string())),
                     Some("crate" | "self" | "super") => Qual::SameCrate,
-                    Some(q) if q.starts_with(|c: char| c.is_uppercase()) => Qual::Type(q.to_string()),
+                    Some(q) if q.starts_with(|c: char| c.is_uppercase()) => {
+                        Qual::Type(aliases.get(q).copied().unwrap_or(q).to_string())
+                    }
                     Some(q) => Qual::Module(q.to_string()),
                     None => Qual::Any,
                 }
             };
-            refs.entry(name).or_default().push(Ref { qual, file: idx, tok: i, in_test: in_test[i] });
+            refs.entry(name).or_default().push(Ref {
+                qual,
+                file: idx,
+                tok: i,
+                in_test: in_test[i],
+                in_sig: sig[i],
+            });
         }
         i += 1;
     }
@@ -322,9 +521,9 @@ fn decl_line(toks: &[Token], span: (usize, usize)) -> u32 {
 mod tests {
     use super::*;
 
-    /// `(rel_path, crate, src)` triples, item sources first; returns the
-    /// flagged item paths.
-    fn flagged(sources: &[(&str, &str, &str)], consumers: &[(&str, &str, &str)]) -> Vec<String> {
+    /// Runs the pass over `(rel_path, crate, src)` triples, item sources
+    /// first, and returns every finding.
+    fn findings(sources: &[(&str, &str, &str)], consumers: &[(&str, &str, &str)]) -> Vec<Finding> {
         let mk = |(rel, krate, src): &(&str, &str, &str)| {
             let name = rel.rsplit('/').next().unwrap_or(rel);
             SourceFile::new(rel, krate, name, src)
@@ -332,11 +531,29 @@ mod tests {
         let sources: Vec<SourceFile> = sources.iter().map(mk).collect();
         let consumers: Vec<SourceFile> = consumers.iter().map(mk).collect();
         let mut out = Vec::new();
-        check_dead_pub(&sources, &consumers, &mut out);
-        out.iter()
-            .filter(|f| !f.waived)
+        check_public_items(&sources, &consumers, &mut out);
+        out
+    }
+
+    /// The item paths `rule` flags (unwaived).
+    fn flagged_by(
+        rule: &str,
+        sources: &[(&str, &str, &str)],
+        consumers: &[(&str, &str, &str)],
+    ) -> Vec<String> {
+        findings(sources, consumers)
+            .iter()
+            .filter(|f| !f.waived && f.rule == rule)
             .map(|f| f.message.split('`').nth(1).unwrap_or("").to_string())
             .collect()
+    }
+
+    fn flagged(sources: &[(&str, &str, &str)], consumers: &[(&str, &str, &str)]) -> Vec<String> {
+        flagged_by("dead-pub", sources, consumers)
+    }
+
+    fn narrowed(sources: &[(&str, &str, &str)], consumers: &[(&str, &str, &str)]) -> Vec<String> {
+        flagged_by("narrow-pub", sources, consumers)
     }
 
     #[test]
@@ -522,10 +739,112 @@ mod tests {
             pub struct Planned;
             impl Planned { pub fn new() -> Self { Self } }
         ";
-        let file = SourceFile::new("crates/a/src/lib.rs", "a", "lib.rs", src);
-        let mut out = Vec::new();
-        check_dead_pub(std::slice::from_ref(&file), &[], &mut out);
-        let got: Vec<(u32, bool)> = out.iter().map(|f| (f.line, f.waived)).collect();
+        let out = findings(&[("crates/a/src/lib.rs", "a", src)], &[]);
+        let got: Vec<(u32, bool)> =
+            out.iter().filter(|f| f.rule == "dead-pub").map(|f| (f.line, f.waived)).collect();
         assert_eq!(got, [(3, true), (5, false), (8, true)]);
+    }
+
+    #[test]
+    fn a_use_as_alias_names_what_it_imports() {
+        let src = "pub struct Model; impl Model { pub fn heavy() {} } pub fn build() {}";
+        let user = "use inca_a::Model as M; use inca_a::build as make; fn main() { M::heavy(); make(); }";
+        let sources = [("crates/a/src/lib.rs", "a", src)];
+        let consumers = [("examples/e.rs", "", user)];
+        // Without the alias `build` reads as dead and `Model::heavy` as
+        // named by no outside user.
+        assert!(flagged(&sources, &consumers).is_empty());
+        assert!(narrowed(&sources, &consumers).is_empty());
+    }
+
+    #[test]
+    fn a_binary_or_an_example_keeps_an_item_public() {
+        let lib = ("crates/a/src/lib.rs", "a", "pub fn run() {}");
+        let main = "fn main() { inca_a::run(); }";
+        for (bin, krate) in [
+            ("crates/a/src/main.rs", "a"),
+            ("crates/a/src/bin/tool.rs", "a"),
+            ("crates/b/src/bin/tool/main.rs", "b"),
+        ] {
+            let got = narrowed(&[lib, (bin, krate, main)], &[]);
+            assert!(got.is_empty(), "{bin}: {got:?}");
+        }
+        for (example, krate) in [("examples/e.rs", ""), ("crates/b/examples/e.rs", "b")] {
+            let got = narrowed(&[lib], &[(example, krate, main)]);
+            assert!(got.is_empty(), "{example}: {got:?}");
+        }
+        // A binary's own public items are out of scope.
+        let got =
+            narrowed(&[("crates/a/src/bin/tool.rs", "a", "pub fn helper() {} fn main() { helper(); }")], &[]);
+        assert!(got.is_empty(), "{got:?}");
+    }
+
+    #[test]
+    fn a_name_in_another_public_signature_keeps_an_item_public() {
+        let src = "
+            pub struct Reading(pub u32);
+            pub struct Unit;
+            pub struct Hidden;
+            pub enum Mode { Fast(Unit) }
+            pub struct Meter { pub unit: Unit, hidden: Hidden }
+            impl Meter { pub fn read(&self, _: Mode) -> Reading { Reading(0) } }
+            fn private(_: Hidden) {}
+        ";
+        let user = "fn main() { let m: inca_a::Meter = make(); m.read(x); }";
+        let got = narrowed(&[("crates/a/src/lib.rs", "a", src)], &[("examples/e.rs", "", user)]);
+        // `Reading` is in a public signature, `Unit` in a `pub` field and a
+        // variant, `Mode` in a signature; `Hidden` only in a private field
+        // and a private fn.
+        assert_eq!(got, ["a::Hidden"]);
+    }
+
+    #[test]
+    fn a_caller_in_its_own_file_tests_or_benches_does_not_keep_it_public() {
+        let src = "
+            pub fn local() -> u32 { 1 }
+            pub fn oracle() -> u32 { local() }
+            #[cfg(test)]
+            mod tests { #[test] fn t() { assert_eq!(super::oracle(), 1); } }
+        ";
+        let other_test = "#[cfg(test)] mod tests { #[test] fn t() { inca_a::oracle(); } }";
+        let call = "fn main() { inca_a::oracle(); }";
+        let sources = [("crates/a/src/lib.rs", "a", src), ("crates/b/src/lib.rs", "b", other_test)];
+        let consumers = [
+            ("crates/a/tests/t.rs", "a", call),
+            ("crates/a/benches/b.rs", "a", call),
+            ("tests/t.rs", "", call),
+        ];
+        assert_eq!(narrowed(&sources, &consumers), ["a::local", "a::oracle"]);
+        // The finding names the tests and benches that keep it alive.
+        let out = findings(&sources, &consumers);
+        let oracle = out.iter().find(|f| f.message.contains("`a::oracle`")).map(|f| f.message.as_str());
+        assert!(
+            oracle.is_some_and(|m| m
+                .contains("(crates/a/benches/b.rs, crates/a/tests/t.rs, crates/b/src/lib.rs, tests/t.rs)")),
+            "{oracle:?}"
+        );
+    }
+
+    #[test]
+    fn no_item_is_both_dead_and_narrow() {
+        let src = "pub fn unused() {} pub fn local() {} fn f() { local(); }";
+        let got: Vec<(&str, String)> = findings(&[("crates/a/src/lib.rs", "a", src)], &[])
+            .iter()
+            .map(|f| (f.rule, f.message.split('`').nth(1).unwrap_or("").to_string()))
+            .collect();
+        assert_eq!(got, [("dead-pub", "a::unused".to_string()), ("narrow-pub", "a::local".to_string())]);
+    }
+
+    #[test]
+    fn a_narrow_pub_waiver_on_a_type_covers_its_items() {
+        let src = "
+            // lint: allow(narrow-pub) needed by: crates/a/tests/t.rs
+            pub struct Oracle;
+            impl Oracle { pub fn new() -> Self { Oracle } }
+        ";
+        let call = "fn main() { inca_a::Oracle::new(); }";
+        let out = findings(&[("crates/a/src/lib.rs", "a", src)], &[("crates/a/tests/t.rs", "a", call)]);
+        let got: Vec<(&str, u32, bool)> = out.iter().map(|f| (f.rule, f.line, f.waived)).collect();
+        assert_eq!(got, [("narrow-pub", 3, true)]);
     }
 }

@@ -37,7 +37,7 @@ pub struct Token {
 impl Token {
     /// The identifier text, if this token is an identifier.
     #[must_use]
-    pub fn ident(&self) -> Option<&str> {
+    pub(crate) fn ident(&self) -> Option<&str> {
         match &self.tok {
             Tok::Ident(s) => Some(s),
             _ => None,
@@ -46,7 +46,7 @@ impl Token {
 
     /// Whether this token is the given punctuation character.
     #[must_use]
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         self.tok == Tok::Punct(c)
     }
 }
@@ -68,7 +68,7 @@ impl Lexed {
     /// Whether `rule` is waived at `line` — true when a waiver comment
     /// sits on the same line or on the line directly above.
     #[must_use]
-    pub fn is_waived(&self, rule: &str, line: u32) -> bool {
+    pub(crate) fn is_waived(&self, rule: &str, line: u32) -> bool {
         let hit = |l: u32| self.waivers.get(&l).is_some_and(|s| s.contains(rule));
         hit(line) || (line > 0 && hit(line - 1))
     }
@@ -76,7 +76,7 @@ impl Lexed {
 
 /// Lexes `src` into tokens and waiver annotations.
 #[must_use]
-pub fn lex(src: &str) -> Lexed {
+pub(crate) fn lex(src: &str) -> Lexed {
     let bytes: Vec<char> = src.chars().collect();
     let mut out = Lexed::default();
     let mut i = 0usize;

@@ -13,8 +13,8 @@
 //!    `deadpub`) — a symbol table over every crate, a conservative call
 //!    graph, the `determinism-taint` pass that propagates
 //!    nondeterminism sources to report-serialization sinks, printing
-//!    full source → sink call chains, and the `dead-pub` pass over every
-//!    file cargo builds;
+//!    full source → sink call chains, and the `dead-pub`/`narrow-pub`
+//!    pass over every file cargo builds;
 //! 5. **waiver audit** (`rules::check_stale_waivers`) — the global
 //!    `stale-waiver` rule flags `lint: allow(..)` comments that no
 //!    longer suppress anything.
@@ -66,7 +66,7 @@ impl LintRun {
 /// # Errors
 ///
 /// Returns a message naming the unreadable directory.
-pub fn collect_sources(root: &Path) -> Result<Vec<(String, PathBuf)>, String> {
+pub(crate) fn collect_sources(root: &Path) -> Result<Vec<(String, PathBuf)>, String> {
     let mut out = Vec::new();
     for (name, dir) in crate_dirs(root)? {
         walk_rs(&dir.join("src"), &name, &mut out)?;
@@ -194,7 +194,7 @@ pub fn run(root: &Path, owners: Option<&OwnershipMap>) -> Result<LintRun, String
     // Stage 4: the workspace-global passes.
     let lexeds: Vec<&Lexed> = files.iter().map(|f| &f.lexed).collect();
     taint::run(&table, &graph, &streams, &lexeds, &mut findings);
-    deadpub::check_dead_pub(&files, &consumers, &mut findings);
+    deadpub::check_public_items(&files, &consumers, &mut findings);
 
     // Stage 5: the stale-waiver audit sees every finding above.
     rules::check_stale_waivers(&files, &mut findings);

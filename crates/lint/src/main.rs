@@ -6,9 +6,9 @@
 //!
 //! Scans `crates/*/src/**/*.rs` under `--root` (default: the current
 //! directory) — plus the tests, benches and examples cargo builds, for
-//! the uses `dead-pub` needs — prints findings, optionally writes
-//! `LINT_report.json`, and exits 1 if any unwaived violation remains
-//! and 2 if a file cannot be read or parsed.
+//! the uses `dead-pub` and `narrow-pub` need — prints findings,
+//! optionally writes `LINT_report.json`, and exits 1 if any unwaived
+//! violation remains and 2 if a file cannot be read or parsed.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -7,7 +7,7 @@
 use crate::rules::Finding;
 
 /// The rules in report order.
-pub const RULES: [&str; 9] = [
+pub(crate) const RULES: [&str; 10] = [
     "raw-unit",
     "determinism",
     "determinism-taint",
@@ -16,6 +16,7 @@ pub const RULES: [&str; 9] = [
     "safety-comment",
     "event-coverage",
     "dead-pub",
+    "narrow-pub",
     "stale-waiver",
 ];
 

@@ -26,6 +26,8 @@
 //!   that no longer bites is dead documentation and must be removed.
 //! * `dead-pub` (L9, global) — lives in `deadpub.rs`: a public item
 //!   that nothing names outside its own definition and tests.
+//! * `narrow-pub` (L10, global) — the same pass: a public item that
+//!   nothing outside its own crate names except tests and benches.
 //!
 //! Every rule is waivable per line with `// lint: allow(rule-name)` —
 //! on the offending line or the line directly above. Waived findings
@@ -71,7 +73,7 @@ pub struct Finding {
 }
 
 /// One source file prepared for rule checks.
-pub struct SourceFile {
+pub(crate) struct SourceFile {
     /// Workspace-relative path (used in findings).
     pub rel_path: String,
     /// The `<name>` of the owning `crates/<name>/` directory.
@@ -168,7 +170,7 @@ fn is_cfg_test_attr(tokens: &[Token], i: usize) -> bool {
 }
 
 /// L1: public unit-suffixed items must use `inca-units` newtypes.
-pub fn check_raw_unit(file: &SourceFile, out: &mut Vec<Finding>) {
+pub(crate) fn check_raw_unit(file: &SourceFile, out: &mut Vec<Finding>) {
     if file.crate_name == "units" {
         return; // the definitions themselves
     }
@@ -335,7 +337,7 @@ fn field_type(toks: &[Token], i: usize) -> Vec<String> {
 /// paths, *iteration* of a hash-typed value is flagged, resolved
 /// through `use .. as ..` aliases, struct fields and `let` rebindings,
 /// with the sort-before-serialize sanitizer honored.
-pub fn check_determinism(file: &SourceFile, table: &SymbolTable, out: &mut Vec<Finding>) {
+pub(crate) fn check_determinism(file: &SourceFile, table: &SymbolTable, out: &mut Vec<Finding>) {
     if file.crate_name != "sim" && file.crate_name != "serve" && file.crate_name != "net" {
         return;
     }
@@ -393,7 +395,7 @@ pub fn check_determinism(file: &SourceFile, table: &SymbolTable, out: &mut Vec<F
 /// line. `stale-waiver` waivers themselves are exempt from the
 /// recursion (a waiver for this rule marks an intentionally-kept
 /// waiver, e.g. one covering generated code that toggles).
-pub fn check_stale_waivers(files: &[SourceFile], findings: &mut Vec<Finding>) {
+pub(crate) fn check_stale_waivers(files: &[SourceFile], findings: &mut Vec<Finding>) {
     let mut extra = Vec::new();
     for file in files {
         for (&line, rules) in &file.lexed.waivers {
@@ -429,7 +431,7 @@ pub fn check_stale_waivers(files: &[SourceFile], findings: &mut Vec<Finding>) {
 /// Binary entry points (`src/main.rs`, `src/bin/**`) are exempt: a CLI
 /// that cannot proceed should abort with a message, and those crates'
 /// library surface is checked separately.
-pub fn check_panic_path(file: &SourceFile, out: &mut Vec<Finding>) {
+pub(crate) fn check_panic_path(file: &SourceFile, out: &mut Vec<Finding>) {
     if file.file_name == "main.rs" || file.rel_path.contains("/src/bin/") {
         return;
     }
@@ -473,7 +475,7 @@ pub type OwnershipMap = BTreeMap<String, BTreeSet<String>>;
 
 /// L4: `record(Event::…)`/`incr(Event::…)` call sites must live in an
 /// owning crate.
-pub fn check_telemetry_ownership(file: &SourceFile, owners: &OwnershipMap, out: &mut Vec<Finding>) {
+pub(crate) fn check_telemetry_ownership(file: &SourceFile, owners: &OwnershipMap, out: &mut Vec<Finding>) {
     if file.crate_name == "telemetry" {
         return; // the definitions and their plumbing
     }
@@ -529,7 +531,7 @@ pub fn check_telemetry_ownership(file: &SourceFile, owners: &OwnershipMap, out: 
 /// `unsafe trait` declarations state their contract in `# Safety` doc
 /// sections instead (and their *callers* are the `unsafe { … }` blocks
 /// this rule covers). `#[cfg(test)]` code is exempt like every rule.
-pub fn check_safety_comment(file: &SourceFile, out: &mut Vec<Finding>) {
+pub(crate) fn check_safety_comment(file: &SourceFile, out: &mut Vec<Finding>) {
     let toks = file.tokens();
     for (idx, t) in toks.iter().enumerate() {
         if file.test_mask[idx] || t.ident() != Some("unsafe") {
@@ -558,7 +560,7 @@ pub fn check_safety_comment(file: &SourceFile, out: &mut Vec<Finding>) {
 /// variant is exactly an ident at brace depth 1 followed by `,` or the
 /// closing `}`.
 #[must_use]
-pub fn event_variants(file: &SourceFile) -> Vec<(String, u32)> {
+pub(crate) fn event_variants(file: &SourceFile) -> Vec<(String, u32)> {
     let toks = file.tokens();
     let mut i = 0usize;
     while i < toks.len() {
@@ -599,7 +601,7 @@ pub fn event_variants(file: &SourceFile) -> Vec<(String, u32)> {
 /// of the taxonomy). Without this check, adding a variant and recording
 /// it from anywhere would pass L4 with the misleading "not in the map"
 /// message pointing at the call site instead of the definition.
-pub fn check_event_coverage(file: &SourceFile, owners: &OwnershipMap, out: &mut Vec<Finding>) {
+pub(crate) fn check_event_coverage(file: &SourceFile, owners: &OwnershipMap, out: &mut Vec<Finding>) {
     for (variant, line) in event_variants(file) {
         if !owners.contains_key(&variant) {
             file.push(
@@ -618,7 +620,7 @@ pub fn check_event_coverage(file: &SourceFile, owners: &OwnershipMap, out: &mut 
 /// info string contains `lint:telemetry-ownership`, with one
 /// `Variant: crate1, crate2` line per event.
 #[must_use]
-pub fn parse_ownership(design_md: &str) -> OwnershipMap {
+pub(crate) fn parse_ownership(design_md: &str) -> OwnershipMap {
     let mut map = OwnershipMap::new();
     let mut inside = false;
     for line in design_md.lines() {

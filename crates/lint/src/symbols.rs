@@ -143,7 +143,7 @@ impl SymbolTable {
 
     /// Whether `name` denotes a hash-ordered collection type.
     #[must_use]
-    pub fn is_hash_name(&self, name: &str) -> bool {
+    pub(crate) fn is_hash_name(&self, name: &str) -> bool {
         self.hash_names.contains(name)
     }
 
@@ -156,7 +156,7 @@ impl SymbolTable {
     /// * Free calls (`name(..)`) → free fns named `name`; when none
     ///   exists the call is a closure/std call and resolves to nothing.
     #[must_use]
-    pub fn resolve(&self, call: &CallRef) -> Vec<FnId> {
+    pub(crate) fn resolve(&self, call: &CallRef) -> Vec<FnId> {
         let Some(candidates) = self.by_name.get(&call.name) else { return Vec::new() };
         match &call.kind {
             CallKind::Method => candidates.iter().copied().filter(|&id| self.fns[id].is_method).collect(),
@@ -189,7 +189,7 @@ fn is_module_like(q: &str) -> bool {
 
 /// How a call site referenced its target.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CallKind {
+pub(crate) enum CallKind {
     /// `recv.name(..)`
     Method,
     /// `Qualifier::name(..)` — the *last* qualifier segment.
@@ -200,7 +200,7 @@ pub enum CallKind {
 
 /// One call site inside a fn body.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CallRef {
+pub(crate) struct CallRef {
     /// Callee name.
     pub name: String,
     /// Reference shape.

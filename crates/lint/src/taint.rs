@@ -41,7 +41,7 @@ use crate::rules::Finding;
 use crate::symbols::{FnId, SymbolTable};
 
 /// The rule name this pass reports under.
-pub const RULE: &str = "determinism-taint";
+pub(crate) const RULE: &str = "determinism-taint";
 
 /// Iteration methods whose order is unspecified on hash collections.
 const ITER_METHODS: [&str; 8] =
@@ -80,7 +80,7 @@ const SINK_FILES: [(&str, &str); 7] = [
 
 /// What family a nondeterminism source belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SourceKind {
+pub(crate) enum SourceKind {
     /// `Instant` / `SystemTime`.
     WallClock,
     /// `thread_rng` / `from_entropy`.
@@ -97,7 +97,7 @@ pub enum SourceKind {
 
 /// One detected nondeterminism source site.
 #[derive(Debug, Clone)]
-pub struct SourceSite {
+pub(crate) struct SourceSite {
     /// Source family.
     pub kind: SourceKind,
     /// 1-indexed line.

@@ -18,8 +18,8 @@ fn run_lint(root: &Path, extra: &[&str]) -> std::process::Output {
         .expect("spawn inca-lint")
 }
 
-const RULES: [&str; 7] =
-    ["raw_unit", "determinism", "taint", "panic_path", "telemetry", "safety", "dead_pub"];
+const RULES: [&str; 8] =
+    ["raw_unit", "determinism", "taint", "panic_path", "telemetry", "safety", "dead_pub", "narrow_pub"];
 
 #[test]
 fn clean_fixtures_exit_zero() {
@@ -63,6 +63,7 @@ fn violating_fixture_messages_name_the_rules() {
         ("telemetry_violating", "telemetry-ownership"),
         ("safety_violating", "safety-comment"),
         ("dead_pub_violating", "dead-pub"),
+        ("narrow_pub_violating", "narrow-pub"),
         ("stale_waiver_violating", "stale-waiver"),
     ];
     for (fix, rule) in cases {
@@ -82,7 +83,7 @@ fn report_json_is_written_and_counts_match() {
     let json = std::fs::read_to_string(&report).expect("report written");
     assert!(json.contains("\"report\": \"inca-lint\""), "{json}");
     assert!(json.contains("\"rule\": \"panic-path\", \"violations\": 2, \"waived\": 0"), "{json}");
-    // All nine rule summaries present even when empty.
+    // All ten rule summaries present even when empty.
     for rule in [
         "raw-unit",
         "determinism",
@@ -92,6 +93,7 @@ fn report_json_is_written_and_counts_match() {
         "safety-comment",
         "event-coverage",
         "dead-pub",
+        "narrow-pub",
         "stale-waiver",
     ] {
         assert!(json.contains(&format!("\"rule\": \"{rule}\"")), "{rule} missing: {json}");

@@ -1,0 +1,4 @@
+#[test]
+fn oracle_doubles() {
+    assert_eq!(inca_meter::oracle(3), 6);
+}

@@ -1,4 +1,4 @@
 //! Virtual time: no wall clock anywhere.
-pub fn stamp(virtual_ns: u64) -> u64 {
+pub(crate) fn stamp(virtual_ns: u64) -> u64 {
     virtual_ns
 }

@@ -1,4 +1,4 @@
 //! Middle of the chain: launders the timestamp through a summary.
-pub fn summarize() -> u64 {
+pub(crate) fn summarize() -> u64 {
     crate::clock::stamp() / 2
 }

@@ -44,7 +44,7 @@ impl DctcpConfig {
     /// fabric: start at 10 packets (modern IW10), cap at 256, g = 1/16,
     /// 1 ms RTO.
     #[must_use]
-    pub fn default_datacenter() -> Self {
+    pub(crate) fn default_datacenter() -> Self {
         Self { init_cwnd: 10, max_cwnd: 256, g: 1.0 / 16.0, rto_ns: 1_000_000 }
     }
 }
@@ -52,7 +52,7 @@ impl DctcpConfig {
 /// One link of a flow's path, with the network's offer-timing ids of the
 /// flow's two packet sizes on it (see [`packet_sizes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PathHop {
+pub(crate) struct PathHop {
     /// The link.
     pub link: LinkId,
     /// Offer-timing ids for a full packet and for the last packet.
@@ -63,7 +63,7 @@ pub struct PathHop {
 /// Every packet but the last is full; a one-packet flow's only packet is
 /// both.
 #[must_use]
-pub fn packet_sizes(bytes: u64, mtu: u32) -> [u32; 2] {
+pub(crate) fn packet_sizes(bytes: u64, mtu: u32) -> [u32; 2] {
     let full = u64::from(mtu).min(bytes);
     let last = bytes - (bytes.div_ceil(u64::from(mtu)).max(1) - 1) * u64::from(mtu);
     [full, last].map(|b| u32::try_from(b).unwrap_or(mtu))
@@ -72,7 +72,7 @@ pub fn packet_sizes(bytes: u64, mtu: u32) -> [u32; 2] {
 /// Sender-side state of one in-flight flow. `P` is the owner's payload,
 /// returned when the last data packet is delivered.
 #[derive(Debug)]
-pub struct FlowState<P> {
+pub(crate) struct FlowState<P> {
     /// Owner payload, taken at delivery completion.
     pub payload: Option<P>,
     /// Sending host.
@@ -86,8 +86,6 @@ pub struct FlowState<P> {
     pub ack_latency_ns: SimTime,
     /// Transfer size in bytes.
     pub bytes: u64,
-    /// Packet payload size in bytes.
-    pub mtu: u32,
     /// Total packets this flow ships.
     pub packets_total: u32,
     /// Next fresh (never-sent) packet sequence number.
@@ -145,7 +143,6 @@ impl<P> FlowState<P> {
             path,
             ack_latency_ns,
             bytes: spec.bytes,
-            mtu,
             packets_total,
             next_seq: 0,
             inflight: 0,
@@ -165,20 +162,20 @@ impl<P> FlowState<P> {
     /// Which of a hop's two offer timings packet `seq` takes: 0 for a
     /// full packet, 1 for the last.
     #[must_use]
-    pub fn size_class(&self, seq: u32) -> usize {
+    pub(crate) fn size_class(&self, seq: u32) -> usize {
         usize::from(seq + 1 == self.packets_total)
     }
 
     /// Whether the window admits another packet and one is waiting.
     #[must_use]
-    pub fn can_send(&self) -> bool {
+    pub(crate) fn can_send(&self) -> bool {
         let window = (self.cwnd as u32).max(1);
         self.inflight < window && (!self.lost.is_empty() || self.next_seq < self.packets_total)
     }
 
     /// Claims the next packet to send — retransmissions first — and
     /// counts it in flight. Returns `None` when nothing is sendable.
-    pub fn claim_next(&mut self) -> Option<u32> {
+    pub(crate) fn claim_next(&mut self) -> Option<u32> {
         if !self.can_send() {
             return None;
         }
@@ -195,7 +192,7 @@ impl<P> FlowState<P> {
 
     /// Registers a timed-out drop of packet `seq`: TCP-style coarse
     /// reaction — halve the window and queue the retransmission.
-    pub fn on_loss(&mut self, seq: u32) {
+    pub(crate) fn on_loss(&mut self, seq: u32) {
         self.inflight = self.inflight.saturating_sub(1);
         self.lost.push(seq);
         self.cwnd = (self.cwnd / 2.0).max(1.0);
@@ -203,7 +200,7 @@ impl<P> FlowState<P> {
 
     /// Registers one ack (with its CE mark) and runs the DCTCP update at
     /// window boundaries.
-    pub fn on_ack(&mut self, marked: bool, dctcp: &DctcpConfig) {
+    pub(crate) fn on_ack(&mut self, marked: bool, dctcp: &DctcpConfig) {
         self.inflight = self.inflight.saturating_sub(1);
         self.acked += 1;
         self.window_acked += 1;
@@ -227,13 +224,13 @@ impl<P> FlowState<P> {
 
     /// Whether every data packet has been delivered at the destination.
     #[must_use]
-    pub fn all_delivered(&self) -> bool {
+    pub(crate) fn all_delivered(&self) -> bool {
         self.delivered == self.packets_total
     }
 
     /// Whether every ack has returned (sender-side completion).
     #[must_use]
-    pub fn all_acked(&self) -> bool {
+    pub(crate) fn all_acked(&self) -> bool {
         self.acked == self.packets_total
     }
 }

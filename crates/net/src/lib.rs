@@ -39,8 +39,8 @@ pub mod route;
 pub mod topo;
 
 pub use flow::{DctcpConfig, FlowSpec};
-pub use link::{LinkCounters, LinkState, Offer, OfferTiming};
+pub use link::{LinkCounters, LinkState};
 pub use network::{Delivery, NetConfig, NetEv, NetScheduler, NetTotals, Network};
 pub use queue::{QueueConfig, QueueDiscipline};
-pub use route::{flow_hash, RouteMode, RouteTable};
-pub use topo::{LinkDef, LinkId, LinkSpec, LinkTier, NodeId, NodeKind, Topology, ALL_TIERS, TIER_COUNT};
+pub use route::{RouteMode, RouteTable};
+pub use topo::{LinkDef, LinkId, LinkSpec, LinkTier, NodeId, Topology, ALL_TIERS, TIER_COUNT};

@@ -7,13 +7,13 @@
 //! serialization is `bits / bandwidth` through
 //! [`inca_units::Bandwidth::transfer_time`] rounded to whole ns, and the
 //! backlog in bytes is `bandwidth · backlog_ns / 8` compared against the
-//! queue's byte thresholds. [`OfferTiming`] evaluates that model once
+//! queue's byte thresholds. `OfferTiming` evaluates that model once
 //! per (link bandwidth, queue, packet size): the serialization time, and
 //! the smallest backlog in ns at which the packet drops and at which it
 //! is CE-marked. Each step of the byte comparison is monotone in the
 //! backlog, so comparing the integer backlog against those thresholds
 //! decides exactly as the floating-point formula would, and
-//! [`LinkState::offer`] runs on integers alone.
+//! `LinkState::offer` runs on integers alone.
 
 use inca_events::{ns_to_secs, secs_to_ns, SimTime};
 use inca_telemetry as tel;
@@ -25,7 +25,7 @@ use crate::topo::LinkSpec;
 /// What [`LinkState::offer`] needs to know about one packet size on one
 /// link: its serialization time and the backlogs that drop or mark it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OfferTiming {
+pub(crate) struct OfferTiming {
     /// Packet payload size, in bytes.
     pub bytes: u32,
     /// Serialization time of the packet, in virtual ns.
@@ -101,7 +101,7 @@ pub struct LinkCounters {
 
 /// Outcome of offering one packet to a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Offer {
+pub(crate) enum Offer {
     /// Accepted; the last bit leaves the transmitter at `depart_ns`.
     Accepted {
         /// Virtual time the packet finishes serializing.
@@ -129,7 +129,7 @@ impl LinkState {
     /// Increments the `net_packets_enqueued` / `net_packets_dropped` /
     /// `net_ecn_marked` telemetry counters — this is the sole owner of
     /// those events (DESIGN.md §10): one count per hop, at offer time.
-    pub fn offer(&mut self, now: SimTime, t: &OfferTiming) -> Offer {
+    pub(crate) fn offer(&mut self, now: SimTime, t: &OfferTiming) -> Offer {
         let backlog_ns = self.busy_until.saturating_sub(now);
         if t.drop_ns.is_some_and(|d| backlog_ns >= d) {
             self.counters.drops += 1;

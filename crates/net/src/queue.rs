@@ -33,12 +33,6 @@ pub struct QueueConfig {
 }
 
 impl QueueConfig {
-    /// A plain drop-tail queue with the given byte cap.
-    #[must_use]
-    pub fn drop_tail(cap_bytes: u64) -> Self {
-        Self { cap_bytes, discipline: QueueDiscipline::DropTail }
-    }
-
     /// An ECN step-marking queue: marks above `mark_bytes`, drops above
     /// `cap_bytes`.
     ///
@@ -47,7 +41,7 @@ impl QueueConfig {
     /// Panics if the marking threshold lies above the drop cap, which
     /// would make the ECN signal unreachable.
     #[must_use]
-    pub fn ecn(cap_bytes: u64, mark_bytes: u64) -> Self {
+    pub(crate) fn ecn(cap_bytes: u64, mark_bytes: u64) -> Self {
         assert!(mark_bytes <= cap_bytes, "ECN threshold must not exceed the drop cap");
         Self { cap_bytes, discipline: QueueDiscipline::EcnMarking { mark_bytes } }
     }
@@ -57,7 +51,7 @@ impl QueueConfig {
     /// 1 KB, the recommended K ≈ C × RTT / 7 ballpark for sub-100 µs
     /// datacenter RTTs).
     #[must_use]
-    pub fn default_datacenter() -> Self {
+    pub(crate) fn default_datacenter() -> Self {
         Self::ecn(256 * 1024, 64 * 1024)
     }
 }
@@ -65,6 +59,13 @@ impl QueueConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl QueueConfig {
+        /// A plain drop-tail queue with the given byte cap.
+        pub(crate) fn drop_tail(cap_bytes: u64) -> Self {
+            Self { cap_bytes, discipline: QueueDiscipline::DropTail }
+        }
+    }
 
     #[test]
     fn constructors_encode_discipline() {

@@ -30,7 +30,7 @@ pub enum RouteMode {
 /// FNV-1a over the flow 5-tuple stand-in `(src, dst, seq)`; the stable
 /// hash every ECMP decision keys on.
 #[must_use]
-pub fn flow_hash(src: NodeId, dst: NodeId, seq: u64) -> u64 {
+pub(crate) fn flow_hash(src: NodeId, dst: NodeId, seq: u64) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in src.0.to_le_bytes().into_iter().chain(dst.0.to_le_bytes()).chain(seq.to_le_bytes()) {
         h ^= u64::from(b);
@@ -58,7 +58,7 @@ pub struct RouteTable {
 impl RouteTable {
     /// Builds next-hop tables by one reverse BFS per host.
     #[must_use]
-    pub fn shortest_paths(topo: &Topology) -> Self {
+    pub(crate) fn shortest_paths(topo: &Topology) -> Self {
         let n = topo.num_nodes();
         let hosts = topo.hosts();
         let num_hosts = hosts.len();
@@ -113,15 +113,6 @@ impl RouteTable {
     /// The equal-cost next hops of slot `node * num_hosts + hpos`.
     fn candidates(&self, slot: usize) -> &[LinkId] {
         &self.next[self.next_start[slot] as usize..self.next_start[slot + 1] as usize]
-    }
-
-    /// Hop distance from `node` to host `dst`, or `None` if unreachable
-    /// or `dst` is not a host.
-    #[must_use]
-    pub fn distance(&self, node: NodeId, dst: NodeId) -> Option<usize> {
-        let p = self.pos(dst)?;
-        let d = self.dist[node.index() * self.num_hosts + p];
-        (d != UNREACHABLE).then_some(d as usize)
     }
 
     fn pos(&self, dst: NodeId) -> Option<usize> {
@@ -228,6 +219,16 @@ impl RouteTable {
 mod tests {
     use super::*;
     use crate::topo::LinkSpec;
+
+    impl RouteTable {
+        /// Hop distance from `node` to host `dst`, or `None` if unreachable
+        /// or `dst` is not a host.
+        pub(crate) fn distance(&self, node: NodeId, dst: NodeId) -> Option<usize> {
+            let p = self.pos(dst)?;
+            let d = self.dist[node.index() * self.num_hosts + p];
+            (d != UNREACHABLE).then_some(d as usize)
+        }
+    }
 
     fn tree() -> (Topology, RouteTable) {
         let t = Topology::fat_tree(4, 2, LinkSpec::default_datacenter());

@@ -36,7 +36,7 @@ impl LinkId {
 
 /// What a node is — determines which tier its links belong to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeKind {
+pub(crate) enum NodeKind {
     /// An endpoint: a dispatcher or an accelerator chip.
     Host,
     /// A top-of-rack / edge switch (a *leaf* in leaf-spine terms).
@@ -96,13 +96,7 @@ pub struct LinkSpec {
     pub latency_ns: SimTime,
 }
 
-impl LinkSpec {
-    /// A typical 40 Gb/s datacenter link with 500 ns per-hop latency.
-    #[must_use]
-    pub fn default_datacenter() -> Self {
-        Self { bandwidth: Bandwidth::from_gbps(40.0), latency_ns: 500 }
-    }
-}
+impl LinkSpec {}
 
 /// One directed link: `src → dst` with the builder's [`LinkSpec`].
 #[derive(Debug, Clone, Copy)]
@@ -248,13 +242,13 @@ impl Topology {
 
     /// Total node count (switches + hosts).
     #[must_use]
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.kinds.len()
     }
 
     /// Total directed link count.
     #[must_use]
-    pub fn num_links(&self) -> usize {
+    pub(crate) fn num_links(&self) -> usize {
         self.links.len()
     }
 
@@ -278,13 +272,13 @@ impl Topology {
 
     /// A directed link's definition.
     #[must_use]
-    pub fn link(&self, id: LinkId) -> &LinkDef {
+    pub(crate) fn link(&self, id: LinkId) -> &LinkDef {
         &self.links[id.index()]
     }
 
     /// Outgoing link ids of `node`, in builder insertion order.
     #[must_use]
-    pub fn out_links(&self, node: NodeId) -> &[LinkId] {
+    pub(crate) fn out_links(&self, node: NodeId) -> &[LinkId] {
         &self.out[node.index()]
     }
 }
@@ -292,6 +286,13 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LinkSpec {
+        /// A typical 40 Gb/s datacenter link with 500 ns per-hop latency.
+        pub(crate) fn default_datacenter() -> Self {
+            Self { bandwidth: Bandwidth::from_gbps(40.0), latency_ns: 500 }
+        }
+    }
 
     #[test]
     fn fat_tree_dimensions() {

@@ -69,11 +69,6 @@ impl Conv2d {
         &self.bias
     }
 
-    /// Mutable bias access.
-    pub fn bias_mut(&mut self) -> &mut Tensor {
-        &mut self.bias
-    }
-
     /// Mutable weight access (used by tests and quantization).
     pub fn weights_mut(&mut self) -> &mut Tensor {
         &mut self.weights
@@ -85,7 +80,7 @@ impl Conv2d {
     ///
     /// Panics if the kernel does not fit in the padded input.
     #[must_use]
-    pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
+    pub(crate) fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
         (
             output_len("Conv2d", h, self.k, self.stride, self.pad),
             output_len("Conv2d", w, self.k, self.stride, self.pad),
@@ -310,6 +305,13 @@ fn sweep_weight_gradient<const G: usize>(
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
+
+    impl super::Conv2d {
+        /// Mutable bias access.
+        fn bias_mut(&mut self) -> &mut Tensor {
+            &mut self.bias
+        }
+    }
 
     use super::super::{assert_same_bits, Oracle};
     use super::*;

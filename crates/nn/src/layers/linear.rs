@@ -54,11 +54,6 @@ impl Linear {
         &self.bias
     }
 
-    /// Mutable bias access.
-    pub fn bias_mut(&mut self) -> &mut Tensor {
-        &mut self.bias
-    }
-
     /// Mutable weight access.
     pub fn weights_mut(&mut self) -> &mut Tensor {
         &mut self.weights
@@ -154,6 +149,13 @@ impl Layer for Linear {
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
+
+    impl super::Linear {
+        /// Mutable bias access.
+        fn bias_mut(&mut self) -> &mut Tensor {
+            &mut self.bias
+        }
+    }
 
     use super::super::{assert_same_bits, Oracle};
     use super::*;

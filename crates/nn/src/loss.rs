@@ -90,7 +90,7 @@ impl Loss {
     ///
     /// Panics on shape mismatch.
     #[must_use]
-    pub fn accuracy(logits: &Tensor, targets: &[usize]) -> f32 {
+    pub(crate) fn accuracy(logits: &Tensor, targets: &[usize]) -> f32 {
         let n = logits.shape()[0];
         let classes = logits.shape()[1];
         assert_eq!(targets.len(), n);

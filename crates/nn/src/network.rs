@@ -73,7 +73,11 @@ impl Network {
     /// Forward pass with a per-layer output hook: `hook(layer_index, out)`
     /// may transform each layer's output (activation noise injection or
     /// fake quantization).
-    pub fn forward_with(&mut self, x: &Tensor, hook: &mut dyn FnMut(usize, Tensor) -> Tensor) -> Tensor {
+    pub(crate) fn forward_with(
+        &mut self,
+        x: &Tensor,
+        hook: &mut dyn FnMut(usize, Tensor) -> Tensor,
+    ) -> Tensor {
         let mut cur = x.clone();
         for (i, layer) in self.layers.iter_mut().enumerate() {
             cur = hook(i, layer.forward(&cur));
@@ -91,19 +95,21 @@ impl Network {
         }
         cur
     }
-
-    /// Applies `f` to every trainable weight in every layer.
-    pub fn map_weights(&mut self, f: &mut dyn FnMut(f32) -> f32) {
-        for layer in &mut self.layers {
-            layer.map_weights(f);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layers;
+
+    impl Network {
+        /// Applies `f` to every trainable weight in every layer.
+        pub(crate) fn map_weights(&mut self, f: &mut dyn FnMut(f32) -> f32) {
+            for layer in &mut self.layers {
+                layer.map_weights(f);
+            }
+        }
+    }
 
     fn tiny_net() -> Network {
         let mut net = Network::new();

@@ -63,7 +63,7 @@ impl NoiseInjection {
     /// layer's weight is `σ · max|w| · N(0, 1)` — small weights suffer large
     /// *relative* corruption, which is precisely why WS training collapses
     /// at σ = 5 % (Table VI).
-    pub fn perturb_weights(&self, net: &mut Network, rng: &mut StdRng) {
+    pub(crate) fn perturb_weights(&self, net: &mut Network, rng: &mut StdRng) {
         if self.target != NoiseTarget::Weights || !self.model.is_noisy() {
             return;
         }
@@ -86,7 +86,7 @@ impl NoiseInjection {
     /// Applies the transient read noise to a layer activation (no-op unless
     /// the target is `Activations`). Called on every layer output during the
     /// forward pass; uses the same range-relative convention as
-    /// [`NoiseInjection::perturb_weights`] for an apples-to-apples Table VI.
+    /// `NoiseInjection::perturb_weights` for an apples-to-apples Table VI.
     #[must_use]
     pub fn perturb_activation(&self, mut t: Tensor, rng: &mut StdRng) -> Tensor {
         if self.target != NoiseTarget::Activations || !self.model.is_noisy() {

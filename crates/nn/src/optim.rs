@@ -45,13 +45,6 @@ impl Sgd {
             layer.sgd_step(self.lr);
         }
     }
-
-    /// Clears gradients without updating.
-    pub fn zero_grads(&self, net: &mut Network) {
-        for layer in net.layers_mut() {
-            layer.zero_grads();
-        }
-    }
 }
 
 #[cfg(test)]

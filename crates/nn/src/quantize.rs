@@ -47,7 +47,7 @@ impl QuantConfig {
     ///
     /// Panics if `weight_bits` is set outside `1..=24` or `weight_range`
     /// is not finite and positive.
-    pub fn apply_to_weights(&self, net: &mut Network) {
+    pub(crate) fn apply_to_weights(&self, net: &mut Network) {
         assert_grid("weight", self.weight_bits, self.weight_range);
         let Some(bits) = self.weight_bits else { return };
         let r = self.weight_range;

@@ -86,12 +86,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the flat buffer.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reinterprets the buffer under a new shape with the same element
     /// count.
     ///
@@ -149,25 +143,6 @@ impl Tensor {
         d
     }
 
-    /// Element-wise addition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn add_assign(&mut self, rhs: &Tensor) {
-        assert_eq!(self.shape, rhs.shape, "shape mismatch in add_assign");
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += b;
-        }
-    }
-
-    /// Scales every element by `s`.
-    pub fn scale(&mut self, s: f32) {
-        for a in &mut self.data {
-            *a *= s;
-        }
-    }
-
     /// Returns `argmax` over the flat buffer (first maximal element).
     #[must_use]
     pub fn argmax(&self) -> usize {
@@ -184,18 +159,15 @@ impl Tensor {
         self.data.iter().sum()
     }
 
-    /// Mean of all elements.
-    #[must_use]
-    pub fn mean(&self) -> f32 {
-        self.sum() / self.data.len() as f32
-    }
-
     /// Extracts one sample `n` of an NCHW batch as a `[1, C, H, W]` tensor.
     ///
     /// # Panics
     ///
     /// Panics if `n` is out of bounds or the tensor is not 4-D.
     #[must_use]
+    // Needed by crates/core/src/hw_network.rs (tests), tests/saturation_parity.rs (batch vs
+    // one-sample forwards)
+    // lint: allow(narrow-pub)
     pub fn sample(&self, n: usize) -> Tensor {
         assert_eq!(self.shape.len(), 4, "sample requires an NCHW tensor");
         let [batch, c, h, w] = self.dims4();
@@ -236,6 +208,31 @@ fn element_count(shape: &[usize]) -> usize {
 mod tests {
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+
+    impl super::Tensor {
+        /// Element-wise addition.
+        ///
+        /// # Panics
+        ///
+        /// Panics if shapes differ.
+        fn add_assign(&mut self, rhs: &Tensor) {
+            assert_eq!(self.shape, rhs.shape, "shape mismatch in add_assign");
+            for (a, b) in self.data.iter_mut().zip(&rhs.data) {
+                *a += b;
+            }
+        }
+
+        /// Scales every element by `s`.
+        fn scale(&mut self, s: f32) {
+            for a in &mut self.data {
+                *a *= s;
+            }
+        }
+
+        fn mean(&self) -> f32 {
+            self.sum() / self.data.len() as f32
+        }
+    }
 
     use super::*;
 

@@ -7,6 +7,27 @@ use inca_nn::{Loss, Tensor};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
+/// The elementwise `Tensor` arithmetic these properties use.
+trait TensorOps {
+    fn add_assign(&mut self, rhs: &Tensor);
+    fn scale(&mut self, s: f32);
+}
+
+impl TensorOps for Tensor {
+    fn add_assign(&mut self, rhs: &Tensor) {
+        assert_eq!(self.shape(), rhs.shape(), "shape mismatch in add_assign");
+        for (a, b) in self.data_mut().iter_mut().zip(rhs.data()) {
+            *a += b;
+        }
+    }
+
+    fn scale(&mut self, s: f32) {
+        for a in self.data_mut() {
+            *a *= s;
+        }
+    }
+}
+
 fn random_tensor(shape: &[usize], seed: u64) -> Tensor {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     Tensor::from_vec((0..shape.iter().product::<usize>()).map(|_| rng.gen_range(-1.0..1.0)).collect(), shape)
@@ -49,7 +70,7 @@ proptest! {
     #[test]
     fn linear_layer_homogeneous(seed in any::<u16>(), a in 0.1f32..4.0) {
         let mut l = layers::Linear::new(6, 3, u64::from(seed));
-        l.bias_mut().data_mut().fill(0.0);
+        prop_assert!(l.bias().data().iter().all(|&b| b == 0.0));
         let x = random_tensor(&[1, 6], u64::from(seed) + 9);
         let mut xs = x.clone();
         xs.scale(a);

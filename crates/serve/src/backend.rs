@@ -56,7 +56,7 @@ impl BackendKind {
     /// evaluated by the same pillar-shared kernel drives. The baselines
     /// may batch to the same depth — they just profit less.
     #[must_use]
-    pub fn max_batch(&self) -> usize {
+    pub(crate) fn max_batch(&self) -> usize {
         match self {
             BackendKind::Inca => ArchConfig::inca_paper().stacked_planes,
             BackendKind::WsBaseline | BackendKind::Gpu => 64,
@@ -83,9 +83,7 @@ impl BackendKind {
     /// RRAM programming is pulse-limited; the GPU only streams weights
     /// over its memory bus.
     #[must_use]
-    // A count rate (params/s), not a duration — no newtype exists for it.
-    // lint: allow(raw-unit)
-    pub fn reprogram_params_per_s(&self) -> f64 {
+    pub(crate) fn reprogram_params_per_s(&self) -> f64 {
         match self {
             BackendKind::Inca | BackendKind::WsBaseline => 2e9,
             BackendKind::Gpu => 2e10,
@@ -102,7 +100,7 @@ impl std::fmt::Display for BackendKind {
 /// Cost of serving one batch: occupancy time of the chip and the energy
 /// the batch consumes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchCost {
+pub(crate) struct BatchCost {
     /// Chip-busy time in virtual nanoseconds.
     pub service_ns: SimTime,
     /// Total energy of the batch.
@@ -138,7 +136,7 @@ impl CostCache {
     /// # Panics
     ///
     /// Panics if `model_idx` is out of range or `batch` is zero.
-    pub fn cost(&mut self, model_idx: usize, batch: usize) -> BatchCost {
+    pub(crate) fn cost(&mut self, model_idx: usize, batch: usize) -> BatchCost {
         assert!(batch >= 1, "batch must be at least 1");
         let spec = &self.specs[model_idx];
         let row = &mut self.costs[model_idx];
@@ -167,7 +165,7 @@ impl CostCache {
     /// Time to swap a chip from its resident model to `model_idx`
     /// (weight re-programming), virtual nanoseconds.
     #[must_use]
-    pub fn switch_penalty_ns(&self, model_idx: usize) -> SimTime {
+    pub(crate) fn switch_penalty_ns(&self, model_idx: usize) -> SimTime {
         secs_to_ns(self.param_counts[model_idx] as f64 / self.backend.reprogram_params_per_s())
     }
 

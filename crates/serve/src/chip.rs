@@ -18,14 +18,14 @@ impl BatchPolicy {
     /// The default serving policy: fill the 64-plane stack or launch
     /// after 2 ms, whichever comes first.
     #[must_use]
-    pub fn default_paper() -> Self {
+    pub(crate) fn default_paper() -> Self {
         Self { max_batch: 64, max_wait_ns: 2_000_000 }
     }
 }
 
 /// One queued request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Request {
+pub(crate) struct Request {
     /// Monotonic request id (arrival order).
     pub id: u64,
     /// Index into the run's model mix.
@@ -35,7 +35,7 @@ pub struct Request {
 }
 
 /// The serving state of one chip.
-pub struct Chip {
+pub(crate) struct Chip {
     /// Per-model FIFO of admitted, not-yet-launched requests.
     pub pending: Vec<Vec<Request>>,
     /// Cursor into each pending FIFO (drained prefix; compacted on
@@ -67,7 +67,7 @@ impl Chip {
 
     /// Whether the service slot is occupied.
     #[must_use]
-    pub fn busy(&self) -> bool {
+    pub(crate) fn busy(&self) -> bool {
         self.in_flight > 0
     }
 
@@ -78,27 +78,27 @@ impl Chip {
     }
 
     /// Admits a request into its model's FIFO.
-    pub fn admit(&mut self, req: Request) {
+    pub(crate) fn admit(&mut self, req: Request) {
         self.pending[req.model_idx].push(req);
         self.queued += 1;
     }
 
     /// Pending depth of one model's FIFO.
     #[must_use]
-    pub fn depth(&self, model_idx: usize) -> usize {
+    pub(crate) fn depth(&self, model_idx: usize) -> usize {
         self.pending[model_idx].len() - self.heads[model_idx]
     }
 
     /// Arrival time of the oldest pending request of `model_idx`.
     #[must_use]
-    pub fn head_arrival(&self, model_idx: usize) -> Option<SimTime> {
+    pub(crate) fn head_arrival(&self, model_idx: usize) -> Option<SimTime> {
         self.pending[model_idx].get(self.heads[model_idx]).map(|r| r.arrival_ns)
     }
 
     /// The model whose head request has waited longest (ties: lowest
     /// index), or `None` when nothing is pending.
     #[must_use]
-    pub fn oldest_model(&self) -> Option<usize> {
+    pub(crate) fn oldest_model(&self) -> Option<usize> {
         let mut best: Option<(SimTime, usize)> = None;
         for m in 0..self.pending.len() {
             if let Some(at) = self.head_arrival(m) {
@@ -113,7 +113,7 @@ impl Chip {
     /// Earliest launch deadline among pending heads
     /// (`head_arrival + max_wait`), for timeout scheduling.
     #[must_use]
-    pub fn earliest_deadline(&self, max_wait_ns: SimTime) -> Option<SimTime> {
+    pub(crate) fn earliest_deadline(&self, max_wait_ns: SimTime) -> Option<SimTime> {
         (0..self.pending.len())
             .filter_map(|m| self.head_arrival(m))
             .min()
@@ -129,7 +129,7 @@ impl Chip {
     ///
     /// Panics if the chip is already busy or the model FIFO is empty —
     /// both are engine logic errors, not runtime conditions.
-    pub fn launch_into(&mut self, model_idx: usize, max_batch: usize, out: &mut Vec<Request>) {
+    pub(crate) fn launch_into(&mut self, model_idx: usize, max_batch: usize, out: &mut Vec<Request>) {
         assert!(!self.busy(), "launch on a busy chip");
         out.clear();
         let head = self.heads[model_idx];
@@ -151,7 +151,7 @@ impl Chip {
     }
 
     /// Marks the in-flight batch complete, freeing the slot.
-    pub fn complete(&mut self) {
+    pub(crate) fn complete(&mut self) {
         self.in_flight = 0;
     }
 }
@@ -185,7 +185,7 @@ impl DispatchPolicy {
     /// `model_idx` in a mix of `models`, given the dispatcher's view
     /// `load(c)` of each chip's load.
     #[must_use]
-    pub fn choose(
+    pub(crate) fn choose(
         &self,
         chips: usize,
         models: usize,

@@ -70,7 +70,7 @@ impl ServeConfig {
 
     /// The effective max batch after clamping to the backend.
     #[must_use]
-    pub fn effective_max_batch(&self) -> usize {
+    pub(crate) fn effective_max_batch(&self) -> usize {
         self.batch.max_batch.min(self.backend.max_batch()).max(1)
     }
 }
@@ -95,7 +95,7 @@ pub struct CompletedRequest {
 impl CompletedRequest {
     /// End-to-end latency (queueing + batching wait + service), ns.
     #[must_use]
-    pub fn latency_ns(&self) -> SimTime {
+    pub(crate) fn latency_ns(&self) -> SimTime {
         self.done_ns - self.arrival_ns
     }
 }
@@ -131,7 +131,7 @@ pub struct RunResult {
 impl RunResult {
     /// Completed-request throughput in requests/second of virtual time.
     #[must_use]
-    pub fn throughput_rps(&self) -> f64 {
+    pub(crate) fn throughput_rps(&self) -> f64 {
         if self.makespan_ns == 0 {
             return 0.0;
         }
@@ -140,7 +140,7 @@ impl RunResult {
 
     /// Mean launched batch size.
     #[must_use]
-    pub fn mean_batch(&self) -> f64 {
+    pub(crate) fn mean_batch(&self) -> f64 {
         let batches: u64 = self.batch_hist.iter().sum();
         if batches == 0 {
             return 0.0;
@@ -151,7 +151,7 @@ impl RunResult {
 
     /// Energy per completed request.
     #[must_use]
-    pub fn energy_per_request_j(&self) -> Energy {
+    pub(crate) fn energy_per_request_j(&self) -> Energy {
         if self.completed.is_empty() {
             return Energy::ZERO;
         }
@@ -160,7 +160,7 @@ impl RunResult {
 
     /// Mean fleet queue depth seen by arrivals.
     #[must_use]
-    pub fn mean_queue_depth(&self) -> f64 {
+    pub(crate) fn mean_queue_depth(&self) -> f64 {
         if self.offered == 0 {
             return 0.0;
         }

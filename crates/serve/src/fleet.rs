@@ -75,7 +75,7 @@ impl FleetTopo {
     /// 160 hosts across 32 racks, slightly oversubscribed at the access
     /// tier (5 hosts share what 4 would fully subscribe).
     #[must_use]
-    pub fn default_paper() -> Self {
+    pub(crate) fn default_paper() -> Self {
         FleetTopo::FatTree { k: 8, hosts_per_edge: 5 }
     }
 
@@ -90,7 +90,7 @@ impl FleetTopo {
 
     /// Builds the topology with every link at `spec`.
     #[must_use]
-    pub fn build(&self, spec: LinkSpec) -> Topology {
+    pub(crate) fn build(&self, spec: LinkSpec) -> Topology {
         match *self {
             FleetTopo::FatTree { k, hosts_per_edge } => Topology::fat_tree(k, hosts_per_edge, spec),
             FleetTopo::LeafSpine { leaves, spines, hosts_per_leaf } => {
@@ -124,7 +124,7 @@ impl FleetNetParams {
     /// 147 KB requests (a 224×224×3 image), 4 KB responses, 1 B/param
     /// weight images moved in 64 KB chunks.
     #[must_use]
-    pub fn default_paper() -> Self {
+    pub(crate) fn default_paper() -> Self {
         Self {
             link: LinkSpec { bandwidth: Bandwidth::from_gbps(100.0), latency_ns: 500 },
             net: NetConfig::default_fleet(),
@@ -202,12 +202,6 @@ impl FleetConfig {
         self.topo.hosts().saturating_sub(self.dispatchers)
     }
 
-    /// The effective max batch after clamping to the backend.
-    #[must_use]
-    pub fn effective_max_batch(&self) -> usize {
-        self.batch.max_batch.min(self.backend.max_batch()).max(1)
-    }
-
     /// The serving half of the config: what the engine runs over the
     /// fabric, one chip per non-dispatcher host.
     fn serve_config(&self) -> ServeConfig {
@@ -266,7 +260,7 @@ impl FleetResult {
     /// Mean per-tier link utilization over the whole makespan
     /// (`[access, aggregation, core]`).
     #[must_use]
-    pub fn tier_util(&self) -> [f64; TIER_COUNT] {
+    pub(crate) fn tier_util(&self) -> [f64; TIER_COUNT] {
         let mut out = [0.0; TIER_COUNT];
         if self.run.makespan_ns == 0 {
             return out;
@@ -408,6 +402,7 @@ impl Transport for Fabric {
 /// Panics on configuration errors (no dispatchers, no chips, zero-byte
 /// transfers, weight chunks above the queue cap).
 #[must_use]
+// lint: allow(narrow-pub) needed by: crates/serve/tests/golden.rs (fleet golden digests)
 pub fn run_fleet_point(config: &FleetConfig) -> FleetResult {
     let mut costs = CostCache::new(config.backend, &config.mix);
     run_fleet_point_with_costs(config, &mut costs)
@@ -608,7 +603,7 @@ impl FleetBackendSweep {
     /// nothing shed, clamped to the compute capacity — the fleet's
     /// sustainable-load headline.
     #[must_use]
-    pub fn sustainable_rps(&self, bound_ms: f64) -> f64 {
+    pub(crate) fn sustainable_rps(&self, bound_ms: f64) -> f64 {
         self.points
             .iter()
             .filter(|p| {
@@ -649,7 +644,7 @@ pub struct FleetReport {
 impl FleetReport {
     /// The p99 bound for the sustainable-load headline — shared with the
     /// single-site sweep so the two reports are comparable.
-    pub const P99_BOUND_MS: f64 = ServeReport::P99_BOUND_MS;
+    pub(crate) const P99_BOUND_MS: f64 = ServeReport::P99_BOUND_MS;
 
     /// Machine-readable report (the `NET_report.json` payload). The
     /// headline key is `sustainable_rps_per_rack`.

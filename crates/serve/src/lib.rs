@@ -17,9 +17,9 @@
 //! * [`EventQueue`] — the shared `inca-events` calendar future-event
 //!   list over an integer virtual-time clock; no wall-clock anywhere,
 //!   ties broken by schedule order, so runs are bit-reproducible.
-//! * [`RequestSource`] — Poisson and bursty (2-state MMPP) arrivals over
-//!   a weighted [`ModelMix`], recordable as JSON [`Trace`]s.
-//! * [`Chip`] / [`BatchPolicy`] — per-chip dynamic batcher: accumulate
+//! * [`ArrivalKind`] — Poisson and bursty (2-state MMPP) arrivals over
+//!   a weighted [`ModelMix`].
+//! * [`BatchPolicy`] — per-chip dynamic batcher: accumulate
 //!   per model until the batch fills (≤ the backend's plane count) or
 //!   the oldest request has waited `max_wait`, then occupy the stack.
 //! * [`DispatchPolicy`] — round-robin, join-shortest-queue, or
@@ -54,7 +54,7 @@
 //! let run = run_point(&cfg);
 //! assert_eq!(run.completed.len() as u64 + run.shed, 200);
 //! // No time travel: a request's latency includes its batch's service.
-//! assert!(run.completed.iter().all(|c| c.latency_ns() >= c.service_ns));
+//! assert!(run.completed.iter().all(|c| c.done_ns - c.arrival_ns >= c.service_ns));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -69,8 +69,8 @@ mod obs;
 mod source;
 mod sweep;
 
-pub use backend::{BackendKind, BatchCost, CostCache};
-pub use chip::{BatchPolicy, Chip, DispatchPolicy, Request};
+pub use backend::{BackendKind, CostCache};
+pub use chip::{BatchPolicy, DispatchPolicy};
 pub use engine::{
     run_point, run_point_observed, run_point_with_costs, CompletedRequest, RunResult, ServeConfig,
 };
@@ -80,6 +80,6 @@ pub use fleet::{
 };
 pub use inca_events::{ns_to_ms, ns_to_secs, secs_to_ns, EventQueue, SimTime};
 pub use metrics::PointSummary;
-pub use obs::{LinkUtilSeries, ObsConfig, ObsOutput, ObsRecorder, SloPolicy, SloViolation};
-pub use source::{ArrivalKind, ModelMix, RequestSource, Trace, TraceEntry};
+pub use obs::{LinkUtilSeries, ObsConfig, ObsOutput, SloPolicy, SloViolation};
+pub use source::{ArrivalKind, ModelMix};
 pub use sweep::{run_sweep, BackendSweep, ServeReport, SweepConfig};

@@ -32,9 +32,9 @@ use inca_telemetry::{self as tel, LogLinearHist, TimeSeries};
 use crate::chip::{Chip, Request};
 use crate::source::ModelMix;
 
-/// What the observability layer records during a run. Everything is off
-/// by default ([`ObsConfig::disabled`]), and each instrument can be
-/// enabled independently.
+/// What the observability layer records during a run. Each instrument
+/// is enabled independently; with `trace: false`, `sample_interval_ns: 0`
+/// and `slo: None` the engine behaves exactly as unobserved.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsConfig {
     /// Record the Chrome trace-event log.
@@ -47,12 +47,6 @@ pub struct ObsConfig {
 }
 
 impl ObsConfig {
-    /// Everything off: the engine behaves exactly as unobserved.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self { trace: false, sample_interval_ns: 0, slo: None }
-    }
-
     /// Every instrument on: tracing, a 10 ms sampler, and the default
     /// SLO policy.
     #[must_use]
@@ -87,7 +81,7 @@ impl SloPolicy {
     /// The serving-sweep default: p99 under 1 s (the report's
     /// sustainable-load bound), 2 s windows, firing at 2x budget burn.
     #[must_use]
-    pub fn default_paper() -> Self {
+    pub(crate) fn default_paper() -> Self {
         Self {
             quantile: 0.99,
             target_ms: 1000.0,
@@ -99,7 +93,7 @@ impl SloPolicy {
 
     /// The error budget: the fraction of requests allowed to breach.
     #[must_use]
-    pub fn budget(&self) -> f64 {
+    pub(crate) fn budget(&self) -> f64 {
         (1.0 - self.quantile).max(1e-9)
     }
 }
@@ -534,7 +528,7 @@ impl LinkUtilSeries {
     ///
     /// Panics if `interval_ns == 0`.
     #[must_use]
-    pub fn new(interval_ns: SimTime) -> Self {
+    pub(crate) fn new(interval_ns: SimTime) -> Self {
         assert!(interval_ns > 0, "sampling interval must be positive");
         Self {
             interval_ns,
@@ -549,13 +543,13 @@ impl LinkUtilSeries {
     /// fabric checks this before paying for the (O(links))
     /// accumulator snapshot [`advance`](Self::advance) consumes.
     #[must_use]
-    pub fn due(&self, now: SimTime) -> bool {
+    pub(crate) fn due(&self, now: SimTime) -> bool {
         self.next_t <= now
     }
 
     /// Emits every grid row at or before `now` from the cumulative
     /// per-tier `(busy_ns, link_count)` accumulators.
-    pub fn advance(&mut self, now: SimTime, tier_busy: &[(u64, usize); TIER_COUNT]) {
+    pub(crate) fn advance(&mut self, now: SimTime, tier_busy: &[(u64, usize); TIER_COUNT]) {
         while self.next_t <= now {
             let mut row = [0.0; TIER_COUNT];
             for (slot, &(busy, links)) in tier_busy.iter().enumerate() {
@@ -582,28 +576,10 @@ impl LinkUtilSeries {
         self.rows.is_empty()
     }
 
-    /// Grid timestamps, virtual ns.
-    #[must_use]
-    pub fn times_ns(&self) -> &[SimTime] {
-        &self.times_ns
-    }
-
     /// Utilization rows, `[access, aggregation, core]` per grid point.
     #[must_use]
     pub fn rows(&self) -> &[[f64; TIER_COUNT]] {
         &self.rows
-    }
-
-    /// Peak per-tier utilization across every row.
-    #[must_use]
-    pub fn peak(&self) -> [f64; TIER_COUNT] {
-        let mut p = [0.0f64; TIER_COUNT];
-        for row in &self.rows {
-            for (slot, &u) in row.iter().enumerate() {
-                p[slot] = p[slot].max(u);
-            }
-        }
-        p
     }
 
     /// Hand-rendered JSON: `{"interval_ns":..,"tiers":[..],"times_ns":
@@ -665,7 +641,7 @@ pub(crate) struct BatchLaunch<'a> {
 /// read engine state but never influence scheduling, so an observed run
 /// completes with an identical [`crate::RunResult`].
 #[derive(Debug)]
-pub struct ObsRecorder {
+pub(crate) struct ObsRecorder {
     trace: Option<TraceLog>,
     sampler: Option<Sampler>,
     slo: Option<SloMonitor>,
@@ -767,6 +743,32 @@ impl ObsRecorder {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl ObsConfig {
+        /// Everything off: the engine behaves exactly as unobserved.
+        fn disabled() -> Self {
+            Self { trace: false, sample_interval_ns: 0, slo: None }
+        }
+    }
+
+    impl LinkUtilSeries {
+        /// Grid timestamps, virtual ns.
+        pub(crate) fn times_ns(&self) -> &[SimTime] {
+            &self.times_ns
+        }
+
+        /// Peak per-tier utilization across every row.
+        #[must_use]
+        pub(crate) fn peak(&self) -> [f64; TIER_COUNT] {
+            let mut p = [0.0f64; TIER_COUNT];
+            for row in &self.rows {
+                for (slot, &u) in row.iter().enumerate() {
+                    p[slot] = p[slot].max(u);
+                }
+            }
+            p
+        }
+    }
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

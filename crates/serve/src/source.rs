@@ -3,14 +3,11 @@
 //!
 //! Every source is driven by the vendored seeded [`rand`] shim, so a
 //! given `(seed, rate, mix)` always produces the same arrival sequence.
-//! Any generated stream can be captured as a [`Trace`] and written out
-//! as JSON.
 
 use inca_events::{secs_to_ns, SimTime, NS_PER_SEC};
 use inca_workloads::Model;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde_json::{json, Value};
 
 /// A weighted mixture over serving models.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,7 +26,7 @@ impl ModelMix {
     /// Panics on empty or mismatched inputs, or non-positive weights —
     /// a serving config error, caught at construction.
     #[must_use]
-    pub fn new(models: Vec<Model>, weights: Vec<f64>) -> Self {
+    pub(crate) fn new(models: Vec<Model>, weights: Vec<f64>) -> Self {
         assert!(!models.is_empty(), "model mix must not be empty");
         assert_eq!(models.len(), weights.len(), "one weight per model");
         assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
@@ -40,17 +37,11 @@ impl ModelMix {
     /// models, and an occasional very heavy VGG — the shape of a mixed
     /// production fleet.
     #[must_use]
-    pub fn paper_serving_mix() -> Self {
+    pub(crate) fn paper_serving_mix() -> Self {
         Self::new(
             vec![Model::ResNet18, Model::MobileNetV2, Model::MnasNet, Model::Vgg16],
             vec![4.0, 3.0, 2.0, 1.0],
         )
-    }
-
-    /// A single-model mix.
-    #[must_use]
-    pub fn single(model: Model) -> Self {
-        Self::new(vec![model], vec![1.0])
     }
 
     /// Number of distinct models.
@@ -67,7 +58,7 @@ impl ModelMix {
 
     /// Normalized weight of model `idx`.
     #[must_use]
-    pub fn share(&self, idx: usize) -> f64 {
+    pub(crate) fn share(&self, idx: usize) -> f64 {
         self.weights[idx] / self.weights.iter().sum::<f64>()
     }
 
@@ -106,33 +97,9 @@ pub enum ArrivalKind {
     },
 }
 
-/// One request's identity in a trace: arrival time and target model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// Arrival time in virtual nanoseconds.
-    pub at_ns: SimTime,
-    /// Index into the run's [`ModelMix`].
-    pub model_idx: usize,
-}
-
-/// A recorded arrival trace (sorted by time).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Trace {
-    /// The arrivals, ascending in time.
-    pub entries: Vec<TraceEntry>,
-}
-
-impl Trace {
-    /// Serializes the trace to a JSON value (`[[at_ns, model_idx], ...]`).
-    #[must_use]
-    pub fn to_json(&self) -> Value {
-        Value::Array(self.entries.iter().map(|e| json!([e.at_ns, e.model_idx as u64])).collect::<Vec<_>>())
-    }
-}
-
 /// A bounded stream of `(arrival_ns, model_idx)` requests, drawn from a
 /// private seeded RNG. Iteration order is the arrival order.
-pub struct RequestSource {
+pub(crate) struct RequestSource {
     kind: ArrivalKind,
     mix: ModelMix,
     rng: StdRng,
@@ -158,18 +125,8 @@ impl RequestSource {
         Self { kind, mix, rng, clock_ns: 0, in_burst, state_until_ns, remaining: count }
     }
 
-    /// Drains the source into a [`Trace`].
-    #[must_use]
-    pub fn record(mut self) -> Trace {
-        let mut entries = Vec::new();
-        while let Some((at_ns, model_idx)) = self.next_request() {
-            entries.push(TraceEntry { at_ns, model_idx });
-        }
-        Trace { entries }
-    }
-
     /// The next arrival, or `None` when the stream is exhausted.
-    pub fn next_request(&mut self) -> Option<(SimTime, usize)> {
+    pub(crate) fn next_request(&mut self) -> Option<(SimTime, usize)> {
         if self.remaining == 0 {
             return None;
         }
@@ -219,6 +176,20 @@ fn exp_draw(rng: &mut StdRng, rate: f64) -> f64 {
 mod tests {
     use super::*;
 
+    impl ModelMix {
+        /// A single-model mix.
+        pub(crate) fn single(model: Model) -> Self {
+            Self::new(vec![model], vec![1.0])
+        }
+    }
+
+    impl RequestSource {
+        /// Drains the source: `(arrival_ns, model_idx)` in arrival order.
+        fn record(mut self) -> Vec<(SimTime, usize)> {
+            std::iter::from_fn(|| self.next_request()).collect()
+        }
+    }
+
     #[test]
     fn poisson_mean_rate_is_close() {
         let mix = ModelMix::single(Model::ResNet18);
@@ -253,7 +224,7 @@ mod tests {
         // Poisson, > 1 for a 2-state MMPP with distinct rates.
         let cv2 = |kind| {
             let src = RequestSource::new(kind, ModelMix::single(Model::MnasNet), 3, 30_000);
-            let t: Vec<u64> = src.record().entries.iter().map(|e| e.at_ns).collect();
+            let t: Vec<u64> = src.record().iter().map(|&(at_ns, _)| at_ns).collect();
             let gaps: Vec<f64> = t.windows(2).map(|w| (w[1] - w[0]) as f64).collect();
             let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
             let var = gaps.iter().map(|g| (g - mean) * (g - mean)).sum::<f64>() / gaps.len() as f64;

@@ -104,7 +104,7 @@ impl BackendSweep {
     /// with a bounded tail (64-wide batches absorb the whole backlog),
     /// but no load above capacity is sustainable in steady state.
     #[must_use]
-    pub fn sustainable_rps(&self, bound_ms: f64) -> f64 {
+    pub(crate) fn sustainable_rps(&self, bound_ms: f64) -> f64 {
         self.points
             .iter()
             .filter(|p| {
@@ -142,7 +142,7 @@ impl ServeReport {
     /// takes ~340 ms for VGG-16 — and below the multi-second tail the WS
     /// pipeline develops once its queues saturate. 1 s separates the
     /// regimes cleanly.
-    pub const P99_BOUND_MS: f64 = 1000.0;
+    pub(crate) const P99_BOUND_MS: f64 = 1000.0;
 
     /// Machine-readable report (the `SERVE_report.json` payload).
     #[must_use]

@@ -60,7 +60,7 @@ proptest! {
         prop_assert!(run.completed.len() as u64 + run.shed == run.offered);
         for c in &run.completed {
             prop_assert!(c.done_ns >= c.arrival_ns);
-            prop_assert!(c.latency_ns() >= c.service_ns);
+            prop_assert!(c.done_ns - c.arrival_ns >= c.service_ns);
         }
     }
 
@@ -96,7 +96,7 @@ proptest! {
         let mut cfg = SweepConfig {
             backends,
             requests_per_point: reqs,
-            mix: ModelMix::new(vec![Model::ResNet18, Model::MobileNetV2], vec![2.0, 1.0]),
+            mix: ModelMix { models: vec![Model::ResNet18, Model::MobileNetV2], weights: vec![2.0, 1.0] },
             seed,
             ws_grid: vec![0.3, 1.0],
             inca_grid: vec![0.8],

@@ -17,7 +17,7 @@ fn tiny_sweep(seed: u64) -> FleetSweepConfig {
         requests_per_point: 200,
         ws_grid: vec![0.3, 1.0],
         inca_grid: vec![0.8],
-        mix: ModelMix::new(vec![Model::ResNet18, Model::MobileNetV2], vec![2.0, 1.0]),
+        mix: ModelMix { models: vec![Model::ResNet18, Model::MobileNetV2], weights: vec![2.0, 1.0] },
         seed,
         ..FleetSweepConfig::quick()
     }

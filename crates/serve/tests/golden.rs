@@ -87,7 +87,7 @@ fn fold_fleet(h: Fnv, r: &FleetResult) -> Fnv {
 }
 
 fn two_models() -> ModelMix {
-    ModelMix::new(vec![Model::ResNet18, Model::MobileNetV2], vec![2.0, 1.0])
+    ModelMix { models: vec![Model::ResNet18, Model::MobileNetV2], weights: vec![2.0, 1.0] }
 }
 
 /// Three chips under the four-model serving mix: models ≥ chips, so

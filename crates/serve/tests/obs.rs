@@ -28,7 +28,8 @@ fn observed_run_result_is_identical_to_unobserved() {
 fn disabled_observer_is_equivalent_to_none() {
     let cfg = base_cfg(2000.0, 400);
     let plain = run_point(&cfg);
-    let (observed, out) = run_point_observed(&cfg, &ObsConfig::disabled());
+    let (observed, out) =
+        run_point_observed(&cfg, &ObsConfig { trace: false, sample_interval_ns: 0, slo: None });
     assert_eq!(plain, observed);
     assert!(out.trace_json.is_none());
     assert!(out.timeseries.is_none());

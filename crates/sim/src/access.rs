@@ -51,27 +51,27 @@ impl AccessConfig {
 
 /// Eq 5: bus transfers to fetch one output element's operands.
 #[must_use]
-pub fn eq5_fetch_per_output(layer: &LayerSpec, cfg: &AccessConfig) -> u64 {
+pub(crate) fn eq5_fetch_per_output(layer: &LayerSpec, cfg: &AccessConfig) -> u64 {
     cfg.bus().transfers(layer.fan_in(), cfg.data_bits)
 }
 
 /// Eq 6: bus transfers to save one layer's outputs.
 #[must_use]
-pub fn eq6_save_outputs(layer: &LayerSpec, cfg: &AccessConfig) -> u64 {
+pub(crate) fn eq6_save_outputs(layer: &LayerSpec, cfg: &AccessConfig) -> u64 {
     cfg.bus().transfers(layer.cout as u64, cfg.data_bits) * (layer.oh * layer.ow) as u64
 }
 
 /// Baseline (WS) buffer accesses for one layer:
 /// `Eq5 · O_H·O_W + Eq6` (Table III caption).
 #[must_use]
-pub fn baseline_layer_accesses(layer: &LayerSpec, cfg: &AccessConfig) -> u64 {
+pub(crate) fn baseline_layer_accesses(layer: &LayerSpec, cfg: &AccessConfig) -> u64 {
     eq5_fetch_per_output(layer, cfg) * (layer.oh * layer.ow) as u64 + eq6_save_outputs(layer, cfg)
 }
 
 /// INCA (IS) buffer accesses for one layer: `Eq5 · N` — one weight-channel
 /// fetch per output channel.
 #[must_use]
-pub fn inca_layer_accesses(layer: &LayerSpec, cfg: &AccessConfig) -> u64 {
+pub(crate) fn inca_layer_accesses(layer: &LayerSpec, cfg: &AccessConfig) -> u64 {
     eq5_fetch_per_output(layer, cfg) * layer.cout as u64
 }
 
@@ -167,7 +167,7 @@ mod tests {
     fn eq5_first_vgg_layer() {
         // ceil(3·3·3·16/256) = 2 (§III-B worked example).
         let spec = Model::Vgg16.spec();
-        let first = spec.first_conv_layer().expect("VGG16 has conv layers");
+        let first = spec.conv_layers().next().expect("VGG16 has conv layers");
         assert_eq!(eq5_fetch_per_output(first, &AccessConfig::fig_7a()), 2);
     }
 

@@ -27,7 +27,7 @@ pub struct EnergyBreakdown {
 impl EnergyBreakdown {
     /// An all-zero breakdown.
     #[must_use]
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Self::default()
     }
 
@@ -47,7 +47,7 @@ impl EnergyBreakdown {
     /// Fraction of the total spent in each component, in the order
     /// `(dram, buffer, adc, dac, array, digital, static)`.
     #[must_use]
-    pub fn fractions(&self) -> [f64; 7] {
+    pub(crate) fn fractions(&self) -> [f64; 7] {
         let t = self.total_j();
         if t == Energy::ZERO {
             return [0.0; 7];
@@ -65,7 +65,7 @@ impl EnergyBreakdown {
 
     /// Scales every component (e.g. per-image normalization).
     #[must_use]
-    pub fn scaled(&self, s: f64) -> Self {
+    pub(crate) fn scaled(&self, s: f64) -> Self {
         Self {
             dram_j: self.dram_j * s,
             buffer_j: self.buffer_j * s,

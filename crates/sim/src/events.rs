@@ -67,7 +67,7 @@ pub struct FunctionalEvents {
 /// start every `side - (k - 1)` elements and the last tile is the one
 /// that reaches the edge.
 #[must_use]
-pub fn tiles_along(padded: usize, side: usize, k: usize) -> u64 {
+pub(crate) fn tiles_along(padded: usize, side: usize, k: usize) -> u64 {
     let step = side - (k - 1);
     let mut n = 0u64;
     let mut start = 0usize;

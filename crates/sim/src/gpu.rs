@@ -38,7 +38,7 @@ impl GpuModel {
     /// performs ~3× the forward FLOPs and streams weights + activations
     /// per pass.
     #[must_use]
-    pub fn training_step_s(&self, spec: &ModelSpec, batch: usize) -> Time {
+    pub(crate) fn training_step_s(&self, spec: &ModelSpec, batch: usize) -> Time {
         let flops = 2.0 * spec.total_macs() as f64 * batch as f64 * 3.0;
         let bytes = (spec.param_count() as f64 * 3.0
             + spec.activation_input_elems() as f64 * batch as f64 * 2.0)
@@ -58,14 +58,14 @@ impl GpuModel {
 
     /// Energy of one training step.
     #[must_use]
-    pub fn training_energy_j(&self, spec: &ModelSpec, batch: usize) -> Energy {
+    pub(crate) fn training_energy_j(&self, spec: &ModelSpec, batch: usize) -> Energy {
         Energy::from_joules(self.power_w * self.training_step_s(spec, batch).seconds())
     }
 
     /// Training throughput per area: images/s/mm² (the Fig 15b iso-area
     /// metric).
     #[must_use]
-    pub fn training_throughput_per_area(&self, spec: &ModelSpec, batch: usize) -> f64 {
+    pub(crate) fn training_throughput_per_area(&self, spec: &ModelSpec, batch: usize) -> f64 {
         batch as f64 / self.training_step_s(spec, batch).seconds() / self.area_mm2.mm2()
     }
 }

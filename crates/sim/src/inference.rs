@@ -114,7 +114,7 @@ pub fn simulate_feedforward(config: &ArchConfig, spec: &ModelSpec, cost: &CostMo
 /// Per-image array cycles of one WS layer: one window per `data_bits`
 /// input-bit cycles; all output columns in parallel.
 #[must_use]
-pub fn ws_layer_cycles(layer: &LayerSpec, config: &ArchConfig) -> u64 {
+pub(crate) fn ws_layer_cycles(layer: &LayerSpec, config: &ArchConfig) -> u64 {
     let windows = if layer.is_linear() { 1 } else { (layer.oh * layer.ow) as u64 };
     windows * u64::from(config.data_bits)
 }

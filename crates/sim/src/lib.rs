@@ -49,8 +49,7 @@ pub use energy::EnergyBreakdown;
 pub use events::{conv_forward_events, ConvGeometry, FunctionalEvents};
 pub use gpu::GpuModel;
 pub use inference::{
-    is_layer_cycles, simulate_feedforward, simulate_inference, ws_layer_cycles, CostModel, LayerStats,
-    NetworkStats,
+    is_layer_cycles, simulate_feedforward, simulate_inference, CostModel, LayerStats, NetworkStats,
 };
 pub use lifetime::{training_lifetime, TrainingLifetime, IMAGENET_TRAIN_IMAGES};
 pub use phases::{simulate_training, training_phases, TrainingPhases};

@@ -32,7 +32,7 @@ pub struct TrainingPhases {
 impl TrainingPhases {
     /// Total energy across phases.
     #[must_use]
-    pub fn total_energy_j(&self) -> Energy {
+    pub(crate) fn total_energy_j(&self) -> Energy {
         self.feedforward.total_j() + self.backward.total_j() + self.weight_update.total_j()
     }
 

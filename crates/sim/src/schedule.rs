@@ -77,10 +77,9 @@ pub fn schedule(jobs: &[LayerJob], capacity: u64) -> ScheduleResult {
     let mut peak = 0u64;
 
     let mut queue: std::collections::VecDeque<&LayerJob> = normalized.iter().collect();
-    while let Some(job) = queue.front() {
+    while let Some(&job) = queue.front() {
         if job.units <= free {
-            // Front was just matched by the `while let` — the pop cannot fail.
-            let job = queue.pop_front().expect("front exists"); // lint: allow(panic-path)
+            queue.pop_front();
             free -= job.units;
             peak = peak.max(capacity - free);
             busy_area += job.units as f64 * job.duration_s.seconds();
@@ -152,17 +151,16 @@ pub fn layer_jobs(config: &ArchConfig, spec: &ModelSpec) -> Vec<LayerJob> {
     }
 }
 
-/// Schedules one feedforward pass of `spec` on the configured chip,
-/// returning the resource-constrained result.
-#[must_use]
-pub fn schedule_network(config: &ArchConfig, spec: &ModelSpec) -> ScheduleResult {
-    schedule(&layer_jobs(config, spec), config.units_per_chip() as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use inca_workloads::Model;
+
+    /// Schedules one feedforward pass of `spec` on the configured chip,
+    /// returning the resource-constrained result.
+    fn schedule_network(config: &ArchConfig, spec: &ModelSpec) -> ScheduleResult {
+        schedule(&layer_jobs(config, spec), config.units_per_chip() as u64)
+    }
 
     fn job(i: usize, units: u64, d: f64) -> LayerJob {
         LayerJob { layer_index: i, units, duration_s: Time::from_seconds(d) }

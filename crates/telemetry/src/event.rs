@@ -63,10 +63,10 @@ pub enum Event {
 }
 
 /// Number of distinct events (size of a counter block).
-pub const EVENT_COUNT: usize = 19;
+pub(crate) const EVENT_COUNT: usize = 19;
 
 /// All events, in counter-slot order.
-pub const ALL_EVENTS: [Event; EVENT_COUNT] = [
+pub(crate) const ALL_EVENTS: [Event; EVENT_COUNT] = [
     Event::XbarReadPulse,
     Event::BitSerialCycle,
     Event::AdcConversion,

@@ -107,7 +107,7 @@ fn span_table_line(node: &SpanStats, depth: usize, out: &mut String) {
 /// <https://ui.perfetto.dev>. Each completed span becomes one complete
 /// (`"ph":"X"`) event, timed from the capture's start; `tid` is a small
 /// dense per-thread id. If spans were dropped at the
-/// [`crate::TRACE_CAPACITY`] cap, the count is noted under `"otherData"`.
+/// `TRACE_CAPACITY` cap, the count is noted under `"otherData"`.
 #[must_use]
 pub fn chrome_trace_json(snapshot: &Snapshot) -> String {
     let Spans { trace, dropped, .. } = &snapshot.spans;
@@ -140,7 +140,7 @@ mod tests {
     fn json_snapshot_contains_every_event_name() {
         let ((), snap) = capture(|| crate::record(Event::AdcConversion, 42));
         let json = snap.to_json();
-        for event in crate::ALL_EVENTS {
+        for event in crate::event::ALL_EVENTS {
             assert!(json.contains(event.name()), "missing {}", event.name());
         }
         assert!(json.contains("\"adc_conversions\": 42"));
@@ -162,7 +162,7 @@ mod tests {
     fn counter_table_lists_all_rows() {
         let ((), snap) = capture(|| ());
         let table = snap.counter_table();
-        assert_eq!(table.lines().count(), 2 + crate::EVENT_COUNT);
+        assert_eq!(table.lines().count(), 2 + crate::event::EVENT_COUNT);
     }
 
     #[test]

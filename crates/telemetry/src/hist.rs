@@ -17,7 +17,7 @@
 
 /// Default number of linear sub-buckets per octave, as a power of two
 /// (`7` → 128 sub-buckets → < 0.8 % relative quantization error).
-pub const DEFAULT_SUB_BITS: u32 = 7;
+pub(crate) const DEFAULT_SUB_BITS: u32 = 7;
 
 /// A log-linear histogram over `u64` values (typically nanoseconds).
 ///
@@ -51,7 +51,7 @@ impl LogLinearHist {
     /// An empty histogram with `sub_bits` linear sub-bucket bits per
     /// octave (clamped to `1..=16`).
     #[must_use]
-    pub fn new(sub_bits: u32) -> Self {
+    pub(crate) fn new(sub_bits: u32) -> Self {
         Self {
             sub_bits: sub_bits.clamp(1, 16),
             counts: Vec::new(),
@@ -62,7 +62,7 @@ impl LogLinearHist {
         }
     }
 
-    /// The default latency histogram ([`DEFAULT_SUB_BITS`] sub-bucket
+    /// The default latency histogram (`DEFAULT_SUB_BITS` sub-bucket
     /// bits).
     #[must_use]
     pub fn default_ns() -> Self {
@@ -75,16 +75,9 @@ impl LogLinearHist {
         self.sub_bits
     }
 
-    /// Upper bound on the relative quantization error of any quantile
-    /// read (`2^-sub_bits`).
-    #[must_use]
-    pub fn max_relative_error(&self) -> f64 {
-        1.0 / (1u64 << self.sub_bits) as f64
-    }
-
     /// The bucket index `value` maps to.
     #[must_use]
-    pub fn bucket_index(&self, value: u64) -> usize {
+    pub(crate) fn bucket_index(&self, value: u64) -> usize {
         let sub = 1u64 << self.sub_bits;
         if value < sub {
             return value as usize;
@@ -97,7 +90,7 @@ impl LogLinearHist {
 
     /// Smallest value mapping to bucket `index`.
     #[must_use]
-    pub fn bucket_lower(&self, index: usize) -> u64 {
+    pub(crate) fn bucket_lower(&self, index: usize) -> u64 {
         let sub = 1usize << self.sub_bits;
         if index < sub {
             return index as u64;
@@ -109,7 +102,7 @@ impl LogLinearHist {
 
     /// Largest value mapping to bucket `index` (inclusive).
     #[must_use]
-    pub fn bucket_upper(&self, index: usize) -> u64 {
+    pub(crate) fn bucket_upper(&self, index: usize) -> u64 {
         let sub = 1usize << self.sub_bits;
         if index < sub {
             return index as u64;
@@ -124,7 +117,7 @@ impl LogLinearHist {
     }
 
     /// Records `n` occurrences of `value`.
-    pub fn record_n(&mut self, value: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -137,28 +130,6 @@ impl LogLinearHist {
         self.min_v = self.min_v.min(value);
         self.max_v = self.max_v.max(value);
         self.sum += u128::from(value) * u128::from(n);
-    }
-
-    /// Merges another histogram into this one. Merging is commutative
-    /// and associative, so sharded recording reproduces the single-
-    /// threaded bucket counts exactly, whatever the shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two histograms use different `sub_bits` — their
-    /// buckets would not be comparable.
-    pub fn merge(&mut self, other: &LogLinearHist) {
-        assert_eq!(self.sub_bits, other.sub_bits, "cannot merge histograms with different geometry");
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (slot, &c) in self.counts.iter_mut().zip(&other.counts) {
-            *slot += c;
-        }
-        self.total += other.total;
-        self.min_v = self.min_v.min(other.min_v);
-        self.max_v = self.max_v.max(other.max_v);
-        self.sum += other.sum;
     }
 
     /// Number of recorded samples.
@@ -185,17 +156,11 @@ impl LogLinearHist {
         (!self.is_empty()).then_some(self.max_v)
     }
 
-    /// Mean of the recorded values, or `None` when empty.
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        (!self.is_empty()).then(|| self.sum as f64 / self.total as f64)
-    }
-
     /// Nearest-rank quantile estimate for `q` in `[0, 1]`: the upper
     /// bound of the bucket holding the rank-`⌈q·n⌉` sample, clamped to
     /// the observed maximum. The estimate therefore never undershoots
     /// the exact quantile and overshoots by at most one bucket width
-    /// (relative error ≤ [`Self::max_relative_error`]).
+    /// (relative error ≤ `2^-sub_bits`).
     ///
     /// Returns `None` when the histogram is empty — an explicit "no
     /// data" rather than a fabricated zero.
@@ -238,6 +203,41 @@ impl LogLinearHist {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LogLinearHist {
+        /// Upper bound on the relative quantization error of any quantile
+        /// read (`2^-sub_bits`).
+        fn max_relative_error(&self) -> f64 {
+            1.0 / (1u64 << self.sub_bits) as f64
+        }
+
+        /// Merges another histogram into this one. Merging is commutative
+        /// and associative, so sharded recording reproduces the single-
+        /// threaded bucket counts exactly, whatever the shard count.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the two histograms use different `sub_bits` — their
+        /// buckets would not be comparable.
+        fn merge(&mut self, other: &LogLinearHist) {
+            assert_eq!(self.sub_bits, other.sub_bits, "cannot merge histograms with different geometry");
+            if other.counts.len() > self.counts.len() {
+                self.counts.resize(other.counts.len(), 0);
+            }
+            for (slot, &c) in self.counts.iter_mut().zip(&other.counts) {
+                *slot += c;
+            }
+            self.total += other.total;
+            self.min_v = self.min_v.min(other.min_v);
+            self.max_v = self.max_v.max(other.max_v);
+            self.sum += other.sum;
+        }
+
+        /// Mean of the recorded values, or `None` when empty.
+        fn mean(&self) -> Option<f64> {
+            (!self.is_empty()).then(|| self.sum as f64 / self.total as f64)
+        }
+    }
 
     #[test]
     fn buckets_tile_the_value_axis() {
@@ -336,5 +336,182 @@ mod tests {
         assert_eq!(buckets[0], (3, 3, 4));
         assert!(buckets[1].0 <= (1 << 20) && buckets[1].1 >= (1 << 20));
         assert_eq!(buckets[1].2, 2);
+    }
+
+    /// Property tests on the log-linear histogram: quantile estimates stay
+    /// within one bucket of the exact sorted-vec quantiles across
+    /// adversarial distributions, and bucket counts are bit-reproducible
+    /// across sharded (multi-threaded) recording at any thread count.
+    mod props {
+        use crate::LogLinearHist;
+        use proptest::prelude::*;
+
+        /// Exact nearest-rank quantile over a sorted slice (the reference the
+        /// histogram is allowed to overshoot by at most one bucket).
+        fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
+            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+            sorted[rank - 1]
+        }
+
+        /// Deterministic LCG stream for building sample vectors in-body (the
+        /// proptest shim draws scalars only).
+        struct Lcg(u64);
+
+        impl Lcg {
+            fn next(&mut self) -> u64 {
+                self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                self.0
+            }
+        }
+
+        /// Adversarial sample sets keyed by `kind`: uniform multi-octave noise,
+        /// heavy ties around an octave boundary, exact power-of-two boundary
+        /// values (where log-linear bucketing changes octave), and a tiny
+        /// distribution dominated by one huge outlier.
+        fn sample_set(kind: u8, len: usize, seed: u64) -> Vec<u64> {
+            let mut rng = Lcg(seed | 1);
+            let mut v: Vec<u64> = match kind {
+                0 => (0..len).map(|_| rng.next() % 1_000_000_000_001).collect(),
+                1 => {
+                    const TIES: [u64; 5] = [0, 1, 127, 128, 129];
+                    (0..len).map(|_| TIES[(rng.next() % 5) as usize]).collect()
+                }
+                2 => (0..len).map(|_| 1u64 << (rng.next() % 40)).collect(),
+                _ => {
+                    let mut small: Vec<u64> = (0..len).map(|_| rng.next() % 100).collect();
+                    small.push(u64::MAX / 2);
+                    small
+                }
+            };
+            debug_assert!(!v.is_empty());
+            v.shrink_to_fit();
+            v
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The histogram quantile never undershoots the exact quantile and
+            /// lands in the same bucket (overshoot bounded by one bucket width).
+            #[test]
+            fn quantile_within_one_bucket_of_exact(
+                kind in 0u8..4,
+                len in 1usize..400,
+                seed in any::<u64>(),
+                sub_bits in 2u32..9,
+            ) {
+                let values = sample_set(kind, len, seed);
+                let mut h = LogLinearHist::new(sub_bits);
+                for &v in &values {
+                    h.record(v);
+                }
+                let mut sorted = values.clone();
+                sorted.sort_unstable();
+                for &q in &[0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0] {
+                    let exact = exact_quantile(&sorted, q);
+                    let est = h.quantile(q).expect("non-empty histogram");
+                    prop_assert!(est >= exact, "q={q}: estimate {est} under exact {exact}");
+                    let bucket_upper = h.bucket_upper(h.bucket_index(exact));
+                    prop_assert!(
+                        est <= bucket_upper,
+                        "q={q}: estimate {est} beyond the bucket holding exact {exact} (upper {bucket_upper})"
+                    );
+                }
+            }
+
+            /// Recording order is irrelevant: shuffled input produces identical
+            /// histogram state.
+            #[test]
+            fn order_invariant(
+                kind in 0u8..4,
+                len in 2usize..200,
+                seed in any::<u64>(),
+                shuffle_seed in any::<u64>(),
+            ) {
+                let values = sample_set(kind, len, seed);
+                let mut forward = LogLinearHist::default_ns();
+                for &v in &values {
+                    forward.record(v);
+                }
+                // Deterministic pseudo-shuffle driven by the second seed.
+                let mut shuffled = values.clone();
+                let mut rng = Lcg(shuffle_seed | 1);
+                for i in (1..shuffled.len()).rev() {
+                    let j = (rng.next() % (i as u64 + 1)) as usize;
+                    shuffled.swap(i, j);
+                }
+                let mut backward = LogLinearHist::default_ns();
+                for &v in &shuffled {
+                    backward.record(v);
+                }
+                prop_assert_eq!(forward, backward);
+            }
+
+            /// Sharded recording merged back together is bit-identical to
+            /// single-threaded recording, for every worker count.
+            #[test]
+            fn merge_reproducible_across_thread_counts(
+                kind in 0u8..4,
+                len in 1usize..300,
+                seed in any::<u64>(),
+            ) {
+                let values = sample_set(kind, len, seed);
+                let mut reference = LogLinearHist::default_ns();
+                for &v in &values {
+                    reference.record(v);
+                }
+                for workers in [1usize, 2, 3, 4, 8] {
+                    let chunk = values.len().div_ceil(workers);
+                    let shards: Vec<LogLinearHist> = std::thread::scope(|scope| {
+                        let handles: Vec<_> = values
+                            .chunks(chunk)
+                            .map(|part| {
+                                scope.spawn(move || {
+                                    let mut h = LogLinearHist::default_ns();
+                                    for &v in part {
+                                        h.record(v);
+                                    }
+                                    h
+                                })
+                            })
+                            .collect();
+                        handles.into_iter().map(|h| h.join().expect("shard thread")).collect()
+                    });
+                    let mut merged = LogLinearHist::default_ns();
+                    for shard in &shards {
+                        merged.merge(shard);
+                    }
+                    prop_assert_eq!(
+                        &merged, &reference,
+                        "sharded recording diverged at {} workers", workers
+                    );
+                }
+            }
+        }
+
+        /// The quantile error bound claimed by `max_relative_error` holds on a
+        /// dense geometric ladder.
+        #[test]
+        fn relative_error_bound_holds() {
+            let mut h = LogLinearHist::default_ns();
+            let mut v = 1u64;
+            let mut values = Vec::new();
+            while v < 1u64 << 50 {
+                h.record(v);
+                values.push(v);
+                v = v * 21 / 16 + 1;
+            }
+            values.sort_unstable();
+            for i in 1..=100 {
+                let q = f64::from(i) / 100.0;
+                let exact = exact_quantile(&values, q);
+                let est = h.quantile(q).unwrap();
+                assert!(est >= exact);
+                assert!(
+                    est as f64 <= exact as f64 * (1.0 + h.max_relative_error()) + 1.0,
+                    "q={q}: {est} vs exact {exact}"
+                );
+            }
+        }
     }
 }

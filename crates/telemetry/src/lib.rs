@@ -59,9 +59,9 @@ mod span;
 mod timeseries;
 
 pub use capture::{capture, current, incr, record, Handle};
-pub use event::{Event, ALL_EVENTS, EVENT_COUNT};
+pub use event::Event;
 pub use export::chrome_trace_json;
-pub use hist::{LogLinearHist, DEFAULT_SUB_BITS};
+pub use hist::LogLinearHist;
 pub use snapshot::Snapshot;
-pub use span::{span, SpanGuard, SpanStats, TRACE_CAPACITY};
+pub use span::{span, SpanGuard, SpanStats};
 pub use timeseries::TimeSeries;

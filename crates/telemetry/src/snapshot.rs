@@ -25,19 +25,26 @@ impl Snapshot {
 
     /// `(event, total)` pairs in counter-slot order, including zeros.
     #[must_use]
+    // Needed by crates/core/src/{hw_exec,hw_train}.rs (tests), tests/read_path_parity.rs (every
+    // counter compared at once)
+    // lint: allow(narrow-pub)
     pub fn counters(&self) -> Vec<(Event, u64)> {
         ALL_EVENTS.iter().map(|&e| (e, self.counters[e.index()])).collect()
-    }
-
-    /// Sum over all events — a quick "did anything happen" scalar.
-    #[must_use]
-    pub fn total_events(&self) -> u64 {
-        self.counters.iter().sum()
     }
 
     /// The aggregated span tree (roots in first-seen order).
     #[must_use]
     pub fn spans(&self) -> &[SpanStats] {
         &self.spans.tree
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    impl super::Snapshot {
+        /// Sum over all events — a quick "did anything happen" scalar.
+        pub(crate) fn total_events(&self) -> u64 {
+            self.counters.iter().sum()
+        }
     }
 }

@@ -39,7 +39,7 @@ pub struct SpanStats {
 impl SpanStats {
     /// Mean duration per completed span, nanoseconds.
     #[must_use]
-    pub fn mean_ns(&self) -> f64 {
+    pub(crate) fn mean_ns(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -62,7 +62,7 @@ pub(crate) struct TraceEvent {
 /// Upper bound on the trace events one capture buffers; completions past
 /// the cap are counted instead of stored, and
 /// [`crate::chrome_trace_json`] reports that count as `dropped_events`.
-pub const TRACE_CAPACITY: usize = 1 << 16;
+pub(crate) const TRACE_CAPACITY: usize = 1 << 16;
 
 /// A capture's span aggregates and trace buffer.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

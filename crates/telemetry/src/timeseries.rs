@@ -73,12 +73,16 @@ impl TimeSeries {
 
     /// The time axis, nanoseconds.
     #[must_use]
+    // Needed by crates/serve/tests/obs.rs, crates/serve/src/{fleet,obs}.rs (tests)
+    // lint: allow(narrow-pub)
     pub fn times_ns(&self) -> &[u64] {
         &self.times_ns
     }
 
     /// One column's values, or `None` for an unknown name.
     #[must_use]
+    // Needed by crates/serve/tests/obs.rs, crates/serve/src/{engine,obs}.rs (tests)
+    // lint: allow(narrow-pub)
     pub fn column(&self, name: &str) -> Option<&[f64]> {
         self.columns.iter().find(|c| c.name == name).map(|c| c.values.as_slice())
     }

@@ -47,7 +47,7 @@ impl ModelBuilder {
 
     /// Restores the running shape to a previously captured checkpoint —
     /// used to emit a residual side branch.
-    pub fn restore(&mut self, shape: (usize, usize, usize)) -> &mut Self {
+    pub(crate) fn restore(&mut self, shape: (usize, usize, usize)) -> &mut Self {
         self.c = shape.0;
         self.h = shape.1;
         self.w = shape.2;
@@ -65,20 +65,27 @@ impl ModelBuilder {
     }
 
     /// Appends a dense convolution (by-reference form for loops).
-    pub fn conv_mut(&mut self, cout: usize, k: usize, stride: usize, pad: usize, bias: bool) -> &mut Self {
+    pub(crate) fn conv_mut(
+        &mut self,
+        cout: usize,
+        k: usize,
+        stride: usize,
+        pad: usize,
+        bias: bool,
+    ) -> &mut Self {
         self.push_conv(cout, k, stride, pad, 1, bias);
         self
     }
 
     /// Appends a depthwise convolution (groups = channels).
-    pub fn depthwise_mut(&mut self, k: usize, stride: usize, pad: usize) -> &mut Self {
+    pub(crate) fn depthwise_mut(&mut self, k: usize, stride: usize, pad: usize) -> &mut Self {
         let c = self.c;
         self.push_conv(c, k, stride, pad, c, false);
         self
     }
 
     /// Appends a pointwise (1 × 1) convolution.
-    pub fn pointwise_mut(&mut self, cout: usize) -> &mut Self {
+    pub(crate) fn pointwise_mut(&mut self, cout: usize) -> &mut Self {
         self.push_conv(cout, 1, 1, 0, 1, false);
         self
     }
@@ -100,7 +107,7 @@ impl ModelBuilder {
     }
 
     /// Appends a batch-normalization layer.
-    pub fn bn_mut(&mut self) -> &mut Self {
+    pub(crate) fn bn_mut(&mut self) -> &mut Self {
         let s = LayerSpec {
             kind: LayerKind::BatchNorm,
             cin: self.c,
@@ -121,7 +128,7 @@ impl ModelBuilder {
     }
 
     /// Appends an activation layer (by-reference form).
-    pub fn relu_mut(&mut self) -> &mut Self {
+    pub(crate) fn relu_mut(&mut self) -> &mut Self {
         let s = LayerSpec {
             kind: LayerKind::Activation,
             cin: self.c,
@@ -142,7 +149,7 @@ impl ModelBuilder {
     }
 
     /// Appends pooling (by-reference form).
-    pub fn pool_mut(&mut self, kind: PoolKind, k: usize, stride: usize) -> &mut Self {
+    pub(crate) fn pool_mut(&mut self, kind: PoolKind, k: usize, stride: usize) -> &mut Self {
         let oh = (self.h - k) / stride + 1;
         let ow = (self.w - k) / stride + 1;
         self.layers.push(LayerSpec {
@@ -160,7 +167,7 @@ impl ModelBuilder {
     }
 
     /// Appends global average pooling (to 1 × 1).
-    pub fn global_avg_pool_mut(&mut self) -> &mut Self {
+    pub(crate) fn global_avg_pool_mut(&mut self) -> &mut Self {
         self.layers.push(LayerSpec {
             kind: LayerKind::GlobalAvgPool,
             cin: self.c,
@@ -176,7 +183,7 @@ impl ModelBuilder {
     }
 
     /// Appends a residual addition marker (no parameters; shape unchanged).
-    pub fn residual_add_mut(&mut self) -> &mut Self {
+    pub(crate) fn residual_add_mut(&mut self) -> &mut Self {
         let s = LayerSpec {
             kind: LayerKind::ResidualAdd,
             cin: self.c,
@@ -197,7 +204,7 @@ impl ModelBuilder {
     }
 
     /// Appends a fully-connected layer (by-reference form).
-    pub fn linear_mut(&mut self, out: usize, bias: bool) -> &mut Self {
+    pub(crate) fn linear_mut(&mut self, out: usize, bias: bool) -> &mut Self {
         self.layers.push(LayerSpec {
             kind: LayerKind::Linear { bias },
             cin: self.c,
@@ -223,6 +230,32 @@ impl ModelBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Builder conv output dims follow the standard formula for any valid
+        /// geometry.
+        #[test]
+        fn conv_output_dims(h in 4usize..64, k in 1usize..5, stride in 1usize..3, pad in 0usize..2, cout in 1usize..8) {
+            prop_assume!(h + 2 * pad >= k);
+            let mut b = ModelBuilder::new(3, h, h);
+            b.conv_mut(cout, k, stride, pad, false);
+            let (c, oh, _) = b.shape();
+            prop_assert_eq!(c, cout);
+            prop_assert_eq!(oh, (h + 2 * pad - k) / stride + 1);
+        }
+        /// Depthwise layers always have fan-in k² and macs = k² x outputs.
+        #[test]
+        fn depthwise_invariants(c in 1usize..16, k in 1usize..5) {
+            let mut b = ModelBuilder::new(c, 16, 16);
+            b.depthwise_mut(k, 1, k / 2);
+            let layers = b.clone().finish();
+            let dw = layers.last().unwrap();
+            prop_assert!(dw.is_depthwise() == (c > 1));
+            prop_assert_eq!(dw.fan_in(), (k * k) as u64);
+            prop_assert_eq!(dw.macs(), (k * k) as u64 * dw.output_elems());
+        }
+    }
 
     #[test]
     fn shapes_flow_through() {

@@ -152,15 +152,6 @@ impl LayerSpec {
             _ => 0,
         }
     }
-
-    /// Kernel side length for conv layers (0 otherwise).
-    #[must_use]
-    pub fn kernel(&self) -> usize {
-        match self.kind {
-            LayerKind::Conv { k, .. } => k,
-            _ => 0,
-        }
-    }
 }
 
 #[cfg(test)]

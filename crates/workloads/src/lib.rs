@@ -34,4 +34,4 @@ mod vgg;
 
 pub use builder::ModelBuilder;
 pub use layer::{LayerKind, LayerSpec, PoolKind};
-pub use model::{Model, ModelSpec, SpecError};
+pub use model::{Model, ModelSpec};

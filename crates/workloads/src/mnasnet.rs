@@ -27,7 +27,7 @@ fn inverted_residual(b: &mut ModelBuilder, k: usize, e: usize, out: usize, strid
 
 /// MNasNet-B1 at depth multiplier 1.0.
 #[must_use]
-pub fn mnasnet_b1(input: usize) -> Vec<LayerSpec> {
+pub(crate) fn mnasnet_b1(input: usize) -> Vec<LayerSpec> {
     let mut b = ModelBuilder::new(3, input, input);
     // Stem.
     b.conv_mut(32, 3, 2, 1, false).bn_mut().relu_mut();
@@ -49,6 +49,17 @@ pub fn mnasnet_b1(input: usize) -> Vec<LayerSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LayerKind;
+
+    impl LayerSpec {
+        /// Kernel side length for conv layers (0 otherwise).
+        fn kernel(&self) -> usize {
+            match self.kind {
+                LayerKind::Conv { k, .. } => k,
+                _ => 0,
+            }
+        }
+    }
 
     #[test]
     fn exact_param_count() {

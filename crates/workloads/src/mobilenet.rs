@@ -30,7 +30,7 @@ fn inverted_residual(b: &mut ModelBuilder, t: usize, out: usize, stride: usize) 
 
 /// MobileNetV2 at width multiplier 1.0.
 #[must_use]
-pub fn mobilenet_v2(input: usize) -> Vec<LayerSpec> {
+pub(crate) fn mobilenet_v2(input: usize) -> Vec<LayerSpec> {
     let mut b = ModelBuilder::new(3, input, input);
     b.conv_mut(32, 3, 2, 1, false).bn_mut().relu_mut();
     for &(t, c, n, s) in &PLAN {

@@ -33,6 +33,8 @@ impl Model {
 
     /// The heavy (non-light) models, reported separately in Figs 11/14.
     #[must_use]
+    // Needed by tests/paper_claims.rs, crates/sim/src/comparison.rs (tests)
+    // lint: allow(narrow-pub)
     pub fn heavy_suite() -> [Model; 4] {
         [Model::Vgg16, Model::Vgg19, Model::ResNet18, Model::ResNet50]
     }
@@ -82,29 +84,6 @@ impl std::fmt::Display for Model {
     }
 }
 
-/// A structural defect in a model specification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpecError {
-    /// The spec has no convolution layers, but a consumer (direct
-    /// convolution mapping, Eq 5/6 access counting) requires one.
-    NoConvLayers {
-        /// The model whose spec came up empty.
-        model: Model,
-    },
-}
-
-impl std::fmt::Display for SpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SpecError::NoConvLayers { model } => {
-                write!(f, "model {model} has no convolution layers")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SpecError {}
-
 /// A fully resolved model description: ordered layers with shapes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ModelSpec {
@@ -130,17 +109,6 @@ impl ModelSpec {
     /// The convolution layers only.
     pub fn conv_layers(&self) -> impl Iterator<Item = &LayerSpec> {
         self.layers.iter().filter(|l| l.is_conv())
-    }
-
-    /// The first convolution layer — the layer the paper's worked
-    /// examples (Eq 5, §III-B) and the direct-convolution mapping anchor
-    /// on.
-    ///
-    /// # Errors
-    ///
-    /// [`SpecError::NoConvLayers`] when the spec is FC-only.
-    pub fn first_conv_layer(&self) -> Result<&LayerSpec, SpecError> {
-        self.conv_layers().next().ok_or(SpecError::NoConvLayers { model: self.model })
     }
 
     /// Total trainable parameters.
@@ -263,17 +231,9 @@ mod tests {
     }
 
     #[test]
-    fn first_conv_layer_found_or_typed_error() {
+    fn every_paper_model_has_a_conv_layer() {
         for m in Model::paper_suite() {
-            assert!(m.spec().first_conv_layer().unwrap().is_conv(), "{m}");
+            assert!(m.spec().conv_layers().next().is_some_and(LayerSpec::is_conv), "{m}");
         }
-        // An FC-only spec reports the defect instead of panicking.
-        let fc_only = ModelSpec {
-            model: Model::Vgg16,
-            layers: crate::ModelBuilder::new(512, 1, 1).linear(10, true).finish(),
-        };
-        let err = fc_only.first_conv_layer().unwrap_err();
-        assert_eq!(err, SpecError::NoConvLayers { model: Model::Vgg16 });
-        assert!(err.to_string().contains("no convolution layers"));
     }
 }

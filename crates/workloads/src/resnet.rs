@@ -43,7 +43,7 @@ fn stem(b: &mut ModelBuilder) {
 
 /// ResNet-18: BasicBlocks, stage plan [2, 2, 2, 2].
 #[must_use]
-pub fn resnet18(input: usize) -> Vec<LayerSpec> {
+pub(crate) fn resnet18(input: usize) -> Vec<LayerSpec> {
     let mut b = ModelBuilder::new(3, input, input);
     stem(&mut b);
     for (stage, &(out, blocks)) in [(64, 2), (128, 2), (256, 2), (512, 2)].iter().enumerate() {
@@ -58,7 +58,7 @@ pub fn resnet18(input: usize) -> Vec<LayerSpec> {
 
 /// ResNet-50: Bottlenecks, stage plan [3, 4, 6, 3].
 #[must_use]
-pub fn resnet50(input: usize) -> Vec<LayerSpec> {
+pub(crate) fn resnet50(input: usize) -> Vec<LayerSpec> {
     let mut b = ModelBuilder::new(3, input, input);
     stem(&mut b);
     for (stage, &(width, blocks)) in [(64, 3), (128, 4), (256, 6), (512, 3)].iter().enumerate() {
@@ -74,7 +74,7 @@ pub fn resnet50(input: usize) -> Vec<LayerSpec> {
 /// ResNet-18 adapted to CIFAR-10: 3 × 3 stem without pooling, 10-way head
 /// — the Fig 6 workload.
 #[must_use]
-pub fn resnet18_cifar() -> Vec<LayerSpec> {
+pub(crate) fn resnet18_cifar() -> Vec<LayerSpec> {
     let mut b = ModelBuilder::new(3, 32, 32);
     b.conv_mut(64, 3, 1, 1, false).bn_mut().relu_mut();
     for (stage, &(out, blocks)) in [(64, 2), (128, 2), (256, 2), (512, 2)].iter().enumerate() {

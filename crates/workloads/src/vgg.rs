@@ -26,20 +26,20 @@ fn vgg(input: usize, convs_per_stage: [usize; 5], classifier: bool) -> Vec<Layer
 
 /// VGG-16: stage plan 2-2-3-3-3, ImageNet classifier head.
 #[must_use]
-pub fn vgg16(input: usize) -> Vec<LayerSpec> {
+pub(crate) fn vgg16(input: usize) -> Vec<LayerSpec> {
     vgg(input, [2, 2, 3, 3, 3], true)
 }
 
 /// VGG-19: stage plan 2-2-4-4-4, ImageNet classifier head.
 #[must_use]
-pub fn vgg19(input: usize) -> Vec<LayerSpec> {
+pub(crate) fn vgg19(input: usize) -> Vec<LayerSpec> {
     vgg(input, [2, 2, 4, 4, 4], true)
 }
 
 /// VGG-16 adapted to CIFAR-10 (32 × 32 input, compact head) — the Fig 6
 /// workload.
 #[must_use]
-pub fn vgg16_cifar() -> Vec<LayerSpec> {
+pub(crate) fn vgg16_cifar() -> Vec<LayerSpec> {
     vgg(32, [2, 2, 3, 3, 3], false)
 }
 

@@ -47,18 +47,6 @@ fn macs_exceed_params_for_conv_nets() {
 }
 
 proptest! {
-    /// Builder conv output dims follow the standard formula for any valid
-    /// geometry.
-    #[test]
-    fn conv_output_dims(h in 4usize..64, k in 1usize..5, stride in 1usize..3, pad in 0usize..2, cout in 1usize..8) {
-        prop_assume!(h + 2 * pad >= k);
-        let mut b = ModelBuilder::new(3, h, h);
-        b.conv_mut(cout, k, stride, pad, false);
-        let (c, oh, _) = b.shape();
-        prop_assert_eq!(c, cout);
-        prop_assert_eq!(oh, (h + 2 * pad - k) / stride + 1);
-    }
-
     /// Param counts are additive over layers.
     #[test]
     fn params_additive(c1 in 1usize..8, c2 in 1usize..8) {
@@ -69,18 +57,6 @@ proptest! {
         let total: u64 = layers.iter().map(|l| l.param_count()).sum();
         let expected = (9 * 3 * c1 + c1) as u64 + (9 * c1 * c2 + c2) as u64;
         prop_assert_eq!(total, expected);
-    }
-
-    /// Depthwise layers always have fan-in k² and macs = k² x outputs.
-    #[test]
-    fn depthwise_invariants(c in 1usize..16, k in 1usize..5) {
-        let mut b = ModelBuilder::new(c, 16, 16);
-        b.depthwise_mut(k, 1, k / 2);
-        let layers = b.clone().finish();
-        let dw = layers.last().unwrap();
-        prop_assert!(dw.is_depthwise() == (c > 1));
-        prop_assert_eq!(dw.fan_in(), (k * k) as u64);
-        prop_assert_eq!(dw.macs(), (k * k) as u64 * dw.output_elems());
     }
 
     /// Activation input sums are invariant under appending non-weighted

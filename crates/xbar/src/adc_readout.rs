@@ -45,7 +45,7 @@ impl AdcReadout {
 
     /// Maximum representable code.
     #[must_use]
-    pub fn max_code(&self) -> u32 {
+    pub(crate) fn max_code(&self) -> u32 {
         (1u32 << self.bits) - 1
     }
 

@@ -44,15 +44,12 @@ impl Crossbar2d {
     ///
     /// Panics if either dimension is zero.
     #[must_use]
+    // Needed by crates/bench/benches/kernels_bench.rs, crates/core/src/hw_exec.rs (tests),
+    // crates/xbar/tests/sync_audit.rs, tests/hardware_functional.rs (the 2D crossbar read oracle)
+    // lint: allow(narrow-pub)
     pub fn new(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "crossbar dimensions must be positive");
         Self { rows, cols, cells: vec![0; rows * cols], writes: 0 }
-    }
-
-    /// The baseline's 128 × 128 array (Table II).
-    #[must_use]
-    pub fn paper_baseline() -> Self {
-        Self::new(128, 128)
     }
 
     /// Number of rows (input lines).
@@ -80,6 +77,9 @@ impl Crossbar2d {
     /// * [`XbarError::ShapeMismatch`] if `bits.len() != rows` or `col` is out
     ///   of range.
     /// * [`XbarError::ValueOutOfRange`] if any value is not 0/1.
+    // Needed by crates/bench/benches/kernels_bench.rs, crates/core/src/hw_exec.rs (tests),
+    // crates/xbar/tests/sync_audit.rs, tests/hardware_functional.rs (the 2D crossbar read oracle)
+    // lint: allow(narrow-pub)
     pub fn program_column(&mut self, col: usize, bits: &[u8]) -> Result<()> {
         if col >= self.cols {
             return Err(XbarError::ShapeMismatch { expected: format!("column < {}", self.cols), got: col });
@@ -108,31 +108,6 @@ impl Crossbar2d {
         inca_telemetry::record(Event::RramProgramPulse, columns);
     }
 
-    /// Programs the full array from a row-major `rows × cols` bit matrix.
-    ///
-    /// # Errors
-    ///
-    /// Same validation as [`Crossbar2d::program_column`].
-    pub fn program_all(&mut self, bits_row_major: &[u8]) -> Result<()> {
-        if bits_row_major.len() != self.rows * self.cols {
-            return Err(XbarError::ShapeMismatch {
-                expected: format!("{}x{} = {} elements", self.rows, self.cols, self.rows * self.cols),
-                got: bits_row_major.len(),
-            });
-        }
-        if let Some(&bad) = bits_row_major.iter().find(|&&b| b > 1) {
-            return Err(XbarError::ValueOutOfRange { value: i64::from(bad), bits: 1 });
-        }
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                self.cells[c * self.rows + r] = bits_row_major[r * self.cols + c];
-            }
-        }
-        self.writes += 1;
-        inca_telemetry::incr(Event::RramProgramPulse);
-        Ok(())
-    }
-
     /// The stored bit at `(row, col)`.
     ///
     /// # Panics
@@ -156,6 +131,9 @@ impl Crossbar2d {
     ///
     /// * [`XbarError::ShapeMismatch`] if `input.len() != rows`.
     /// * [`XbarError::ValueOutOfRange`] for non-binary inputs.
+    // Needed by crates/bench/benches/kernels_bench.rs, crates/core/src/hw_exec.rs (tests),
+    // crates/xbar/tests/sync_audit.rs, tests/hardware_functional.rs (the 2D crossbar read oracle)
+    // lint: allow(narrow-pub)
     pub fn mvm_binary(&self, input: &[u8]) -> Result<Vec<u32>> {
         inca_telemetry::incr(Event::XbarReadPulse);
         inca_telemetry::record(Event::DacDrive, self.rows as u64);
@@ -181,6 +159,33 @@ impl Crossbar2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Crossbar2d {
+        /// Programs the full array from a row-major `rows × cols` bit matrix.
+        ///
+        /// # Errors
+        ///
+        /// Same validation as [`Crossbar2d::program_column`].
+        fn program_all(&mut self, bits_row_major: &[u8]) -> Result<()> {
+            if bits_row_major.len() != self.rows * self.cols {
+                return Err(XbarError::ShapeMismatch {
+                    expected: format!("{}x{} = {} elements", self.rows, self.cols, self.rows * self.cols),
+                    got: bits_row_major.len(),
+                });
+            }
+            if let Some(&bad) = bits_row_major.iter().find(|&&b| b > 1) {
+                return Err(XbarError::ValueOutOfRange { value: i64::from(bad), bits: 1 });
+            }
+            for r in 0..self.rows {
+                for c in 0..self.cols {
+                    self.cells[c * self.rows + r] = bits_row_major[r * self.cols + c];
+                }
+            }
+            self.writes += 1;
+            inca_telemetry::incr(Event::RramProgramPulse);
+            Ok(())
+        }
+    }
 
     #[test]
     fn mvm_matches_reference_dot_products() {

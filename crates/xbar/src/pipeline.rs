@@ -37,6 +37,7 @@ impl PipelineConfig {
     /// The paper's operating point: 10 ns-class reads (plus shared-ADC
     /// serialization), 50 ns writes, one write port, small output register.
     #[must_use]
+    // lint: allow(narrow-pub) needed by: crates/bench/benches/kernels_bench.rs (the pipeline bench)
     pub fn paper_default() -> Self {
         Self { t_read_s: 11.9e-9, t_write_s: 50e-9, write_ports: 1, queue_depth: 4 }
     }

@@ -205,6 +205,8 @@ impl VerticalPlane {
     ///
     /// * [`XbarError::WindowOutOfBounds`] if the window does not fit.
     /// * [`XbarError::ShapeMismatch`] if `kernel.len() != kh·kw`.
+    // Needed by crates/bench/benches/kernels_bench.rs (the scalar window-sum baseline)
+    // lint: allow(narrow-pub)
     pub fn conv_window_sum(
         &self,
         row: usize,

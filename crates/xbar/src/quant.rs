@@ -51,6 +51,8 @@ pub fn quantize(x: f32, lo: f32, hi: f32, bits: u8) -> u32 {
 ///
 /// Panics if the slices have different lengths.
 #[must_use]
+// Needed by crates/bench/benches/kernels_bench.rs (the bit-serial dot baseline)
+// lint: allow(narrow-pub)
 pub fn bit_serial_dot(xs: &[u32], ws: &[u32], x_bits: u8, w_bits: u8) -> u64 {
     assert_eq!(xs.len(), ws.len(), "operand lengths must match");
     let x_planes = slice_to_bit_planes(xs, x_bits);

@@ -310,7 +310,7 @@ fn madd_tile<const B: usize>(
 
 /// The portable fallback for [`and_popcount_lanes`] (4-wide unrolled).
 #[inline]
-pub fn and_popcount_lanes_portable(x: &[u64], w: &[u64], out: &mut [u32]) {
+pub(crate) fn and_popcount_lanes_portable(x: &[u64], w: &[u64], out: &mut [u32]) {
     let mut i = 0usize;
     while i + 4 <= x.len() {
         out[i] = (x[i] & w[i]).count_ones();

@@ -36,13 +36,6 @@ impl Windows {
         let (oh, ow) = output_dims(h, w, kh, kw, stride);
         Self { oh, ow, stride: stride.max(1), next: 0 }
     }
-
-    /// Non-overlapping fold: stride equals the kernel size (pointwise/FC
-    /// mapping).
-    #[must_use]
-    pub fn folded(h: usize, w: usize, kh: usize, kw: usize) -> Self {
-        Self::new(h, w, kh, kw, kh.max(kw))
-    }
 }
 
 impl Iterator for Windows {
@@ -70,7 +63,7 @@ impl ExactSizeIterator for Windows {}
 /// `((h - kh)/stride + 1, (w - kw)/stride + 1)`, or `(0, 0)` when the
 /// kernel does not fit or `stride` is zero.
 #[must_use]
-pub fn output_dims(h: usize, w: usize, kh: usize, kw: usize, stride: usize) -> (usize, usize) {
+pub(crate) fn output_dims(h: usize, w: usize, kh: usize, kw: usize, stride: usize) -> (usize, usize) {
     if kh == 0 || kw == 0 || kh > h || kw > w || stride == 0 {
         return (0, 0);
     }
@@ -93,6 +86,14 @@ pub fn output_dims_padded(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Windows {
+        /// Non-overlapping fold: stride equals the kernel size (pointwise/FC
+        /// mapping).
+        pub(crate) fn folded(h: usize, w: usize, kh: usize, kw: usize) -> Self {
+            Self::new(h, w, kh, kw, kh.max(kw))
+        }
+    }
 
     #[test]
     fn stride_one_enumerates_all_windows() {

@@ -47,12 +47,6 @@ impl Stack3d {
         Self { planes: (0..depth).map(|_| VerticalPlane::new(rows, cols)).collect(), rows, cols }
     }
 
-    /// The paper's 16 × 16 × 64 stack (Table II).
-    #[must_use]
-    pub fn paper_default() -> Self {
-        Self::new(16, 16, 64)
-    }
-
     /// Number of planes (batch capacity).
     #[must_use]
     pub fn depth(&self) -> usize {
@@ -126,42 +120,49 @@ impl Stack3d {
         inca_telemetry::record(Event::AdcConversion, depth);
         self.planes.iter().map(|p| p.conv_window_sum(row, col, kh, kw, kernel)).collect()
     }
-
-    /// Convolves the kernel over every valid window position (stride 1) on
-    /// all planes: returns `out[plane][window]` in row-major window order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates window and shape errors.
-    pub fn direct_conv_full(&self, kh: usize, kw: usize, kernel: &[u8]) -> Result<Vec<Vec<u32>>> {
-        if kh == 0 || kw == 0 || kh > self.rows || kw > self.cols {
-            return Err(XbarError::WindowOutOfBounds {
-                row: 0,
-                col: 0,
-                kh,
-                kw,
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
-        let oh = self.rows - kh + 1;
-        let ow = self.cols - kw + 1;
-        let mut out = vec![Vec::with_capacity(oh * ow); self.planes.len()];
-        for r in 0..oh {
-            for c in 0..ow {
-                let sums = self.direct_conv_window(r, c, kh, kw, kernel)?;
-                for (p, s) in sums.into_iter().enumerate() {
-                    out[p].push(s);
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Stack3d {
+        /// The paper's 16 × 16 × 64 stack (Table II).
+        pub(crate) fn paper_default() -> Self {
+            Self::new(16, 16, 64)
+        }
+
+        /// Convolves the kernel over every valid window position (stride 1) on
+        /// all planes: returns `out[plane][window]` in row-major window order.
+        ///
+        /// # Errors
+        ///
+        /// Propagates window and shape errors.
+        pub(crate) fn direct_conv_full(&self, kh: usize, kw: usize, kernel: &[u8]) -> Result<Vec<Vec<u32>>> {
+            if kh == 0 || kw == 0 || kh > self.rows || kw > self.cols {
+                return Err(XbarError::WindowOutOfBounds {
+                    row: 0,
+                    col: 0,
+                    kh,
+                    kw,
+                    rows: self.rows,
+                    cols: self.cols,
+                });
+            }
+            let oh = self.rows - kh + 1;
+            let ow = self.cols - kw + 1;
+            let mut out = vec![Vec::with_capacity(oh * ow); self.planes.len()];
+            for r in 0..oh {
+                for c in 0..ow {
+                    let sums = self.direct_conv_window(r, c, kh, kw, kernel)?;
+                    for (p, s) in sums.into_iter().enumerate() {
+                        out[p].push(s);
+                    }
+                }
+            }
+            Ok(out)
+        }
+    }
 
     #[test]
     fn paper_default_is_iso_capacity_with_baseline() {

@@ -4,7 +4,8 @@
 //! at Outside-the-box Thinking about Deep Learning Accelerators* (Kim, Li &
 //! Li, HPCA 2023). This meta-crate re-exports the full workspace API:
 //!
-//! * [`device`] — RRAM cells, 2T1R structures, noise, endurance,
+//! * [`device`] — RRAM device parameters, 2T1R structures, noise,
+//!   endurance,
 //! * [`circuit`] — ADCs, DACs, buffers, HBM2 DRAM, buses, scaling,
 //! * [`xbar`] — functional crossbars: WS 2D arrays, INCA 2T1R planes, 3D
 //!   HRRAM stacks with direct convolution,

@@ -26,7 +26,7 @@ fn framework_conv(img: &[u32], kernel: &[u32]) -> Vec<u64> {
     let mut conv = layers::Conv2d::new(1, 1, K, 1, 0, 0);
     conv.weights_mut().data_mut().copy_from_slice(&kernel.iter().map(|&w| w as f32).collect::<Vec<_>>());
     let x = Tensor::from_vec(img.iter().map(|&v| v as f32).collect(), &[1, 1, H, H]);
-    conv.forward(&x).into_vec().into_iter().map(|v| v.round() as u64).collect()
+    conv.forward(&x).data().iter().map(|v| v.round() as u64).collect()
 }
 
 /// (b) INCA: one plane per activation bit, kernel streamed bit-serially.
