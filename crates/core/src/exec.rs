@@ -6,8 +6,8 @@
 //! so the functional simulator is free to fan output rows across worker
 //! threads without changing a single accumulated bit. This module holds
 //! the policy knob ([`ExecPolicy`]) plus the generic chunked fan-out
-//! helpers the conv engine uses, built on the same scoped-thread pattern
-//! as `inca_sim`'s sweep runner.
+//! helpers that the conv engine and the serving sweeps use, built on
+//! scoped threads.
 //!
 //! # Chunk granularity
 //!

@@ -7,8 +7,8 @@ use crate::{EnduranceReport, EnduranceTracker, Result};
 /// A thread-safe, cloneable handle to a shared [`EnduranceTracker`].
 ///
 /// The 3D stack's planes are independent and naturally simulated in
-/// parallel (see `inca_sim::sweep`), but they wear a *shared* physical
-/// array — every thread must charge its writes against one budget. The
+/// parallel, but they wear a *shared* physical array — every thread
+/// must charge its writes against one budget. The
 /// handle wraps the tracker in `Arc<Mutex<…>>` with `parking_lot`'s
 /// non-poisoning mutex.
 ///

@@ -8,6 +8,10 @@
 //! exact; the only delicate balance is `<`/`>` in generics, where `->`
 //! and comparison contexts must not be miscounted.
 //!
+//! It is the linter's only structure parser: every rule reads struct
+//! fields, return and const types, enum variants, declaration lines and
+//! `#[cfg(test)]` spans from the items built here.
+//!
 //! Files the parser cannot handle produce `ParseError`s, and a lint run
 //! that meets one fails with the file and line.
 
@@ -15,7 +19,7 @@ use crate::lexer::{Tok, Token};
 
 /// What kind of item a node is.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ItemKind {
+pub(crate) enum ItemKind {
     /// `fn name(..) { .. }` — `body` is the token range of the braced
     /// block (inclusive of both braces), absent for bodiless
     /// declarations (trait methods, extern fns).
@@ -24,13 +28,28 @@ pub enum ItemKind {
         body: Option<(usize, usize)>,
         /// Whether the parameter list starts with a `self` receiver.
         has_self: bool,
+        /// `(name, type range)` of each `name: Type` parameter; receivers
+        /// and destructuring patterns are left out.
+        params: Vec<(String, (usize, usize))>,
+        /// Token range `[start, end]` of the return type after `->`, up
+        /// to a `where` clause, if any.
+        ret: Option<(usize, usize)>,
     },
     /// `struct name`, unit/tuple/braced.
-    Struct,
+    Struct {
+        /// Fields in declaration order (none for a unit struct).
+        fields: Vec<Field>,
+    },
     /// `enum name { .. }`.
-    Enum,
+    Enum {
+        /// Variants in declaration order.
+        variants: Vec<Variant>,
+    },
     /// `union name { .. }`.
-    Union,
+    Union {
+        /// Fields in declaration order.
+        fields: Vec<Field>,
+    },
     /// `trait name { .. }` — children hold default methods.
     Trait,
     /// `impl Type { .. }` / `impl Trait for Type { .. }`.
@@ -40,6 +59,8 @@ pub enum ItemKind {
         type_name: String,
         /// Last path ident of the trait, for trait impls.
         trait_name: Option<String>,
+        /// Token range `[start, end]` of the braced body.
+        body: (usize, usize),
     },
     /// `mod name;` or `mod name { .. }` — children hold nested items.
     Mod,
@@ -49,9 +70,15 @@ pub enum ItemKind {
         imports: Vec<(Vec<String>, String)>,
     },
     /// `const NAME: T = ..;`
-    Const,
+    Const {
+        /// Token range `[start, end]` of `T`.
+        ty: (usize, usize),
+    },
     /// `static NAME: T = ..;`
-    Static,
+    Static {
+        /// Token range `[start, end]` of `T`.
+        ty: (usize, usize),
+    },
     /// `type Name = ..;`
     TypeAlias,
     /// `macro_rules! name { .. }` or an item-level macro invocation.
@@ -62,41 +89,76 @@ pub enum ItemKind {
 
 /// One parsed item.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Item {
+pub(crate) struct Item {
     /// The kind, with kind-specific payload.
-    pub kind: ItemKind,
+    pub(crate) kind: ItemKind,
     /// Item name (`""` for impls — see `ItemKind::Impl` — and globs).
-    pub name: String,
-    /// 1-indexed line of the defining keyword.
-    pub line: u32,
+    pub(crate) name: String,
+    /// 1-indexed line of the item's first token, attributes included:
+    /// a `determinism-taint` finding on a fn (and the waiver that makes
+    /// it a barrier) sits on the line of its first attribute.
+    pub(crate) line: u32,
+    /// 1-indexed line of the item's first token after its attributes,
+    /// where `raw-unit`, `dead-pub` and `narrow-pub` report it.
+    pub(crate) decl_line: u32,
     /// Token range `[start, end]` (inclusive) covering the whole item,
     /// attributes included.
-    pub span: (usize, usize),
+    pub(crate) span: (usize, usize),
     /// Whether the item (or an enclosing one) is `#[cfg(test)]`.
-    pub cfg_test: bool,
+    pub(crate) cfg_test: bool,
     /// Whether the item's visibility is a bare `pub` (not `pub(crate)`
     /// and friends).
-    pub public: bool,
+    pub(crate) public: bool,
     /// Nested items (mod / impl / trait bodies).
-    pub children: Vec<Item>,
+    pub(crate) children: Vec<Item>,
+}
+
+/// One struct or union field.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Field {
+    /// The field's name, or its index in a tuple struct (`"0"`, `"1"`, …).
+    pub(crate) name: String,
+    /// 1-indexed line of the field's first token after its attributes.
+    pub(crate) line: u32,
+    /// Token range `[start, end]` of the whole field, attributes included.
+    pub(crate) span: (usize, usize),
+    /// Token range `[start, end]` of the field's type.
+    pub(crate) ty: (usize, usize),
+    /// Whether the field is bare `pub`.
+    pub(crate) public: bool,
+    /// Whether the field (or its item) is `#[cfg(test)]`.
+    pub(crate) cfg_test: bool,
+}
+
+/// One enum variant.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Variant {
+    /// The variant's name.
+    pub(crate) name: String,
+    /// 1-indexed line of the name.
+    pub(crate) line: u32,
+    /// Token range `[start, end]` of the whole variant, attributes included.
+    pub(crate) span: (usize, usize),
+    /// Whether the variant (or its enum) is `#[cfg(test)]`.
+    pub(crate) cfg_test: bool,
 }
 
 /// A recoverable parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
+pub(crate) struct ParseError {
     /// 1-indexed line where recovery started.
-    pub line: u32,
+    pub(crate) line: u32,
     /// What the parser was looking at.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 /// The parse result for one file.
 #[derive(Debug, Default)]
-pub struct Ast {
+pub(crate) struct Ast {
     /// Top-level items in source order.
-    pub items: Vec<Item>,
+    pub(crate) items: Vec<Item>,
     /// Recovered errors; non-empty means the file did not parse.
-    pub errors: Vec<ParseError>,
+    pub(crate) errors: Vec<ParseError>,
 }
 
 impl Ast {
@@ -109,6 +171,31 @@ impl Ast {
             }
         }
         go(&self.items, f);
+    }
+
+    /// Marks the tokens of `toks`, the stream this AST was parsed from,
+    /// that are `#[cfg(test)]` code, which every rule leaves out: test
+    /// items, fields and variants, and the test statements of fn bodies,
+    /// attributes included.
+    pub(crate) fn test_mask(&self, toks: &[Token]) -> Vec<bool> {
+        let mut mask = vec![false; toks.len()];
+        self.walk(&mut |it| {
+            let mut spans = vec![(it.cfg_test, it.span)];
+            match &it.kind {
+                ItemKind::Struct { fields } | ItemKind::Union { fields } => {
+                    spans.extend(fields.iter().map(|f| (f.cfg_test, f.span)));
+                }
+                ItemKind::Enum { variants } => spans.extend(variants.iter().map(|v| (v.cfg_test, v.span))),
+                ItemKind::Fn { body: Some((open, close)), .. } if !it.cfg_test => {
+                    spans.extend(body_tests(toks, open + 1, *close).into_iter().map(|s| (true, s)));
+                }
+                _ => {}
+            }
+            for (_, (start, end)) in spans.into_iter().filter(|(test, _)| *test) {
+                mask[start..=end].fill(true);
+            }
+        });
+        mask
     }
 }
 
@@ -127,8 +214,8 @@ struct Parser<'a> {
     errors: Vec<ParseError>,
 }
 
-/// Keywords that can begin (or qualify) an item.
-const QUALIFIERS: [&str; 6] = ["pub", "default", "const", "unsafe", "async", "extern"];
+/// Keywords that can qualify an item after its visibility.
+const QUALIFIERS: [&str; 5] = ["default", "const", "unsafe", "async", "extern"];
 
 impl<'a> Parser<'a> {
     fn line(&self, i: usize) -> u32 {
@@ -222,13 +309,10 @@ impl<'a> Parser<'a> {
             )
     }
 
-    /// Tries to parse one item at `i`. Returns `None` when `i` does not
-    /// start anything the grammar knows (caller recovers).
-    fn item(&mut self, start: usize, end: usize, in_test: bool) -> Option<Item> {
-        let mut i = start;
-        let mut cfg_test = in_test;
-
-        // Attributes: outer `#[..]` and inner `#![..]`.
+    /// Skips the outer `#[..]` and inner `#![..]` attributes at `i`:
+    /// the index after them, and whether one is `#[cfg(test)]`.
+    fn attrs(&self, mut i: usize, end: usize) -> Option<(usize, bool)> {
+        let mut cfg_test = false;
         while self.is_punct(i, '#') {
             let mut j = i + 1;
             if self.is_punct(j, '!') {
@@ -237,29 +321,39 @@ impl<'a> Parser<'a> {
             if !self.is_punct(j, '[') {
                 return None;
             }
-            let close = self.skip_balanced(j, end, '[', ']')?;
-            if attr_is_cfg_test(&self.toks[j..=close]) {
-                cfg_test = true;
-            }
+            let close = balanced(self.toks, j, end, '[', ']')?;
+            cfg_test |= attr_is_cfg_test(&self.toks[j..=close]);
             i = close + 1;
         }
-        if i >= end {
+        Some((i, cfg_test))
+    }
+
+    /// Skips a visibility at `i`: the index after it, and whether it is
+    /// a bare `pub` (not `pub(crate)` and friends).
+    fn visibility(&self, i: usize, end: usize) -> Option<(usize, bool)> {
+        if self.ident(i) != Some("pub") {
+            Some((i, false))
+        } else if self.is_punct(i + 1, '(') {
+            Some((balanced(self.toks, i + 1, end, '(', ')')? + 1, false))
+        } else {
+            Some((i + 1, true))
+        }
+    }
+
+    /// Tries to parse one item at `i`. Returns `None` when `i` does not
+    /// start anything the grammar knows (caller recovers).
+    fn item(&mut self, start: usize, end: usize, in_test: bool) -> Option<Item> {
+        let (decl, test) = self.attrs(start, end)?;
+        let cfg_test = in_test || test;
+        if decl >= end {
             // Attribute-only tail (inner attributes at file top already
             // consumed): treat as a zero-item macro span.
-            return (i > start).then(|| Item {
-                kind: ItemKind::Macro,
-                name: String::new(),
-                line: self.line(start),
-                span: (start, i - 1),
-                cfg_test,
-                public: false,
-                children: Vec::new(),
-            });
+            return (decl > start).then(|| self.mk(ItemKind::Macro, "", start, decl - 1, cfg_test));
         }
 
         // Visibility and qualifiers.
+        let (mut i, public) = self.visibility(decl, end)?;
         let mut saw_extern = false;
-        let public = self.ident(i) == Some("pub") && !self.is_punct(i + 1, '(');
         while let Some(id) = self.ident(i) {
             if !QUALIFIERS.contains(&id) {
                 break;
@@ -272,83 +366,86 @@ impl<'a> Parser<'a> {
             }
             saw_extern = id == "extern";
             i += 1;
-            if id == "pub" && self.is_punct(i, '(') {
-                i = self.skip_balanced(i, end, '(', ')')? + 1;
-            }
         }
-        // `extern { .. }` foreign block / `extern crate name;`.
-        if saw_extern && self.is_punct(i, '{') {
-            let close = self.skip_balanced(i, end, '{', '}')?;
-            return Some(self.mk(ItemKind::Extern, "", start, close, cfg_test));
-        }
-        if saw_extern && self.ident(i) == Some("crate") {
-            let semi = self.find_semi(i, end)?;
-            let name = self.ident(i + 1).unwrap_or_default().to_string();
-            return Some(self.mk(ItemKind::Extern, &name, start, semi, cfg_test));
-        }
-
-        let kw = self.ident(i)?;
-        let item = match kw {
-            "fn" => self.parse_fn(start, i, end, cfg_test),
-            "struct" | "enum" | "union" | "trait" => self.parse_type_item(kw, start, i, end, cfg_test),
-            "impl" => self.parse_impl(start, i, end, cfg_test),
-            "mod" => self.parse_mod(start, i, end, cfg_test),
-            "use" => self.parse_use(start, i, end, cfg_test),
-            "const" | "static" => {
-                let mut j = i + 1;
-                if self.ident(j) == Some("mut") {
-                    j += 1;
+        let item = if saw_extern && self.is_punct(i, '{') {
+            // `extern { .. }` foreign block.
+            let close = balanced(self.toks, i, end, '{', '}')?;
+            Some(self.mk(ItemKind::Extern, "", start, close, cfg_test))
+        } else {
+            let kw = self.ident(i)?;
+            match kw {
+                // `extern crate name;`
+                "crate" if saw_extern => {
+                    let semi = self.find_semi(i, end)?;
+                    let name = self.ident(i + 1).unwrap_or_default();
+                    Some(self.mk(ItemKind::Extern, name, start, semi, cfg_test))
                 }
-                let name = self.ident(j).unwrap_or_default().to_string();
-                let semi = self.find_semi(j, end)?;
-                let kind = if kw == "const" { ItemKind::Const } else { ItemKind::Static };
-                Some(self.mk(kind, &name, start, semi, cfg_test))
-            }
-            "type" => {
-                let name = self.ident(i + 1).unwrap_or_default().to_string();
-                let semi = self.find_semi(i + 1, end)?;
-                Some(self.mk(ItemKind::TypeAlias, &name, start, semi, cfg_test))
-            }
-            "macro_rules" => {
-                // `macro_rules ! name { .. }`
-                let mut j = i + 1;
-                if self.is_punct(j, '!') {
-                    j += 1;
+                "fn" => self.parse_fn(start, i, end, cfg_test),
+                "struct" | "enum" | "union" | "trait" => self.parse_type_item(kw, start, i, end, cfg_test),
+                "impl" => self.parse_impl(start, i, end, cfg_test),
+                "mod" => self.parse_mod(start, i, end, cfg_test),
+                "use" => self.parse_use(start, i, end, cfg_test),
+                "const" | "static" => {
+                    let mut j = i + 1;
+                    if self.ident(j) == Some("mut") {
+                        j += 1;
+                    }
+                    let name = self.ident(j)?;
+                    if !self.is_punct(j + 1, ':') {
+                        return None;
+                    }
+                    let semi = self.find_semi(j, end)?;
+                    // The type runs from past `NAME:` to the `=` outside
+                    // its generics (or to the `;`).
+                    let eq = top_level(self.toks, j + 2, semi, true, |t| t.is_punct('=')).unwrap_or(semi);
+                    if eq <= j + 2 {
+                        return None;
+                    }
+                    let ty = (j + 2, eq - 1);
+                    let kind = if kw == "const" { ItemKind::Const { ty } } else { ItemKind::Static { ty } };
+                    Some(self.mk(kind, name, start, semi, cfg_test))
                 }
-                let name = self.ident(j).unwrap_or_default().to_string();
-                j += 1;
-                let close = self.skip_balanced(j, end, '{', '}')?;
-                Some(self.mk(ItemKind::Macro, &name, start, close, cfg_test))
-            }
-            _ => {
+                "type" => {
+                    let name = self.ident(i + 1).unwrap_or_default();
+                    let semi = self.find_semi(i + 1, end)?;
+                    Some(self.mk(ItemKind::TypeAlias, name, start, semi, cfg_test))
+                }
+                "macro_rules" => {
+                    // `macro_rules ! name { .. }`
+                    let mut j = i + 1;
+                    if self.is_punct(j, '!') {
+                        j += 1;
+                    }
+                    let name = self.ident(j).unwrap_or_default();
+                    j += 1;
+                    let close = balanced(self.toks, j, end, '{', '}')?;
+                    Some(self.mk(ItemKind::Macro, name, start, close, cfg_test))
+                }
                 // Item-level macro invocation: `name!( .. );` / `name! { .. }`.
-                if self.is_punct(i + 1, '!') {
+                _ if self.is_punct(i + 1, '!') => {
                     let j = i + 2;
                     let close = if self.is_punct(j, '{') {
-                        self.skip_balanced(j, end, '{', '}')?
-                    } else if self.is_punct(j, '(') {
-                        let c = self.skip_balanced(j, end, '(', ')')?;
-                        if self.is_punct(c + 1, ';') {
-                            c + 1
-                        } else {
-                            c
-                        }
-                    } else if self.is_punct(j, '[') {
-                        let c = self.skip_balanced(j, end, '[', ']')?;
-                        if self.is_punct(c + 1, ';') {
-                            c + 1
-                        } else {
-                            c
-                        }
+                        balanced(self.toks, j, end, '{', '}')?
                     } else {
-                        return None;
+                        let c = if self.is_punct(j, '(') {
+                            balanced(self.toks, j, end, '(', ')')?
+                        } else if self.is_punct(j, '[') {
+                            balanced(self.toks, j, end, '[', ']')?
+                        } else {
+                            return None;
+                        };
+                        if self.is_punct(c + 1, ';') {
+                            c + 1
+                        } else {
+                            c
+                        }
                     };
-                    return Some(self.mk(ItemKind::Macro, kw, start, close, cfg_test));
+                    Some(self.mk(ItemKind::Macro, kw, start, close, cfg_test))
                 }
-                None
+                _ => None,
             }
         };
-        item.map(|item| Item { public, ..item })
+        item.map(|item| Item { public, decl_line: self.line(decl), ..item })
     }
 
     fn mk(&self, kind: ItemKind, name: &str, start: usize, end_tok: usize, cfg_test: bool) -> Item {
@@ -356,6 +453,7 @@ impl<'a> Parser<'a> {
             kind,
             name: name.to_string(),
             line: self.line(start),
+            decl_line: self.line(start),
             span: (start, end_tok),
             cfg_test,
             public: false,
@@ -372,11 +470,15 @@ impl<'a> Parser<'a> {
         if !self.is_punct(i, '(') {
             return None;
         }
-        let params_close = self.skip_balanced(i, end, '(', ')')?;
+        let params_close = balanced(self.toks, i, end, '(', ')')?;
         let has_self = self.toks[i + 1..params_close].iter().take(4).any(|t| t.ident() == Some("self"));
+        let params = self.params(i + 1, params_close);
         // Return type / where clause: scan to the body `{` or a `;` at
         // bracket depth 0. `<`/`>` never nest braces, so only (), [] and
         // {} matter — and `{` here *is* the body.
+        let ret_start = (self.is_punct(params_close + 1, '-') && self.is_punct(params_close + 2, '>'))
+            .then_some(params_close + 3);
+        let mut ret_stop = None;
         let mut j = params_close + 1;
         let mut depth = 0usize;
         while j < end {
@@ -385,16 +487,39 @@ impl<'a> Parser<'a> {
                 depth += 1;
             } else if t.is_punct(')') || t.is_punct(']') {
                 depth = depth.checked_sub(1)?;
-            } else if depth == 0 && t.is_punct(';') {
-                return Some(self.mk(ItemKind::Fn { body: None, has_self }, &name, start, j, cfg_test));
-            } else if depth == 0 && t.is_punct('{') {
-                let close = self.skip_balanced(j, end, '{', '}')?;
-                let kind = ItemKind::Fn { body: Some((j, close)), has_self };
+            } else if depth == 0 && t.ident() == Some("where") {
+                ret_stop.get_or_insert(j);
+            } else if depth == 0 && (t.is_punct(';') || t.is_punct('{')) {
+                let stop = ret_stop.unwrap_or(j);
+                let ret = ret_start.filter(|&s| s < stop).map(|s| (s, stop - 1));
+                let body =
+                    if t.is_punct('{') { Some((j, balanced(self.toks, j, end, '{', '}')?)) } else { None };
+                let close = body.map_or(j, |(_, c)| c);
+                let kind = ItemKind::Fn { body, has_self, params, ret };
                 return Some(self.mk(kind, &name, start, close, cfg_test));
             }
             j += 1;
         }
         None
+    }
+
+    /// The `name: Type` parameters in `[start, end)`, as `(name, type
+    /// range)`.
+    fn params(&self, start: usize, end: usize) -> Vec<(String, (usize, usize))> {
+        let mut out = Vec::new();
+        for (a, b) in split_top_commas(&self.toks[start..end], true) {
+            let (a, b) = (start + a, start + b);
+            let Some((mut i, _)) = self.attrs(a, b) else { continue };
+            while matches!(self.ident(i), Some("mut" | "ref")) {
+                i += 1;
+            }
+            if let (Some(name), true) = (self.ident(i), self.is_punct(i + 1, ':')) {
+                if name != "self" && i + 2 < b {
+                    out.push((name.to_string(), (i + 2, b - 1)));
+                }
+            }
+        }
+        out
     }
 
     /// `struct`/`enum`/`union`/`trait` — name, generics, then either a
@@ -413,16 +538,17 @@ impl<'a> Parser<'a> {
         if self.is_punct(i, '<') {
             i = self.skip_generics(i, end)? + 1;
         }
-        let kind = match kw {
-            "struct" => ItemKind::Struct,
-            "enum" => ItemKind::Enum,
-            "union" => ItemKind::Union,
-            _ => ItemKind::Trait,
-        };
-        // Scan past where-clauses / tuple bodies / supertrait lists.
+        let mut fields = Vec::new();
+        if kw == "struct" && self.is_punct(i, '(') {
+            let close = balanced(self.toks, i, end, '(', ')')?;
+            fields = self.fields(i + 1, close, cfg_test, false);
+            i = close + 1;
+        }
+        // Scan past where-clauses / supertrait lists to the `;` or the
+        // braced body.
         let mut depth = 0usize;
-        while i < end {
-            let t = &self.toks[i];
+        let (close, body) = loop {
+            let t = self.toks.get(i).filter(|_| i < end)?;
             if t.is_punct('(') || t.is_punct('[') {
                 depth += 1;
             } else if t.is_punct(')') || t.is_punct(']') {
@@ -430,18 +556,73 @@ impl<'a> Parser<'a> {
             } else if t.is_punct('<') && depth == 0 {
                 i = self.skip_generics(i, end)?;
             } else if depth == 0 && t.is_punct(';') {
-                return Some(self.mk(kind, &name, start, i, cfg_test));
+                break (i, None);
             } else if depth == 0 && t.is_punct('{') {
-                let close = self.skip_balanced(i, end, '{', '}')?;
-                let mut item = self.mk(kind, &name, start, close, cfg_test);
-                if kw == "trait" {
-                    item.children = self.items(i + 1, close, cfg_test);
-                }
-                return Some(item);
+                break (balanced(self.toks, i, end, '{', '}')?, Some(i + 1));
             }
             i += 1;
+        };
+        if let (Some(open), "struct" | "union") = (body, kw) {
+            fields = self.fields(open, close, cfg_test, true);
         }
-        None
+        let kind = match kw {
+            "struct" => ItemKind::Struct { fields },
+            "union" => ItemKind::Union { fields },
+            "enum" => ItemKind::Enum {
+                variants: body.map_or_else(Vec::new, |open| self.variants(open, close, cfg_test)),
+            },
+            _ => ItemKind::Trait,
+        };
+        let mut item = self.mk(kind, &name, start, close, cfg_test);
+        if let (Some(open), "trait") = (body, kw) {
+            item.children = self.items(open, close, cfg_test);
+        }
+        Some(item)
+    }
+
+    /// The fields of a struct or union body `[start, end)`: `name: Type`
+    /// when `named`, else tuple fields named by their index.
+    fn fields(&self, start: usize, end: usize, in_test: bool, named: bool) -> Vec<Field> {
+        let mut out = Vec::new();
+        for (a, b) in split_top_commas(&self.toks[start..end], true) {
+            let (a, b) = (start + a, start + b);
+            let Some((decl, test)) = self.attrs(a, b) else { continue };
+            let Some((mut i, public)) = self.visibility(decl, b) else { continue };
+            let name = if !named {
+                out.len().to_string()
+            } else if let (Some(name), true) = (self.ident(i), self.is_punct(i + 1, ':')) {
+                i += 2;
+                name.to_string()
+            } else {
+                continue;
+            };
+            if i < b {
+                let cfg_test = in_test || test;
+                out.push(Field {
+                    name,
+                    line: self.line(decl),
+                    span: (a, b - 1),
+                    ty: (i, b - 1),
+                    public,
+                    cfg_test,
+                });
+            }
+        }
+        out
+    }
+
+    /// The variants of an enum body `[start, end)`.
+    fn variants(&self, start: usize, end: usize, in_test: bool) -> Vec<Variant> {
+        let mut out = Vec::new();
+        for (a, b) in split_top_commas(&self.toks[start..end], false) {
+            let (a, b) = (start + a, start + b);
+            let Some((i, test)) = self.attrs(a, b) else { continue };
+            if let Some(name) = self.ident(i).filter(|_| i < b) {
+                let cfg_test = in_test || test;
+                out.push(Variant { name: name.to_string(), line: self.line(i), span: (a, b - 1), cfg_test });
+            }
+        }
+        out
     }
 
     fn parse_impl(&mut self, start: usize, kw: usize, end: usize, cfg_test: bool) -> Option<Item> {
@@ -484,13 +665,18 @@ impl<'a> Parser<'a> {
             }
             i += 1;
         };
-        let close = self.skip_balanced(body_open, end, '{', '}')?;
+        let close = balanced(self.toks, body_open, end, '{', '}')?;
         let (type_path, trait_path) =
             if seen_for { (after_for, Some(before_for)) } else { (before_for, None) };
         let type_name = type_path.last().cloned().unwrap_or_default();
         let trait_name = trait_path.and_then(|p| p.last().cloned());
-        let mut item =
-            self.mk(ItemKind::Impl { type_name: type_name.clone(), trait_name }, "", start, close, cfg_test);
+        let mut item = self.mk(
+            ItemKind::Impl { type_name: type_name.clone(), trait_name, body: (body_open, close) },
+            "",
+            start,
+            close,
+            cfg_test,
+        );
         item.name = type_name;
         item.children = self.items(body_open + 1, close, cfg_test);
         Some(item)
@@ -504,7 +690,7 @@ impl<'a> Parser<'a> {
         if !self.is_punct(kw + 2, '{') {
             return None;
         }
-        let close = self.skip_balanced(kw + 2, end, '{', '}')?;
+        let close = balanced(self.toks, kw + 2, end, '{', '}')?;
         let mut item = self.mk(ItemKind::Mod, &name, start, close, cfg_test);
         item.children = self.items(kw + 3, close, cfg_test);
         Some(item)
@@ -522,42 +708,8 @@ impl<'a> Parser<'a> {
 
     /// Index of the `;` ending a simple item, tracking every bracket
     /// kind (const values may hold `{ .. }` literals).
-    fn find_semi(&self, mut i: usize, end: usize) -> Option<usize> {
-        let mut depth = 0usize;
-        while i < end {
-            let t = &self.toks[i];
-            if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
-                depth += 1;
-            } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') {
-                depth = depth.checked_sub(1)?;
-            } else if t.is_punct(';') && depth == 0 {
-                return Some(i);
-            }
-            i += 1;
-        }
-        None
-    }
-
-    /// From an opening delimiter at `i`, the index of its matching
-    /// close. Only the named pair is counted — safe because strings and
-    /// comments never reach the token stream.
-    fn skip_balanced(&self, i: usize, end: usize, open: char, close: char) -> Option<usize> {
-        debug_assert!(self.is_punct(i, open));
-        let mut depth = 0usize;
-        let mut j = i;
-        while j < end {
-            let t = &self.toks[j];
-            if t.is_punct(open) {
-                depth += 1;
-            } else if t.is_punct(close) {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(j);
-                }
-            }
-            j += 1;
-        }
-        None
+    fn find_semi(&self, i: usize, end: usize) -> Option<usize> {
+        top_level(self.toks, i, end, false, |t| t.is_punct(';'))
     }
 
     /// From a `<` at `i`, the index of the matching `>`. `->` arrows
@@ -586,25 +738,66 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Whether an attribute token slice (from `[` to `]`) is `cfg(test)` —
-/// including `cfg(all(test, ..))` / `cfg(any(.., test))` forms, which
-/// also compile the item only under test.
+/// Whether an attribute token slice (from `[` to `]`) compiles its item
+/// only under test: `cfg(test)`, or `cfg(all(..))` with `test` as a
+/// direct member. `cfg(not(test))` and `cfg(any(.., test))` items are
+/// product code.
 fn attr_is_cfg_test(attr: &[Token]) -> bool {
-    let mut saw_cfg = false;
-    for (k, t) in attr.iter().enumerate() {
-        match t.ident() {
-            Some("cfg") => saw_cfg = true,
-            // Reject `cfg(feature = "test")`-ish: `test` must be a
-            // bare word followed by `)` or `,`.
-            Some("test")
-                if saw_cfg && attr.get(k + 1).is_some_and(|n| n.is_punct(')') || n.is_punct(',')) =>
-            {
-                return true;
+    let [_, cfg, open, pred @ .., close, _] = attr else { return false };
+    if cfg.ident() != Some("cfg") || !open.is_punct('(') || !close.is_punct(')') {
+        return false;
+    }
+    let is_test = |p: &[Token]| matches!(p, [t] if t.ident() == Some("test"));
+    match pred {
+        [all, open, members @ .., close]
+            if all.ident() == Some("all") && open.is_punct('(') && close.is_punct(')') =>
+        {
+            split_top_commas(members, false).into_iter().any(|(a, b)| is_test(&members[a..b]))
+        }
+        _ => is_test(pred),
+    }
+}
+
+/// The `#[cfg(test)]` statements of a fn body `[start, end)`, attributes
+/// included. Bodies are not parsed, so a statement runs from its
+/// attributes to its first `;` or `,` outside brackets, or to the `}`
+/// closing the first block it opens (a block, a nested item, the first
+/// branch of an `if`).
+fn body_tests(toks: &[Token], start: usize, end: usize) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    let mut i = start;
+    while i < end {
+        let open = if toks.get(i + 1).is_some_and(|t| t.is_punct('!')) { i + 2 } else { i + 1 };
+        match toks[i].is_punct('#').then(|| balanced(toks, open, end, '[', ']')).flatten() {
+            Some(close) if attr_is_cfg_test(&toks[open..=close]) => {
+                let stmt = statement_end(toks, close + 1, end);
+                out.push((i, stmt));
+                i = stmt + 1;
             }
-            _ => {}
+            _ => i += 1,
         }
     }
-    false
+    out
+}
+
+/// The last token of the statement that starts at `start`, before
+/// `end` or a close bracket that nothing in it opened.
+fn statement_end(toks: &[Token], start: usize, end: usize) -> usize {
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().take(end).skip(start) {
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+            let Some(d) = depth.checked_sub(1) else { return j - 1 };
+            depth = d;
+            if depth == 0 && t.is_punct('}') {
+                return j;
+            }
+        } else if depth == 0 && (t.is_punct(';') || t.is_punct(',')) {
+            return j;
+        }
+    }
+    end - 1
 }
 
 /// Flattens a use-tree token slice into `(path, binding)` imports.
@@ -629,12 +822,12 @@ fn collect_use(toks: &[Token], prefix: &mut [String], out: &mut Vec<(Vec<String>
             i += 1; // path separator (`::` is two tokens)
         } else if t.is_punct('{') {
             // Group: recurse per comma-separated element.
-            let close = matching(toks, i, '{', '}');
+            let close = balanced(toks, i, toks.len(), '{', '}').unwrap_or(toks.len());
             let inner = &toks[i + 1..close];
             let mut new_prefix = prefix.to_vec();
             new_prefix.append(&mut segment);
-            for part in split_top_commas(inner) {
-                collect_use(part, &mut new_prefix.clone(), out);
+            for (a, b) in split_top_commas(inner, false) {
+                collect_use(&inner[a..b], &mut new_prefix.clone(), out);
             }
             return;
         } else if t.is_punct('*') {
@@ -654,37 +847,62 @@ fn collect_use(toks: &[Token], prefix: &mut [String], out: &mut Vec<(Vec<String>
     }
 }
 
-fn matching(toks: &[Token], i: usize, open: char, close: char) -> usize {
+/// From an `open` delimiter at `i`, the index of its matching `close`
+/// before `end`. Only the named pair is counted — safe because strings
+/// and comments never reach the token stream.
+pub(crate) fn balanced(toks: &[Token], i: usize, end: usize, open: char, close: char) -> Option<usize> {
+    if !toks.get(i).is_some_and(|t| t.is_punct(open)) {
+        return None;
+    }
     let mut depth = 0usize;
-    for (j, t) in toks.iter().enumerate().skip(i) {
+    for (j, t) in toks.iter().enumerate().take(end).skip(i) {
         if t.is_punct(open) {
             depth += 1;
         } else if t.is_punct(close) {
             depth -= 1;
             if depth == 0 {
-                return j;
+                return Some(j);
             }
         }
     }
-    toks.len()
+    None
 }
 
-fn split_top_commas(toks: &[Token]) -> Vec<&[Token]> {
-    let mut parts = Vec::new();
+/// Index of the first token in `toks[start..end]` outside every bracket
+/// (and, with `angles`, every generic list) for which `stop` holds;
+/// `None` at a close bracket that nothing opened.
+fn top_level(
+    toks: &[Token],
+    start: usize,
+    end: usize,
+    angles: bool,
+    stop: impl Fn(&Token) -> bool,
+) -> Option<usize> {
     let mut depth = 0usize;
-    let mut start = 0usize;
-    for (j, t) in toks.iter().enumerate() {
-        if t.is_punct('{') {
+    for (i, t) in toks.iter().enumerate().take(end).skip(start) {
+        let arrow = i > 0 && toks[i - 1].is_punct('-');
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') || (angles && t.is_punct('<')) {
             depth += 1;
-        } else if t.is_punct('}') {
+        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+            depth = depth.checked_sub(1)?;
+        } else if angles && t.is_punct('>') && !arrow {
             depth = depth.saturating_sub(1);
-        } else if t.is_punct(',') && depth == 0 {
-            parts.push(&toks[start..j]);
-            start = j + 1;
+        } else if depth == 0 && stop(t) {
+            return Some(i);
         }
     }
-    if start < toks.len() {
-        parts.push(&toks[start..]);
+    None
+}
+
+/// Splits `toks` at its top-level commas into half-open index ranges;
+/// `angles` counts generic lists as brackets too.
+fn split_top_commas(toks: &[Token], angles: bool) -> Vec<(usize, usize)> {
+    let mut parts = Vec::new();
+    let mut start = 0;
+    while start < toks.len() {
+        let comma = top_level(toks, start, toks.len(), angles, |t| t.is_punct(',')).unwrap_or(toks.len());
+        parts.push((start, comma));
+        start = comma + 1;
     }
     parts
 }
@@ -754,11 +972,11 @@ mod tests {
                             "fn-decl"
                         }
                     }
-                    ItemKind::Struct => "struct",
-                    ItemKind::Enum => "enum",
-                    ItemKind::Union => "union",
+                    ItemKind::Struct { .. } => "struct",
+                    ItemKind::Enum { .. } => "enum",
+                    ItemKind::Union { .. } => "union",
                     ItemKind::Trait => "trait",
-                    ItemKind::Impl { type_name, trait_name } => {
+                    ItemKind::Impl { type_name, trait_name, .. } => {
                         out.push_str(&"  ".repeat(depth));
                         match trait_name {
                             Some(tr) => out.push_str(&format!("impl {tr} for {type_name} @{}\n", it.line)),
@@ -769,8 +987,8 @@ mod tests {
                     }
                     ItemKind::Mod => "mod",
                     ItemKind::Use { .. } => "use",
-                    ItemKind::Const => "const",
-                    ItemKind::Static => "static",
+                    ItemKind::Const { .. } => "const",
+                    ItemKind::Static { .. } => "static",
                     ItemKind::TypeAlias => "type",
                     ItemKind::Macro => "macro",
                     ItemKind::Extern => "extern",
@@ -794,15 +1012,15 @@ mod tests {
         ast.walk(&mut |it| {
             let kind = match &it.kind {
                 ItemKind::Fn { .. } => "fn",
-                ItemKind::Struct => "struct",
-                ItemKind::Enum => "enum",
-                ItemKind::Union => "union",
+                ItemKind::Struct { .. } => "struct",
+                ItemKind::Enum { .. } => "enum",
+                ItemKind::Union { .. } => "union",
                 ItemKind::Trait => "trait",
                 ItemKind::Impl { .. } => "impl",
                 ItemKind::Mod => "mod",
                 ItemKind::Use { .. } => "use",
-                ItemKind::Const => "const",
-                ItemKind::Static => "static",
+                ItemKind::Const { .. } => "const",
+                ItemKind::Static { .. } => "static",
                 ItemKind::TypeAlias => "type",
                 ItemKind::Macro => "macro",
                 ItemKind::Extern => "extern",
@@ -847,9 +1065,9 @@ mod tests {
         ";
         let ast = parse_src(src);
         assert!(ast.is_clean(), "{:?}", ast.errors);
-        let ItemKind::Impl { type_name, trait_name } = &ast.items[0].kind else { panic!() };
+        let ItemKind::Impl { type_name, trait_name, .. } = &ast.items[0].kind else { panic!() };
         assert_eq!((type_name.as_str(), trait_name.is_none()), ("Foo", true));
-        let ItemKind::Impl { type_name, trait_name } = &ast.items[1].kind else { panic!() };
+        let ItemKind::Impl { type_name, trait_name, .. } = &ast.items[1].kind else { panic!() };
         assert_eq!((type_name.as_str(), trait_name.as_deref()), ("Bar", Some("Debug")));
         let ItemKind::Fn { has_self, .. } = ast.items[0].children[0].kind else { panic!() };
         assert!(has_self);
@@ -894,6 +1112,195 @@ mod tests {
         assert!(ast.is_clean(), "{:?}", ast.errors);
         let vis: Vec<(&str, bool)> = ast.items.iter().map(|it| (it.name.as_str(), it.public)).collect();
         assert_eq!(vis, [("a", true), ("b", false), ("c", false), ("S", true)]);
+    }
+
+    /// The tokens of `range` separated by spaces.
+    fn spell(tokens: &[Token], (start, end): (usize, usize)) -> String {
+        tokens[start..=end].iter().map(describe).collect::<Vec<_>>().join(" ")
+    }
+
+    #[test]
+    fn cfg_test_is_test_or_an_all_with_test_as_a_member() {
+        let src = "
+            #[cfg(test)] fn a() {}
+            #[cfg(all(test, feature = \"x\"))] fn b() {}
+            #[cfg(not(test))] fn c() {}
+            #[cfg(any(unix, test))] fn d() {}
+            #[cfg(all(unix, not(test)))] fn e() {}
+            #[cfg_attr(test, derive(Debug))] fn f() {}
+        ";
+        let ast = parse_src(src);
+        assert!(ast.is_clean(), "{:?}", ast.errors);
+        let flags: Vec<(&str, bool)> = ast.items.iter().map(|it| (it.name.as_str(), it.cfg_test)).collect();
+        assert_eq!(flags, [("a", true), ("b", true), ("c", false), ("d", false), ("e", false), ("f", false)]);
+    }
+
+    #[test]
+    fn line_is_the_first_attribute_and_decl_line_the_item() {
+        // A waived `determinism-taint` barrier is reported on its first
+        // attribute's line, so its waiver sits above the attributes.
+        let ast = parse_src("#[must_use]\n#[inline]\npub fn f() -> u32 { 0 }\npub const X: u32 = 1;");
+        assert!(ast.is_clean(), "{:?}", ast.errors);
+        let lines: Vec<(u32, u32)> = ast.items.iter().map(|it| (it.line, it.decl_line)).collect();
+        assert_eq!(lines, [(1, 3), (4, 4)]);
+    }
+
+    #[test]
+    fn fields_carry_name_visibility_test_flag_and_type() {
+        let src = "
+            pub struct S<F> {
+                #[cfg(test)]
+                pub probe_s: f64,
+                /// A boxed callback.
+                pub(crate) call: Box<dyn Fn(u32) -> f64>,
+                #[doc(hidden)] pub rate_hz: F,
+            }
+            pub struct Pair(pub u32, Vec<(u8, u8)>) where u8: Copy;
+            pub struct Unit;
+        ";
+        let lexed = lex(src);
+        let ast = parse(&lexed.tokens);
+        assert!(ast.is_clean(), "{:?}", ast.errors);
+        let fields = |it: &Item| {
+            let ItemKind::Struct { fields } = &it.kind else { panic!("{it:?}") };
+            fields
+                .iter()
+                .map(|f| (f.name.clone(), f.line, f.public, f.cfg_test, spell(&lexed.tokens, f.ty)))
+                .collect::<Vec<_>>()
+        };
+        let row =
+            |name: &str, line, public, test, ty: &str| (name.to_string(), line, public, test, ty.to_string());
+        assert_eq!(
+            fields(&ast.items[0]),
+            [
+                row("probe_s", 4, true, true, "f64"),
+                row("call", 6, false, false, "Box < dyn Fn ( u32 ) - > f64 >"),
+                row("rate_hz", 7, true, false, "F"),
+            ]
+        );
+        assert_eq!(
+            fields(&ast.items[1]),
+            [row("0", 9, true, false, "u32"), row("1", 9, false, false, "Vec < ( u8 , u8 ) >")]
+        );
+        assert!(fields(&ast.items[2]).is_empty());
+        // Only the test field is masked, its attribute included.
+        let mask = ast.test_mask(&lexed.tokens);
+        let masked: Vec<String> =
+            lexed.tokens.iter().zip(&mask).filter(|(_, m)| **m).map(|(t, _)| describe(t)).collect();
+        assert_eq!(masked, ["#", "[", "cfg", "(", "test", ")", "]", "pub", "probe_s", ":", "f64"]);
+    }
+
+    #[test]
+    fn test_statements_in_fn_bodies_are_masked_and_nothing_after_them() {
+        let src = "
+            fn f(x: Option<u32>) -> u32 {
+                #[cfg(test)]
+                { x.unwrap(); }
+                #[cfg(test)]
+                let probe = x.expect(\"set\");
+                match x {
+                    #[cfg(test)]
+                    Some(7) => panic!(),
+                    _ => {}
+                }
+                #[cfg(not(test))]
+                let shipped = x.unwrap_or(0);
+                #[cfg(test)]
+                fn helper() { None::<u32>.unwrap(); }
+                keep()
+            }
+        ";
+        let lexed = lex(src);
+        let ast = parse(&lexed.tokens);
+        assert!(ast.is_clean(), "{:?}", ast.errors);
+        let mask = ast.test_mask(&lexed.tokens);
+        let masked: Vec<&str> =
+            lexed.tokens.iter().zip(&mask).filter(|(_, m)| **m).filter_map(|(t, _)| t.ident()).collect();
+        let test = ["cfg", "test"];
+        let expected = [
+            &test[..],
+            &["x", "unwrap"],
+            &test,
+            &["let", "probe", "x", "expect"],
+            &test,
+            &["Some", "panic"],
+            &test,
+            &["fn", "helper", "None", "u32", "unwrap"],
+        ]
+        .concat();
+        assert_eq!(masked, expected);
+    }
+
+    #[test]
+    fn fns_carry_their_return_type_and_consts_their_type() {
+        let src = "
+            pub fn samples<T>(v: &[T]) -> impl Iterator<Item = f64> + '_ where T: Copy { v.iter().map(|_| 0.0) }
+            fn unit() {}
+            fn decl(&self) -> [f64; 4];
+            pub static mut RATE_HZ: Box<dyn Iterator<Item = f64>> = make();
+            const N: usize = 4;
+        ";
+        let lexed = lex(src);
+        let ast = parse(&lexed.tokens);
+        assert!(ast.is_clean(), "{:?}", ast.errors);
+        let types: Vec<Option<String>> = ast
+            .items
+            .iter()
+            .map(|it| match &it.kind {
+                ItemKind::Fn { ret, .. } => ret.map(|r| spell(&lexed.tokens, r)),
+                ItemKind::Const { ty } | ItemKind::Static { ty } => Some(spell(&lexed.tokens, *ty)),
+                _ => panic!("{it:?}"),
+            })
+            .collect();
+        assert_eq!(
+            types,
+            [
+                Some("impl Iterator < Item = f64 > + <lifetime>".to_string()),
+                None,
+                Some("[ f64 ; <number> ]".to_string()),
+                Some("Box < dyn Iterator < Item = f64 > >".to_string()),
+                Some("usize".to_string()),
+            ]
+        );
+    }
+
+    #[test]
+    fn fn_params_carry_names_and_types() {
+        let src = "fn f(&mut self, mut rows: HashMap<u8, (u8, u8)>, (a, b): (u8, u8), #[allow(x)] cb: impl Fn(u8) -> u8) {}";
+        let lexed = lex(src);
+        let ast = parse(&lexed.tokens);
+        assert!(ast.is_clean(), "{:?}", ast.errors);
+        let ItemKind::Fn { params, has_self, .. } = &ast.items[0].kind else { panic!("{:?}", ast.items) };
+        let got: Vec<(&str, String)> =
+            params.iter().map(|(n, ty)| (n.as_str(), spell(&lexed.tokens, *ty))).collect();
+        assert!(has_self);
+        assert_eq!(
+            got,
+            [
+                ("rows", "HashMap < u8 , ( u8 , u8 ) >".to_string()),
+                ("cb", "impl Fn ( u8 ) - > u8".to_string())
+            ]
+        );
+    }
+
+    #[test]
+    fn enums_carry_their_variants_and_lines() {
+        let src = "
+            pub enum Event {
+                /// Documented.
+                A,
+                #[cfg(test)]
+                B(u32, u8),
+                C { x: u8, y: u8 },
+                D = 4,
+            }
+        ";
+        let ast = parse_src(src);
+        assert!(ast.is_clean(), "{:?}", ast.errors);
+        let ItemKind::Enum { variants } = &ast.items[0].kind else { panic!("{:?}", ast.items) };
+        let got: Vec<(&str, u32, bool)> =
+            variants.iter().map(|v| (v.name.as_str(), v.line, v.cfg_test)).collect();
+        assert_eq!(got, [("A", 4), ("B", 6), ("C", 7), ("D", 8)].map(|(n, l)| (n, l, n == "B")));
     }
 
     #[test]

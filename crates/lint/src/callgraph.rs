@@ -51,25 +51,25 @@ pub(crate) fn extract_calls(tokens: &[Token], start: usize, end: usize) -> Vec<C
 
 /// One resolved edge: caller → callee at `line`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Edge {
+pub(crate) struct Edge {
     /// Callee fn.
-    pub callee: FnId,
+    pub(crate) callee: FnId,
     /// 1-indexed line of the call site in the caller's file.
-    pub line: u32,
+    pub(crate) line: u32,
 }
 
 /// The workspace call graph: `edges[caller]` lists resolved callees.
 #[derive(Debug, Default)]
-pub struct CallGraph {
+pub(crate) struct CallGraph {
     /// Adjacency, indexed by [`FnId`], sorted and deduplicated.
-    pub edges: Vec<Vec<Edge>>,
+    pub(crate) edges: Vec<Vec<Edge>>,
 }
 
 impl CallGraph {
     /// Builds the graph. `token_streams[file_idx]` must align with the
     /// `file_idx` recorded in the symbol table's fns.
     #[must_use]
-    pub fn build(table: &SymbolTable, token_streams: &[&[Token]]) -> Self {
+    pub(crate) fn build(table: &SymbolTable, token_streams: &[&[Token]]) -> Self {
         let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); table.fns.len()];
         for (caller, info) in table.fns.iter().enumerate() {
             let Some((start, end)) = info.body else { continue };

@@ -63,6 +63,8 @@ struct PubItem<'a> {
     /// Index of the defining file in the item-source list.
     file: usize,
     span: (usize, usize),
+    /// The declaration line, where the finding and its waiver sit.
+    line: u32,
 }
 
 /// The cargo target a file belongs to, as far as `narrow-pub` cares.
@@ -164,10 +166,7 @@ pub(crate) fn check_public_items(sources: &[SourceFile], consumers: &[SourceFile
         items
             .iter()
             .filter(|t| matches!(t.kind, "struct" | "enum"))
-            .filter(|t| {
-                let file = &sources[t.file];
-                file.lexed.is_waived(rule, decl_line(&file.lexed.tokens, t.span))
-            })
+            .filter(|t| sources[t.file].lexed.is_waived(rule, t.line))
             .map(|t| (sources[t.file].crate_name.as_str(), t.name))
             .collect()
     };
@@ -187,7 +186,7 @@ pub(crate) fn check_public_items(sources: &[SourceFile], consumers: &[SourceFile
             Some(c) => format!("{}::{c}::{}", file.crate_name, item.name),
             None => format!("{}::{}", file.crate_name, item.name),
         };
-        let line = decl_line(&file.lexed.tokens, item.span);
+        let line = item.line;
         let live = covered(&dead_waived) || uses.iter().any(|r| !own(r));
         if !live {
             file.push(
@@ -250,7 +249,6 @@ fn names(r: &Ref, item: &PubItem<'_>, ref_crate: &str, item_crate: &str, known: 
 /// impls. Inherent and trait impls count only on a type `pub_type`
 /// accepts.
 fn mark_signatures(file: &SourceFile, pub_type: &dyn Fn(&str) -> bool, sig: &mut [bool]) {
-    let toks = &file.lexed.tokens;
     let mut todo: Vec<&Item> = file.ast.items.iter().collect();
     while let Some(it) = todo.pop() {
         if it.cfg_test {
@@ -259,70 +257,30 @@ fn mark_signatures(file: &SourceFile, pub_type: &dyn Fn(&str) -> bool, sig: &mut
         let (start, end) = it.span;
         match &it.kind {
             ItemKind::Mod => todo.extend(&it.children),
-            ItemKind::Impl { type_name, trait_name } if pub_type(type_name) => {
+            ItemKind::Impl { type_name, trait_name, .. } if pub_type(type_name) => {
                 for m in it.children.iter().filter(|m| !m.cfg_test) {
                     match (&m.kind, trait_name) {
                         (ItemKind::TypeAlias, Some(_)) => sig[m.span.0..=m.span.1].fill(true),
-                        (ItemKind::Fn { .. } | ItemKind::Const, None) if m.public => todo.push(m),
+                        (ItemKind::Fn { .. } | ItemKind::Const { .. }, None) if m.public => todo.push(m),
                         _ => {}
                     }
                 }
             }
             _ if !it.public => {}
             ItemKind::Fn { body, .. } => sig[start..body.map_or(end, |b| b.0)].fill(true),
-            ItemKind::Struct => mark_struct(toks, it.span, sig),
-            ItemKind::Enum | ItemKind::Union | ItemKind::Trait | ItemKind::TypeAlias => {
+            // A struct's header and `pub` fields; private fields stay
+            // unmarked.
+            ItemKind::Struct { fields } => {
+                sig[start..=end].fill(true);
+                for f in fields.iter().filter(|f| !f.public) {
+                    sig[f.span.0..=f.span.1].fill(false);
+                }
+            }
+            ItemKind::Enum { .. } | ItemKind::Union { .. } | ItemKind::Trait | ItemKind::TypeAlias => {
                 sig[start..=end].fill(true);
             }
-            ItemKind::Const | ItemKind::Static => {
-                let eq = (start..end).find(|&i| toks[i].is_punct('=')).unwrap_or(end);
-                sig[start..eq].fill(true);
-            }
+            ItemKind::Const { ty } | ItemKind::Static { ty } => sig[start..=ty.1].fill(true),
             _ => {}
-        }
-    }
-}
-
-/// Marks a struct's header (generics and bounds) and its `pub` fields;
-/// private fields' types stay unmarked.
-fn mark_struct(toks: &[Token], span: (usize, usize), sig: &mut [bool]) {
-    let kw = (span.0..=span.1).find(|&i| toks[i].ident() == Some("struct")).unwrap_or(span.0);
-    let closes = |i: usize| toks[i].is_punct('>') && !toks[i - 1].is_punct('-');
-    // The body opens at the first `{` or `(` outside the generics.
-    let mut angle = 0usize;
-    let Some(open) = (kw..=span.1).find(|&i| {
-        if toks[i].is_punct('<') {
-            angle += 1;
-        } else if closes(i) {
-            angle = angle.saturating_sub(1);
-        }
-        angle == 0 && (toks[i].is_punct('{') || toks[i].is_punct('('))
-    }) else {
-        sig[span.0..=span.1].fill(true);
-        return;
-    };
-    sig[span.0..open].fill(true);
-    let mut depth = 0usize;
-    let mut field = open + 1;
-    for i in open + 1..=span.1 {
-        let t = &toks[i];
-        let ends = depth == 0 && (t.is_punct(',') || t.is_punct('}') || t.is_punct(')'));
-        if ends {
-            let mut f = field;
-            while toks[f].is_punct('#') && f < i {
-                f = (f..i).find(|&j| toks[j].is_punct(']')).map_or(i, |j| j + 1);
-            }
-            if f < i && toks[f].ident() == Some("pub") && !toks[f + 1].is_punct('(') {
-                sig[f..i].fill(true);
-            }
-            if !t.is_punct(',') {
-                break;
-            }
-            field = i + 1;
-        } else if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') || t.is_punct('<') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') || closes(i) {
-            depth = depth.saturating_sub(1);
         }
     }
 }
@@ -358,6 +316,7 @@ fn collect_items<'a>(
                 modules: modules.clone(),
                 file,
                 span: it.span,
+                line: it.decl_line,
             });
         };
         match &it.kind {
@@ -367,23 +326,23 @@ fn collect_items<'a>(
                 inner.insert(it.name.clone());
                 collect_items(&it.children, file, &inner, out, known);
             }
-            ItemKind::Impl { type_name, trait_name: None } => {
+            ItemKind::Impl { type_name, trait_name: None, .. } => {
                 for m in it.children.iter().filter(|m| m.public && !m.cfg_test) {
                     match m.kind {
                         ItemKind::Fn { .. } => push(out, m, "method", Some(type_name.as_str())),
-                        ItemKind::Const => push(out, m, "const", Some(type_name.as_str())),
+                        ItemKind::Const { .. } => push(out, m, "const", Some(type_name.as_str())),
                         _ => {}
                     }
                 }
             }
             _ if !it.public => {}
             ItemKind::Fn { .. } => push(out, it, "fn", None),
-            ItemKind::Struct => push(out, it, "struct", None),
-            ItemKind::Enum => push(out, it, "enum", None),
+            ItemKind::Struct { .. } => push(out, it, "struct", None),
+            ItemKind::Enum { .. } => push(out, it, "enum", None),
             ItemKind::Trait => push(out, it, "trait", None),
             ItemKind::TypeAlias => push(out, it, "type", None),
-            ItemKind::Const => push(out, it, "const", None),
-            ItemKind::Static => push(out, it, "static", None),
+            ItemKind::Const { .. } => push(out, it, "const", None),
+            ItemKind::Static { .. } => push(out, it, "static", None),
             _ => {}
         }
     }
@@ -392,35 +351,31 @@ fn collect_items<'a>(
 /// Records every identifier of `file` that may name an item.
 fn collect_refs<'f>(file: &'f SourceFile, idx: usize, sig: &[bool], refs: &mut BTreeMap<&'f str, Vec<Ref>>) {
     let toks = &file.lexed.tokens;
-    let mut in_test = vec![false; toks.len()];
     let mut skip = vec![false; toks.len()];
     // (body start, body end, self type) of every impl, for `Self::`.
     let mut impls: Vec<(usize, usize, &str)> = Vec::new();
-    file.ast.walk(&mut |it| {
-        if it.cfg_test {
-            in_test[it.span.0..=it.span.1].fill(true);
-        }
-        if let ItemKind::Impl { type_name, .. } = &it.kind {
-            let kw = (it.span.0..=it.span.1).find(|&i| toks[i].ident() == Some("impl")).unwrap_or(it.span.0);
-            let open = (kw..=it.span.1).find(|&i| toks[i].is_punct('{')).unwrap_or(it.span.1);
-            for i in kw..open {
+    // `use path::Name as Alias;` — the alias names what `Name` names.
+    let mut aliases: BTreeMap<&str, &str> = BTreeMap::new();
+    file.ast.walk(&mut |it| match &it.kind {
+        ItemKind::Impl { type_name, body: (open, close), .. } => {
+            // An impl header's own self type is not a use of it.
+            for i in it.span.0..*open {
                 if toks[i].ident() == Some(type_name.as_str()) {
                     skip[i] = true;
                 }
             }
-            impls.push((open, it.span.1, type_name));
+            impls.push((*open, *close, type_name));
         }
-    });
-    // `use path::Name as Alias;` — the alias names what `Name` names.
-    let mut aliases: BTreeMap<&str, &str> = BTreeMap::new();
-    file.ast.walk(&mut |it| {
-        if let ItemKind::Use { imports } = &it.kind {
+        ItemKind::Use { imports } => {
+            // A re-export is not a caller.
+            skip[it.span.0..=it.span.1].fill(true);
             for (path, bound) in imports {
                 if let Some(last) = path.last().filter(|&last| last != bound && bound != "*") {
                     aliases.insert(bound, last);
                 }
             }
         }
+        _ => {}
     });
     let mut i = 0usize;
     while i < toks.len() {
@@ -428,11 +383,6 @@ fn collect_refs<'f>(file: &'f SourceFile, idx: usize, sig: &[bool], refs: &mut B
             i += 1;
             continue;
         };
-        // `use<'a>` is a precise-capturing bound, not a declaration.
-        if name == "use" && !toks.get(i + 1).is_some_and(|t| t.is_punct('<')) {
-            i = use_end(toks, i) + 1;
-            continue;
-        }
         let prev = |k: usize| i.checked_sub(k).and_then(|j| toks.get(j));
         let defined = prev(1).and_then(Token::ident).is_some_and(|p| DEFINERS.contains(&p))
             || (prev(1).and_then(Token::ident) == Some("mut")
@@ -472,49 +422,12 @@ fn collect_refs<'f>(file: &'f SourceFile, idx: usize, sig: &[bool], refs: &mut B
                 qual,
                 file: idx,
                 tok: i,
-                in_test: in_test[i],
+                in_test: file.test_mask[i],
                 in_sig: sig[i],
             });
         }
         i += 1;
     }
-}
-
-/// The `;` ending the `use` declaration that starts at `i`.
-fn use_end(toks: &[Token], i: usize) -> usize {
-    let mut depth = 0usize;
-    for (j, t) in toks.iter().enumerate().skip(i) {
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth = depth.saturating_sub(1);
-        } else if t.is_punct(';') && depth == 0 {
-            return j;
-        }
-    }
-    toks.len()
-}
-
-/// The line of an item's first token after its attributes — the line a
-/// waiver sits on or above.
-fn decl_line(toks: &[Token], span: (usize, usize)) -> u32 {
-    let mut i = span.0;
-    while toks[i].is_punct('#') && i < span.1 {
-        let mut depth = 0usize;
-        while i < span.1 {
-            if toks[i].is_punct('[') {
-                depth += 1;
-            } else if toks[i].is_punct(']') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            i += 1;
-        }
-        i += 1;
-    }
-    toks[i].line
 }
 
 #[cfg(test)]

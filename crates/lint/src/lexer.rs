@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 
 /// One lexed token.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
+pub(crate) enum Tok {
     /// An identifier or keyword.
     Ident(String),
     /// A single punctuation character (`.`, `(`, `!`, …).
@@ -27,11 +27,11 @@ pub enum Tok {
 
 /// A token plus the 1-indexed source line it starts on.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub(crate) struct Token {
     /// The token itself.
-    pub tok: Tok,
+    pub(crate) tok: Tok,
     /// 1-indexed line number.
-    pub line: u32,
+    pub(crate) line: u32,
 }
 
 impl Token {
@@ -53,15 +53,15 @@ impl Token {
 
 /// The result of lexing one file: tokens plus waiver annotations.
 #[derive(Debug, Default)]
-pub struct Lexed {
+pub(crate) struct Lexed {
     /// The token stream, in source order.
-    pub tokens: Vec<Token>,
+    pub(crate) tokens: Vec<Token>,
     /// `line → rule names` waived on that line (and the line after it),
     /// harvested from `// lint: allow(rule)` comments.
-    pub waivers: BTreeMap<u32, BTreeSet<String>>,
+    pub(crate) waivers: BTreeMap<u32, BTreeSet<String>>,
     /// Lines carrying a `// SAFETY:` comment (the `safety-comment` rule
     /// requires one near every `unsafe` block).
-    pub safety_lines: BTreeSet<u32>,
+    pub(crate) safety_lines: BTreeSet<u32>,
 }
 
 impl Lexed {

@@ -3,9 +3,12 @@
 //! The pipeline (see `DESIGN.md` §10) runs in five stages:
 //!
 //! 1. **lex** (`lexer`) — tokens, waiver comments, `// SAFETY:` lines;
-//! 2. **parse** (`ast`) — an item-level AST per file (fns, impls,
-//!    structs, enums, use-trees); a file the parser cannot recover
-//!    cleanly fails the run;
+//! 2. **parse** (`ast`) — an item-level AST per file: fns with their
+//!    parameters, return types and bodies, impls, structs and unions
+//!    with their fields, enums with their variants, consts, use-trees,
+//!    declaration lines and `#[cfg(test)]` spans. It is the only
+//!    structure parser: no rule re-parses tokens for these. A file the
+//!    parser cannot recover cleanly fails the run;
 //! 3. **per-file rules** (`rules`) — `raw-unit`, `determinism`,
 //!    `panic-path`, `telemetry-ownership`, `safety-comment`,
 //!    `event-coverage`;
@@ -27,21 +30,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ast;
-pub mod callgraph;
+mod ast;
+mod callgraph;
 mod deadpub;
-pub mod lexer;
+mod lexer;
 pub mod report;
-pub mod rules;
-pub mod symbols;
-pub mod taint;
+mod rules;
+mod symbols;
+mod taint;
 
 use std::path::{Path, PathBuf};
 
 use ast::Ast;
 use callgraph::CallGraph;
 use lexer::{Lexed, Token};
-use rules::{Finding, OwnershipMap, SourceFile};
+use rules::SourceFile;
+pub use rules::{Finding, OwnershipMap};
 use symbols::SymbolTable;
 
 /// Everything one lint run produces.

@@ -5,7 +5,8 @@
 //!   `inca-units` newtype, not a bare `f64`/`f32`.
 //! * `determinism` (L2) — report-producing crates (`inca-sim`,
 //!   `inca-serve`, `inca-net`) must not read wall clocks or entropy, and
-//!   report-path modules must not iterate hash-ordered collections. The
+//!   their report files (the taint pass's sinks) must not iterate
+//!   hash-ordered collections. The
 //!   iteration check runs over the AST + symbol table (covers
 //!   `use .. as ..` aliases and local `let` rebindings of hash-typed
 //!   fields, honors the sort-before-serialize sanitizer).
@@ -36,6 +37,7 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
+use crate::ast::{Ast, ItemKind};
 use crate::lexer::{Lexed, Token};
 use crate::symbols::SymbolTable;
 use crate::taint::SourceKind;
@@ -75,26 +77,26 @@ pub struct Finding {
 /// One source file prepared for rule checks.
 pub(crate) struct SourceFile {
     /// Workspace-relative path (used in findings).
-    pub rel_path: String,
+    pub(crate) rel_path: String,
     /// The `<name>` of the owning `crates/<name>/` directory.
-    pub crate_name: String,
+    pub(crate) crate_name: String,
     /// Bare file name (`report.rs`).
-    pub file_name: String,
+    pub(crate) file_name: String,
     /// Lexed tokens and waivers.
-    pub lexed: Lexed,
-    /// Token indices inside `#[cfg(test)]` items (excluded from rules).
-    pub test_mask: Vec<bool>,
+    pub(crate) lexed: Lexed,
+    /// Token indices inside `#[cfg(test)]` code (excluded from rules).
+    pub(crate) test_mask: Vec<bool>,
     /// Item-level AST (a lint run fails on a file with parse errors).
-    pub ast: crate::ast::Ast,
+    pub(crate) ast: Ast,
 }
 
 impl SourceFile {
     /// Lexes and parses `src` and computes the `#[cfg(test)]` mask.
     #[must_use]
-    pub fn new(rel_path: &str, crate_name: &str, file_name: &str, src: &str) -> Self {
+    pub(crate) fn new(rel_path: &str, crate_name: &str, file_name: &str, src: &str) -> Self {
         let lexed = crate::lexer::lex(src);
-        let test_mask = cfg_test_mask(&lexed.tokens);
         let ast = crate::ast::parse(&lexed.tokens);
+        let test_mask = ast.test_mask(&lexed.tokens);
         Self {
             rel_path: rel_path.to_string(),
             crate_name: crate_name.to_string(),
@@ -121,213 +123,51 @@ impl SourceFile {
     }
 }
 
-/// Marks every token that belongs to an item annotated `#[cfg(test)]`.
-fn cfg_test_mask(tokens: &[Token]) -> Vec<bool> {
-    let mut mask = vec![false; tokens.len()];
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if is_cfg_test_attr(tokens, i) {
-            // Find the end of the annotated item: first `;` at depth 0 or
-            // the matching `}` of its first `{`.
-            let mut j = i + 7; // past `# [ cfg ( test ) ]`
-            let mut depth = 0usize;
-            while j < tokens.len() {
-                if tokens[j].is_punct('{') {
-                    depth += 1;
-                } else if tokens[j].is_punct('}') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if tokens[j].is_punct(';') && depth == 0 {
-                    break;
-                }
-                j += 1;
-            }
-            for m in mask.iter_mut().take((j + 1).min(tokens.len())).skip(i) {
-                *m = true;
-            }
-            i = j + 1;
-        } else {
-            i += 1;
-        }
-    }
-    mask
-}
-
-/// Whether tokens at `i` spell `#[cfg(test)]`.
-fn is_cfg_test_attr(tokens: &[Token], i: usize) -> bool {
-    let spell = ['#', '[', '(', ')', ']'];
-    let idents = ["cfg", "test"];
-    tokens.len() > i + 6
-        && tokens[i].is_punct(spell[0])
-        && tokens[i + 1].is_punct(spell[1])
-        && tokens[i + 2].ident() == Some(idents[0])
-        && tokens[i + 3].is_punct(spell[2])
-        && tokens[i + 4].ident() == Some(idents[1])
-        && tokens[i + 5].is_punct(spell[3])
-        && tokens[i + 6].is_punct(spell[4])
-}
-
-/// L1: public unit-suffixed items must use `inca-units` newtypes.
+/// L1: public unit-suffixed fns, fields, consts and statics must use
+/// `inca-units` newtypes.
 pub(crate) fn check_raw_unit(file: &SourceFile, out: &mut Vec<Finding>) {
     if file.crate_name == "units" {
         return; // the definitions themselves
     }
-    let toks = file.tokens();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if file.test_mask[i] || toks[i].ident() != Some("pub") {
-            i += 1;
-            continue;
+    let raw = |name: &str, (start, end): (usize, usize)| {
+        let ty = &file.tokens()[start..=end];
+        let has = |names: &[&str]| ty.iter().any(|t| t.ident().is_some_and(|id| names.contains(&id)));
+        has_unit_suffix(name) && has(&["f64", "f32"]) && !has(&UNIT_TYPES)
+    };
+    let item = |name: &str| {
+        format!("public item `{name}` has a unit suffix but a bare float type; use an inca-units newtype")
+    };
+    file.ast.walk(&mut |it| {
+        if it.cfg_test {
+            return;
         }
-        // `pub(crate)` and friends are not public API.
-        if toks.get(i + 1).is_some_and(|t| t.is_punct('(')) {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        // Skip qualifiers; consts/statics then look like `NAME: TYPE` and
-        // funnel through the same name-colon-type arm as struct fields.
-        while toks.get(j).is_some_and(|t| {
-            matches!(t.ident(), Some("const" | "static" | "unsafe" | "async" | "extern" | "mut"))
-        }) {
-            j += 1;
-        }
-        match toks.get(j).and_then(Token::ident) {
-            Some("fn") => {
-                if let Some((name, line)) = toks.get(j + 1).and_then(|t| t.ident().map(|n| (n, t.line))) {
-                    if has_unit_suffix(name) {
-                        let ty = fn_return_type(toks, j + 2);
-                        if type_is_raw_float(&ty) {
-                            file.push(
-                                out,
-                                "raw-unit",
-                                line,
-                                format!("public fn `{name}` has a unit suffix but returns a bare float; return an inca-units newtype"),
-                            );
-                        }
-                    }
-                }
-                i = j + 2;
+        match &it.kind {
+            ItemKind::Fn { ret: Some(ret), .. } if it.public && raw(&it.name, *ret) => file.push(
+                out,
+                "raw-unit",
+                it.decl_line,
+                format!(
+                    "public fn `{}` has a unit suffix but returns a bare float; return an inca-units newtype",
+                    it.name
+                ),
+            ),
+            ItemKind::Const { ty } | ItemKind::Static { ty } if it.public && raw(&it.name, *ty) => {
+                file.push(out, "raw-unit", it.decl_line, item(&it.name));
             }
-            // `pub name_j: f64` struct field, `pub const NAME_J: f64`.
-            Some(name)
-                if !matches!(
-                    name,
-                    "fn" | "struct"
-                        | "enum"
-                        | "mod"
-                        | "use"
-                        | "type"
-                        | "trait"
-                        | "impl"
-                        | "crate"
-                        | "self"
-                        | "super"
-                ) && toks.get(j + 1).is_some_and(|t| t.is_punct(':')) =>
-            {
-                if has_unit_suffix(name) {
-                    let line = toks[j].line;
-                    let ty = field_type(toks, j + 2);
-                    if type_is_raw_float(&ty) {
-                        file.push(
-                            out,
-                            "raw-unit",
-                            line,
-                            format!("public item `{name}` has a unit suffix but a bare float type; use an inca-units newtype"),
-                        );
-                    }
+            ItemKind::Struct { fields } | ItemKind::Union { fields } => {
+                for f in fields.iter().filter(|f| f.public && !f.cfg_test && raw(&f.name, f.ty)) {
+                    file.push(out, "raw-unit", f.line, item(&f.name));
                 }
-                i = j + 2;
             }
-            _ => i = j + 1,
+            _ => {}
         }
-    }
+    });
 }
 
-/// Whether `name` (already lowercased for consts) ends in a unit suffix.
+/// Whether `name`, in either case, ends in a unit suffix.
 fn has_unit_suffix(name: &str) -> bool {
     let lower = name.to_lowercase();
     UNIT_SUFFIXES.iter().any(|s| lower.ends_with(s))
-}
-
-/// A type-token list contains a raw float and no unit newtype.
-fn type_is_raw_float(ty: &[String]) -> bool {
-    let has_float = ty.iter().any(|t| t == "f64" || t == "f32");
-    let has_unit = ty.iter().any(|t| UNIT_TYPES.contains(&t.as_str()));
-    has_float && !has_unit
-}
-
-/// Return-type idents of a fn whose parameter `(` starts at or after `i`.
-fn fn_return_type(toks: &[Token], mut i: usize) -> Vec<String> {
-    // Skip generics and the parameter list.
-    while i < toks.len() && !toks[i].is_punct('(') {
-        if toks[i].is_punct('{') || toks[i].is_punct(';') {
-            return Vec::new();
-        }
-        i += 1;
-    }
-    let mut depth = 0usize;
-    while i < toks.len() {
-        if toks[i].is_punct('(') {
-            depth += 1;
-        } else if toks[i].is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        }
-        i += 1;
-    }
-    // `-> Type` until the body/terminator.
-    if !(toks.get(i + 1).is_some_and(|t| t.is_punct('-')) && toks.get(i + 2).is_some_and(|t| t.is_punct('>')))
-    {
-        return Vec::new();
-    }
-    let mut ty = Vec::new();
-    let mut j = i + 3;
-    while j < toks.len() && !toks[j].is_punct('{') && !toks[j].is_punct(';') {
-        if let Some(id) = toks[j].ident() {
-            if id == "where" {
-                break;
-            }
-            ty.push(id.to_string());
-        }
-        j += 1;
-    }
-    ty
-}
-
-/// Idents between a leading punct in `open` and the first punct in
-/// `close` at angle-depth 0.
-fn tokens_between(toks: &[Token], mut i: usize, open: &[char], close: &[char]) -> Vec<String> {
-    if !open.iter().any(|&c| toks.get(i).is_some_and(|t| t.is_punct(c))) {
-        return Vec::new();
-    }
-    i += 1;
-    let mut ty = Vec::new();
-    let mut angle = 0i32;
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.is_punct('<') {
-            angle += 1;
-        } else if t.is_punct('>') {
-            angle -= 1;
-        } else if angle <= 0 && close.iter().any(|&c| t.is_punct(c)) {
-            break;
-        } else if let Some(id) = t.ident() {
-            ty.push(id.to_string());
-        }
-        i += 1;
-    }
-    ty
-}
-
-/// Item type idents: from the `:` at `i - 1` until the field or const
-/// terminator.
-fn field_type(toks: &[Token], i: usize) -> Vec<String> {
-    tokens_between(toks, i - 1, &[':'], &[',', '}', ';', '='])
 }
 
 /// L2: determinism in report-producing crates.
@@ -341,7 +181,6 @@ pub(crate) fn check_determinism(file: &SourceFile, table: &SymbolTable, out: &mu
     if file.crate_name != "sim" && file.crate_name != "serve" && file.crate_name != "net" {
         return;
     }
-    let report_path = matches!(file.file_name.as_str(), "report.rs" | "sweep.rs" | "metrics.rs" | "fleet.rs");
     let toks = file.tokens();
     for (idx, t) in toks.iter().enumerate() {
         if file.test_mask[idx] {
@@ -364,14 +203,14 @@ pub(crate) fn check_determinism(file: &SourceFile, table: &SymbolTable, out: &mu
             _ => {}
         }
     }
-    if !report_path {
+    if !crate::taint::is_report_file(&file.crate_name, &file.file_name) {
         return;
     }
     for info in table.fns.iter().filter(|f| f.file == file.rel_path && !f.cfg_test) {
         let Some(body) = info.body else { continue };
         let sites =
-            crate::taint::fn_sources(table, toks, info.sig, body, info.container.as_deref(), &file.lexed);
-        for s in sites.found {
+            crate::taint::fn_sources(table, toks, &info.params, body, info.container.as_deref(), &file.lexed);
+        for s in sites {
             if s.kind == SourceKind::HashIter {
                 file.push(
                     out,
@@ -553,48 +392,6 @@ pub(crate) fn check_safety_comment(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// Extracts the variant names (and lines) of `enum Event` from a lexed
-/// source file. Returns an empty list when the file holds no such enum.
-///
-/// The taxonomy is a C-like enum (counter identity, no payload), so a
-/// variant is exactly an ident at brace depth 1 followed by `,` or the
-/// closing `}`.
-#[must_use]
-pub(crate) fn event_variants(file: &SourceFile) -> Vec<(String, u32)> {
-    let toks = file.tokens();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if toks[i].ident() == Some("enum") && toks.get(i + 1).and_then(Token::ident) == Some("Event") {
-            break;
-        }
-        i += 1;
-    }
-    while i < toks.len() && !toks[i].is_punct('{') {
-        i += 1;
-    }
-    let mut depth = 0usize;
-    let mut out = Vec::new();
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        } else if depth == 1 {
-            if let Some(name) = t.ident() {
-                if toks.get(i + 1).is_some_and(|n| n.is_punct(',') || n.is_punct('}')) {
-                    out.push((name.to_string(), t.line));
-                }
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
 /// L6: every `Event` variant must have an owner in the DESIGN.md map.
 ///
 /// Runs only over the telemetry crate's `event.rs` (the single source
@@ -602,18 +399,23 @@ pub(crate) fn event_variants(file: &SourceFile) -> Vec<(String, u32)> {
 /// it from anywhere would pass L4 with the misleading "not in the map"
 /// message pointing at the call site instead of the definition.
 pub(crate) fn check_event_coverage(file: &SourceFile, owners: &OwnershipMap, out: &mut Vec<Finding>) {
-    for (variant, line) in event_variants(file) {
-        if !owners.contains_key(&variant) {
+    file.ast.walk(&mut |it| {
+        let ItemKind::Enum { variants } = &it.kind else { return };
+        if it.name != "Event" || it.cfg_test {
+            return;
+        }
+        for v in variants.iter().filter(|v| !owners.contains_key(&v.name)) {
             file.push(
                 out,
                 "event-coverage",
-                line,
+                v.line,
                 format!(
-                    "`Event::{variant}` has no owner in the DESIGN.md telemetry-ownership map; add a `{variant}: <crates>` line under §10"
+                    "`Event::{}` has no owner in the DESIGN.md telemetry-ownership map; add a `{}: <crates>` line under §10",
+                    v.name, v.name
                 ),
             );
         }
-    }
+    });
 }
 
 /// Parses the ownership map from DESIGN.md: a fenced code block whose
@@ -670,6 +472,27 @@ mod tests {
         let f = run(check_raw_unit, "demo", "lib.rs", src);
         assert_eq!(f.len(), 3, "{f:?}");
         assert!(f.iter().all(|v| v.rule == "raw-unit" && !v.waived));
+    }
+
+    #[test]
+    fn a_cfg_test_field_hides_only_itself() {
+        // A test-only field is test code; the fields and items after it
+        // are not.
+        let src = "
+            pub struct Probe {
+                #[cfg(test)]
+                pub seen_s: f64,
+                pub count: u64,
+            }
+            pub fn energy_j() -> f64 { 0.0 }
+            fn read() -> u64 { parse().unwrap() }
+        ";
+        let file = SourceFile::new("crates/x/src/lib.rs", "demo", "lib.rs", src);
+        let mut out = Vec::new();
+        check_raw_unit(&file, &mut out);
+        check_panic_path(&file, &mut out);
+        let got: Vec<(&str, u32)> = out.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(got, [("raw-unit", 7), ("panic-path", 8)], "{out:?}");
     }
 
     #[test]
@@ -763,7 +586,7 @@ mod tests {
                 }
             }
         ";
-        let file = SourceFile::new("crates/x/src/report.rs", "serve", "report.rs", src);
+        let file = SourceFile::new("crates/x/src/metrics.rs", "serve", "metrics.rs", src);
         assert!(file.ast.is_clean());
         let table = table_for(&file);
         let mut out = Vec::new();
@@ -978,9 +801,10 @@ XbarReadPulse: xbar, core
             }
         ";
         let f = SourceFile::new("crates/telemetry/src/event.rs", "telemetry", "event.rs", src);
+        let ItemKind::Enum { variants } = &f.ast.items[0].kind else { panic!("{:?}", f.ast.items) };
         assert_eq!(
-            event_variants(&f).iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>(),
-            ["XbarReadPulse", "ServeSloViolation"],
+            variants.iter().map(|v| (v.name.as_str(), v.line)).collect::<Vec<_>>(),
+            [("XbarReadPulse", 3), ("ServeSloViolation", 4)],
             "match arms must not parse as variants"
         );
         let owners = parse_ownership("```lint:telemetry-ownership\nXbarReadPulse: xbar\n```");

@@ -16,40 +16,39 @@ use crate::ast::{Ast, Item, ItemKind};
 use crate::lexer::Token;
 
 /// Index of a function in [`SymbolTable::fns`].
-pub type FnId = usize;
+pub(crate) type FnId = usize;
 
 /// One function definition.
 #[derive(Debug, Clone)]
-pub struct FnInfo {
+pub(crate) struct FnInfo {
     /// Owning crate (`crates/<name>`).
-    pub crate_name: String,
+    pub(crate) crate_name: String,
     /// Workspace-relative file path.
-    pub file: String,
+    pub(crate) file: String,
     /// Index of the file in the scan order (into the caller's file
     /// list).
-    pub file_idx: usize,
+    pub(crate) file_idx: usize,
     /// Bare function name.
-    pub name: String,
+    pub(crate) name: String,
     /// Enclosing impl'd type or trait name, when the fn is an
     /// associated item.
-    pub container: Option<String>,
+    pub(crate) container: Option<String>,
     /// Whether the parameter list starts with `self`.
-    pub is_method: bool,
+    pub(crate) is_method: bool,
     /// 1-indexed line of the item.
-    pub line: u32,
-    /// Token range of the signature (item start through the token
-    /// before the body, or the whole item for bodiless declarations).
-    pub sig: (usize, usize),
+    pub(crate) line: u32,
+    /// `(name, type range)` of each `name: Type` parameter.
+    pub(crate) params: Vec<(String, (usize, usize))>,
     /// Token range of the braced body in the owning file's stream.
-    pub body: Option<(usize, usize)>,
+    pub(crate) body: Option<(usize, usize)>,
     /// Whether the fn is `#[cfg(test)]` (directly or via a parent).
-    pub cfg_test: bool,
+    pub(crate) cfg_test: bool,
 }
 
 impl FnInfo {
     /// `crate::Container::name`-style display path for findings.
     #[must_use]
-    pub fn display(&self) -> String {
+    pub(crate) fn display(&self) -> String {
         match &self.container {
             Some(c) => format!("{}::{}::{}", self.crate_name, c, self.name),
             None => format!("{}::{}", self.crate_name, self.name),
@@ -59,19 +58,19 @@ impl FnInfo {
 
 /// Workspace-wide symbols.
 #[derive(Debug, Default)]
-pub struct SymbolTable {
+pub(crate) struct SymbolTable {
     /// Every function definition, in scan order.
-    pub fns: Vec<FnInfo>,
+    pub(crate) fns: Vec<FnInfo>,
     /// name → fn ids (all containers).
-    pub by_name: BTreeMap<String, Vec<FnId>>,
+    pub(crate) by_name: BTreeMap<String, Vec<FnId>>,
     /// Names that denote a hash-ordered collection type anywhere in the
     /// workspace: `HashMap`, `HashSet`, plus every `use .. as ..` alias
     /// of one (transitively, workspace-wide — a re-export in crate A
     /// imported by crate B keeps its taint).
-    pub hash_names: BTreeSet<String>,
-    /// `(type name, field name)` pairs whose declared field type is
-    /// hash-ordered.
-    pub hash_fields: BTreeSet<(String, String)>,
+    pub(crate) hash_names: BTreeSet<String>,
+    /// `(type name, field name or tuple index)` pairs whose declared
+    /// field type is hash-ordered.
+    pub(crate) hash_fields: BTreeSet<(String, String)>,
 }
 
 impl SymbolTable {
@@ -79,7 +78,7 @@ impl SymbolTable {
     /// order. `files` supplies `(crate_name, rel_path)` metadata
     /// aligned by index.
     #[must_use]
-    pub fn build(files: &[(String, String)], asts: &[(&Ast, &[Token])]) -> Self {
+    pub(crate) fn build(files: &[(String, String)], asts: &[(&Ast, &[Token])]) -> Self {
         let mut table = Self::default();
         table.hash_names.insert("HashMap".to_string());
         table.hash_names.insert("HashSet".to_string());
@@ -112,7 +111,7 @@ impl SymbolTable {
         // Pass 2: fns and hash-typed struct fields.
         for (idx, ((crate_name, rel_path), (ast, tokens))) in files.iter().zip(asts).enumerate() {
             collect_items(&ast.items, None, &mut |item, container| match &item.kind {
-                ItemKind::Fn { body, has_self } => {
+                ItemKind::Fn { body, has_self, params, .. } => {
                     let id = table.fns.len();
                     table.fns.push(FnInfo {
                         crate_name: crate_name.clone(),
@@ -122,16 +121,16 @@ impl SymbolTable {
                         container: container.map(String::from),
                         is_method: *has_self,
                         line: item.line,
-                        sig: (item.span.0, body.map_or(item.span.1, |(b, _)| b.saturating_sub(1))),
+                        params: params.clone(),
                         body: *body,
                         cfg_test: item.cfg_test,
                     });
                     table.by_name.entry(item.name.clone()).or_default().push(id);
                 }
-                ItemKind::Struct => {
-                    for (field, ty) in struct_fields(tokens, item.span) {
-                        if ty.iter().any(|t| table.hash_names.contains(t)) {
-                            table.hash_fields.insert((item.name.clone(), field));
+                ItemKind::Struct { fields } => {
+                    for f in fields {
+                        if table.is_hash_type(&tokens[f.ty.0..=f.ty.1]) {
+                            table.hash_fields.insert((item.name.clone(), f.name.clone()));
                         }
                     }
                 }
@@ -145,6 +144,12 @@ impl SymbolTable {
     #[must_use]
     pub(crate) fn is_hash_name(&self, name: &str) -> bool {
         self.hash_names.contains(name)
+    }
+
+    /// Whether the type tokens `ty` name a hash-ordered collection type.
+    #[must_use]
+    pub(crate) fn is_hash_type(&self, ty: &[Token]) -> bool {
+        ty.iter().any(|t| t.ident().is_some_and(|id| self.is_hash_name(id)))
     }
 
     /// Resolves a call reference to candidate definitions.
@@ -202,11 +207,11 @@ pub(crate) enum CallKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CallRef {
     /// Callee name.
-    pub name: String,
+    pub(crate) name: String,
     /// Reference shape.
-    pub kind: CallKind,
+    pub(crate) kind: CallKind,
     /// 1-indexed source line of the call.
-    pub line: u32,
+    pub(crate) line: u32,
 }
 
 /// Visits every item with its enclosing impl/trait container name.
@@ -220,72 +225,6 @@ fn collect_items<'a>(items: &'a [Item], container: Option<&str>, f: &mut impl Fn
         };
         collect_items(&it.children, inner, f);
     }
-}
-
-/// Extracts `(field, type idents)` pairs from a braced struct body.
-/// Tuple and unit structs yield nothing (their fields are unnamed).
-fn struct_fields(tokens: &[Token], span: (usize, usize)) -> Vec<(String, Vec<String>)> {
-    // Find the opening `{` of the field block inside the span; tuple
-    // structs hit `(` or `;` first and bail.
-    let (start, end) = span;
-    let mut i = start;
-    let mut open = None;
-    let mut angle = 0i32;
-    while i <= end {
-        let t = &tokens[i];
-        if t.is_punct('<') {
-            angle += 1;
-        } else if t.is_punct('>') && !(i > 0 && tokens[i - 1].is_punct('-')) {
-            angle -= 1;
-        } else if angle <= 0 && (t.is_punct('(') || t.is_punct(';')) {
-            return Vec::new();
-        } else if angle <= 0 && t.is_punct('{') {
-            open = Some(i);
-            break;
-        }
-        i += 1;
-    }
-    let Some(open) = open else { return Vec::new() };
-    let mut out = Vec::new();
-    let mut j = open + 1;
-    let mut depth = 1usize;
-    while j <= end && depth > 0 {
-        let t = &tokens[j];
-        if t.is_punct('{') || t.is_punct('(') {
-            depth += 1;
-        } else if t.is_punct('}') || t.is_punct(')') {
-            depth -= 1;
-        } else if depth == 1 {
-            // `name : Type ,` at field depth — skip attribute contents
-            // and `pub(..)` qualifiers naturally (they sit at depth 1
-            // but never match ident-then-colon except the field name).
-            if let Some(name) = t.ident() {
-                if name != "pub" && tokens.get(j + 1).is_some_and(|n| n.is_punct(':')) {
-                    let mut ty = Vec::new();
-                    let mut k = j + 2;
-                    let mut a = 0i32;
-                    while k <= end {
-                        let tt = &tokens[k];
-                        if tt.is_punct('<') {
-                            a += 1;
-                        } else if tt.is_punct('>') && !tokens[k - 1].is_punct('-') {
-                            a -= 1;
-                        } else if a <= 0 && (tt.is_punct(',') || tt.is_punct('}')) {
-                            break;
-                        } else if let Some(id) = tt.ident() {
-                            ty.push(id.to_string());
-                        }
-                        k += 1;
-                    }
-                    out.push((name.to_string(), ty));
-                    j = k;
-                    continue;
-                }
-            }
-        }
-        j += 1;
-    }
-    out
 }
 
 #[cfg(test)]

@@ -18,10 +18,9 @@
 //!   `for_each_chunk_with` (per-index writes through closure parameters
 //!   are ordered and not flagged).
 //!
-//! Sinks are every fn defined in a report-serializing module:
-//! `experiments.rs` (the artifact writers), `obs.rs`, `fleet.rs`,
-//! `report.rs`, `sweep.rs`, `metrics.rs` of the report-producing
-//! crates.
+//! Sinks are every fn defined in a report-serializing file
+//! ([`REPORT_FILES`]): `core/experiments.rs` (the artifact writers),
+//! `sim/report.rs` and `serve/{obs,fleet,metrics,sweep}.rs`.
 //!
 //! Sanitizers: a hash-iteration source whose enclosing fn later calls a
 //! `.sort*()` method is considered order-restored and dropped (the
@@ -35,6 +34,7 @@ use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::collections::VecDeque;
 
+use crate::ast::balanced;
 use crate::callgraph::CallGraph;
 use crate::lexer::{Lexed, Token};
 use crate::rules::Finding;
@@ -67,16 +67,22 @@ const PAR_ENTRY_POINTS: [&str; 3] = ["par_map_indexed", "for_each_chunk", "for_e
 /// which the lexer consumes — a documented blind spot.)
 const FORMAT_MACROS: [&str; 7] = ["format", "write", "writeln", "println", "print", "eprintln", "eprint"];
 
-/// Report-serializing modules: every fn defined here is a sink.
-const SINK_FILES: [(&str, &str); 7] = [
+/// The report-serializing files, as `(crate, file name)`: every fn
+/// defined in one is a sink of this pass, and the `determinism` rule
+/// checks their hash iteration.
+const REPORT_FILES: [(&str, &str); 6] = [
     ("core", "experiments.rs"),
     ("sim", "report.rs"),
     ("serve", "obs.rs"),
     ("serve", "fleet.rs"),
     ("serve", "metrics.rs"),
     ("serve", "sweep.rs"),
-    ("net", "report.rs"),
 ];
+
+/// Whether `file_name` of crate `crate_name` writes a report.
+pub(crate) fn is_report_file(crate_name: &str, file_name: &str) -> bool {
+    REPORT_FILES.contains(&(crate_name, file_name))
+}
 
 /// What family a nondeterminism source belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,36 +105,24 @@ pub(crate) enum SourceKind {
 #[derive(Debug, Clone)]
 pub(crate) struct SourceSite {
     /// Source family.
-    pub kind: SourceKind,
+    pub(crate) kind: SourceKind,
     /// 1-indexed line.
-    pub line: u32,
+    pub(crate) line: u32,
     /// Human-readable description (`\`Instant\` reads the wall clock`).
-    pub desc: String,
+    pub(crate) desc: String,
     /// Whether `// lint: allow(determinism-taint)` covers the line.
-    pub waived: bool,
-}
-
-/// Everything the pass produces besides findings.
-#[derive(Debug, Default)]
-pub struct TaintStats {
-    /// Sources detected (pre-sanitization).
-    pub sources: usize,
-    /// Hash-iteration sources dropped by the sort-before-serialize
-    /// sanitizer.
-    pub sanitized: usize,
+    pub(crate) waived: bool,
 }
 
 /// Runs the pass. `lexeds[file_idx]`/`streams[file_idx]` align with the
 /// symbol table's `file_idx`. Findings are appended to `out`.
-pub fn run(
+pub(crate) fn run(
     table: &SymbolTable,
     graph: &CallGraph,
     streams: &[&[Token]],
     lexeds: &[&Lexed],
     out: &mut Vec<Finding>,
-) -> TaintStats {
-    let mut stats = TaintStats::default();
-
+) {
     // 1. Per-fn sources.
     let mut own: BTreeMap<FnId, Vec<SourceSite>> = BTreeMap::new();
     for (fn_id, info) in table.fns.iter().enumerate() {
@@ -140,15 +134,13 @@ pub fn run(
         let sites = fn_sources(
             table,
             tokens,
-            info.sig,
+            &info.params,
             (start, end),
             info.container.as_deref(),
             lexeds[info.file_idx],
         );
-        stats.sources += sites.found.len();
-        stats.sanitized += sites.sanitized;
-        if !sites.found.is_empty() {
-            own.insert(fn_id, sites.found);
+        if !sites.is_empty() {
+            own.insert(fn_id, sites);
         }
     }
 
@@ -162,11 +154,7 @@ pub fn run(
         .fns
         .iter()
         .enumerate()
-        .filter(|(_, f)| {
-            !f.cfg_test
-                && f.body.is_some()
-                && SINK_FILES.contains(&(f.crate_name.as_str(), file_name(&f.file)))
-        })
+        .filter(|(_, f)| !f.cfg_test && f.body.is_some() && is_report_file(&f.crate_name, file_name(&f.file)))
         .map(|(id, _)| id)
         .collect();
     sink_fns.sort_by_key(|&id| (table.fns[id].file.clone(), table.fns[id].line));
@@ -244,7 +232,6 @@ pub fn run(
             waived: true,
         });
     }
-    stats
 }
 
 fn file_name(rel: &str) -> &str {
@@ -306,24 +293,18 @@ fn tainted_set(
     tainted
 }
 
-pub(crate) struct FnSources {
-    pub(crate) found: Vec<SourceSite>,
-    pub(crate) sanitized: usize,
-}
-
 /// Scans one fn body for source sites. Also used by the per-file
 /// `determinism` rule (AST mode), which filters by [`SourceKind`].
 pub(crate) fn fn_sources(
     table: &SymbolTable,
     tokens: &[Token],
-    sig: (usize, usize),
+    params: &[(String, (usize, usize))],
     body: (usize, usize),
     container: Option<&str>,
     lexed: &Lexed,
-) -> FnSources {
+) -> Vec<SourceSite> {
     let (start, end) = body;
     let mut found = Vec::new();
-    let mut sanitized = 0usize;
     let container = container.map(ToOwned::to_owned);
 
     // Lines (token indices) where a `.sort*()` call happens — the
@@ -340,12 +321,11 @@ pub(crate) fn fn_sources(
 
     // Hash-typed locals: parameters first, then `let` bindings in
     // order, so a rebinding chain (`let m = &self.cache;`) propagates.
-    let mut hash_locals: BTreeSet<String> = BTreeSet::new();
-    for (name, ty) in param_types(tokens, sig) {
-        if ty.iter().any(|t| table.is_hash_name(t)) {
-            hash_locals.insert(name);
-        }
-    }
+    let mut hash_locals: BTreeSet<String> = params
+        .iter()
+        .filter(|(_, (a, b))| table.is_hash_type(&tokens[*a..=*b]))
+        .map(|(name, _)| name.clone())
+        .collect();
 
     let push = |found: &mut Vec<SourceSite>, kind: SourceKind, line: u32, desc: String| {
         found.push(SourceSite { kind, line, desc, waived: lexed.is_waived(RULE, line) });
@@ -412,40 +392,33 @@ pub(crate) fn fn_sources(
                 && tokens.get(i + 1).is_some_and(|t| t.is_punct('(')) =>
             {
                 let recv = receiver_chain(tokens, start, i - 1);
-                if receiver_is_hash(table, &recv, &hash_locals, container.as_deref()) {
-                    if sorted_after(i) {
-                        sanitized += 1;
-                    } else {
-                        push(
-                            &mut found,
-                            SourceKind::HashIter,
-                            t.line,
-                            format!(
-                                "`.{m}()` on hash-ordered `{}` iterates in unspecified order",
-                                recv.join(".")
-                            ),
-                        );
-                    }
+                if receiver_is_hash(table, &recv, &hash_locals, container.as_deref()) && !sorted_after(i) {
+                    push(
+                        &mut found,
+                        SourceKind::HashIter,
+                        t.line,
+                        format!(
+                            "`.{m}()` on hash-ordered `{}` iterates in unspecified order",
+                            recv.join(".")
+                        ),
+                    );
                 }
             }
             "for" => {
                 // `for <pat> in <expr> {` — direct iteration over a
                 // hash-typed binding without a method call.
-                if let Some(src) = for_loop_hash(table, tokens, i, end, &hash_locals, container.as_deref()) {
-                    if sorted_after(i) {
-                        sanitized += 1;
-                    } else {
-                        push(
-                            &mut found,
-                            SourceKind::HashIter,
-                            t.line,
-                            format!("`for` loop over hash-ordered `{src}` iterates in unspecified order"),
-                        );
-                    }
+                let src = for_loop_hash(table, tokens, i, end, &hash_locals, container.as_deref());
+                if let Some(src) = src.filter(|_| !sorted_after(i)) {
+                    push(
+                        &mut found,
+                        SourceKind::HashIter,
+                        t.line,
+                        format!("`for` loop over hash-ordered `{src}` iterates in unspecified order"),
+                    );
                 }
             }
             m if FORMAT_MACROS.contains(&m) && tokens.get(i + 1).is_some_and(|t| t.is_punct('!')) => {
-                if let Some(close) = balanced(tokens, i + 2, end, '(', ')') {
+                if let Some(close) = balanced(tokens, i + 2, end + 1, '(', ')') {
                     for (line, name) in
                         hash_format_args(table, tokens, i + 2, close, &hash_locals, container.as_deref())
                     {
@@ -461,7 +434,7 @@ pub(crate) fn fn_sources(
                 }
             }
             p if PAR_ENTRY_POINTS.contains(&p) && tokens.get(i + 1).is_some_and(|t| t.is_punct('(')) => {
-                let close = match balanced(tokens, i + 1, end, '(', ')') {
+                let close = match balanced(tokens, i + 1, end + 1, '(', ')') {
                     Some(c) => c,
                     None => {
                         i += 1;
@@ -487,58 +460,7 @@ pub(crate) fn fn_sources(
     // over `.keys()`).
     found.sort_by_key(|a| (a.line, a.desc.clone()));
     found.dedup_by(|a, b| a.line == b.line && a.desc == b.desc);
-    FnSources { found, sanitized }
-}
-
-/// `(name, type idents)` per parameter in the signature range.
-fn param_types(tokens: &[Token], sig: (usize, usize)) -> Vec<(String, Vec<String>)> {
-    let (start, end) = sig;
-    // Find the parameter parens.
-    let mut i = start;
-    while i <= end && !tokens[i].is_punct('(') {
-        if tokens[i].is_punct('<') {
-            i = skip_angle(tokens, i, end);
-        }
-        i += 1;
-    }
-    let Some(close) = balanced(tokens, i, end, '(', ')') else { return Vec::new() };
-    let mut out = Vec::new();
-    let mut j = i + 1;
-    let mut depth = 0usize;
-    while j < close {
-        let t = &tokens[j];
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth = depth.saturating_sub(1);
-        } else if depth == 0 {
-            if let Some(name) = t.ident() {
-                if name != "mut" && name != "self" && tokens.get(j + 1).is_some_and(|n| n.is_punct(':')) {
-                    let mut ty = Vec::new();
-                    let mut k = j + 2;
-                    let mut angle = 0i32;
-                    while k < close {
-                        let tt = &tokens[k];
-                        if tt.is_punct('<') {
-                            angle += 1;
-                        } else if tt.is_punct('>') && !tokens[k - 1].is_punct('-') {
-                            angle -= 1;
-                        } else if angle <= 0 && tt.is_punct(',') {
-                            break;
-                        } else if let Some(idt) = tt.ident() {
-                            ty.push(idt.to_string());
-                        }
-                        k += 1;
-                    }
-                    out.push((name.to_string(), ty));
-                    j = k;
-                    continue;
-                }
-            }
-        }
-        j += 1;
-    }
-    out
+    found
 }
 
 /// Handles one `let` statement at `i`; returns `(bound name, is hash,
@@ -895,43 +817,6 @@ fn receiver_chain_for_assign(tokens: &[Token], start: usize, op: usize) -> Vec<S
     chain
 }
 
-fn balanced(tokens: &[Token], i: usize, end: usize, open: char, close: char) -> Option<usize> {
-    if !tokens.get(i).is_some_and(|t| t.is_punct(open)) {
-        return None;
-    }
-    let mut depth = 0usize;
-    let mut j = i;
-    while j <= end {
-        if tokens[j].is_punct(open) {
-            depth += 1;
-        } else if tokens[j].is_punct(close) {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
-        j += 1;
-    }
-    None
-}
-
-fn skip_angle(tokens: &[Token], i: usize, end: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = i;
-    while j <= end {
-        if tokens[j].is_punct('<') {
-            depth += 1;
-        } else if tokens[j].is_punct('>') && !(j > 0 && tokens[j - 1].is_punct('-')) {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-        j += 1;
-    }
-    end
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1130,6 +1015,15 @@ mod tests {
         let v: Vec<&Finding> = f.iter().filter(|f| !f.waived).collect();
         assert_eq!(v.len(), 1, "{f:?}");
         assert!(v[0].message.contains("passed to `format!`"), "{}", v[0].message);
+    }
+
+    #[test]
+    fn every_report_file_exists() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for (krate, file) in REPORT_FILES {
+            let path = root.join("crates").join(krate).join("src").join(file);
+            assert!(path.is_file(), "{} is listed as a report file but does not exist", path.display());
+        }
     }
 
     #[test]
