@@ -187,11 +187,11 @@ where
     // Workers record into the caller's telemetry capture, so parallel
     // totals equal sequential ones.
     let telemetry = &inca_telemetry::current();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = blocks
             .into_iter()
             .map(|(first_chunk, block)| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     telemetry.enter(|| -> std::result::Result<(), (usize, crate::Error)> {
                         let mut state = init();
                         for (off, chunk) in block.chunks_mut(chunk_len).enumerate() {
@@ -224,7 +224,6 @@ where
             None => Ok(()),
         }
     })
-    .expect("hw-exec thread scope") // join only forwards worker panics. lint: allow(panic-path)
 }
 
 /// Maps `f(&mut state, index)` over `0..n` across the policy's worker

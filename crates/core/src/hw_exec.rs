@@ -33,9 +33,10 @@
 //!   whose reads can saturate; the `u8` bit-planes of the reference and
 //!   analog reads are derived from the codes on first use,
 //! * the programmed input state is the padded 8-bit code image, quantized
-//!   in one pass over the batch at every forward. Its tiles of stacks are
-//!   derived from the image only when a bit-level read needs them; their
-//!   writes are counted at programming either way,
+//!   in one pass over the batch at every forward; both product reads read
+//!   it directly. Its tiles of stacks are built from it only by the
+//!   reference and analog reads; their writes are counted at programming
+//!   either way,
 //! * output windows are independent read bursts, so a parallel
 //!   [`ExecPolicy`] fans output rows across scoped worker threads,
 //!   bit-exact with the sequential schedule,
@@ -48,13 +49,13 @@
 //!   `_mm256_madd_epi16` register tiles in which each weight register
 //!   serves 4 windows (DESIGN.md §8, "Linear reads"),
 //! * larger kernels, whose reads can saturate, keep the bit-serial
-//!   read: each (window, sample, input channel, activation bit) is
-//!   extracted **once** as one compact word — window cell `(i, j)` at bit
-//!   `i·k + j`, one `u64` for every `k ≤ 8` — and read against all
-//!   `out · 2 · WEIGHT_BITS` masks of that channel in one SIMD call that
-//!   saturates every read at the ADC's max code before shifting it; each
-//!   output folds its per-(side, weight bit) sums as
-//!   `Σ (pos − neg) << wbit`.
+//!   read: each (window, sample, input channel) is cut from the code
+//!   image **once** into one compact word per activation bit — window
+//!   cell `(i, j)` at bit `i·k + j`, one `u64` for every `k ≤ 8` — and
+//!   each word is read against all `out · 2 · WEIGHT_BITS` masks of that
+//!   channel in one SIMD call that saturates every read at the ADC's max
+//!   code before shifting it; each output folds its per-(side, weight
+//!   bit) sums as `Σ (pos − neg) << wbit`.
 //!
 //! Either read records the per-broadcast telemetry of the reference
 //! model ([`HwConv::forward_reference`]) as one record per event kind per
@@ -185,18 +186,18 @@ impl HwConv {
     }
 
     /// Quantizes and programs the batch, recording one plane write per
-    /// (channel, tile, activation bit, sample) whether or not a
-    /// bit-level path ever materializes the planes.
+    /// (channel, tile, activation bit, sample) whether or not a read ever
+    /// builds the planes.
     fn program(&self, x: &Tensor) -> CodeImage {
         let image = CodeImage::quantize(x, self.kernel.pad());
         let _span = inca_telemetry::span("hw_conv.program");
-        let tiles = self.tile_walk(image.ph, image.pw).len();
-        VerticalPlane::record_writes((image.b * image.c * tiles * usize::from(DATA_BITS)) as u64);
+        image.record_writes(self.tile_walk(image.ph, image.pw).len());
         image
     }
 
-    /// The programmed tiles, derived from the code image for a bit-level
-    /// read (uncounted: their writes were recorded at programming).
+    /// The programmed tiles, built from the code image for the reference
+    /// and analog reads (uncounted: their writes were recorded at
+    /// programming).
     fn tiles(&self, image: &CodeImage) -> Result<Tiles> {
         (0..image.c).map(|ci| self.partition(image, ci)).collect()
     }
@@ -326,46 +327,37 @@ impl HwConv {
     }
 
     /// The bit-serial packed read path, for kernels whose reads can
-    /// saturate. Per output window and sample, each (input channel,
-    /// activation bit) window is extracted **once** as one compact
-    /// `k²`-bit word ([`VerticalPlane::extract_window_compact`]) and read
-    /// against all `out · 2 · WEIGHT_BITS` kernel masks of that channel in
-    /// one [`ConvKernel::accumulate`] call, which saturates every read at
-    /// the ADC's max code before shifting it by the activation bit; each
-    /// output then folds its per-(side, weight bit) sums as
-    /// `Σ (pos − neg) << wbit`.
+    /// saturate. Per output window and sample, each input channel's
+    /// window is cut from the code image **once** into one compact
+    /// `k²`-bit string per activation bit ([`ConvKernel::window_bits`]),
+    /// and each string is read against all `out · 2 · WEIGHT_BITS` kernel
+    /// masks of that channel in one [`ConvKernel::accumulate`] call, which
+    /// saturates every read at the ADC's max code before shifting it by the
+    /// activation bit; each output then folds its per-(side, weight bit)
+    /// sums as `Σ (pos − neg) << wbit`.
     ///
-    /// The extraction word and the accumulators live in a per-worker
-    /// arena allocated once per forward pass, not per output row. The
+    /// The window strings and the accumulators live in a per-worker arena
+    /// allocated once per forward pass, not per output row. The
     /// saturation is `min(max_code)` — the same arithmetic as
     /// [`AdcReadout::digitize`] without its per-call event.
     fn forward_bit_serial(&self, image: &CodeImage, oh: usize, ow: usize) -> Result<Tensor> {
         let kernel = &self.kernel;
-        let k = kernel.k();
-        let tiles = &self.tiles(image)?;
+        let words = kernel.window_words();
         let dequantizer = kernel.dequantizer(image);
         kernel.map_rows(
             self.policy,
             (image.b, oh, ow),
             1,
-            // Per-worker arena: one compact window and the read sums.
-            || (vec![0u64; kernel.window_words()], vec![0u32; kernel.reads_per_window()]),
+            // Per-worker arena: one window's activation-bit strings and the
+            // read sums.
+            || (vec![0u64; usize::from(DATA_BITS) * words], vec![0u32; kernel.reads_per_window()]),
             |(x, sums), bi, oy, _, row| {
                 for (ox, slots) in row.chunks_exact_mut(kernel.out_ch()).enumerate() {
-                    let (ry, rx) = (oy * kernel.stride(), ox * kernel.stride());
-                    // Every channel shares the same tiling.
-                    let t = find_tile(&tiles[0], ry, rx, k)?;
+                    let window = (oy * kernel.stride(), ox * kernel.stride());
                     sums.fill(0);
-                    for (ci, partitions) in tiles.iter().enumerate() {
-                        let tile = &partitions[t];
-                        for (xb, stack) in tile.stacks.iter().enumerate() {
-                            stack.plane(bi)?.extract_window_compact(
-                                ry - tile.row0,
-                                rx - tile.col0,
-                                k,
-                                k,
-                                x,
-                            )?;
+                    for ci in 0..image.c {
+                        kernel.window_bits(image.channel(bi, ci), image.pw, window, x);
+                        for (xb, x) in x.chunks_exact(words).enumerate() {
                             kernel.accumulate(ci, xb, x, sums);
                         }
                     }

@@ -26,16 +26,18 @@
 //! are derived from the codes only where a bit-level path reads them:
 //!
 //! * a flat mask table `[in][out][side][wbit]`, built at programming for
-//!   saturable kernels only, each mask one window in the compact layout of
-//!   [`inca_xbar::VerticalPlane::extract_window_compact`] (cell `(i, j)`
-//!   at bit `i·k + j`, `⌈k²/64⌉` words), so one input channel's masks are
-//!   one contiguous run that [`inca_xbar::simd::and_popcount_accumulate`]
-//!   sweeps per (window, activation bit);
+//!   saturable kernels only, each mask one window in the compact layout
+//!   (cell `(i, j)` at bit `i·k + j`, `⌈k²/64⌉` words), so one input
+//!   channel's masks are one contiguous run that
+//!   [`inca_xbar::simd::and_popcount_accumulate`] sweeps per (window,
+//!   activation bit);
+//! * a window's activation bits in the same layout, cut from the code
+//!   image per (sample, window, input channel) by
+//!   [`ConvKernel::window_bits`] for the saturable read;
 //! * flat `u8` bit-planes `[out][in][side][wbit][k·k]`, derived on first
 //!   use by the reference read (`forward_reference`) and the analog
-//!   (`forward_noisy`) read;
-//! * the activation bit-planes (subarray tiles of 3D stacks), derived
-//!   from the code image by `HwConv`.
+//!   (`forward_noisy`) read, the only reads that also build the
+//!   activation bit-planes (subarray tiles of 3D stacks) from the image.
 
 use std::sync::OnceLock;
 
@@ -43,6 +45,7 @@ use inca_nn::Tensor;
 use inca_xbar::packed::words_for;
 use inca_xbar::simd::{and_popcount_accumulate, panel_product};
 use inca_xbar::sliding::output_dims_padded;
+use inca_xbar::VerticalPlane;
 
 use crate::exec::{self, ExecPolicy};
 use crate::hw_exec::{weight_levels, DATA_BITS, READ_CAP, WEIGHT_BITS};
@@ -271,6 +274,36 @@ impl ConvKernel {
     /// [`ConvKernel::accumulate`].
     pub(crate) fn window_words(&self) -> usize {
         self.mask_words
+    }
+
+    /// Cuts the `k × k` window at `(ry, rx)` of one (sample, channel)'s
+    /// padded codes, rows of `pw`, into `DATA_BITS` compact strings in the
+    /// masks' layout: activation bit `xb`'s string is the
+    /// [`ConvKernel::window_words`] words from `x[xb · words]` on, window
+    /// cell `(i, j)` at bit `i·k + j`, and no bit past `k²` is set. Each
+    /// run of up to 8 cells of a row is read as one word of codes, from
+    /// which every activation bit's run is one gather of byte bits.
+    pub(crate) fn window_bits(&self, codes: &[u8], pw: usize, (ry, rx): (usize, usize), x: &mut [u64]) {
+        let (k, words) = (self.k, self.mask_words);
+        x.fill(0);
+        for i in 0..k {
+            let row = &codes[(ry + i) * pw + rx..][..k];
+            for (run, cells) in row.chunks(8).enumerate() {
+                // Byte `j` holds the code of cell `8·run + j`.
+                let bytes = cells.iter().rev().fold(0u64, |acc, &code| acc << 8 | u64::from(code));
+                let pos = i * k + 8 * run;
+                let (w, off) = (pos / 64, pos % 64);
+                for xb in 0..usize::from(DATA_BITS) {
+                    // The multiply moves bit `xb` of byte `j` to bit `56 + j`.
+                    let bits =
+                        ((bytes >> xb) & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+                    x[xb * words + w] |= bits << off;
+                    if off + cells.len() > 64 {
+                        x[xb * words + w + 1] |= bits >> (64 - off);
+                    }
+                }
+            }
+        }
     }
 
     /// Accumulators per window: one per (output, side, weight bit).
@@ -610,7 +643,7 @@ impl Quantizer {
 /// An input batch quantized to 8-bit codes and zero-padded: the programmed
 /// input state every read path reads. One [`Quantizer`] range serves the
 /// whole batch, because the planes of a stack share one readout scale.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct CodeImage {
     /// Samples.
     pub(crate) b: usize,
@@ -639,6 +672,17 @@ impl CodeImage {
             }
         }
         Self { b, c, ph, pw, quantizer, codes }
+    }
+
+    /// Records the one-shot plane writes that program this image onto
+    /// `tiles` subarray tiles per (sample, channel), one per (sample,
+    /// channel, tile, activation bit), and returns their count. The cells
+    /// stay in the image; a bit-level read that needs the planes builds
+    /// them uncounted ([`VerticalPlane::from_bits`]).
+    pub(crate) fn record_writes(&self, tiles: usize) -> u64 {
+        let planes = (self.b * self.c * tiles * usize::from(DATA_BITS)) as u64;
+        VerticalPlane::record_writes(planes);
+        planes
     }
 
     /// Sample `bi`'s padded codes from row `y` of its first channel on.
@@ -932,6 +976,39 @@ mod tests {
                     let mut sums = vec![0u32; kernel.reads_per_window()];
                     kernel.accumulate(ci, 0, &x, &mut sums);
                     assert_eq!(kernel.fold(o, &sums), code, "out {o} in {ci} cell {cell}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn window_bits_match_the_codes_everywhere() {
+        // Values 0..=255 quantize to themselves, so every code appears,
+        // over two samples and two channels padded by one. Windows run
+        // from 1 cell to k² > 64: k = 9 puts row 7 across the first word
+        // boundary, and k = 11 cuts each row into two runs over two words.
+        let values = (0..2 * 2 * 13 * 14).map(|i| (i * 37 % 256) as f32).collect();
+        let image = CodeImage::quantize(&Tensor::from_vec(values, &[2, 2, 13, 14]), 1);
+        for k in [1, 3, 5, 8, 9, 11] {
+            let kernel = ConvKernel::from_float(&Tensor::full(&[1, 1, k, k], 0.5), &[0.0], 1, 0).unwrap();
+            let words = kernel.window_words();
+            // Set bits left by an earlier window must not survive a cut.
+            let mut x = vec![u64::MAX; usize::from(DATA_BITS) * words];
+            for (bi, ci) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                let codes = image.channel(bi, ci);
+                for (ry, rx) in (0..=image.ph - k).flat_map(|ry| (0..=image.pw - k).map(move |rx| (ry, rx))) {
+                    kernel.window_bits(codes, image.pw, (ry, rx), &mut x);
+                    for (xb, bits) in x.chunks_exact(words).enumerate() {
+                        let at = format!("k {k}, sample {bi}, channel {ci}, ({ry}, {rx}), bit {xb}");
+                        for (i, j) in (0..k).flat_map(|i| (0..k).map(move |j| (i, j))) {
+                            let (cell, code) = (i * k + j, codes[(ry + i) * image.pw + rx + j]);
+                            let expected = u64::from(code >> xb & 1);
+                            assert_eq!(bits[cell / 64] >> (cell % 64) & 1, expected, "{at}, cell ({i}, {j})");
+                        }
+                        // Nothing past the window's last cell.
+                        let tail = if k * k % 64 == 0 { 0 } else { bits[k * k / 64] >> (k * k % 64) };
+                        assert_eq!(tail, 0, "{at}: stray bits");
+                    }
                 }
             }
         }

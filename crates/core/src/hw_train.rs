@@ -13,25 +13,28 @@
 //!    No gradient read is digitized, so each position is the exact
 //!    integer correlation of the δ codes with the resident codes.
 //! 3. **Error overwrite** — after the update, the errors replace the
-//!    activations in the same cells ([`inca_xbar::VerticalPlane::write_bits`]
-//!    onto the used planes), freeing the paper's "redundant RRAM".
+//!    activations in the same cells (one one-shot write per bit-plane),
+//!    freeing the paper's "redundant RRAM".
+//!
+//! The unit holds its channel as the code image that `HwConv` programs
+//! (one sample, one channel, no padding): the planes' cells, one code per
+//! cell, with each write's program pulses recorded when it happens.
 //!
 //! The test suite checks the hardware gradient against the float
 //! framework's `Conv2d` backward pass and against a bit-serial oracle
-//! that reads the planes one (side, δ bit, activation bit) at a time.
+//! that builds the planes from the unit's codes and reads them one (side,
+//! δ bit, activation bit) at a time.
 
 use inca_nn::Tensor;
 use inca_telemetry::Event;
-use inca_xbar::quant::slice_to_bit_planes;
-use inca_xbar::VerticalPlane;
 
 use crate::hw_exec::{weight_levels, DATA_BITS, WEIGHT_BITS};
-use crate::hw_kernel::Quantizer;
+use crate::hw_kernel::CodeImage;
 use crate::{Error, Result};
 
 /// A single-channel-pair in-situ gradient unit: holds one input channel
-/// resident in bit-planes and computes weight gradients against supplied
-/// error maps.
+/// resident in its bit-planes and computes weight gradients against
+/// supplied error maps.
 ///
 /// # Examples
 ///
@@ -50,11 +53,10 @@ use crate::{Error, Result};
 /// ```
 #[derive(Debug, Clone)]
 pub struct HwGradientUnit {
-    h: usize,
-    w: usize,
-    planes: Vec<VerticalPlane>,
-    x_scale: f32,
-    x_min: f32,
+    /// The resident channel's codes, `[1][1][H][W]`.
+    image: CodeImage,
+    /// Write pulses the resident planes have received.
+    writes: u64,
 }
 
 impl HwGradientUnit {
@@ -68,29 +70,8 @@ impl HwGradientUnit {
         if x.shape().len() != 2 || x.is_empty() {
             return Err(Error::Config(format!("expected a nonempty [H, W] channel, got {:?}", x.shape())));
         }
-        let h = x.shape()[0];
-        let w = x.shape()[1];
-        let (codes, Quantizer { x_min, x_scale }) = quantize(x);
-        let planes = slice_to_bit_planes(&codes, DATA_BITS)
-            .into_iter()
-            .map(|bits| {
-                let mut p = VerticalPlane::new(h, w);
-                p.write_bits(&bits)?;
-                Ok(p)
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Self { h, w, planes, x_scale, x_min })
-    }
-
-    /// The resident codes, row-major, read back from the bit-planes.
-    fn codes(&self) -> Vec<i64> {
-        let mut codes = vec![0i64; self.h * self.w];
-        for (bit, plane) in self.planes.iter().enumerate() {
-            for (i, code) in codes.iter_mut().enumerate() {
-                *code |= i64::from(plane.bit(i / self.w, i % self.w)) << bit;
-            }
-        }
-        codes
+        let image = CodeImage::quantize(x, 0);
+        Ok(Self { writes: image.record_writes(1), image })
     }
 
     /// Computes the `k × k` weight gradient for this channel against the
@@ -123,10 +104,10 @@ impl HwGradientUnit {
         let (oh, ow) = (delta.shape()[0], delta.shape()[1]);
         // A valid conv maps H to H − k + 1; compared without a subtraction
         // that could underflow.
-        if oh == 0 || ow == 0 || oh + k != self.h + 1 || ow + k != self.w + 1 {
+        let (h, w) = (self.image.ph, self.image.pw);
+        if oh == 0 || ow == 0 || oh + k != h + 1 || ow + k != w + 1 {
             return Err(Error::Config(format!(
-                "error map {oh}x{ow} inconsistent with {k}x{k} valid conv of {}x{}",
-                self.h, self.w
+                "error map {oh}x{ow} inconsistent with {k}x{k} valid conv of {h}x{w}"
             )));
         }
         let d_max = delta.data().iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-12);
@@ -137,7 +118,7 @@ impl HwGradientUnit {
         let delta_sum: f32 = delta.data().iter().sum();
 
         let _span = inca_telemetry::span("hw_train.weight_gradient");
-        let codes = self.codes();
+        let (codes, quantizer) = (self.image.channel(0, 0), self.image.quantizer);
         let mut grad = Tensor::zeros(&[k, k]);
         for (pos, slot) in grad.data_mut().iter_mut().enumerate() {
             let (kh, kw) = (pos / k, pos % k);
@@ -145,11 +126,11 @@ impl HwGradientUnit {
                 .chunks_exact(ow)
                 .enumerate()
                 .map(|(y, row)| {
-                    let window = &codes[(y + kh) * self.w + kw..][..ow];
-                    row.iter().zip(window).map(|(&d, &x)| d * x).sum::<i64>()
+                    let window = &codes[(y + kh) * w + kw..][..ow];
+                    row.iter().zip(window).map(|(&d, &x)| d * i64::from(x)).sum::<i64>()
                 })
                 .sum();
-            *slot = acc as f32 * self.x_scale * d_scale + self.x_min * delta_sum;
+            *slot = acc as f32 * quantizer.x_scale * d_scale + quantizer.x_min * delta_sum;
         }
         let reads = (2 * usize::from(WEIGHT_BITS) * usize::from(DATA_BITS) * k * k) as u64;
         inca_telemetry::record(Event::XbarReadPulse, reads);
@@ -166,20 +147,15 @@ impl HwGradientUnit {
     ///
     /// Returns [`Error::Config`] on shape mismatch.
     pub fn overwrite_with_errors(&mut self, errors: &Tensor) -> Result<()> {
-        if errors.shape() != [self.h, self.w] {
+        let (h, w) = (self.image.ph, self.image.pw);
+        if errors.shape() != [h, w] {
             return Err(Error::Config(format!(
-                "errors {:?} do not match resident shape {}x{}",
-                errors.shape(),
-                self.h,
-                self.w
+                "errors {:?} do not match resident shape {h}x{w}",
+                errors.shape()
             )));
         }
-        let (codes, Quantizer { x_min, x_scale }) = quantize(errors);
-        for (plane, bits) in self.planes.iter_mut().zip(slice_to_bit_planes(&codes, DATA_BITS)) {
-            plane.write_bits(&bits)?;
-        }
-        self.x_scale = x_scale;
-        self.x_min = x_min;
+        self.image = CodeImage::quantize(errors, 0);
+        self.writes += self.image.record_writes(1);
         Ok(())
     }
 
@@ -187,15 +163,8 @@ impl HwGradientUnit {
     /// endurance model tracks.
     #[must_use]
     pub fn write_count(&self) -> u64 {
-        self.planes.iter().map(VerticalPlane::write_count).sum()
+        self.writes
     }
-}
-
-/// `x`'s 8-bit codes on its own range, with the [`Quantizer`] of that
-/// range.
-fn quantize(x: &Tensor) -> (Vec<u32>, Quantizer) {
-    let quantizer = Quantizer::of(x.data());
-    (x.data().iter().map(|&v| u32::from(quantizer.code(v))).collect(), quantizer)
 }
 
 /// Propagates errors backward through a convolution layer on hardware
@@ -239,6 +208,8 @@ mod tests {
     use super::*;
     use inca_nn::layers::{self, Layer as _};
     use inca_telemetry::capture;
+    use inca_xbar::quant::slice_to_bit_planes;
+    use inca_xbar::VerticalPlane;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
@@ -312,12 +283,14 @@ mod tests {
     #[test]
     fn error_overwrite_recycles_cells() {
         let x2d = random_tensor(&[6, 6], 9, 0.0, 1.0);
-        let mut unit = HwGradientUnit::program(&x2d).unwrap();
+        let (mut unit, programmed) = capture(|| HwGradientUnit::program(&x2d).unwrap());
         let writes_after_program = unit.write_count();
         assert_eq!(writes_after_program, u64::from(DATA_BITS)); // one pulse per bit-plane
+        assert_eq!(programmed.get(Event::RramProgramPulse), u64::from(DATA_BITS));
         let errors = random_tensor(&[6, 6], 10, -0.2, 0.2);
-        unit.overwrite_with_errors(&errors).unwrap();
+        let ((), overwritten) = capture(|| unit.overwrite_with_errors(&errors).unwrap());
         assert_eq!(unit.write_count(), 2 * u64::from(DATA_BITS));
+        assert_eq!(overwritten.get(Event::RramProgramPulse), u64::from(DATA_BITS));
     }
 
     /// Eq. 3 on hardware: the backpropagated error must match the float
@@ -345,13 +318,21 @@ mod tests {
         }
     }
 
-    /// The bit-serial oracle of [`HwGradientUnit::weight_gradient`]: δ
-    /// split into positive and negative 7-bit magnitude planes, and each
-    /// gradient position the shift-add of one counted plane read per
-    /// (side, δ bit, activation bit), one bit-serial cycle each. δ spans
-    /// `O_H × O_W`, larger than a weight kernel, but the 2T1R select lines
-    /// gate any rectangle.
+    /// The bit-serial oracle of [`HwGradientUnit::weight_gradient`]: the
+    /// unit's codes built into one plane per activation bit (uncounted, as
+    /// the unit recorded their writes at programming), δ split into
+    /// positive and negative 7-bit magnitude planes, and each gradient
+    /// position the shift-add of one counted plane read per (side, δ bit,
+    /// activation bit), one bit-serial cycle each. δ spans `O_H × O_W`,
+    /// larger than a weight kernel, but the 2T1R select lines gate any
+    /// rectangle.
     fn bit_serial_gradient(unit: &HwGradientUnit, delta: &Tensor, k: usize) -> Tensor {
+        let (h, w) = (unit.image.ph, unit.image.pw);
+        let codes: Vec<u32> = unit.image.channel(0, 0).iter().map(|&code| u32::from(code)).collect();
+        let planes: Vec<VerticalPlane> = slice_to_bit_planes(&codes, DATA_BITS)
+            .iter()
+            .map(|bits| VerticalPlane::from_bits(h, w, bits).unwrap())
+            .collect();
         let (oh, ow) = (delta.shape()[0], delta.shape()[1]);
         let d_max = delta.data().iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-12);
         let d_scale = d_max / weight_levels();
@@ -368,19 +349,20 @@ mod tests {
         let pos_planes = slice_to_bit_planes(&d_pos, WEIGHT_BITS);
         let neg_planes = slice_to_bit_planes(&d_neg, WEIGHT_BITS);
         let delta_sum: f32 = delta.data().iter().sum();
+        let quantizer = unit.image.quantizer;
         let mut grad = Tensor::zeros(&[k, k]);
         for (pos, slot) in grad.data_mut().iter_mut().enumerate() {
             let (kh, kw) = (pos / k, pos % k);
-            inca_telemetry::record(Event::BitSerialCycle, (2 * pos_planes.len() * unit.planes.len()) as u64);
+            inca_telemetry::record(Event::BitSerialCycle, (2 * pos_planes.len() * planes.len()) as u64);
             let mut acc: i64 = 0;
             for (db, (pp, np)) in pos_planes.iter().zip(&neg_planes).enumerate() {
-                for (xb, plane) in unit.planes.iter().enumerate() {
+                for (xb, plane) in planes.iter().enumerate() {
                     let p = plane.direct_conv_window(kh, kw, oh, ow, pp).unwrap();
                     let n = plane.direct_conv_window(kh, kw, oh, ow, np).unwrap();
                     acc += (i64::from(p) - i64::from(n)) << (db + xb);
                 }
             }
-            *slot = acc as f32 * unit.x_scale * d_scale + unit.x_min * delta_sum;
+            *slot = acc as f32 * quantizer.x_scale * d_scale + quantizer.x_min * delta_sum;
         }
         grad
     }

@@ -1,6 +1,4 @@
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::{EnduranceReport, EnduranceTracker, Result};
 
@@ -9,8 +7,8 @@ use crate::{EnduranceReport, EnduranceTracker, Result};
 /// The 3D stack's planes are independent and naturally simulated in
 /// parallel, but they wear a *shared* physical array — every thread
 /// must charge its writes against one budget. The
-/// handle wraps the tracker in `Arc<Mutex<…>>` with `parking_lot`'s
-/// non-poisoning mutex.
+/// handle wraps the tracker in `Arc<Mutex<…>>` and never poisons: a
+/// holder's panic leaves the counts it had already recorded.
 ///
 /// # Examples
 ///
@@ -42,13 +40,18 @@ impl SharedEnduranceTracker {
     ///
     /// Propagates [`crate::DeviceError::EnduranceExceeded`].
     pub fn record_uniform(&self, count: u64) -> Result<()> {
-        self.inner.lock().record_uniform(count)
+        self.lock().record_uniform(count)
     }
 
     /// Aggregate wear statistics.
     #[must_use]
     pub fn report(&self) -> EnduranceReport {
-        self.inner.lock().report()
+        self.lock().report()
+    }
+
+    /// The tracker, whether or not an earlier holder panicked.
+    fn lock(&self) -> MutexGuard<'_, EnduranceTracker> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -58,11 +61,11 @@ mod tests {
 
     impl SharedEnduranceTracker {
         fn record_writes(&self, index: usize, count: u64) -> Result<()> {
-            self.inner.lock().record_writes(index, count)
+            self.lock().record_writes(index, count)
         }
 
         fn reset(&self) {
-            self.inner.lock().reset();
+            self.lock().reset();
         }
     }
 

@@ -273,15 +273,12 @@ fn simulate_is(config: &ArchConfig, spec: &ModelSpec, cost: &CostModel) -> Netwo
     let _span = inca_telemetry::span("sim.inference.is");
     let batch = config.batch_size as u64;
     let bits = u64::from(config.data_bits);
-    let engine = mapping::IsMapping::new(config);
 
     let mut per_layer = Vec::new();
     let mut total = EnergyBreakdown::zero();
     let mut cycles_total = 0u64;
 
     for (idx, layer) in spec.weighted_layers().enumerate() {
-        // Same constructor invariant as the WS loop above.
-        let _m = engine.map_layer(layer).expect("weighted layer maps"); // lint: allow(panic-path)
         let fan_in = layer.fan_in();
         let out_elems = layer.output_elems();
         let macs = layer.macs();

@@ -108,16 +108,6 @@ impl Crossbar2d {
         inca_telemetry::record(Event::RramProgramPulse, columns);
     }
 
-    /// The stored bit at `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    #[must_use]
-    pub fn bit(&self, row: usize, col: usize) -> u8 {
-        self.cells[col * self.rows + row]
-    }
-
     /// One binary matrix-vector multiplication: drives `input` (0/1 per
     /// row), returns the per-column accumulated counts — one read cycle.
     ///
@@ -184,6 +174,11 @@ mod tests {
             self.writes += 1;
             inca_telemetry::incr(Event::RramProgramPulse);
             Ok(())
+        }
+
+        /// The stored bit at `(row, col)`.
+        fn bit(&self, row: usize, col: usize) -> u8 {
+            self.cells[col * self.rows + row]
         }
     }
 

@@ -25,15 +25,14 @@
 //! ```
 //! use inca_xbar::VerticalPlane;
 //!
-//! let mut plane = VerticalPlane::new(4, 4);
-//! // A 4x4 binary input image:
+//! // A 4x4 binary input image in the plane's cells:
 //! let image = [
 //!     1, 0, 1, 0,
 //!     0, 1, 0, 1,
 //!     1, 1, 0, 0,
 //!     0, 0, 1, 1,
 //! ];
-//! plane.write_bits(&image)?;
+//! let plane = VerticalPlane::from_bits(4, 4, &image)?;
 //! // Slide a 2x2 kernel of binary weights over the top-left window:
 //! let kernel = [1, 1, 0, 1];
 //! let sum = plane.direct_conv_window(0, 0, 2, 2, &kernel)?;

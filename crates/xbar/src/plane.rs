@@ -3,7 +3,6 @@ use inca_telemetry::Event;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::packed::words_for;
 use crate::{Result, XbarError};
 
 /// One 2T1R vertical plane of the INCA architecture (§IV-A, Fig 8).
@@ -25,19 +24,17 @@ use crate::{Result, XbarError};
 /// without unrolling.
 ///
 /// Cells are 1-bit (Table II); multi-bit activations use one plane per bit
-/// plus a shift-accumulator (see [`crate::quant`]).
+/// plus a shift-accumulator (see [`crate::quant`]). A plane stores one
+/// byte per cell: it is the bit-level reference model of the read. The
+/// functional conv engine keeps a programmed input as one code per cell
+/// and builds planes from it ([`VerticalPlane::from_bits`]) only for its
+/// reference and analog reads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VerticalPlane {
     rows: usize,
     cols: usize,
     /// Stored bit per cell (normalized conductance 0 or 1).
     cells: Vec<u8>,
-    /// Word-packed mirror of `cells`: `words_per_row` `u64`s per row, bit
-    /// `j` of word `w` holding column `64·w + j` (LSB-first); bits beyond
-    /// `cols` stay zero. Kept in sync by every write, it serves the
-    /// word-parallel read ([`VerticalPlane::extract_window_compact`]).
-    packed: Vec<u64>,
-    words_per_row: usize,
     /// Cumulative write pulses (endurance accounting).
     writes: u64,
 }
@@ -49,17 +46,9 @@ impl VerticalPlane {
     ///
     /// Panics if either dimension is zero.
     #[must_use]
-    pub fn new(rows: usize, cols: usize) -> Self {
+    pub(crate) fn new(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "plane dimensions must be positive");
-        let words_per_row = words_for(cols);
-        Self {
-            rows,
-            cols,
-            cells: vec![0; rows * cols],
-            packed: vec![0; rows * words_per_row],
-            words_per_row,
-            writes: 0,
-        }
+        Self { rows, cols, cells: vec![0; rows * cols], writes: 0 }
     }
 
     /// The paper's 16×16 subarray (Table II).
@@ -130,8 +119,7 @@ impl VerticalPlane {
         inca_telemetry::record(Event::RramProgramPulse, planes);
     }
 
-    /// Validates a full bit image and stores it and its packed mirror,
-    /// uncounted.
+    /// Validates a full bit image and stores it, uncounted.
     fn load_bits(&mut self, bits: &[u8]) -> Result<()> {
         if bits.len() != self.cells.len() {
             return Err(XbarError::ShapeMismatch {
@@ -143,26 +131,7 @@ impl VerticalPlane {
             return Err(XbarError::ValueOutOfRange { value: i64::from(bad), bits: 1 });
         }
         self.cells.copy_from_slice(bits);
-        let (cols, wpr) = (self.cols, self.words_per_row);
-        for (row, words) in self.cells.chunks_exact(cols).zip(self.packed.chunks_exact_mut(wpr)) {
-            words.fill(0);
-            for (j, &cell) in row.iter().enumerate() {
-                if cell & 1 == 1 {
-                    words[j >> 6] |= 1u64 << (j & 63);
-                }
-            }
-        }
         Ok(())
-    }
-
-    /// Reads back the stored bit at `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinates are out of bounds.
-    #[must_use]
-    pub fn bit(&self, row: usize, col: usize) -> u8 {
-        self.cells[row * self.cols + col]
     }
 
     /// Performs one direct-convolution read: activates the window
@@ -198,8 +167,7 @@ impl VerticalPlane {
     /// every plane through this and does its own event accounting,
     /// because its pillar drivers are *shared* across the stack (one DAC
     /// set per broadcast, not per plane). Callers that coalesce their own
-    /// telemetry read through this or the packed mirror
-    /// ([`VerticalPlane::extract_window_compact`]).
+    /// telemetry read through this.
     ///
     /// # Errors
     ///
@@ -231,74 +199,6 @@ impl VerticalPlane {
             }
         }
         Ok(acc)
-    }
-
-    /// One 64-bit chunk of row `row` starting at bit (column) `bit0`,
-    /// read from the packed mirror. Columns past the row end come back as
-    /// zero bits.
-    #[inline]
-    fn row_chunk(&self, row: usize, bit0: usize) -> u64 {
-        let base = row * self.words_per_row;
-        let w = bit0 >> 6;
-        let off = bit0 & 63;
-        let lo = self.packed[base + w] >> off;
-        if off == 0 || w + 1 >= self.words_per_row {
-            lo
-        } else {
-            lo | (self.packed[base + w + 1] << (64 - off))
-        }
-    }
-
-    /// Extracts the window `[row, row+kh) × [col, col+kw)` as one
-    /// contiguous bit string in `dst`: window cell `(i, j)` lands at bit
-    /// `i·kw + j` (LSB-first across the words), so a `k × k` window
-    /// fills `⌈k²/64⌉` words — one word for every `k ≤ 8`. Bits past
-    /// `kh·kw` are zero. Kernel masks packed to the same layout make a
-    /// whole window read one AND+popcount per word (see
-    /// [`crate::simd::and_popcount_accumulate`]).
-    ///
-    /// # Errors
-    ///
-    /// * [`XbarError::WindowOutOfBounds`] if the window does not fit.
-    /// * [`XbarError::ShapeMismatch`] if `dst` is not
-    ///   `words_for(kh·kw)` words long.
-    pub fn extract_window_compact(
-        &self,
-        row: usize,
-        col: usize,
-        kh: usize,
-        kw: usize,
-        dst: &mut [u64],
-    ) -> Result<()> {
-        self.check_window(row, col, kh, kw)?;
-        if dst.len() != words_for(kh * kw) {
-            return Err(XbarError::ShapeMismatch {
-                expected: format!("{} words for a {kh}x{kw} window", words_for(kh * kw)),
-                got: dst.len(),
-            });
-        }
-        if let [word] = dst {
-            // At most 64 cells: each row is one chunk at bit `i·kw`.
-            let row_mask = u64::MAX >> (64 - kw);
-            *word = (0..kh).fold(0, |acc, i| acc | (self.row_chunk(row + i, col) & row_mask) << (i * kw));
-            return Ok(());
-        }
-        dst.fill(0);
-        for i in 0..kh {
-            // Each row goes in 64-column pieces; a piece of `n` bits at
-            // bit `pos` straddles two words when `pos % 64 + n > 64`.
-            for piece in (0..kw).step_by(64) {
-                let n = (kw - piece).min(64);
-                let bits = self.row_chunk(row + i, col + piece) & (u64::MAX >> (64 - n));
-                let pos = i * kw + piece;
-                let (w, off) = (pos >> 6, pos & 63);
-                dst[w] |= bits << off;
-                if off + n > 64 {
-                    dst[w + 1] |= bits >> (64 - off);
-                }
-            }
-        }
-        Ok(())
     }
 
     /// The *analog* current accumulated for a window read, including the
@@ -357,6 +257,13 @@ impl VerticalPlane {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    impl VerticalPlane {
+        /// Reads back the stored bit at `(row, col)`.
+        fn bit(&self, row: usize, col: usize) -> u8 {
+            self.cells[row * self.cols + col]
+        }
+    }
 
     fn plane_with(bits: &[u8], rows: usize, cols: usize) -> VerticalPlane {
         let mut p = VerticalPlane::new(rows, cols);
@@ -429,12 +336,10 @@ mod tests {
         let loaded = VerticalPlane::from_bits(3, 3, &bits).unwrap();
         let written = plane_with(&bits, 3, 3);
         assert_eq!(loaded.write_count(), 0);
-        for (r, c) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
-            let mut a = [0u64; 1];
-            let mut b = [0u64; 1];
-            loaded.extract_window_compact(r, c, 2, 2, &mut a).unwrap();
-            written.extract_window_compact(r, c, 2, 2, &mut b).unwrap();
-            assert_eq!(a, b, "window ({r}, {c})");
+        for r in 0..3 {
+            for c in 0..3 {
+                assert_eq!(loaded.bit(r, c), written.bit(r, c), "cell ({r}, {c})");
+            }
         }
         assert!(matches!(
             VerticalPlane::from_bits(2, 2, &[1, 0, 2, 0]),
@@ -476,47 +381,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_dimension_panics() {
         let _ = VerticalPlane::new(0, 16);
-    }
-
-    #[test]
-    fn compact_window_matches_bits_everywhere() {
-        // A plane wider than one word, so row chunks straddle the packed
-        // mirror's words; windows from 1 cell to k² > 64 (k = 9 puts row
-        // 7 across the first word boundary) and one wider than 64 columns.
-        let (rows, cols) = (11, 75);
-        let bits: Vec<u8> = (0..rows * cols).map(|i| u8::from((i * 7 + i / 13) % 3 == 0)).collect();
-        let p = plane_with(&bits, rows, cols);
-        for (kh, kw) in [(1, 1), (3, 3), (5, 5), (8, 8), (9, 9), (11, 11), (2, 70)] {
-            let mut dst = vec![0u64; words_for(kh * kw)];
-            for r in 0..=rows - kh {
-                for c in 0..=cols - kw {
-                    p.extract_window_compact(r, c, kh, kw, &mut dst).unwrap();
-                    for i in 0..kh {
-                        for j in 0..kw {
-                            let b = i * kw + j;
-                            let got = (dst[b / 64] >> (b % 64)) & 1;
-                            assert_eq!(
-                                got,
-                                u64::from(p.bit(r + i, c + j)),
-                                "{kh}x{kw} at ({r},{c}) cell ({i},{j})"
-                            );
-                        }
-                    }
-                    // Nothing past the window's last cell.
-                    let used = kh * kw;
-                    let tail = if used % 64 == 0 { 0 } else { dst[used / 64] >> (used % 64) };
-                    assert_eq!(tail, 0, "{kh}x{kw} at ({r},{c}) stray bits");
-                }
-            }
-        }
-        let mut dst = [0u64; 1];
-        assert!(matches!(
-            p.extract_window_compact(10, 0, 3, 3, &mut dst),
-            Err(XbarError::WindowOutOfBounds { .. })
-        ));
-        assert!(matches!(
-            p.extract_window_compact(0, 0, 9, 9, &mut dst),
-            Err(XbarError::ShapeMismatch { .. })
-        ));
     }
 }

@@ -28,20 +28,6 @@ pub fn slice_to_bit_planes(values: &[u32], bits: u8) -> Vec<Vec<u8>> {
     (0..bits).map(|b| values.iter().map(|&v| ((v >> b) & 1) as u8).collect()).collect()
 }
 
-/// Uniformly quantizes `x ∈ [lo, hi]` to an unsigned `bits`-bit code.
-///
-/// # Panics
-///
-/// Panics if `lo >= hi` or `bits` is 0 or above 31.
-#[must_use]
-pub fn quantize(x: f32, lo: f32, hi: f32, bits: u8) -> u32 {
-    assert!(lo < hi, "lo must be below hi");
-    assert!((1..=31).contains(&bits), "bits must be 1..=31");
-    let levels = (1u32 << bits) - 1;
-    let t = ((x - lo) / (hi - lo)).clamp(0.0, 1.0);
-    (t * levels as f32).round() as u32
-}
-
 /// Computes the integer dot product of two unsigned vectors via the full
 /// bit-serial pipeline: input bit-planes × weight bit-planes, recombined by
 /// double shift-accumulation. This is exactly what the PIM hardware
@@ -88,25 +74,6 @@ mod tests {
     }
 
     #[test]
-    fn quantize_endpoints_and_midpoint() {
-        assert_eq!(quantize(-1.0, -1.0, 1.0, 8), 0);
-        assert_eq!(quantize(1.0, -1.0, 1.0, 8), 255);
-        assert_eq!(quantize(0.0, -1.0, 1.0, 8), 128);
-        assert_eq!(quantize(5.0, -1.0, 1.0, 8), 255); // clamps
-    }
-
-    #[test]
-    fn quantize_lands_within_half_step() {
-        let (lo, hi, bits) = (-2.0f32, 2.0, 6);
-        let step = (hi - lo) / ((1u32 << bits) - 1) as f32;
-        for i in 0..100 {
-            let x = lo + (hi - lo) * (i as f32) / 99.0;
-            let back = lo + step * quantize(x, lo, hi, bits) as f32;
-            assert!((back - x).abs() <= step / 2.0 + 1e-6);
-        }
-    }
-
-    #[test]
     fn bit_serial_dot_equals_integer_dot() {
         let xs = [200u32, 13, 0, 255, 7];
         let ws = [3u32, 255, 9, 1, 128];
@@ -126,11 +93,5 @@ mod tests {
     #[should_panic(expected = "lengths")]
     fn mismatched_lengths_panic() {
         let _ = bit_serial_dot(&[1], &[1, 2], 8, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "bits")]
-    fn zero_bits_panics() {
-        let _ = quantize(0.0, -1.0, 1.0, 0);
     }
 }

@@ -23,8 +23,7 @@
 //!
 //! * [`and_popcount_accumulate`] — the bit-serial read kernel. One
 //!   call takes one window's compact activation-bit word (window cell
-//!   `(i, j)` at bit `i·k + j`, see
-//!   [`crate::VerticalPlane::extract_window_compact`]) and every kernel
+//!   `(i, j)` at bit `i·k + j`, see [`crate::packed`]) and every kernel
 //!   mask of one input channel (`out × 2 sides × 7 weight bits`), and
 //!   adds each read's ADC-saturated count, shifted by the activation
 //!   bit, into its own `u32` accumulator:
@@ -100,11 +99,10 @@ pub fn and_popcount_lanes(x: &[u64], w: &[u64], out: &mut [u32]) {
 /// and shifted into its own accumulator:
 /// `acc[i] += min(Σ_w popcount(x[w] & masks[i·x.len() + w]), cap) << shift`.
 ///
-/// `x` is a window in the compact layout of
-/// [`crate::VerticalPlane::extract_window_compact`] (one word for every
-/// window of at most 64 cells) and `masks` holds `acc.len()` kernel masks
-/// in the same layout, back to back. The `min` is applied to each read
-/// *before* the shift, so every read saturates exactly as one
+/// `x` is a window in the compact layout of [`crate::packed`] (one word
+/// for every window of at most 64 cells) and `masks` holds `acc.len()`
+/// kernel masks in the same layout, back to back. The `min` is applied to
+/// each read *before* the shift, so every read saturates exactly as one
 /// `AdcReadout::digitize` call would (`cap = u32::MAX` disables it). Sums
 /// wrap modulo 2³² identically on every implementation; callers bound
 /// their totals so they never do.

@@ -18,9 +18,8 @@ fn array_types_are_send_and_sync() {
 
 #[test]
 fn concurrent_plane_window_reads_agree_with_serial() {
-    let mut plane = VerticalPlane::new(8, 8);
     let bits: Vec<u8> = (0..64).map(|i| (i % 3 == 0) as u8).collect();
-    plane.write_bits(&bits).unwrap();
+    let plane = VerticalPlane::from_bits(8, 8, &bits).unwrap();
     let kernel = [1u8, 0, 1, 1, 1, 0, 0, 1, 1];
 
     let serial: Vec<u32> = (0..6)
@@ -83,9 +82,8 @@ fn concurrent_stack_broadcast_reads_agree_with_serial() {
 fn concurrent_reads_record_exact_telemetry_counts() {
     use inca_telemetry::Event;
 
-    let mut plane = VerticalPlane::new(8, 8);
     let bits: Vec<u8> = (0..64).map(|i| (i % 5 == 0) as u8).collect();
-    plane.write_bits(&bits).unwrap();
+    let plane = VerticalPlane::from_bits(8, 8, &bits).unwrap();
     let kernel = [1u8, 0, 1, 1, 0, 1, 1, 0, 1];
 
     let plane_ref = &plane;

@@ -32,14 +32,8 @@ fn framework_conv(img: &[u32], kernel: &[u32]) -> Vec<u64> {
 /// (b) INCA: one plane per activation bit, kernel streamed bit-serially.
 fn inca_conv(img: &[u32], kernel: &[u32]) -> Vec<u64> {
     let x_planes = slice_to_bit_planes(img, BITS);
-    let planes: Vec<VerticalPlane> = x_planes
-        .iter()
-        .map(|bits| {
-            let mut p = VerticalPlane::new(H, H);
-            p.write_bits(bits).unwrap();
-            p
-        })
-        .collect();
+    let planes: Vec<VerticalPlane> =
+        x_planes.iter().map(|bits| VerticalPlane::from_bits(H, H, bits).unwrap()).collect();
     let w_planes = slice_to_bit_planes(kernel, BITS);
     Windows::new(H, H, K, K, 1)
         .map(|(r, c)| {
@@ -95,7 +89,8 @@ fn backward_error_overwrite_roundtrip() {
     // serve the next convolution.
     let (img, kernel) = random_case(42);
     let x_planes = slice_to_bit_planes(&img, BITS);
-    let mut plane = VerticalPlane::new(H, H);
+    // An erased plane, written with the activations.
+    let mut plane = VerticalPlane::from_bits(H, H, &[0; H * H]).unwrap();
     plane.write_bits(&x_planes[0]).unwrap();
     let before = plane.direct_conv_window(0, 0, K, K, &slice_to_bit_planes(&kernel, BITS)[0]).unwrap();
 
