@@ -71,7 +71,7 @@ use inca_telemetry::Event;
 use inca_xbar::{AdcReadout, Crossbar2d, Stack3d, VerticalPlane};
 
 use crate::exec::{self, ExecPolicy};
-use crate::hw_kernel::{conv_output_dims, round_half_away, CodeImage, ConvKernel, Dequantizer, Quantizer};
+use crate::hw_kernel::{conv_output_dims, CodeImage, ConvKernel, Dequantizer, Quantizer, SignedQuantizer};
 use crate::{Error, Result};
 
 /// Quantization width of activations (Table II: 8-bit codes).
@@ -86,11 +86,6 @@ const ADC_BITS: u8 = 4;
 
 /// The ADC's max code, at which every window read saturates.
 pub(crate) const READ_CAP: u32 = (1 << ADC_BITS) - 1;
-
-/// Largest representable weight magnitude code.
-pub(crate) fn weight_levels() -> f32 {
-    f32::from((1u16 << WEIGHT_BITS) - 1)
-}
 
 /// Rows of a batch: the first dimension of a tensor of two or more
 /// dimensions, one row otherwise.
@@ -156,8 +151,9 @@ impl HwConv {
     ///
     /// Returns [`Error::Config`] if the weight tensor is not a square 4-D
     /// kernel, the bias length does not match the output channels, the
-    /// stride is 0, or the layer has so many input channels that the
-    /// packed read accumulators could overflow.
+    /// stride is 0, the layer has so many input channels that the
+    /// packed read accumulators could overflow, or a weight or bias is NaN
+    /// or infinite.
     pub fn from_float(weights: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Result<Self> {
         let kernel = ConvKernel::from_float(weights, bias, stride, pad)?;
         Ok(Self { side: 16.max(kernel.k()), kernel, policy: ExecPolicy::default() })
@@ -407,16 +403,15 @@ impl HwConv {
             .map(|(row0, col0, rows, cols)| {
                 let stacks = (0..DATA_BITS)
                     .map(|bit| {
-                        let mut stack = Stack3d::new(rows, cols, image.b);
-                        for bi in 0..image.b {
+                        let planes = (0..image.b).map(|bi| {
                             let codes = image.channel(bi, ci);
                             let bits: Vec<u8> = (row0..row0 + rows)
                                 .flat_map(|y| &codes[y * pw + col0..y * pw + col0 + cols])
                                 .map(|&v| (v >> bit) & 1)
                                 .collect();
-                            *stack.plane_mut(bi)? = VerticalPlane::from_bits(rows, cols, &bits)?;
-                        }
-                        Ok(stack)
+                            VerticalPlane::from_bits(rows, cols, &bits)
+                        });
+                        Ok(Stack3d::from_planes(planes.collect::<inca_xbar::Result<_>>()?)?)
                     })
                     .collect::<Result<Vec<_>>>()?;
                 Ok(Partition { row0, col0, stacks })
@@ -544,7 +539,8 @@ impl HwWsConv {
     ///
     /// Returns [`Error::Config`] if the weight tensor is not a square 4-D
     /// kernel with at least one output, input and cell, the bias length
-    /// does not match the output channels, or the stride is 0.
+    /// does not match the output channels, the stride is 0, or a weight or
+    /// bias is NaN or infinite.
     pub fn from_float(weights: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Result<Self> {
         if weights.shape().len() != 4 {
             return Err(Error::Config(format!("expected [out,in,k,k] weights, got {:?}", weights.shape())));
@@ -639,7 +635,7 @@ impl HwLinear {
     ///
     /// Returns [`Error::Config`] unless the weights are a `[out, in]`
     /// matrix with at least one output and one input and the bias holds
-    /// one value per output.
+    /// one value per output, all of them finite.
     pub fn from_float(weights: &Tensor, bias: &[f32]) -> Result<Self> {
         let &[out_f, in_f] = weights.shape() else {
             return Err(Error::Config(format!("expected [out,in] weights, got {:?}", weights.shape())));
@@ -650,14 +646,13 @@ impl HwLinear {
         if bias.len() != out_f {
             return Err(Error::Config("bias length mismatch".into()));
         }
-        let w_max = weights.data().iter().fold(0.0f32, |m, &w| m.max(w.abs())).max(1e-12);
-        let w_scale = w_max / weight_levels();
-        // |w| ≤ w_max, so every code lies in −127..=127.
-        let codes: Vec<i16> = weights.data().iter().map(|&w| round_half_away(w / w_scale) as i16).collect();
-        let code_sum = codes.chunks_exact(in_f).map(|row| row.iter().map(|&q| i64::from(q)).sum()).collect();
+        let quantizer = SignedQuantizer::of_layer(weights.data(), bias)?;
+        let mut codes = vec![0i16; weights.len()];
+        let rows = codes.chunks_exact_mut(in_f).zip(weights.data().chunks_exact(in_f));
+        let code_sum = rows.map(|(codes, row)| quantizer.codes(row, codes)).collect();
         // One pulse per programmed column: (output, side, weight bit).
         Crossbar2d::record_column_writes((2 * out_f * usize::from(WEIGHT_BITS)) as u64);
-        Ok(Self { in_f, out_f, codes, w_scale, code_sum, bias: bias.to_vec() })
+        Ok(Self { in_f, out_f, codes, w_scale: quantizer.scale, code_sum, bias: bias.to_vec() })
     }
 
     /// Number of output features.
@@ -706,6 +701,8 @@ impl HwLinear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hw_kernel::{round_half_away, tie_weights};
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
     fn random_tensor(shape: &[usize], seed: u64, lo: f32, hi: f32) -> Tensor {
@@ -838,7 +835,7 @@ mod tests {
             use inca_xbar::quant::slice_to_bit_planes;
             let (out_f, in_f) = (weights.shape()[0], weights.shape()[1]);
             let w_max = weights.data().iter().fold(0.0f32, |m, &w| m.max(w.abs())).max(1e-12);
-            let w_scale = w_max / weight_levels();
+            let w_scale = w_max / f32::from((1u16 << WEIGHT_BITS) - 1);
             let bits = usize::from(WEIGHT_BITS);
             let mut pos = Crossbar2d::new(in_f, out_f * bits);
             let mut neg = Crossbar2d::new(in_f, out_f * bits);
@@ -934,6 +931,67 @@ mod tests {
         let empty = |shape: &[usize]| Tensor::from_vec(Vec::new(), shape);
         assert!(matches!(HwLinear::from_float(&empty(&[0, 4]), &[]), Err(Error::Config(_))));
         assert!(matches!(HwLinear::from_float(&empty(&[3, 0]), &[0.0; 3]), Err(Error::Config(_))));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The FC's codes, sums and scale are the old rounding of the
+        /// fold's scale, with weights on ties and feature counts off every
+        /// lane multiple.
+        #[test]
+        fn hw_linear_codes_are_the_old_rounding(seed in any::<u64>(), out_f in 1usize..=12, in_f in 1usize..=40) {
+            let w = Tensor::from_vec(tie_weights(seed, out_f * in_f), &[out_f, in_f]);
+            let fc = HwLinear::from_float(&w, &vec![0.0; out_f]).unwrap();
+            let w_max = w.data().iter().fold(0.0f32, |m, &w| m.max(w.abs())).max(1e-12);
+            let w_scale = w_max / f32::from((1u16 << WEIGHT_BITS) - 1);
+            let codes: Vec<i16> = w.data().iter().map(|&w| round_half_away(w / w_scale) as i16).collect();
+            let code_sum: Vec<i64> = codes.chunks_exact(in_f).map(|row| row.iter().map(|&q| i64::from(q)).sum()).collect();
+            prop_assert_eq!(fc.w_scale.to_bits(), w_scale.to_bits());
+            prop_assert_eq!(&fc.codes, &codes);
+            prop_assert_eq!(&fc.code_sum, &code_sum);
+        }
+    }
+
+    /// `HwConv`, `HwWsConv` and `HwLinear` (on the unrolled kernel) all
+    /// reject a 2-out 2-in 3x3 kernel with weight 13 at `bad`, and a
+    /// finite one with bias 1 at `bad`, naming the value.
+    fn assert_rejected(bad: f32) {
+        let finite = random_tensor(&[2, 2, 3, 3], 81, -0.5, 0.5);
+        let mut w = finite.clone();
+        w.data_mut()[13] = bad;
+        let cases = [
+            (w, [0.1, -0.1], format!("weight 13 is {bad}")),
+            (finite, [0.1, bad], format!("bias 1 is {bad}")),
+        ];
+        for (w, bias, expect) in cases {
+            let unrolled = w.clone().reshaped(&[2, 18]);
+            for (name, result) in [
+                ("HwConv", HwConv::from_float(&w, &bias, 1, 1).map(|_| ())),
+                ("HwWsConv", HwWsConv::from_float(&w, &bias, 1, 1).map(|_| ())),
+                ("HwLinear", HwLinear::from_float(&unrolled, &bias).map(|_| ())),
+            ] {
+                match result {
+                    Err(Error::Config(msg)) => assert!(msg.contains(&expect), "{name}: {msg}"),
+                    other => panic!("{name}: expected a config error for {expect}, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_weight_or_bias_is_a_config_error() {
+        assert_rejected(f32::NAN);
+    }
+
+    #[test]
+    fn an_infinite_weight_or_bias_is_a_config_error() {
+        assert_rejected(f32::INFINITY);
+    }
+
+    #[test]
+    fn a_negative_infinite_weight_or_bias_is_a_config_error() {
+        assert_rejected(f32::NEG_INFINITY);
     }
 
     #[test]

@@ -1,17 +1,21 @@
 //! The two sides of a [`crate::HwConv`] read: the programmed kernel
 //! ([`ConvKernel`]) and the programmed input batch ([`CodeImage`]), plus
 //! the window walk and the exact read that combine them, and the one
-//! activation [`Quantizer`] and [`Dequantizer`] every hardware layer
-//! shares.
+//! activation [`Quantizer`], signed [`SignedQuantizer`] and
+//! [`Dequantizer`] every hardware layer shares.
 //!
 //! Float kernels are quantized once to the differential-pair encoding —
 //! signed 8-bit, i.e. a 7-bit magnitude on either the positive or the
 //! negative side (Table II) — and kept as one table of signed codes. Its
 //! taps `t = (c·k + ky)·k + kx` go in pairs, each pair's two codes side
 //! by side per output: `[⌈in·k²/2⌉][out][2]`, with `out` padded to a
-//! multiple of 8 and the odd tap's partner at zero. A batch is quantized
-//! to 8-bit codes with one shared range, in one zero-padded image, by a
-//! branch-free quantizer whose loop vectorizes.
+//! multiple of 8 and the odd tap's partner at zero. Programming
+//! quantizes 8 output rows at a time and writes each tap pair's 16 codes
+//! into the table as one run. A batch is quantized to 8-bit codes with
+//! one shared range, in one zero-padded image. Both quantizers are
+//! branch-free, so their loops vectorize; the signed one also quantizes
+//! `HwLinear`'s weights and the gradient unit's errors, and a weight or
+//! bias that is NaN or infinite is rejected at programming.
 //!
 //! Every read saturates at the 4-bit ADC's max code. When no read can
 //! reach it ([`ConvKernel::exact_reads`]), the ADC is the identity and the
@@ -48,7 +52,7 @@ use inca_xbar::sliding::output_dims_padded;
 use inca_xbar::VerticalPlane;
 
 use crate::exec::{self, ExecPolicy};
-use crate::hw_exec::{weight_levels, DATA_BITS, READ_CAP, WEIGHT_BITS};
+use crate::hw_exec::{DATA_BITS, READ_CAP, WEIGHT_BITS};
 use crate::{Error, Result};
 
 /// Differential sides per weight: positive, then negative.
@@ -78,10 +82,45 @@ const CHUNK_PAIRS: usize = (i32::MAX as u32 / (2 * MAX_PRODUCT)) as usize;
 /// Rounds half away from zero, as `t.round() as i32` does, without a libm
 /// call: truncate, then step by one where the exact fraction `t −
 /// trunc(t)` reaches ±0.5. NaN maps to 0, and values past `i32` saturate.
+/// The oracle of both quantizers' branch-free codes.
+#[cfg(test)]
 pub(crate) fn round_half_away(t: f32) -> i32 {
     let i = t as i32;
     let frac = t - i as f32;
     i.saturating_add(i32::from(frac >= 0.5) - i32::from(frac <= -0.5))
+}
+
+/// `n` weights from `seed` for the tests that pin the signed codes. One
+/// weight sits at the largest magnitude `127·s`, so the scale is `s`, a
+/// power of two in three draws of four: then every `±(j + 0.5)·s` is an
+/// exact tie of the code. The others are such ties, their 1-ulp
+/// neighbours, ±0, subnormals and uniform values in range.
+#[cfg(test)]
+pub(crate) fn tie_weights(seed: u64, n: usize) -> Vec<f32> {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let power = 2f32.powi(rng.gen_range(-20..=20));
+    let scale = if rng.gen_range(0..4) > 0 { power } else { rng.gen_range(0.5f32..1.0) * power };
+    let specials = [0.0, -0.0, f32::from_bits(1), f32::from_bits(0x007f_ffff), f32::MIN_POSITIVE];
+    let mut weights: Vec<f32> = (0..n)
+        .map(|_| {
+            let tie = (rng.gen_range(0..127) as f32 + 0.5) * scale;
+            let v = match rng.gen_range(0..6) {
+                0 | 1 => tie,
+                2 => tie.next_up(),
+                3 => tie.next_down(),
+                4 => specials[rng.gen_range(0..specials.len())],
+                _ => rng.gen_range(-127.0f32..=127.0) * scale,
+            };
+            if rng.gen_range(0..2) == 0 {
+                -v
+            } else {
+                v
+            }
+        })
+        .collect();
+    weights[rng.gen_range(0..n)] = if rng.gen_range(0..2) == 0 { 127.0 * scale } else { -127.0 * scale };
+    weights
 }
 
 /// Index of tap `t`'s code for output `o` in a pair-major table of
@@ -126,9 +165,10 @@ impl ConvKernel {
     ///
     /// Returns [`Error::Config`] if the weights are not a square 4-D
     /// kernel, have no output, no input or a zero side, the bias length
-    /// differs from the output channels, the stride is 0, or the `u32`
+    /// differs from the output channels, the stride is 0, the `u32`
     /// read accumulators could overflow
-    /// (`in · min(k², 15) · 255 ≥ 2³²`).
+    /// (`in · min(k², 15) · 255 ≥ 2³²`), or a weight or bias is NaN or
+    /// infinite ([`SignedQuantizer::of_layer`]).
     pub(crate) fn from_float(weights: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Result<Self> {
         if weights.shape().len() != 4 {
             return Err(Error::Config(format!("expected [out,in,k,k] weights, got {:?}", weights.shape())));
@@ -151,19 +191,27 @@ impl ConvKernel {
                 "{in_ch} input channels of {k}x{k} reads can overflow the u32 read accumulators"
             )));
         }
-        let w_max = weights.data().iter().fold(0.0f32, |m, &w| m.max(w.abs())).max(1e-12);
-        let w_scale = w_max / weight_levels();
+        let quantizer = SignedQuantizer::of_layer(weights.data(), bias)?;
         let (kk, lanes) = (k * k, out_ch.next_multiple_of(LANES));
-        let mut codes = vec![0i16; (in_ch * kk).div_ceil(2) * lanes * 2];
-        let mut code_sum = vec![0i64; out_ch];
-        // NCHW weights are `[out][in][k·k]` runs.
-        for (oc, cells) in weights.data().chunks_exact(kk).enumerate() {
-            let (o, c) = (oc / in_ch, oc % in_ch);
-            for (cell, &w) in cells.iter().enumerate() {
-                // |w| ≤ w_max, so the code lies in −127..=127.
-                let q = round_half_away(w / w_scale) as i16;
-                code_sum[o] += i64::from(q);
-                codes[pair_index(c * kk + cell, o, lanes)] = q;
+        let (taps, pairs) = (in_ch * kk, (in_ch * kk).div_ceil(2));
+        let mut codes = vec![0i16; pairs * lanes * 2];
+        let mut code_sum = Vec::with_capacity(out_ch);
+        // NCHW weights are `[out][in·k²]` rows. Each `LANES` of them are
+        // quantized into the rows of a block, where an odd last tap's
+        // partner and the rows past `out` hold 0, and each tap pair's
+        // `LANES × 2` codes then go into the table as one run.
+        let mut block = vec![0i16; LANES * 2 * pairs];
+        for (index, rows) in weights.data().chunks(LANES * taps).enumerate() {
+            // Only the last block can stop short of `LANES` rows.
+            block[rows.len() / taps * 2 * pairs..].fill(0);
+            for (row, values) in block.chunks_exact_mut(2 * pairs).zip(rows.chunks_exact(taps)) {
+                code_sum.push(quantizer.codes(values, &mut row[..taps]));
+            }
+            for (pair, run) in codes.chunks_exact_mut(2 * lanes).enumerate() {
+                let (run, _) = run[2 * LANES * index..][..2 * LANES].as_chunks_mut::<2>();
+                for (dst, row) in run.iter_mut().zip(block.chunks_exact(2 * pairs)) {
+                    *dst = [row[2 * pair], row[2 * pair + 1]];
+                }
             }
         }
         let mut kernel = Self {
@@ -178,7 +226,7 @@ impl ConvKernel {
             masks: Vec::new(),
             planes: OnceLock::new(),
             code_sum,
-            w_scale,
+            w_scale: quantizer.scale,
             bias: bias.to_vec(),
         };
         if !kernel.exact_reads() {
@@ -640,6 +688,112 @@ impl Quantizer {
     }
 }
 
+/// The signed 8-bit quantizer of weights and errors: a 7-bit magnitude on
+/// either side of the differential pair (Table II), 127 levels of `scale`
+/// up to the largest magnitude. `ConvKernel`, `HwLinear` and the gradient
+/// unit's δ codes all quantize through it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SignedQuantizer {
+    pub(crate) scale: f32,
+}
+
+impl SignedQuantizer {
+    /// The largest code magnitude, `2⁷ − 1`.
+    const MAX_CODE: f32 = ((1u16 << WEIGHT_BITS) - 1) as f32;
+
+    /// The quantizer of `values`: `scale = max(abs_max, 10⁻¹²) / 127`, with
+    /// NaNs skipped.
+    pub(crate) fn of(values: &[f32]) -> Self {
+        Self::with_abs_max(abs_max(values).0)
+    }
+
+    /// The quantizer of a layer's `weights`, as [`SignedQuantizer::of`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Config`] naming the first NaN or infinite weight,
+    /// or else bias: an infinite weight would make the scale, and so every
+    /// output of the layer, non-finite, and a NaN one would program as 0.
+    pub(crate) fn of_layer(weights: &[f32], bias: &[f32]) -> Result<Self> {
+        let (abs_max, finite) = abs_max(weights);
+        if finite && bias.iter().all(|b| b.is_finite()) {
+            return Ok(Self::with_abs_max(abs_max));
+        }
+        // Only a rejected layer is searched again, to name the value.
+        let (what, values) = if finite { ("bias", bias) } else { ("weight", weights) };
+        let (i, v) = values.iter().copied().enumerate().find(|(_, v)| !v.is_finite()).unwrap_or_default();
+        Err(Error::Config(format!("{what} {i} is {v}: only finite values can be programmed")))
+    }
+
+    fn with_abs_max(abs_max: f32) -> Self {
+        Self { scale: abs_max.max(1e-12) / Self::MAX_CODE }
+    }
+
+    /// `v`'s code: `t = v / scale` rounded half away from zero and clamped
+    /// to `−127..=127`, with NaN at 0. Branch-free, so a loop of it
+    /// vectorizes (DESIGN.md §8, "Signed quantizer"): NaN goes to 0, `|t|`
+    /// is clamped to 127 first, which gives the same code because rounding
+    /// is monotone and the bound is an integer; the magnitude is rounded
+    /// to even with the `2²³` trick and an exact tie that went down steps
+    /// up; and the sign goes back on last.
+    pub(crate) fn code(self, v: f32) -> i16 {
+        const TWO_POW_23: f32 = 8_388_608.0;
+        let t = v / self.scale;
+        // `cmpunordps` and `minps` shapes.
+        let t = if t.is_nan() { 0.0 } else { t };
+        let a = t.abs();
+        let a = if a < Self::MAX_CODE { a } else { Self::MAX_CODE };
+        // Adding and taking away 2²³ rounds to an integer, ties to even,
+        // and the fraction it leaves is exact: where it is +0.5, the tie
+        // went down, so half away from zero is one more.
+        let even = (a + TWO_POW_23) - TWO_POW_23;
+        let r = even + if a - even == 0.5 { 1.0 } else { 0.0 };
+        // `±r + 1.5·2²³` lies in `[2²³, 2²⁴)`, where the mantissa is
+        // `±r + 2²²`: its low 16 bits are `±r` in two's complement.
+        (r.copysign(t) + 12_582_912.0).to_bits() as i16
+    }
+
+    /// Quantizes `values` into `codes`, one code per value, and returns
+    /// the sum of the codes.
+    pub(crate) fn codes(self, values: &[f32], codes: &mut [i16]) -> i64 {
+        // Runs of 2²⁴ codes of magnitude at most 127 sum exactly in `i32`.
+        const RUN: usize = 1 << 24;
+        let runs = values.chunks(RUN).zip(codes.chunks_mut(RUN));
+        runs.map(|(values, codes)| {
+            let mut sum = 0i32;
+            for (code, &v) in codes.iter_mut().zip(values) {
+                *code = self.code(v);
+                sum += i32::from(*code);
+            }
+            i64::from(sum)
+        })
+        .sum()
+    }
+}
+
+/// The largest `|v|` of `values` (0 for none), with NaNs skipped as the
+/// `f32::max` fold from 0 skips them, and whether every value is finite,
+/// in one pass of [`LANES`] independent lanes. A maximum is the same in
+/// any order.
+fn abs_max(values: &[f32]) -> (f32, bool) {
+    let mut max = [0.0f32; LANES];
+    // `|v|·0` is 0 for a finite `v` and NaN for NaN and ±∞, and a NaN stays
+    // in a sum.
+    let mut probe = [0.0f32; LANES];
+    let (chunks, tail) = values.as_chunks::<LANES>();
+    // The tail, padded with zeros, which change neither.
+    let mut last = [0.0f32; LANES];
+    last[..tail.len()].copy_from_slice(tail);
+    for chunk in chunks.iter().chain([&last]) {
+        for lane in 0..LANES {
+            let a = chunk[lane].abs();
+            max[lane] = if a > max[lane] { a } else { max[lane] };
+            probe[lane] += a * 0.0;
+        }
+    }
+    (max.into_iter().fold(0.0, f32::max), probe.iter().all(|p| !p.is_nan()))
+}
+
 /// An input batch quantized to 8-bit codes and zero-padded: the programmed
 /// input state every read path reads. One [`Quantizer`] range serves the
 /// whole batch, because the planes of a stack share one readout scale.
@@ -916,6 +1070,135 @@ mod tests {
             assert!(codes.iter().zip(&edges).all(|(&c, &v)| c == code_oracle(quantizer, v)), "{quantizer:?}");
         }
         assert_eq!(unit.code(f32::NAN), 0);
+    }
+
+    /// [`SignedQuantizer::code`]'s contract on `t = v / 1`.
+    fn signed_code_oracle(t: f32) -> i16 {
+        round_half_away(t).clamp(-127, 127) as i16
+    }
+
+    #[test]
+    fn signed_code_matches_its_oracle_on_edge_values() {
+        let unit = SignedQuantizer { scale: 1.0 };
+        let mut edges =
+            vec![f32::NAN, -f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::MAX, f32::MIN];
+        edges.extend([
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
+            127.0,
+            128.0,
+            3.0e9,
+        ]);
+        // Every tie ±(j + 0.5) up to 127.5, and 4 ulps on either side.
+        for j in 0..=127u8 {
+            let tie = f32::from(j) + 0.5;
+            edges.push(tie);
+            let (mut up, mut down) = (tie, tie);
+            for _ in 0..4 {
+                (up, down) = (up.next_up(), down.next_down());
+                edges.extend([up, down]);
+            }
+        }
+        let negated: Vec<f32> = edges.iter().map(|&t| -t).collect();
+        edges.extend(negated);
+        for &t in &edges {
+            assert_eq!(unit.code(t), signed_code_oracle(t), "{t:e}");
+        }
+        // A tie rounds away from zero, its lower neighbour towards it.
+        for j in 0..=126i16 {
+            let tie = f32::from(j) + 0.5;
+            assert_eq!((unit.code(tie), unit.code(-tie)), (j + 1, -j - 1), "{tie}");
+            assert_eq!((unit.code(tie.next_down()), unit.code(-tie.next_down())), (j, -j), "{tie} - ulp");
+        }
+        assert_eq!(unit.code(f32::NAN), 0);
+        // The vectorized loop gives the same codes and sums them.
+        let mut codes = vec![0i16; edges.len()];
+        let sum = unit.codes(&edges, &mut codes);
+        assert!(codes.iter().zip(&edges).all(|(&c, &t)| c == signed_code_oracle(t)));
+        assert_eq!(sum, codes.iter().map(|&c| i64::from(c)).sum::<i64>());
+    }
+
+    /// All 2³² bit patterns through the vectorized loop, in runs of 2¹²:
+    /// ~16 s in release on a 2-vCPU x86-64 host. CI runs it with
+    /// `cargo test --release -p inca-core -- --ignored
+    /// signed_code_matches_its_oracle_on_every_f32`.
+    #[test]
+    #[ignore = "sweeps every f32; run in release"]
+    fn signed_code_matches_its_oracle_on_every_f32() {
+        let unit = SignedQuantizer { scale: 1.0 };
+        let (mut values, mut codes) = (vec![0f32; 1 << 12], vec![0i16; 1 << 12]);
+        for high in 0..1u32 << 20 {
+            for (low, v) in (0u32..).zip(&mut values) {
+                *v = f32::from_bits(high << 12 | low);
+            }
+            unit.codes(&values, &mut codes);
+            if let Some((&t, &code)) = values.iter().zip(&codes).find(|(&t, &c)| c != signed_code_oracle(t)) {
+                panic!("{t:e} ({:#010x}) codes to {code}, not {}", t.to_bits(), signed_code_oracle(t));
+            }
+        }
+    }
+
+    /// [`ConvKernel::from_float`]'s codes before the blocked write: one
+    /// value at a time, `round_half_away` of the fold's scale, each code
+    /// scattered to its [`pair_index`]. Returns the table, `code_sum` and
+    /// `w_scale`.
+    fn scatter_oracle(weights: &Tensor) -> (Vec<i16>, Vec<i64>, f32) {
+        let [out_ch, in_ch, k, _] = weights.dims4();
+        let w_max = weights.data().iter().fold(0.0f32, |m, &w| m.max(w.abs())).max(1e-12);
+        let w_scale = w_max / 127.0;
+        let (kk, lanes) = (k * k, out_ch.next_multiple_of(LANES));
+        let mut codes = vec![0i16; (in_ch * kk).div_ceil(2) * lanes * 2];
+        let mut code_sum = vec![0i64; out_ch];
+        for (oc, cells) in weights.data().chunks_exact(kk).enumerate() {
+            let (o, c) = (oc / in_ch, oc % in_ch);
+            for (cell, &w) in cells.iter().enumerate() {
+                let q = round_half_away(w / w_scale) as i16;
+                code_sum[o] += i64::from(q);
+                codes[pair_index(c * kk + cell, o, lanes)] = q;
+            }
+        }
+        (codes, code_sum, w_scale)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The blocked write gives the scatter's table, sums and scale:
+        /// output widths on and off the 8-row blocks, odd and even tap
+        /// counts (an odd one's last partner is 0), and weights on ties.
+        #[test]
+        fn blocked_codes_match_the_scatter_oracle(
+            seed in any::<u64>(),
+            out_ch in 1usize..=20,
+            in_ch in 1usize..=5,
+            k in 1usize..=5,
+        ) {
+            let weights = Tensor::from_vec(tie_weights(seed, out_ch * in_ch * k * k), &[out_ch, in_ch, k, k]);
+            let kernel = ConvKernel::from_float(&weights, &vec![0.0; out_ch], 1, 0).unwrap();
+            let (codes, code_sum, w_scale) = scatter_oracle(&weights);
+            prop_assert_eq!(&kernel.codes, &codes);
+            prop_assert_eq!(&kernel.code_sum, &code_sum);
+            prop_assert_eq!(kernel.w_scale.to_bits(), w_scale.to_bits());
+        }
+
+        /// The lane max is the fold's on any values, NaN skipped, and the
+        /// probe finds exactly the non-finite ones.
+        #[test]
+        fn abs_max_matches_the_fold(seed in any::<u64>(), len in 0usize..=40) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let specials = [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+            let values: Vec<f32> = (0..len)
+                .map(|_| match rng.gen_range(0..8) {
+                    0 => specials[rng.gen_range(0..specials.len())],
+                    _ => f32::from_bits(rng.next_u64() as u32),
+                })
+                .collect();
+            let fold = values.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+            let (max, finite) = abs_max(&values);
+            prop_assert_eq!(max.to_bits(), fold.to_bits());
+            prop_assert_eq!(finite, values.iter().all(|v| v.is_finite()));
+        }
     }
 
     fn bits(t: &Tensor) -> Vec<u32> {

@@ -28,8 +28,8 @@
 use inca_nn::Tensor;
 use inca_telemetry::Event;
 
-use crate::hw_exec::{weight_levels, DATA_BITS, WEIGHT_BITS};
-use crate::hw_kernel::CodeImage;
+use crate::hw_exec::{DATA_BITS, WEIGHT_BITS};
+use crate::hw_kernel::{CodeImage, SignedQuantizer};
 use crate::{Error, Result};
 
 /// A single-channel-pair in-situ gradient unit: holds one input channel
@@ -79,8 +79,9 @@ impl HwGradientUnit {
     /// resident input: gradient position `(kh, kw)` is one window read at
     /// offset `(kh, kw)` with δ as the kernel.
     ///
-    /// δ is quantized like a weight: signed 8-bit, a 7-bit magnitude on
-    /// either side of the differential pair. A gradient read is never
+    /// δ is quantized like a weight, by the same signed quantizer: signed
+    /// 8-bit, a 7-bit magnitude on either side of the differential pair,
+    /// with a NaN error at code 0. A gradient read is never
     /// digitized, so no read saturates, and the shift-add of a position's
     /// bit-serial reads (one per δ side, δ bit and activation bit) is
     /// exactly the integer correlation `Σ q_δ(y, x) · code(y + kh, x + kw)`
@@ -110,10 +111,9 @@ impl HwGradientUnit {
                 "error map {oh}x{ow} inconsistent with {k}x{k} valid conv of {h}x{w}"
             )));
         }
-        let d_max = delta.data().iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-12);
-        let d_scale = d_max / weight_levels();
-        // |v| ≤ d_max, so every code lies in −127..=127.
-        let d_codes: Vec<i64> = delta.data().iter().map(|&v| (v / d_scale).round() as i64).collect();
+        let d_quantizer = SignedQuantizer::of(delta.data());
+        let mut d_codes = vec![0i16; delta.len()];
+        d_quantizer.codes(delta.data(), &mut d_codes);
         // Offset-correction term: Σδ (for the x_min offset of the codes).
         let delta_sum: f32 = delta.data().iter().sum();
 
@@ -127,10 +127,10 @@ impl HwGradientUnit {
                 .enumerate()
                 .map(|(y, row)| {
                     let window = &codes[(y + kh) * w + kw..][..ow];
-                    row.iter().zip(window).map(|(&d, &x)| d * i64::from(x)).sum::<i64>()
+                    row.iter().zip(window).map(|(&d, &x)| i64::from(d) * i64::from(x)).sum::<i64>()
                 })
                 .sum();
-            *slot = acc as f32 * quantizer.x_scale * d_scale + quantizer.x_min * delta_sum;
+            *slot = acc as f32 * quantizer.x_scale * d_quantizer.scale + quantizer.x_min * delta_sum;
         }
         let reads = (2 * usize::from(WEIGHT_BITS) * usize::from(DATA_BITS) * k * k) as u64;
         inca_telemetry::record(Event::XbarReadPulse, reads);
@@ -335,7 +335,7 @@ mod tests {
             .collect();
         let (oh, ow) = (delta.shape()[0], delta.shape()[1]);
         let d_max = delta.data().iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-12);
-        let d_scale = d_max / weight_levels();
+        let d_scale = d_max / f32::from((1u16 << WEIGHT_BITS) - 1);
         let mut d_pos = vec![0u32; oh * ow];
         let mut d_neg = vec![0u32; oh * ow];
         for (i, &v) in delta.data().iter().enumerate() {

@@ -47,6 +47,36 @@ impl Stack3d {
         Self { planes: (0..depth).map(|_| VerticalPlane::new(rows, cols)).collect(), rows, cols }
     }
 
+    /// A stack of `planes`, plane `i` at index `i`, without a write: for
+    /// simulators that keep programmed cells in another form and build
+    /// the planes with [`VerticalPlane::from_bits`].
+    ///
+    /// # Errors
+    ///
+    /// * [`XbarError::PlaneOutOfBounds`] for no planes: a stack needs
+    ///   plane 0.
+    /// * [`XbarError::ShapeMismatch`] for a plane whose shape differs from
+    ///   plane 0's.
+    pub fn from_planes(planes: Vec<VerticalPlane>) -> Result<Self> {
+        let Some(first) = planes.first() else {
+            return Err(XbarError::PlaneOutOfBounds { plane: 0, planes: 0 });
+        };
+        let (rows, cols) = (first.rows(), first.cols());
+        if let Some((i, plane)) =
+            planes.iter().enumerate().find(|(_, p)| (p.rows(), p.cols()) != (rows, cols))
+        {
+            return Err(XbarError::ShapeMismatch {
+                expected: format!(
+                    "plane {i} of {rows}x{cols} cells as plane 0, not {}x{}",
+                    plane.rows(),
+                    plane.cols()
+                ),
+                got: plane.rows() * plane.cols(),
+            });
+        }
+        Ok(Self { planes, rows, cols })
+    }
+
     /// Number of planes (batch capacity).
     #[must_use]
     pub fn depth(&self) -> usize {
@@ -79,7 +109,7 @@ impl Stack3d {
     /// # Errors
     ///
     /// Returns [`XbarError::PlaneOutOfBounds`] for an invalid index.
-    pub fn plane_mut(&mut self, index: usize) -> Result<&mut VerticalPlane> {
+    fn plane_mut(&mut self, index: usize) -> Result<&mut VerticalPlane> {
         let planes = self.planes.len();
         self.planes.get_mut(index).ok_or(XbarError::PlaneOutOfBounds { plane: index, planes })
     }
@@ -215,6 +245,37 @@ mod tests {
         assert!(matches!(s.plane(2), Err(XbarError::PlaneOutOfBounds { plane: 2, planes: 2 })));
         assert!(s.plane_mut(5).is_err());
         assert!(s.write_plane(3, &[0; 4]).is_err());
+    }
+
+    #[test]
+    fn a_stack_of_planes_holds_them_without_a_write() {
+        let bits = |fill: u8| vec![fill; 6];
+        let planes = vec![VerticalPlane::from_bits(2, 3, &bits(1)).unwrap(), VerticalPlane::new(2, 3)];
+        let (stack, counted) = inca_telemetry::capture(|| Stack3d::from_planes(planes).unwrap());
+        assert_eq!(counted.get(Event::RramProgramPulse), 0);
+        assert_eq!((stack.rows(), stack.cols(), stack.depth()), (2, 3, 2));
+        let mut written = Stack3d::new(2, 3, 2);
+        written.write_plane(0, &bits(1)).unwrap();
+        assert_eq!(
+            stack.direct_conv_window(0, 0, 2, 3, &bits(1)),
+            written.direct_conv_window(0, 0, 2, 3, &bits(1))
+        );
+        assert_eq!(stack.plane(0).unwrap().write_count(), 0);
+    }
+
+    #[test]
+    fn a_stack_of_no_planes_or_unequal_ones_is_an_error() {
+        assert_eq!(
+            Stack3d::from_planes(Vec::new()),
+            Err(XbarError::PlaneOutOfBounds { plane: 0, planes: 0 })
+        );
+        let planes = vec![VerticalPlane::new(4, 5), VerticalPlane::new(4, 5), VerticalPlane::new(5, 4)];
+        match Stack3d::from_planes(planes) {
+            Err(XbarError::ShapeMismatch { expected, got: 20 }) => {
+                assert!(expected.contains("plane 2 of 4x5 cells as plane 0, not 5x4"), "{expected}");
+            }
+            other => panic!("expected a shape mismatch, got {other:?}"),
+        }
     }
 
     #[test]
